@@ -9,6 +9,7 @@ use fatpaths_core::fwd::RoutingTables;
 use fatpaths_core::layers::{build_random_layers, LayerConfig};
 use fatpaths_core::scheme::{MinimalScheme, RoutingScheme};
 use fatpaths_net::topo::slimfly::slim_fly;
+use fatpaths_sim::engine::{EvKind, EventQueue, TimePs};
 use fatpaths_sim::fluid::max_min_rates;
 use fatpaths_sim::{LoadBalancing, Scenario, SchemeSpec, SimConfig, Simulator};
 use fatpaths_workloads::arrivals::FlowSpec;
@@ -138,6 +139,55 @@ fn bench_dispatch(c: &mut Criterion) {
     g.finish();
 }
 
+/// The packet engine's scheduling deltas at the default 10 Gbit/s /
+/// 1 µs link, in roughly the proportions a bulk NDP run pushes them:
+/// header and jumbo-frame serialization (51 ns, 7.25 µs), the same plus
+/// link latency for the arrival (8.25 µs), "now", and — rarely, since a
+/// flow keeps one lazy timer — the 2 ms RTO.
+fn hold_delta(rng: &mut u64) -> TimePs {
+    *rng ^= *rng << 13;
+    *rng ^= *rng >> 7;
+    *rng ^= *rng << 17;
+    match *rng & 255 {
+        0 => 2_000_000_000,
+        1..=15 => 0,
+        16..=95 => 51_200,
+        96..=175 => 7_250_000,
+        _ => 8_250_000,
+    }
+}
+
+/// The event queue on its own, under the classic hold model: pop the
+/// earliest event, push one back at `now + delta`, with the population
+/// held at 1 k (fits L1) and 100 k (the `hpc_ndp_sf` benchmark's
+/// resident size). A queue change can be judged here in seconds before
+/// the full benchmark is run.
+fn bench_event_queue(c: &mut Criterion) {
+    const HOLDS: usize = 1_000_000;
+    let mut g = c.benchmark_group("event_queue");
+    g.sample_size(10);
+    for resident in [1_000u32, 100_000] {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut q = EventQueue::default();
+        for port in 0..resident {
+            q.push(hold_delta(&mut rng), EvKind::PortPop { port });
+        }
+        // The queue carries over between samples (the untimed warm-up
+        // sample brings it to steady state), so each sample times
+        // `HOLDS` pop-push pairs on a stationary population.
+        g.bench_function(format!("hold_1M_at_{resident}_resident"), |b| {
+            b.iter(|| {
+                for _ in 0..HOLDS {
+                    let (now, ev) = q.pop().expect("a hold never drains the queue");
+                    q.push(now + hold_delta(&mut rng), ev);
+                }
+                black_box(q.len())
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_fluid(c: &mut Criterion) {
     // 10k flows over 20k links, 3 links per path.
     let paths: Vec<Vec<u32>> = (0..10_000u32)
@@ -151,5 +201,11 @@ fn bench_fluid(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_packet_sim, bench_dispatch, bench_fluid);
+criterion_group!(
+    benches,
+    bench_packet_sim,
+    bench_dispatch,
+    bench_event_queue,
+    bench_fluid
+);
 criterion_main!(benches);

@@ -467,7 +467,8 @@ fn main() {
     }
     if args.iter().any(|a| a == "--profile") {
         // Execution-layer profile of the scale scenario: window count,
-        // mailbox traffic, fault-epoch publications, and peak RSS, as
+        // mailbox traffic, fault-epoch publications, traffic events
+        // (and wall ns per event), and peak RSS, as
         // JSON on stdout. `FATPATHS_THREADS` picks the shard count.
         let shards: u32 = std::env::var("FATPATHS_THREADS")
             .ok()
@@ -486,6 +487,14 @@ fn main() {
         let _ = writeln!(json, "  \"mailbox_bytes\": {},", p.mailbox_bytes);
         let _ = writeln!(json, "  \"epochs_published\": {},", p.epochs_published);
         let _ = writeln!(json, "  \"repair_ticks\": {},", p.repair_ticks);
+        // Wall clock over the whole scenario (scheme build included)
+        // per traffic event — an upper bound on the engine's own cost.
+        let _ = writeln!(json, "  \"events\": {},", p.events);
+        let _ = writeln!(
+            json,
+            "  \"wall_ns_per_event\": {:.1},",
+            secs * 1e9 / p.events.max(1) as f64
+        );
         let _ = writeln!(json, "  \"peak_rss_kb\": {}", p.peak_rss_kb);
         json.push_str("}\n");
         print!("{json}");

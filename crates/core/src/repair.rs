@@ -24,8 +24,9 @@
 //! The overlay has two representations. During construction it is a
 //! *staged* hash map, so scheme repair passes can interleave inserts and
 //! lookups freely. [`RouteRepair::seal`] then collapses the staged rows
-//! into sorted destination-range intervals ([`lookup`] becomes a binary
-//! search): repairs cluster on the contiguous router-id ranges behind a
+//! into sorted destination-range intervals ([`lookup`] becomes a row-index
+//! probe plus a binary search over that row's few spans): repairs
+//! cluster on the contiguous router-id ranges behind a
 //! failure (a fat-tree pod, a dragonfly group), so the sealed form's
 //! size tracks the *damage*, not the network — the property that lets
 //! one shared copy serve every simulation shard at million-endpoint
@@ -142,6 +143,12 @@ pub struct RouteRepair {
     /// Sealed destination-range intervals, sorted by
     /// `(layer, at, dst_start)` with no overlap within `(layer, at)`.
     spans: Vec<RepairSpan>,
+    /// `(layer, at)` → that row's `start..end` range in `spans`, built
+    /// by [`RouteRepair::seal`]: the per-hop lookup — a miss for almost
+    /// every row, since repairs touch few — is one hash probe instead
+    /// of a binary search over every span. Probed only, never iterated,
+    /// so hash order cannot leak into results.
+    row_index: FxHashMap<(u8, RouterId), (u32, u32)>,
     /// Row count covered by `spans` (cached: spans compress rows).
     sealed_rows: usize,
     /// Control-plane cost of realizing this overlay in compiled
@@ -171,6 +178,16 @@ impl RouteRepair {
         if !self.staged.is_empty() {
             return self.staged.get(&(layer, at, dst));
         }
+        let &(start, end) = self.row_index.get(&(layer, at))?;
+        let row = &self.spans[start as usize..end as usize];
+        let s = row[..row.partition_point(|s| s.dst_start <= dst)].last()?;
+        (dst < s.dst_end).then_some(&s.ports)
+    }
+
+    /// The sealed lookup as it was before the row index: a binary
+    /// search over the whole span vector. Kept as the test reference.
+    #[cfg(test)]
+    fn lookup_unindexed(&self, layer: u8, at: RouterId, dst: RouterId) -> Option<&PortSet> {
         let i = self
             .spans
             .partition_point(|s| (s.layer, s.at, s.dst_start) <= (layer, at, dst));
@@ -211,6 +228,10 @@ impl RouteRepair {
                 ports,
             });
         }
+        for (i, s) in self.spans.iter().enumerate() {
+            let i = i as u32;
+            self.row_index.entry((s.layer, s.at)).or_insert((i, i)).1 = i + 1;
+        }
     }
 
     /// Sealed intervals currently held (0 before [`RouteRepair::seal`]).
@@ -246,6 +267,7 @@ impl RouteRepair {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn down_links_canonicalize_and_sort() {
@@ -322,6 +344,37 @@ mod tests {
         r.seal();
         assert_eq!(r.len(), 7);
         assert_eq!(r.num_spans(), 4);
+    }
+
+    proptest! {
+        // Every `(layer, at, dst)` — hits, gaps inside a row, rows that
+        // were never repaired — answers the same from the staged map,
+        // the sealed whole-vector search and the sealed row index.
+        #[test]
+        fn staged_sealed_and_indexed_lookups_agree(
+            rows in prop::collection::vec((0u8..3, 0u32..6, 0u32..24, 0u16..3), 0..80),
+        ) {
+            let mut staged = RouteRepair::none();
+            for &(layer, at, dst, port) in &rows {
+                // Port 0 stands for an unreachable (empty) row.
+                let ports = if port == 0 { PortSet::new() } else { PortSet::single(port) };
+                staged.insert(layer, at, dst, ports);
+            }
+            let mut sealed = staged.clone();
+            sealed.seal();
+            prop_assert_eq!(sealed.len(), staged.len());
+            for layer in 0..4u8 {
+                for at in 0..7u32 {
+                    for dst in 0..26u32 {
+                        let want = staged.lookup(layer, at, dst).map(|p| p.as_slice());
+                        let old = sealed.lookup_unindexed(layer, at, dst).map(|p| p.as_slice());
+                        let new = sealed.lookup(layer, at, dst).map(|p| p.as_slice());
+                        prop_assert_eq!(old, want);
+                        prop_assert_eq!(new, want);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

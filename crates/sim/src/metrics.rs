@@ -83,6 +83,12 @@ pub struct RunProfile {
     pub epochs_published: u64,
     /// Control-plane repair passes the run reached.
     pub repair_ticks: u64,
+    /// Traffic events dispatched: flow starts, serializer pops, packet
+    /// arrivals, pull ticks and retransmission timers, summed over
+    /// shards. The fault and repair events every shard replays for its
+    /// epoch cursor are left out, so the count is the same at every
+    /// shard count — the denominator for host ns per event.
+    pub events: u64,
     /// Peak resident set size of the process in KiB (`VmHWM`), read at
     /// the end of the run; 0 where `/proc` is unavailable.
     pub peak_rss_kb: u64,

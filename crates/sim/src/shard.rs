@@ -59,13 +59,16 @@ pub(crate) struct Port {
     pub prio_tail: u32,
     /// Queue depths. `u16` is ample: data queues are policy-capped at
     /// the transport's `queue_pkts` (≤ 100), priority queues at 1024
-    /// (`push_prio_bounded`), and NIC queue depth is never consulted.
+    /// (`push_prio_bounded`), and NIC queues are window-bounded. The
+    /// increments are checked all the same — a wrap would corrupt the
+    /// queue policy silently.
     pub data_len: u16,
     pub prio_len: u16,
 }
 
 const PORT_TO_ROUTER: u32 = 1 << 30;
 const PORT_BUSY: u32 = 1 << 31;
+const QUEUE_LEN_OVERFLOW: &str = "port queue holds more than u16::MAX packets";
 
 impl Port {
     pub(crate) fn new(to_is_router: bool, to: u32) -> Self {
@@ -127,7 +130,7 @@ impl Port {
             slab.set_next(*tail, pid);
         }
         *tail = pid;
-        *len += 1;
+        *len = len.checked_add(1).expect(QUEUE_LEN_OVERFLOW);
     }
 
     /// Head-inserts `pid` (retransmissions jump the data queue).
@@ -138,7 +141,7 @@ impl Port {
             *tail = pid;
         }
         *head = pid;
-        *len += 1;
+        *len = len.checked_add(1).expect(QUEUE_LEN_OVERFLOW);
     }
 
     /// Pops the queue head, if any.
@@ -644,6 +647,9 @@ pub(crate) struct Shard {
     pub trim_count: u64,
     pub unroutable: u64,
     pub host_dead: u64,
+    /// Traffic events dispatched (everything but the fault/repair
+    /// cursor events, which every shard replays): the run's work count.
+    pub traffic_events: u64,
     /// Flows resolved this window (completed, aborted, or host-dead);
     /// drained by the driver into its global termination bitset.
     pub resolved: Vec<u32>,
@@ -699,6 +705,7 @@ impl Shard {
             trim_count: 0,
             unroutable: 0,
             host_dead: 0,
+            traffic_events: 0,
             resolved: Vec::new(),
             outbox: (0..n_shards).map(|_| Vec::new()).collect(),
             scratch: Vec::new(),
@@ -732,7 +739,7 @@ impl Shard {
         }
     }
 
-    /// Drops the run-time arenas — event heap, packet slab, ports,
+    /// Drops the run-time arenas — event queue, packet slab, ports,
     /// mailboxes, pull queues — while keeping the flow halves and
     /// counters the driver reads during result assembly. Called once
     /// the event loop finishes so the per-flow record vector is not
@@ -825,6 +832,14 @@ impl Shard {
     }
 
     pub(crate) fn dispatch<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, ev: EvKind) {
+        self.traffic_events += !matches!(
+            ev,
+            EvKind::LinkDown { .. }
+                | EvKind::LinkUp { .. }
+                | EvKind::RouterDown { .. }
+                | EvKind::RouterUp { .. }
+                | EvKind::RepairTick
+        ) as u64;
         match ev {
             EvKind::FlowStart { flow } => self.on_flow_start(cx, flow),
             EvKind::PortPop { port } => {
@@ -1046,19 +1061,17 @@ impl Shard {
             let p = self.packets.get(pid);
             (cx.dst_router_of(p), p.dst_ep, p.layer)
         };
-        // Per-hop layer rewrite (Valiant phase switch; identity for
-        // single-phase schemes).
-        if dst_router != r {
-            let nl = cx.scheme.update_layer(layer, r, dst_router);
-            if nl != layer {
-                self.packets.get_mut(pid).layer = nl;
-            }
-        }
         let port = if dst_router == r {
             let first = cx.topo.router_endpoints(r).start;
             cx.down_base[r as usize] + (dst_ep - first)
         } else {
-            let Some(sel) = self.select_port(cx, r, pid) else {
+            // Per-hop layer rewrite (Valiant phase switch; identity for
+            // single-phase schemes).
+            let nl = cx.scheme.update_layer(layer, r, dst_router);
+            if nl != layer {
+                self.packets.get_mut(pid).layer = nl;
+            }
+            let Some(sel) = self.select_port(cx, r, pid, nl, dst_router) else {
                 // No live candidate port: the destination is unreachable
                 // from here in the degraded network.
                 self.unroutable += 1;
@@ -1079,22 +1092,27 @@ impl Shard {
         self.router_enqueue(cx, port, pid);
     }
 
-    fn select_port<R: RoutingScheme + ?Sized>(&self, cx: &Ctx<R>, r: u32, pid: u32) -> Option<u16> {
-        let p = *self.packets.get(pid);
-        let dst_router = cx.dst_router_of(&p);
+    fn select_port<R: RoutingScheme + ?Sized>(
+        &self,
+        cx: &Ctx<R>,
+        r: u32,
+        pid: u32,
+        layer: u8,
+        dst_router: u32,
+    ) -> Option<u16> {
         let fe = self.faults(cx);
         // Repaired rows (installed one detection delay after link-state
         // changes) shadow the scheme's original tables.
         let repaired_row = if fe.repair.is_empty() {
             None
         } else {
-            fe.repair.lookup(p.layer, r, dst_router)
+            fe.repair.lookup(layer, r, dst_router)
         };
         let scheme_row;
         let cands: &[u16] = match repaired_row {
             Some(e) => e.as_slice(),
             None => {
-                scheme_row = cx.scheme.candidate_ports(p.layer, r, dst_router);
+                scheme_row = cx.scheme.candidate_ports(layer, r, dst_router);
                 scheme_row.as_slice()
             }
         };
@@ -1111,6 +1129,7 @@ impl Shard {
             return Some(cands[0]);
         }
         let len = cands.len() as u64;
+        let p = self.packets.get(pid);
         Some(match cx.cfg.lb {
             // NDP's spraying cycles each flow round-robin over the
             // candidate ports (per hop, offset by a flow/router hash):
@@ -1580,7 +1599,6 @@ pub(crate) fn deliver_mailboxes(shards: &mut [Shard]) -> (u64, u64) {
             msgs.sort_unstable_by_key(|m| m.dt);
             let dst = &mut shards[d];
             dst.packets.reserve(msgs.len());
-            dst.events.reserve(msgs.len());
             for m in msgs.drain(..) {
                 n_msgs += 1;
                 n_bytes += m.pkt.wire_bytes as u64;
@@ -1774,6 +1792,24 @@ mod tests {
         port.push_back(&mut slab, false, d);
         assert_eq!(port.pop_front(&slab, true), None);
         assert_eq!(port.pop_front(&slab, false), Some(d));
+    }
+
+    /// A NIC queue has no policy cap, so its `u16` depth counter is the
+    /// only bound: it must count exactly up to the limit and refuse the
+    /// next packet loudly instead of wrapping to an "empty" queue.
+    #[test]
+    #[should_panic(expected = "port queue holds more than u16::MAX packets")]
+    fn nic_queue_depth_panics_past_the_u16_limit() {
+        let mut slab = PacketSlab::default();
+        let mut nic = Port::new(true, 0);
+        let pkt = Packet::new(PktKind::Data, 0, 64, 0, 0, 0, 0, 0xff);
+        for _ in 0..u16::MAX {
+            let pid = slab.alloc(pkt);
+            nic.push_back(&mut slab, true, pid);
+        }
+        assert_eq!(nic.data_len, u16::MAX);
+        let pid = slab.alloc(pkt);
+        nic.push_back(&mut slab, true, pid);
     }
 
     #[test]

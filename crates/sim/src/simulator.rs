@@ -22,7 +22,7 @@
 //! the same windowed loop on a single queue.
 
 use crate::config::{SimConfig, Transport};
-use crate::engine::{EvKind, TimePs};
+use crate::engine::{assert_schedulable, EvKind, TimePs};
 use crate::faults::{FaultTimeline, FaultWriter};
 use crate::metrics::{peak_rss_kb, reset_peak_rss, FlowRecord, RunProfile, SimResult};
 use crate::shard::{
@@ -231,8 +231,27 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
     /// still replicated into every shard's queue, where they serve
     /// purely as epoch-cursor advances (each is a few bytes on the
     /// queue, not a copy of the network state — see `crate::faults`).
+    ///
+    /// # Panics
+    ///
+    /// If a timed event, or the repair one detection delay after it,
+    /// lies at or beyond 2^55 ps (the bound on scheduled times; the
+    /// event queue's timestamps are 56 bits wide).
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
         let delay = self.cfg.detection_delay;
+        let lag = delay.unwrap_or(0);
+        assert_schedulable(lag, "detection delay");
+        for at in plan
+            .events()
+            .iter()
+            .map(|e| e.at)
+            .chain(plan.router_events().iter().map(|e| e.at))
+        {
+            assert_schedulable(
+                at.saturating_add(lag),
+                "fault event time plus detection delay",
+            );
+        }
         self.faults.apply_plan(self.topo, &self.net_base, plan);
         let statics = plan.num_static() + plan.num_static_routers() > 0;
         if statics {
@@ -289,6 +308,7 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
     /// Registers a flow's halves on their home shards and schedules its
     /// start event on the sender's shard.
     fn push_flow(&mut self, m: FlowMeta, start: TimePs) -> u32 {
+        assert_schedulable(start, "flow start time");
         let id = self.meta.len() as u32;
         let ts = self.router_shard[self.ep_router[m.src_ep as usize] as usize];
         let rs = self.router_shard[self.ep_router[m.dst_ep as usize] as usize];
@@ -337,17 +357,19 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
                 sh.tcp.reserve(ntx[i]);
             }
             sh.rx.reserve(nrx[i]);
-            // Event-heap baseline: the start-burst census of an
-            // endpoint-owning shard — a start event and an armed (lazy)
-            // RTO timer per sender plus an arrival or serializer event
-            // per windowed packet. Transit-heavy shards (no local
-            // flows) start empty and grow in bounded exact steps
-            // (`EventQueue` never doubles) toward their own high-water
-            // mark; sizing the flow-owning shards exactly matters
-            // because their burst coincides with the process-wide
-            // memory peak, where a growth realloc would briefly hold
-            // two copies of a multi-MB heap.
-            sh.events.reserve(ntx[i].saturating_mul(2) + npkt[i]);
+            // Event-slab baseline: the start-burst census of an
+            // endpoint-owning shard — a start event per sender, an
+            // event per windowed packet, and a second one (serializer
+            // *and* arrival) for the packet at the head of each
+            // sender's NIC. Transit-heavy shards (no local flows) start
+            // empty and grow in bounded exact steps (`EventQueue` never
+            // doubles) toward their own high-water mark; sizing the
+            // flow-owning shards up front matters because stepwise
+            // growth during their burst, interleaved with the packet
+            // arena's, fragments the heap at the process-wide memory
+            // peak. The census errs high on purpose: capacity the
+            // burst never touches is not resident.
+            sh.events.reserve(2 * ntx[i] + npkt[i]);
             // Sender-side slabs hold roughly half the windowed packets
             // at once (the rest are in flight on transit shards or
             // already acked) plus the control packets local receivers
@@ -362,6 +384,11 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
     }
 
     /// Registers flows (any order); they start at their spec times.
+    ///
+    /// # Panics
+    ///
+    /// If a start time lies at or beyond 2^55 ps (the bound on
+    /// scheduled times; the event queue's timestamps are 56 bits wide).
     pub fn add_flows(&mut self, specs: &[FlowSpec]) {
         let payload = self.cfg.transport.payload();
         self.reserve_for(specs);
@@ -449,7 +476,13 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
     /// fixed shard count. Events inside a window are attributed to the
     /// window's start interval, so the effective resolution is
     /// `max(interval_ps, lookahead)`.
+    ///
+    /// # Panics
+    ///
+    /// If [`SimConfig::horizon`] lies at or beyond 2^55 ps (the bound on
+    /// scheduled times; the event queue's timestamps are 56 bits wide).
     pub fn run_traced(mut self) -> (SimResult, Option<Trace>) {
+        assert_schedulable(self.cfg.horizon, "horizon");
         reset_peak_rss();
         let total = self.meta.len();
         let timeline = self
@@ -508,7 +541,7 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
                     mb_msgs += msgs;
                     mb_bytes += bytes;
                 }
-                let Some(t0) = shards.iter().filter_map(|s| s.events.peek_time()).min() else {
+                let Some(t0) = shards.iter_mut().filter_map(|s| s.events.peek_time()).min() else {
                     break;
                 };
                 if horizon > 0 && t0 > horizon {
@@ -603,6 +636,7 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
         );
         let seen = self.shards[0].repair_seen as usize;
         profile.repair_ticks = seen as u64;
+        profile.events = self.shards.iter().map(|s| s.traffic_events).sum();
         profile.peak_rss_kb = peak_rss_kb();
         let trace = tcfg.enabled.then(|| {
             let repairs = timeline.log[..seen]
@@ -789,6 +823,71 @@ mod tests {
         );
         assert!(sim.router_is_dead(20) && sim.router_is_dead(31));
         assert!(sim.link_is_down(e.0, e.1));
+    }
+
+    /// Times the packed event key could not hold, or could not hold
+    /// once the engine has added its own deltas, are rejected where
+    /// they enter the simulator — in release builds too, where the
+    /// queue's own `debug_assert!` is compiled out and an oversized
+    /// timestamp would spill into the class bits and silently reorder
+    /// pops.
+    #[test]
+    #[should_panic(expected = "flow start time 36028797018963968 ps is beyond the 2^55 ps")]
+    fn flow_start_at_the_time_limit_is_rejected() {
+        let (topo, rt) = fixture();
+        let mut sim = Simulator::new(&topo, &rt, SimConfig::default().shards(1));
+        sim.add_flows(&[FlowSpec {
+            src: 0,
+            dst: 1,
+            size: 1,
+            start: 1 << 55,
+        }]);
+    }
+
+    /// The repair scheduled one detection delay after a fault event is
+    /// a derived time: the check covers the sum.
+    #[test]
+    #[should_panic(
+        expected = "fault event time plus detection delay 36028797018963968 ps is beyond"
+    )]
+    fn fault_event_whose_repair_passes_the_time_limit_is_rejected() {
+        let (topo, rt) = fixture();
+        let cfg = SimConfig {
+            detection_delay: Some(1_000),
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(&topo, &rt, cfg.shards(1));
+        sim.apply_fault_plan(&FaultPlan::none().router_down_at((1 << 55) - 1_000, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "horizon 72057594037927936 ps is beyond")]
+    fn horizon_past_the_time_limit_is_rejected() {
+        let (topo, rt) = fixture();
+        let cfg = SimConfig {
+            horizon: 1 << 56,
+            ..SimConfig::default()
+        };
+        Simulator::new(&topo, &rt, cfg.shards(1)).run();
+    }
+
+    /// The last admissible instant is not only accepted but runs: the
+    /// flow's own events (serialization, latency, pulls) land past the
+    /// input limit, inside the headroom the 56-bit key leaves for them.
+    #[test]
+    fn flow_starting_just_below_the_time_limit_completes() {
+        let (topo, rt) = fixture();
+        let start = (1 << 55) - 1;
+        let mut sim = Simulator::new(&topo, &rt, SimConfig::default().shards(1));
+        sim.add_flows(&[FlowSpec {
+            src: 0,
+            dst: 1,
+            size: 20_000,
+            start,
+        }]);
+        let res = sim.run();
+        assert_eq!(res.completion_rate(), 1.0);
+        assert!(res.flows[0].finish.unwrap() > start);
     }
 
     /// Finalizing the writer publishes one epoch per fault event, and

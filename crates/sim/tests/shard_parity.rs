@@ -121,6 +121,49 @@ fn sharded_runs_are_byte_identical_to_single_shard() {
     }
 }
 
+/// The work counter (`RunProfile::events`) counts traffic events only —
+/// the fault and repair events each shard replays for its epoch cursor
+/// are excluded — so it must not move with the shard count, healthy or
+/// under churn with repair, or host ns/event would not compare across K.
+#[test]
+fn traffic_event_count_is_shard_count_invariant() {
+    rayon::ensure_pool(4);
+    for topo in mini_topos() {
+        let flows = permutation(&topo, 19);
+        let churn = FaultPlan::sample(&topo, &FaultModel::UniformFraction { fraction: 0.06 }, 11)
+            .router_down_at(2_000_000_000, 7)
+            .router_up_at(6_000_000_000, 7);
+        for plan in [None, Some(&churn)] {
+            let events = |k: u32| {
+                let mut sc = Scenario::on(&topo)
+                    .scheme(SchemeSpec::LayeredRandom {
+                        n_layers: 4,
+                        rho: 0.6,
+                    })
+                    .workload(&flows)
+                    .seed(3)
+                    .horizon(40_000_000_000)
+                    .shards(k);
+                if let Some(plan) = plan {
+                    sc = sc
+                        .fault_plan(plan.clone())
+                        .detection_delay(50_000_000)
+                        .abort_on_host_death(3);
+                }
+                let r = sc.run();
+                assert_eq!(r.repair_ticks() >= 2, plan.is_some());
+                r.profile.events
+            };
+            let single = events(1);
+            // At least a start, a serializer pop and an arrival per flow.
+            assert!(single >= 3 * flows.len() as u64);
+            for k in [2, 4, 9] {
+                assert_eq!(events(k), single, "{k} shards on {}", topo.name);
+            }
+        }
+    }
+}
+
 /// Fault parity: static failures plus mid-run router churn with
 /// detection-driven repair. Fault state is replicated per shard, so the
 /// repair log — assembled from shard 0's replica — must match the
