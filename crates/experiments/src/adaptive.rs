@@ -11,25 +11,21 @@
 //! [`fatpaths_workloads::matrices`]) under NDP over FatPaths layers and
 //! measures on-time goodput: payload bits of flows completing within
 //! [`ON_TIME_PS`] of injection, per on-time-window second. Deterministic
-//! at any thread and shard count: the grid runs through [`SweepRunner`],
+//! at any thread and shard count: the grid runs as a [`Grid`] sweep,
 //! seeds derive from cell coordinates, rows assemble in grid order, and
 //! the adaptive decision itself is a pure function of shard-local queue
 //! snapshots (pinned by `shard_parity` and `parallel_parity`).
 
-use crate::common::{f, is_smoke, label, write_summary, write_text};
-use fatpaths_net::classes::{build, SizeClass};
-use fatpaths_net::topo::{TopoKind, Topology};
-use fatpaths_sim::metrics::Summary;
-use fatpaths_sim::{
-    cell_seed, coord_str, AdaptiveMode, Scenario, SchemeSpec, SweepRunner, TeConfig,
+use crate::common::{
+    acceptance_pair, f, is_smoke, label, on_time_goodput, write_summary, write_text, Table,
+    ON_TIME_PS,
 };
+use fatpaths_net::topo::Topology;
+use fatpaths_sim::metrics::Summary;
+use fatpaths_sim::{cell_seed, coord_str, AdaptiveMode, Grid, Scenario, SchemeSpec, TeConfig};
 use fatpaths_workloads::arrivals::FlowSpec;
 use fatpaths_workloads::matrices::{matrix_flows, MatrixSpec};
 use std::io;
-
-/// CSV header of the adaptive sweep artifact.
-pub const HEADER: &str = "topology,matrix,routing,boundary,scheme,flows,completed,on_time,\
-                          goodput_gbps,trims,drops,fct_mean_ms,fct_p99_ms,peak_layer_gbps";
 
 /// Routing-table axis: the static seeded layers vs the same layers
 /// negotiated against the cell's matrix.
@@ -42,11 +38,6 @@ pub const BOUNDARIES: [&str; 2] = ["oblivious", "adaptive"];
 /// line-rate first window and spends most of its life pull-paced —
 /// where flowlet gaps (and hence boundary decisions) actually occur.
 const FLOW_BYTES: u64 = 256 * 1024;
-
-/// On-time bound for sustained goodput (mirrors the churn sweep's
-/// reading: completions beyond this outlasted the congestion event
-/// instead of routing around it).
-pub const ON_TIME_PS: u64 = 2_500_000_000; // 2.5 ms
 
 /// Hard stop: adversarial cells that strand flows must not run forever.
 const HORIZON_PS: u64 = 20_000_000_000; // 20 ms
@@ -74,16 +65,10 @@ struct CellOut {
     goodput_gbps: f64,
     trims: u64,
     drops: u64,
-    fct_mean_s: f64,
-    fct_p99_s: f64,
+    fct: Summary,
     /// Telemetry-derived: peak per-layer wire utilization over the run.
     peak_layer_gbps: f64,
     scheme_label: String,
-}
-
-/// Index of cell `(ti, mi, ri, bi)` in grid order.
-fn cell_index(n_matrices: usize, ti: usize, mi: usize, ri: usize, bi: usize) -> usize {
-    ((ti * n_matrices + mi) * ROUTINGS.len() + ri) * BOUNDARIES.len() + bi
 }
 
 /// Runs the adaptive grid on the given topologies and returns
@@ -91,17 +76,8 @@ fn cell_index(n_matrices: usize, ti: usize, mi: usize, ri: usize, bi: usize) -> 
 /// parity suite pins this with miniature topologies).
 pub fn adaptive_matrix_on(topos: Vec<Topology>, n_layers: usize, rho: f64) -> (String, String) {
     let specs = matrices();
-    let mut cells: Vec<(usize, usize, usize, usize)> = Vec::new();
-    for ti in 0..topos.len() {
-        for mi in 0..specs.len() {
-            for ri in 0..ROUTINGS.len() {
-                for bi in 0..BOUNDARIES.len() {
-                    cells.push((ti, mi, ri, bi));
-                }
-            }
-        }
-    }
-    let results = SweepRunner::new("adaptive", cells).run(|_, &(ti, mi, ri, bi)| {
+    let grid = Grid::new([topos.len(), specs.len(), ROUTINGS.len(), BOUNDARIES.len()]);
+    let results = grid.run(|[ti, mi, ri, bi]| {
         let topo = &topos[ti];
         let spec = &specs[mi];
         let mseed = cell_seed(
@@ -133,28 +109,36 @@ pub fn adaptive_matrix_on(topos: Vec<Topology>, n_layers: usize, rho: f64) -> (S
         // Traced run: the trace feeds the peak-layer-utilization column
         // (deterministic — integer byte counts per canonical interval).
         let (res, trace) = sc.run_traced();
-        let fct = Summary::of(&res.fcts(None));
-        let on_time: Vec<u64> = res
-            .completed()
-            .filter(|fl| fl.finish.is_some_and(|t| t - fl.start <= ON_TIME_PS))
-            .map(|fl| fl.size)
-            .collect();
+        // On-time goodput over the on-time window itself.
+        let (on_time, goodput_gbps) = on_time_goodput(&res, ON_TIME_PS);
         CellOut {
             flows: res.flows.len(),
             completed: res.completed().count(),
-            on_time: on_time.len(),
-            // on-time bits / on-time-window seconds, in Gb/s.
-            goodput_gbps: on_time.iter().sum::<u64>() as f64 * 8_000.0 / ON_TIME_PS as f64,
+            on_time,
+            goodput_gbps,
             trims: res.trims,
             drops: res.drops,
-            fct_mean_s: fct.mean,
-            fct_p99_s: fct.p99,
+            fct: Summary::of(&res.fcts(None)),
             peak_layer_gbps: trace.peak_layer_gbps(),
             scheme_label,
         }
     });
-    let mut csv = String::from(HEADER);
-    csv.push('\n');
+    let mut table = Table::new(&[
+        "topology",
+        "matrix",
+        "routing",
+        "boundary",
+        "scheme",
+        "flows",
+        "completed",
+        "on_time",
+        "goodput_gbps",
+        "trims",
+        "drops",
+        "fct_mean_ms",
+        "fct_p99_ms",
+        "peak_layer_gbps",
+    ]);
     let mut summary =
         String::from("Adaptive flowlets — queue-depth boundary steering vs oblivious hashing\n");
     for (ti, topo) in topos.iter().enumerate() {
@@ -164,46 +148,44 @@ pub fn adaptive_matrix_on(topos: Vec<Topology>, n_layers: usize, rho: f64) -> (S
             topo.num_endpoints(),
             topo.num_routers()
         ));
-        for (mi, spec) in specs.iter().enumerate() {
-            for (ri, routing) in ROUTINGS.iter().enumerate() {
-                for (bi, boundary) in BOUNDARIES.iter().enumerate() {
-                    let c = &results[cell_index(specs.len(), ti, mi, ri, bi)];
-                    csv.push_str(&format!(
-                        "{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                        label(topo),
-                        spec.label(),
-                        routing,
-                        boundary,
-                        c.scheme_label,
-                        c.flows,
-                        c.completed,
-                        c.on_time,
-                        f(c.goodput_gbps),
-                        c.trims,
-                        c.drops,
-                        f(c.fct_mean_s * 1e3),
-                        f(c.fct_p99_s * 1e3),
-                        f(c.peak_layer_gbps),
-                    ));
-                }
-                let obl = &results[cell_index(specs.len(), ti, mi, ri, 0)];
-                let ada = &results[cell_index(specs.len(), ti, mi, ri, 1)];
-                summary.push_str(&format!(
-                    "{:<9} {:<6}: oblivious {:>8.4} Gb/s ({:>4} on time)  \
-                     adaptive {:>8.4} Gb/s ({:>4} on time)  {:+.1}%\n",
-                    spec.label(),
-                    routing,
-                    obl.goodput_gbps,
-                    obl.on_time,
-                    ada.goodput_gbps,
-                    ada.on_time,
-                    if obl.goodput_gbps > 0.0 {
-                        (ada.goodput_gbps / obl.goodput_gbps - 1.0) * 100.0
-                    } else {
-                        0.0
-                    }
-                ));
+        for ([_, mi, ri, bi], c) in results.under(ti) {
+            table.row(&[
+                &label(topo),
+                &specs[mi].label(),
+                &ROUTINGS[ri],
+                &BOUNDARIES[bi],
+                &c.scheme_label,
+                &c.flows,
+                &c.completed,
+                &c.on_time,
+                &f(c.goodput_gbps),
+                &c.trims,
+                &c.drops,
+                &f(c.fct.mean * 1e3),
+                &f(c.fct.p99 * 1e3),
+                &f(c.peak_layer_gbps),
+            ]);
+            if BOUNDARIES[bi] != "adaptive" {
+                continue;
             }
+            // One summary line per (matrix, routing): the adaptive cell
+            // against its oblivious twin.
+            let (obl, ada) = (&results[[ti, mi, ri, 0]], c);
+            summary.push_str(&format!(
+                "{:<9} {:<6}: oblivious {:>8.4} Gb/s ({:>4} on time)  \
+                 adaptive {:>8.4} Gb/s ({:>4} on time)  {:+.1}%\n",
+                specs[mi].label(),
+                ROUTINGS[ri],
+                obl.goodput_gbps,
+                obl.on_time,
+                ada.goodput_gbps,
+                ada.on_time,
+                if obl.goodput_gbps > 0.0 {
+                    (ada.goodput_gbps / obl.goodput_gbps - 1.0) * 100.0
+                } else {
+                    0.0
+                }
+            ));
         }
     }
     summary.push_str(
@@ -213,29 +195,13 @@ pub fn adaptive_matrix_on(topos: Vec<Topology>, n_layers: usize, rho: f64) -> (S
          concentrate where local queues predict path congestion — skewed and incast\n\
          matrices — and compose with TE, which reshapes the same tables offline.\n",
     );
-    (csv, summary)
+    (table.into_text(), summary)
 }
 
 /// The shipped experiment: small-class SF + FT3 (the acceptance pair),
 /// or miniature instances under `--quick` / the CI smoke gate.
 pub fn adaptive(quick: bool) -> io::Result<()> {
-    let (topos, n_layers) = if quick || is_smoke() {
-        (
-            vec![
-                fatpaths_net::topo::slimfly::slim_fly(5, 2).unwrap(),
-                fatpaths_net::topo::fattree::fat_tree(4, 1),
-            ],
-            4,
-        )
-    } else {
-        (
-            vec![
-                build(TopoKind::SlimFly, SizeClass::Small, 1),
-                build(TopoKind::FatTree, SizeClass::Small, 1),
-            ],
-            9,
-        )
-    };
+    let (topos, n_layers) = acceptance_pair(quick || is_smoke());
     let (csv, summary) = adaptive_matrix_on(topos, n_layers, 0.6);
     write_text("adaptive.csv", &csv)?;
     write_summary("adaptive", &summary)

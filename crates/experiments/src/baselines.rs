@@ -6,166 +6,146 @@
 //! for: before it, SPAIN/PAST/KSP/VLB could only be scored by static
 //! theory figures (Fig. 9), never run through the event loop.
 //!
-//! The (topology × scheme) grid runs as a parallel [`SweepRunner`]
-//! sweep; [`baselines_matrix`] returns the CSV and summary as strings so
-//! the parity suite can assert byte equality between pooled and
+//! The (topology × scheme) grid runs as a parallel [`Grid`] sweep;
+//! [`baselines_matrix`] returns the CSV and summary as strings so the
+//! parity suite can assert byte equality between pooled and
 //! single-threaded execution.
 
-use crate::common::{f, label, pattern_workload, post_warmup, write_summary, write_text};
+use crate::common::{
+    adversarial_pattern, f, label, pattern_workload, per_topo, post_warmup, small_topos,
+    write_summary, write_text, SchemeArm, Table, FATPATHS,
+};
 use fatpaths_core::past::PastVariant;
-use fatpaths_mcf::{throughput_upper_bound, RouterDemand};
-use fatpaths_net::classes::{build, SizeClass};
+use fatpaths_mcf::throughput_upper_bound;
 use fatpaths_net::topo::{TopoKind, Topology};
 use fatpaths_sim::metrics::Summary;
-use fatpaths_sim::{LoadBalancing, Scenario, SchemeSpec, SweepRunner};
+use fatpaths_sim::{Grid, LoadBalancing, Scenario, SchemeSpec};
 use fatpaths_te::{achieved_throughput, edge_loads, endpoint_demands};
-use fatpaths_workloads::arrivals::FlowSpec;
-use fatpaths_workloads::patterns::adversarial_for;
 use std::io;
 
-/// The full comparison matrix: (CSV label, spec, LB override).
-fn matrix() -> Vec<(&'static str, SchemeSpec, Option<LoadBalancing>)> {
+/// The full comparison matrix.
+fn matrix() -> Vec<SchemeArm> {
+    let minimal = |name, lb| SchemeArm::new(name, SchemeSpec::Minimal).lb(lb);
     vec![
-        (
-            "fatpaths",
-            SchemeSpec::LayeredRandom {
-                n_layers: 9,
-                rho: 0.6,
-            },
-            None,
-        ),
-        ("ecmp", SchemeSpec::Minimal, Some(LoadBalancing::EcmpFlow)),
-        (
-            "spray",
-            SchemeSpec::Minimal,
-            Some(LoadBalancing::PacketSpray),
-        ),
-        ("letflow", SchemeSpec::Minimal, Some(LoadBalancing::LetFlow)),
-        ("spain", SchemeSpec::Spain { k_paths: 3 }, None),
-        (
+        SchemeArm::new("fatpaths", FATPATHS),
+        minimal("ecmp", LoadBalancing::EcmpFlow),
+        minimal("spray", LoadBalancing::PacketSpray),
+        minimal("letflow", LoadBalancing::LetFlow),
+        SchemeArm::new("spain", SchemeSpec::Spain { k_paths: 3 }),
+        SchemeArm::new(
             "past",
             SchemeSpec::Past {
                 variant: PastVariant::Bfs,
             },
-            None,
         ),
-        ("ksp", SchemeSpec::Ksp { k: 4 }, None),
-        ("valiant", SchemeSpec::Valiant { n_layers: 9 }, None),
+        SchemeArm::new("ksp", SchemeSpec::Ksp { k: 4 }),
+        SchemeArm::new("valiant", SchemeSpec::Valiant { n_layers: 9 }),
     ]
 }
 
-/// CSV header of the matrix artifact. `mat_ratio` is the scheme's
-/// achieved/optimal throughput on the cell's traffic matrix: achieved
-/// comes from [`fatpaths_te::edge_loads`] (equal flowlet split, unit
-/// capacities), optimal from the [`throughput_upper_bound`] cut bound.
-const HEADER: &str = "topology,scheme,layers,completion_rate,fct_mean_ms,fct_p50_ms,fct_p99_ms,\
-                      trims,retx_total,mat_ratio";
-
 /// Metrics of one (topology, scheme) cell, ready for ordered assembly.
-struct CellResult {
-    csv_row: String,
-    summary_line_parts: (String, usize, f64, f64),
+struct CellOut {
+    layers: usize,
+    completion_rate: f64,
+    fct: Summary,
+    trims: u64,
+    retx: u64,
+    mat_ratio: f64,
 }
 
 /// Runs the full matrix on the evaluation-size SF/DF/FT3 set at the
 /// given injection window; see [`baselines_matrix_on`].
 pub fn baselines_matrix(window: f64) -> (String, String) {
     let kinds = [TopoKind::SlimFly, TopoKind::Dragonfly, TopoKind::FatTree];
-    let topos = SweepRunner::new("baselines-topos", kinds.to_vec())
-        .run(|_, &kind| build(kind, SizeClass::Small, 1));
-    baselines_matrix_on(topos, window)
+    baselines_matrix_on(small_topos(&kinds), window)
 }
 
 /// Runs the full scheme matrix on the given topologies and returns
 /// `(csv_text, summary_text)`. Deterministic for any thread count: the
-/// grid goes through [`SweepRunner`], and all output is assembled in
-/// grid order after the parallel phase. The parity suite calls this with
-/// miniature SF/DF/FT3 instances to pin thread-count invariance cheaply.
+/// grid is a [`Grid`] sweep, and all output is assembled in grid order
+/// after the parallel phase. The parity suite calls this with miniature
+/// SF/DF/FT3 instances to pin thread-count invariance cheaply.
 pub fn baselines_matrix_on(topos: Vec<Topology>, window: f64) -> (String, String) {
     // Per-topology prep (the shared adversarial workload), in parallel.
-    let prep_cells: Vec<usize> = (0..topos.len()).collect();
-    let prep = SweepRunner::new("baselines-prep", prep_cells).run(|_, &ti| {
-        let topo = topos[ti].clone();
-        let p = topo.concentration.iter().copied().max().unwrap();
-        let pattern = adversarial_for(p, topo.num_routers() as u32);
-        let flows = pattern_workload(&topo, &pattern, 150.0, window, false, 23);
+    let prep = per_topo(&topos, |topo| {
+        let flows = pattern_workload(topo, &adversarial_pattern(topo), 150.0, window, false, 23);
         // Router traffic matrix of the workload + its MCF upper bound,
         // the denominator of every scheme's `mat_ratio` on this topology.
         let pairs: Vec<(u32, u32)> = flows.iter().map(|fl| (fl.src, fl.dst)).collect();
-        let demands = endpoint_demands(&topo, &pairs);
-        let upper = throughput_upper_bound(&topo, &demands);
-        (topo, flows, demands, upper)
+        let demands = endpoint_demands(topo, &pairs);
+        let upper = throughput_upper_bound(topo, &demands);
+        (flows, demands, upper)
     });
-    let specs = matrix();
+    let arms = matrix();
     // The (topology × scheme) grid itself.
-    let mut cells: Vec<(usize, usize)> = Vec::new();
-    for ti in 0..prep.len() {
-        for si in 0..specs.len() {
-            cells.push((ti, si));
-        }
-    }
-    let results = SweepRunner::new("baselines", cells).run(|_, &(ti, si)| {
-        let (topo, flows, demands, upper): &(Topology, Vec<FlowSpec>, Vec<RouterDemand>, f64) =
-            &prep[ti];
-        let (name, spec, lb) = specs[si];
-        let mut sc = Scenario::on(topo).scheme(spec).workload(flows).seed(5);
-        if let Some(lb) = lb {
-            sc = sc.lb(lb);
-        }
+    let results = Grid::new([topos.len(), arms.len()]).run(|[ti, si]| {
+        let topo = &topos[ti];
+        let (flows, demands, upper) = &prep[ti];
+        let sc = arms[si].on(Scenario::on(topo).workload(flows).seed(5));
         let scheme = sc.build_scheme();
-        let layers = fatpaths_sim::RoutingScheme::num_layers(&scheme);
-        let mat_ratio = achieved_throughput(&edge_loads(&scheme, &topo.graph, demands)) / upper;
-        let res = post_warmup(&sc.run_with(&scheme), window);
-        let fct = Summary::of(&res.fcts(None));
-        let retx: u64 = res.flows.iter().map(|fl| fl.retx as u64).sum();
-        let csv_row = [
-            label(topo),
-            name.to_string(),
-            layers.to_string(),
-            f(res.completion_rate()),
-            f(fct.mean * 1e3),
-            f(fct.p50 * 1e3),
-            f(fct.p99 * 1e3),
-            res.trims.to_string(),
-            retx.to_string(),
-            f(mat_ratio),
-        ]
-        .join(",");
-        CellResult {
-            csv_row,
-            summary_line_parts: (name.to_string(), layers, fct.mean, fct.p99),
+        let res = post_warmup(sc.run_with(&scheme), window);
+        CellOut {
+            layers: fatpaths_sim::RoutingScheme::num_layers(&scheme),
+            completion_rate: res.completion_rate(),
+            fct: Summary::of(&res.fcts(None)),
+            trims: res.trims,
+            retx: res.flows.iter().map(|fl| fl.retx as u64).sum(),
+            mat_ratio: achieved_throughput(&edge_loads(&scheme, &topo.graph, demands)) / upper,
         }
     });
     // Ordered assembly: rows in grid order, summaries grouped per topology
     // with the fatpaths cell of that topology as the speedup reference.
-    let mut csv = String::from(HEADER);
-    csv.push('\n');
+    // `mat_ratio` is the scheme's achieved/optimal throughput on the
+    // cell's traffic matrix: achieved comes from
+    // [`fatpaths_te::edge_loads`] (equal flowlet split, unit capacities),
+    // optimal from the [`throughput_upper_bound`] cut bound.
+    let mut table = Table::new(&[
+        "topology",
+        "scheme",
+        "layers",
+        "completion_rate",
+        "fct_mean_ms",
+        "fct_p50_ms",
+        "fct_p99_ms",
+        "trims",
+        "retx_total",
+        "mat_ratio",
+    ]);
     let mut summary =
         String::from("Baselines — every scheme packet-simulated, identical transport/workload\n");
-    for (ti, (topo, flows, _, _)) in prep.iter().enumerate() {
+    let fat_idx = arms
+        .iter()
+        .position(|a| a.name == "fatpaths")
+        .expect("matrix must contain the fatpaths reference scheme");
+    for (ti, topo) in topos.iter().enumerate() {
         summary.push_str(&format!(
             "-- {} ({} endpoints, {} flows) --\n",
             label(topo),
             topo.num_endpoints(),
-            flows.len()
+            prep[ti].0.len()
         ));
-        let group = &results[ti * specs.len()..(ti + 1) * specs.len()];
-        let fat_idx = specs
-            .iter()
-            .position(|(n, ..)| *n == "fatpaths")
-            .expect("matrix must contain the fatpaths reference scheme");
-        let fat_mean = group[fat_idx].summary_line_parts.2;
-        for cell in group {
-            csv.push_str(&cell.csv_row);
-            csv.push('\n');
-            let (name, layers, fct_mean, fct_p99) = &cell.summary_line_parts;
+        let fat_mean = results[[ti, fat_idx]].fct.mean;
+        for ([_, si], c) in results.under(ti) {
+            let name = arms[si].name;
+            table.row(&[
+                &label(topo),
+                &name,
+                &c.layers,
+                &f(c.completion_rate),
+                &f(c.fct.mean * 1e3),
+                &f(c.fct.p50 * 1e3),
+                &f(c.fct.p99 * 1e3),
+                &c.trims,
+                &c.retx,
+                &f(c.mat_ratio),
+            ]);
             summary.push_str(&format!(
                 "{:<9} layers={:<4} mean {:>7.3} ms  p99 {:>8.3} ms  ({:.2}x fatpaths)\n",
                 name,
-                layers,
-                fct_mean * 1e3,
-                fct_p99 * 1e3,
-                fct_mean / fat_mean
+                c.layers,
+                c.fct.mean * 1e3,
+                c.fct.p99 * 1e3,
+                c.fct.mean / fat_mean
             ));
         }
     }
@@ -174,7 +154,7 @@ pub fn baselines_matrix_on(topos: Vec<Topology>, window: f64) -> (String, String
          SPAIN/PAST pay for tree-restricted paths, VLB pays double path length,\n\
          and the minimal-path family only competes where diversity exists (FT3).\n",
     );
-    (csv, summary)
+    (table.into_text(), summary)
 }
 
 /// Runs the matrix on the small-class SF, DF, and FT3 under the skewed

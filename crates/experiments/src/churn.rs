@@ -17,8 +17,8 @@
 //!   finish by the horizon (churn end + one tail).
 //! * `on_time` / `goodput_gbps` — completed-flow goodput *sustained
 //!   through the roll*: payload bits of flows that completed within
-//!   [`ON_TIME_PS`] of injection (one RTO-driven re-route plus the
-//!   transfer), per churn-window second. A flow that outwaits a
+//!   [`ON_TIME_PS`](crate::common::ON_TIME_PS) of injection (one
+//!   RTO-driven re-route plus the transfer), per churn-window second. A flow that outwaits a
 //!   rebooting router's multi-RTO downtime still counts as `completed`,
 //!   but it did not sustain goodput during the event. This is the §V-G
 //!   contrast in time-varying form: FatPaths' preprovisioned layers
@@ -32,12 +32,14 @@
 //! same way the resilience sweep does: multipath masking without any
 //! control plane vs. control-plane repair.
 
-use crate::common::{f, label, write_summary, write_text};
-use fatpaths_net::classes::{build, SizeClass};
+use crate::common::{
+    f, is_smoke, label, on_time_goodput, small_topos, write_summary, write_text, SchemeArm, Table,
+    FATPATHS,
+};
 use fatpaths_net::fault::FaultPlan;
 use fatpaths_net::topo::{TopoKind, Topology};
 use fatpaths_sim::metrics::Summary;
-use fatpaths_sim::{cell_seed, coord_str, LoadBalancing, Scenario, SchemeSpec, SweepRunner};
+use fatpaths_sim::{cell_seed, coord_str, Grid, LoadBalancing, Scenario, SchemeSpec};
 use fatpaths_workloads::arrivals::FlowSpec;
 use std::io;
 
@@ -76,41 +78,18 @@ const TAIL_PS: u64 = 1_500_000_000; // 1.5 ms
 /// Payload per flow (4 NDP jumbo packets).
 const FLOW_BYTES: u64 = 32 * 1024;
 
-/// On-time bound for sustained goodput: one 2 ms NDP RTO (the earliest
-/// moment a sender can re-route around a silent down-port loss) plus
-/// transfer slack. Completions beyond this outwaited the fault instead
-/// of routing around it.
-pub const ON_TIME_PS: u64 = 2_500_000_000; // 2.5 ms
-
 /// The scheme matrix: FatPaths layers vs flow-hash ECMP over minimal
 /// paths, each with and without a 50 µs-detection control plane.
-fn schemes() -> Vec<(&'static str, SchemeSpec, Option<LoadBalancing>, Option<u64>)> {
-    let fat = SchemeSpec::LayeredRandom {
-        n_layers: 9,
-        rho: 0.6,
-    };
+fn schemes() -> Vec<SchemeArm> {
+    let fat = |name| SchemeArm::new(name, FATPATHS);
+    let ecmp = |name| SchemeArm::new(name, SchemeSpec::Minimal).lb(LoadBalancing::EcmpFlow);
     vec![
-        ("fatpaths", fat, None, None),
-        (
-            "ecmp",
-            SchemeSpec::Minimal,
-            Some(LoadBalancing::EcmpFlow),
-            None,
-        ),
-        ("fatpaths_rep", fat, None, Some(50_000_000)),
-        (
-            "ecmp_rep",
-            SchemeSpec::Minimal,
-            Some(LoadBalancing::EcmpFlow),
-            Some(50_000_000),
-        ),
+        fat("fatpaths"),
+        ecmp("ecmp"),
+        fat("fatpaths_rep").detect(50_000_000),
+        ecmp("ecmp_rep").detect(50_000_000),
     ]
 }
-
-/// CSV header of the churn artifact.
-const HEADER: &str = "topology,scheme,fraction,stagger_us,sampler,rebooted,flows,host_dead,\
-                      completed,on_time,stranded,goodput_gbps,fct_mean_ms,fct_p99_ms,drops,\
-                      unroutable,repair_ticks,repair_rows";
 
 /// The deterministic churn schedule of one `(topology, fraction,
 /// stagger, sampler)` coordinate, plus its end time (`last revival`).
@@ -170,8 +149,7 @@ struct CellOut {
     completed: usize,
     on_time: usize,
     goodput_gbps: f64,
-    fct_mean_s: f64,
-    fct_p99_s: f64,
+    fct: Summary,
     drops: u64,
     unroutable: u64,
     repair_ticks: usize,
@@ -187,72 +165,65 @@ pub fn churn_matrix_on(
     fractions: &[f64],
     staggers_us: &[u64],
 ) -> (String, String) {
-    let specs = schemes();
-    let mut cells: Vec<(usize, usize, usize, usize, usize)> = Vec::new();
-    for ti in 0..topos.len() {
-        for si in 0..specs.len() {
-            for fi in 0..fractions.len() {
-                for sti in 0..staggers_us.len() {
-                    for sai in 0..SAMPLERS.len() {
-                        cells.push((ti, si, fi, sti, sai));
-                    }
-                }
-            }
-        }
-    }
-    let (fr, st) = (fractions.to_vec(), staggers_us.to_vec());
-    let results = SweepRunner::new("churn", cells).run(|_, &(ti, si, fi, sti, sai)| {
+    let arms = schemes();
+    let results = Grid::new([
+        topos.len(),
+        arms.len(),
+        fractions.len(),
+        staggers_us.len(),
+        SAMPLERS.len(),
+    ])
+    .run(|[ti, si, fi, sti, sai]| {
         let topo = &topos[ti];
-        let (_, spec, lb, detect) = specs[si];
-        let (plan, churn_end) = reboot_plan(topo, fr[fi], st[sti], SAMPLERS[sai]);
+        let (plan, churn_end) = reboot_plan(topo, fractions[fi], staggers_us[sti], SAMPLERS[sai]);
         let rebooted = plan.router_events().len() as u64 / 2;
         let flows = wave_flows(topo, churn_end);
-        let horizon = churn_end + TAIL_PS;
-        let mut sc = Scenario::on(topo)
-            .scheme(spec)
-            .workload(&flows)
-            .seed(5)
-            .horizon(horizon)
-            .fault_plan(plan);
-        if let Some(lb) = lb {
-            sc = sc.lb(lb);
-        }
-        if let Some(d) = detect {
-            sc = sc.detection_delay(d);
-        }
-        let res = sc.run();
-        let fct = Summary::of(&res.fcts(None));
+        let res = arms[si]
+            .on(Scenario::on(topo)
+                .workload(&flows)
+                .seed(5)
+                .horizon(churn_end + TAIL_PS)
+                .fault_plan(plan))
+            .run();
         // Goodput sustained *through* the roll: only bytes delivered
         // on time count (a flow that outwaits a rebooting router's
         // multi-RTO downtime completed, but it did not sustain goodput
-        // during the event).
-        let on_time: Vec<u64> = res
-            .completed()
-            .filter(|fl| fl.finish.is_some_and(|t| t - fl.start <= ON_TIME_PS))
-            .map(|fl| fl.size)
-            .collect();
+        // during the event), per churn-window second.
+        let (on_time, goodput_gbps) = on_time_goodput(&res, churn_end);
         CellOut {
             rebooted,
             flows: res.flows.len(),
             host_dead: res.host_dead(),
             completed: res.completed().count(),
-            on_time: on_time.len(),
-            // on-time bits / churn-window seconds, in Gb/s.
-            goodput_gbps: on_time.iter().sum::<u64>() as f64 * 8_000.0 / churn_end as f64,
-            fct_mean_s: fct.mean,
-            fct_p99_s: fct.p99,
+            on_time,
+            goodput_gbps,
+            fct: Summary::of(&res.fcts(None)),
             drops: res.drops,
             unroutable: res.unroutable,
             repair_ticks: res.repair_ticks(),
             repair_rows: res.repair_rows(),
         }
     });
-    let (nf, nst, nsa) = (fractions.len(), staggers_us.len(), SAMPLERS.len());
-    let cell_index = |ti: usize, si: usize, fi: usize, sti: usize, sai: usize| {
-        (((ti * specs.len() + si) * nf + fi) * nst + sti) * nsa + sai
-    };
-    let mut csv = String::from(HEADER);
-    csv.push('\n');
+    let mut table = Table::new(&[
+        "topology",
+        "scheme",
+        "fraction",
+        "stagger_us",
+        "sampler",
+        "rebooted",
+        "flows",
+        "host_dead",
+        "completed",
+        "on_time",
+        "stranded",
+        "goodput_gbps",
+        "fct_mean_ms",
+        "fct_p99_ms",
+        "drops",
+        "unroutable",
+        "repair_ticks",
+        "repair_rows",
+    ]);
     let mut summary = String::from(
         "Churn — completed-flow goodput through a rolling reboot (FatPaths vs ECMP)\n",
     );
@@ -263,52 +234,46 @@ pub fn churn_matrix_on(
             topo.num_endpoints(),
             topo.num_routers()
         ));
-        for (si, (name, ..)) in specs.iter().enumerate() {
-            for (fi, &fraction) in fractions.iter().enumerate() {
-                for (sti, &stagger) in staggers_us.iter().enumerate() {
-                    for (sai, sampler) in SAMPLERS.iter().enumerate() {
-                        let c = &results[cell_index(ti, si, fi, sti, sai)];
-                        let stranded = c.flows - c.host_dead - c.completed;
-                        csv.push_str(&format!(
-                            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                            label(topo),
-                            name,
-                            f(fraction),
-                            stagger,
-                            sampler,
-                            c.rebooted,
-                            c.flows,
-                            c.host_dead,
-                            c.completed,
-                            c.on_time,
-                            stranded,
-                            f(c.goodput_gbps),
-                            f(c.fct_mean_s * 1e3),
-                            f(c.fct_p99_s * 1e3),
-                            c.drops,
-                            c.unroutable,
-                            c.repair_ticks,
-                            c.repair_rows
-                        ));
-                        if sti + 1 == nst {
-                            summary.push_str(&format!(
-                                "{:<12} f={:.2} stagger={:>5}us {:<7}: {:>5}/{:<5} done \
-                                 ({} host_dead, {} stranded), {:>7.3} Gb/s, \
-                                 {} repair rows\n",
-                                name,
-                                fraction,
-                                stagger,
-                                sampler,
-                                c.completed,
-                                c.flows - c.host_dead,
-                                c.host_dead,
-                                stranded,
-                                c.goodput_gbps,
-                                c.repair_rows
-                            ));
-                        }
-                    }
-                }
+        for ([_, si, fi, sti, sai], c) in results.under(ti) {
+            let name = arms[si].name;
+            let stranded = c.flows - c.host_dead - c.completed;
+            table.row(&[
+                &label(topo),
+                &name,
+                &f(fractions[fi]),
+                &staggers_us[sti],
+                &SAMPLERS[sai],
+                &c.rebooted,
+                &c.flows,
+                &c.host_dead,
+                &c.completed,
+                &c.on_time,
+                &stranded,
+                &f(c.goodput_gbps),
+                &f(c.fct.mean * 1e3),
+                &f(c.fct.p99 * 1e3),
+                &c.drops,
+                &c.unroutable,
+                &c.repair_ticks,
+                &c.repair_rows,
+            ]);
+            // The summary shows the widest stagger only.
+            if sti + 1 == staggers_us.len() {
+                summary.push_str(&format!(
+                    "{:<12} f={:.2} stagger={:>5}us {:<7}: {:>5}/{:<5} done \
+                     ({} host_dead, {} stranded), {:>7.3} Gb/s, \
+                     {} repair rows\n",
+                    name,
+                    fractions[fi],
+                    staggers_us[sti],
+                    SAMPLERS[sai],
+                    c.completed,
+                    c.flows - c.host_dead,
+                    c.host_dead,
+                    stranded,
+                    c.goodput_gbps,
+                    c.repair_rows
+                ));
             }
         }
     }
@@ -323,25 +288,24 @@ pub fn churn_matrix_on(
          DF group — stressing repair harder than scattered uniform draws;\n\
          repair_rows counts the routing rows the control plane rewrote per run.\n",
     );
-    (csv, summary)
+    (table.into_text(), summary)
 }
 
 /// The shipped experiment: small-class SF, DF, and FT3 under the
 /// [`REBOOT_FRACTIONS`] × [`STAGGERS_US`] rolling-reboot sweep.
 pub fn churn(quick: bool) -> io::Result<()> {
-    let kinds: &[TopoKind] = if quick || crate::common::is_smoke() {
+    let reduced = quick || is_smoke();
+    let kinds: &[TopoKind] = if reduced {
         &[TopoKind::SlimFly, TopoKind::FatTree]
     } else {
         &[TopoKind::SlimFly, TopoKind::Dragonfly, TopoKind::FatTree]
     };
-    let topos = SweepRunner::new("churn-topos", kinds.to_vec())
-        .run(|_, &kind| build(kind, SizeClass::Small, 1));
-    let (fractions, staggers): (&[f64], &[u64]) = if quick || crate::common::is_smoke() {
+    let (fractions, staggers): (&[f64], &[u64]) = if reduced {
         (&[0.05], &[500])
     } else {
         (&REBOOT_FRACTIONS, &STAGGERS_US)
     };
-    let (csv, summary) = churn_matrix_on(topos, fractions, staggers);
+    let (csv, summary) = churn_matrix_on(small_topos(kinds), fractions, staggers);
     write_text("churn.csv", &csv)?;
     write_summary("churn", &summary)
 }

@@ -2,7 +2,7 @@
 //! (minimal path lengths/counts), Fig. 7 (non-minimal CDP distributions),
 //! Fig. 8 (path-interference distributions), Table IV (CDP/PI summary).
 
-use crate::common::{f, label, write_summary, Csv};
+use crate::common::{class_for, f, label, write_summary, Table};
 use fatpaths_diversity::cdp::{cdp_with, lmin_cmin, CdpScratch, EdgeIds};
 use fatpaths_diversity::collisions::{collision_histogram, fraction_with_at_least};
 use fatpaths_diversity::interference::{pi_summary, sample_pi_from};
@@ -41,35 +41,25 @@ fn sample_pairs(candidates: &[u32], count: usize, seed: u64) -> Vec<(u32, u32)> 
 /// Fig. 4: histogram of colliding paths per router pair under five traffic
 /// patterns, for a complete graph, Slim Fly, and Dragonfly.
 pub fn fig4(quick: bool) -> io::Result<()> {
-    let class = if quick {
-        SizeClass::Small
-    } else {
-        SizeClass::Medium
-    };
+    let class = class_for(quick);
     let topos = vec![
         build(TopoKind::Complete, class, 1),
         build(TopoKind::SlimFly, class, 1),
         build(TopoKind::Dragonfly, class, 1),
     ];
-    let mut csv = Csv::new(
-        "fig4_collisions",
-        &["topology", "pattern", "collisions", "pairs"],
-    )?;
+    let mut table = Table::new(&["topology", "pattern", "collisions", "pairs"]);
     let mut summary = String::from("Fig. 4 — collision multiplicity per router pair\n");
     for t in &topos {
         let n = t.num_endpoints() as u64;
-        let patterns: Vec<(String, Vec<(u32, u32)>)> = vec![
-            ("permutation".into(), Pattern::Permutation.flows(n, 11)),
+        let patterns: Vec<(&str, Vec<(u32, u32)>)> = vec![
+            ("permutation", Pattern::Permutation.flows(n, 11)),
             (
-                "offdiag".into(),
+                "offdiag",
                 Pattern::OffDiagonal { offset: n / 3 + 1 }.flows(n, 12),
             ),
-            ("shuffle".into(), Pattern::Shuffle.flows(n, 13)),
-            (
-                "4perms".into(),
-                Pattern::MultiPermutation { k: 4 }.flows(n, 14),
-            ),
-            ("stencil".into(), Pattern::stencil_small().flows(n, 15)),
+            ("shuffle", Pattern::Shuffle.flows(n, 13)),
+            ("4perms", Pattern::MultiPermutation { k: 4 }.flows(n, 14)),
+            ("stencil", Pattern::stencil_small().flows(n, 15)),
         ];
         for (name, pairs) in patterns {
             // Random mapping (the §IV-A assumption).
@@ -82,7 +72,7 @@ pub fn fig4(quick: bool) -> io::Result<()> {
             let hist = collision_histogram(&router_flows);
             for (c, &count) in hist.iter().enumerate().skip(1) {
                 if count > 0 {
-                    csv.row(&[label(t), name.clone(), c.to_string(), count.to_string()])?;
+                    table.row(&[&label(t), &name, &c, &count]);
                 }
             }
             let frac4 = fraction_with_at_least(&hist, 4);
@@ -95,8 +85,7 @@ pub fn fig4(quick: bool) -> io::Result<()> {
             ));
         }
     }
-    let p = csv.finish()?;
-    summary.push_str(&format!("CSV: {}\n", p.display()));
+    println!("→ {}", table.write("fig4_collisions")?.display());
     summary.push_str("Paper: for D≥2 fewer than 1% of pairs see ≥4 collisions; D=1 sees ≥9.\n");
     write_summary("fig4_collisions", &summary)
 }
@@ -104,15 +93,8 @@ pub fn fig4(quick: bool) -> io::Result<()> {
 /// Fig. 6: distributions of minimal path lengths and minimal-path
 /// diversity (cmin) for the five topologies and their Jellyfish controls.
 pub fn fig6(quick: bool) -> io::Result<()> {
-    let class = if quick {
-        SizeClass::Small
-    } else {
-        SizeClass::Medium
-    };
-    let mut csv = Csv::new(
-        "fig6_minimal_paths",
-        &["topology", "variant", "metric", "value", "fraction"],
-    )?;
+    let class = class_for(quick);
+    let mut table = Table::new(&["topology", "variant", "metric", "value", "fraction"]);
     let mut summary = String::from("Fig. 6 — minimal path lengths and counts\n");
     let kinds = [
         TopoKind::Dragonfly,
@@ -138,13 +120,7 @@ pub fn fig6(quick: bool) -> io::Result<()> {
                 let frac =
                     results.iter().filter(|r| r.0 == l).count() as f64 / results.len() as f64;
                 if frac > 0.0 {
-                    csv.row(&[
-                        label(&base),
-                        variant.into(),
-                        "lmin".into(),
-                        l.to_string(),
-                        f(frac),
-                    ])?;
+                    table.row(&[&label(&base), &variant, &"lmin", &l, &f(frac)]);
                 }
             }
             // cmin histogram (1, 2, 3, >3).
@@ -152,22 +128,10 @@ pub fn fig6(quick: bool) -> io::Result<()> {
             for (c, name) in buckets {
                 let frac =
                     results.iter().filter(|r| r.1 == c).count() as f64 / results.len() as f64;
-                csv.row(&[
-                    label(&base),
-                    variant.into(),
-                    "cmin".into(),
-                    name.into(),
-                    f(frac),
-                ])?;
+                table.row(&[&label(&base), &variant, &"cmin", &name, &f(frac)]);
             }
             let frac_gt3 = results.iter().filter(|r| r.1 > 3).count() as f64 / results.len() as f64;
-            csv.row(&[
-                label(&base),
-                variant.into(),
-                "cmin".into(),
-                ">3".into(),
-                f(frac_gt3),
-            ])?;
+            table.row(&[&label(&base), &variant, &"cmin", &">3", &f(frac_gt3)]);
             let unique = results.iter().filter(|r| r.1 == 1).count() as f64 / results.len() as f64;
             summary.push_str(&format!(
                 "{:<4} {:<9} unique-minimal-path fraction: {:.2}\n",
@@ -177,7 +141,7 @@ pub fn fig6(quick: bool) -> io::Result<()> {
             ));
         }
     }
-    csv.finish()?;
+    table.write("fig6_minimal_paths")?;
     summary.push_str("Paper: in DF/SF most pairs have ONE minimal path; HX/FT3 have several.\n");
     write_summary("fig6_minimal_paths", &summary)
 }
@@ -185,16 +149,12 @@ pub fn fig6(quick: bool) -> io::Result<()> {
 /// Fig. 7: distribution of non-minimal disjoint path counts c_l(A,B) for
 /// l ∈ {2,3,4} on SF, DF, HX, SF-JF.
 pub fn fig7(quick: bool) -> io::Result<()> {
-    let class = if quick {
-        SizeClass::Small
-    } else {
-        SizeClass::Medium
-    };
+    let class = class_for(quick);
     let sf = build(TopoKind::SlimFly, class, 3);
     let df = build(TopoKind::Dragonfly, class, 3);
     let hx = build(TopoKind::HyperX, class, 3);
     let sfjf = equivalent_jellyfish(&sf, 3);
-    let mut csv = Csv::new("fig7_nonminimal_cdp", &["topology", "l", "cdp", "fraction"])?;
+    let mut table = Table::new(&["topology", "l", "cdp", "fraction"]);
     let mut summary = String::from("Fig. 7 — non-minimal disjoint path counts\n");
     for (name, t) in [("SF", &sf), ("DF", &df), ("HX", &hx), ("SF-JF", &sfjf)] {
         let hosts = hosting_routers(t);
@@ -211,7 +171,7 @@ pub fn fig7(quick: bool) -> io::Result<()> {
             for c in 0..=max_c {
                 let frac = counts.iter().filter(|&&x| x == c).count() as f64 / counts.len() as f64;
                 if frac > 0.0 {
-                    csv.row(&[name.into(), l.to_string(), c.to_string(), f(frac)])?;
+                    table.row(&[&name, &l, &c, &f(frac)]);
                 }
             }
             let mean = counts.iter().sum::<u32>() as f64 / counts.len() as f64;
@@ -225,19 +185,15 @@ pub fn fig7(quick: bool) -> io::Result<()> {
             ));
         }
     }
-    csv.finish()?;
+    table.write("fig7_nonminimal_cdp")?;
     summary.push_str("Paper: all topologies reach ≥3 disjoint paths by l = lmin+1.\n");
     write_summary("fig7_nonminimal_cdp", &summary)
 }
 
 /// Fig. 8: path-interference distributions at l ∈ {2,3,4,5}.
 pub fn fig8(quick: bool) -> io::Result<()> {
-    let class = if quick {
-        SizeClass::Small
-    } else {
-        SizeClass::Medium
-    };
-    let mut csv = Csv::new("fig8_interference", &["topology", "l", "pi", "fraction"])?;
+    let class = class_for(quick);
+    let mut table = Table::new(&["topology", "l", "pi", "fraction"]);
     let mut summary = String::from("Fig. 8 — path interference distributions\n");
     let mut entries: Vec<(String, Topology)> = Vec::new();
     for kind in [
@@ -264,7 +220,7 @@ pub fn fig8(quick: bool) -> io::Result<()> {
             for v in 0..=max_v {
                 let frac = vals.iter().filter(|&&x| x == v).count() as f64 / vals.len() as f64;
                 if frac > 0.0 {
-                    csv.row(&[name.clone(), l.to_string(), v.to_string(), f(frac)])?;
+                    table.row(&[name, &l, &v, &f(frac)]);
                 }
             }
             let (mean, p999) = pi_summary(&s, 99.9);
@@ -274,7 +230,7 @@ pub fn fig8(quick: bool) -> io::Result<()> {
             ));
         }
     }
-    csv.finish()?;
+    table.write("fig8_interference")?;
     summary.push_str("Paper: most PI sits at l=3..4; FT3 shows none; SF has outlier tails.\n");
     write_summary("fig8_interference", &summary)
 }
@@ -282,20 +238,17 @@ pub fn fig8(quick: bool) -> io::Result<()> {
 /// Table IV: CDP (mean, 1% tail) and PI (mean, 99.9% tail) at distance d′
 /// for the paper's exact configurations and their Jellyfish controls.
 pub fn table4(quick: bool) -> io::Result<()> {
-    let mut csv = Csv::new(
-        "table4_cdp_pi",
-        &[
-            "topology",
-            "dprime",
-            "kprime",
-            "nr",
-            "n",
-            "cdp_mean_pct",
-            "cdp_tail1_pct",
-            "pi_mean_pct",
-            "pi_tail999_pct",
-        ],
-    )?;
+    let mut table = Table::new(&[
+        "topology",
+        "dprime",
+        "kprime",
+        "nr",
+        "n",
+        "cdp_mean_pct",
+        "cdp_tail1_pct",
+        "pi_mean_pct",
+        "pi_tail999_pct",
+    ]);
     // (name, topology, d′) — Table IV's exact parameters.
     let mut rows: Vec<(String, Topology, u32)> = vec![
         (
@@ -359,17 +312,17 @@ pub fn table4(quick: bool) -> io::Result<()> {
         let pis = sample_pi_from(&t.graph, &eids, *dprime, pair_samples, 31, &hosts);
         let (pi_mean_abs, pi_tail_abs) = pi_summary(&pis, 99.9);
         let (pi_mean, pi_tail) = (pi_mean_abs / kprime, pi_tail_abs as f64 / kprime);
-        csv.row(&[
-            name.clone(),
-            dprime.to_string(),
-            (kprime as u32).to_string(),
-            t.num_routers().to_string(),
-            t.num_endpoints().to_string(),
-            f(cdp_mean * 100.0),
-            f(cdp_tail * 100.0),
-            f(pi_mean * 100.0),
-            f(pi_tail * 100.0),
-        ])?;
+        table.row(&[
+            name,
+            dprime,
+            &(kprime as u32),
+            &t.num_routers(),
+            &t.num_endpoints(),
+            &f(cdp_mean * 100.0),
+            &f(cdp_tail * 100.0),
+            &f(pi_mean * 100.0),
+            &f(pi_tail * 100.0),
+        ]);
         summary.push_str(&format!(
             "{:<9} {:<3} {:>6.0}%  {:>5.0}%  {:>6.0}%  {:>6.0}%\n",
             name,
@@ -380,7 +333,7 @@ pub fn table4(quick: bool) -> io::Result<()> {
             pi_tail * 100.0
         ));
     }
-    csv.finish()?;
+    table.write("table4_cdp_pi")?;
     summary.push_str(
         "Paper (Table IV): SF CDP≈89%/10%, XP 49%/34%, HX 25%/10%, DF 25%/13%, FT3 100%/100%;\n\
          deterministic topologies beat their JFs on mean but have worse tails.\n",

@@ -2,7 +2,7 @@
 //! fluid max-min at ≈1M endpoints (SF vs equivalent Jellyfish FCT
 //! histograms); see DESIGN.md §2.3 for the substitution argument.
 
-use crate::common::{f, label, pattern_workload, post_warmup, write_summary, Csv};
+use crate::common::{f, label, pattern_workload, post_warmup, write_summary, Table};
 use fatpaths_core::fwd::fnv1a;
 use fatpaths_core::layers::{build_random_layers, LayerConfig};
 use fatpaths_net::classes::{build, SizeClass};
@@ -31,11 +31,8 @@ pub fn fig13_packet(quick: bool) -> io::Result<()> {
     let sfjf = equivalent_jellyfish(&sf, 5);
     let df = build(TopoKind::Dragonfly, class, 1);
     let window = if quick { 0.002 } else { 0.0015 };
-    let mut csv = Csv::new(
-        "fig13_large_packet",
-        &["topology", "flow_kib", "mean_mib_s", "tail1_mib_s"],
-    )?;
-    let mut hist_csv = Csv::new("fig13_large_fct_hist", &["topology", "fct_ms_bin", "count"])?;
+    let mut table = Table::new(&["topology", "flow_kib", "mean_mib_s", "tail1_mib_s"]);
+    let mut hist_table = Table::new(&["topology", "fct_ms_bin", "count"]);
     let mut summary = String::from("Fig. 13 (packet) — large-scale throughput and FCTs\n");
     // This is the one memory-bound experiment (per-topology tables are
     // hundreds of MB at Nr ≈ 3–7k), so topologies run sequentially to
@@ -48,7 +45,7 @@ pub fn fig13_packet(quick: bool) -> io::Result<()> {
             let n_layers = 4; // memory-conscious at Nr ≈ 3–7k (§VII-C uses 4 too)
             let flows = pattern_workload(topo, &Pattern::Permutation, 300.0, window, true, 13);
             post_warmup(
-                &Scenario::on(topo)
+                Scenario::on(topo)
                     .scheme(SchemeSpec::LayeredRandom { n_layers, rho: 0.6 })
                     .workload(&flows)
                     .seed(3)
@@ -60,7 +57,7 @@ pub fn fig13_packet(quick: bool) -> io::Result<()> {
     for (topo, res) in topos.iter().zip(&results) {
         let groups = throughput_by_size(res);
         for &(size, m, t1, _) in &groups {
-            csv.row(&[label(topo), (size / 1024).to_string(), f(m), f(t1)])?;
+            table.row(&[&label(topo), &(size / 1024), &f(m), &f(t1)]);
         }
         // "Long flows": the discretized size closest to 1 MiB.
         let long_size = groups
@@ -80,7 +77,7 @@ pub fn fig13_packet(quick: bool) -> io::Result<()> {
             .enumerate()
         {
             if c > 0 {
-                hist_csv.row(&[label(topo), f(bin as f64 * 0.5), c.to_string()])?;
+                hist_table.row(&[&label(topo), &f(bin as f64 * 0.5), &c]);
             }
         }
         summary.push_str(&format!(
@@ -92,8 +89,8 @@ pub fn fig13_packet(quick: bool) -> io::Result<()> {
             fct.p99
         ));
     }
-    csv.finish()?;
-    hist_csv.finish()?;
+    table.write("fig13_large_packet")?;
+    hist_table.write("fig13_large_fct_hist")?;
     summary.push_str("Paper: slight mean decrease vs 10k; DF tail worst (global-link overlap).\n");
     write_summary("fig13_large_packet", &summary)
 }
@@ -135,7 +132,7 @@ pub fn fig13_fluid(quick: bool) -> io::Result<()> {
     };
     let sf = build(TopoKind::SlimFly, class, 1);
     let sfjf = equivalent_jellyfish(&sf, 5);
-    let mut csv = Csv::new("fig13_fluid_hist", &["topology", "fct_ms_bin", "count"])?;
+    let mut table = Table::new(&["topology", "fct_ms_bin", "count"]);
     let mut summary = format!(
         "Fig. 13 (fluid) — {}-endpoint FCT histograms, 1 MiB flows\n",
         sf.num_endpoints()
@@ -145,7 +142,7 @@ pub fn fig13_fluid(quick: bool) -> io::Result<()> {
         let fct = Summary::of(&fcts_ms);
         for (bin, &c) in histogram(&fcts_ms, 0.0, 10.0, 50).counts.iter().enumerate() {
             if c > 0 {
-                csv.row(&[label(topo), f(bin as f64 * 0.2), c.to_string()])?;
+                table.row(&[&label(topo), &f(bin as f64 * 0.2), &c]);
             }
         }
         summary.push_str(&format!(
@@ -157,7 +154,7 @@ pub fn fig13_fluid(quick: bool) -> io::Result<()> {
             fct.max
         ));
     }
-    csv.finish()?;
+    table.write("fig13_fluid_hist")?;
     summary.push_str("Paper: SF flows finish slightly later than SF-JF at 1M endpoints.\n");
     write_summary("fig13_fluid", &summary)
 }

@@ -5,12 +5,12 @@
 //! compares byte-for-byte CSV output of [`baselines::baselines_matrix`]
 //! under both execution modes.
 //!
-//! Every experiment sweeps its scenario grid through
-//! [`fatpaths_sim::SweepRunner`]: cells evaluate in parallel on the shim
-//! thread pool, seeds derive from cell coordinates via
-//! [`fatpaths_sim::cell_seed`], and rows/summaries are assembled in grid
-//! order — so `experiments <name>` writes bit-identical artifacts
-//! whether it runs on 1 thread or 64.
+//! Every experiment declares its scenario grid as a
+//! [`fatpaths_sim::Grid`]: cells evaluate in parallel on the shim thread
+//! pool, seeds derive from cell coordinates via
+//! [`fatpaths_sim::cell_seed`], and rows are pushed into one
+//! [`common::Table`] in grid order — so `experiments <name>` writes
+//! bit-identical artifacts whether it runs on 1 thread or 64.
 
 pub mod adaptive;
 pub mod baselines;

@@ -19,11 +19,11 @@
 //! Everything is a pure function of the grid coordinates, so the CSV is
 //! byte-identical at any thread count (pinned by `parallel_parity`).
 
-use crate::common::{f, is_smoke, label, write_summary, write_text};
+use crate::common::{f, is_smoke, label, small_topos, write_summary, write_text, Table};
 use fatpaths_fib::{compile, CompileMode, TableBudget};
-use fatpaths_net::classes::{build, evaluated_kinds, SizeClass};
+use fatpaths_net::classes::evaluated_kinds;
 use fatpaths_net::topo::{TopoKind, Topology};
-use fatpaths_sim::{Scenario, SchemeSpec, SweepRunner};
+use fatpaths_sim::{Grid, Scenario, SchemeSpec};
 use std::io;
 
 /// Layer counts swept for the layered scheme (the §V-B knob that
@@ -32,11 +32,6 @@ pub const LAYER_COUNTS: [usize; 3] = [3, 6, 9];
 
 /// Compile modes swept.
 const MODES: [CompileMode; 2] = [CompileMode::HostRoutes, CompileMode::Aggregated];
-
-/// CSV header of the memory artifact.
-const HEADER: &str = "topology,scheme,layers,mode,switches,endpoints,raw_entries,entries_total,\
-                      entries_mean,entries_max,groups_mean,groups_max,compression,kib_total,\
-                      overflow_switches";
 
 /// The scheme axis: FatPaths layers at each swept count, plus
 /// minimal-path ECMP (multi-port groups — the group-dedup stress case).
@@ -62,7 +57,6 @@ struct CellOut {
     layers: usize,
     stats: fatpaths_fib::FibStats,
     overflow: usize,
-    endpoints: usize,
 }
 
 /// Runs the memory grid and returns `(csv_text, summary_text)`,
@@ -71,30 +65,36 @@ struct CellOut {
 pub fn memory_matrix_on(topos: Vec<Topology>, layer_counts: &[usize]) -> (String, String) {
     let specs = schemes(layer_counts);
     let budget = TableBudget::default();
-    let mut cells: Vec<(usize, usize, usize)> = Vec::new();
-    for ti in 0..topos.len() {
-        for si in 0..specs.len() {
-            for mi in 0..MODES.len() {
-                cells.push((ti, si, mi));
-            }
-        }
-    }
-    let results = SweepRunner::new("memory", cells).run(|_, &(ti, si, mi)| {
+    let results = Grid::new([topos.len(), specs.len(), MODES.len()]).run(|[ti, si, mi]| {
         let topo = &topos[ti];
-        let (_, spec) = specs[si];
-        let scheme = Scenario::on(topo).scheme(spec).seed(1).build_scheme();
+        let scheme = Scenario::on(topo)
+            .scheme(specs[si].1)
+            .seed(1)
+            .build_scheme();
         let fib = compile(topo, &scheme, MODES[mi]);
         CellOut {
             layers: fib.tag_space(),
             stats: fib.stats(),
             overflow: fib.overflowing_switches(&budget),
-            endpoints: topo.num_endpoints(),
         }
     });
-    let (ns, nm) = (specs.len(), MODES.len());
-    let cell_index = |ti: usize, si: usize, mi: usize| (ti * ns + si) * nm + mi;
-    let mut csv = String::from(HEADER);
-    csv.push('\n');
+    let mut table = Table::new(&[
+        "topology",
+        "scheme",
+        "layers",
+        "mode",
+        "switches",
+        "endpoints",
+        "raw_entries",
+        "entries_total",
+        "entries_mean",
+        "entries_max",
+        "groups_mean",
+        "groups_max",
+        "compression",
+        "kib_total",
+        "overflow_switches",
+    ]);
     let mut summary = String::from(
         "Memory — per-switch FIB state of layered routing (entries / groups / budget)\n",
     );
@@ -105,41 +105,37 @@ pub fn memory_matrix_on(topos: Vec<Topology>, layer_counts: &[usize]) -> (String
             topo.num_routers(),
             topo.num_endpoints()
         ));
-        for (si, (name, _)) in specs.iter().enumerate() {
-            for (mi, mode) in MODES.iter().enumerate() {
-                let c = &results[cell_index(ti, si, mi)];
-                let s = &c.stats;
-                csv.push_str(&format!(
-                    "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                    label(topo),
-                    name,
-                    c.layers,
-                    mode.label(),
-                    s.switches,
-                    c.endpoints,
-                    s.raw_entries,
-                    s.entries_total,
-                    f(s.entries_mean),
-                    s.entries_max,
-                    f(s.groups_mean),
-                    s.groups_max,
-                    f(s.compression),
-                    f(s.bytes_total as f64 / 1024.0),
-                    c.overflow
-                ));
-                summary.push_str(&format!(
-                    "{:<9} layers={:<2} {:<4}: {:>8.1} entries/switch (max {:>6}), \
-                     {:>6.1} groups, {:>6.2}x compressed, {:>4} over budget\n",
-                    name,
-                    c.layers,
-                    mode.label(),
-                    s.entries_mean,
-                    s.entries_max,
-                    s.groups_mean,
-                    s.compression,
-                    c.overflow
-                ));
-            }
+        for ([_, si, mi], c) in results.under(ti) {
+            let (name, mode, s) = (specs[si].0, MODES[mi].label(), &c.stats);
+            table.row(&[
+                &label(topo),
+                &name,
+                &c.layers,
+                &mode,
+                &s.switches,
+                &topo.num_endpoints(),
+                &s.raw_entries,
+                &s.entries_total,
+                &f(s.entries_mean),
+                &s.entries_max,
+                &f(s.groups_mean),
+                &s.groups_max,
+                &f(s.compression),
+                &f(s.bytes_total as f64 / 1024.0),
+                &c.overflow,
+            ]);
+            summary.push_str(&format!(
+                "{:<9} layers={:<2} {:<4}: {:>8.1} entries/switch (max {:>6}), \
+                 {:>6.1} groups, {:>6.2}x compressed, {:>4} over budget\n",
+                name,
+                c.layers,
+                mode,
+                s.entries_mean,
+                s.entries_max,
+                s.groups_mean,
+                s.compression,
+                c.overflow
+            ));
         }
     }
     summary.push_str(&format!(
@@ -150,7 +146,7 @@ pub fn memory_matrix_on(topos: Vec<Topology>, layer_counts: &[usize]) -> (String
          paper's memory-overhead argument across the whole topology zoo.\n",
         budget.entries, budget.groups
     ));
-    (csv, summary)
+    (table.into_text(), summary)
 }
 
 /// The shipped experiment: the full topology zoo (the five low-diameter
@@ -164,8 +160,6 @@ pub fn memory(quick: bool) -> io::Result<()> {
         k.push(TopoKind::Complete);
         k
     };
-    let topos =
-        SweepRunner::new("memory-topos", kinds).run(|_, &kind| build(kind, SizeClass::Small, 1));
     let layer_counts: &[usize] = if is_smoke() {
         &[3]
     } else if quick {
@@ -173,7 +167,7 @@ pub fn memory(quick: bool) -> io::Result<()> {
     } else {
         &LAYER_COUNTS
     };
-    let (csv, summary) = memory_matrix_on(topos, layer_counts);
+    let (csv, summary) = memory_matrix_on(small_topos(&kinds), layer_counts);
     write_text("memory.csv", &csv)?;
     write_summary("memory", &summary)
 }

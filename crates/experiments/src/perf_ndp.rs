@@ -3,43 +3,38 @@
 //! (skewed adversarial workload), Fig. 12 (layer count × ρ sweep),
 //! Fig. 21 (λ sweep: fat tree vs crossbar baseline).
 //!
-//! Every figure's scenario grid runs as a parallel [`SweepRunner`]
-//! sweep; CSV rows and summary lines are assembled serially in grid
-//! order afterwards, so output is identical for any thread count.
+//! Every figure's scenario grid runs as a parallel [`Grid`] sweep; CSV
+//! rows and summary lines are assembled serially in grid order
+//! afterwards, so output is identical for any thread count.
 
-use crate::common::{f, label, pattern_workload, post_warmup, topo_set, write_summary, Csv};
+use crate::common::{
+    adversarial_long_flows, adversarial_pattern, class_for, f, label, pattern_workload, per_topo,
+    post_warmup, topo_set, write_summary, SchemeArm, Table, FATPATHS,
+};
 use fatpaths_net::classes::{build, SizeClass};
 use fatpaths_net::topo::{star::star, TopoKind, Topology};
 use fatpaths_sim::metrics::{mean, percentile, throughput_by_size};
-use fatpaths_sim::{coord_str, LoadBalancing, Scenario, SchemeSpec, SimResult, SweepRunner};
-use fatpaths_workloads::arrivals::{poisson_flows, FlowSpec};
-use fatpaths_workloads::patterns::{adversarial_for, Pattern};
-use fatpaths_workloads::sizes::FlowSizeDist;
+use fatpaths_sim::{cell_seed, coord_str, Grid, LoadBalancing, Scenario, SchemeSpec};
+use fatpaths_workloads::patterns::Pattern;
 use std::io;
 
-fn class_for(quick: bool) -> SizeClass {
-    if quick {
-        SizeClass::Small
-    } else {
-        SizeClass::Medium
-    }
+/// FatPaths non-minimal multipathing (9 layers, ρ=0.6).
+fn fatpaths() -> SchemeArm {
+    SchemeArm::new("fatpaths", FATPATHS)
 }
 
-/// Runs one NDP experiment on a topology: FatPaths (9 layers, ρ=0.6) for
-/// low-diameter networks; NDP packet spraying for the fat tree (its native
-/// scheme, per §VII-A3).
-fn run_native(topo: &Topology, flows: &[FlowSpec], seed: u64) -> SimResult {
-    let sc = Scenario::on(topo).workload(flows).seed(seed);
+/// The baseline: NDP on minimal paths (packet spraying, no layers).
+fn ndp_minimal() -> SchemeArm {
+    SchemeArm::new("ndp_minimal", SchemeSpec::Minimal).lb(LoadBalancing::PacketSpray)
+}
+
+/// A topology's native NDP scheme: FatPaths for low-diameter networks;
+/// NDP packet spraying for the fat tree (per §VII-A3).
+fn native(topo: &Topology) -> SchemeArm {
     if topo.kind == TopoKind::FatTree {
-        sc.scheme(SchemeSpec::Minimal)
-            .lb(LoadBalancing::PacketSpray)
-            .run()
+        ndp_minimal()
     } else {
-        sc.scheme(SchemeSpec::LayeredRandom {
-            n_layers: 9,
-            rho: 0.6,
-        })
-        .run()
+        fatpaths()
     }
 }
 
@@ -49,33 +44,24 @@ pub fn fig2(quick: bool) -> io::Result<()> {
     let class = class_for(quick);
     let window = if quick { 0.004 } else { 0.008 };
     let lambda = 300.0;
-    let mut csv = Csv::new(
-        "fig2_throughput",
-        &["topology", "flow_kib", "mean_mib_s", "tail1_mib_s", "flows"],
-    )?;
+    let mut table = Table::new(&["topology", "flow_kib", "mean_mib_s", "tail1_mib_s", "flows"]);
     let mut summary = String::from("Fig. 2 — throughput/flow (randomized workload, NDP-style)\n");
     let topos = topo_set(class, 3);
     // One cell per topology: workload generation + the simulation.
-    let cells: Vec<usize> = (0..topos.len()).collect();
-    let results = SweepRunner::new("fig2", cells).run(|_, &ti| {
+    let results = Grid::new([topos.len()]).run(|[ti]| {
         let topo = &topos[ti];
         let flows = pattern_workload(topo, &Pattern::Permutation, lambda, window, true, 9);
-        post_warmup(&run_native(topo, &flows, 4), window)
+        let sc = Scenario::on(topo).workload(&flows).seed(4);
+        post_warmup(native(topo).on(sc).run(), window)
     });
     let mut ft_mean = 0.0;
     let mut ld_best: f64 = 0.0;
-    for (topo, res) in topos.iter().zip(&results) {
-        let groups = throughput_by_size(res);
+    for ([ti], res) in results.iter() {
+        let topo = &topos[ti];
         let mut all = Vec::new();
-        for (size, m, t1, n) in &groups {
-            csv.row(&[
-                label(topo),
-                (size / 1024).to_string(),
-                f(*m),
-                f(*t1),
-                n.to_string(),
-            ])?;
-            all.push(*m);
+        for (size, m, t1, n) in throughput_by_size(res) {
+            table.row(&[&label(topo), &(size / 1024), &f(m), &f(t1), &n]);
+            all.push(m);
         }
         let overall = mean(&all);
         summary.push_str(&format!(
@@ -91,7 +77,7 @@ pub fn fig2(quick: bool) -> io::Result<()> {
             ld_best = ld_best.max(overall);
         }
     }
-    csv.finish()?;
+    table.write("fig2_throughput")?;
     summary.push_str(&format!(
         "Best low-diameter vs fat tree: {:.1} vs {:.1} MiB/s ({:+.0}%) — paper: ≈+15%.\n",
         ld_best,
@@ -106,71 +92,41 @@ pub fn fig2(quick: bool) -> io::Result<()> {
 pub fn fig11(quick: bool) -> io::Result<()> {
     let class = class_for(quick);
     let window = if quick { 0.004 } else { 0.008 };
-    let mut csv = Csv::new(
-        "fig11_adversarial",
-        &[
-            "topology",
-            "scheme",
-            "flow_kib",
-            "mean_mib_s",
-            "tail1_mib_s",
-        ],
-    )?;
+    let mut table = Table::new(&[
+        "topology",
+        "scheme",
+        "flow_kib",
+        "mean_mib_s",
+        "tail1_mib_s",
+    ]);
     let mut summary = String::from("Fig. 11 — skewed adversarial traffic (no randomization)\n");
     let topos = topo_set(class, 3);
-    // Grid: (topology, variant) with variant 0 = FatPaths, 1 = minimal NDP.
-    let mut cells = Vec::new();
-    for ti in 0..topos.len() {
-        for vi in 0..2usize {
-            cells.push((ti, vi));
-        }
-    }
-    let results = SweepRunner::new("fig11", cells).run(|_, &(ti, vi)| {
+    let arms = [fatpaths(), ndp_minimal()];
+    let results = Grid::new([topos.len(), arms.len()]).run(|[ti, ai]| {
         let topo = &topos[ti];
-        let p = topo.concentration.iter().copied().max().unwrap();
-        let pattern = adversarial_for(p, topo.num_routers() as u32);
-        let flows = pattern_workload(topo, &pattern, 200.0, window, false, 11);
+        let flows = pattern_workload(topo, &adversarial_pattern(topo), 200.0, window, false, 11);
         let sc = Scenario::on(topo).workload(&flows).seed(6);
-        let res = if vi == 0 {
-            // FatPaths (non-minimal multipathing).
-            sc.scheme(SchemeSpec::LayeredRandom {
-                n_layers: 9,
-                rho: 0.6,
-            })
-            .run()
-        } else {
-            // Baseline: NDP on minimal paths (packet spraying, no layers).
-            sc.scheme(SchemeSpec::Minimal)
-                .lb(LoadBalancing::PacketSpray)
-                .run()
-        };
-        post_warmup(&res, window)
+        post_warmup(arms[ai].on(sc).run(), window)
     });
-    for (ti, topo) in topos.iter().enumerate() {
-        let fp = &results[ti * 2];
-        let base = &results[ti * 2 + 1];
-        for (scheme, res) in [("fatpaths", fp), ("ndp_minimal", base)] {
-            for (size, m, t1, _) in throughput_by_size(res) {
-                csv.row(&[
-                    label(topo),
-                    scheme.into(),
-                    (size / 1024).to_string(),
-                    f(m),
-                    f(t1),
-                ])?;
-            }
+    for ([ti, ai], res) in results.iter() {
+        let topo = &topos[ti];
+        for (size, m, t1, _) in throughput_by_size(res) {
+            table.row(&[&label(topo), &arms[ai].name, &(size / 1024), &f(m), &f(t1)]);
         }
-        let m_fp = mean(&fp.fcts(None));
-        let m_base = mean(&base.fcts(None));
-        summary.push_str(&format!(
-            "{:<5} mean FCT: fatpaths {:>8.3} ms vs minimal {:>8.3} ms ({:.1}x)\n",
-            label(topo),
-            m_fp * 1e3,
-            m_base * 1e3,
-            m_base / m_fp.max(1e-12)
-        ));
+        if ai == 1 {
+            // The baseline closes the topology's pair: compare.
+            let m_fp = mean(&results[[ti, 0]].fcts(None));
+            let m_base = mean(&res.fcts(None));
+            summary.push_str(&format!(
+                "{:<5} mean FCT: fatpaths {:>8.3} ms vs minimal {:>8.3} ms ({:.1}x)\n",
+                label(topo),
+                m_fp * 1e3,
+                m_base * 1e3,
+                m_base / m_fp.max(1e-12)
+            ));
+        }
     }
-    csv.finish()?;
+    table.write("fig11_adversarial")?;
     summary.push_str(
         "Paper: non-minimal layered routing improves FCT up to 30x; HX benefits least\n\
          (it already has minimal-path diversity).\n",
@@ -182,7 +138,7 @@ pub fn fig11(quick: bool) -> io::Result<()> {
 /// 1 MiB flows, for a complete graph, SF, and DF.
 pub fn fig12(quick: bool) -> io::Result<()> {
     let class = class_for(quick);
-    let topos = vec![
+    let topos = [
         build(TopoKind::Complete, class, 1),
         build(TopoKind::SlimFly, class, 1),
         build(TopoKind::Dragonfly, class, 1),
@@ -192,89 +148,61 @@ pub fn fig12(quick: bool) -> io::Result<()> {
     } else {
         &[2, 4, 9, 16, 33]
     };
-    let rhos = [0.5, 0.7, 0.8];
+    let rhos = [0.5f64, 0.7, 0.8];
     let window = if quick { 0.003 } else { 0.005 };
-    let mut csv = Csv::new(
-        "fig12_layers",
-        &[
-            "topology",
-            "n_layers",
-            "rho",
-            "fct_mean_ms",
-            "fct_p10_ms",
-            "fct_p99_ms",
-        ],
-    )?;
+    let mut table = Table::new(&[
+        "topology",
+        "n_layers",
+        "rho",
+        "fct_mean_ms",
+        "fct_p10_ms",
+        "fct_p99_ms",
+    ]);
     let mut summary = String::from("Fig. 12 — FCT vs (n, ρ), 1 MiB flows\n");
     // Shared per-topology adversarial workload.
-    let prep_cells: Vec<usize> = (0..topos.len()).collect();
-    let flows_per_topo = SweepRunner::new("fig12-prep", prep_cells).run(|_, &ti| {
-        let topo = &topos[ti];
-        let p = topo.concentration.iter().copied().max().unwrap();
-        let pattern = adversarial_for(p, topo.num_routers() as u32);
-        let pairs = pattern.flows(topo.num_endpoints() as u64, 1);
-        let dist = FlowSizeDist::fixed(1 << 20);
-        poisson_flows(&pairs, 100.0, window, &dist, 2)
-    });
+    let flows_per_topo = per_topo(&topos, |topo| adversarial_long_flows(topo, window, 1, 2));
     // Grid: (topology, n, ρ); the scenario seed (layer sampling) derives
-    // from the cell coordinates — the topology coordinate is its *label*,
-    // not its grid position, so seeds survive reordering/filtering of the
-    // topology set — and each (n, ρ) point gets a decorrelated layer
-    // sample regardless of sweep order or thread count.
-    let mut cells: Vec<(usize, usize, f64)> = Vec::new();
-    for ti in 0..topos.len() {
-        for &n in ns {
-            for rho in rhos {
-                cells.push((ti, n, rho));
-            }
-        }
+    // from the cell's coordinate *values* — the topology coordinate is
+    // its label, not its grid position, so seeds survive
+    // reordering/filtering of the topology set — and each (n, ρ) point
+    // gets a decorrelated layer sample regardless of sweep order or
+    // thread count.
+    let results = Grid::new([topos.len(), ns.len(), rhos.len()]).run(|[ti, ni, ri]| {
+        let (n_layers, rho) = (ns[ni], rhos[ri]);
+        let coords = [
+            coord_str(&label(&topos[ti])),
+            n_layers as u64,
+            rho.to_bits(),
+        ];
+        let seed = cell_seed("fig12", &coords);
+        let res = post_warmup(
+            Scenario::on(&topos[ti])
+                .scheme(SchemeSpec::LayeredRandom { n_layers, rho })
+                .workload(&flows_per_topo[ti])
+                .seed(seed)
+                .run(),
+            window,
+        );
+        let fcts = res.fcts(None);
+        (
+            mean(&fcts) * 1e3,
+            percentile(&fcts, 10.0) * 1e3,
+            percentile(&fcts, 99.0) * 1e3,
+        )
+    });
+    for ([ti, ni, ri], &(m, p10, p99)) in results.iter() {
+        let (topo, n, rho) = (&topos[ti], ns[ni], rhos[ri]);
+        table.row(&[&label(topo), &n, &f(rho), &f(m), &f(p10), &f(p99)]);
+        summary.push_str(&format!(
+            "{:<4} n={:<3} rho={:.1}: mean {:>7.2} ms p99 {:>8.2} ms\n",
+            label(topo),
+            n,
+            rho,
+            m,
+            p99
+        ));
     }
-    let runner = SweepRunner::new("fig12", cells);
-    let results = runner.run_seeded(
-        |&(ti, n, rho)| vec![coord_str(&label(&topos[ti])), n as u64, rho.to_bits()],
-        |_, &(ti, n, rho), seed| {
-            let res = post_warmup(
-                &Scenario::on(&topos[ti])
-                    .scheme(SchemeSpec::LayeredRandom { n_layers: n, rho })
-                    .workload(&flows_per_topo[ti])
-                    .seed(seed)
-                    .run(),
-                window,
-            );
-            let fcts = res.fcts(None);
-            (
-                mean(&fcts) * 1e3,
-                percentile(&fcts, 10.0) * 1e3,
-                percentile(&fcts, 99.0) * 1e3,
-            )
-        },
-    );
-    let mut i = 0;
-    for topo in &topos {
-        for &n in ns {
-            for rho in rhos {
-                let row = results[i];
-                i += 1;
-                csv.row(&[
-                    label(topo),
-                    n.to_string(),
-                    f(rho),
-                    f(row.0),
-                    f(row.1),
-                    f(row.2),
-                ])?;
-                summary.push_str(&format!(
-                    "{:<4} n={:<3} rho={:.1}: mean {:>7.2} ms p99 {:>8.2} ms\n",
-                    label(topo),
-                    n,
-                    rho,
-                    row.0,
-                    row.2
-                ));
-            }
-        }
-    }
-    csv.finish()?;
+    table.write("fig12_layers")?;
     summary.push_str("Paper: 9 layers suffice for SF/DF; with more layers, higher ρ wins.\n");
     write_summary("fig12_layers", &summary)
 }
@@ -293,35 +221,26 @@ pub fn fig21(quick: bool) -> io::Result<()> {
         &[100.0, 200.0, 300.0, 400.0, 500.0]
     };
     let window = 0.004;
-    let mut csv = Csv::new(
-        "fig21_lambda_ndp",
-        &[
-            "topology",
-            "lambda",
-            "flow_kib",
-            "fct_p10_norm",
-            "fct_mean_norm",
-            "fct_p99_norm",
-        ],
-    )?;
+    let mut table = Table::new(&[
+        "topology",
+        "lambda",
+        "flow_kib",
+        "fct_p10_norm",
+        "fct_mean_norm",
+        "fct_p99_norm",
+    ]);
     let mut summary = String::from("Fig. 21 — NDP λ sweep (normalized FCT; fat tree vs star)\n");
     let series = [("fattree", &ft), ("star", &st)];
-    let mut cells = Vec::new();
-    for si in 0..series.len() {
-        for &lambda in lambdas {
-            cells.push((si, lambda));
-        }
-    }
-    let results = SweepRunner::new("fig21", cells).run(|_, &(si, lambda)| {
+    let results = Grid::new([series.len(), lambdas.len()]).run(|[si, li]| {
         let topo = series[si].1;
         let lb = if topo.kind == TopoKind::FatTree {
             LoadBalancing::PacketSpray
         } else {
             LoadBalancing::EcmpFlow
         };
-        let flows = pattern_workload(topo, &Pattern::Uniform, lambda, window, true, 21);
+        let flows = pattern_workload(topo, &Pattern::Uniform, lambdas[li], window, true, 21);
         post_warmup(
-            &Scenario::on(topo)
+            Scenario::on(topo)
                 .scheme(SchemeSpec::Minimal)
                 .lb(lb)
                 .workload(&flows)
@@ -330,39 +249,35 @@ pub fn fig21(quick: bool) -> io::Result<()> {
             window,
         )
     });
-    let mut i = 0;
-    for (name, _) in series {
-        for &lambda in lambdas {
-            let res = &results[i];
-            i += 1;
-            // Normalize by the ideal line-rate FCT per size (µ=10Gb/s).
-            for (size, _grp_mean, _t1, _) in throughput_by_size(res) {
-                let fcts: Vec<f64> = res
-                    .completed()
-                    .filter(|fl| fl.size == size)
-                    .filter_map(|fl| fl.fct_s())
-                    .collect();
-                let ideal = size as f64 / (10e9 / 8.0);
-                csv.row(&[
-                    name.into(),
-                    f(lambda),
-                    (size / 1024).to_string(),
-                    f(percentile(&fcts, 10.0) / ideal),
-                    f(mean(&fcts) / ideal),
-                    f(percentile(&fcts, 99.0) / ideal),
-                ])?;
-            }
-            let all = res.fcts(None);
-            summary.push_str(&format!(
-                "{:<8} λ={:<5} mean FCT {:>8.3} ms (flows {})\n",
-                name,
-                lambda,
-                mean(&all) * 1e3,
-                all.len()
-            ));
+    for ([si, li], res) in results.iter() {
+        let (name, lambda) = (series[si].0, lambdas[li]);
+        // Normalize by the ideal line-rate FCT per size (µ=10Gb/s).
+        for (size, _grp_mean, _t1, _) in throughput_by_size(res) {
+            let fcts: Vec<f64> = res
+                .completed()
+                .filter(|fl| fl.size == size)
+                .filter_map(|fl| fl.fct_s())
+                .collect();
+            let ideal = size as f64 / (10e9 / 8.0);
+            table.row(&[
+                &name,
+                &f(lambda),
+                &(size / 1024),
+                &f(percentile(&fcts, 10.0) / ideal),
+                &f(mean(&fcts) / ideal),
+                &f(percentile(&fcts, 99.0) / ideal),
+            ]);
         }
+        let all = res.fcts(None);
+        summary.push_str(&format!(
+            "{:<8} λ={:<5} mean FCT {:>8.3} ms (flows {})\n",
+            name,
+            lambda,
+            mean(&all) * 1e3,
+            all.len()
+        ));
     }
-    csv.finish()?;
+    table.write("fig21_lambda_ndp")?;
     summary.push_str("Paper: λ≤200 shows no oversubscription penalty; λ≥300 loads the core.\n");
     write_summary("fig21_lambda_ndp", &summary)
 }

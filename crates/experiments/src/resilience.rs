@@ -22,14 +22,14 @@
 //! and detection mode faces the *same* failures, and the CSV is
 //! byte-identical at any thread count.
 
-use crate::common::{f, label, write_summary, write_text};
-use fatpaths_net::classes::{build, SizeClass};
+use crate::common::{
+    f, label, per_topo, permutation_flows, small_topos, write_summary, write_text, SchemeArm,
+    Table, FATPATHS,
+};
 use fatpaths_net::fault::{FaultModel, FaultPlan};
 use fatpaths_net::topo::{TopoKind, Topology};
 use fatpaths_sim::metrics::Summary;
-use fatpaths_sim::{
-    cell_seed, coord_str, CompileMode, LoadBalancing, Scenario, SchemeSpec, SweepRunner,
-};
+use fatpaths_sim::{cell_seed, coord_str, CompileMode, Grid, LoadBalancing, Scenario, SchemeSpec};
 use fatpaths_workloads::arrivals::FlowSpec;
 use std::io;
 
@@ -54,52 +54,14 @@ const HORIZON_PS: u64 = 50_000_000_000; // 50 ms
 /// `detect=none` fires no repair (its fib_rows is 0 there): the grid
 /// stays a full cross product, and the detect=none rows demonstrate
 /// compiled ≡ analytic inside the artifact itself.
-fn schemes() -> Vec<(
-    &'static str,
-    SchemeSpec,
-    Option<LoadBalancing>,
-    Option<CompileMode>,
-)> {
-    let fat = SchemeSpec::LayeredRandom {
-        n_layers: 9,
-        rho: 0.6,
-    };
+fn schemes() -> Vec<SchemeArm> {
+    let minimal = |name, lb| SchemeArm::new(name, SchemeSpec::Minimal).lb(lb);
     vec![
-        ("fatpaths", fat, None, None),
-        (
-            "ecmp",
-            SchemeSpec::Minimal,
-            Some(LoadBalancing::EcmpFlow),
-            None,
-        ),
-        (
-            "spray",
-            SchemeSpec::Minimal,
-            Some(LoadBalancing::PacketSpray),
-            None,
-        ),
-        ("fatpaths_fib", fat, None, Some(CompileMode::Aggregated)),
+        SchemeArm::new("fatpaths", FATPATHS),
+        minimal("ecmp", LoadBalancing::EcmpFlow),
+        minimal("spray", LoadBalancing::PacketSpray),
+        SchemeArm::new("fatpaths_fib", FATPATHS).compiled(CompileMode::Aggregated),
     ]
-}
-
-/// CSV header of the resilience artifact.
-const HEADER: &str = "topology,scheme,detect,fraction,failed_links,flows,completed,\
-                      unreachable_pairs,fct_mean_ms,fct_p99_ms,slowdown,drops,unroutable,\
-                      repair_ticks,repair_rows,fib_rows,quiesce_ms";
-
-/// One endpoint-permutation flow set: endpoint `e` sends `size` bytes to
-/// `e + offset (mod n)` (self-pairs skipped).
-fn permutation_flows(topo: &Topology, offset: u64, size: u64) -> Vec<FlowSpec> {
-    let n = topo.num_endpoints() as u64;
-    (0..n)
-        .map(|e| FlowSpec {
-            src: e as u32,
-            dst: ((e + offset) % n) as u32,
-            size,
-            start: 0,
-        })
-        .filter(|fl| fl.src != fl.dst)
-        .collect()
 }
 
 /// Counts flows whose router pair is disconnected in the degraded graph
@@ -145,8 +107,7 @@ struct CellOut {
     flows: usize,
     unreachable: usize,
     failed_links: usize,
-    fct_mean_s: f64,
-    fct_p99_s: f64,
+    fct: Summary,
     drops: u64,
     unroutable: u64,
     repair_ticks: usize,
@@ -162,29 +123,13 @@ struct CellOut {
 /// parallel phase (bit-identical for any thread count).
 pub fn resilience_matrix_on(topos: Vec<Topology>, fractions: &[f64]) -> (String, String) {
     let flow_size = 64 * 1024u64;
-    let specs = schemes();
+    let arms = schemes();
     // Per-topology shared workload.
-    let prep_cells: Vec<usize> = (0..topos.len()).collect();
-    let prep = SweepRunner::new("resilience-prep", prep_cells).run(|_, &ti| {
-        let topo = topos[ti].clone();
-        let flows = permutation_flows(&topo, 21, flow_size);
-        (topo, flows)
-    });
-    let mut cells: Vec<(usize, usize, usize, usize)> = Vec::new();
-    for ti in 0..prep.len() {
-        for si in 0..specs.len() {
-            for fi in 0..fractions.len() {
-                for di in 0..DETECTION.len() {
-                    cells.push((ti, si, fi, di));
-                }
-            }
-        }
-    }
-    let fractions_owned = fractions.to_vec();
-    let results = SweepRunner::new("resilience", cells).run(|_, &(ti, si, fi, di)| {
-        let (topo, flows) = &prep[ti];
-        let (_, spec, lb, compiled) = specs[si];
-        let fraction = fractions_owned[fi];
+    let workloads = per_topo(&topos, |topo| permutation_flows(topo, 21, flow_size));
+    let grid = Grid::new([topos.len(), arms.len(), fractions.len(), DETECTION.len()]);
+    let results = grid.run(|[ti, si, fi, di]| {
+        let (topo, flows) = (&topos[ti], &workloads[ti]);
+        let fraction = fractions[fi];
         // One fault set per (topology, fraction): every scheme and
         // detection mode faces the same failures. Seeded from
         // coordinates, never from grid position or execution order.
@@ -195,32 +140,25 @@ pub fn resilience_matrix_on(topos: Vec<Topology>, fractions: &[f64]) -> (String,
         let plan = FaultPlan::sample(topo, &FaultModel::UniformFraction { fraction }, fault_seed);
         let unreachable = unreachable_pairs(topo, &plan, flows);
         let failed_links = plan.num_static();
-        let mut sc = Scenario::on(topo)
-            .scheme(spec)
-            .workload(flows)
-            .seed(5)
-            .horizon(HORIZON_PS)
-            .fault_plan(plan);
-        if let Some(lb) = lb {
-            sc = sc.lb(lb);
-        }
-        if let Some(mode) = compiled {
-            sc = sc.compiled(mode);
-        }
-        if let (_, Some(delay)) = DETECTION[di] {
-            sc = sc.detection_delay(delay);
-        }
+        let arm = SchemeArm {
+            detect: DETECTION[di].1,
+            ..arms[si]
+        };
         // Traced run: the trace feeds the time-to-quiescence column
         // (how long traffic kept flowing after the last repair pass).
-        let (res, trace) = sc.run_traced();
-        let fct = Summary::of(&res.fcts(None));
+        let (res, trace) = arm
+            .on(Scenario::on(topo)
+                .workload(flows)
+                .seed(5)
+                .horizon(HORIZON_PS)
+                .fault_plan(plan))
+            .run_traced();
         CellOut {
             completed: res.completed().count(),
             flows: res.flows.len(),
             unreachable,
             failed_links,
-            fct_mean_s: fct.mean,
-            fct_p99_s: fct.p99,
+            fct: Summary::of(&res.fcts(None)),
             drops: res.drops,
             unroutable: res.unroutable,
             repair_ticks: res.repair_ticks(),
@@ -229,68 +167,77 @@ pub fn resilience_matrix_on(topos: Vec<Topology>, fractions: &[f64]) -> (String,
             quiesce_s: trace.time_to_quiescence_ps() as f64 * 1e-12,
         }
     });
-    // Serial assembly in grid order; slowdown references the fraction-0
-    // cell of the same (topology, scheme, detect) slice.
-    let nd = DETECTION.len();
-    let nf = fractions.len();
-    let cell_index =
-        |ti: usize, si: usize, fi: usize, di: usize| ((ti * specs.len() + si) * nf + fi) * nd + di;
-    let mut csv = String::from(HEADER);
-    csv.push('\n');
+    let mut table = Table::new(&[
+        "topology",
+        "scheme",
+        "detect",
+        "fraction",
+        "failed_links",
+        "flows",
+        "completed",
+        "unreachable_pairs",
+        "fct_mean_ms",
+        "fct_p99_ms",
+        "slowdown",
+        "drops",
+        "unroutable",
+        "repair_ticks",
+        "repair_rows",
+        "fib_rows",
+        "quiesce_ms",
+    ]);
     let mut summary =
         String::from("Resilience — FatPaths layers vs ECMP-minimal under uniform link failures\n");
-    for (ti, (topo, _)) in prep.iter().enumerate() {
+    for (ti, topo) in topos.iter().enumerate() {
         summary.push_str(&format!(
             "-- {} ({} endpoints, {} links) --\n",
             label(topo),
             topo.num_endpoints(),
             topo.graph.m()
         ));
-        for (si, (name, ..)) in specs.iter().enumerate() {
-            for (fi, &fraction) in fractions.iter().enumerate() {
-                for (di, (dlabel, _)) in DETECTION.iter().enumerate() {
-                    let c = &results[cell_index(ti, si, fi, di)];
-                    let base = &results[cell_index(ti, si, 0, di)];
-                    let slowdown = if base.fct_mean_s > 0.0 {
-                        c.fct_mean_s / base.fct_mean_s
-                    } else {
-                        0.0
-                    };
-                    csv.push_str(&format!(
-                        "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                        label(topo),
-                        name,
-                        dlabel,
-                        f(fraction),
-                        c.failed_links,
-                        c.flows,
-                        c.completed,
-                        c.unreachable,
-                        f(c.fct_mean_s * 1e3),
-                        f(c.fct_p99_s * 1e3),
-                        f(slowdown),
-                        c.drops,
-                        c.unroutable,
-                        c.repair_ticks,
-                        c.repair_rows,
-                        c.fib_rows,
-                        f(c.quiesce_s * 1e3)
-                    ));
-                    if fi + 1 == nf {
-                        summary.push_str(&format!(
-                            "{:<9} detect={:<5} f={:.2}: {}/{} done ({} unreachable), \
-                             mean {:>7.3} ms ({:.2}x healthy)\n",
-                            name,
-                            dlabel,
-                            fraction,
-                            c.completed,
-                            c.flows,
-                            c.unreachable,
-                            c.fct_mean_s * 1e3,
-                            slowdown
-                        ));
-                    }
-                }
+        for ([_, si, fi, di], c) in results.under(ti) {
+            let (name, dlabel) = (arms[si].name, DETECTION[di].0);
+            // Slowdown references the first-fraction (healthy) cell of
+            // the same (topology, scheme, detect) slice.
+            let base = &results[[ti, si, 0, di]];
+            let slowdown = if base.fct.mean > 0.0 {
+                c.fct.mean / base.fct.mean
+            } else {
+                0.0
+            };
+            table.row(&[
+                &label(topo),
+                &name,
+                &dlabel,
+                &f(fractions[fi]),
+                &c.failed_links,
+                &c.flows,
+                &c.completed,
+                &c.unreachable,
+                &f(c.fct.mean * 1e3),
+                &f(c.fct.p99 * 1e3),
+                &f(slowdown),
+                &c.drops,
+                &c.unroutable,
+                &c.repair_ticks,
+                &c.repair_rows,
+                &c.fib_rows,
+                &f(c.quiesce_s * 1e3),
+            ]);
+            // The summary shows the heaviest failure fraction only.
+            if fi + 1 == fractions.len() {
+                summary.push_str(&format!(
+                    "{:<9} detect={:<5} f={:.2}: {}/{} done ({} unreachable), \
+                     mean {:>7.3} ms ({:.2}x healthy)\n",
+                    name,
+                    dlabel,
+                    fractions[fi],
+                    c.completed,
+                    c.flows,
+                    c.unreachable,
+                    c.fct.mean * 1e3,
+                    slowdown
+                ));
             }
         }
     }
@@ -303,17 +250,15 @@ pub fn resilience_matrix_on(topos: Vec<Topology>, fractions: &[f64]) -> (String,
          FIBs (byte-identical behavior); their fib_rows column prices each repair\n\
          pass in rewritten forwarding rules.\n",
     );
-    (csv, summary)
+    (table.into_text(), summary)
 }
 
 /// The shipped experiment: small-class SF, DF, and FT3 under the
 /// [`FRACTIONS`] failure sweep.
 pub fn resilience(quick: bool) -> io::Result<()> {
     let kinds = [TopoKind::SlimFly, TopoKind::Dragonfly, TopoKind::FatTree];
-    let topos = SweepRunner::new("resilience-topos", kinds.to_vec())
-        .run(|_, &kind| build(kind, SizeClass::Small, 1));
     let fractions: &[f64] = if quick { &[0.0, 0.05] } else { &FRACTIONS };
-    let (csv, summary) = resilience_matrix_on(topos, fractions);
+    let (csv, summary) = resilience_matrix_on(small_topos(&kinds), fractions);
     write_text("resilience.csv", &csv)?;
     write_summary("resilience", &summary)
 }

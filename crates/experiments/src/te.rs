@@ -9,22 +9,21 @@
 //! every scheme is scored by [`fatpaths_te::edge_loads`] under the same
 //! equal-flowlet-split demand model, so `achieved / optimal` ratios are
 //! directly comparable across rows. Deterministic at any thread count:
-//! the grid runs through [`SweepRunner`], seeds derive from cell
+//! the grid runs as a [`Grid`] sweep, seeds derive from cell
 //! coordinates, and rows assemble in grid order.
 
-use crate::common::{f, is_smoke, label, write_summary, write_text};
+use crate::common::{acceptance_pair, f, is_smoke, label, write_summary, write_text, Table};
 use fatpaths_core::fwd::RoutingTables;
 use fatpaths_core::layers::{build_random_layers, LayerConfig};
 use fatpaths_mcf::{throughput_upper_bound, RouterDemand};
-use fatpaths_net::classes::{build, SizeClass};
-use fatpaths_net::topo::{TopoKind, Topology};
-use fatpaths_sim::{cell_seed, coord_str, Scenario, SchemeSpec, SweepRunner, TeConfig, TeScheme};
+use fatpaths_net::topo::Topology;
+use fatpaths_sim::{cell_seed, coord_str, Grid, Scenario, SchemeSpec, TeConfig, TeScheme};
 use fatpaths_te::{achieved_throughput, edge_loads, endpoint_demands};
 use fatpaths_workloads::matrices::{matrix_flows, MatrixSpec};
 use std::io;
 
-/// CSV header of the TE sweep artifact.
-const HEADER: &str = "topology,matrix,scheme,layers,achieved,optimal,ratio,iterations,converged";
+/// The scheme axis: static layers, the same layers negotiated, ECMP.
+const SCHEMES: [&str; 3] = ["fatpaths", "te", "ecmp"];
 
 /// The traffic matrices TE is scored on: the worst-case permutation the
 /// MAT analysis uses, and a heavy-hitter skew.
@@ -40,11 +39,18 @@ fn matrices() -> Vec<MatrixSpec> {
 
 /// One (topology, matrix) context shared by all scheme cells.
 struct Prep {
-    topo: Topology,
     matrix_label: String,
     demands: Vec<RouterDemand>,
     tables: RoutingTables,
     upper: f64,
+}
+
+/// Metrics of one grid cell, pre-assembly.
+struct CellOut {
+    layers: usize,
+    achieved: f64,
+    /// `(iterations, converged)` of the negotiation (TE rows only).
+    negotiation: Option<(usize, bool)>,
 }
 
 /// Runs the TE sweep grid on the given topologies and returns
@@ -52,147 +58,124 @@ struct Prep {
 /// parity suite pins this with miniature topologies).
 pub fn te_matrix_on(topos: Vec<Topology>, n_layers: usize, rho: f64) -> (String, String) {
     let specs = matrices();
-    let mut prep_cells: Vec<(usize, usize)> = Vec::new();
-    for ti in 0..topos.len() {
-        for mi in 0..specs.len() {
-            prep_cells.push((ti, mi));
-        }
-    }
     // Per (topology, matrix) prep: demands, the static layer tables both
     // the `fatpaths` and `te` rows start from, and the throughput bound.
-    let prep = SweepRunner::new("te-prep", prep_cells).run(|_, &(ti, mi)| {
-        let topo = topos[ti].clone();
-        let spec = &specs[mi];
+    let prep = Grid::new([topos.len(), specs.len()]).run(|[ti, mi]| {
+        let (topo, spec) = (&topos[ti], &specs[mi]);
         let mseed = cell_seed(
             "te-matrix",
-            &[coord_str(&label(&topo)), coord_str(&spec.label())],
+            &[coord_str(&label(topo)), coord_str(&spec.label())],
         );
-        let flows = matrix_flows(&topo, spec, mseed);
-        let demands = endpoint_demands(&topo, &flows);
-        let lseed = cell_seed("te-layers", &[coord_str(&label(&topo))]);
+        let flows = matrix_flows(topo, spec, mseed);
+        let demands = endpoint_demands(topo, &flows);
+        let lseed = cell_seed("te-layers", &[coord_str(&label(topo))]);
         let ls = build_random_layers(&topo.graph, &LayerConfig::new(n_layers, rho, lseed));
         let tables = RoutingTables::build(&topo.graph, &ls);
-        let upper = throughput_upper_bound(&topo, &demands);
+        let upper = throughput_upper_bound(topo, &demands);
         Prep {
-            topo,
             matrix_label: spec.label(),
             demands,
             tables,
             upper,
         }
     });
-    const SCHEMES: [&str; 3] = ["fatpaths", "te", "ecmp"];
-    let mut cells: Vec<(usize, usize)> = Vec::new();
-    for pi in 0..prep.len() {
-        for si in 0..SCHEMES.len() {
-            cells.push((pi, si));
-        }
-    }
-    let results = SweepRunner::new("te", cells).run(|_, &(pi, si)| {
-        let p = &prep[pi];
-        let g = &p.topo.graph;
-        let (layers, achieved, iterations, converged) = match SCHEMES[si] {
-            "fatpaths" => {
-                let loads = edge_loads(&p.tables, g, &p.demands);
-                (
-                    n_layers,
-                    achieved_throughput(&loads),
-                    String::new(),
-                    String::new(),
-                )
-            }
+    let results = Grid::new([topos.len(), specs.len(), SCHEMES.len()]).run(|[ti, mi, si]| {
+        let (topo, p) = (&topos[ti], &prep[[ti, mi]]);
+        let g = &topo.graph;
+        match SCHEMES[si] {
+            "fatpaths" => CellOut {
+                layers: n_layers,
+                achieved: achieved_throughput(&edge_loads(&p.tables, g, &p.demands)),
+                negotiation: None,
+            },
             "te" => {
                 let te = TeScheme::negotiate(g, &p.tables, &p.demands, &TeConfig::default());
-                let loads = edge_loads(&te, g, &p.demands);
-                (
-                    n_layers,
-                    achieved_throughput(&loads),
-                    te.iterations().to_string(),
-                    te.converged().to_string(),
-                )
+                CellOut {
+                    layers: n_layers,
+                    achieved: achieved_throughput(&edge_loads(&te, g, &p.demands)),
+                    negotiation: Some((te.iterations(), te.converged())),
+                }
             }
             _ => {
-                let ecmp = Scenario::on(&p.topo)
+                let ecmp = Scenario::on(topo)
                     .scheme(SchemeSpec::Minimal)
                     .build_scheme();
-                let loads = edge_loads(&ecmp, g, &p.demands);
-                (1, achieved_throughput(&loads), String::new(), String::new())
+                CellOut {
+                    layers: 1,
+                    achieved: achieved_throughput(&edge_loads(&ecmp, g, &p.demands)),
+                    negotiation: None,
+                }
             }
-        };
-        let row = [
-            label(&p.topo),
-            p.matrix_label.clone(),
-            SCHEMES[si].to_string(),
-            layers.to_string(),
-            f(achieved),
-            f(p.upper),
-            f(achieved / p.upper),
-            iterations,
-            converged,
-        ]
-        .join(",");
-        (row, achieved)
+        }
     });
-    let mut csv = String::from(HEADER);
-    csv.push('\n');
+    let mut table = Table::new(&[
+        "topology",
+        "matrix",
+        "scheme",
+        "layers",
+        "achieved",
+        "optimal",
+        "ratio",
+        "iterations",
+        "converged",
+    ]);
     let mut summary = String::from(
         "Traffic engineering — negotiated layers vs static FatPaths vs ECMP vs throughput bound\n",
     );
-    for (pi, p) in prep.iter().enumerate() {
-        summary.push_str(&format!(
-            "-- {} × {} ({} commodities, optimal {:.4}) --\n",
-            label(&p.topo),
-            p.matrix_label,
-            p.demands.len(),
-            p.upper
-        ));
-        let group = &results[pi * SCHEMES.len()..(pi + 1) * SCHEMES.len()];
-        for (si, (row, achieved)) in group.iter().enumerate() {
-            csv.push_str(row);
-            csv.push('\n');
+    for ([ti, mi, si], c) in results.iter() {
+        let (topo, p) = (&topos[ti], &prep[[ti, mi]]);
+        if si == 0 {
             summary.push_str(&format!(
-                "{:<9} achieved {:>8.4}  ratio {:>6.3}\n",
-                SCHEMES[si],
-                achieved,
-                achieved / p.upper
+                "-- {} × {} ({} commodities, optimal {:.4}) --\n",
+                label(topo),
+                p.matrix_label,
+                p.demands.len(),
+                p.upper
             ));
         }
-        let static_t = group[0].1;
-        let te_t = group[1].1;
+        let (iterations, converged) = match c.negotiation {
+            Some((i, conv)) => (i.to_string(), conv.to_string()),
+            None => Default::default(),
+        };
+        table.row(&[
+            &label(topo),
+            &p.matrix_label,
+            &SCHEMES[si],
+            &c.layers,
+            &f(c.achieved),
+            &f(p.upper),
+            &f(c.achieved / p.upper),
+            &iterations,
+            &converged,
+        ]);
         summary.push_str(&format!(
-            "   TE gain over static layers: {:+.1}%\n",
-            (te_t / static_t - 1.0) * 100.0
+            "{:<9} achieved {:>8.4}  ratio {:>6.3}\n",
+            SCHEMES[si],
+            c.achieved,
+            c.achieved / p.upper
         ));
+        if si + 1 == SCHEMES.len() {
+            let static_t = results[[ti, mi, 0]].achieved;
+            let te_t = results[[ti, mi, 1]].achieved;
+            summary.push_str(&format!(
+                "   TE gain over static layers: {:+.1}%\n",
+                (te_t / static_t - 1.0) * 100.0
+            ));
+        }
     }
     summary.push_str(
         "TE starts from the static tables (iteration 0) and keeps the best iteration,\n\
          so its row is never below the fatpaths row; gains concentrate where the\n\
          matrix is skewed and static layer hashing collides.\n",
     );
-    (csv, summary)
+    (table.into_text(), summary)
 }
 
 /// Runs the sweep on SF + FT3 (the acceptance pair) at the small class,
 /// or miniature instances under the CI smoke gate.
 pub fn te(quick: bool) -> io::Result<()> {
-    let (topos, n_layers) = if is_smoke() {
-        (
-            vec![
-                fatpaths_net::topo::slimfly::slim_fly(5, 2).unwrap(),
-                fatpaths_net::topo::fattree::fat_tree(4, 1),
-            ],
-            4,
-        )
-    } else {
-        (
-            vec![
-                build(TopoKind::SlimFly, SizeClass::Small, 1),
-                build(TopoKind::FatTree, SizeClass::Small, 1),
-            ],
-            9,
-        )
-    };
     let _ = quick; // grid is MCF/negotiation only — cheap at full scale
+    let (topos, n_layers) = acceptance_pair(is_smoke());
     let (csv, summary) = te_matrix_on(topos, n_layers, 0.6);
     write_text("te.csv", &csv)?;
     write_summary("te", &summary)

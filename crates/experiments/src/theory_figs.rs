@@ -1,7 +1,7 @@
 //! Theory/analysis experiments: Fig. 9 (MAT per routing scheme), Fig. 10
 //! (cost model), Fig. 19 (edge density / radix scaling), Tables I and V.
 
-use crate::common::{f, write_summary, Csv};
+use crate::common::{f, label, topo_set, write_summary, Table};
 use fatpaths_core::fwd::RoutingTables;
 use fatpaths_core::interference_min::{build_interference_min_layers, ImConfig};
 use fatpaths_core::past::{PastTrees, PastVariant};
@@ -46,18 +46,15 @@ pub fn fig9(quick: bool) -> io::Result<()> {
     }
     let eps = 0.08;
     let n_layers = 6;
-    let mut csv = Csv::new(
-        "fig9_mat",
-        &["topology", "endpoints", "scheme", "throughput", "layers"],
-    )?;
+    let mut table = Table::new(&["topology", "endpoints", "scheme", "throughput", "layers"]);
     let mut summary =
         String::from("Fig. 9 — MAT per scheme (worst-case traffic, intensity 0.55)\n");
-    let rows: Vec<Vec<[String; 5]>> = configs
+    // Per topology: (scheme, throughput, layers) of the four schemes.
+    let rows: Vec<[(&str, f64, usize); 4]> = configs
         .par_iter()
         .map(|t| {
             let flows = worst_case_flows(t, 0.55, 17);
             let demands = router_demands(&flows, |e| t.endpoint_router(e));
-            let mut out = Vec::new();
             // FatPaths, interference-minimizing construction.
             let ls = build_interference_min_layers(
                 &t.graph,
@@ -77,7 +74,6 @@ pub fn fig9(quick: bool) -> io::Result<()> {
                 },
                 eps,
             );
-            out.push(("fatpaths", fp.throughput, n_layers));
             // SPAIN (capped to the same layer budget for fairness, §VI-C).
             let spain = build_spain_layers(
                 &t.graph,
@@ -97,11 +93,9 @@ pub fn fig9(quick: bool) -> io::Result<()> {
                 },
                 eps,
             );
-            out.push(("spain", sp.throughput, spain.layers.len()));
             // PAST.
             let trees = PastTrees::build(&t.graph, PastVariant::Bfs, 7);
             let pa = mat(&t.graph, &demands, &PastPaths { trees: &trees }, eps);
-            out.push(("past", pa.throughput, t.num_routers()));
             // k-shortest paths.
             let ks = mat(
                 &t.graph,
@@ -112,49 +106,39 @@ pub fn fig9(quick: bool) -> io::Result<()> {
                 },
                 eps,
             );
-            out.push(("ksp", ks.throughput, n_layers));
-            out.into_iter()
-                .map(|(scheme, tp, layers)| {
-                    [
-                        crate::common::label(t),
-                        t.num_endpoints().to_string(),
-                        scheme.to_string(),
-                        f(tp),
-                        layers.to_string(),
-                    ]
-                })
-                .collect()
+            [
+                ("fatpaths", fp.throughput, n_layers),
+                ("spain", sp.throughput, spain.layers.len()),
+                ("past", pa.throughput, t.num_routers()),
+                ("ksp", ks.throughput, n_layers),
+            ]
         })
         .collect();
     // Aggregate per-scheme wins for the summary.
     let mut fat_wins = 0usize;
     let mut total = 0usize;
-    for group in &rows {
-        let get = |s: &str| {
-            group
-                .iter()
-                .find(|r| r[2] == s)
-                .map(|r| r[3].parse::<f64>().unwrap())
-                .unwrap_or(0.0)
-        };
-        let (fp, sp, pa, ks) = (get("fatpaths"), get("spain"), get("past"), get("ksp"));
-        let topo = &group[0][0];
-        let n = &group[0][1];
+    for (t, group) in configs.iter().zip(&rows) {
+        let [fp, sp, pa, ks] = group.map(|(_, tp, _)| tp);
         summary.push_str(&format!(
             "{:<4} N={:<6} fatpaths={:.3} spain={:.3} past={:.3} ksp={:.3}\n",
-            topo, n, fp, sp, pa, ks
+            label(t),
+            t.num_endpoints(),
+            fp,
+            sp,
+            pa,
+            ks
         ));
-        if topo != "FT3" {
+        if label(t) != "FT3" {
             total += 1;
             if fp >= sp.max(pa) {
                 fat_wins += 1;
             }
         }
-        for r in group {
-            csv.row(&r[..])?;
+        for (scheme, tp, layers) in group {
+            table.row(&[&label(t), &t.num_endpoints(), scheme, &f(*tp), layers]);
         }
     }
-    csv.finish()?;
+    table.write("fig9_mat")?;
     summary.push_str(&format!(
         "FatPaths ≥ SPAIN,PAST on {fat_wins}/{total} low-diameter configs \
          (paper: FatPaths wins everywhere except SPAIN-on-fat-tree).\n"
@@ -164,20 +148,17 @@ pub fn fig9(quick: bool) -> io::Result<()> {
 
 /// Fig. 10: itemized per-endpoint cost at N≈10k with 100 GbE prices.
 pub fn fig10(_quick: bool) -> io::Result<()> {
-    let mut csv = Csv::new(
-        "fig10_cost",
-        &[
-            "topology",
-            "endpoints",
-            "routers_usd",
-            "interconnect_usd",
-            "endpoint_links_usd",
-            "per_endpoint_usd",
-        ],
-    )?;
+    let mut table = Table::new(&[
+        "topology",
+        "endpoints",
+        "routers_usd",
+        "interconnect_usd",
+        "endpoint_links_usd",
+        "per_endpoint_usd",
+    ]);
     let prices = PriceBook::default();
     let mut summary = String::from("Fig. 10 — cost per endpoint (100GbE model)\n");
-    let mut topos = crate::common::topo_set(SizeClass::Medium, 1);
+    let mut topos = topo_set(SizeClass::Medium, 1);
     // Order as in the figure: SF, JF-SF, XP, DF, FT3, HX3.
     topos.sort_by_key(|t| match t.kind {
         TopoKind::SlimFly => 0,
@@ -190,33 +171,30 @@ pub fn fig10(_quick: bool) -> io::Result<()> {
     for t in &topos {
         let c = cost(t, &prices);
         let n = t.num_endpoints();
-        csv.row(&[
-            crate::common::label(t),
-            n.to_string(),
-            f(c.routers),
-            f(c.interconnect_cables),
-            f(c.endpoint_cables),
-            f(c.per_endpoint(n)),
-        ])?;
+        table.row(&[
+            &label(t),
+            &n,
+            &f(c.routers),
+            &f(c.interconnect_cables),
+            &f(c.endpoint_cables),
+            &f(c.per_endpoint(n)),
+        ]);
         summary.push_str(&format!(
             "{:<5} ${:>7.0}/endpoint (routers {:.0}%, cables {:.0}%)\n",
-            crate::common::label(t),
+            label(t),
             c.per_endpoint(n),
             100.0 * c.routers / c.total(),
             100.0 * (c.interconnect_cables + c.endpoint_cables) / c.total(),
         ));
     }
-    csv.finish()?;
+    table.write("fig10_cost")?;
     summary.push_str("Paper: ≈$2–3k per endpoint; HX3 most expensive (oversized radix).\n");
     write_summary("fig10_cost", &summary)
 }
 
 /// Fig. 19: edge density and router radix as functions of network size.
 pub fn fig19(_quick: bool) -> io::Result<()> {
-    let mut csv = Csv::new(
-        "fig19_scaling",
-        &["topology", "endpoints", "edge_density", "radix"],
-    )?;
+    let mut table = Table::new(&["topology", "endpoints", "edge_density", "radix"]);
     let mut summary = String::from("Fig. 19 — edge density and radix vs N\n");
     for class in SizeClass::all() {
         if class == SizeClass::Huge {
@@ -224,12 +202,12 @@ pub fn fig19(_quick: bool) -> io::Result<()> {
         }
         for kind in fatpaths_net::classes::evaluated_kinds() {
             let t = build(kind, class, 1);
-            csv.row(&[
-                crate::common::label(&t),
-                t.num_endpoints().to_string(),
-                f(t.edge_density()),
-                t.router_radix().to_string(),
-            ])?;
+            table.row(&[
+                &label(&t),
+                &t.num_endpoints(),
+                &f(t.edge_density()),
+                &t.router_radix(),
+            ]);
         }
     }
     // Asymptotic check: densities stay ~constant per family.
@@ -243,7 +221,7 @@ pub fn fig19(_quick: bool) -> io::Result<()> {
             large
         ));
     }
-    csv.finish()?;
+    table.write("fig19_scaling")?;
     summary.push_str("Paper: density ≈ constant (2.1–3.0) per family; DF needs most cables.\n");
     write_summary("fig19_scaling", &summary)
 }
@@ -260,19 +238,16 @@ pub fn table1(_quick: bool) -> io::Result<()> {
 
 /// Table V: topology structure parameters per size class.
 pub fn table5(_quick: bool) -> io::Result<()> {
-    let mut csv = Csv::new(
-        "table5_topologies",
-        &[
-            "topology",
-            "class",
-            "routers",
-            "endpoints",
-            "kprime",
-            "p",
-            "diameter",
-            "avg_path_len",
-        ],
-    )?;
+    let mut table = Table::new(&[
+        "topology",
+        "class",
+        "routers",
+        "endpoints",
+        "kprime",
+        "p",
+        "diameter",
+        "avg_path_len",
+    ]);
     let mut summary = String::from("Table V — generated topology parameters\n");
     for class in [SizeClass::Small, SizeClass::Medium] {
         for kind in fatpaths_net::classes::evaluated_kinds() {
@@ -282,25 +257,20 @@ pub fn table5(_quick: bool) -> io::Result<()> {
             } else {
                 t.graph.diameter_apl_sampled(64)
             };
-            csv.row(&[
-                crate::common::label(&t),
-                format!("{class:?}"),
-                t.num_routers().to_string(),
-                t.num_endpoints().to_string(),
-                t.network_radix().to_string(),
-                t.concentration
-                    .iter()
-                    .copied()
-                    .max()
-                    .unwrap_or(0)
-                    .to_string(),
-                d.to_string(),
-                f(apl),
-            ])?;
+            table.row(&[
+                &label(&t),
+                &format!("{class:?}"),
+                &t.num_routers(),
+                &t.num_endpoints(),
+                &t.network_radix(),
+                &t.concentration.iter().copied().max().unwrap_or(0),
+                &d,
+                &f(apl),
+            ]);
             if class == SizeClass::Medium {
                 summary.push_str(&format!(
                     "{:<5} Nr={:<5} N={:<6} k'={:<3} D={} d={:.2}\n",
-                    crate::common::label(&t),
+                    label(&t),
                     t.num_routers(),
                     t.num_endpoints(),
                     t.network_radix(),
@@ -310,6 +280,6 @@ pub fn table5(_quick: bool) -> io::Result<()> {
             }
         }
     }
-    csv.finish()?;
+    table.write("table5_topologies")?;
     write_summary("table5_topologies", &summary)
 }

@@ -14,41 +14,20 @@
 //! pin this on miniature topologies, and this experiment produces the
 //! real artifact CI archives.
 
-use crate::common::{is_smoke, write_text};
-use fatpaths_net::classes::{build, SizeClass};
+use crate::common::{acceptance_pair, is_smoke, permutation_flows, write_text};
 use fatpaths_net::fault::FaultPlan;
 use fatpaths_sim::{Scenario, SchemeSpec, TelemetryConfig};
-use fatpaths_workloads::arrivals::FlowSpec;
 use std::io;
-
-/// Builds the reference scenario's workload: an offset permutation.
-fn permutation_flows(n: u64, offset: u64, size: u64) -> Vec<FlowSpec> {
-    (0..n)
-        .map(|e| FlowSpec {
-            src: e as u32,
-            dst: ((e + offset) % n) as u32,
-            size,
-            start: 0,
-        })
-        .filter(|fl| fl.src != fl.dst)
-        .collect()
-}
 
 /// Runs the traced reference scenario and writes both trace artifacts.
 pub fn trace(quick: bool) -> io::Result<()> {
-    let (topo, n_layers) = if quick || is_smoke() {
-        (fatpaths_net::topo::slimfly::slim_fly(5, 2).unwrap(), 4)
-    } else {
-        (
-            build(fatpaths_net::topo::TopoKind::SlimFly, SizeClass::Small, 1),
-            9,
-        )
-    };
-    let flows = permutation_flows(topo.num_endpoints() as u64, 21, 64 * 1024);
+    let (topos, n_layers) = acceptance_pair(quick || is_smoke());
+    let topo = &topos[0]; // the Slim Fly
+    let flows = permutation_flows(topo, 21, 64 * 1024);
     // A mid-run link failure with detection gives the trace a repair
     // tick, so the quiescence summary has something to anchor on.
     let e = topo.graph.edge_vec()[0];
-    let (res, tr) = Scenario::on(&topo)
+    let (res, tr) = Scenario::on(topo)
         .scheme(SchemeSpec::LayeredRandom { n_layers, rho: 0.6 })
         .workload(&flows)
         .seed(7)

@@ -24,29 +24,61 @@ struct Row {
     fct_p99_ms: f64,
 }
 
+/// Splits one CSV line into fields, honouring RFC 4180 quotes (the
+/// scheme label `layered(n=4,rho=0.6)` carries a comma).
+fn split_csv(line: &str) -> Vec<String> {
+    let mut fields = vec![String::new()];
+    let mut quoted = false;
+    let mut chars = line.chars().peekable();
+    while let Some(c) = chars.next() {
+        match c {
+            '"' if quoted && chars.peek() == Some(&'"') => {
+                chars.next();
+                fields.last_mut().unwrap().push('"');
+            }
+            '"' => quoted = !quoted,
+            ',' if !quoted => fields.push(String::new()),
+            c => fields.last_mut().unwrap().push(c),
+        }
+    }
+    fields
+}
+
+/// Parses the artifact, locating every column by its header name.
 fn parse(csv: &str) -> Vec<Row> {
-    csv.lines()
-        .skip(1)
+    let mut lines = csv.lines();
+    let header = split_csv(lines.next().expect("header row"));
+    let col = |name: &str| {
+        header
+            .iter()
+            .position(|h| h == name)
+            .unwrap_or_else(|| panic!("no column {name} in {header:?}"))
+    };
+    let (topology, matrix, routing, boundary) = (
+        col("topology"),
+        col("matrix"),
+        col("routing"),
+        col("boundary"),
+    );
+    let (goodput, trims, fct_mean, fct_p99) = (
+        col("goodput_gbps"),
+        col("trims"),
+        col("fct_mean_ms"),
+        col("fct_p99_ms"),
+    );
+    lines
         .map(|line| {
-            // The scheme label (column 5) may itself contain commas —
-            // e.g. `layered(n=4,rho=0.6)` — so split the four leading
-            // coordinate fields from the front and the eight numeric
-            // fields from the back, leaving the label in the middle.
-            let head: Vec<&str> = line.splitn(5, ',').collect();
-            let tail: Vec<&str> = line.rsplit(',').take(8).collect();
-            assert_eq!(head.len(), 5, "malformed row: {line}");
-            assert_eq!(tail.len(), 8, "malformed row: {line}");
+            let c = split_csv(line);
+            assert_eq!(c.len(), header.len(), "ragged row: {line}");
             Row {
-                topology: head[0].into(),
-                matrix: head[1].into(),
-                routing: head[2].into(),
-                boundary: head[3].into(),
-                // `tail` is reversed: fct_p99, fct_mean, drops, trims,
-                // goodput, on_time, completed, flows.
-                goodput_gbps: tail[4].parse().unwrap(),
-                trims: tail[3].parse().unwrap(),
-                fct_mean_ms: tail[1].parse().unwrap(),
-                fct_p99_ms: tail[0].parse().unwrap(),
+                topology: c[topology].clone(),
+                matrix: c[matrix].clone(),
+                routing: c[routing].clone(),
+                boundary: c[boundary].clone(),
+                goodput_gbps: c[goodput].parse().unwrap(),
+                trims: c[trims].parse().unwrap(),
+                fct_mean_ms: c[fct_mean].parse().unwrap(),
+                fct_p99_ms: c[fct_p99].parse().unwrap(),
             }
         })
         .collect()
@@ -55,7 +87,7 @@ fn parse(csv: &str) -> Vec<Row> {
 #[test]
 fn adaptive_meets_oblivious_on_a_congested_cell_per_topology() {
     rayon::ensure_pool(4);
-    let (csv, _summary) = adaptive_matrix_on(
+    let (csv, summary) = adaptive_matrix_on(
         vec![
             slim_fly(5, 2).unwrap(),
             fatpaths_net::topo::fattree::fat_tree(4, 1),
@@ -64,6 +96,23 @@ fn adaptive_meets_oblivious_on_a_congested_cell_per_topology() {
         0.6,
     );
     let rows = parse(&csv);
+    // The goodput column is the goodput the summary reports: the first
+    // summary line after the SF banner is SF/worstcase/static, and its
+    // two Gb/s figures are the CSV's oblivious and adaptive cells. (A
+    // parser that reads `trims` for `goodput_gbps` fails here.)
+    let line = summary.lines().nth(2).expect("SF worstcase summary line");
+    assert!(line.starts_with("worstcase static"), "{line}");
+    let said: Vec<&str> = line
+        .split_whitespace()
+        .zip(line.split_whitespace().skip(1))
+        .filter_map(|(v, unit)| (unit == "Gb/s").then_some(v))
+        .collect();
+    let cells: Vec<String> = rows
+        .iter()
+        .filter(|r| r.topology == "SF" && r.matrix == "worstcase" && r.routing == "static")
+        .map(|r| format!("{:.4}", r.goodput_gbps))
+        .collect();
+    assert_eq!(said, cells, "summary goodput vs CSV goodput_gbps");
     for topo in ["SF", "FT3"] {
         let mut met = false;
         let mut engaged = false;

@@ -291,7 +291,7 @@ fn shrink_heap(heap: &mut MinHeap) {
 const SHRINK_FLOOR: usize = 8192;
 
 /// The deterministic event queue: a calendar ring in front of a binary
-/// heap, popping in exactly the derived [`EvEntry`] order.
+/// heap, popping in exactly the derived `EvEntry` order.
 ///
 /// Time is cut into buckets of `2^BUCKET_SHIFT` ps, and the pending
 /// entries are split by bucket relative to the `cursor`, the first
@@ -320,7 +320,7 @@ const SHRINK_FLOOR: usize = 8192;
 /// `Vec` per bucket: per-bucket vectors keep their peak capacity
 /// forever, which measured tens of MiB of resident memory at fat-tree
 /// scale. Resident memory also shapes the rest: the chain and free-list
-/// links live in the entries themselves (see [`SUB_MASK`]), so a
+/// links live in the entries themselves (see `SUB_MASK`), so a
 /// pending event costs the 24 bytes it cost in a single heap and the
 /// slab is one buffer (a link vector growing in step beside it measured
 /// worse than the 4 bytes per event it holds), and the current bucket

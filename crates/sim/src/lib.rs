@@ -49,4 +49,4 @@ pub use metrics::{
 pub use scenario::{BuiltScheme, Scenario, SchemeSpec};
 pub use shard::partition_routers;
 pub use simulator::Simulator;
-pub use sweep::{cell_seed, coord_str, SweepRunner};
+pub use sweep::{cell_seed, coord_str, Grid, GridResults, SweepRunner};

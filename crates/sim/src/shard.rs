@@ -35,7 +35,7 @@ use crate::engine::{
 };
 use crate::faults::{FaultEpoch, FaultTimeline};
 use fatpaths_core::fwd::fnv1a;
-use fatpaths_core::scheme::RoutingScheme;
+use fatpaths_core::scheme::{PortSet, RoutingScheme};
 use fatpaths_net::topo::Topology;
 use fatpaths_telemetry::{ShardTelemetry, SpanKind};
 use fatpaths_workloads::arrivals::FlowSpec;
@@ -683,6 +683,37 @@ pub(crate) struct Shard {
     pub tel: Option<Box<ShardTelemetry>>,
 }
 
+/// The candidate-port row router `r` forwards `(layer, dst_router)` on:
+/// a repaired row (installed one detection delay after link-state
+/// changes) shadows the scheme's original tables. `scheme_row` is the
+/// caller's scratch — it owns the row when the scheme supplies it, so
+/// the returned slice can outlive this call.
+#[inline]
+fn resolve_row<'a, R: RoutingScheme + ?Sized>(
+    fe: &'a FaultEpoch,
+    scheme: &R,
+    layer: u8,
+    r: u32,
+    dst_router: u32,
+    scheme_row: &'a mut Option<PortSet>,
+) -> &'a [u16] {
+    if !fe.repair.is_empty() {
+        if let Some(e) = fe.repair.lookup(layer, r, dst_router) {
+            return e.as_slice();
+        }
+    }
+    scheme_row
+        .insert(scheme.candidate_ports(layer, r, dst_router))
+        .as_slice()
+}
+
+/// The per-hop flow-hash pick: which of `len` candidates router `r`
+/// takes for a packet carrying `nonce`.
+#[inline]
+fn nonce_pick(nonce: u64, r: u32, len: usize) -> usize {
+    (fnv1a(nonce ^ ((r as u64) << 20)) % len as u64) as usize
+}
+
 impl Shard {
     pub(crate) fn new(id: u32, n_shards: usize) -> Self {
         Shard {
@@ -1101,21 +1132,8 @@ impl Shard {
         dst_router: u32,
     ) -> Option<u16> {
         let fe = self.faults(cx);
-        // Repaired rows (installed one detection delay after link-state
-        // changes) shadow the scheme's original tables.
-        let repaired_row = if fe.repair.is_empty() {
-            None
-        } else {
-            fe.repair.lookup(layer, r, dst_router)
-        };
-        let scheme_row;
-        let cands: &[u16] = match repaired_row {
-            Some(e) => e.as_slice(),
-            None => {
-                scheme_row = cx.scheme.candidate_ports(layer, r, dst_router);
-                scheme_row.as_slice()
-            }
-        };
+        let mut scheme_row = None;
+        let cands = resolve_row(fe, cx.scheme, layer, r, dst_router, &mut scheme_row);
         debug_assert!(
             !cands.is_empty() || fe.down_count != 0 || !fe.repair.is_empty(),
             "destination unreachable on a healthy network"
@@ -1145,7 +1163,7 @@ impl Shard {
                     cands[((p.seq as u64 + off) % len) as usize]
                 }
             }
-            _ => cands[(fnv1a(p.nonce ^ ((r as u64) << 20)) % len) as usize],
+            _ => cands[nonce_pick(p.nonce, r, cands.len())],
         })
     }
 
@@ -1207,19 +1225,8 @@ impl Shard {
             LoadBalancing::LetFlow | LoadBalancing::EcmpFlow => {
                 let layer = cx.scheme.update_layer(self.tx[ti].layer, r, dst_router);
                 let fe = self.faults(cx);
-                let repaired_row = if fe.repair.is_empty() {
-                    None
-                } else {
-                    fe.repair.lookup(layer, r, dst_router)
-                };
-                let scheme_row;
-                let cands: &[u16] = match repaired_row {
-                    Some(e) => e.as_slice(),
-                    None => {
-                        scheme_row = cx.scheme.candidate_ports(layer, r, dst_router);
-                        scheme_row.as_slice()
-                    }
-                };
+                let mut scheme_row = None;
+                let cands = resolve_row(fe, cx.scheme, layer, r, dst_router, &mut scheme_row);
                 if cands.len() <= 1 {
                     return false; // port selection has no choice to make
                 }
@@ -1246,12 +1253,12 @@ impl Shard {
                 // target with probability 1 − (1−1/len)^(8·len) ≈
                 // 1 − e⁻⁸. On the rare exhaustion the first draw stands:
                 // an oblivious re-pick, never a stale path.
-                let len = cands.len() as u64;
+                let len = cands.len();
                 let base = ((flow as u64) << 21) ^ 0xC0A6 ^ ((ctr as u64) << 8);
                 let mut nonce = fnv1a(base);
-                for t in 0..(8 * len).max(16) {
+                for t in 0..(8 * len as u64).max(16) {
                     let cand = fnv1a(base ^ t);
-                    if (fnv1a(cand ^ ((r as u64) << 20)) % len) as usize == j {
+                    if nonce_pick(cand, r, len) == j {
                         nonce = cand;
                         break;
                     }
@@ -1281,23 +1288,12 @@ impl Shard {
     ) -> u32 {
         let layer = cx.scheme.update_layer(layer, r, dst_router);
         let fe = self.faults(cx);
-        let repaired_row = if fe.repair.is_empty() {
-            None
-        } else {
-            fe.repair.lookup(layer, r, dst_router)
-        };
-        let scheme_row;
-        let cands: &[u16] = match repaired_row {
-            Some(e) => e.as_slice(),
-            None => {
-                scheme_row = cx.scheme.candidate_ports(layer, r, dst_router);
-                scheme_row.as_slice()
-            }
-        };
+        let mut scheme_row = None;
+        let cands = resolve_row(fe, cx.scheme, layer, r, dst_router, &mut scheme_row);
         let sel = match *cands {
             [] => return u32::MAX,
             [only] => only,
-            _ => cands[(fnv1a(nonce ^ ((r as u64) << 20)) % cands.len() as u64) as usize],
+            _ => cands[nonce_pick(nonce, r, cands.len())],
         };
         let port = cx.net_base[r as usize] + sel as u32;
         if fe.down_count != 0 && fe.is_port_down(port) {

@@ -24,6 +24,24 @@
 //! assert_eq!(out.len(), 3);
 //! assert!(out[2].starts_with("cell 2: n=4"));
 //! ```
+//!
+//! A cross product of axes is declared as a [`Grid`] instead of being
+//! enumerated by hand: axis lengths in, row-major `[usize; N]`
+//! coordinates out, and the results come back as a [`GridResults`]
+//! that is indexed by those same coordinates — no cell list to build,
+//! no index formula to keep in step with it.
+//!
+//! ```
+//! use fatpaths_sim::sweep::Grid;
+//!
+//! let (layers, rhos) = ([2usize, 4, 9], [0.5, 0.8]);
+//! let out = Grid::new([layers.len(), rhos.len()])
+//!     .run(|[li, ri]| layers[li] as f64 * rhos[ri]);
+//! assert_eq!(out[[2, 1]], 9.0 * 0.8);
+//! // Iteration is in nested-loop order, coordinates included.
+//! let order: Vec<[usize; 2]> = out.iter().map(|(at, _)| at).collect();
+//! assert_eq!(order[..3], [[0, 0], [0, 1], [1, 0]]);
+//! ```
 
 use fatpaths_core::fwd::fnv1a;
 use rayon::prelude::*;
@@ -112,9 +130,107 @@ impl<C: Send + Sync> SweepRunner<C> {
     }
 }
 
+/// A declared sweep grid: the cross product of `N` axes, given by their
+/// lengths. Cells are coordinate arrays in row-major (nested-loop)
+/// order — the last axis varies fastest — so a grid replaces both the
+/// nested loops that would enumerate the cells and the mixed-radix
+/// formula that would find one again.
+#[derive(Clone, Copy, Debug)]
+pub struct Grid<const N: usize> {
+    dims: [usize; N],
+}
+
+impl<const N: usize> Grid<N> {
+    /// The grid over axes of the given lengths.
+    pub fn new(dims: [usize; N]) -> Self {
+        Grid { dims }
+    }
+
+    /// Number of cells: the product of the axis lengths (0 when any
+    /// axis is empty).
+    pub fn len(&self) -> usize {
+        self.dims.iter().product()
+    }
+
+    /// True when some axis is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Row-major position of the cell at `at`; the inverse of
+    /// [`cells`](Grid::cells) enumeration. Panics when a coordinate is
+    /// outside its axis.
+    pub fn index(&self, at: [usize; N]) -> usize {
+        at.iter().zip(&self.dims).fold(0, |i, (&c, &d)| {
+            assert!(c < d, "cell {at:?} outside grid {:?}", self.dims);
+            i * d + c
+        })
+    }
+
+    /// Every cell's coordinates, in row-major order.
+    pub fn cells(&self) -> impl Iterator<Item = [usize; N]> {
+        let dims = self.dims;
+        (0..self.len()).map(move |mut i| {
+            let mut at = [0; N];
+            for (c, &d) in at.iter_mut().zip(&dims).rev() {
+                *c = i % d;
+                i /= d;
+            }
+            at
+        })
+    }
+
+    /// Evaluates `f(coordinates)` for every cell on the thread pool
+    /// (the [`SweepRunner::run`] determinism contract) and returns the
+    /// results addressable by coordinate.
+    pub fn run<R, F>(&self, f: F) -> GridResults<N, R>
+    where
+        R: Send,
+        F: Fn([usize; N]) -> R + Sync + Send,
+    {
+        let at: Vec<[usize; N]> = self.cells().collect();
+        let cells = at.par_iter().map(|&at| f(at)).collect();
+        GridResults { grid: *self, cells }
+    }
+}
+
+/// The results of a [`Grid::run`], in grid order. `results[[a, b, c]]`
+/// is the cell at those coordinates.
+pub struct GridResults<const N: usize, R> {
+    grid: Grid<N>,
+    cells: Vec<R>,
+}
+
+impl<const N: usize, R> GridResults<N, R> {
+    /// `(coordinates, result)` of every cell, in row-major order.
+    pub fn iter(&self) -> impl Iterator<Item = ([usize; N], &R)> {
+        self.grid.cells().zip(&self.cells)
+    }
+
+    /// The cells whose first coordinate is `first` — one topology's
+    /// block of a topology-major grid — in row-major order.
+    pub fn under(&self, first: usize) -> impl Iterator<Item = ([usize; N], &R)> {
+        self.iter().filter(move |(at, _)| at[0] == first)
+    }
+
+    /// The bare results in grid order (what a one-axis sweep wants).
+    pub fn into_vec(self) -> Vec<R> {
+        self.cells
+    }
+}
+
+impl<const N: usize, R> std::ops::Index<[usize; N]> for GridResults<N, R> {
+    type Output = R;
+
+    fn index(&self, at: [usize; N]) -> &R {
+        &self.cells[self.grid.index(at)]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn results_come_back_in_grid_order() {
@@ -157,5 +273,74 @@ mod tests {
         let wider = SweepRunner::new("seeds", vec![(9u64, 9u64), (0, 5)]);
         let s2 = wider.run_seeded(|&(a, b)| vec![a, b], |_, _, s| s);
         assert_eq!(s2[1], seeds[0]);
+    }
+
+    /// Checks one grid against an odometer (the definition of nested
+    /// loops: bump the last axis, carry leftwards) and `index` against
+    /// enumeration.
+    fn check_row_major<const N: usize>(dims: [usize; N]) {
+        let grid = Grid::new(dims);
+        let cells: Vec<[usize; N]> = grid.cells().collect();
+        assert_eq!(cells.len(), grid.len());
+        assert_eq!(grid.is_empty(), dims.contains(&0));
+        let mut want = [0usize; N];
+        for (i, &at) in cells.iter().enumerate() {
+            assert_eq!(at, want, "cell {i} of {dims:?}");
+            assert_eq!(grid.index(at), i);
+            for a in (0..N).rev() {
+                want[a] += 1;
+                if want[a] < dims[a] {
+                    break;
+                }
+                want[a] = 0;
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn grid_enumerates_in_nested_loop_order_and_index_inverts_it(
+            d in prop::collection::vec(0usize..4, 5..6),
+        ) {
+            check_row_major([d[0]]);
+            check_row_major([d[0], d[1]]);
+            check_row_major([d[0], d[1], d[2]]);
+            check_row_major([d[0], d[1], d[2], d[3]]);
+            check_row_major([d[0], d[1], d[2], d[3], d[4]]);
+        }
+    }
+
+    #[test]
+    fn grid_with_an_empty_axis_has_no_cells() {
+        let grid = Grid::new([2, 0, 3]);
+        assert!(grid.is_empty());
+        assert_eq!(grid.cells().count(), 0);
+        assert!(grid.run(|at| at).into_vec().is_empty());
+    }
+
+    #[test]
+    fn grid_results_are_addressable_by_coordinate() {
+        let grid = Grid::new([3, 4, 2]);
+        let work = |[a, b, c]: [usize; 3]| a * 100 + b * 10 + c;
+        let pooled = grid.run(work);
+        let seq = rayon::run_sequential(|| grid.run(work));
+        for out in [&pooled, &seq] {
+            for at in grid.cells() {
+                assert_eq!(out[at], work(at));
+            }
+            assert_eq!(out.iter().count(), 24);
+            let block: Vec<usize> = out.under(1).map(|(_, &v)| v).collect();
+            assert_eq!(
+                block,
+                (0..8).map(|i| 100 + i / 2 * 10 + i % 2).collect::<Vec<_>>()
+            );
+        }
+        assert_eq!(pooled.into_vec(), seq.into_vec());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside grid")]
+    fn grid_index_rejects_out_of_range_coordinates() {
+        Grid::new([2, 2]).index([1, 2]);
     }
 }
