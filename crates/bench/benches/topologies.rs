@@ -1,7 +1,9 @@
 //! Benchmarks for topology construction — the substrate every experiment
-//! pays for first.
+//! pays for first — and for the all-pairs builds over it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use fatpaths_core::ecmp::DistanceMatrix;
+use fatpaths_diversity::apsp::shortest_path_stats;
 use fatpaths_net::topo::{
     dragonfly::dragonfly, fattree::fat_tree, hyperx::hyperx, jellyfish::jellyfish,
     slimfly::slim_fly, xpander::xpander,
@@ -35,5 +37,23 @@ fn bench_graph_ops(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_topologies, bench_graph_ops);
+/// The all-pairs builds that run through the multi-source BFS kernel:
+/// the minimal-routing distance matrix on a fat tree and the §IV-B1 path
+/// statistics on Slim Fly (the layered tables are
+/// `forwarding_tables/build_sf722_n4` in the `layers` bench).
+fn bench_apsp(c: &mut Criterion) {
+    let ft = fat_tree(32, 2);
+    let sf = slim_fly(19, 14).unwrap();
+    let mut g = c.benchmark_group("apsp");
+    g.sample_size(10);
+    g.bench_function("distance_matrix_ft32", |b| {
+        b.iter(|| black_box(DistanceMatrix::build(black_box(&ft.graph))))
+    });
+    g.bench_function("path_stats_sf722", |b| {
+        b.iter(|| black_box(shortest_path_stats(black_box(&sf.graph))))
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_topologies, bench_graph_ops, bench_apsp);
 criterion_main!(benches);

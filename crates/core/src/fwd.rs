@@ -2,21 +2,27 @@
 //!
 //! For each layer `i` and destination router `t`, the forwarding function
 //! `σᵢ(s, t)` returns the output *port of the base graph* that is the first
-//! hop of a minimal path from `s` to `t` **within layer i**. Tables are
-//! built from one BFS per (layer, destination) — `O(Nr · m)` per layer,
-//! parallelized over destinations — and store one `u16` port per
-//! (destination, source): the `O(Nr)`-per-destination compression of §V-E
-//! (all endpoints of a router share its routes).
+//! hop of a minimal path from `s` to `t` **within layer i**. Tables store
+//! one `u16` port per (destination, source): the `O(Nr)`-per-destination
+//! compression of §V-E (all endpoints of a router share its routes).
+//!
+//! A build runs in two passes. First every layer's distance rows — one
+//! per destination, `O(Nr · m)` work per layer — come from the
+//! bit-parallel [`Graph::bfs_batches`], each batch of destinations
+//! filling its own band of rows. Then one row selector turns each
+//! `(layer, destination)` distance row into its port and fallback rows;
+//! repair rebuilds a degraded row with the same selector.
 //!
 //! When several neighbors lie on minimal paths, the tie is broken by a
 //! deterministic hash of `(layer, src, dst)`, which decorrelates the
 //! choices across layers ("we try to pick different next-hop choices for
 //! each layer", §V-B) and across sources.
 
+use crate::ecmp::hop_byte;
 use crate::layers::LayerSet;
 use crate::repair::{DownLinks, RouteRepair};
 use crate::scheme::PortSet;
-use fatpaths_net::graph::{Graph, RouterId, UNREACHABLE};
+use fatpaths_net::graph::{for_each_source, Graph, RouterId, BFS_BATCH, UNREACHABLE};
 use rayon::prelude::*;
 
 /// Marker for "no route" / "self" in the flat tables.
@@ -29,7 +35,9 @@ pub struct RoutingTables {
     /// `tables[layer][dst * nr + src]` = base-graph output port at `src`.
     tables: Vec<Vec<u16>>,
     /// `dists[layer][dst * nr + src]` = hop distance within the layer
-    /// (`u8::MAX` if unreachable). Used by adaptivity and analysis.
+    /// (`u8::MAX` if unreachable; a build panics on a finite distance
+    /// above [`MAX_HOPS`](crate::ecmp::MAX_HOPS)). Used by adaptivity,
+    /// analysis and repair.
     dists: Vec<Vec<u8>>,
     /// `fallback[layer][dst * nr + src]` = a second, distinct minimal
     /// next-hop port (`NO_PORT` if the chosen one is the only minimal
@@ -42,9 +50,9 @@ pub struct RoutingTables {
     layers: LayerSet,
 }
 
-/// One `(layer, dst)` build unit: layer index, destination, and the
-/// mutable port/distance/fallback rows it fills.
-type DestRow<'a> = (usize, usize, &'a mut [u16], &'a mut [u8], &'a mut [u16]);
+/// One `(layer, dst)` selection unit: layer index, destination, the
+/// distance row it reads and the port/fallback rows it fills.
+type DestRow<'a> = (usize, usize, &'a [u8], &'a mut [u16], &'a mut [u16]);
 
 /// FNV-1a on a 64-bit key — the deterministic tie-breaker (the paper's
 /// routers use Fowler–Noll–Vo hashing for ECMP; we reuse it here).
@@ -60,44 +68,51 @@ pub fn fnv1a(key: u64) -> u64 {
 
 impl RoutingTables {
     /// Builds tables for all layers. `base` must be the graph the layers
-    /// were sampled from (ports refer to it).
+    /// were sampled from (ports refer to it). Panics if a finite in-layer
+    /// distance exceeds [`MAX_HOPS`](crate::ecmp::MAX_HOPS).
     ///
-    /// All `(layer, destination)` rows are filled in one flat parallel
-    /// pass across the entire layer vector — rather than layer by layer —
-    /// so thread utilization stays high even when the per-layer row count
-    /// is small relative to the pool.
+    /// Distances come from one [`Graph::bfs_batches`] pass per layer (the
+    /// layers in parallel); then all `(layer, destination)` rows are
+    /// selected in one flat parallel pass across the entire layer vector —
+    /// rather than layer by layer — so thread utilization stays high even
+    /// when the per-layer row count is small relative to the pool.
     pub fn build(base: &Graph, layers: &LayerSet) -> Self {
         let nr = base.n();
         for lg in &layers.graphs {
             assert_eq!(lg.n(), nr, "layer router count mismatch");
         }
+        let dists: Vec<Vec<u8>> = layers.graphs.par_iter().map(layer_distances).collect();
+        let ports: Vec<LayerPorts> = layers
+            .graphs
+            .par_iter()
+            .map(|lg| LayerPorts::new(base, lg))
+            .collect();
         let mut tables: Vec<Vec<u16>> = (0..layers.len()).map(|_| vec![NO_PORT; nr * nr]).collect();
-        let mut dists: Vec<Vec<u8>> = (0..layers.len()).map(|_| vec![u8::MAX; nr * nr]).collect();
         let mut fallback: Vec<Vec<u16>> =
             (0..layers.len()).map(|_| vec![NO_PORT; nr * nr]).collect();
         let rows: Vec<DestRow<'_>> = tables
             .iter_mut()
-            .zip(dists.iter_mut())
             .zip(fallback.iter_mut())
+            .zip(&dists)
             .enumerate()
-            .flat_map(|(li, ((table, dmat), fmat))| {
+            .flat_map(|(li, ((table, fmat), dmat))| {
                 table
-                    .chunks_mut(nr)
-                    .zip(dmat.chunks_mut(nr))
-                    .zip(fmat.chunks_mut(nr))
+                    .chunks_mut(nr.max(1))
+                    .zip(fmat.chunks_mut(nr.max(1)))
+                    .zip(dmat.chunks(nr.max(1)))
                     .enumerate()
-                    .map(move |(dst, ((trow, drow), frow))| (li, dst, trow, drow, frow))
+                    .map(move |(dst, ((trow, frow), drow))| (li, dst, drow, trow, frow))
             })
             .collect();
         rows.into_par_iter()
-            .for_each(|(li, dst, trow, drow, frow)| {
-                fill_destination(
-                    base,
+            .for_each(|(li, dst, drow, trow, frow)| {
+                select_row(
                     layers.layer(li),
+                    &ports[li],
                     li as u32,
                     dst as u32,
-                    trow,
                     drow,
+                    trow,
                     frow,
                 );
             });
@@ -210,7 +225,7 @@ impl RoutingTables {
         }
         let nr = self.nr;
         let mut new_trow = vec![NO_PORT; nr];
-        let mut new_drow = vec![u8::MAX; nr];
+        let mut new_drow: Vec<u8> = Vec::with_capacity(nr);
         let mut new_frow = vec![NO_PORT; nr];
         // (src, dst) pairs whose layer-0 row the repair rewrote; pairs a
         // sparse layer could never reach must shadow them too (below).
@@ -225,6 +240,7 @@ impl RoutingTables {
                 continue;
             }
             let degraded = lg.without_edges(&layer_down);
+            let degraded_ports = LayerPorts::new(base, &degraded);
             for dst in 0..nr as u32 {
                 let trow = &self.tables[l][dst as usize * nr..][..nr];
                 let drow = &self.dists[l][dst as usize * nr..][..nr];
@@ -278,15 +294,22 @@ impl RoutingTables {
                     continue;
                 }
                 new_trow.fill(NO_PORT);
-                new_drow.fill(u8::MAX);
                 new_frow.fill(NO_PORT);
-                fill_destination(
-                    base,
+                new_drow.clear();
+                new_drow.extend(degraded.bfs(dst).into_iter().map(|d| {
+                    if d == UNREACHABLE {
+                        u8::MAX
+                    } else {
+                        hop_byte(d)
+                    }
+                }));
+                select_row(
                     &degraded,
+                    &degraded_ports,
                     l as u32,
                     dst,
+                    &new_drow,
                     &mut new_trow,
-                    &mut new_drow,
                     &mut new_frow,
                 );
                 for src in 0..nr as u32 {
@@ -371,59 +394,94 @@ fn scan_live_minimal(
     None
 }
 
-/// Fills one destination row: BFS from `dst` in the layer graph, then picks
-/// for every source a hash-selected minimal next hop, plus (when the tie
-/// has ≥ 2 candidates) the cyclically-next minimal neighbor as the
-/// precomputed repair fallback.
-fn fill_destination(
-    base: &Graph,
+/// Destination-major in-layer distances of `lg`: entry `dst * nr + src`
+/// is `d(src, dst)` (`u8::MAX` if unreachable). Each batch of
+/// destinations fills its own band of rows.
+fn layer_distances(lg: &Graph) -> Vec<u8> {
+    let nr = lg.n();
+    let mut dist = vec![u8::MAX; nr * nr];
+    let dsts: Vec<RouterId> = (0..nr as u32).collect();
+    let bands: Vec<&mut [u8]> = dist.chunks_mut((BFS_BATCH * nr).max(1)).collect();
+    lg.bfs_batches(&dsts, bands, |band, level, src, bits| {
+        let d = hop_byte(level);
+        for_each_source(bits, |i| band[i * nr + src as usize] = d);
+    });
+    dist
+}
+
+/// Base-graph ports of a layer's edges in the layer's CSR order: entry `i`
+/// of [`LayerPorts::of`]`(u)` is the base port behind
+/// `lg.neighbors(u)[i]`. Built once per layer, so row selection never
+/// searches the base graph.
+struct LayerPorts {
+    start: Vec<u32>,
+    ports: Vec<u16>,
+}
+
+impl LayerPorts {
+    fn new(base: &Graph, lg: &Graph) -> Self {
+        let mut start = Vec::with_capacity(lg.n() + 1);
+        let mut ports = Vec::with_capacity(lg.total_ports());
+        start.push(0);
+        for u in 0..lg.n() as u32 {
+            ports.extend(lg.neighbors(u).iter().map(|&v| {
+                base.port_of(u, v)
+                    .expect("layer edge must exist in base graph") as u16
+            }));
+            start.push(ports.len() as u32);
+        }
+        LayerPorts { start, ports }
+    }
+
+    #[inline]
+    fn of(&self, u: RouterId) -> &[u16] {
+        &self.ports[self.start[u as usize] as usize..self.start[u as usize + 1] as usize]
+    }
+}
+
+/// Fills one `(layer, dst)` row from its distance row `drow`: for every
+/// source that reaches `dst`, a hash-picked minimal next hop (a layer
+/// neighbor one hop closer), plus — when the tie has ≥ 2 candidates — the
+/// cyclically-next candidate as the precomputed repair fallback. Entries
+/// of `dst` and of sources that cannot reach it are left untouched.
+fn select_row(
     lg: &Graph,
+    ports: &LayerPorts,
     layer: u32,
     dst: u32,
+    drow: &[u8],
     trow: &mut [u16],
-    drow: &mut [u8],
     frow: &mut [u16],
 ) {
-    let dist = lg.bfs(dst);
-    for (src, &d) in dist.iter().enumerate() {
-        if d == UNREACHABLE || src as u32 == dst {
+    let mut cand: Vec<u16> = Vec::new();
+    for (src, &d) in drow.iter().enumerate() {
+        if d == u8::MAX || src as u32 == dst {
             continue;
         }
-        drow[src] = d.min(u8::MAX as u32 - 1) as u8;
-        // Candidates: layer-neighbors one step closer to dst.
         let src = src as u32;
-        let nbs = lg.neighbors(src);
-        let count = nbs.iter().filter(|&&v| dist[v as usize] + 1 == d).count();
-        debug_assert!(count > 0);
+        cand.clear();
+        for (&v, &p) in lg.neighbors(src).iter().zip(ports.of(src)) {
+            if drow[v as usize] == d - 1 {
+                cand.push(p);
+            }
+        }
+        debug_assert!(!cand.is_empty());
         let key = (layer as u64) << 48 | (src as u64) << 24 | dst as u64;
-        let pick = (fnv1a(key) % count as u64) as usize;
-        let minimal = |n: usize| {
-            nbs.iter()
-                .filter(|&&v| dist[v as usize] + 1 == d)
-                .nth(n)
-                .copied()
-                .unwrap()
-        };
-        let chosen = minimal(pick);
-        let port = base
-            .port_of(src, chosen)
-            .expect("layer edge must exist in base graph");
-        trow[src as usize] = port as u16;
-        if count > 1 {
-            let alt = minimal((pick + 1) % count);
-            frow[src as usize] =
-                base.port_of(src, alt)
-                    .expect("layer edge must exist in base graph") as u16;
+        let pick = (fnv1a(key) % cand.len() as u64) as usize;
+        trow[src as usize] = cand[pick];
+        if cand.len() > 1 {
+            frow[src as usize] = cand[(pick + 1) % cand.len()];
         }
     }
-    drow[dst as usize] = 0;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ecmp::tests::path_graph;
     use crate::layers::{build_random_layers, LayerConfig, LayerSet};
     use fatpaths_net::topo::slimfly::slim_fly;
+    use proptest::prelude::*;
 
     fn tables_for(q: u32, n_layers: usize, rho: f64) -> (Graph, RoutingTables) {
         let t = slim_fly(q, 1).unwrap();
@@ -675,5 +733,126 @@ mod tests {
         let c = fnv1a(2);
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn longest_storable_path_routes_every_pair() {
+        // 255 routers in a line: the end-to-end distance is MAX_HOPS.
+        let n = crate::ecmp::MAX_HOPS + 1;
+        let g = path_graph(n);
+        let rt = RoutingTables::build(&g, &LayerSet::minimal_only(&g));
+        for s in 0..n {
+            for d in 0..n {
+                assert_eq!(rt.layer_distance(0, s, d), Some(s.abs_diff(d)));
+                let p = rt.path(&g, 0, s, d).expect("every pair routes");
+                assert_eq!(p.len() as u32 - 1, s.abs_diff(d));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the u8 distance limit of 254 hops")]
+    fn path_beyond_the_distance_limit_is_rejected() {
+        let g = path_graph(crate::ecmp::MAX_HOPS + 2);
+        RoutingTables::build(&g, &LayerSet::minimal_only(&g));
+    }
+
+    /// `(tables, dists, fallback)` of the scalar formulation: one
+    /// [`Graph::bfs`] per (layer, destination), then a count + nth pick
+    /// per source with two `port_of` searches.
+    type Arrays = (Vec<Vec<u16>>, Vec<Vec<u8>>, Vec<Vec<u16>>);
+
+    fn reference_arrays(base: &Graph, layers: &LayerSet) -> Arrays {
+        let nr = base.n();
+        let mut out: Arrays = (Vec::new(), Vec::new(), Vec::new());
+        for (li, lg) in layers.graphs.iter().enumerate() {
+            let mut trows = vec![NO_PORT; nr * nr];
+            let mut drows = vec![u8::MAX; nr * nr];
+            let mut frows = vec![NO_PORT; nr * nr];
+            for dst in 0..nr as u32 {
+                let at = dst as usize * nr;
+                let dist = lg.bfs(dst);
+                for (src, &d) in dist.iter().enumerate() {
+                    if d == UNREACHABLE || src as u32 == dst {
+                        continue;
+                    }
+                    drows[at + src] = d as u8;
+                    let src = src as u32;
+                    let nbs = lg.neighbors(src);
+                    let is_minimal = |v: &&u32| dist[**v as usize] + 1 == d;
+                    let count = nbs.iter().filter(is_minimal).count();
+                    let key = (li as u64) << 48 | (src as u64) << 24 | dst as u64;
+                    let pick = (fnv1a(key) % count as u64) as usize;
+                    let port = |n: usize| {
+                        let v = *nbs.iter().filter(is_minimal).nth(n).unwrap();
+                        base.port_of(src, v).unwrap() as u16
+                    };
+                    trows[at + src as usize] = port(pick);
+                    if count > 1 {
+                        frows[at + src as usize] = port((pick + 1) % count);
+                    }
+                }
+                drows[at + dst as usize] = 0;
+            }
+            out.0.push(trows);
+            out.1.push(drows);
+            out.2.push(frows);
+        }
+        out
+    }
+
+    fn assert_matches_reference(base: &Graph, layers: &LayerSet, what: &str) -> RoutingTables {
+        let rt = RoutingTables::build(base, layers);
+        let (t, d, f) = reference_arrays(base, layers);
+        assert!(rt.tables == t, "{what}: tables differ");
+        assert!(rt.dists == d, "{what}: dists differ");
+        assert!(rt.fallback == f, "{what}: fallback differs");
+        rt
+    }
+
+    #[test]
+    fn tables_equal_scalar_build_on_evaluated_topologies() {
+        use fatpaths_net::classes::{self, evaluated_kinds, SizeClass};
+        for class in [SizeClass::Small, SizeClass::Medium] {
+            for kind in evaluated_kinds() {
+                let t = classes::build(kind, class, 1);
+                let mut ls = build_random_layers(&t.graph, &LayerConfig::new(2, 0.6, 3));
+                if class == SizeClass::Medium {
+                    // The sparse layer alone keeps the debug-build oracle
+                    // affordable; Small covers the complete layer too.
+                    ls.graphs.remove(0);
+                }
+                assert_matches_reference(&t.graph, &ls, &format!("{kind:?} {class:?}"));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        // Random bases (often disconnected) with random sub-layers, so
+        // rows hold unreachable pairs, isolated routers and ties.
+        #[test]
+        fn tables_equal_scalar_build(
+            g in crate::ecmp::tests::arb_graph(),
+            keep in prop::collection::vec(0u64..4, 2..4),
+        ) {
+            let edges = g.edge_vec();
+            let mut graphs = vec![g.clone()];
+            for (li, &k) in keep.iter().enumerate() {
+                // Layer li+1 drops edge e when a hash of (li, e) hits k.
+                let dropped: Vec<(u32, u32)> = edges
+                    .iter()
+                    .enumerate()
+                    .filter(|&(e, _)| fnv1a((li as u64) << 32 | e as u64) % 4 <= k)
+                    .map(|(_, &uv)| uv)
+                    .collect();
+                graphs.push(g.without_edges(&dropped));
+            }
+            let layers = LayerSet { graphs };
+            let rt = assert_matches_reference(&g, &layers, "random layers");
+            let seq = rayon::run_sequential(|| RoutingTables::build(&g, &layers));
+            prop_assert!(rt.tables == seq.tables && rt.dists == seq.dists && rt.fallback == seq.fallback);
+        }
     }
 }

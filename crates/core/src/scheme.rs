@@ -757,10 +757,14 @@ mod tests {
         let t = slim_fly(5, 1).unwrap();
         let dm = DistanceMatrix::build(&t.graph);
         let ms = MinimalScheme::new(&t.graph, &dm);
-        let mut out = Vec::new();
         for (s, d) in [(0u32, 17u32), (3, 44), (10, 29)] {
-            dm.minimal_ports(&t.graph, s, d, &mut out);
-            assert_eq!(ms.candidate_ports(0, s, d).as_slice(), &out[..]);
+            // Ports whose neighbour is one hop closer to `d`, by plain BFS.
+            let to_d = t.graph.bfs(d);
+            let expect: Vec<u16> = (0..t.graph.degree(s) as u32)
+                .filter(|&p| to_d[t.graph.neighbor_at(s, p) as usize] + 1 == to_d[s as usize])
+                .map(|p| p as u16)
+                .collect();
+            assert_eq!(ms.candidate_ports(0, s, d).as_slice(), &expect[..]);
         }
         assert_eq!(ms.num_layers(), 1);
     }

@@ -1,11 +1,12 @@
 //! All-pairs shortest-path statistics (§IV-B1: `lmin` distributions,
 //! diameter, average path length).
 //!
-//! BFS per source, parallelized over sources with Rayon; memory stays
-//! `O(n)` per worker thread.
+//! Every statistic comes from one [`Graph::hop_histogram`]: the
+//! bit-parallel multi-source BFS counts each level's newly reached
+//! (source, router) pairs with a popcount, so no per-source distance
+//! vector is ever materialised.
 
-use fatpaths_net::graph::{Graph, RouterId, UNREACHABLE};
-use rayon::prelude::*;
+use fatpaths_net::graph::{hop_totals, Graph, RouterId, UNREACHABLE};
 
 /// Aggregate shortest-path statistics of a connected graph.
 #[derive(Clone, Debug, PartialEq)]
@@ -31,88 +32,46 @@ impl PathStats {
     }
 }
 
-/// Computes exact all-pairs statistics by running BFS from every source.
+/// Computes exact all-pairs statistics from the hop histogram of every
+/// router.
 ///
 /// Panics if the graph is disconnected.
 pub fn shortest_path_stats(g: &Graph) -> PathStats {
     let n = g.n();
     assert!(n > 0);
-    let per_source: Vec<(u32, u64, Vec<u64>)> = (0..n as u32)
-        .into_par_iter()
-        .map(|src| {
-            let dist = g.bfs(src);
-            let mut hist = vec![0u64; 2];
-            let mut far = 0u32;
-            let mut total = 0u64;
-            for &d in &dist {
-                assert!(d != UNREACHABLE, "graph disconnected");
-                if d as usize >= hist.len() {
-                    hist.resize(d as usize + 1, 0);
-                }
-                hist[d as usize] += 1;
-                far = far.max(d);
-                total += d as u64;
-            }
-            (far, total, hist)
-        })
-        .collect();
-    merge(n, per_source)
+    let sources: Vec<RouterId> = (0..n as u32).collect();
+    let (stats, reached) = stats_from(g, &sources);
+    assert!(reached == (n * n) as u64, "graph disconnected");
+    stats
 }
 
-/// Sampled variant for large graphs: BFS from `samples` deterministic
-/// sources; the histogram is scaled to all-pairs semantics only in its
-/// relative shape (fractions remain unbiased for vertex-transitive graphs).
+/// Sampled variant for large graphs: the hop histogram of `samples`
+/// deterministic sources; the histogram is scaled to all-pairs semantics
+/// only in its relative shape (fractions remain unbiased for
+/// vertex-transitive graphs). Unreachable pairs are left out.
 pub fn shortest_path_stats_sampled(g: &Graph, samples: usize) -> PathStats {
     let n = g.n();
     let take = samples.min(n).max(1);
     let stride = (n / take).max(1);
-    let per_source: Vec<(u32, u64, Vec<u64>)> = (0..take)
-        .into_par_iter()
-        .map(|i| {
-            let src = ((i * stride) % n) as u32;
-            let dist = g.bfs(src);
-            let mut hist = vec![0u64; 2];
-            let mut far = 0u32;
-            let mut total = 0u64;
-            for &d in &dist {
-                if d == UNREACHABLE {
-                    continue;
-                }
-                if d as usize >= hist.len() {
-                    hist.resize(d as usize + 1, 0);
-                }
-                hist[d as usize] += 1;
-                far = far.max(d);
-                total += d as u64;
-            }
-            (far, total, hist)
-        })
-        .collect();
-    merge(take, per_source)
+    let sources: Vec<RouterId> = (0..take).map(|i| ((i * stride) % n) as u32).collect();
+    stats_from(g, &sources).0
 }
 
-fn merge(sources: usize, per_source: Vec<(u32, u64, Vec<u64>)>) -> PathStats {
-    let mut diameter = 0u32;
-    let mut total = 0u64;
-    let mut hist: Vec<u64> = Vec::new();
-    let mut reached = 0u64;
-    for (far, t, h) in per_source {
-        diameter = diameter.max(far);
-        total += t;
-        if h.len() > hist.len() {
-            hist.resize(h.len(), 0);
-        }
-        for (i, c) in h.into_iter().enumerate() {
-            hist[i] += c;
-            reached += c;
-        }
+/// Statistics over `sources` × every router they reach, and the number of
+/// pairs reached (self-pairs included).
+fn stats_from(g: &Graph, sources: &[RouterId]) -> (PathStats, u64) {
+    let mut hist = g.hop_histogram(sources);
+    let (diameter, total, reached) = hop_totals(&hist);
+    if hist.len() < 2 {
+        hist.resize(2, 0);
     }
-    let pairs = reached - sources as u64; // exclude self-pairs
-    PathStats {
+    let pairs = reached - sources.len() as u64; // exclude self-pairs
+    let stats = PathStats {
         diameter,
         avg_path_length: total as f64 / pairs.max(1) as f64,
         lmin_histogram: hist,
-    }
+    };
+    (stats, reached)
 }
 
 /// Number of *distinct* shortest paths (not necessarily disjoint) from `src`
@@ -147,6 +106,7 @@ pub fn count_shortest_paths(g: &Graph, src: RouterId) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn cycle_stats() {
@@ -199,5 +159,90 @@ mod tests {
         let sampled = shortest_path_stats_sampled(&t.graph, 5);
         assert_eq!(exact.diameter, sampled.diameter);
         assert!((exact.avg_path_length - sampled.avg_path_length).abs() < 1e-9);
+    }
+
+    /// The scalar formulation: one [`Graph::bfs`] per source, merged in
+    /// source order into a histogram of at least two entries.
+    fn reference_stats(g: &Graph, sources: &[RouterId]) -> PathStats {
+        let (mut diameter, mut total, mut reached) = (0u32, 0u64, 0u64);
+        let mut hist = vec![0u64; 2];
+        for &src in sources {
+            for d in g.bfs(src) {
+                if d == UNREACHABLE {
+                    continue;
+                }
+                if d as usize >= hist.len() {
+                    hist.resize(d as usize + 1, 0);
+                }
+                hist[d as usize] += 1;
+                diameter = diameter.max(d);
+                total += d as u64;
+                reached += 1;
+            }
+        }
+        let pairs = reached - sources.len() as u64;
+        PathStats {
+            diameter,
+            avg_path_length: total as f64 / pairs.max(1) as f64,
+            lmin_histogram: hist,
+        }
+    }
+
+    #[test]
+    fn stats_equal_scalar_formulation_on_evaluated_topologies() {
+        use fatpaths_net::classes::{self, evaluated_kinds, SizeClass};
+        for kind in evaluated_kinds() {
+            let t = classes::build(kind, SizeClass::Medium, 1);
+            let all: Vec<RouterId> = (0..t.num_routers() as u32).collect();
+            assert_eq!(
+                shortest_path_stats(&t.graph),
+                reference_stats(&t.graph, &all)
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "graph disconnected")]
+    fn exact_stats_reject_disconnected_graphs() {
+        shortest_path_stats(&Graph::from_edges(4, &[(0, 1), (2, 3)]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        // Sizes on either side of the 256-source batch width; a random
+        // spanning tree under the random edges when `connected`.
+        #[test]
+        fn stats_equal_scalar_formulation(
+            (n, edges, tree) in (0usize..6).prop_flat_map(|i| {
+                let n = [1usize, 2, 255, 256, 257, 513][i];
+                let r = n as u32;
+                (
+                    Just(n),
+                    prop::collection::vec((0..r, 0..r), 0..n + 1),
+                    prop::collection::vec(any::<u32>(), n..n + 1),
+                )
+            }),
+            connected in any::<bool>(),
+            samples in 1usize..600,
+        ) {
+            let mut edges: Vec<(u32, u32)> = edges.into_iter().filter(|(u, v)| u != v).collect();
+            if connected {
+                edges.extend((1..n as u32).map(|v| (v, tree[v as usize] % v)));
+            }
+            let g = Graph::from_edges(n, &edges);
+            let take = samples.min(n);
+            let stride = (n / take).max(1);
+            let sampled: Vec<RouterId> = (0..take).map(|i| ((i * stride) % n) as u32).collect();
+            let s = shortest_path_stats_sampled(&g, samples);
+            prop_assert_eq!(&s, &reference_stats(&g, &sampled));
+            prop_assert_eq!(&s, &rayon::run_sequential(|| shortest_path_stats_sampled(&g, samples)));
+            if g.is_connected() {
+                let all: Vec<RouterId> = (0..n as u32).collect();
+                let exact = shortest_path_stats(&g);
+                prop_assert_eq!(&exact, &reference_stats(&g, &all));
+                prop_assert_eq!(exact.avg_path_length.to_bits(), reference_stats(&g, &all).avg_path_length.to_bits());
+            }
+        }
     }
 }

@@ -7,33 +7,32 @@
 //! topologies lands within a few percent of optimal average distance
 //! (validated against brute force on small instances in tests).
 
-use fatpaths_net::graph::Graph;
+use fatpaths_net::graph::{for_each_source, Graph, BFS_BATCH};
 use fatpaths_net::topo::Topology;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use rayon::prelude::*;
 
 /// Pairs routers into a (near-)maximum-distance perfect matching.
 /// Returns ordered pairs `(a, b)`; each router appears in at most one pair.
 pub fn worst_case_router_matching(g: &Graph, seed: u64) -> Vec<(u32, u32)> {
     let nr = g.n();
     let mut rng = StdRng::seed_from_u64(seed);
-    // All pair distances (u8 is plenty): one BFS per source, parallel in
-    // blocks of sources to bound memory at O(block · Nr). Random tiebreak
-    // keys are drawn sequentially afterwards so the stream (and thus the
-    // matching) is identical to a single-threaded run.
-    const BLOCK: usize = 256;
+    // All pair distances (u8 is plenty; longer and unreachable pairs read
+    // 255) from the multi-source BFS, each batch of sources filling its
+    // band of rows — `Nr²` bytes, an eighth of `pairs` below. Random
+    // tiebreak keys are drawn sequentially afterwards so the stream (and
+    // thus the matching) is identical at any thread count.
+    let mut dist = vec![u8::MAX; nr * nr];
+    let bands: Vec<&mut [u8]> = dist.chunks_mut((BFS_BATCH * nr).max(1)).collect();
+    let sources: Vec<u32> = (0..nr as u32).collect();
+    g.bfs_batches(&sources, bands, |band, level, v, bits| {
+        let d = level.min(255) as u8;
+        for_each_source(bits, |i| band[i * nr + v as usize] = d);
+    });
     let mut pairs: Vec<(u8, u32, u32, u32)> = Vec::with_capacity(nr * (nr - 1) / 2);
-    for block_start in (0..nr).step_by(BLOCK) {
-        let block: Vec<u32> = (block_start..(block_start + BLOCK).min(nr))
-            .map(|s| s as u32)
-            .collect();
-        let dist_rows: Vec<Vec<u32>> = block.par_iter().map(|&s| g.bfs(s)).collect();
-        for (dist, &s) in dist_rows.iter().zip(&block) {
-            for t in (s + 1)..nr as u32 {
-                let d = dist[t as usize].min(255) as u8;
-                pairs.push((d, rng.random::<u32>(), s, t));
-            }
+    for (s, row) in dist.chunks(nr.max(1)).enumerate() {
+        for (t, &d) in row.iter().enumerate().skip(s + 1) {
+            pairs.push((d, rng.random::<u32>(), s as u32, t as u32));
         }
     }
     // Longest first, random tiebreak.

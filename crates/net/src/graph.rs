@@ -5,12 +5,63 @@
 //! structure is two flat allocations. Routers are identified by dense
 //! `u32` ids (`RouterId`), matching the paper's model where endpoints are
 //! not part of the router graph (§II-A).
+//!
+//! Every all-pairs computation in the workspace (distance matrices,
+//! per-layer forwarding tables, path statistics, diameter) runs through
+//! one kernel, [`Graph::bfs_batches`]; [`Graph::bfs`] serves single-source
+//! callers and is the kernel's reference.
+
+use rayon::prelude::*;
 
 /// Dense identifier of a router (the paper's vertex set `V`).
 pub type RouterId = u32;
 
 /// Distance value returned by BFS; `UNREACHABLE` marks disconnected pairs.
 pub const UNREACHABLE: u32 = u32::MAX;
+
+/// Sources one pass of [`Graph::bfs_batches`] runs together, one bit each
+/// in a [`SourceBits`] word per router.
+pub const BFS_BATCH: usize = 256;
+
+/// A set of sources of one batch: bit `i % 64` of word `i / 64` stands for
+/// the batch's `i`-th source.
+pub type SourceBits = [u64; BFS_BATCH / 64];
+
+/// Calls `f` with the in-batch index of every source in `bits`, ascending.
+#[inline]
+pub fn for_each_source(bits: &SourceBits, mut f: impl FnMut(usize)) {
+    for (w, &word) in bits.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            f(w * 64 + rest.trailing_zeros() as usize);
+            rest &= rest - 1;
+        }
+    }
+}
+
+/// `(farthest level, Σ level·count, Σ count)` of a
+/// [`Graph::hop_histogram`]: the largest distance, the distance sum and
+/// the number of pairs it counts.
+pub fn hop_totals(hist: &[u64]) -> (u32, u64, u64) {
+    let total = hist.iter().enumerate().map(|(l, &c)| l as u64 * c).sum();
+    (
+        hist.len().saturating_sub(1) as u32,
+        total,
+        hist.iter().sum(),
+    )
+}
+
+/// Work arrays of one batch of [`Graph::bfs_batches`], reused by the
+/// batches a worker runs in turn.
+#[derive(Default)]
+struct BatchLanes {
+    /// Sources that have reached each router so far.
+    seen: Vec<SourceBits>,
+    /// Sources that reached each router at the previous level.
+    frontier: Vec<SourceBits>,
+    /// Sources that reach each router at the current level.
+    next: Vec<SourceBits>,
+}
 
 /// An undirected simple graph over routers `0..n` in CSR form.
 ///
@@ -173,6 +224,136 @@ impl Graph {
         dist
     }
 
+    /// BFS from every router of `sources` at once — the bit-parallel
+    /// multi-source BFS of Then et al. ("The More the Merrier", VLDB 2015).
+    ///
+    /// `sources` is cut into batches of [`BFS_BATCH`]; batch `b` (sources
+    /// `b·BFS_BATCH..`) owns `sinks[b]`. `visit(sink, level, v, bits)` is
+    /// called once per hop level and router `v` that some source of the
+    /// batch first reaches at that level, with `bits` those sources (in
+    /// the batch's numbering, see [`for_each_source`]); level 0 reports
+    /// each source at itself. So every (source, reachable router) pair is
+    /// reported exactly once, with its exact, unclamped hop distance, and
+    /// unreachable pairs never are. Levels of one batch arrive in
+    /// ascending order. Sources may repeat and need not be contiguous.
+    ///
+    /// A level is one pull over the CSR — a router's new bits are the OR
+    /// of its neighbours' frontier bits minus the sources that already
+    /// reached it — so a batch costs `O(levels · m)` word operations for
+    /// up to 256 sources. Batches run on the pool, each writing only its
+    /// own sink, and the sinks come back in batch order: the result is the
+    /// same at any thread count.
+    pub fn bfs_batches<S, F>(&self, sources: &[RouterId], sinks: Vec<S>, visit: F) -> Vec<S>
+    where
+        S: Send,
+        F: Fn(&mut S, u32, RouterId, &SourceBits) + Sync,
+    {
+        assert_eq!(
+            sinks.len(),
+            sources.len().div_ceil(BFS_BATCH),
+            "bfs_batches takes one sink per batch of {BFS_BATCH} sources"
+        );
+        sinks
+            .into_par_iter()
+            .enumerate()
+            .map_init(BatchLanes::default, |lanes, (b, mut sink)| {
+                let batch = &sources[b * BFS_BATCH..sources.len().min((b + 1) * BFS_BATCH)];
+                self.bfs_batch(batch, lanes, |level, v, bits| {
+                    visit(&mut sink, level, v, bits)
+                });
+                sink
+            })
+            .collect()
+    }
+
+    /// One batch (≤ [`BFS_BATCH`] sources) of [`Graph::bfs_batches`].
+    fn bfs_batch(
+        &self,
+        sources: &[RouterId],
+        lanes: &mut BatchLanes,
+        mut visit: impl FnMut(u32, RouterId, &SourceBits),
+    ) {
+        const NONE: SourceBits = [0; BFS_BATCH / 64];
+        let n = self.n();
+        let BatchLanes {
+            seen,
+            frontier,
+            next,
+        } = lanes;
+        frontier.clear();
+        frontier.resize(n, NONE);
+        next.clear();
+        next.resize(n, NONE);
+        let mut all = NONE;
+        for (i, &s) in sources.iter().enumerate() {
+            frontier[s as usize][i / 64] |= 1 << (i % 64);
+            all[i / 64] |= 1 << (i % 64);
+        }
+        seen.clear();
+        seen.extend_from_slice(frontier);
+        for (v, bits) in frontier.iter().enumerate() {
+            if *bits != NONE {
+                visit(0, v as RouterId, bits);
+            }
+        }
+        let mut level = 0;
+        loop {
+            level += 1;
+            let mut reached = false;
+            for (v, (sv, nv)) in seen.iter_mut().zip(next.iter_mut()).enumerate() {
+                let mut new = NONE;
+                if *sv != all {
+                    let lo = self.offsets[v] as usize;
+                    let hi = self.offsets[v + 1] as usize;
+                    for &u in &self.neigh[lo..hi] {
+                        let fu = &frontier[u as usize];
+                        for w in 0..new.len() {
+                            new[w] |= fu[w];
+                        }
+                    }
+                    for w in 0..new.len() {
+                        new[w] &= !sv[w];
+                        sv[w] |= new[w];
+                    }
+                    if new != NONE {
+                        visit(level, v as RouterId, &new);
+                        reached = true;
+                    }
+                }
+                *nv = new;
+            }
+            if !reached {
+                return;
+            }
+            std::mem::swap(frontier, next);
+        }
+    }
+
+    /// `hist[l]` = number of (source, router) pairs at hop distance `l`,
+    /// over every source of `sources` and every router it reaches (so
+    /// `hist[0]` counts the sources themselves; unreachable pairs are not
+    /// counted). The vector ends at the farthest level reached.
+    pub fn hop_histogram(&self, sources: &[RouterId]) -> Vec<u64> {
+        let sinks = vec![Vec::new(); sources.len().div_ceil(BFS_BATCH)];
+        let per_batch = self.bfs_batches(sources, sinks, |hist: &mut Vec<u64>, level, _, bits| {
+            let l = level as usize;
+            if l >= hist.len() {
+                hist.resize(l + 1, 0);
+            }
+            hist[l] += bits.iter().map(|w| w.count_ones() as u64).sum::<u64>();
+        });
+        let mut hist: Vec<u64> = Vec::new();
+        for h in per_batch {
+            if h.len() > hist.len() {
+                hist.resize(h.len(), 0);
+            }
+            for (acc, c) in hist.iter_mut().zip(h) {
+                *acc += c;
+            }
+        }
+        hist
+    }
+
     /// True iff the graph is connected (vacuously true for `n == 0`).
     pub fn is_connected(&self) -> bool {
         if self.n() == 0 {
@@ -183,51 +364,29 @@ impl Graph {
     }
 
     /// Exact diameter and average shortest path length over all ordered
-    /// router pairs. `O(n·m)`; intended for construction-time validation and
-    /// small/medium instances. Returns `(diameter, avg_path_length)`.
-    /// Panics if the graph is disconnected.
+    /// router pairs, from the [`Graph::hop_histogram`] of every router
+    /// (`⌈n/256⌉ · levels · m` word operations). Returns `(diameter,
+    /// avg_path_length)`. Panics if the graph is disconnected.
     pub fn diameter_apl(&self) -> (u32, f64) {
-        let mut diam = 0u32;
-        let mut total = 0u64;
-        let mut dist = Vec::new();
-        let mut queue = Vec::new();
-        for src in 0..self.n() as u32 {
-            self.bfs_into(src, &mut dist, &mut queue);
-            for (v, &d) in dist.iter().enumerate() {
-                assert!(d != UNREACHABLE, "graph disconnected at ({src},{v})");
-                diam = diam.max(d);
-                total += d as u64;
-            }
-        }
-        let pairs = (self.n() as u64) * (self.n() as u64 - 1);
-        (diam, total as f64 / pairs as f64)
+        let n = self.n() as u64;
+        let sources: Vec<RouterId> = (0..self.n() as u32).collect();
+        let (diam, total, reached) = hop_totals(&self.hop_histogram(&sources));
+        assert!(reached == n * n, "graph disconnected");
+        (diam, total as f64 / (n * (n - 1)) as f64)
     }
 
-    /// Sampled estimate of `(diameter_lower_bound, avg_path_length)` using
-    /// `samples` BFS sources chosen deterministically. Suitable for large
-    /// instances where `O(n·m)` all-pairs is too expensive.
+    /// Sampled estimate of `(diameter_lower_bound, avg_path_length)` from
+    /// the [`Graph::hop_histogram`] of `samples` deterministically spaced
+    /// sources, for instances where all pairs are too many. Unreachable
+    /// pairs are left out.
     pub fn diameter_apl_sampled(&self, samples: usize) -> (u32, f64) {
         let n = self.n();
         let take = samples.min(n).max(1);
         let stride = (n / take).max(1);
-        let mut diam = 0u32;
-        let mut total = 0u64;
-        let mut count = 0u64;
-        let mut dist = Vec::new();
-        let mut queue = Vec::new();
-        for i in 0..take {
-            let src = ((i * stride) % n) as u32;
-            self.bfs_into(src, &mut dist, &mut queue);
-            for &d in &dist {
-                if d != UNREACHABLE {
-                    diam = diam.max(d);
-                    total += d as u64;
-                    count += 1;
-                }
-            }
-            count -= 1; // exclude the src->src zero
-        }
-        (diam, total as f64 / count.max(1) as f64)
+        let sources: Vec<RouterId> = (0..take).map(|i| ((i * stride) % n) as u32).collect();
+        let (diam, total, reached) = hop_totals(&self.hop_histogram(&sources));
+        let pairs = reached - take as u64; // exclude each src->src zero
+        (diam, total as f64 / pairs.max(1) as f64)
     }
 
     /// Sum of all degrees (`2m`), i.e. total directed link count.
