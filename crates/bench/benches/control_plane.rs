@@ -1,0 +1,48 @@
+//! Benchmarks for the offline control plane of the `control_plane`
+//! workload: one TE negotiation iteration (every `(layer, dst)` tree
+//! rebuilt under new prices) and the static repair of the layer tables
+//! for a 2% link-failure sample, both on Slim Fly q = 19 with nine layers.
+
+use criterion::{criterion_group, criterion_main, Criterion};
+use fatpaths_core::fwd::RoutingTables;
+use fatpaths_core::layers::{build_random_layers, LayerConfig};
+use fatpaths_core::repair::DownLinks;
+use fatpaths_net::fault::{FaultModel, FaultPlan};
+use fatpaths_net::topo::slimfly::slim_fly;
+use fatpaths_te::{endpoint_demands, TeConfig, TeScheme};
+use fatpaths_workloads::matrices::{matrix_flows, MatrixSpec};
+use std::hint::black_box;
+
+fn bench_control_plane(c: &mut Criterion) {
+    let t = slim_fly(19, 14).unwrap();
+    let layers = build_random_layers(&t.graph, &LayerConfig::new(9, 0.6, 1));
+    let tables = RoutingTables::build(&t.graph, &layers);
+    let pairs = matrix_flows(&t, &MatrixSpec::WorstCase { intensity: 0.7 }, 1);
+    let demands = endpoint_demands(&t, &pairs);
+    let one_iteration = TeConfig {
+        max_iterations: 1,
+        ..TeConfig::default()
+    };
+    let down = DownLinks::from_links(
+        FaultPlan::sample(&t, &FaultModel::UniformFraction { fraction: 0.02 }, 1).static_failures(),
+    );
+    let mut g = c.benchmark_group("control_plane");
+    g.sample_size(10);
+    g.bench_function("te/rebuild_sf722_n9", |b| {
+        b.iter(|| {
+            black_box(TeScheme::negotiate(
+                &t.graph,
+                &tables,
+                &demands,
+                &one_iteration,
+            ))
+        })
+    });
+    g.bench_function("repair/sf722_n9_2pct", |b| {
+        b.iter(|| black_box(tables.repair(&t.graph, black_box(&down))))
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_control_plane);
+criterion_main!(benches);

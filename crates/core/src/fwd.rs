@@ -11,7 +11,7 @@
 //! bit-parallel [`Graph::bfs_batches`], each batch of destinations
 //! filling its own band of rows. Then one row selector turns each
 //! `(layer, destination)` distance row into its port and fallback rows;
-//! repair rebuilds a degraded row with the same selector.
+//! repair rebuilds degraded rows with the same two passes.
 //!
 //! When several neighbors lie on minimal paths, the tie is broken by a
 //! deterministic hash of `(layer, src, dst)`, which decorrelates the
@@ -20,9 +20,8 @@
 
 use crate::ecmp::hop_byte;
 use crate::layers::LayerSet;
-use crate::repair::{DownLinks, RouteRepair};
-use crate::scheme::PortSet;
-use fatpaths_net::graph::{for_each_source, Graph, RouterId, BFS_BATCH, UNREACHABLE};
+use crate::repair::{DownLinks, OverlayBuilder, RouteRepair};
+use fatpaths_net::graph::{for_each_source, Graph, RouterId, BFS_BATCH};
 use rayon::prelude::*;
 
 /// Marker for "no route" / "self" in the flat tables.
@@ -81,7 +80,12 @@ impl RoutingTables {
         for lg in &layers.graphs {
             assert_eq!(lg.n(), nr, "layer router count mismatch");
         }
-        let dists: Vec<Vec<u8>> = layers.graphs.par_iter().map(layer_distances).collect();
+        let all: Vec<RouterId> = (0..nr as u32).collect();
+        let dists: Vec<Vec<u8>> = layers
+            .graphs
+            .par_iter()
+            .map(|lg| distance_rows(lg, &all))
+            .collect();
         let ports: Vec<LayerPorts> = layers
             .graphs
             .par_iter()
@@ -211,27 +215,26 @@ impl RoutingTables {
     /// [`fallback_port`](RoutingTables::fallback_port)), in-layer
     /// distances are provably unchanged and the repair is a handful of
     /// O(1) port swaps. Only rows where a distance actually changes are
-    /// recomputed with a BFS on the degraded layer graph. Routers left
-    /// unable to reach `dst` within a sparse layer fall back to the
-    /// (repaired) layer-0 route; an empty overlay entry marks pairs
-    /// disconnected even in the degraded base graph.
+    /// rebuilt, all of a layer's in one [`Graph::bfs_batches`] pass over
+    /// the degraded layer graph, each through the build's row selector —
+    /// so a rebuilt row is exactly the row a from-scratch build on the
+    /// degraded layers selects. Routers left unable to reach `dst` within
+    /// a sparse layer fall back to the (repaired) layer-0 route; an empty
+    /// overlay entry marks pairs disconnected even in the degraded base
+    /// graph.
     ///
     /// Assumes layer 0 is the complete layer (true for FatPaths tables),
-    /// so layer-0 reachability equals degraded-base reachability.
+    /// so layer-0 reachability equals degraded-base reachability. Panics
+    /// if there are more layers than `u8` tags
+    /// ([`MAX_LAYERS`](crate::scheme::MAX_LAYERS)).
     pub fn repair(&self, base: &Graph, down: &DownLinks) -> RouteRepair {
-        let mut rep = RouteRepair::none();
         if down.is_empty() {
-            return rep;
+            return RouteRepair::none();
         }
         let nr = self.nr;
+        let mut out = OverlayBuilder::new(&self.tables, nr);
         let mut new_trow = vec![NO_PORT; nr];
-        let mut new_drow: Vec<u8> = Vec::with_capacity(nr);
         let mut new_frow = vec![NO_PORT; nr];
-        // (src, dst) pairs whose layer-0 row the repair rewrote; pairs a
-        // sparse layer could never reach must shadow them too (below).
-        let mut layer0_touched: Vec<(RouterId, RouterId)> = Vec::new();
-        // Ascending layer order matters: sparse-layer fallbacks resolve
-        // against layer 0's already-repaired rows.
         for l in 0..self.n_layers() {
             let lg = self.layers.layer(l);
             let layer_down: Vec<(RouterId, RouterId)> =
@@ -239,139 +242,91 @@ impl RoutingTables {
             if layer_down.is_empty() {
                 continue;
             }
+            // `Some(swaps)` repairs the row in place; `None` rebuilds it.
+            let plans: Vec<Option<Vec<(RouterId, u16)>>> = (0..nr as u32)
+                .map(|dst| self.swap_plan(base, down, &layer_down, l, dst))
+                .collect();
+            let rebuilt: Vec<RouterId> = (0..nr as u32)
+                .filter(|&dst| plans[dst as usize].is_none())
+                .collect();
             let degraded = lg.without_edges(&layer_down);
             let degraded_ports = LayerPorts::new(base, &degraded);
-            for dst in 0..nr as u32 {
-                let trow = &self.tables[l][dst as usize * nr..][..nr];
-                let drow = &self.dists[l][dst as usize * nr..][..nr];
-                let frow = &self.fallback[l][dst as usize * nr..][..nr];
-                let mut swaps: Vec<(RouterId, u16)> = Vec::new();
-                let mut full = false;
-                'edges: for &(u, v) in &layer_down {
-                    for (a, b) in [(u, v), (v, u)] {
-                        let (da, db) = (drow[a as usize], drow[b as usize]);
-                        if da == u8::MAX || db == u8::MAX || da != db + 1 {
-                            continue; // edge not used downhill from `a`
-                        }
-                        let to_b =
-                            base.port_of(a, b).expect("down link must be a base edge") as u16;
-                        if trow[a as usize] != to_b {
-                            // `a`'s chosen next hop is a different, still
-                            // minimal neighbor; if that link is also down
-                            // its own iteration handles it.
-                            continue;
-                        }
-                        // Live minimal alternative: the precomputed
-                        // fallback port if its link survives, else the
-                        // first live minimal layer-neighbor in port order.
-                        let fb = frow[a as usize];
-                        let alt =
-                            if fb != NO_PORT && !down.contains(a, base.neighbor_at(a, fb as u32)) {
-                                Some(fb)
-                            } else {
-                                scan_live_minimal(base, lg, drow, down, a, da)
-                            };
-                        match alt {
-                            Some(p) => swaps.push((a, p)),
-                            None => {
-                                full = true;
-                                break 'edges;
-                            }
+            let new_dists = distance_rows(&degraded, &rebuilt);
+            let mut new_drows = new_dists.chunks(nr.max(1));
+            for (dst, plan) in (0..nr as u32).zip(plans) {
+                match plan {
+                    Some(swaps) => {
+                        for (a, p) in swaps {
+                            out.set_port(l, a, dst, p);
                         }
                     }
-                }
-                if !full {
-                    // Every broken chosen hop has a live equal-cost
-                    // alternative ⇒ all in-layer distances are unchanged
-                    // (induction on BFS level) ⇒ the swaps alone repair
-                    // the row, loop-free.
-                    for (a, p) in swaps {
-                        if l == 0 {
-                            layer0_touched.push((a, dst));
-                        }
-                        rep.insert(l as u8, a, dst, PortSet::single(p));
+                    None => {
+                        let drow = new_drows.next().expect("one distance row per rebuilt row");
+                        new_trow.fill(NO_PORT);
+                        new_frow.fill(NO_PORT);
+                        select_row(
+                            &degraded,
+                            &degraded_ports,
+                            l as u32,
+                            dst,
+                            drow,
+                            &mut new_trow,
+                            &mut new_frow,
+                        );
+                        out.rewrite_row(l, dst, &new_trow);
                     }
-                    continue;
-                }
-                new_trow.fill(NO_PORT);
-                new_frow.fill(NO_PORT);
-                new_drow.clear();
-                new_drow.extend(degraded.bfs(dst).into_iter().map(|d| {
-                    if d == UNREACHABLE {
-                        u8::MAX
-                    } else {
-                        hop_byte(d)
-                    }
-                }));
-                select_row(
-                    &degraded,
-                    &degraded_ports,
-                    l as u32,
-                    dst,
-                    &new_drow,
-                    &mut new_trow,
-                    &mut new_frow,
-                );
-                for src in 0..nr as u32 {
-                    if src == dst {
-                        continue;
-                    }
-                    let (np, op) = (new_trow[src as usize], trow[src as usize]);
-                    if np == op {
-                        continue;
-                    }
-                    let entry = if np != NO_PORT {
-                        PortSet::single(np)
-                    } else if l == 0 {
-                        // Disconnected even in the (complete) base layer.
-                        PortSet::new()
-                    } else {
-                        // Unreachable within this sparse layer: resolve
-                        // the layer-0 fallback now so the overlay stores
-                        // the final decision.
-                        self.layer0_resolution(&rep, src, dst)
-                    };
-                    if l == 0 {
-                        layer0_touched.push((src, dst));
-                    }
-                    rep.insert(l as u8, src, dst, entry);
                 }
             }
         }
-        // Pairs a sparse layer could never reach (NO_PORT at build time)
-        // forward through `candidate_ports`' internal layer-0 fallback —
-        // which reads the *original* layer-0 table. Wherever the repair
-        // rewrote a layer-0 row, shadow those sparse-layer keys with the
-        // repaired entry so the fallback cannot resurrect a dead port.
-        // (FatPaths layers are connected by construction, so this pass is
-        // a no-op there; it matters for externally built layer sets with
-        // unreachable sparse-layer pairs.)
-        for &(src, dst) in &layer0_touched {
-            let repaired = rep
-                .lookup(0, src, dst)
-                .expect("touched layer-0 rows have entries")
-                .clone();
-            for l in 1..self.n_layers() {
-                if self.tables[l][dst as usize * nr + src as usize] == NO_PORT
-                    && rep.lookup(l as u8, src, dst).is_none()
-                {
-                    rep.insert(l as u8, src, dst, repaired.clone());
-                }
-            }
-        }
-        rep
+        out.finish()
     }
 
-    /// The repaired layer-0 route for `(src, dst)`: the overlay row if
-    /// layer 0 was repaired there, else the original table entry.
-    fn layer0_resolution(&self, rep: &RouteRepair, src: RouterId, dst: RouterId) -> PortSet {
-        if let Some(e) = rep.lookup(0, src, dst) {
-            return e.clone();
+    /// The port swaps that repair layer `l`'s row toward `dst` with its
+    /// distances unchanged, or `None` when some router whose chosen next
+    /// hop crosses a down link has no live equal-cost alternative (the
+    /// row's distances change, so it must be rebuilt).
+    fn swap_plan(
+        &self,
+        base: &Graph,
+        down: &DownLinks,
+        layer_down: &[(RouterId, RouterId)],
+        l: usize,
+        dst: RouterId,
+    ) -> Option<Vec<(RouterId, u16)>> {
+        let nr = self.nr;
+        let trow = &self.tables[l][dst as usize * nr..][..nr];
+        let drow = &self.dists[l][dst as usize * nr..][..nr];
+        let frow = &self.fallback[l][dst as usize * nr..][..nr];
+        let mut swaps = Vec::new();
+        for &(u, v) in layer_down {
+            for (a, b) in [(u, v), (v, u)] {
+                let (da, db) = (drow[a as usize], drow[b as usize]);
+                if da == u8::MAX || db == u8::MAX || da != db + 1 {
+                    continue; // edge not used downhill from `a`
+                }
+                let to_b = base.port_of(a, b).expect("down link must be a base edge") as u16;
+                if trow[a as usize] != to_b {
+                    // `a`'s chosen next hop is a different, still minimal
+                    // neighbor; if that link is also down its own
+                    // iteration handles it.
+                    continue;
+                }
+                // Live minimal alternative: the precomputed fallback port
+                // if its link survives, else the first live minimal
+                // layer-neighbor in port order.
+                let fb = frow[a as usize];
+                let alt = if fb != NO_PORT && !down.contains(a, base.neighbor_at(a, fb as u32)) {
+                    Some(fb)
+                } else {
+                    scan_live_minimal(base, self.layers.layer(l), drow, down, a, da)
+                };
+                swaps.push((a, alt?));
+            }
         }
-        match self.next_port(0, src, dst) {
-            Some(p) => PortSet::single(p),
-            None => PortSet::new(),
-        }
+        // Every broken chosen hop has a live equal-cost alternative ⇒ all
+        // in-layer distances are unchanged (induction on BFS level) ⇒ the
+        // swaps alone repair the row, loop-free.
+        Some(swaps)
     }
 }
 
@@ -394,15 +349,14 @@ fn scan_live_minimal(
     None
 }
 
-/// Destination-major in-layer distances of `lg`: entry `dst * nr + src`
-/// is `d(src, dst)` (`u8::MAX` if unreachable). Each batch of
-/// destinations fills its own band of rows.
-fn layer_distances(lg: &Graph) -> Vec<u8> {
+/// In-layer distance rows of `lg` toward each of `dsts`: entry
+/// `i * nr + src` is `d(src, dsts[i])` (`u8::MAX` if unreachable). Each
+/// batch of destinations fills its own band of rows.
+fn distance_rows(lg: &Graph, dsts: &[RouterId]) -> Vec<u8> {
     let nr = lg.n();
-    let mut dist = vec![u8::MAX; nr * nr];
-    let dsts: Vec<RouterId> = (0..nr as u32).collect();
+    let mut dist = vec![u8::MAX; dsts.len() * nr];
     let bands: Vec<&mut [u8]> = dist.chunks_mut((BFS_BATCH * nr).max(1)).collect();
-    lg.bfs_batches(&dsts, bands, |band, level, src, bits| {
+    lg.bfs_batches(dsts, bands, |band, level, src, bits| {
         let d = hop_byte(level);
         for_each_source(bits, |i| band[i * nr + src as usize] = d);
     });
@@ -480,6 +434,8 @@ mod tests {
     use super::*;
     use crate::ecmp::tests::path_graph;
     use crate::layers::{build_random_layers, LayerConfig, LayerSet};
+    use crate::scheme::MAX_LAYERS;
+    use fatpaths_net::graph::UNREACHABLE;
     use fatpaths_net::topo::slimfly::slim_fly;
     use proptest::prelude::*;
 
@@ -755,6 +711,37 @@ mod tests {
     fn path_beyond_the_distance_limit_is_rejected() {
         let g = path_graph(crate::ecmp::MAX_HOPS + 2);
         RoutingTables::build(&g, &LayerSet::minimal_only(&g));
+    }
+
+    fn triangle_layers(n_layers: usize) -> (Graph, LayerSet) {
+        let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
+        let ls = LayerSet {
+            graphs: vec![g.clone(); n_layers],
+        };
+        (g, ls)
+    }
+
+    #[test]
+    fn widest_layer_tag_repairs_under_its_own_tag() {
+        let (g, ls) = triangle_layers(MAX_LAYERS);
+        let rt = RoutingTables::build(&g, &ls);
+        let rep = rt.repair(&g, &crate::repair::DownLinks::from_links(&[(0, 1)]));
+        // Every layer detours 0 -> 2 -> 1 under its own tag: one entry
+        // per layer and direction, none folded onto a wrapped tag.
+        let detour = g.port_of(0, 2).unwrap() as u16;
+        assert_eq!(rep.len(), 2 * MAX_LAYERS);
+        let last = (MAX_LAYERS - 1) as u8;
+        assert_eq!(rep.lookup(last, 0, 1).unwrap().as_slice(), &[detour]);
+    }
+
+    #[test]
+    #[should_panic(expected = "257 layers exceed the u8 layer tag limit of 256 layers")]
+    fn repair_beyond_the_tag_width_is_rejected() {
+        // Forest-layered schemes build such tables; repairing them would
+        // fold layer 256 onto tag 0.
+        let (g, ls) = triangle_layers(MAX_LAYERS + 1);
+        let rt = RoutingTables::build(&g, &ls);
+        rt.repair(&g, &crate::repair::DownLinks::from_links(&[(0, 1)]));
     }
 
     /// `(tables, dists, fallback)` of the scalar formulation: one

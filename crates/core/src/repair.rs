@@ -32,9 +32,14 @@
 //! one shared copy serve every simulation shard at million-endpoint
 //! scale.
 //!
+//! Schemes that repair by rewriting whole destination rows of a
+//! per-layer port table (the static layer tables and the negotiated TE
+//! tables) assemble their overlay through one [`OverlayBuilder`].
+//!
 //! [`lookup`]: RouteRepair::lookup
 
-use crate::scheme::PortSet;
+use crate::fwd::NO_PORT;
+use crate::scheme::{assert_layer_tags, PortSet};
 use fatpaths_net::graph::{Graph, RouterId};
 use rustc_hash::{FxHashMap, FxHashSet};
 
@@ -261,6 +266,108 @@ impl RouteRepair {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.staged.is_empty() && self.spans.is_empty()
+    }
+}
+
+/// Assembles a [`RouteRepair`] against healthy per-layer port tables laid
+/// out `healthy[layer][dst * nr + src]` ([`NO_PORT`] = no route), with
+/// layer 0 the complete layer. Feed layers in ascending order: a pair a
+/// sparse layer loses resolves against the already-repaired layer 0.
+/// Every layer is keyed by its own `u8` tag, so the table set may hold at
+/// most [`MAX_LAYERS`](crate::scheme::MAX_LAYERS) layers.
+pub struct OverlayBuilder<'a> {
+    healthy: &'a [Vec<u16>],
+    nr: usize,
+    rep: RouteRepair,
+    /// `(src, dst)` pairs whose layer-0 entry was rewritten, in rewrite
+    /// order; [`OverlayBuilder::finish`] shadows them in sparse layers.
+    layer0_touched: Vec<(RouterId, RouterId)>,
+}
+
+impl<'a> OverlayBuilder<'a> {
+    /// An empty overlay over `healthy` (`nr` routers per row). Panics if
+    /// `healthy` has more than [`MAX_LAYERS`](crate::scheme::MAX_LAYERS)
+    /// layers.
+    pub fn new(healthy: &'a [Vec<u16>], nr: usize) -> Self {
+        assert_layer_tags(healthy.len());
+        OverlayBuilder {
+            healthy,
+            nr,
+            rep: RouteRepair::none(),
+            layer0_touched: Vec::new(),
+        }
+    }
+
+    /// Replaces the entry at `(layer, at, dst)` with the single `port`.
+    pub fn set_port(&mut self, layer: usize, at: RouterId, dst: RouterId, port: u16) {
+        self.insert(layer, at, dst, PortSet::single(port));
+    }
+
+    /// Installs `layer`'s rebuilt row toward `dst` (`new_row[src]`, same
+    /// encoding as the healthy table) as the entries that differ from the
+    /// healthy row. The effective forwarding becomes exactly the rebuilt
+    /// tree, so the overlay never mixes two trees and stays loop-free. A
+    /// pair the rebuilt row cannot reach is unreachable in layer 0 (the
+    /// complete layer) and takes the repaired layer-0 route elsewhere.
+    pub fn rewrite_row(&mut self, layer: usize, dst: RouterId, new_row: &[u16]) {
+        let old_row = &self.healthy[layer][dst as usize * self.nr..][..self.nr];
+        for (src, (&np, &op)) in new_row.iter().zip(old_row).enumerate() {
+            let src = src as RouterId;
+            if src == dst || np == op {
+                continue;
+            }
+            let entry = if np != NO_PORT {
+                PortSet::single(np)
+            } else if layer == 0 {
+                PortSet::new()
+            } else {
+                self.layer0_route(src, dst)
+            };
+            self.insert(layer, src, dst, entry);
+        }
+    }
+
+    /// The overlay. Pairs a sparse layer never reached forward through the
+    /// scheme's internal layer-0 fallback, which reads the *healthy*
+    /// layer-0 table; wherever layer 0 was rewritten, those sparse-layer
+    /// keys are shadowed with the repaired entry so the fallback cannot
+    /// resurrect a dead port.
+    pub fn finish(mut self) -> RouteRepair {
+        for &(src, dst) in &self.layer0_touched {
+            let repaired = self
+                .rep
+                .lookup(0, src, dst)
+                .expect("touched layer-0 rows have entries")
+                .clone();
+            for l in 1..self.healthy.len() {
+                let tag = l as u8; // in range: checked in `new`
+                if self.healthy[l][dst as usize * self.nr + src as usize] == NO_PORT
+                    && self.rep.lookup(tag, src, dst).is_none()
+                {
+                    self.rep.insert(tag, src, dst, repaired.clone());
+                }
+            }
+        }
+        self.rep
+    }
+
+    fn insert(&mut self, layer: usize, at: RouterId, dst: RouterId, ports: PortSet) {
+        if layer == 0 {
+            self.layer0_touched.push((at, dst));
+        }
+        self.rep.insert(layer as u8, at, dst, ports); // checked in `new`
+    }
+
+    /// The layer-0 route for `(src, dst)`: the overlay entry if layer 0
+    /// was rewritten there, else the healthy one.
+    fn layer0_route(&self, src: RouterId, dst: RouterId) -> PortSet {
+        if let Some(e) = self.rep.lookup(0, src, dst) {
+            return e.clone();
+        }
+        match self.healthy[0][dst as usize * self.nr + src as usize] {
+            NO_PORT => PortSet::new(),
+            p => PortSet::single(p),
+        }
     }
 }
 

@@ -32,6 +32,21 @@ use fatpaths_net::graph::{Graph, RouterId};
 /// allocation-free on every paper-size topology.
 pub const PORTSET_INLINE: usize = 28;
 
+/// Most layers a scheme can address by tag: layer tags are `u8` in
+/// packets, in [`RoutingScheme::candidate_ports`] and in repair-overlay
+/// keys. Forest-layered schemes (SPAIN, KSP) may hold more layers and
+/// reach the rest by their cyclic fallback, but per-layer repair and TE
+/// negotiation write every layer under its own tag and check this bound.
+pub const MAX_LAYERS: usize = u8::MAX as usize + 1;
+
+/// Panics, naming the limit, if `n_layers` exceeds [`MAX_LAYERS`].
+pub fn assert_layer_tags(n_layers: usize) {
+    assert!(
+        n_layers <= MAX_LAYERS,
+        "{n_layers} layers exceed the u8 layer tag limit of {MAX_LAYERS} layers"
+    );
+}
+
 /// A small set of candidate output ports, inline up to
 /// [`PORTSET_INLINE`] entries. Order is part of the contract: load
 /// balancers index into it deterministically, so schemes must emit ports

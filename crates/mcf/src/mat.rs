@@ -15,7 +15,7 @@ use crate::gk::{max_concurrent_flow, Commodity, McfResult};
 use fatpaths_core::fwd::RoutingTables;
 use fatpaths_core::ksp::k_shortest_paths;
 use fatpaths_core::past::PastTrees;
-use fatpaths_net::graph::{Graph, RouterId};
+use fatpaths_net::graph::{Graph, RouterId, BFS_BATCH, UNREACHABLE};
 use rayon::prelude::*;
 use rustc_hash::FxHashMap;
 
@@ -174,29 +174,56 @@ pub fn throughput_upper_bound(
             bound = bound.min(deg / inn[r]);
         }
     }
-    // Volumetric: one BFS per distinct source. Demands are summed in
-    // (src, dst) order so the f64 accumulation — and therefore the bound
-    // — is independent of the caller's demand ordering.
-    let mut order: Vec<usize> = (0..demands.len()).collect();
-    order.sort_by_key(|&i| (demands[i].src, demands[i].dst));
-    let mut volume = 0.0f64;
-    let mut dist: Vec<u32> = Vec::new();
-    let mut dist_src = u32::MAX;
-    for &i in &order {
-        let d = &demands[i];
-        if d.src == d.dst {
-            continue;
-        }
-        if d.src != dist_src {
-            dist = g.bfs(d.src);
-            dist_src = d.src;
-        }
-        volume += d.demand * dist[d.dst as usize] as f64;
-    }
+    let volume = demand_volume(g, demands);
     if volume > 0.0 {
         bound = bound.min(g.m() as f64 / volume);
     }
     bound
+}
+
+/// `Σ demand · dist(src, dst)` over the non-self demands — the capacity
+/// the matrix consumes at unit throughput (an unreachable pair counts
+/// [`UNREACHABLE`] hops). The distances come
+/// from one [`Graph::bfs_batches`] pass over the distinct sources, each
+/// batch recording only its own demands' destinations. Demands are summed
+/// in `(src, dst)` order, so the `f64` sum — and the bound — does not
+/// depend on the caller's demand order.
+fn demand_volume(g: &Graph, demands: &[RouterDemand]) -> f64 {
+    let mut pairs: Vec<&RouterDemand> = demands.iter().filter(|d| d.src != d.dst).collect();
+    pairs.sort_by_key(|d| (d.src, d.dst));
+    let mut sources: Vec<RouterId> = pairs.iter().map(|d| d.src).collect();
+    sources.dedup();
+    // Per batch, its pairs as `(dst, source bit, pair index, hops)`,
+    // sorted by destination so a visit finds them by binary search.
+    let mut wants: Vec<Vec<(RouterId, usize, usize, u32)>> =
+        vec![Vec::new(); sources.len().div_ceil(BFS_BATCH)];
+    let mut s = 0;
+    for (j, d) in pairs.iter().enumerate() {
+        if sources[s] != d.src {
+            s += 1;
+        }
+        wants[s / BFS_BATCH].push((d.dst, s % BFS_BATCH, j, UNREACHABLE));
+    }
+    for want in &mut wants {
+        want.sort_unstable();
+    }
+    let wants = g.bfs_batches(&sources, wants, |want, level, v, bits| {
+        let first = want.partition_point(|w| w.0 < v);
+        for w in want[first..].iter_mut().take_while(|w| w.0 == v) {
+            if bits[w.1 / 64] >> (w.1 % 64) & 1 == 1 {
+                w.3 = level;
+            }
+        }
+    });
+    let mut hops = vec![UNREACHABLE; pairs.len()];
+    for (_, _, j, h) in wants.into_iter().flatten() {
+        hops[j] = h;
+    }
+    let mut volume = 0.0f64;
+    for (d, h) in pairs.iter().zip(hops) {
+        volume += d.demand * h as f64;
+    }
+    volume
 }
 
 /// Aggregates endpoint flows into router demands (flows between endpoints
@@ -224,6 +251,7 @@ mod tests {
     use fatpaths_core::layers::{build_random_layers, LayerConfig, LayerSet};
     use fatpaths_core::past::PastVariant;
     use fatpaths_net::topo::slimfly::slim_fly;
+    use proptest::prelude::*;
 
     #[test]
     fn layered_beats_past_on_slim_fly_worst_case() {
@@ -294,6 +322,61 @@ mod tests {
         // (0,4)→routers (0,2); (1,5)→(0,2); (2,2)→(1,1) dropped.
         assert_eq!(demands.len(), 1);
         assert_eq!(demands[0].demand, 2.0);
+    }
+
+    /// The scalar volume: one [`Graph::bfs`] per distinct source, summed
+    /// in `(src, dst)` order.
+    fn reference_volume(g: &Graph, demands: &[RouterDemand]) -> f64 {
+        let mut order: Vec<usize> = (0..demands.len()).collect();
+        order.sort_by_key(|&i| (demands[i].src, demands[i].dst));
+        let mut volume = 0.0f64;
+        let mut dist: Vec<u32> = Vec::new();
+        let mut dist_src = u32::MAX;
+        for &i in &order {
+            let d = &demands[i];
+            if d.src == d.dst {
+                continue;
+            }
+            if d.src != dist_src {
+                dist = g.bfs(d.src);
+                dist_src = d.src;
+            }
+            volume += d.demand * dist[d.dst as usize] as f64;
+        }
+        volume
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        // Random, often disconnected graphs on either side of the batch
+        // width, with repeated, self and unreachable demands in any order:
+        // the batched volume equals the scalar one bit for bit.
+        #[test]
+        fn volume_equals_scalar_sum(
+            n in (0usize..6).prop_map(|i| [1usize, 2, 255, 256, 257, 600][i]),
+            edges in prop::collection::vec((0usize..600, 0usize..600), 0..1200),
+            raw in prop::collection::vec((0usize..600, 0usize..600, 0u32..8), 0..400),
+        ) {
+            let edges: Vec<(u32, u32)> = edges
+                .iter()
+                .map(|&(u, v)| ((u % n) as u32, (v % n) as u32))
+                .filter(|(u, v)| u != v)
+                .collect();
+            let g = Graph::from_edges(n, &edges);
+            let demands: Vec<RouterDemand> = raw
+                .iter()
+                .map(|&(s, t, w)| RouterDemand {
+                    src: (s % n) as u32,
+                    dst: (t % n) as u32,
+                    demand: 0.1 + w as f64 / 3.0,
+                })
+                .collect();
+            let want = reference_volume(&g, &demands);
+            prop_assert_eq!(demand_volume(&g, &demands).to_bits(), want.to_bits());
+            let seq = rayon::run_sequential(|| demand_volume(&g, &demands));
+            prop_assert_eq!(seq.to_bits(), want.to_bits());
+        }
     }
 
     #[test]

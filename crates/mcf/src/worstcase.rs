@@ -68,20 +68,20 @@ pub fn worst_case_flows(topo: &Topology, intensity: f64, seed: u64) -> Vec<(u32,
     flows
 }
 
-/// Average router distance of a matching — the stress metric the pattern
-/// maximizes.
-pub fn matching_avg_distance(g: &Graph, matching: &[(u32, u32)]) -> f64 {
-    let mut total = 0u64;
-    for &(a, b) in matching {
-        total += g.bfs(a)[b as usize] as u64;
-    }
-    total as f64 / matching.len().max(1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fatpaths_net::topo::slimfly::slim_fly;
+
+    /// Average router distance of a matching — the stress metric the
+    /// pattern maximizes.
+    fn matching_avg_distance(g: &Graph, matching: &[(u32, u32)]) -> f64 {
+        let mut total = 0u64;
+        for &(a, b) in matching {
+            total += g.bfs(a)[b as usize] as u64;
+        }
+        total as f64 / matching.len().max(1) as f64
+    }
 
     #[test]
     fn matching_is_disjoint_and_near_perfect() {

@@ -185,6 +185,16 @@ impl<T: Send> Par<T> {
         par_consume(self.items, &f);
     }
 
+    /// Consumes every item through `f`, in parallel, with the per-chunk
+    /// scratch of [`Par::map_init`].
+    pub fn for_each_init<INIT, S, F>(self, init: INIT, f: F)
+    where
+        INIT: Fn() -> S + Sync + Send,
+        F: Fn(&mut S, T) + Sync + Send,
+    {
+        par_map_init_vec(self.items, &init, &f);
+    }
+
     /// Collects into any `FromIterator` container, in item order.
     pub fn collect<C: FromIterator<T>>(self) -> C {
         self.items.into_iter().collect()

@@ -19,10 +19,10 @@
 //! stateless and deterministic either way); hold one explicitly to get
 //! the incremental behavior.
 
-use crate::negotiate::{weighted_tree, TeScheme};
+use crate::negotiate::TeScheme;
+use crate::tree::{build_tree, TreeScratch};
 use fatpaths_core::fwd::NO_PORT;
-use fatpaths_core::repair::{DownLinks, RouteRepair};
-use fatpaths_core::scheme::PortSet;
+use fatpaths_core::repair::{DownLinks, OverlayBuilder, RouteRepair};
 use fatpaths_net::graph::Graph;
 use rayon::prelude::*;
 use rustc_hash::FxHashMap;
@@ -84,7 +84,6 @@ impl<'a> TeController<'a> {
     /// reuse their cached rebuilds.
     pub fn repair(&mut self, base: &Graph, down: &DownLinks) -> RouteRepair {
         self.ticks += 1;
-        let mut rep = RouteRepair::none();
         let scheme = self.scheme;
         let nr = scheme.nr;
         let nl = scheme.tables.len();
@@ -93,12 +92,9 @@ impl<'a> TeController<'a> {
                 self.sigs[l].clear();
                 self.rows[l].clear();
             }
-            return rep;
+            return RouteRepair::none();
         }
-        // (src, dst) pairs whose layer-0 row got rewritten; sparse-layer
-        // build-time gaps must shadow them (below), like the static
-        // tables' repair.
-        let mut layer0_touched: Vec<(u32, u32)> = Vec::new();
+        let mut out = OverlayBuilder::new(&scheme.tables, nr);
         // Ascending layers: sparse-layer fallbacks resolve against the
         // already-assembled layer-0 overlay.
         for l in 0..nl {
@@ -112,7 +108,8 @@ impl<'a> TeController<'a> {
                 continue;
             }
             if self.sigs[l] != layer_down {
-                let mask = DownLinks::from_links(&layer_down);
+                let csr = scheme.csrs[l].without(&DownLinks::from_links(&layer_down));
+                let cost = csr.gather(&scheme.costs);
                 let table = &scheme.tables[l];
                 // A tree is affected iff one of its rows crosses a down
                 // link — i.e., the link's endpoints point at each other.
@@ -127,19 +124,10 @@ impl<'a> TeController<'a> {
                     })
                     .collect();
                 let built: Vec<(u32, Vec<u16>)> = affected
-                    .par_iter()
-                    .map(|&dst| {
+                    .into_par_iter()
+                    .map_init(TreeScratch::default, |scratch, dst| {
                         let mut row = vec![NO_PORT; nr];
-                        weighted_tree(
-                            base,
-                            lg,
-                            &scheme.layer_eids[l],
-                            &scheme.costs,
-                            Some(&mask),
-                            l as u32,
-                            dst,
-                            &mut row,
-                        );
+                        build_tree(&csr, &cost, l as u32, dst, scratch, &mut row);
                         (dst, row)
                     })
                     .collect();
@@ -147,70 +135,12 @@ impl<'a> TeController<'a> {
                 self.rows[l] = built.into_iter().collect();
                 self.sigs[l] = layer_down;
             }
-            // Emit every row that differs from the healthy tree — the
-            // effective forwarding becomes exactly the rebuilt tree, so
-            // the overlay cannot mix trees and stays loop-free.
             let mut dsts: Vec<u32> = self.rows[l].keys().copied().collect();
             dsts.sort_unstable();
             for dst in dsts {
-                let new_row = &self.rows[l][&dst];
-                for src in 0..nr as u32 {
-                    if src == dst {
-                        continue;
-                    }
-                    let op = scheme.tables[l][dst as usize * nr + src as usize];
-                    let np = new_row[src as usize];
-                    if np == op {
-                        continue;
-                    }
-                    let entry = if np != NO_PORT {
-                        PortSet::single(np)
-                    } else if l == 0 {
-                        // Layer 0 is the complete layer: unreachable here
-                        // means disconnected in the degraded base.
-                        PortSet::new()
-                    } else {
-                        // Sparse layer lost the pair: resolve the layer-0
-                        // fallback now so the overlay stores the final
-                        // decision.
-                        layer0_resolution(scheme, &rep, src, dst)
-                    };
-                    if l == 0 {
-                        layer0_touched.push((src, dst));
-                    }
-                    rep.insert(l as u8, src, dst, entry);
-                }
+                out.rewrite_row(l, dst, &self.rows[l][&dst]);
             }
         }
-        // Pairs a sparse layer never reached at build time forward
-        // through candidate_ports' internal layer-0 fallback, which reads
-        // the original table — shadow those keys wherever layer 0 was
-        // rewritten so the fallback cannot resurrect a dead port.
-        for &(src, dst) in &layer0_touched {
-            let repaired = rep
-                .lookup(0, src, dst)
-                .expect("touched layer-0 rows have entries")
-                .clone();
-            for l in 1..nl {
-                if scheme.tables[l][dst as usize * nr + src as usize] == NO_PORT
-                    && rep.lookup(l as u8, src, dst).is_none()
-                {
-                    rep.insert(l as u8, src, dst, repaired.clone());
-                }
-            }
-        }
-        rep
-    }
-}
-
-/// The repaired layer-0 route for `(src, dst)`: the overlay row if layer
-/// 0 was rewritten there, else the healthy negotiated entry.
-fn layer0_resolution(scheme: &TeScheme, rep: &RouteRepair, src: u32, dst: u32) -> PortSet {
-    if let Some(e) = rep.lookup(0, src, dst) {
-        return e.clone();
-    }
-    match scheme.next_port(0, src, dst) {
-        Some(p) => PortSet::single(p),
-        None => PortSet::new(),
+        out.finish()
     }
 }

@@ -42,6 +42,7 @@
 pub mod controller;
 pub mod negotiate;
 pub mod score;
+mod tree;
 
 pub use controller::TeController;
 pub use fatpaths_mcf::RouterDemand;

@@ -14,18 +14,17 @@
 //! next hop per `(layer, dst)`, and mixing rows from two different trees
 //! toward the same destination can create forwarding loops. Trees are
 //! therefore rebuilt wholesale each iteration — a weighted Dijkstra per
-//! `(layer, dst)` on the layer subgraph — and the best iteration's trees
-//! (lowest peak link load) are kept.
+//! `(layer, dst)` on the layer subgraph (the `tree` module) — and the best
+//! iteration's trees (lowest peak link load) are kept.
 
-use fatpaths_core::fwd::{fnv1a, RoutingTables, NO_PORT};
+use crate::tree::{build_tree, LayerCsr, TreeScratch};
+use fatpaths_core::fwd::{RoutingTables, NO_PORT};
 use fatpaths_core::layers::LayerSet;
 use fatpaths_core::repair::{DownLinks, RouteRepair};
-use fatpaths_core::scheme::{PortSet, RoutingScheme};
+use fatpaths_core::scheme::{assert_layer_tags, PortSet, RoutingScheme};
 use fatpaths_mcf::RouterDemand;
 use fatpaths_net::graph::{Graph, RouterId};
 use rayon::prelude::*;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Knobs of the negotiation loop. The defaults converge on every
 /// paper-size topology class within a handful of iterations.
@@ -77,10 +76,8 @@ pub struct TeScheme {
     /// iteration) — reused by repair so degraded reroutes respect the
     /// negotiated congestion picture.
     pub(crate) costs: Vec<f64>,
-    /// `layer_eids[layer][router][i]` = base edge id of the layer edge to
-    /// `layer.neighbors(router)[i]` — precomputed so tree builds index
-    /// costs without hashing.
-    pub(crate) layer_eids: Vec<Vec<Vec<u32>>>,
+    /// Per-layer arc views the tree builds run on (built once).
+    pub(crate) csrs: Vec<LayerCsr>,
     /// The (sorted) traffic matrix the tables were negotiated for.
     pub(crate) demands: Vec<RouterDemand>,
     cfg: TeConfig,
@@ -99,6 +96,10 @@ impl TeScheme {
     /// rebuilds are pure functions of the iteration's price vector, and
     /// equal-cost predecessor ties break by `fnv1a(layer, src, dst)` —
     /// the same key the static build uses.
+    ///
+    /// Panics if `tables` has more layers than `u8` tags
+    /// ([`MAX_LAYERS`](fatpaths_core::scheme::MAX_LAYERS)): the
+    /// negotiated scheme forwards and repairs every layer by its tag.
     pub fn negotiate(
         base: &Graph,
         tables: &RoutingTables,
@@ -107,6 +108,7 @@ impl TeScheme {
     ) -> TeScheme {
         let nr = tables.nr();
         let nl = tables.n_layers();
+        assert_layer_tags(nl);
         let m = base.m();
         let layers = tables.layer_set().clone();
         let edge_index = base.edge_index_map();
@@ -114,13 +116,10 @@ impl TeScheme {
         let base_eids: Vec<Vec<u32>> = (0..nr as u32)
             .map(|u| base.neighbors(u).iter().map(|&v| eid(u, v)).collect())
             .collect();
-        let layer_eids: Vec<Vec<Vec<u32>>> = (0..nl)
-            .map(|l| {
-                let lg = layers.layer(l);
-                (0..nr as u32)
-                    .map(|u| lg.neighbors(u).iter().map(|&v| eid(u, v)).collect())
-                    .collect()
-            })
+        let csrs: Vec<LayerCsr> = layers
+            .graphs
+            .iter()
+            .map(|lg| LayerCsr::new(base, lg, &base_eids))
             .collect();
         // Iteration 0: the static tables, copied row by row.
         let mut cur: Vec<Vec<u16>> = (0..nl)
@@ -144,7 +143,7 @@ impl TeScheme {
             tables: cur.clone(),
             layers,
             costs: vec![1.0; m],
-            layer_eids,
+            csrs,
             demands,
             cfg: *cfg,
             iterations: 0,
@@ -172,7 +171,7 @@ impl TeScheme {
                 costs[e] = (1.0 + hist[e]) * (1.0 + cfg.present_factor * norm);
             }
             scheme.iterations += 1;
-            rebuild_trees(base, &scheme.layers, &scheme.layer_eids, &costs, &mut cur);
+            rebuild_trees(&scheme.csrs, &costs, nr, &mut cur);
             loads = measure_loads(base, &base_eids, &cur, nr, &scheme.demands);
             let peak = peak_of(&loads);
             if peak < scheme.peak {
@@ -280,16 +279,10 @@ impl RoutingScheme for TeScheme {
     }
 }
 
-/// Rebuilds every `(layer, dst)` tree under the given price vector —
+/// Rebuilds every `(layer, dst)` tree under the given per-edge prices —
 /// one flat parallel pass, mirroring the static build's work division.
-fn rebuild_trees(
-    base: &Graph,
-    layers: &LayerSet,
-    layer_eids: &[Vec<Vec<u32>>],
-    costs: &[f64],
-    cur: &mut [Vec<u16>],
-) {
-    let nr = base.n();
+fn rebuild_trees(csrs: &[LayerCsr], costs: &[f64], nr: usize, cur: &mut [Vec<u16>]) {
+    let arc_costs: Vec<Vec<f64>> = csrs.iter().map(|c| c.gather(costs)).collect();
     let rows: Vec<(usize, usize, &mut [u16])> = cur
         .iter_mut()
         .enumerate()
@@ -299,103 +292,11 @@ fn rebuild_trees(
                 .map(move |(dst, row)| (l, dst, row))
         })
         .collect();
-    rows.into_par_iter().for_each(|(l, dst, row)| {
-        row.fill(NO_PORT);
-        weighted_tree(
-            base,
-            layers.layer(l),
-            &layer_eids[l],
-            costs,
-            None,
-            l as u32,
-            dst as u32,
-            row,
-        );
-    });
-}
-
-/// `f64` ordered by `total_cmp` so it can key the Dijkstra heap.
-#[derive(Clone, Copy, PartialEq)]
-struct OrdF64(f64);
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// Builds one negotiated `(layer, dst)` tree: Dijkstra from `dst` over
-/// the layer subgraph under `costs`, then one hash-tie-broken cheapest
-/// predecessor per source — the same `fnv1a(layer, src, dst)` discipline
-/// as the static tables. `skip` masks down links (degraded rebuilds).
-///
-/// Deterministic: the heap orders by `(distance, router)` and final
-/// distances are unique minima, so the pick depends only on inputs.
-/// Loop-free: costs are ≥ 1, so following the chosen port strictly
-/// decreases the distance-to-destination.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn weighted_tree(
-    base: &Graph,
-    lg: &Graph,
-    eids: &[Vec<u32>],
-    costs: &[f64],
-    skip: Option<&DownLinks>,
-    layer: u32,
-    dst: u32,
-    trow: &mut [u16],
-) {
-    let n = lg.n();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut heap: BinaryHeap<Reverse<(OrdF64, u32)>> = BinaryHeap::new();
-    dist[dst as usize] = 0.0;
-    heap.push(Reverse((OrdF64(0.0), dst)));
-    while let Some(Reverse((OrdF64(d), u))) = heap.pop() {
-        if d > dist[u as usize] {
-            continue;
-        }
-        for (i, &v) in lg.neighbors(u).iter().enumerate() {
-            if skip.is_some_and(|s| s.contains(u, v)) {
-                continue;
-            }
-            let nd = d + costs[eids[u as usize][i] as usize];
-            if nd < dist[v as usize] {
-                dist[v as usize] = nd;
-                heap.push(Reverse((OrdF64(nd), v)));
-            }
-        }
-    }
-    for src in 0..n as u32 {
-        let ds = dist[src as usize];
-        if src == dst || !ds.is_finite() {
-            continue;
-        }
-        let nbs = lg.neighbors(src);
-        // Candidates: neighbors whose settled distance plus the edge
-        // price equals ours bit-exactly — the neighbor that relaxed us
-        // always qualifies, so the set is non-empty.
-        let cand = |i: usize, v: u32| {
-            !skip.is_some_and(|s| s.contains(src, v))
-                && dist[v as usize] + costs[eids[src as usize][i] as usize] == ds
-        };
-        let count = nbs.iter().enumerate().filter(|&(i, &v)| cand(i, v)).count();
-        debug_assert!(count > 0);
-        let key = (layer as u64) << 48 | (src as u64) << 24 | dst as u64;
-        let pick = (fnv1a(key) % count as u64) as usize;
-        let (_, &chosen) = nbs
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| cand(i, v))
-            .nth(pick)
-            .unwrap();
-        trow[src as usize] = base
-            .port_of(src, chosen)
-            .expect("layer edge must exist in base graph") as u16;
-    }
+    rows.into_par_iter()
+        .for_each_init(TreeScratch::default, |scratch, (l, dst, row)| {
+            row.fill(NO_PORT);
+            build_tree(&csrs[l], &arc_costs[l], l as u32, dst as u32, scratch, row);
+        });
 }
 
 /// Per-edge load of the tree set under `demands` with equal split over
@@ -440,4 +341,44 @@ fn measure_loads(
 
 fn peak_of(loads: &[f64]) -> f64 {
     loads.iter().copied().fold(0.0, f64::max)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fatpaths_core::scheme::MAX_LAYERS;
+
+    fn triangle_tables(n_layers: usize) -> (Graph, RoutingTables) {
+        let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
+        let layers = LayerSet {
+            graphs: vec![g.clone(); n_layers],
+        };
+        let rt = RoutingTables::build(&g, &layers);
+        (g, rt)
+    }
+
+    fn one_demand() -> Vec<RouterDemand> {
+        vec![RouterDemand {
+            src: 0,
+            dst: 1,
+            demand: 1.0,
+        }]
+    }
+
+    #[test]
+    fn widest_layer_tag_negotiates_and_repairs_under_its_own_tag() {
+        let (g, rt) = triangle_tables(MAX_LAYERS);
+        let te = TeScheme::negotiate(&g, &rt, &one_demand(), &TeConfig::default());
+        let rep = te.repair_routes(&g, &DownLinks::from_links(&[(0, 1)]));
+        let detour = g.port_of(0, 2).unwrap() as u16;
+        let last = (MAX_LAYERS - 1) as u8;
+        assert_eq!(rep.lookup(last, 0, 1).unwrap().as_slice(), &[detour]);
+    }
+
+    #[test]
+    #[should_panic(expected = "257 layers exceed the u8 layer tag limit of 256 layers")]
+    fn layer_count_beyond_the_tag_width_is_rejected() {
+        let (g, rt) = triangle_tables(MAX_LAYERS + 1);
+        TeScheme::negotiate(&g, &rt, &one_demand(), &TeConfig::default());
+    }
 }
