@@ -54,6 +54,11 @@ fn bench_forwarding_tables(c: &mut Criterion) {
     g.bench_function("build_sf722_n4", |b| {
         b.iter(|| black_box(RoutingTables::build(&t.graph, &ls)))
     });
+    // The shape of the `hpc_ndp_sf` benchmark workload: nine layers, ρ = 0.6.
+    let ls9 = build_random_layers(&t.graph, &LayerConfig::new(9, 0.6, 1));
+    g.bench_function("build_sf722_n9", |b| {
+        b.iter(|| black_box(RoutingTables::build(&t.graph, &ls9)))
+    });
     let rt = RoutingTables::build(&t.graph, &ls);
     g.bench_function("path_resolution", |b| {
         b.iter(|| black_box(rt.path(&t.graph, 2, 7, 600)))

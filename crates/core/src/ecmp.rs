@@ -174,6 +174,17 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn next_hop_sets_are_minimal() {
+        // A 4-cycle 0-1-3-2-0, the next-hop-set example of Appendix B-1.
+        let g = Graph::from_edges(4, &[(0, 1), (1, 3), (0, 2), (2, 3)]);
+        let dm = DistanceMatrix::build(&g);
+        // 0→3: both ports of 0 (to 1 and to 2) lie on shortest paths.
+        assert_eq!(dm.minimal_port_set(&g, 0, 3).as_slice(), &[0, 1]);
+        // 0→1: only the direct port.
+        assert_eq!(dm.minimal_port_set(&g, 0, 1).as_slice(), &[0]);
+    }
+
+    #[test]
     fn ecmp_is_stable_per_flow_and_spreads_across_flows() {
         let t = hyperx(2, 4, 1);
         let dm = DistanceMatrix::build(&t.graph);

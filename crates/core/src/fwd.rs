@@ -9,9 +9,15 @@
 //! A build runs in two passes. First every layer's distance rows — one
 //! per destination, `O(Nr · m)` work per layer — come from the
 //! bit-parallel [`Graph::bfs_batches`], each batch of destinations
-//! filling its own band of rows. Then one row selector turns each
-//! `(layer, destination)` distance row into its port and fallback rows;
-//! repair rebuilds degraded rows with the same two passes.
+//! filling its own band of rows. Then one band kernel selects a whole
+//! band of up to [`BFS_BATCH`] destinations at once, walking sources
+//! instead of destinations: it transposes the band's distance rows into
+//! one lane per destination at every router, and for each source counts
+//! and ranks the minimal next hops of all lanes together in branch-free
+//! passes over the source's layer neighbours. The `(layer, band)` units
+//! run on the pool, each writing its own band of port and fallback rows.
+//! Repair rebuilds degraded rows with the same two passes, the band set
+//! to the rows it rebuilds.
 //!
 //! When several neighbors lie on minimal paths, the tie is broken by a
 //! deterministic hash of `(layer, src, dst)`, which decorrelates the
@@ -23,6 +29,7 @@ use crate::layers::LayerSet;
 use crate::repair::{DownLinks, OverlayBuilder, RouteRepair};
 use fatpaths_net::graph::{for_each_source, Graph, RouterId, BFS_BATCH};
 use rayon::prelude::*;
+use std::ops::{BitAnd, BitOr, Not};
 
 /// Marker for "no route" / "self" in the flat tables.
 pub const NO_PORT: u16 = u16::MAX;
@@ -49,10 +56,6 @@ pub struct RoutingTables {
     layers: LayerSet,
 }
 
-/// One `(layer, dst)` selection unit: layer index, destination, the
-/// distance row it reads and the port/fallback rows it fills.
-type DestRow<'a> = (usize, usize, &'a [u8], &'a mut [u16], &'a mut [u16]);
-
 /// FNV-1a on a 64-bit key — the deterministic tie-breaker (the paper's
 /// routers use Fowler–Noll–Vo hashing for ECMP; we reuse it here).
 #[inline]
@@ -71,10 +74,10 @@ impl RoutingTables {
     /// distance exceeds [`MAX_HOPS`](crate::ecmp::MAX_HOPS).
     ///
     /// Distances come from one [`Graph::bfs_batches`] pass per layer (the
-    /// layers in parallel); then all `(layer, destination)` rows are
-    /// selected in one flat parallel pass across the entire layer vector —
-    /// rather than layer by layer — so thread utilization stays high even
-    /// when the per-layer row count is small relative to the pool.
+    /// layers in parallel); then the band kernel selects every `(layer,
+    /// band)` unit in one flat parallel pass across the entire layer
+    /// vector — rather than layer by layer — so thread utilization stays
+    /// high even when a layer has fewer bands than the pool has workers.
     pub fn build(base: &Graph, layers: &LayerSet) -> Self {
         let nr = base.n();
         for lg in &layers.graphs {
@@ -94,32 +97,16 @@ impl RoutingTables {
         let mut tables: Vec<Vec<u16>> = (0..layers.len()).map(|_| vec![NO_PORT; nr * nr]).collect();
         let mut fallback: Vec<Vec<u16>> =
             (0..layers.len()).map(|_| vec![NO_PORT; nr * nr]).collect();
-        let rows: Vec<DestRow<'_>> = tables
+        let bands: Vec<Band<'_>> = tables
             .iter_mut()
             .zip(fallback.iter_mut())
-            .zip(&dists)
+            .zip(dists.iter().zip(&ports))
             .enumerate()
-            .flat_map(|(li, ((table, fmat), dmat))| {
-                table
-                    .chunks_mut(nr.max(1))
-                    .zip(fmat.chunks_mut(nr.max(1)))
-                    .zip(dmat.chunks(nr.max(1)))
-                    .enumerate()
-                    .map(move |(dst, ((trow, frow), drow))| (li, dst, drow, trow, frow))
+            .flat_map(|(li, ((table, fallback), (dists, ports)))| {
+                Band::split(layers.layer(li), ports, li, &all, dists, table, fallback)
             })
             .collect();
-        rows.into_par_iter()
-            .for_each(|(li, dst, drow, trow, frow)| {
-                select_row(
-                    layers.layer(li),
-                    &ports[li],
-                    li as u32,
-                    dst as u32,
-                    drow,
-                    trow,
-                    frow,
-                );
-            });
+        select_bands(bands);
         RoutingTables {
             nr,
             tables,
@@ -216,8 +203,8 @@ impl RoutingTables {
     /// distances are provably unchanged and the repair is a handful of
     /// O(1) port swaps. Only rows where a distance actually changes are
     /// rebuilt, all of a layer's in one [`Graph::bfs_batches`] pass over
-    /// the degraded layer graph, each through the build's row selector —
-    /// so a rebuilt row is exactly the row a from-scratch build on the
+    /// the degraded layer graph and through the build's band kernel — so
+    /// a rebuilt row is exactly the row a from-scratch build on the
     /// degraded layers selects. Routers left unable to reach `dst` within
     /// a sparse layer fall back to the (repaired) layer-0 route; an empty
     /// overlay entry marks pairs disconnected even in the degraded base
@@ -233,8 +220,6 @@ impl RoutingTables {
         }
         let nr = self.nr;
         let mut out = OverlayBuilder::new(&self.tables, nr);
-        let mut new_trow = vec![NO_PORT; nr];
-        let mut new_frow = vec![NO_PORT; nr];
         for l in 0..self.n_layers() {
             let lg = self.layers.layer(l);
             let layer_down: Vec<(RouterId, RouterId)> =
@@ -252,7 +237,21 @@ impl RoutingTables {
             let degraded = lg.without_edges(&layer_down);
             let degraded_ports = LayerPorts::new(base, &degraded);
             let new_dists = distance_rows(&degraded, &rebuilt);
-            let mut new_drows = new_dists.chunks(nr.max(1));
+            let mut new_table = vec![NO_PORT; new_dists.len()];
+            let mut new_fallback = vec![NO_PORT; new_dists.len()];
+            select_bands(
+                Band::split(
+                    &degraded,
+                    &degraded_ports,
+                    l,
+                    &rebuilt,
+                    &new_dists,
+                    &mut new_table,
+                    &mut new_fallback,
+                )
+                .collect(),
+            );
+            let mut new_rows = new_table.chunks(nr.max(1));
             for (dst, plan) in (0..nr as u32).zip(plans) {
                 match plan {
                     Some(swaps) => {
@@ -261,19 +260,8 @@ impl RoutingTables {
                         }
                     }
                     None => {
-                        let drow = new_drows.next().expect("one distance row per rebuilt row");
-                        new_trow.fill(NO_PORT);
-                        new_frow.fill(NO_PORT);
-                        select_row(
-                            &degraded,
-                            &degraded_ports,
-                            l as u32,
-                            dst,
-                            drow,
-                            &mut new_trow,
-                            &mut new_frow,
-                        );
-                        out.rewrite_row(l, dst, &new_trow);
+                        let row = new_rows.next().expect("one selected row per rebuilt row");
+                        out.rewrite_row(l, dst, row);
                     }
                 }
             }
@@ -370,21 +358,29 @@ fn distance_rows(lg: &Graph, dsts: &[RouterId]) -> Vec<u8> {
 struct LayerPorts {
     start: Vec<u32>,
     ports: Vec<u16>,
+    /// The layer's maximum degree: picks the band kernel's lane width.
+    max_degree: usize,
 }
 
 impl LayerPorts {
     fn new(base: &Graph, lg: &Graph) -> Self {
         let mut start = Vec::with_capacity(lg.n() + 1);
         let mut ports = Vec::with_capacity(lg.total_ports());
+        let mut max_degree = 0;
         start.push(0);
         for u in 0..lg.n() as u32 {
             ports.extend(lg.neighbors(u).iter().map(|&v| {
                 base.port_of(u, v)
                     .expect("layer edge must exist in base graph") as u16
             }));
+            max_degree = max_degree.max(lg.degree(u));
             start.push(ports.len() as u32);
         }
-        LayerPorts { start, ports }
+        LayerPorts {
+            start,
+            ports,
+            max_degree,
+        }
     }
 
     #[inline]
@@ -393,38 +389,237 @@ impl LayerPorts {
     }
 }
 
-/// Fills one `(layer, dst)` row from its distance row `drow`: for every
-/// source that reaches `dst`, a hash-picked minimal next hop (a layer
-/// neighbor one hop closer), plus — when the tie has ≥ 2 candidates — the
-/// cyclically-next candidate as the precomputed repair fallback. Entries
-/// of `dst` and of sources that cannot reach it are left untouched.
-fn select_row(
-    lg: &Graph,
-    ports: &LayerPorts,
-    layer: u32,
-    dst: u32,
-    drow: &[u8],
-    trow: &mut [u16],
-    frow: &mut [u16],
-) {
-    let mut cand: Vec<u16> = Vec::new();
-    for (src, &d) in drow.iter().enumerate() {
-        if d == u8::MAX || src as u32 == dst {
-            continue;
-        }
-        let src = src as u32;
-        cand.clear();
-        for (&v, &p) in lg.neighbors(src).iter().zip(ports.of(src)) {
-            if drow[v as usize] == d - 1 {
-                cand.push(p);
+/// One `(layer, band)` unit of the band kernel: up to [`BFS_BATCH`]
+/// destinations of one layer, their distance rows (`dists[i * nr + src]`
+/// = `d(src, dsts[i])`) and the port and fallback rows it fills, laid out
+/// the same way.
+struct Band<'a> {
+    lg: &'a Graph,
+    ports: &'a LayerPorts,
+    layer: usize,
+    dsts: &'a [RouterId],
+    dists: &'a [u8],
+    table: &'a mut [u16],
+    fallback: &'a mut [u16],
+}
+
+/// Runs the band kernel over `bands` on the pool, each worker reusing one
+/// [`BandScratch`].
+fn select_bands(bands: Vec<Band<'_>>) {
+    bands
+        .into_par_iter()
+        .for_each_init(BandScratch::default, |scratch, band| band.select(scratch));
+}
+
+/// Per-worker scratch of the band kernel, reused by the units a worker
+/// runs in turn.
+#[derive(Default)]
+struct BandScratch {
+    /// The band's distances router-major: `lanes[v * k + i]` =
+    /// `d(v, dsts[i])` for a band of `k` destinations.
+    lanes: Vec<u8>,
+    narrow: LaneState<u8>,
+    wide: LaneState<u16>,
+}
+
+/// The per-lane state of one source: candidate counts, the chosen and
+/// fallback slots (indices into the source's layer neighbours), the
+/// candidate ranks to select and the running rank of pass 2.
+#[derive(Default)]
+struct LaneState<W> {
+    count: Vec<W>,
+    slot: Vec<W>,
+    fallback: Vec<W>,
+    pick: Vec<W>,
+    next: Vec<W>,
+    rank: Vec<W>,
+}
+
+/// Width of the kernel's candidate counters and slot ids. `u8` holds
+/// every count and slot of a layer whose maximum degree is at most 255
+/// and packs twice the lanes of `u16` into a vector; `u16` covers every
+/// degree a `u16` port can address. Lane updates are mask arithmetic, not
+/// branches, so the compiler vectorizes them.
+trait Lane:
+    Copy + Default + Eq + BitAnd<Output = Self> + BitOr<Output = Self> + Not<Output = Self>
+{
+    /// Never a rank (ranks stay below the degree): marks lanes pass 2
+    /// must leave alone.
+    const NONE: Self;
+    fn of(x: usize) -> Self;
+    fn get(self) -> usize;
+    /// `self + 1` if `hit`, else `self`.
+    fn plus(self, hit: bool) -> Self;
+    /// All ones if `hit`, else zero.
+    fn mask(hit: bool) -> Self;
+    /// `to` where `mask` is all ones, `self` where it is zero.
+    #[inline]
+    fn set_if(self, mask: Self, to: Self) -> Self {
+        (self & !mask) | (to & mask)
+    }
+}
+
+macro_rules! lane {
+    ($($t:ty),*) => {$(
+        impl Lane for $t {
+            const NONE: Self = <$t>::MAX;
+            #[inline]
+            fn of(x: usize) -> Self {
+                x as $t
+            }
+            #[inline]
+            fn get(self) -> usize {
+                self as usize
+            }
+            #[inline]
+            fn plus(self, hit: bool) -> Self {
+                self + hit as $t
+            }
+            #[inline]
+            fn mask(hit: bool) -> Self {
+                (hit as $t).wrapping_neg()
             }
         }
-        debug_assert!(!cand.is_empty());
-        let key = (layer as u64) << 48 | (src as u64) << 24 | dst as u64;
-        let pick = (fnv1a(key) % cand.len() as u64) as usize;
-        trow[src as usize] = cand[pick];
-        if cand.len() > 1 {
-            frow[src as usize] = cand[(pick + 1) % cand.len()];
+    )*};
+}
+
+lane!(u8, u16);
+
+impl<'a> Band<'a> {
+    /// Cuts the rows toward `dsts` (one row of `nr` entries each in
+    /// `dists`, `table` and `fallback`) into bands of [`BFS_BATCH`]
+    /// destinations.
+    fn split(
+        lg: &'a Graph,
+        ports: &'a LayerPorts,
+        layer: usize,
+        dsts: &'a [RouterId],
+        dists: &'a [u8],
+        table: &'a mut [u16],
+        fallback: &'a mut [u16],
+    ) -> impl Iterator<Item = Band<'a>> {
+        let rows = (BFS_BATCH * lg.n()).max(1);
+        dsts.chunks(BFS_BATCH)
+            .zip(dists.chunks(rows))
+            .zip(table.chunks_mut(rows).zip(fallback.chunks_mut(rows)))
+            .map(move |((dsts, dists), (table, fallback))| Band {
+                lg,
+                ports,
+                layer,
+                dsts,
+                dists,
+                table,
+                fallback,
+            })
+    }
+
+    /// Transposes the band into router-major lanes, then selects at the
+    /// lane width the layer's maximum degree allows.
+    fn select(self, scratch: &mut BandScratch) {
+        let k = self.dsts.len();
+        let lanes = &mut scratch.lanes;
+        lanes.clear();
+        lanes.resize(self.lg.n() * k, 0);
+        for (i, row) in self.dists.chunks(self.lg.n()).enumerate() {
+            for (v, &d) in row.iter().enumerate() {
+                lanes[v * k + i] = d;
+            }
+        }
+        if self.ports.max_degree <= u8::MAX as usize {
+            self.select_lanes(lanes, &mut scratch.narrow);
+        } else {
+            self.select_lanes(lanes, &mut scratch.wide);
+        }
+    }
+
+    /// For every source and every lane `i` that reaches `dsts[i]`, writes
+    /// a hash-picked minimal next hop (a layer neighbour one hop closer),
+    /// plus — when the tie has ≥ 2 candidates — the cyclically-next
+    /// candidate in CSR order as the precomputed repair fallback. Entries
+    /// of a destination itself and of sources that cannot reach it are
+    /// left untouched.
+    ///
+    /// A neighbour `v` of `s` is a candidate of lane `i` iff
+    /// `d(v) + 1 == d(s)` in wrapping `u8` arithmetic: a source and its
+    /// neighbours share a component, so an unreachable `u8::MAX` on one
+    /// side is unreachable on both and never matches.
+    fn select_lanes<W: Lane>(self, lanes: &[u8], st: &mut LaneState<W>) {
+        let (nr, k) = (self.lg.n(), self.dsts.len());
+        for v in [
+            &mut st.count,
+            &mut st.slot,
+            &mut st.fallback,
+            &mut st.pick,
+            &mut st.next,
+            &mut st.rank,
+        ] {
+            v.clear();
+            v.resize(k, W::default());
+        }
+        for s in 0..nr {
+            let ds = &lanes[s * k..][..k];
+            let nbs = self.lg.neighbors(s as RouterId);
+            // Pass 1: count the candidates.
+            st.count.fill(W::default());
+            for &v in nbs {
+                let dv = &lanes[v as usize * k..][..k];
+                for ((n, &dv), &ds) in st.count.iter_mut().zip(dv).zip(ds) {
+                    *n = n.plus(dv.wrapping_add(1) == ds);
+                }
+            }
+            // The candidate ranks to select: the hash's pick and the next
+            // one for ties, the only candidate otherwise.
+            for (i, (&n, (pick, next))) in st
+                .count
+                .iter()
+                .zip(st.pick.iter_mut().zip(&mut st.next))
+                .enumerate()
+            {
+                (*pick, *next) = match n.get() {
+                    0 => (W::NONE, W::NONE),
+                    1 => (W::of(0), W::NONE),
+                    n => {
+                        let key =
+                            (self.layer as u64) << 48 | (s as u64) << 24 | self.dsts[i] as u64;
+                        let p = (fnv1a(key) % n as u64) as usize;
+                        (W::of(p), W::of((p + 1) % n))
+                    }
+                };
+            }
+            // Pass 2: rank the candidates, select the picked and the next.
+            st.rank.fill(W::default());
+            for (j, &v) in nbs.iter().enumerate() {
+                let dv = &lanes[v as usize * k..][..k];
+                let j = W::of(j);
+                for (((rank, (slot, fallback)), (&pick, &next)), (&dv, &ds)) in st
+                    .rank
+                    .iter_mut()
+                    .zip(st.slot.iter_mut().zip(&mut st.fallback))
+                    .zip(st.pick.iter().zip(&st.next))
+                    .zip(dv.iter().zip(ds))
+                {
+                    let hit = dv.wrapping_add(1) == ds;
+                    let m = W::mask(hit);
+                    *slot = slot.set_if(m & W::mask(*rank == pick), j);
+                    *fallback = fallback.set_if(m & W::mask(*rank == next), j);
+                    *rank = rank.plus(hit);
+                }
+            }
+            let ports = self.ports.of(s as RouterId);
+            for (i, (&n, (&slot, &fallback))) in st
+                .count
+                .iter()
+                .zip(st.slot.iter().zip(&st.fallback))
+                .enumerate()
+            {
+                let n = n.get();
+                if n >= 1 {
+                    self.table[i * nr + s] = ports[slot.get()];
+                }
+                if n >= 2 {
+                    self.fallback[i * nr + s] = ports[fallback.get()];
+                }
+            }
         }
     }
 }
@@ -810,6 +1005,56 @@ mod tests {
                     ls.graphs.remove(0);
                 }
                 assert_matches_reference(&t.graph, &ls, &format!("{kind:?} {class:?}"));
+            }
+        }
+    }
+
+    /// Two hubs `0` and `1` joined to every router of a ring `2..2 + n`:
+    /// each hub has degree `n`, and `0 → 1` ties over all `n` of its
+    /// ports.
+    fn twin_hubs(n: u32) -> Graph {
+        let ring = 2..2 + n;
+        let mut edges: Vec<(u32, u32)> = ring.clone().flat_map(|r| [(0, r), (1, r)]).collect();
+        edges.extend(ring.map(|r| (r, 2 + (r - 1) % n)));
+        Graph::from_edges(2 + n as usize, &edges)
+    }
+
+    #[test]
+    fn hub_layers_equal_scalar_build_at_every_lane_width() {
+        // 255 is the widest degree the u8 lanes hold (a 255-way tie
+        // ranks 0..=254); 256 and 300 take the u16 lanes.
+        for n in [255, 256, 300] {
+            let g = twin_hubs(n);
+            let sparse: Vec<(u32, u32)> = (2..2 + n).step_by(7).map(|r| (0, r)).collect();
+            let layers = LayerSet {
+                graphs: vec![g.clone(), g.without_edges(&sparse)],
+            };
+            let rt = assert_matches_reference(&g, &layers, &format!("hubs of degree {n}"));
+            assert!(
+                rt.fallback_port(0, 0, 1).is_some(),
+                "the n-way tie has a fallback"
+            );
+            let seq = rayon::run_sequential(|| RoutingTables::build(&g, &layers));
+            assert!(rt.tables == seq.tables && rt.fallback == seq.fallback);
+        }
+    }
+
+    #[test]
+    fn one_destination_band_equals_its_row_of_the_build() {
+        let (g, rt) = tables_for(5, 2, 0.6);
+        let nr = g.n();
+        for l in 0..rt.n_layers() {
+            let lg = rt.layers.layer(l);
+            let ports = LayerPorts::new(&g, lg);
+            for dst in [0u32, 17, nr as u32 - 1] {
+                let dists = distance_rows(lg, &[dst]);
+                let (mut table, mut fallback) = (vec![NO_PORT; nr], vec![NO_PORT; nr]);
+                select_bands(
+                    Band::split(lg, &ports, l, &[dst], &dists, &mut table, &mut fallback).collect(),
+                );
+                let row = dst as usize * nr..(dst as usize + 1) * nr;
+                assert_eq!(table, rt.tables[l][row.clone()], "layer {l} dst {dst}");
+                assert_eq!(fallback, rt.fallback[l][row], "layer {l} dst {dst}");
             }
         }
     }

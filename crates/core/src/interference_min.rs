@@ -17,6 +17,7 @@
 //! layer. The resulting edge union is finally patched to connectivity so
 //! that every layer admits a total forwarding function.
 
+use crate::ecmp::DistanceMatrix;
 use crate::layers::{LayerConfig, LayerSet};
 use fatpaths_net::graph::Graph;
 use rand::prelude::*;
@@ -52,6 +53,10 @@ impl Default for ImConfig {
 }
 
 /// Builds layers with the Listing 2 interference-minimizing heuristic.
+///
+/// Panics if `base` is disconnected, or if its diameter exceeds
+/// [`MAX_HOPS`](crate::ecmp::MAX_HOPS): the base distances behind `Lmin`
+/// come from one [`DistanceMatrix`].
 pub fn build_interference_min_layers(base: &Graph, cfg: &ImConfig) -> LayerSet {
     assert!(cfg.n_layers >= 1);
     assert!(base.is_connected());
@@ -62,8 +67,8 @@ pub fn build_interference_min_layers(base: &Graph, cfg: &ImConfig) -> LayerSet {
     let mut weights = vec![0u64; base.m()];
     // Paths placed per (unordered) pair so far — the priority key.
     let mut pair_paths: rustc_hash::FxHashMap<(u32, u32), u32> = rustc_hash::FxHashMap::default();
-    // Base distances for Lmin; computed lazily per source and cached.
-    let mut base_dist: Vec<Option<Vec<u32>>> = vec![None; nr];
+    // Base distances for Lmin.
+    let base_dist = DistanceMatrix::build(base);
     let budget = ((cfg.paths_per_router * nr as f64) as usize).max(1);
 
     let mut graphs = Vec::with_capacity(cfg.n_layers);
@@ -81,7 +86,7 @@ pub fn build_interference_min_layers(base: &Graph, cfg: &ImConfig) -> LayerSet {
             &edge_index,
             &mut weights,
             &mut pair_paths,
-            &mut base_dist,
+            &base_dist,
             budget,
             cfg,
             &mut rng,
@@ -98,7 +103,7 @@ fn create_layer(
     edge_index: &rustc_hash::FxHashMap<(u32, u32), u32>,
     weights: &mut [u64],
     pair_paths: &mut rustc_hash::FxHashMap<(u32, u32), u32>,
-    base_dist: &mut [Option<Vec<u32>>],
+    base_dist: &DistanceMatrix,
     budget: usize,
     cfg: &ImConfig,
     rng: &mut StdRng,
@@ -139,13 +144,9 @@ fn create_layer(
         if placed >= budget {
             break;
         }
-        let dist_u = base_dist[u as usize]
-            .get_or_insert_with(|| base.bfs(u))
-            .clone();
-        let dmin = dist_u[v as usize];
-        if dmin == u32::MAX {
+        let Some(dmin) = base_dist.get(u, v) else {
             continue;
-        }
+        };
         let lmin = dmin + cfg.lmin_extra;
         let lmax = lmin + cfg.lmax_slack;
         if let Some(path) = find_path(base, rank, &masked, weights, edge_index, u, v, lmin, lmax) {

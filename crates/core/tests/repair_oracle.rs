@@ -6,7 +6,8 @@
 //! loop-free, never crosses a down link, and reaches exactly the pairs
 //! the degraded layer connects — while a pair the degraded layer lost
 //! takes the repaired layer-0 route. Checked on Slim Fly and a
-//! three-level fat tree at 1, 2 and 5% link failures.
+//! three-level fat tree at 1, 2 and 5% link failures, with one link down
+//! and with one router dead.
 
 use fatpaths_core::fwd::RoutingTables;
 use fatpaths_core::layers::{build_random_layers, LayerConfig, LayerSet};
@@ -33,21 +34,16 @@ fn effective(
     }
 }
 
-/// Repairs one failure sample and checks it against the rebuild; returns
-/// how many rows the repair had to rebuild in full.
-fn check_against_rebuild(topo: &Topology, fraction: f64, seed: u64) -> usize {
+/// Repairs the down set `down` of layers drawn with `seed` and checks it
+/// against the rebuild; returns how many rows the repair had to rebuild
+/// in full.
+fn check_against_rebuild(topo: &Topology, down: &DownLinks, seed: u64, what: &str) -> usize {
     let g = &topo.graph;
     let nr = g.n() as u32;
     let layers = build_random_layers(g, &LayerConfig::new(4, 0.6, seed));
     let rt = RoutingTables::build(g, &layers);
-    let plan = FaultPlan::sample(topo, &FaultModel::UniformFraction { fraction }, seed);
-    let down = DownLinks::from_links(plan.static_failures());
-    assert!(
-        !down.is_empty(),
-        "{}: no link failed at {fraction}",
-        topo.name
-    );
-    let rep = rt.repair(g, &down);
+    assert!(!down.is_empty(), "{}: nothing failed at {what}", topo.name);
+    let rep = rt.repair(g, down);
     let degraded = LayerSet {
         graphs: layers
             .graphs
@@ -64,7 +60,7 @@ fn check_against_rebuild(topo: &Topology, fraction: f64, seed: u64) -> usize {
                 (0..nr).any(|s| rt.layer_distance(l, s, dst) != oracle.layer_distance(l, s, dst));
             full_rows += full as usize;
             for src in (0..nr).filter(|&s| s != dst) {
-                let at = format!("{} at {fraction}: layer {l} {src}->{dst}", topo.name);
+                let at = format!("{} at {what}: layer {l} {src}->{dst}", topo.name);
                 let got = effective(&rt, &rep, l, src, dst);
                 match oracle.layer_distance(l, src, dst) {
                     Some(d) => {
@@ -106,9 +102,35 @@ fn repair_matches_a_rebuild_on_degraded_layers() {
         let mut full_rows = 0;
         for fraction in [0.01, 0.02, 0.05] {
             for seed in [1, 2] {
-                full_rows += check_against_rebuild(&topo, fraction, seed);
+                let plan =
+                    FaultPlan::sample(&topo, &FaultModel::UniformFraction { fraction }, seed);
+                let down = DownLinks::from_links(plan.static_failures());
+                full_rows += check_against_rebuild(&topo, &down, seed, &format!("{fraction}"));
             }
         }
         assert!(full_rows > 0, "{}: no row needed a rebuild", topo.name);
+    }
+}
+
+#[test]
+fn one_down_link_matches_a_rebuild() {
+    // The smallest rebuilt bands: a lone link changes the distances of
+    // at least the rows toward its two ends in each layer that holds it.
+    for topo in [slim_fly(7, 1).unwrap(), fat_tree(8, 1)] {
+        let g = &topo.graph;
+        let down = DownLinks::from_links(&[(0, g.neighbor_at(0, 0))]);
+        let full_rows = check_against_rebuild(&topo, &down, 1, "one down link");
+        assert!(full_rows >= 2, "{}: {full_rows} rows rebuilt", topo.name);
+    }
+}
+
+#[test]
+fn dead_router_matches_a_rebuild() {
+    for topo in [slim_fly(7, 1).unwrap(), fat_tree(8, 1)] {
+        let dead = topo.graph.n() as u32 / 2;
+        let down = DownLinks::from_failures(&topo.graph, &[], &[dead]);
+        let full_rows = check_against_rebuild(&topo, &down, 2, &format!("router {dead} dead"));
+        // The row toward the dead router changes in each of the 4 layers.
+        assert!(full_rows >= 4, "{}: {full_rows} rows rebuilt", topo.name);
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! For adjacency matrix `A`, cell `(i,j)` of `A^l` counts length-`l` walks
 //! from `i` to `j` (Theorem 1). We provide a dense saturating-`u64`
-//! implementation for validation of the BFS-based counters, plus the
-//! next-hop-set variant of Appendix B-1 used to bootstrap routing tables.
+//! implementation for validation of the BFS-based counters. The minimal
+//! next-hop sets of Appendix B-1 come from the all-pairs distances instead
+//! (`fatpaths_core::ecmp::DistanceMatrix::minimal_port_set`).
 
 use fatpaths_net::graph::{Graph, RouterId};
 
@@ -104,29 +105,6 @@ pub fn shortest_path_count_matrix(g: &Graph) -> CountMatrix {
     CountMatrix { n, data: out }
 }
 
-/// Next-hop sets via the iterated-adjacency scheme of Appendix B-1: for each
-/// (source, destination), the set of first-hop ports that lie on *some*
-/// minimal path. Returned as `sets[s][t]` = sorted port list.
-pub fn minimal_next_hop_sets(g: &Graph) -> Vec<Vec<Vec<u32>>> {
-    let n = g.n();
-    let mut sets = vec![vec![Vec::new(); n]; n];
-    for s in 0..n as u32 {
-        let dist_from_s = g.bfs(s);
-        for (port, &nb) in g.neighbors(s).iter().enumerate() {
-            let dist_from_nb = g.bfs(nb);
-            for t in 0..n as u32 {
-                if s == t {
-                    continue;
-                }
-                if dist_from_nb[t as usize] + 1 == dist_from_s[t as usize] {
-                    sets[s as usize][t as usize].push(port as u32);
-                }
-            }
-        }
-    }
-    sets
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,15 +130,5 @@ mod tests {
                 assert_eq!(m.get(s, v), bfs[v as usize], "({s},{v})");
             }
         }
-    }
-
-    #[test]
-    fn next_hop_sets_are_minimal() {
-        let g = Graph::from_edges(4, &[(0, 1), (1, 3), (0, 2), (2, 3)]);
-        let sets = minimal_next_hop_sets(&g);
-        // 0→3: both ports of 0 (to 1 and to 2) lie on shortest paths.
-        assert_eq!(sets[0][3], vec![0, 1]);
-        // 0→1: only the direct port.
-        assert_eq!(sets[0][1], vec![0]);
     }
 }
