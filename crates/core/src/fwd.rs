@@ -755,8 +755,8 @@ mod tests {
         let mut path = vec![src];
         while at != dst {
             let port = match rep.lookup(layer as u8, at, dst) {
-                Some(e) if e.is_empty() => return None,
-                Some(e) => e.as_slice()[0],
+                Some([]) => return None,
+                Some(e) => e[0],
                 None => rt.candidate_ports(layer as u8, at, dst).as_slice()[0],
             };
             at = g.neighbor_at(at, port as u32);
@@ -868,10 +868,10 @@ mod tests {
         let rep = rt.repair(&g, &down);
         // The repaired layer-0 row detours 0 -> 1 -> 2 -> 3.
         let p0 = rep.lookup(0, 0, 3).expect("layer-0 row repaired");
-        assert_eq!(p0.as_slice(), &[g.port_of(0, 1).unwrap() as u16]);
+        assert_eq!(p0, &[g.port_of(0, 1).unwrap() as u16]);
         // The sparse layer's key is shadowed with the same repaired route.
         let p1 = rep.lookup(1, 0, 3).expect("sparse-layer key shadowed");
-        assert_eq!(p1.as_slice(), p0.as_slice());
+        assert_eq!(p1, p0);
         // And the walk on the sparse layer avoids the dead link.
         let path = walk_repaired(&g, &rt, &rep, 1, 0, 3).unwrap();
         assert_eq!(path, vec![0, 1, 2, 3]);
@@ -926,7 +926,7 @@ mod tests {
         let detour = g.port_of(0, 2).unwrap() as u16;
         assert_eq!(rep.len(), 2 * MAX_LAYERS);
         let last = (MAX_LAYERS - 1) as u8;
-        assert_eq!(rep.lookup(last, 0, 1).unwrap().as_slice(), &[detour]);
+        assert_eq!(rep.lookup(last, 0, 1).unwrap(), &[detour]);
     }
 
     #[test]

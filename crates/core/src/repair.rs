@@ -21,16 +21,14 @@
 //! the degraded network, drop", absent means "the original row is still
 //! valid, ask the scheme".
 //!
-//! The overlay has two representations. During construction it is a
-//! *staged* hash map, so scheme repair passes can interleave inserts and
-//! lookups freely. [`RouteRepair::seal`] then collapses the staged rows
-//! into sorted destination-range intervals ([`lookup`] becomes a row-index
-//! probe plus a binary search over that row's few spans): repairs
-//! cluster on the contiguous router-id ranges behind a
-//! failure (a fat-tree pod, a dragonfly group), so the sealed form's
-//! size tracks the *damage*, not the network — the property that lets
-//! one shared copy serve every simulation shard at million-endpoint
-//! scale.
+//! The overlay is built once, by [`RouteRepair::from_rows`]: rows sorted
+//! by `(at, layer, dst)` become destination-range spans whose ports sit in
+//! one shared `u16` pool ([`lookup`] is a row-index probe plus a binary
+//! search over that row's few spans). Equal adjacent rows share a span, so
+//! where repairs cluster on contiguous router ids (a fat-tree pod, a
+//! dragonfly group) the size tracks the *damage*, not the network; on Slim
+//! Fly merging saves under 2%, ≈ 16 bytes per repaired row. One shared
+//! copy serves every simulation shard.
 //!
 //! Schemes that repair by rewriting whole destination rows of a
 //! per-layer port table (the static layer tables and the negotiated TE
@@ -39,9 +37,9 @@
 //! [`lookup`]: RouteRepair::lookup
 
 use crate::fwd::NO_PORT;
-use crate::scheme::{assert_layer_tags, PortSet};
+use crate::scheme::assert_layer_tags;
 use fatpaths_net::graph::{Graph, RouterId};
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashSet;
 
 /// The set of currently-down bidirectional links, canonicalized to
 /// `(min, max)` pairs. Iteration order is sorted, so everything derived
@@ -109,18 +107,21 @@ impl DownLinks {
     }
 }
 
-/// One sealed repair interval: every destination in
-/// `dst_start..dst_end` shares the same repaired row at
-/// `(layer, at)`.
-#[derive(Clone, Debug)]
+/// One repair interval: every destination in `dst_start..dst_end` of
+/// its `(layer, at)` row shares the ports `pool[off..off + len]`.
+#[derive(Clone, Copy, Debug)]
 struct RepairSpan {
-    layer: u8,
-    at: RouterId,
     dst_start: RouterId,
     /// Exclusive.
     dst_end: RouterId,
-    ports: PortSet,
+    off: u32,
+    len: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<RepairSpan>() <= 16);
+
+/// A key of [`RouteRepair`]: `(layer, at_router, dst_router)`.
+pub type RepairKey = (u8, RouterId, RouterId);
 
 /// A sparse overlay of repaired forwarding rows, keyed by
 /// `(layer, at_router, dst_router)`.
@@ -132,30 +133,20 @@ struct RepairSpan {
 ///   including any scheme-internal fallback).
 /// * `Some(ports)` empty — the destination is unreachable from here in
 ///   the degraded network; the packet cannot be forwarded.
-///
-/// Construction uses the staged hash-map form ([`insert`]/[`lookup`]
-/// interleave freely); [`seal`] converts to the interval form that the
-/// simulator shares read-only across shards. Sealing is optional —
-/// every read works in either state.
-///
-/// [`insert`]: RouteRepair::insert
-/// [`lookup`]: RouteRepair::lookup
-/// [`seal`]: RouteRepair::seal
 #[derive(Clone, Debug, Default)]
 pub struct RouteRepair {
-    /// Staged rows (construction form; empty once sealed).
-    staged: FxHashMap<(u8, RouterId, RouterId), PortSet>,
-    /// Sealed destination-range intervals, sorted by
-    /// `(layer, at, dst_start)` with no overlap within `(layer, at)`.
+    /// Intervals sorted by `(at, layer, dst_start)`, disjoint in a row.
     spans: Vec<RepairSpan>,
-    /// `(layer, at)` → that row's `start..end` range in `spans`, built
-    /// by [`RouteRepair::seal`]: the per-hop lookup — a miss for almost
-    /// every row, since repairs touch few — is one hash probe instead
-    /// of a binary search over every span. Probed only, never iterated,
-    /// so hash order cannot leak into results.
-    row_index: FxHashMap<(u8, RouterId), (u32, u32)>,
+    /// Every span's ports, concatenated in span order.
+    pool: Vec<u16>,
+    /// One more than the highest repaired layer tag.
+    tags: usize,
+    /// The row index: row `(layer, at)` is `r = at * tags + layer`, its
+    /// spans `spans[row_start[r]..row_start[r + 1]]`. The per-hop lookup
+    /// — a miss for almost every row — is two loads, with no hashing.
+    row_start: Vec<u32>,
     /// Row count covered by `spans` (cached: spans compress rows).
-    sealed_rows: usize,
+    len: usize,
     /// Control-plane cost of realizing this overlay in compiled
     /// switch-forwarding state: the number of FIB rows (prefix rules)
     /// that must be installed, rewritten, or deleted across all
@@ -171,117 +162,127 @@ impl RouteRepair {
         RouteRepair::default()
     }
 
-    /// Installs a repaired row (empty `ports` = unreachable).
-    pub fn insert(&mut self, layer: u8, at: RouterId, dst: RouterId, ports: PortSet) {
-        debug_assert!(self.spans.is_empty(), "insert into a sealed overlay");
-        self.staged.insert((layer, at, dst), ports);
+    /// The overlay holding `rows` (empty ports = unreachable) given in
+    /// any order; of rows with equal keys the last one given wins.
+    pub fn from_rows<P: AsRef<[u16]>>(rows: impl IntoIterator<Item = (RepairKey, P)>) -> Self {
+        let (mut ports_in, mut tags) = (Vec::new(), 0);
+        let mut keyed: Vec<((RouterId, u8, RouterId), u32, u32)> = rows
+            .into_iter()
+            .map(|((layer, at, dst), ports)| {
+                let (ports, off) = (ports.as_ref(), ports_in.len() as u32);
+                ports_in.extend_from_slice(ports);
+                tags = tags.max(layer as usize + 1);
+                ((at, layer, dst), off, ports.len() as u32)
+            })
+            .collect();
+        keyed.sort_by_key(|&(key, ..)| key); // stable: the last given stays last
+        let mut rep = RouteRepair {
+            spans: Vec::with_capacity(keyed.len()),
+            pool: Vec::with_capacity(ports_in.len()),
+            tags,
+            ..RouteRepair::default()
+        };
+        for (i, &((at, layer, dst), off, len)) in keyed.iter().enumerate() {
+            if keyed
+                .get(i + 1)
+                .is_some_and(|next| next.0 == (at, layer, dst))
+            {
+                continue; // a later row overwrites this one
+            }
+            let ports = &ports_in[off as usize..][..len as usize];
+            rep.len += 1;
+            let row = at as usize * tags + layer as usize;
+            if rep.row_start.len() <= row {
+                rep.row_start.resize(row + 1, rep.spans.len() as u32);
+            } else if let Some(last) = rep.spans.last_mut() {
+                if last.dst_end == dst
+                    && rep.pool[last.off as usize..][..last.len as usize] == *ports
+                {
+                    last.dst_end += 1; // extends the row's last span
+                    continue;
+                }
+            }
+            let off = rep.pool.len() as u32;
+            rep.spans.push(RepairSpan {
+                dst_start: dst,
+                dst_end: dst + 1,
+                off,
+                len,
+            });
+            rep.pool.extend_from_slice(ports);
+        }
+        rep.row_start.push(rep.spans.len() as u32);
+        rep
     }
 
     /// Looks up a repaired row; see the type docs for the semantics.
     #[inline]
-    pub fn lookup(&self, layer: u8, at: RouterId, dst: RouterId) -> Option<&PortSet> {
-        if !self.staged.is_empty() {
-            return self.staged.get(&(layer, at, dst));
+    pub fn lookup(&self, layer: u8, at: RouterId, dst: RouterId) -> Option<&[u16]> {
+        if layer as usize >= self.tags {
+            return None;
         }
-        let &(start, end) = self.row_index.get(&(layer, at))?;
-        let row = &self.spans[start as usize..end as usize];
-        let s = row[..row.partition_point(|s| s.dst_start <= dst)].last()?;
-        (dst < s.dst_end).then_some(&s.ports)
+        let row = at as usize * self.tags + layer as usize;
+        let (start, end) = (*self.row_start.get(row)?, *self.row_start.get(row + 1)?);
+        let spans = &self.spans[start as usize..end as usize];
+        let s = spans[..spans.partition_point(|s| s.dst_start <= dst)].last()?;
+        (dst < s.dst_end).then(|| self.ports(s))
     }
 
-    /// The sealed lookup as it was before the row index: a binary
-    /// search over the whole span vector. Kept as the test reference.
+    /// The lookup without the row index: a scan of [`rows`](Self::rows).
+    /// Kept as the test reference.
     #[cfg(test)]
-    fn lookup_unindexed(&self, layer: u8, at: RouterId, dst: RouterId) -> Option<&PortSet> {
-        let i = self
-            .spans
-            .partition_point(|s| (s.layer, s.at, s.dst_start) <= (layer, at, dst));
-        let s = self.spans[..i].last()?;
-        (s.layer == layer && s.at == at && dst < s.dst_end).then_some(&s.ports)
+    fn lookup_unindexed(&self, layer: u8, at: RouterId, dst: RouterId) -> Option<&[u16]> {
+        self.rows()
+            .find(|&(key, _)| key == (layer, at, dst))
+            .map(|(_, ports)| ports)
     }
 
-    /// Collapses the staged rows into sorted destination-range
-    /// intervals: adjacent destinations with identical repaired ports at
-    /// the same `(layer, at)` merge into one span, so memory tracks the
-    /// damage (failures repair contiguous id ranges — pods, groups),
-    /// not the network size. Idempotent; every read works before or
-    /// after.
-    pub fn seal(&mut self) {
-        if self.staged.is_empty() {
-            return;
-        }
-        let mut rows: Vec<((u8, RouterId, RouterId), PortSet)> =
-            std::mem::take(&mut self.staged).into_iter().collect();
-        rows.sort_unstable_by_key(|&(k, _)| k);
-        self.sealed_rows = rows.len();
-        for ((layer, at, dst), ports) in rows {
-            if let Some(last) = self.spans.last_mut() {
-                if last.layer == layer
-                    && last.at == at
-                    && last.dst_end == dst
-                    && last.ports == ports
-                {
-                    last.dst_end = dst + 1;
-                    continue;
-                }
-            }
-            self.spans.push(RepairSpan {
-                layer,
-                at,
-                dst_start: dst,
-                dst_end: dst + 1,
-                ports,
-            });
-        }
-        for (i, s) in self.spans.iter().enumerate() {
-            let i = i as u32;
-            self.row_index.entry((s.layer, s.at)).or_insert((i, i)).1 = i + 1;
-        }
+    #[inline]
+    fn ports(&self, s: &RepairSpan) -> &[u16] {
+        &self.pool[s.off as usize..][..s.len as usize]
     }
 
-    /// Sealed intervals currently held (0 before [`RouteRepair::seal`]).
-    pub fn num_spans(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Number of repaired rows (in either representation).
+    /// Number of repaired rows.
     pub fn len(&self) -> usize {
-        self.staged.len() + self.sealed_rows
+        self.len
     }
 
     /// Iterates over the repaired rows as `((layer, at, dst), ports)`,
-    /// in unspecified order before sealing and sorted key order after
-    /// (sort the keys before deriving anything order-sensitive from an
-    /// unsealed overlay).
-    pub fn rows(&self) -> impl Iterator<Item = ((u8, RouterId, RouterId), &PortSet)> + '_ {
-        self.staged.iter().map(|(&k, v)| (k, v)).chain(
-            self.spans.iter().flat_map(|s| {
-                (s.dst_start..s.dst_end).map(move |d| ((s.layer, s.at, d), &s.ports))
-            }),
-        )
+    /// sorted by `(at, layer, dst)`.
+    pub fn rows(&self) -> impl Iterator<Item = (RepairKey, &[u16])> + '_ {
+        self.row_start
+            .windows(2)
+            .enumerate()
+            .flat_map(move |(row, w)| {
+                let (at, layer) = ((row / self.tags) as RouterId, (row % self.tags) as u8);
+                self.spans[w[0] as usize..w[1] as usize]
+                    .iter()
+                    .flat_map(move |s| {
+                        let ports = self.ports(s);
+                        (s.dst_start..s.dst_end).map(move |dst| ((layer, at, dst), ports))
+                    })
+            })
     }
 
     /// True iff the overlay repairs nothing (the fast-path gate for the
     /// simulator's per-hop lookup).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.staged.is_empty() && self.spans.is_empty()
+        self.spans.is_empty()
     }
 }
 
 /// Assembles a [`RouteRepair`] against healthy per-layer port tables laid
 /// out `healthy[layer][dst * nr + src]` ([`NO_PORT`] = no route), with
-/// layer 0 the complete layer. Feed layers in ascending order: a pair a
-/// sparse layer loses resolves against the already-repaired layer 0.
-/// Every layer is keyed by its own `u8` tag, so the table set may hold at
-/// most [`MAX_LAYERS`](crate::scheme::MAX_LAYERS) layers.
+/// layer 0 the complete layer. Every layer is keyed by its own `u8` tag, so
+/// the table set may hold at most [`MAX_LAYERS`](crate::scheme::MAX_LAYERS)
+/// layers.
 pub struct OverlayBuilder<'a> {
     healthy: &'a [Vec<u16>],
     nr: usize,
-    rep: RouteRepair,
-    /// `(src, dst)` pairs whose layer-0 entry was rewritten, in rewrite
-    /// order; [`OverlayBuilder::finish`] shadows them in sparse layers.
-    layer0_touched: Vec<(RouterId, RouterId)>,
+    /// Rows in the order given. `None` is "unreachable" in layer 0 and
+    /// "the layer-0 route" in a sparse layer, resolved by `finish`.
+    rows: Vec<(RepairKey, Option<u16>)>,
 }
 
 impl<'a> OverlayBuilder<'a> {
@@ -293,14 +294,13 @@ impl<'a> OverlayBuilder<'a> {
         OverlayBuilder {
             healthy,
             nr,
-            rep: RouteRepair::none(),
-            layer0_touched: Vec::new(),
+            rows: Vec::new(),
         }
     }
 
     /// Replaces the entry at `(layer, at, dst)` with the single `port`.
     pub fn set_port(&mut self, layer: usize, at: RouterId, dst: RouterId, port: u16) {
-        self.insert(layer, at, dst, PortSet::single(port));
+        self.rows.push(((layer as u8, at, dst), Some(port))); // checked in `new`
     }
 
     /// Installs `layer`'s rebuilt row toward `dst` (`new_row[src]`, same
@@ -313,17 +313,10 @@ impl<'a> OverlayBuilder<'a> {
         let old_row = &self.healthy[layer][dst as usize * self.nr..][..self.nr];
         for (src, (&np, &op)) in new_row.iter().zip(old_row).enumerate() {
             let src = src as RouterId;
-            if src == dst || np == op {
-                continue;
+            if src != dst && np != op {
+                let port = (np != NO_PORT).then_some(np);
+                self.rows.push(((layer as u8, src, dst), port));
             }
-            let entry = if np != NO_PORT {
-                PortSet::single(np)
-            } else if layer == 0 {
-                PortSet::new()
-            } else {
-                self.layer0_route(src, dst)
-            };
-            self.insert(layer, src, dst, entry);
         }
     }
 
@@ -332,42 +325,34 @@ impl<'a> OverlayBuilder<'a> {
     /// layer-0 table; wherever layer 0 was rewritten, those sparse-layer
     /// keys are shadowed with the repaired entry so the fallback cannot
     /// resurrect a dead port.
-    pub fn finish(mut self) -> RouteRepair {
-        for &(src, dst) in &self.layer0_touched {
-            let repaired = self
-                .rep
-                .lookup(0, src, dst)
-                .expect("touched layer-0 rows have entries")
-                .clone();
-            for l in 1..self.healthy.len() {
-                let tag = l as u8; // in range: checked in `new`
-                if self.healthy[l][dst as usize * self.nr + src as usize] == NO_PORT
-                    && self.rep.lookup(tag, src, dst).is_none()
-                {
-                    self.rep.insert(tag, src, dst, repaired.clone());
-                }
+    pub fn finish(self) -> RouteRepair {
+        let (layer0, sparse): (Vec<&_>, Vec<&_>) =
+            self.rows.iter().partition(|((layer, ..), _)| *layer == 0);
+        let layer0 =
+            RouteRepair::from_rows(layer0.iter().map(|(key, port)| (*key, port.as_slice())));
+        // A healthy entry as a port set (`NO_PORT` is none).
+        let healthy = |l: usize, at: RouterId, dst: RouterId| {
+            let i = dst as usize * self.nr + at as usize;
+            match &self.healthy[l][i..=i] {
+                [NO_PORT] => &[][..],
+                p => p,
             }
-        }
-        self.rep
-    }
-
-    fn insert(&mut self, layer: usize, at: RouterId, dst: RouterId, ports: PortSet) {
-        if layer == 0 {
-            self.layer0_touched.push((at, dst));
-        }
-        self.rep.insert(layer as u8, at, dst, ports); // checked in `new`
-    }
-
-    /// The layer-0 route for `(src, dst)`: the overlay entry if layer 0
-    /// was rewritten there, else the healthy one.
-    fn layer0_route(&self, src: RouterId, dst: RouterId) -> PortSet {
-        if let Some(e) = self.rep.lookup(0, src, dst) {
-            return e.clone();
-        }
-        match self.healthy[0][dst as usize * self.nr + src as usize] {
-            NO_PORT => PortSet::new(),
-            p => PortSet::single(p),
-        }
+        };
+        let shadows = layer0.rows().flat_map(|((_, at, dst), ports)| {
+            let tags = (1..self.healthy.len()).map(|l| l as u8); // in range: checked in `new`
+            let lost = move |&l: &u8| healthy(l as usize, at, dst).is_empty();
+            tags.filter(lost).map(move |l| ((l, at, dst), ports))
+        });
+        // `None` in a sparse layer: the layer-0 route, repaired or healthy.
+        let route0 = |at, dst| layer0.lookup(0, at, dst).unwrap_or(healthy(0, at, dst));
+        let sparse = sparse
+            .into_iter()
+            .map(|&(key @ (_, at, dst), ref port)| match port {
+                Some(_) => (key, port.as_slice()),
+                None => (key, route0(at, dst)),
+            });
+        // Shadows go first: a sparse-layer row given for the same key wins.
+        RouteRepair::from_rows(layer0.rows().chain(shadows).chain(sparse))
     }
 }
 
@@ -375,6 +360,7 @@ impl<'a> OverlayBuilder<'a> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn down_links_canonicalize_and_sort() {
@@ -403,81 +389,72 @@ mod tests {
 
     #[test]
     fn repair_lookup_semantics() {
-        let mut r = RouteRepair::none();
-        assert!(r.is_empty());
-        r.insert(1, 4, 9, PortSet::single(3));
-        r.insert(1, 5, 9, PortSet::new());
+        assert!(RouteRepair::none().is_empty());
+        let r = RouteRepair::from_rows([((1, 4, 9), &[3][..]), ((1, 5, 9), &[])]);
         assert_eq!(r.len(), 2);
-        assert_eq!(r.lookup(1, 4, 9).unwrap().as_slice(), &[3]);
+        assert_eq!(r.lookup(1, 4, 9).unwrap(), &[3]);
         assert!(r.lookup(1, 5, 9).unwrap().is_empty());
         assert!(r.lookup(0, 4, 9).is_none());
     }
 
     #[test]
-    fn sealed_overlay_answers_identically() {
-        let mut r = RouteRepair::none();
+    fn equal_adjacent_rows_merge_into_one_span() {
         // Two contiguous dst runs with equal ports (merge), one row with
         // different ports (breaks the run), plus an unreachable row.
-        for dst in 10..14 {
-            r.insert(0, 2, dst, PortSet::single(7));
-        }
-        r.insert(0, 2, 14, PortSet::single(8));
-        r.insert(1, 2, 10, PortSet::new());
-        r.insert(0, 3, 11, PortSet::single(7));
-        let staged: Vec<_> = {
-            let mut v: Vec<_> = r.rows().map(|(k, p)| (k, p.clone())).collect();
-            v.sort_unstable_by_key(|&(k, _)| k);
-            v
-        };
-        r.seal();
+        let mut rows: Vec<(RepairKey, &[u16])> =
+            (10..14).map(|dst| ((0, 2, dst), &[7][..])).collect();
+        rows.extend([
+            ((0, 2, 14), &[8][..]),
+            ((1, 2, 10), &[]),
+            ((0, 3, 11), &[7]),
+        ]);
+        let r = RouteRepair::from_rows(rows.iter().copied());
         assert_eq!(r.len(), 7);
-        assert_eq!(r.num_spans(), 4, "contiguous equal rows must merge");
-        let sealed: Vec<_> = r.rows().map(|(k, p)| (k, p.clone())).collect();
-        assert_eq!(staged, sealed, "rows() must survive sealing");
-        for &(k, ref p) in &staged {
-            assert_eq!(
-                r.lookup(k.0, k.1, k.2).map(|x| x.as_slice()),
-                Some(p.as_slice())
-            );
+        assert_eq!(r.spans.len(), 4, "contiguous equal rows must merge");
+        for &((layer, at, dst), ports) in &rows {
+            assert_eq!(r.lookup(layer, at, dst), Some(ports));
         }
         // Misses on either side of the spans.
         assert!(r.lookup(0, 2, 9).is_none());
         assert!(r.lookup(0, 2, 15).is_none());
         assert!(r.lookup(0, 4, 11).is_none());
         assert!(r.lookup(2, 2, 10).is_none());
-        // Unreachable row stays Some(empty) after sealing.
+        // The unreachable row is Some(empty).
         assert!(r.lookup(1, 2, 10).unwrap().is_empty());
-        // Sealing twice is a no-op.
-        r.seal();
-        assert_eq!(r.len(), 7);
-        assert_eq!(r.num_spans(), 4);
     }
 
     proptest! {
-        // Every `(layer, at, dst)` — hits, gaps inside a row, rows that
-        // were never repaired — answers the same from the staged map,
-        // the sealed whole-vector search and the sealed row index.
+        // Rows in random order, with duplicate keys (the last one wins)
+        // and empty, single- and multi-port sets, against a `BTreeMap`
+        // model keyed in `rows()` order: every `(layer, at, dst)` — hits,
+        // gaps inside a row, rows never repaired — answers the same from
+        // the model, the row index and the unindexed search.
         #[test]
-        fn staged_sealed_and_indexed_lookups_agree(
-            rows in prop::collection::vec((0u8..3, 0u32..6, 0u32..24, 0u16..3), 0..80),
+        fn lookups_and_rows_match_a_btreemap_model(
+            rows in prop::collection::vec((0u8..3, 0u32..6, 0u32..24, 0u16..12), 0..120),
         ) {
-            let mut staged = RouteRepair::none();
-            for &(layer, at, dst, port) in &rows {
-                // Port 0 stands for an unreachable (empty) row.
-                let ports = if port == 0 { PortSet::new() } else { PortSet::single(port) };
-                staged.insert(layer, at, dst, ports);
+            // `code % 4` ports from `code / 4` up: 0 is unreachable.
+            let ports = |code: u16| (code / 4..code / 4 + code % 4).collect::<Vec<u16>>();
+            let mut model = BTreeMap::new();
+            for &(layer, at, dst, code) in &rows {
+                model.insert((at, layer, dst), ports(code));
             }
-            let mut sealed = staged.clone();
-            sealed.seal();
-            prop_assert_eq!(sealed.len(), staged.len());
+            let r = RouteRepair::from_rows(
+                rows.iter().map(|&(layer, at, dst, code)| ((layer, at, dst), ports(code))),
+            );
+            prop_assert_eq!(r.len(), model.len());
+            let got: Vec<(RepairKey, Vec<u16>)> = r.rows().map(|(k, p)| (k, p.to_vec())).collect();
+            let want: Vec<(RepairKey, Vec<u16>)> = model
+                .iter()
+                .map(|(&(at, layer, dst), p)| ((layer, at, dst), p.clone()))
+                .collect();
+            prop_assert_eq!(got, want);
             for layer in 0..4u8 {
                 for at in 0..7u32 {
                     for dst in 0..26u32 {
-                        let want = staged.lookup(layer, at, dst).map(|p| p.as_slice());
-                        let old = sealed.lookup_unindexed(layer, at, dst).map(|p| p.as_slice());
-                        let new = sealed.lookup(layer, at, dst).map(|p| p.as_slice());
-                        prop_assert_eq!(old, want);
-                        prop_assert_eq!(new, want);
+                        let want = model.get(&(at, layer, dst)).map(|p| p.as_slice());
+                        prop_assert_eq!(r.lookup(layer, at, dst), want);
+                        prop_assert_eq!(r.lookup_unindexed(layer, at, dst), want);
                     }
                 }
             }
@@ -485,11 +462,11 @@ mod tests {
     }
 
     #[test]
-    fn sealing_an_empty_overlay_is_empty() {
-        let mut r = RouteRepair::none();
-        r.seal();
+    fn an_empty_overlay_is_empty() {
+        let r = RouteRepair::from_rows(std::iter::empty::<(RepairKey, [u16; 0])>());
         assert!(r.is_empty());
         assert_eq!(r.len(), 0);
         assert!(r.lookup(0, 0, 0).is_none());
+        assert_eq!(r.rows().count(), 0);
     }
 }

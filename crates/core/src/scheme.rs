@@ -118,6 +118,12 @@ impl PartialEq for PortSet {
 
 impl Eq for PortSet {}
 
+impl AsRef<[u16]> for PortSet {
+    fn as_ref(&self) -> &[u16] {
+        self.as_slice()
+    }
+}
+
 /// A pluggable routing scheme: per (layer, router, destination-router)
 /// candidate output ports plus metadata. Implementations must be
 /// loop-free per layer: following any candidate port must make progress
@@ -296,26 +302,22 @@ impl RoutingScheme for MinimalScheme<'_> {
     /// ports stay numbered by the *original* graph (the physical ports
     /// the simulator addresses), with down links filtered out.
     fn repair_routes(&self, base: &Graph, down: &DownLinks) -> RouteRepair {
-        let mut rep = RouteRepair::none();
         if down.is_empty() {
-            return rep;
+            return RouteRepair::none();
         }
         let degraded = base.without_edges(down.as_slice());
         let dm2 = DistanceMatrix::build(&degraded);
-        let nr = base.n();
-        for dst in 0..nr as u32 {
-            for src in 0..nr as u32 {
-                if src == dst {
-                    continue;
-                }
-                let new = degraded_minimal_ports(base, &dm2, down, src, dst);
-                let old = self.dm.minimal_port_set(self.graph, src, dst);
-                if new.as_slice() != old.as_slice() {
-                    rep.insert(0, src, dst, new);
-                }
-            }
-        }
-        rep
+        let nr = base.n() as u32;
+        let pairs = (0..nr).flat_map(|src| (0..nr).map(move |dst| (src, dst)));
+        RouteRepair::from_rows(
+            pairs
+                .filter(|&(src, dst)| src != dst)
+                .filter_map(|(src, dst)| {
+                    let new = degraded_minimal_ports(base, &dm2, down, src, dst);
+                    let old = self.dm.minimal_port_set(self.graph, src, dst);
+                    (new != old).then_some(((0, src, dst), new))
+                }),
+        )
     }
 }
 
@@ -878,9 +880,7 @@ mod tests {
             layer + 1
         }
         fn repair_routes(&self, _base: &Graph, down: &DownLinks) -> RouteRepair {
-            let mut r = RouteRepair::none();
-            r.insert(0, down.len() as u32, 9, PortSet::single(7));
-            r
+            RouteRepair::from_rows([((0, down.len() as u32, 9), [7])])
         }
     }
 
@@ -902,6 +902,6 @@ mod tests {
         let down = DownLinks::from_links(&[(0, 1)]);
         let rep = boxed.repair_routes(&t.graph, &down);
         assert_eq!(rep.len(), 1, "repair_routes fell back to the empty default");
-        assert_eq!(rep.lookup(0, 1, 9).unwrap().as_slice(), &[7]);
+        assert_eq!(rep.lookup(0, 1, 9).unwrap(), &[7]);
     }
 }

@@ -23,7 +23,7 @@ fn effective_port(
     dst: u32,
 ) -> Option<u16> {
     if let Some(e) = rep.lookup(layer, at, dst) {
-        return e.as_slice().first().copied();
+        return e.first().copied();
     }
     rt.candidate_ports(layer, at, dst)
         .as_slice()

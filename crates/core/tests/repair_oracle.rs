@@ -29,7 +29,7 @@ fn effective(
 ) -> Option<u16> {
     let tag = layer as u8;
     match rep.lookup(tag, at, dst) {
-        Some(e) => e.as_slice().first().copied(),
+        Some(e) => e.first().copied(),
         None => rt.candidate_ports(tag, at, dst).as_slice().first().copied(),
     }
 }

@@ -112,14 +112,11 @@ impl<S: RoutingScheme> CompiledScheme<S> {
             return 0;
         }
         let off = &self.fib.endpoint_offset;
-        let mut keys: Vec<(RouterId, u8, RouterId, &PortSet)> = rep
-            .rows()
-            .filter(|&((l, _, dst), _)| {
-                (l as usize) < self.fib.tag_space() && off[dst as usize] < off[dst as usize + 1]
-            })
-            .map(|((l, at, dst), ports)| (at, l, dst, ports))
-            .collect();
-        keys.sort_unstable_by_key(|&(at, l, dst, _)| (at, l, dst));
+        // `rows()` yields `(at, layer, dst)` order: per switch and layer,
+        // ascending destinations.
+        let keys = rep.rows().filter(|&((l, _, dst), _)| {
+            (l as usize) < self.fib.tag_space() && off[dst as usize] < off[dst as usize + 1]
+        });
         let aggregated = self.fib.mode() == CompileMode::Aggregated;
         // The stored rule of switch `at` covering endpoint `ep`, if any.
         let stored = |at: RouterId, l: u8, ep: u32| {
@@ -133,7 +130,7 @@ impl<S: RoutingScheme> CompiledScheme<S> {
         // segments extend across port changes; their interior stored
         // rules are wholly replaced, but a stored rule sticking out of
         // either end leaves an unchanged remnant that must be re-pushed.
-        let mut prev: Option<(RouterId, u8, u32, &PortSet)> = None;
+        let mut prev: Option<(RouterId, u8, u32, &[u16])> = None;
         let mut seg: Option<(RouterId, u8, u32, u32)> = None;
         let mut remnants = 0u64;
         let close_segment = |s: Option<(RouterId, u8, u32, u32)>| {
@@ -149,11 +146,11 @@ impl<S: RoutingScheme> CompiledScheme<S> {
             }
             n
         };
-        for (at, l, dst, ports) in keys {
+        for ((l, at, dst), ports) in keys {
             let (lo, hi) = (off[dst as usize], off[dst as usize + 1]);
             let merges = aggregated
                 && prev.is_some_and(|(pat, pl, phi, pports)| {
-                    pat == at && pl == l && phi == lo && pports.as_slice() == ports.as_slice()
+                    pat == at && pl == l && phi == lo && pports == ports
                 });
             if !merges {
                 rows += 1;
@@ -227,7 +224,7 @@ mod tests {
         // Every overlay decision matches the inner scheme's.
         for (key, ports) in rep_inner.rows() {
             let got = rep.lookup(key.0, key.1, key.2).expect("key present");
-            assert_eq!(got.as_slice(), ports.as_slice());
+            assert_eq!(got, ports);
         }
         // Host-route pricing never merges and never splits: exactly one
         // pushed row per overlay key.

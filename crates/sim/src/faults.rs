@@ -52,8 +52,7 @@ pub(crate) struct FaultEpoch {
     pub router_dead: Arc<Vec<bool>>,
     /// Dead routers (fast-path gate: zero skips the vector).
     pub dead_router_count: u32,
-    /// Scheme-computed repaired rows, sealed to the interval form
-    /// (empty until a detection fires).
+    /// Scheme-computed repaired rows (empty until a detection fires).
     pub repair: Arc<RouteRepair>,
 }
 
@@ -236,8 +235,7 @@ impl FaultWriter {
                         self.repair_at = None;
                     }
                     let down = DownLinks::from_links(&self.down_links);
-                    let mut rep = scheme.repair_routes(&topo.graph, &down);
-                    rep.seal();
+                    let rep = scheme.repair_routes(&topo.graph, &down);
                     tl.log.push(RepairTickRecord {
                         at: self.now,
                         rows: rep.len() as u64,

@@ -171,7 +171,8 @@ impl SlotRef {
     const IDX_BITS: u32 = 24;
 
     pub fn new(shard: u32, idx: u32) -> Self {
-        assert!(shard < 1 << (32 - Self::IDX_BITS) && idx < 1 << Self::IDX_BITS);
+        let fits = shard < 1 << (32 - Self::IDX_BITS) && idx < 1 << Self::IDX_BITS;
+        assert!(fits, "slot {shard}/{idx} is beyond the 24-bit index limit");
         SlotRef(shard << Self::IDX_BITS | idx)
     }
 
@@ -502,11 +503,11 @@ pub(crate) fn pop_front(q: &mut Vec<u32>) -> Option<u32> {
 }
 
 /// A boundary packet in a per-shard-pair mailbox: 40 bytes, not 48 —
-/// the arrival time is a `u32` offset from the sender's window base
-/// (a boundary hop is at most serialization + latency past the window,
-/// microseconds even for jumbo frames, so picosecond deltas fit with
-/// room to spare) and the router/endpoint discriminator rides the high
-/// bit of the far-end id.
+/// the arrival time is a `u32` ps offset from the sender's window base
+/// (a boundary hop lands at most one window + serialization + latency
+/// past it; `Simulator::new` rejects link latencies for which that
+/// overflows, ≈ 2.1 ms) and the router/endpoint discriminator rides the
+/// high bit of the far-end id.
 pub(crate) struct OutMsg {
     dt: u32,
     to_flags: u32,
@@ -699,7 +700,7 @@ fn resolve_row<'a, R: RoutingScheme + ?Sized>(
 ) -> &'a [u16] {
     if !fe.repair.is_empty() {
         if let Some(e) = fe.repair.lookup(layer, r, dst_router) {
-            return e.as_slice();
+            return e;
         }
     }
     scheme_row

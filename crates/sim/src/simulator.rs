@@ -21,7 +21,7 @@
 //! `crate::shard` for the ordering contract. K = 1 (the default) runs
 //! the same windowed loop on a single queue.
 
-use crate::config::{SimConfig, Transport};
+use crate::config::{SimConfig, Transport, HDR_BYTES};
 use crate::engine::{assert_schedulable, EvKind, TimePs};
 use crate::faults::{FaultTimeline, FaultWriter};
 use crate::metrics::{peak_rss_kb, reset_peak_rss, FlowRecord, RunProfile, SimResult};
@@ -93,6 +93,17 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
             .map(|&s| s as usize + 1)
             .max()
             .unwrap_or(1);
+        // A boundary packet lands at most one window (the lookahead) +
+        // serialization + latency past the window base.
+        let full = cfg.ser_time(cfg.transport.payload() + HDR_BYTES);
+        let max_dt = 2 * cfg.link_latency.max(1) as u128 + full as u128;
+        assert!(
+            k == 1 || max_dt <= u32::MAX as u128,
+            "link latency {} ps is beyond the sharded limit: 2 x latency + one full packet's \
+             serialization ({max_dt} ps) must fit the u32 mailbox time delta of {} ps",
+            cfg.link_latency,
+            u32::MAX
+        );
 
         // Global port layout (identical to the pre-shard simulator): per
         // router its net ports in graph-neighbor order then its endpoint
@@ -869,6 +880,43 @@ mod tests {
             ..SimConfig::default()
         };
         Simulator::new(&topo, &rt, cfg.shards(1)).run();
+    }
+
+    /// A boundary packet's arrival rides its mailbox as a `u32` ps
+    /// offset from the window base, so with two or more shards the link
+    /// latency is bounded (≈ 2.1 ms at 10 Gb/s with jumbo frames): it is
+    /// rejected at build, not wrapped silently in release.
+    #[test]
+    #[should_panic(expected = "must fit the u32 mailbox time delta of 4294967295 ps")]
+    fn sharded_link_latency_beyond_the_mailbox_delta_is_rejected() {
+        let (topo, rt) = fixture();
+        let cfg = SimConfig {
+            link_latency: 3_000_000_000,
+            ..SimConfig::default()
+        };
+        Simulator::new(&topo, &rt, cfg.shards(2));
+    }
+
+    #[test]
+    fn sharded_link_latency_inside_the_mailbox_delta_runs() {
+        let (topo, rt) = fixture();
+        let cfg = SimConfig {
+            link_latency: 2_000_000_000,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(&topo, &rt, cfg.shards(2));
+        let flows: Vec<FlowSpec> = (0..10)
+            .map(|e| FlowSpec {
+                src: e,
+                dst: 49 - e,
+                size: 20_000,
+                start: 0,
+            })
+            .collect();
+        sim.add_flows(&flows);
+        let res = sim.run();
+        assert_eq!(res.completion_rate(), 1.0);
+        assert!(res.profile.mailbox_msgs > 0, "no packet crossed shards");
     }
 
     /// The last admissible instant is not only accepted but runs: the

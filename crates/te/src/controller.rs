@@ -25,15 +25,15 @@ use fatpaths_core::fwd::NO_PORT;
 use fatpaths_core::repair::{DownLinks, OverlayBuilder, RouteRepair};
 use fatpaths_net::graph::Graph;
 use rayon::prelude::*;
-use rustc_hash::FxHashMap;
 
 /// Incremental repair driver for a [`TeScheme`]. See the module docs.
 pub struct TeController<'a> {
     scheme: &'a TeScheme,
     /// Per-layer down-link signature of the last repair (sorted).
     sigs: Vec<Vec<(u32, u32)>>,
-    /// Per-layer rebuilt rows from the last repair: `dst → ports`.
-    rows: Vec<FxHashMap<u32, Vec<u16>>>,
+    /// Per-layer rebuilt rows from the last repair as `(dst, ports)`,
+    /// ascending `dst`.
+    rows: Vec<Vec<(u32, Vec<u16>)>>,
     ticks: u64,
     rebuilt_trees: u64,
 }
@@ -45,7 +45,7 @@ impl<'a> TeController<'a> {
         TeController {
             scheme,
             sigs: vec![Vec::new(); nl],
-            rows: vec![FxHashMap::default(); nl],
+            rows: vec![Vec::new(); nl],
             ticks: 0,
             rebuilt_trees: 0,
         }
@@ -95,8 +95,6 @@ impl<'a> TeController<'a> {
             return RouteRepair::none();
         }
         let mut out = OverlayBuilder::new(&scheme.tables, nr);
-        // Ascending layers: sparse-layer fallbacks resolve against the
-        // already-assembled layer-0 overlay.
         for l in 0..nl {
             let lg = scheme.layers.layer(l);
             let mut layer_down: Vec<(u32, u32)> =
@@ -123,6 +121,7 @@ impl<'a> TeController<'a> {
                         })
                     })
                     .collect();
+                // Ascending `dst`: `affected` is, and `collect` keeps it.
                 let built: Vec<(u32, Vec<u16>)> = affected
                     .into_par_iter()
                     .map_init(TreeScratch::default, |scratch, dst| {
@@ -132,13 +131,11 @@ impl<'a> TeController<'a> {
                     })
                     .collect();
                 self.rebuilt_trees += built.len() as u64;
-                self.rows[l] = built.into_iter().collect();
+                self.rows[l] = built;
                 self.sigs[l] = layer_down;
             }
-            let mut dsts: Vec<u32> = self.rows[l].keys().copied().collect();
-            dsts.sort_unstable();
-            for dst in dsts {
-                out.rewrite_row(l, dst, &self.rows[l][&dst]);
+            for (dst, row) in &self.rows[l] {
+                out.rewrite_row(l, *dst, row);
             }
         }
         out.finish()

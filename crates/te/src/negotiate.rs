@@ -372,7 +372,7 @@ mod tests {
         let rep = te.repair_routes(&g, &DownLinks::from_links(&[(0, 1)]));
         let detour = g.port_of(0, 2).unwrap() as u16;
         let last = (MAX_LAYERS - 1) as u8;
-        assert_eq!(rep.lookup(last, 0, 1).unwrap().as_slice(), &[detour]);
+        assert_eq!(rep.lookup(last, 0, 1).unwrap(), &[detour]);
     }
 
     #[test]

@@ -32,8 +32,8 @@ fn walk_repaired(
     let mut path = vec![src];
     while at != dst {
         let port = match rep.lookup(layer as u8, at, dst) {
-            Some(e) if e.is_empty() => return None,
-            Some(e) => e.as_slice()[0],
+            Some([]) => return None,
+            Some(e) => e[0],
             None => te.candidate_ports(layer as u8, at, dst).as_slice()[0],
         };
         at = g.neighbor_at(at, port as u32);
@@ -50,7 +50,7 @@ fn overlays_equal(a: &RouteRepair, b: &RouteRepair, nl: usize, nr: u32) -> bool 
                 let (ea, eb) = (a.lookup(l, src, dst), b.lookup(l, src, dst));
                 match (ea, eb) {
                     (None, None) => {}
-                    (Some(x), Some(y)) if x.as_slice() == y.as_slice() => {}
+                    (Some(x), Some(y)) if x == y => {}
                     _ => return false,
                 }
             }
