@@ -2,16 +2,21 @@
 //! packet slab.
 //!
 //! Events are ordered by a **canonical key**, not by push sequence:
-//! `(time, class, key)` where `class` ranks event kinds (fault events
-//! before repair before flow starts before packet motion before timers)
-//! and `key` is derived from the event's *content* (global port/router/
-//! endpoint ids; for packet arrivals, the packet's unique transmission
-//! id). Two queues that hold the same set of events therefore pop them
-//! in the same order no matter how the pushes interleaved — this is
-//! what makes the sharded engine (`crate::shard`) bit-identical to the
-//! single-queue run at any shard count: a shard's queue sees exactly
-//! the events for its region, and the canonical order is independent of
-//! whether a packet arrived via a local push or a cross-shard mailbox.
+//! `(time, class, key)` where `class` ranks event kinds (flow starts
+//! before packet motion before timers) and `key` is derived from the
+//! event's *content* (global port/endpoint/flow ids; for packet
+//! arrivals, the packet's unique transmission id). Two queues that hold
+//! the same set of events therefore pop them in the same order no matter
+//! how the pushes interleaved — this is what makes the sharded engine
+//! (`crate::shard`) bit-identical to the single-queue run at any shard
+//! count: a shard's queue sees exactly the events for its region, and
+//! the canonical order is independent of whether a packet arrived via a
+//! local push or a cross-shard mailbox.
+//!
+//! Faults are not queue events. Link and router state changes and
+//! repair passes live in the shared fault timeline (`crate::faults`),
+//! which a shard reads by time: an epoch taking effect at `t` is in
+//! force before the shard dispatches any event at `t`.
 
 use fatpaths_core::fwd::fnv1a;
 use std::cmp::Reverse;
@@ -80,39 +85,6 @@ pub enum EvKind {
         /// Timer generation (stale timers are ignored).
         gen: u32,
     },
-    /// Link `{u, v}` goes down: packets forwarded onto it are lost from
-    /// this instant.
-    LinkDown {
-        /// One endpoint router.
-        u: u32,
-        /// The other endpoint router.
-        v: u32,
-    },
-    /// Link `{u, v}` comes back up.
-    LinkUp {
-        /// One endpoint router.
-        u: u32,
-        /// The other endpoint router.
-        v: u32,
-    },
-    /// Router `router` dies: every incident link goes down atomically
-    /// and its attached endpoints stop injecting (flows starting while
-    /// it is dead are accounted `host_dead`).
-    RouterDown {
-        /// The dying router.
-        router: u32,
-    },
-    /// Router `router` comes back up: incident links whose other end is
-    /// alive and not independently failed are restored, and its
-    /// endpoints may inject again.
-    RouterUp {
-        /// The reviving router.
-        router: u32,
-    },
-    /// The control plane noticed a link-state change (one detection
-    /// delay after it): recompute the route-repair overlay from the
-    /// current down-link set.
-    RepairTick,
 }
 
 /// Flat heap entry. Ordering is the derived lexicographic order on
@@ -124,8 +96,7 @@ pub enum EvKind {
 /// rejects start times, fault times and horizons past half of it on
 /// entry ([`assert_schedulable`]) and `encode` debug-asserts the bound.
 /// `a`/`b` are the raw `EvKind` payload words and only break ties
-/// between *distinct* events whose canonical key collides (e.g.
-/// `LinkDown{u,v}` vs `LinkDown{v,u}` at the same instant). For packet
+/// between *distinct* events whose canonical key collides. For packet
 /// arrivals `key` is the globally unique transmission id, so the slab
 /// id in `a` — which *does* differ between shard layouts — is never
 /// consulted.
@@ -137,37 +108,23 @@ struct EvEntry {
     b: u32,
 }
 
-/// Canonical class ranks. Fault events sort before everything else at
-/// the same instant (a link that dies at `t` drops packets forwarded at
-/// `t`), repair before traffic, flow starts before packet motion, and
-/// timers last (an ACK and an RTO at the same instant: the ACK bumps
-/// the timer generation, so the RTO is stale — matching the pre-shard
-/// push-order behavior where timers were armed after sends).
-const CLS_LINK_DOWN: u8 = 0;
-const CLS_ROUTER_DOWN: u8 = 1;
-const CLS_LINK_UP: u8 = 2;
-const CLS_ROUTER_UP: u8 = 3;
-const CLS_REPAIR: u8 = 4;
-const CLS_FLOW_START: u8 = 5;
-const CLS_PORT_POP: u8 = 6;
-const CLS_ARRIVE_ROUTER: u8 = 7;
-const CLS_ARRIVE_EP: u8 = 8;
-const CLS_PULL_TICK: u8 = 9;
-const CLS_RTO: u8 = 10;
-
-fn link_key(u: u32, v: u32) -> u64 {
-    let (lo, hi) = if u <= v { (u, v) } else { (v, u) };
-    ((lo as u64) << 32) | hi as u64
-}
+/// Canonical class ranks: flow starts before packet motion, and timers
+/// last (an ACK and an RTO at the same instant: the ACK bumps the timer
+/// generation, so the RTO is stale — matching the pre-shard push-order
+/// behavior where timers were armed after sends). Fault epochs are not
+/// ranked here: they rank before every class, because a shard moves
+/// its fault cursor past `t` before it dispatches anything at `t` (a
+/// link that dies at `t` drops packets forwarded at `t`).
+const CLS_FLOW_START: u8 = 0;
+const CLS_PORT_POP: u8 = 1;
+const CLS_ARRIVE_ROUTER: u8 = 2;
+const CLS_ARRIVE_EP: u8 = 3;
+const CLS_PULL_TICK: u8 = 4;
+const CLS_RTO: u8 = 5;
 
 impl EvEntry {
     fn encode(t: TimePs, kind: EvKind, uid: Option<u64>) -> Self {
         let (cls, key, a, b) = match kind {
-            EvKind::LinkDown { u, v } => (CLS_LINK_DOWN, link_key(u, v), u, v),
-            EvKind::RouterDown { router } => (CLS_ROUTER_DOWN, router as u64, router, 0),
-            EvKind::LinkUp { u, v } => (CLS_LINK_UP, link_key(u, v), u, v),
-            EvKind::RouterUp { router } => (CLS_ROUTER_UP, router as u64, router, 0),
-            EvKind::RepairTick => (CLS_REPAIR, 0, 0, 0),
             EvKind::FlowStart { flow } => (CLS_FLOW_START, flow as u64, flow, 0),
             EvKind::PortPop { port } => (CLS_PORT_POP, port as u64, port, 0),
             EvKind::ArriveRouter { pkt, router } => {
@@ -202,17 +159,6 @@ impl EvEntry {
 
     fn decode(self) -> (TimePs, EvKind) {
         let kind = match self.tcls as u8 {
-            CLS_LINK_DOWN => EvKind::LinkDown {
-                u: self.a,
-                v: self.b,
-            },
-            CLS_ROUTER_DOWN => EvKind::RouterDown { router: self.a },
-            CLS_LINK_UP => EvKind::LinkUp {
-                u: self.a,
-                v: self.b,
-            },
-            CLS_ROUTER_UP => EvKind::RouterUp { router: self.a },
-            CLS_REPAIR => EvKind::RepairTick,
             CLS_FLOW_START => EvKind::FlowStart { flow: self.a },
             CLS_PORT_POP => EvKind::PortPop { port: self.a },
             CLS_ARRIVE_ROUTER => EvKind::ArriveRouter {
@@ -301,7 +247,7 @@ const SHRINK_FLOOR: usize = 8192;
 ///   `b & RING_MASK` for bucket `b`, each an unsorted chain. A push
 ///   into one is an O(1) append.
 /// * `far` — a binary heap of everything past the ring (RTO timers,
-///   late flow starts, fault events). Its minimum competes with the
+///   late flow starts). Its minimum competes with the
 ///   ring whenever the cursor moves, and its entries join their bucket
 ///   when the cursor reaches it.
 /// * the current bucket — when the cursor reaches a bucket (tens of
@@ -1078,21 +1024,23 @@ mod tests {
     }
 
     #[test]
-    fn equal_time_classes_rank_faults_before_traffic_before_timers() {
+    fn equal_time_classes_rank_starts_before_motion_before_timers() {
         let mut q = EventQueue::default();
         q.push(7, EvKind::RtoTimer { flow: 0, gen: 1 });
+        q.push(7, EvKind::PullTick { ep: 0 });
+        q.push_arrival(7, EvKind::ArriveEndpoint { pkt: 4, ep: 1 }, 7);
         q.push_arrival(7, EvKind::ArriveRouter { pkt: 9, router: 2 }, 42);
+        q.push(7, EvKind::PortPop { port: 6 });
         q.push(7, EvKind::FlowStart { flow: 3 });
-        q.push(7, EvKind::RepairTick);
-        q.push(7, EvKind::LinkDown { u: 5, v: 1 });
         let kinds: Vec<EvKind> = std::iter::from_fn(|| q.pop().map(|(_, k)| k)).collect();
         assert_eq!(
             kinds,
             vec![
-                EvKind::LinkDown { u: 5, v: 1 },
-                EvKind::RepairTick,
                 EvKind::FlowStart { flow: 3 },
+                EvKind::PortPop { port: 6 },
                 EvKind::ArriveRouter { pkt: 9, router: 2 },
+                EvKind::ArriveEndpoint { pkt: 4, ep: 1 },
+                EvKind::PullTick { ep: 0 },
                 EvKind::RtoTimer { flow: 0, gen: 1 },
             ]
         );
@@ -1124,7 +1072,7 @@ mod tests {
             (9, EvKind::PortPop { port: 2 }),
             (3, EvKind::PullTick { ep: 8 }),
             (9, EvKind::FlowStart { flow: 1 }),
-            (3, EvKind::RouterDown { router: 6 }),
+            (3, EvKind::RtoTimer { flow: 6, gen: 2 }),
         ];
         let mut fwd = EventQueue::default();
         let mut rev = EventQueue::default();
@@ -1198,8 +1146,9 @@ mod tests {
                 Some(k as u64),
             ),
             5 => (EvKind::ArriveEndpoint { pkt: sel, ep: k }, Some(k as u64)),
-            6 => (EvKind::RepairTick, None),
-            _ => (EvKind::LinkDown { u: k, v: 2 - k }, None),
+            // The same two events over and over: outright duplicates.
+            6 => (EvKind::FlowStart { flow: 0 }, None),
+            _ => (EvKind::PullTick { ep: 0 }, None),
         }
     }
 

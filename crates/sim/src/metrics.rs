@@ -46,7 +46,7 @@ impl FlowRecord {
     }
 }
 
-/// One control-plane repair pass (`RepairTick`): when it ran and how
+/// One control-plane repair pass: when it ran and how
 /// much state it touched — the per-event cost record the churn and
 /// resilience sweeps aggregate into control-plane-work columns.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,11 +83,11 @@ pub struct RunProfile {
     pub epochs_published: u64,
     /// Control-plane repair passes the run reached.
     pub repair_ticks: u64,
-    /// Traffic events dispatched: flow starts, serializer pops, packet
-    /// arrivals, pull ticks and retransmission timers, summed over
-    /// shards. The fault and repair events every shard replays for its
-    /// epoch cursor are left out, so the count is the same at every
-    /// shard count — the denominator for host ns per event.
+    /// Events dispatched: flow starts, serializer pops, packet arrivals,
+    /// pull ticks and retransmission timers, summed over shards. Faults
+    /// and repair passes are epochs of the shared timeline, not events,
+    /// so the count is the same at every shard count — the denominator
+    /// for host ns per event.
     pub events: u64,
     /// Peak resident set size of the process in KiB (`VmHWM`), read at
     /// the end of the run; 0 where `/proc` is unavailable.

@@ -22,12 +22,14 @@
 //! state (down links, dead routers, repair overlay) is *shared, not
 //! replicated*: every fault event derives statically from the
 //! `FaultPlan`, so a single writer (`crate::faults::FaultWriter`)
-//! replays the sequence once before the run and publishes one
-//! immutable [`FaultEpoch`] per fault event. Shards keep the fault
-//! events in their queues purely as epoch-cursor advances — popping
-//! one bumps `Shard::fault_epoch`, and every hot-path read goes
-//! through the shared snapshot `cx.faults.epochs[fault_epoch]`. One
-//! copy of the fault state regardless of K, zero synchronization.
+//! replays the plan once before the run and publishes a timeline of
+//! immutable [`FaultEpoch`]s, each stamped with the time it takes
+//! effect. A shard's queue holds traffic only: before it dispatches an
+//! event at `t`, [`Shard::run_window`] moves the shard's cursor
+//! `Shard::fault_epoch` past every epoch taking effect at or before
+//! `t`, and every hot-path read goes through the shared snapshot
+//! `cx.faults.epochs[fault_epoch]`. One copy of the fault state
+//! regardless of K, zero synchronization.
 
 use crate::config::{AdaptiveMode, LoadBalancing, SimConfig, Transport, HDR_BYTES};
 use crate::engine::{
@@ -572,8 +574,8 @@ pub(crate) struct Ctx<'a, R: ?Sized> {
     pub router_shard: &'a [u32],
     /// Cached `scheme.num_layers()`.
     pub n_layers: usize,
-    /// The shared fault timeline: one immutable epoch per fault event,
-    /// indexed by each shard's `fault_epoch` cursor.
+    /// The shared fault timeline: one immutable epoch per fault event or
+    /// repair pass, indexed by each shard's `fault_epoch` cursor.
     pub faults: &'a FaultTimeline,
 }
 
@@ -648,8 +650,7 @@ pub(crate) struct Shard {
     pub trim_count: u64,
     pub unroutable: u64,
     pub host_dead: u64,
-    /// Traffic events dispatched (everything but the fault/repair
-    /// cursor events, which every shard replays): the run's work count.
+    /// Events dispatched: the run's work count.
     pub traffic_events: u64,
     /// Flows resolved this window (completed, aborted, or host-dead);
     /// drained by the driver into its global termination bitset.
@@ -663,18 +664,10 @@ pub(crate) struct Shard {
     /// across its `send_data` calls, and the first of those can itself
     /// hit a flowlet boundary.
     pub depth_scratch: Vec<u32>,
-    // ---- shared-fault-state cursor ----
-    /// Index into `Ctx::faults.epochs`: the number of fault events this
-    /// shard has popped so far. Every shard pops the identical global
-    /// fault-event sequence, so equal cursors mean identical views.
+    /// Index into `Ctx::faults.epochs`: the latest epoch in force at
+    /// `now`. Window boundaries are global, so between windows every
+    /// shard's cursor is at the same epoch.
     pub fault_epoch: u32,
-    /// Repair passes popped so far (prefix length of the shared
-    /// `FaultTimeline::log` this shard has reached).
-    pub repair_seen: u32,
-    /// Time of the currently scheduled repair pass, if any (burst
-    /// coalescing: one `RepairTick` per event batch). Mirrors the
-    /// writer's pre-run dedup decisions exactly.
-    pub repair_at: Option<TimePs>,
     /// Shard-local telemetry collector (`None` when telemetry is off —
     /// every hook is then a single pointer-null check). Installed by the
     /// driver before the run, flushed at interval boundaries in the
@@ -743,8 +736,6 @@ impl Shard {
             scratch: Vec::new(),
             depth_scratch: Vec::new(),
             fault_epoch: 0,
-            repair_seen: 0,
-            repair_at: None,
             tel: None,
         }
     }
@@ -845,33 +836,49 @@ impl Shard {
 
     /// Runs this shard's events in `[peek, w_end)`, stopping at the
     /// horizon. Window boundaries are exclusive so every shard agrees on
-    /// which events belong to which window.
+    /// which events belong to which window. Fault epochs taking effect
+    /// in the window are passed in time order, each before any event at
+    /// its instant; the ones after the window's last event count as
+    /// executed there (`last_t`), as they do for every shard.
     pub(crate) fn run_window<R: RoutingScheme + ?Sized>(
         &mut self,
         cx: &Ctx<R>,
         w_end: TimePs,
         horizon: TimePs,
     ) {
+        let mut next_fault = cx.faults.next_at(self.fault_epoch).unwrap_or(TimePs::MAX);
         while let Some(t) = self.events.peek_time() {
             if t >= w_end || (horizon > 0 && t > horizon) {
-                return;
+                break;
+            }
+            if t >= next_fault {
+                next_fault = self.advance_faults(cx.faults, t);
             }
             let (t, ev) = self.events.pop().expect("peeked");
             self.now = t;
             self.last_t = t;
             self.dispatch(cx, ev);
         }
+        if next_fault < w_end {
+            self.advance_faults(cx.faults, w_end - 1);
+            self.last_t = cx.faults.epochs[self.fault_epoch as usize].at;
+        }
+    }
+
+    /// Moves the fault cursor past every epoch taking effect at or
+    /// before `t`; returns when the next one does (`TimePs::MAX`: never).
+    fn advance_faults(&mut self, tl: &FaultTimeline, t: TimePs) -> TimePs {
+        while let Some(at) = tl.next_at(self.fault_epoch) {
+            if at > t {
+                return at;
+            }
+            self.fault_epoch += 1;
+        }
+        TimePs::MAX
     }
 
     pub(crate) fn dispatch<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, ev: EvKind) {
-        self.traffic_events += !matches!(
-            ev,
-            EvKind::LinkDown { .. }
-                | EvKind::LinkUp { .. }
-                | EvKind::RouterDown { .. }
-                | EvKind::RouterUp { .. }
-                | EvKind::RepairTick
-        ) as u64;
+        self.traffic_events += 1;
         match ev {
             EvKind::FlowStart { flow } => self.on_flow_start(cx, flow),
             EvKind::PortPop { port } => {
@@ -883,24 +890,6 @@ impl Shard {
             EvKind::ArriveEndpoint { pkt, ep } => self.on_endpoint_arrive(cx, ep, pkt),
             EvKind::PullTick { ep } => self.ndp_pull_tick(cx, ep),
             EvKind::RtoTimer { flow, gen } => self.on_rto(cx, flow, gen),
-            // Fault events are pre-applied by the writer; in the shards
-            // they only advance the epoch cursor (and mirror the
-            // writer's RepairTick scheduling so the cursors stay in
-            // lockstep with the published timeline).
-            EvKind::LinkDown { .. }
-            | EvKind::LinkUp { .. }
-            | EvKind::RouterDown { .. }
-            | EvKind::RouterUp { .. } => {
-                self.fault_epoch += 1;
-                self.schedule_repair(cx.cfg.detection_delay);
-            }
-            EvKind::RepairTick => {
-                if self.repair_at == Some(self.now) {
-                    self.repair_at = None;
-                }
-                self.fault_epoch += 1;
-                self.repair_seen += 1;
-            }
         }
     }
 
@@ -1546,23 +1535,6 @@ impl Shard {
     pub(crate) fn reset_dead_rtos<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
         if cx.cfg.abort_on_host_death.is_some() {
             self.tx[cx.tx_idx(flow)].dead_rtos = 0;
-        }
-    }
-
-    /// Mirrors the writer's repair scheduling, purely to keep this
-    /// shard's event queue (and thus its epoch cursor) aligned with the
-    /// published timeline. A burst of simultaneous changes (a router
-    /// death fails its whole radix at once; a maintenance window kills
-    /// several routers in one timestamp) coalesces into a single
-    /// `RepairTick` — the same dedup the writer applies, so shard
-    /// queues and writer replay stay in lockstep.
-    pub(crate) fn schedule_repair(&mut self, delay: Option<TimePs>) {
-        if let Some(delay) = delay {
-            let at = self.now + delay;
-            if self.repair_at != Some(at) {
-                self.events.push(at, EvKind::RepairTick);
-                self.repair_at = Some(at);
-            }
         }
     }
 }

@@ -15,8 +15,8 @@
 //! the in-tree rayon pool and exchanging boundary packets through
 //! deterministically merged mailboxes. Fault state is shared, not
 //! replicated: a single `crate::faults::FaultWriter` replays the fault
-//! plan once at run start and publishes copy-on-write epoch snapshots
-//! the shards read through their epoch cursors. Results are
+//! plan once at run start and publishes a timeline of copy-on-write
+//! epoch snapshots the shards read by time. Results are
 //! **bit-identical for every K and every thread count** — see
 //! `crate::shard` for the ordering contract. K = 1 (the default) runs
 //! the same windowed loop on a single queue.
@@ -238,57 +238,56 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
     /// state is scheduled one delay after each change (batched: any
     /// number of simultaneous changes trigger exactly one repair pass).
     ///
-    /// The fault *state* lives once, in the writer; the timed events are
-    /// still replicated into every shard's queue, where they serve
-    /// purely as epoch-cursor advances (each is a few bytes on the
-    /// queue, not a copy of the network state — see `crate::faults`).
+    /// The fault state lives once, in the writer, which replays the
+    /// timed events at run start into the timeline every shard reads by
+    /// time (see `crate::faults`).
     ///
     /// # Panics
     ///
-    /// If a timed event, or the repair one detection delay after it,
-    /// lies at or beyond 2^55 ps (the bound on scheduled times; the
-    /// event queue's timestamps are 56 bits wide).
+    /// If an event names a router the topology does not have or a link
+    /// that is not one of its router-router links (the message names the
+    /// event's kind, time and ids), or if a timed event, or the repair
+    /// one detection delay after it, lies at or beyond 2^55 ps (the
+    /// bound on scheduled times; the event queue's timestamps are 56
+    /// bits wide).
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
-        let delay = self.cfg.detection_delay;
-        let lag = delay.unwrap_or(0);
+        let lag = self.cfg.detection_delay.unwrap_or(0);
         assert_schedulable(lag, "detection delay");
-        for at in plan
-            .events()
-            .iter()
-            .map(|e| e.at)
-            .chain(plan.router_events().iter().map(|e| e.at))
-        {
+        let nr = self.topo.num_routers();
+        let graph = &self.topo.graph;
+        let check_link = |kind: &str, at: TimePs, u: u32, v: u32| {
+            assert!(
+                (u as usize) < nr && graph.has_edge(u, v),
+                "{kind} at {at} ps names link {u}-{v}, which is not a router-router link"
+            );
             assert_schedulable(
                 at.saturating_add(lag),
                 "fault event time plus detection delay",
             );
+        };
+        let check_router = |kind: &str, at: TimePs, r: u32| {
+            assert!(
+                (r as usize) < nr,
+                "{kind} at {at} ps names router {r}, but the topology has {nr} routers"
+            );
+            assert_schedulable(
+                at.saturating_add(lag),
+                "fault event time plus detection delay",
+            );
+        };
+        for &(u, v) in plan.static_failures() {
+            check_link("static link failure", 0, u, v);
+        }
+        for &r in plan.static_router_failures() {
+            check_router("static router failure", 0, r);
+        }
+        for e in plan.events() {
+            check_link(if e.up { "LinkUp" } else { "LinkDown" }, e.at, e.u, e.v);
+        }
+        for e in plan.router_events() {
+            check_router(if e.up { "RouterUp" } else { "RouterDown" }, e.at, e.router);
         }
         self.faults.apply_plan(self.topo, &self.net_base, plan);
-        let statics = plan.num_static() + plan.num_static_routers() > 0;
-        if statics {
-            self.faults.schedule_repair(delay);
-        }
-        for sh in &mut self.shards {
-            if statics {
-                sh.schedule_repair(delay);
-            }
-            for ev in plan.events() {
-                let kind = if ev.up {
-                    EvKind::LinkUp { u: ev.u, v: ev.v }
-                } else {
-                    EvKind::LinkDown { u: ev.u, v: ev.v }
-                };
-                sh.events.push(ev.at, kind);
-            }
-            for ev in plan.router_events() {
-                let kind = if ev.up {
-                    EvKind::RouterUp { router: ev.router }
-                } else {
-                    EvKind::RouterDown { router: ev.router }
-                };
-                sh.events.push(ev.at, kind);
-            }
-        }
     }
 
     /// Packets dropped because routing had no live candidate port
@@ -463,7 +462,8 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
     ///
     /// The driver loop: finalize the fault timeline (the writer replays
     /// the fault events once and publishes the epoch snapshots), then
-    /// find the earliest pending event across shards, step every shard
+    /// find the earliest pending event across shards and the fault
+    /// timeline, step every shard
     /// through the window `[t0, t0 + L)` (in parallel for K > 1 —
     /// lookahead `L` = link latency guarantees window independence),
     /// then deliver the cross-shard mailboxes in canonical `(time,
@@ -552,7 +552,9 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
                     mb_msgs += msgs;
                     mb_bytes += bytes;
                 }
-                let Some(t0) = shards.iter_mut().filter_map(|s| s.events.peek_time()).min() else {
+                let next_fault = cx.faults.next_at(shards[0].fault_epoch);
+                let queued = shards.iter_mut().filter_map(|s| s.events.peek_time());
+                let Some(t0) = queued.chain(next_fault).min() else {
                     break;
                 };
                 if horizon > 0 && t0 > horizon {
@@ -561,7 +563,7 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
                 if tcfg.enabled {
                     let iv = t0 / interval;
                     if iv > cur_iv {
-                        flush_telemetry(shards, cur_iv);
+                        flush_telemetry(cx, shards, cur_iv);
                         if mb_msgs != 0 {
                             mailbox_rows.push(MailboxSample {
                                 iv: cur_iv,
@@ -591,7 +593,7 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
                 }
             }
             if tcfg.enabled {
-                flush_telemetry(shards, cur_iv);
+                flush_telemetry(cx, shards, cur_iv);
                 if mb_msgs != 0 {
                     mailbox_rows.push(MailboxSample {
                         iv: cur_iv,
@@ -616,7 +618,7 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
         // order, counters summed in shard order, repair log truncated to
         // the prefix of the shared timeline the run actually reached
         // (identical on every shard — window boundaries are global, so
-        // every shard pops the same fault events; debug-asserted).
+        // every shard's cursor ends at the same epoch; debug-asserted).
         let flows = (0..total)
             .map(|i| {
                 let m = &self.meta[i];
@@ -638,14 +640,12 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
             })
             .collect();
         let end_time = self.shards.iter().map(|s| s.last_t).max().unwrap_or(0);
+        let epoch = self.shards[0].fault_epoch;
         debug_assert!(
-            self.shards.iter().all(|s| {
-                s.repair_seen == self.shards[0].repair_seen
-                    && s.fault_epoch == self.shards[0].fault_epoch
-            }),
+            self.shards.iter().all(|s| s.fault_epoch == epoch),
             "fault-epoch cursors diverged across shards"
         );
-        let seen = self.shards[0].repair_seen as usize;
+        let seen = timeline.epochs[epoch as usize].repairs as usize;
         profile.repair_ticks = seen as u64;
         profile.events = self.shards.iter().map(|s| s.traffic_events).sum();
         profile.peak_rss_kb = peak_rss_kb();
@@ -686,11 +686,13 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
 }
 
 /// Closes telemetry interval `iv` on every shard: each collector samples
-/// its own queue-depth histogram, event-queue length, and packet-slab
-/// occupancy, and drains its per-link byte accumulators into rows. Runs
-/// only in the serial between-window section of the driver loop.
-fn flush_telemetry(shards: &mut [Shard], iv: u64) {
+/// its own queue-depth histogram, pending events (its queue plus the
+/// fault events still ahead of its cursor), and packet-slab occupancy,
+/// and drains its per-link byte accumulators into rows. Runs only in the
+/// serial between-window section of the driver loop.
+fn flush_telemetry<R: ?Sized>(cx: &Ctx<'_, R>, shards: &mut [Shard], iv: u64) {
     for sh in shards.iter_mut() {
+        let pending_faults = sh.faults(cx).pending as u64;
         if let Some(mut tel) = sh.tel.take() {
             let ports = &sh.ports;
             tel.flush(
@@ -699,7 +701,7 @@ fn flush_telemetry(shards: &mut [Shard], iv: u64) {
                     let p = &ports[l as usize];
                     p.data_len as u32 + p.prio_len as u32
                 },
-                sh.events.len() as u64,
+                sh.events.len() as u64 + pending_faults,
                 sh.packets.live() as u64,
                 sh.packets.capacity() as u64,
             );
@@ -763,15 +765,14 @@ mod tests {
                 "link {r}-{nb} after revival"
             );
         }
-        // The independently cut link returns only via LinkUp.
+        // The independently cut link returns only by its own revival.
         sim.faults.restore_link_now(&topo, &sim.net_base, r, cut);
         assert!(!sim.link_is_down(r, cut));
     }
 
     /// A burst of simultaneous link-state changes coalesces into one
-    /// scheduled repair pass (one `RepairTick` per event batch) — on the
-    /// shard side, where fault events are pure epoch-cursor advances but
-    /// the tick scheduling must still mirror the writer's.
+    /// repair pass (one repair epoch and one log record per event
+    /// batch), and a later batch gets its own.
     #[test]
     fn repair_ticks_coalesce_per_batch() {
         let (topo, rt) = fixture();
@@ -781,32 +782,39 @@ mod tests {
         }
         .shards(1);
         let mut sim = Simulator::new(&topo, &rt, cfg);
-        let tl = FaultTimeline::default();
-        sim.with_parts(&tl, |cx, shards| {
-            let sh = &mut shards[0];
-            sh.now = 5_000;
-            // A maintenance-window-sized burst: three routers die in the
-            // same instant.
-            for r in [3u32, 9, 14] {
-                sh.dispatch(cx, EvKind::RouterDown { router: r });
-            }
-            assert_eq!(
-                sh.events.len(),
-                1,
-                "simultaneous changes must schedule exactly one RepairTick"
-            );
-            assert_eq!(sh.fault_epoch, 3, "each fault event advances the cursor");
-            // A later batch gets its own tick.
-            sh.now = 9_000;
-            sh.dispatch(cx, EvKind::RouterUp { router: 3 });
-            sh.dispatch(cx, EvKind::RouterUp { router: 9 });
-            assert_eq!(sh.events.len(), 2);
-        });
+        // A maintenance-window-sized burst: three routers die in the
+        // same instant; two of them return together later.
+        let plan = FaultPlan::none()
+            .router_down_at(5_000, 3)
+            .router_down_at(5_000, 9)
+            .router_down_at(5_000, 14)
+            .router_up_at(9_000, 3)
+            .router_up_at(9_000, 9);
+        sim.apply_fault_plan(&plan);
+        let tl = sim
+            .faults
+            .finalize(sim.topo, &sim.net_base, sim.scheme, &sim.cfg);
+        let epochs: Vec<(TimePs, u32)> = tl.epochs.iter().map(|e| (e.at, e.repairs)).collect();
+        assert_eq!(
+            epochs,
+            [
+                (0, 0),
+                (5_000, 0),
+                (5_000, 0),
+                (5_000, 0),
+                (9_000, 0),
+                (9_000, 0),
+                (1_005_000, 1),
+                (1_009_000, 2),
+            ]
+        );
+        let log: Vec<TimePs> = tl.log.iter().map(|r| r.at).collect();
+        assert_eq!(log, [1_005_000, 1_009_000]);
     }
 
     /// Static whole-router failures coalesce with static link failures
-    /// into a single repair pass at `t = 0` — scheduled identically in
-    /// the writer's replay queue and every shard's event queue.
+    /// into a single repair pass one detection delay after `t = 0`,
+    /// held by the writer: no fault input enters a shard's queue.
     #[test]
     fn static_plan_schedules_one_repair() {
         let (topo, rt) = fixture();
@@ -814,7 +822,7 @@ mod tests {
             detection_delay: Some(1_000_000),
             ..SimConfig::default()
         }
-        .shards(1);
+        .shards(2);
         let mut sim = Simulator::new(&topo, &rt, cfg);
         let e = topo.graph.edge_vec()[0];
         let plan = FaultPlan::none()
@@ -822,18 +830,46 @@ mod tests {
             .fail_router(20)
             .fail_router(31);
         sim.apply_fault_plan(&plan);
-        assert_eq!(
-            sim.shards[0].events.len(),
-            1,
-            "one RepairTick for the static batch"
-        );
-        assert_eq!(
-            sim.faults.pending_events(),
-            1,
-            "the writer queues the same single RepairTick"
-        );
+        assert!(sim.shards.iter().all(|s| s.events.is_empty()));
         assert!(sim.router_is_dead(20) && sim.router_is_dead(31));
         assert!(sim.link_is_down(e.0, e.1));
+        let tl = sim
+            .faults
+            .finalize(sim.topo, &sim.net_base, sim.scheme, &sim.cfg);
+        let log: Vec<TimePs> = tl.log.iter().map(|r| r.at).collect();
+        assert_eq!(log, [1_000_000], "one repair pass for the static batch");
+    }
+
+    /// Fault input the simulator cannot apply is rejected where it
+    /// enters, naming the event, instead of panicking at run start deep
+    /// inside the replay.
+    #[test]
+    #[should_panic(
+        expected = "RouterDown at 7000 ps names router 50, but the topology has 50 routers"
+    )]
+    fn timed_event_on_a_router_past_the_topology_is_rejected() {
+        let (topo, rt) = fixture();
+        let mut sim = Simulator::new(&topo, &rt, SimConfig::default().shards(1));
+        sim.apply_fault_plan(&FaultPlan::none().router_down_at(7_000, 50));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "LinkUp at 9000 ps names link 0-2, which is not a router-router link"
+    )]
+    fn timed_event_on_a_non_link_is_rejected() {
+        let (topo, rt) = fixture();
+        assert!(!topo.graph.has_edge(0, 2));
+        let mut sim = Simulator::new(&topo, &rt, SimConfig::default().shards(1));
+        sim.apply_fault_plan(&FaultPlan::none().link_up_at(9_000, 0, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "static router failure at 0 ps names router 64, but the topology")]
+    fn static_failure_of_a_router_past_the_topology_is_rejected() {
+        let (topo, rt) = fixture();
+        let mut sim = Simulator::new(&topo, &rt, SimConfig::default().shards(1));
+        sim.apply_fault_plan(&FaultPlan::none().fail_router(64));
     }
 
     /// Times the packed event key could not hold, or could not hold
@@ -958,22 +994,23 @@ mod tests {
         let tl = sim
             .faults
             .finalize(sim.topo, &sim.net_base, sim.scheme, &sim.cfg);
-        // Epochs: 0 post-static, 1 LinkDown, 2 RepairTick, 3 RouterDown,
-        // 4 RepairTick. Two repair records.
-        assert_eq!(tl.epochs.len(), 5);
+        // Epochs: 0 post-static, 1 link failure, 2 repair pass, 3 router
+        // death, 4 repair pass. Two repair records.
+        let at: Vec<TimePs> = tl.epochs.iter().map(|e| e.at).collect();
+        assert_eq!(at, [0, 5_000, 6_000, 9_000, 10_000]);
         assert_eq!(tl.log.len(), 2);
         assert_eq!((tl.log[0].at, tl.log[1].at), (6_000, 10_000));
         let ep = &tl.epochs;
         assert_eq!(ep[0].down_count, 0);
         assert_eq!(ep[1].down_count, 1);
-        // LinkDown touches links, not routers.
+        // A link failure touches links, not routers.
         assert!(Arc::ptr_eq(&ep[0].router_dead, &ep[1].router_dead));
         assert!(!Arc::ptr_eq(&ep[0].port_down, &ep[1].port_down));
-        // RepairTick touches neither bitmask, only the overlay.
+        // A repair pass touches neither bitmask, only the overlay.
         assert!(Arc::ptr_eq(&ep[1].port_down, &ep[2].port_down));
         assert!(Arc::ptr_eq(&ep[1].router_dead, &ep[2].router_dead));
         assert!(!Arc::ptr_eq(&ep[1].repair, &ep[2].repair));
-        // RouterDown touches both (its incident links go down with it).
+        // A router death touches both (its incident links die with it).
         assert_eq!(ep[3].dead_router_count, 1);
         assert!(!Arc::ptr_eq(&ep[2].router_dead, &ep[3].router_dead));
         assert!(!Arc::ptr_eq(&ep[2].port_down, &ep[3].port_down));
