@@ -269,7 +269,7 @@ fn patch_connected(
     loop {
         let list: Vec<(u32, u32)> = edges.iter().copied().collect();
         let g = Graph::from_edges(base.n(), &list);
-        let labels = components(&g);
+        let labels = g.component_labels();
         let ncomp = *labels.iter().max().unwrap() + 1;
         if ncomp == 1 {
             return g;
@@ -293,30 +293,6 @@ fn patch_connected(
             edges.insert(*edge);
         }
     }
-}
-
-fn components(g: &Graph) -> Vec<u32> {
-    let n = g.n();
-    let mut label = vec![u32::MAX; n];
-    let mut next = 0u32;
-    let mut stack = Vec::new();
-    for s in 0..n as u32 {
-        if label[s as usize] != u32::MAX {
-            continue;
-        }
-        label[s as usize] = next;
-        stack.push(s);
-        while let Some(u) = stack.pop() {
-            for &v in g.neighbors(u) {
-                if label[v as usize] == u32::MAX {
-                    label[v as usize] = next;
-                    stack.push(v);
-                }
-            }
-        }
-        next += 1;
-    }
-    label
 }
 
 /// Convenience: builds interference-minimizing layers with the same knobs

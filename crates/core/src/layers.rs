@@ -134,7 +134,7 @@ fn sample_connected_layer(
         if g.is_connected() {
             return g;
         }
-        let comp = component_labels(&g);
+        let comp = g.component_labels();
         let mut bridges: Vec<(u32, u32)> = all_edges
             .iter()
             .copied()
@@ -154,31 +154,6 @@ fn sample_connected_layer(
             }
         }
     }
-}
-
-fn component_labels(g: &Graph) -> Vec<u32> {
-    let n = g.n();
-    let mut label = vec![u32::MAX; n];
-    let mut next = 0u32;
-    let mut queue = Vec::new();
-    for s in 0..n as u32 {
-        if label[s as usize] != u32::MAX {
-            continue;
-        }
-        label[s as usize] = next;
-        queue.clear();
-        queue.push(s);
-        while let Some(u) = queue.pop() {
-            for &v in g.neighbors(u) {
-                if label[v as usize] == u32::MAX {
-                    label[v as usize] = next;
-                    queue.push(v);
-                }
-            }
-        }
-        next += 1;
-    }
-    label
 }
 
 #[cfg(test)]

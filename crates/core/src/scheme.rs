@@ -584,26 +584,9 @@ fn connect_with_base(base: &Graph, mut edges: Vec<(u32, u32)>) -> Graph {
         if g.is_connected() {
             return g;
         }
-        // Label components, then add the first bridging edge per pair of
-        // components in canonical edge order.
-        let mut label = vec![u32::MAX; base.n()];
-        let mut next = 0u32;
-        for s in 0..base.n() as u32 {
-            if label[s as usize] != u32::MAX {
-                continue;
-            }
-            let mut stack = vec![s];
-            label[s as usize] = next;
-            while let Some(u) = stack.pop() {
-                for &v in g.neighbors(u) {
-                    if label[v as usize] == u32::MAX {
-                        label[v as usize] = next;
-                        stack.push(v);
-                    }
-                }
-            }
-            next += 1;
-        }
+        // Add the first bridging edge per pair of components in
+        // canonical edge order.
+        let label = g.component_labels();
         let mut seen = rustc_hash::FxHashSet::default();
         let before = edges.len();
         for (u, v) in base.edges() {

@@ -70,28 +70,10 @@ fn unreachable_pairs(topo: &Topology, plan: &FaultPlan, flows: &[FlowSpec]) -> u
     if plan.static_failures().is_empty() {
         return 0;
     }
-    let degraded = topo.graph.without_edges(plan.static_failures());
-    // Component labels via BFS from each unvisited router.
-    let nr = degraded.n();
-    let mut comp = vec![u32::MAX; nr];
-    let mut next = 0u32;
-    let mut queue = Vec::new();
-    for s in 0..nr as u32 {
-        if comp[s as usize] != u32::MAX {
-            continue;
-        }
-        comp[s as usize] = next;
-        queue.push(s);
-        while let Some(u) = queue.pop() {
-            for &v in degraded.neighbors(u) {
-                if comp[v as usize] == u32::MAX {
-                    comp[v as usize] = next;
-                    queue.push(v);
-                }
-            }
-        }
-        next += 1;
-    }
+    let comp = topo
+        .graph
+        .without_edges(plan.static_failures())
+        .component_labels();
     flows
         .iter()
         .filter(|fl| {

@@ -354,6 +354,32 @@ impl Graph {
         hist
     }
 
+    /// The connected-component label of every router. Components are
+    /// numbered `0, 1, …` in the order of their smallest router, so the
+    /// labels do not depend on the traversal order.
+    pub fn component_labels(&self) -> Vec<u32> {
+        let mut label = vec![u32::MAX; self.n()];
+        let mut next = 0u32;
+        let mut stack = Vec::new();
+        for s in 0..self.n() as RouterId {
+            if label[s as usize] != u32::MAX {
+                continue;
+            }
+            label[s as usize] = next;
+            stack.push(s);
+            while let Some(u) = stack.pop() {
+                for &v in self.neighbors(u) {
+                    if label[v as usize] == u32::MAX {
+                        label[v as usize] = next;
+                        stack.push(v);
+                    }
+                }
+            }
+            next += 1;
+        }
+        label
+    }
+
     /// True iff the graph is connected (vacuously true for `n == 0`).
     pub fn is_connected(&self) -> bool {
         if self.n() == 0 {
@@ -432,6 +458,16 @@ mod tests {
         assert_eq!(g.port_of(1, 2), Some(1));
         assert_eq!(g.port_of(0, 2), None);
         assert_eq!(g.neighbor_at(1, 0), 0);
+    }
+
+    /// Components are numbered by their smallest router, whatever the
+    /// edge order: {0, 3, 5}, then {1, 4}, then the isolated 2 and 6.
+    #[test]
+    fn component_labels_number_by_smallest_router() {
+        let g = Graph::from_edges(7, &[(5, 3), (4, 1), (3, 0)]);
+        assert_eq!(g.component_labels(), [0, 1, 2, 0, 1, 0, 3]);
+        assert_eq!(path3().component_labels(), [0, 0, 0]);
+        assert!(Graph::from_edges(0, &[]).component_labels().is_empty());
     }
 
     #[test]

@@ -316,12 +316,13 @@ pub(crate) fn run_indexed(n: usize, task: &(dyn Fn(usize) + Sync)) {
 /// Splits `n_items` into contiguous chunks (about 4 per thread, for
 /// stealing-friendly load balance) and runs `body(lo, hi)` over them in
 /// parallel. Chunk boundaries never affect results — outputs are
-/// addressed by item index — so thread count cannot change output.
+/// addressed by item index — so thread count cannot change output. A
+/// single item runs inline without consulting the pool.
 pub(crate) fn run_chunked(n_items: usize, body: &(dyn Fn(usize, usize) + Sync)) {
     if n_items == 0 {
         return;
     }
-    let threads = if sequential_mode() {
+    let threads = if n_items == 1 || sequential_mode() {
         1
     } else {
         current_num_threads()

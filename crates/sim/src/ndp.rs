@@ -10,6 +10,12 @@
 //!   trims reveal congestion on the current layer (§V-F), providing the
 //!   flowlet-elasticity that implements LetFlow adaptivity.
 //!
+//! Only the protocol rules live here. The endpoint skeleton both
+//! transports share lives in `crate::shard`: the arrival split
+//! (`Shard::on_endpoint_arrive`: receiver echo state, the aborted-sender
+//! drop, the dead-RTO reset), the timer liveness test (`Shard::on_rto`)
+//! and the flowlet-boundary re-pick (`Shard::repick_path`).
+//!
 //! Sharding note: handlers touch only the flow half that lives on the
 //! executing shard — data arrivals the [`RxFlow`](crate::shard::RxFlow),
 //! control arrivals the [`TxFlow`](crate::shard::TxFlow). The receiver
@@ -17,9 +23,9 @@
 //! prove completion from its own ack bitmap without ever reading the
 //! receiver's state across the shard boundary.
 
-use crate::config::{AdaptiveMode, LoadBalancing, Transport};
-use crate::engine::{EvKind, PktKind, TimePs};
-use crate::shard::{pop_front, Ctx, Shard};
+use crate::config::{AdaptiveMode, LoadBalancing, HDR_BYTES};
+use crate::engine::{EvKind, Packet, PktKind, TimePs};
+use crate::shard::{Ctx, Shard};
 use fatpaths_core::fwd::fnv1a;
 use fatpaths_core::scheme::RoutingScheme;
 use fatpaths_telemetry::SpanKind;
@@ -35,99 +41,76 @@ impl Shard {
         flow: u32,
         initial_window: u32,
     ) {
-        let ti = cx.tx_idx(flow);
-        let n = cx.meta(flow).num_pkts.min(initial_window);
-        for _ in 0..n {
-            let seq = self.tx[ti].next_new;
-            self.tx[ti].next_new += 1;
-            self.send_data(cx, flow, seq, false);
+        for _ in 0..cx.meta(flow).num_pkts.min(initial_window) {
+            self.ndp_send_next(cx, flow);
         }
         self.ndp_arm_rto(cx, flow);
     }
 
-    pub(crate) fn ndp_on_arrive<R: RoutingScheme + ?Sized>(
+    /// Receiver side: a data packet (full or trimmed) arrived.
+    pub(crate) fn ndp_on_data<R: RoutingScheme + ?Sized>(
         &mut self,
         cx: &Ctx<R>,
-        ep: u32,
-        pid: u32,
+        flow: u32,
+        pkt: Packet,
     ) {
-        let pkt = *self.packets.get(pid);
-        self.packets.release(pid);
-        let flow = pkt.flow();
-        match pkt.kind() {
-            PktKind::Data => {
-                debug_assert_eq!(ep, pkt.dst_ep);
-                let ri = cx.rx_idx(flow);
-                self.rx[ri].rx_last_layer = pkt.layer;
-                self.rx[ri].last_nonce = pkt.nonce;
-                if pkt.trimmed() {
-                    // Header-only arrival: the payload was cut. Record the
-                    // congestion, suggest a different layer, request a
-                    // retransmission (NACK) and schedule a pull credit.
-                    let nl = cx.n_layers as u64;
-                    let f = &mut self.rx[ri];
-                    f.trims += 1;
-                    if nl > 1 {
-                        let pick = fnv1a(((flow as u64) << 24) ^ 0xBEEF ^ f.trims as u64) % nl;
-                        f.rx_suggest = pick as u8;
-                    }
-                    let suggest = f.rx_suggest;
-                    self.span_once(flow, SpanKind::FirstTrim, pkt.seq, 0);
-                    self.send_control(cx, flow, PktKind::Nack, pkt.seq, false, suggest);
-                    self.ndp_queue_pull(cx, flow);
-                } else {
-                    let newly = self.rx[ri].mark_received(pkt.seq);
-                    let done = self.rx[ri].rcv_count == cx.meta(flow).num_pkts;
-                    // Ack every arrival, duplicates included: the sender's
-                    // completion proof is its own ack bitmap, so a lost ack
-                    // must be replaced by the retransmission's ack.
-                    let suggest = self.rx[ri].rx_suggest;
-                    self.send_control(cx, flow, PktKind::Ack, pkt.seq, false, suggest);
-                    if done {
-                        self.complete_flow(cx, flow);
-                    } else if newly {
-                        self.ndp_queue_pull(cx, flow);
-                    }
-                }
+        let ri = cx.rx_idx(flow);
+        if pkt.trimmed() {
+            // Header-only arrival: the payload was cut. Record the
+            // congestion, suggest a different layer, request a
+            // retransmission (NACK) and schedule a pull credit.
+            let nl = cx.n_layers as u64;
+            let f = &mut self.rx[ri];
+            f.trims += 1;
+            if nl > 1 {
+                let pick = fnv1a(((flow as u64) << 24) ^ 0xBEEF ^ f.trims as u64) % nl;
+                f.rx_suggest = pick as u8;
             }
+            let suggest = f.rx_suggest;
+            self.span_once(flow, SpanKind::FirstTrim, pkt.seq, 0);
+            self.send_control(cx, flow, PktKind::Nack, pkt.seq, false, suggest);
+            self.ndp_queue_pull(cx, flow);
+        } else {
+            let newly = self.rx[ri].mark_received(pkt.seq);
+            let done = self.rx[ri].rcv_count == cx.meta(flow).num_pkts;
+            // Ack every arrival, duplicates included: the sender's
+            // completion proof is its own ack bitmap, so a lost ack
+            // must be replaced by the retransmission's ack.
+            let suggest = self.rx[ri].rx_suggest;
+            self.send_control(cx, flow, PktKind::Ack, pkt.seq, false, suggest);
+            if done {
+                self.complete_flow(cx, flow);
+            } else if newly {
+                self.ndp_queue_pull(cx, flow);
+            }
+        }
+    }
+
+    /// Sender side: an ack, nack or pull arrived. Each adopts the
+    /// receiver's layer suggestion and keeps the safety timer fresh.
+    pub(crate) fn ndp_on_control<R: RoutingScheme + ?Sized>(
+        &mut self,
+        cx: &Ctx<R>,
+        flow: u32,
+        pkt: Packet,
+    ) {
+        self.ndp_adopt_suggestion(cx, flow, pkt.suggest_layer);
+        let f = &mut self.tx[cx.tx_idx(flow)];
+        match pkt.kind() {
             PktKind::Ack => {
-                // Sender side: per-packet ack. Adopt the receiver's layer
-                // suggestion and keep the safety timer fresh.
-                let ti = cx.tx_idx(flow);
-                if self.tx[ti].aborted {
-                    return;
-                }
-                self.reset_dead_rtos(cx, flow);
-                self.ndp_adopt_suggestion(cx, flow, pkt.suggest_layer);
-                let f = &mut self.tx[ti];
                 f.mark_acked(pkt.seq);
                 if pkt.seq >= f.cum_ack {
                     f.cum_ack = pkt.seq + 1;
                 }
-                self.ndp_arm_rto(cx, flow);
             }
             PktKind::Nack => {
-                let ti = cx.tx_idx(flow);
-                if self.tx[ti].aborted {
-                    return;
-                }
-                self.reset_dead_rtos(cx, flow);
-                self.ndp_adopt_suggestion(cx, flow, pkt.suggest_layer);
-                let f = &mut self.tx[ti];
                 f.retx_count += 1;
                 f.retxq.push(pkt.seq);
-                self.ndp_arm_rto(cx, flow);
             }
-            PktKind::Pull => {
-                if self.tx[cx.tx_idx(flow)].aborted {
-                    return;
-                }
-                self.reset_dead_rtos(cx, flow);
-                self.ndp_adopt_suggestion(cx, flow, pkt.suggest_layer);
-                self.ndp_send_next(cx, flow);
-                self.ndp_arm_rto(cx, flow);
-            }
+            PktKind::Pull => self.ndp_send_next(cx, flow),
+            PktKind::Data => unreachable!("data is not control"),
         }
+        self.ndp_arm_rto(cx, flow);
     }
 
     fn ndp_adopt_suggestion<R: RoutingScheme + ?Sized>(
@@ -148,13 +131,9 @@ impl Shard {
 
     /// One pull credit = one packet: retransmissions first, then new data.
     fn ndp_send_next<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
-        let ti = cx.tx_idx(flow);
-        if let Some(seq) = pop_front(&mut self.tx[ti].retxq) {
-            self.send_data(cx, flow, seq, true);
-        } else if self.tx[ti].next_new < cx.meta(flow).num_pkts {
-            let seq = self.tx[ti].next_new;
-            self.tx[ti].next_new += 1;
-            self.send_data(cx, flow, seq, false);
+        let num_pkts = cx.meta(flow).num_pkts;
+        if let Some((seq, retx)) = self.tx[cx.tx_idx(flow)].next_seq(num_pkts) {
+            self.send_data(cx, flow, seq, retx);
         }
     }
 
@@ -187,11 +166,7 @@ impl Shard {
             self.send_control(cx, flow, PktKind::Pull, 0, false, suggest);
         }
         // Pace: one pull per full-payload serialization interval.
-        let payload = match cx.cfg.transport {
-            Transport::Ndp { mtu_payload, .. } => mtu_payload,
-            Transport::Tcp { mss, .. } => mss,
-        };
-        let interval = cx.cfg.ser_time(payload + crate::config::HDR_BYTES);
+        let interval = cx.cfg.ser_time(cx.cfg.transport.payload() + HDR_BYTES);
         self.pull_ready[li] = self.now + interval;
         if self.pull_pending(li) {
             self.events
@@ -232,23 +207,16 @@ impl Shard {
     /// Resending one packet per 2 ms RTO would stretch a lost w-packet
     /// window to w timeouts; resending the window mirrors the line-rate
     /// first window of §III-C (receiver-side dedup makes spurious copies
-    /// harmless).
+    /// harmless). `Shard::on_rto` calls this only for a live timer at
+    /// the true (fully extended) timeout instant; `window` is the
+    /// transport's initial window.
     pub(crate) fn ndp_on_rto<R: RoutingScheme + ?Sized>(
         &mut self,
         cx: &Ctx<R>,
         flow: u32,
-        _gen: u32,
+        window: u32,
     ) {
         let ti = cx.tx_idx(flow);
-        {
-            let f = &self.tx[ti];
-            // Staleness is handled by the deadline check in
-            // `Shard::on_rto`: a firing only reaches here at the true
-            // (fully extended) timeout instant.
-            if f.aborted || !f.started || self.tx_done(cx, flow) {
-                return;
-            }
-        }
         self.span(flow, SpanKind::Rto, 0, 0);
         let nl = cx.n_layers as u64;
         let adaptive = cx.cfg.adaptive == AdaptiveMode::QueueDepth;
@@ -264,10 +232,6 @@ impl Shard {
                 f.layer = (fnv1a(((flow as u64) << 26) ^ 0xFA11 ^ f.flowlet_ctr as u64) % nl) as u8;
             }
         }
-        let window = match cx.cfg.transport {
-            Transport::Ndp { initial_window, .. } => initial_window,
-            _ => 8,
-        };
         // Collect into the shard's scratch buffer: RTOs fire per flow,
         // and a fresh Vec per firing is an allocation storm at scale.
         let mut missing = std::mem::take(&mut self.scratch);

@@ -383,6 +383,20 @@ impl TxFlow {
     pub(crate) fn is_acked(&self, seq: u32) -> bool {
         self.acked.test(seq)
     }
+
+    /// The next sequence to transmit, `(seq, retx)`: pending
+    /// retransmissions first, then new data while any of the flow's
+    /// `num_pkts` remain unsent.
+    pub(crate) fn next_seq(&mut self, num_pkts: u32) -> Option<(u32, bool)> {
+        if !self.retxq.is_empty() {
+            Some((self.retxq.remove(0), true))
+        } else if self.next_new < num_pkts {
+            self.next_new += 1;
+            Some((self.next_new - 1, false))
+        } else {
+            None
+        }
+    }
 }
 
 /// TCP congestion/RTT state, parallel to [`TxFlow`] by local index.
@@ -490,17 +504,6 @@ impl RxFlow {
             self.rcv_next += 1;
         }
         true
-    }
-}
-
-/// Pops the front of a small FIFO `Vec` (see `TxFlow::retxq`): the
-/// `O(len)` shift is cheaper than a `VecDeque` header per flow for
-/// queues that are empty in the common case.
-pub(crate) fn pop_front(q: &mut Vec<u32>) -> Option<u32> {
-    if q.is_empty() {
-        None
-    } else {
-        Some(q.remove(0))
     }
 }
 
@@ -1297,53 +1300,59 @@ impl Shard {
     // ---- shared endpoint helpers ------------------------------------------
 
     /// Applies source-side flowlet logic before a data transmission:
-    /// after a gap > `flowlet_gap`, re-pick the layer (FatPaths) or the
-    /// nonce (LetFlow). ECMP keeps everything static; spraying ignores it.
+    /// after a gap > `flowlet_gap`, re-pick the path.
     ///
     /// A ≥ gap pause implies the pipe has drained (the gap exceeds the
     /// RTT), so switching paths at a gap cannot reorder — LetFlow's core
     /// argument, which also protects the TCP modes from spurious
     /// dup-ACK retransmissions after a layer change.
     pub(crate) fn flowlet_update<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
-        let gap = cx.cfg.flowlet_gap;
-        let n_layers = cx.n_layers;
-        let lb = cx.cfg.lb;
-        let now = self.now;
         let ti = cx.tx_idx(flow);
+        let last = self.tx[ti].last_tx;
+        if last != 0 && self.now.saturating_sub(last) > cx.cfg.flowlet_gap {
+            self.repick_path(cx, flow, 20, 0);
+        }
+        self.tx[ti].last_tx = self.now;
+    }
+
+    /// The one flowlet-boundary re-pick, shared by the gap boundary and
+    /// TCP's window-reduction and timeout boundaries, which salt the
+    /// hash differently (`shift`, `mix`). Pinned MPTCP subflows own
+    /// their layer. Otherwise the flowlet counter advances and the path
+    /// is steered ([`AdaptiveMode::QueueDepth`]) or hashed: a new layer
+    /// for FatPaths, a new nonce for LetFlow. ECMP keeps everything
+    /// static; spraying has no flowlets.
+    pub(crate) fn repick_path<R: RoutingScheme + ?Sized>(
+        &mut self,
+        cx: &Ctx<R>,
+        flow: u32,
+        shift: u32,
+        mix: u64,
+    ) {
         if cx.meta(flow).pinned_layer.is_some() {
-            self.tx[ti].last_tx = now;
             return;
         }
-        let f = &mut self.tx[ti];
-        if f.last_tx != 0 && now.saturating_sub(f.last_tx) > gap {
-            let old_layer = f.layer;
-            f.flowlet_ctr += 1;
-            let adapted =
-                cx.cfg.adaptive == AdaptiveMode::QueueDepth && self.adaptive_repick(cx, flow);
-            if !adapted {
-                let f = &mut self.tx[ti];
-                match lb {
-                    LoadBalancing::FatPathsLayers => {
-                        f.layer = (fnv1a(((flow as u64) << 20) ^ f.flowlet_ctr as u64)
-                            % n_layers as u64) as u8;
-                    }
-                    LoadBalancing::LetFlow => {
-                        f.nonce = fnv1a(((flow as u64) << 21) ^ f.flowlet_ctr as u64);
-                    }
-                    _ => {}
+        let ti = cx.tx_idx(flow);
+        let old = self.tx[ti].layer;
+        self.tx[ti].flowlet_ctr += 1;
+        if !(cx.cfg.adaptive == AdaptiveMode::QueueDepth && self.adaptive_repick(cx, flow)) {
+            let f = &mut self.tx[ti];
+            let ctr = f.flowlet_ctr as u64;
+            match cx.cfg.lb {
+                LoadBalancing::FatPathsLayers => {
+                    let key = ((flow as u64) << shift) ^ mix ^ ctr;
+                    f.layer = (fnv1a(key) % cx.n_layers as u64) as u8;
                 }
-            }
-            let new_layer = self.tx[ti].layer;
-            if new_layer != old_layer {
-                self.span(
-                    flow,
-                    SpanKind::LayerSwitch,
-                    old_layer as u32,
-                    new_layer as u32,
-                );
+                LoadBalancing::LetFlow => {
+                    f.nonce = fnv1a(((flow as u64) << (shift + 1)) ^ mix ^ ctr);
+                }
+                _ => {}
             }
         }
-        self.tx[ti].last_tx = now;
+        let new = self.tx[ti].layer;
+        if new != old {
+            self.span(flow, SpanKind::LayerSwitch, old as u32, new as u32);
+        }
     }
 
     /// Crafts and sends one data packet of `flow` with sequence `seq`
@@ -1444,14 +1453,42 @@ impl Shard {
         }
     }
 
+    /// A packet reaches its endpoint. Data arrives on the receiver's
+    /// shard, which records the layer and nonce its control packets
+    /// echo. Control arrives on the sender's shard: an aborted sender
+    /// ignores it, and any other sender takes it as proof of life. The
+    /// transports see only what is left.
     fn on_endpoint_arrive<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, ep: u32, pid: u32) {
-        match cx.cfg.transport {
-            Transport::Ndp { .. } => self.ndp_on_arrive(cx, ep, pid),
-            Transport::Tcp { .. } => self.tcp_on_arrive(cx, ep, pid),
+        let pkt = *self.packets.get(pid);
+        self.packets.release(pid);
+        let flow = pkt.flow();
+        if pkt.kind() == PktKind::Data {
+            debug_assert_eq!(ep, pkt.dst_ep);
+            let f = &mut self.rx[cx.rx_idx(flow)];
+            f.rx_last_layer = pkt.layer;
+            f.last_nonce = pkt.nonce;
+            match cx.cfg.transport {
+                Transport::Ndp { .. } => self.ndp_on_data(cx, flow, pkt),
+                Transport::Tcp { .. } => self.tcp_on_data(cx, flow, pkt),
+            }
+        } else {
+            if self.tx[cx.tx_idx(flow)].aborted {
+                return;
+            }
+            self.reset_dead_rtos(cx, flow);
+            match cx.cfg.transport {
+                Transport::Ndp { .. } => self.ndp_on_control(cx, flow, pkt),
+                Transport::Tcp { .. } => self.tcp_on_ack(cx, flow, pkt.seq, pkt.ecn_echo()),
+            }
         }
     }
 
+    /// A retransmission timer fires. NDP's lazy timer first defers to
+    /// its extended deadline; then one liveness test covers both timer
+    /// disciplines (NDP never bumps `rto_gen`, so only TCP's superseded
+    /// timers fail the generation check).
     fn on_rto<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32, gen: u32) {
+        let ti = cx.tx_idx(flow);
         if matches!(cx.cfg.transport, Transport::Ndp { .. }) {
             // Lazy timer discipline: acks extend `rto_deadline` without
             // queueing anything, so a firing before the (extended)
@@ -1460,7 +1497,6 @@ impl Shard {
             // deadline is a real timeout. The effective timeout instant
             // (last progress + RTO) is identical to the eager
             // one-event-per-ack scheme, so results are unchanged.
-            let ti = cx.tx_idx(flow);
             self.tx[ti].rto_armed = false;
             if self.now < self.tx[ti].rto_deadline {
                 if !self.tx[ti].aborted && !self.tx_done(cx, flow) {
@@ -1471,12 +1507,16 @@ impl Shard {
                 return;
             }
         }
-        if self.abort_if_host_dead(cx, flow, gen) {
+        let f = &self.tx[ti];
+        if f.aborted || !f.started || gen != f.rto_gen || self.tx_done(cx, flow) {
+            return;
+        }
+        if self.abort_if_host_dead(cx, flow) {
             return;
         }
         match cx.cfg.transport {
-            Transport::Ndp { .. } => self.ndp_on_rto(cx, flow, gen),
-            Transport::Tcp { .. } => self.tcp_on_rto(cx, flow, gen),
+            Transport::Ndp { initial_window, .. } => self.ndp_on_rto(cx, flow, initial_window),
+            Transport::Tcp { .. } => self.tcp_on_rto(cx, flow),
         }
     }
 
@@ -1485,25 +1525,15 @@ impl Shard {
     /// in-flight flow is dead at RTO time, the timeout counts against
     /// the flow's dead-RTO budget; exhausting it aborts the transfer (a
     /// connection reset — the real-stack outcome, instead of silently
-    /// outwaiting the reboot). Returns `true` when the flow was aborted
-    /// (the timer must not be re-armed or the transport consulted).
-    fn abort_if_host_dead<R: RoutingScheme + ?Sized>(
-        &mut self,
-        cx: &Ctx<R>,
-        flow: u32,
-        gen: u32,
-    ) -> bool {
+    /// outwaiting the reboot). Called for live timers only. Returns
+    /// `true` when the flow was aborted (the timer must not be re-armed
+    /// or the transport consulted).
+    fn abort_if_host_dead<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) -> bool {
         let Some(budget) = cx.cfg.abort_on_host_death else {
             return false;
         };
         let m = cx.meta(flow);
         let ti = cx.tx_idx(flow);
-        {
-            let f = &self.tx[ti];
-            if f.aborted || !f.started || gen != f.rto_gen || self.tx_done(cx, flow) {
-                return self.tx[ti].aborted;
-            }
-        }
         let fe = self.faults(cx);
         let endpoint_dead = fe.dead_router_count != 0
             && (fe.router_is_dead(cx.ep_router[m.src_ep as usize])

@@ -522,7 +522,6 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
         self.with_parts(&timeline, |cx, shards| {
             let horizon = cx.cfg.horizon;
             let lookahead = cx.cfg.link_latency.max(1);
-            let k = shards.len();
             let mut resolved_bits = vec![0u64; total.div_ceil(64)];
             let mut resolved = 0usize;
             // Telemetry interval bookkeeping — driven entirely from the
@@ -530,8 +529,7 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
             // mid-window.
             let interval = tcfg.interval_ps.max(1);
             let mut cur_iv: u64 = 0;
-            let mut mb_msgs: u64 = 0;
-            let mut mb_bytes: u64 = 0;
+            let mut mailbox = (0u64, 0u64);
             loop {
                 for sh in shards.iter_mut() {
                     for f in sh.resolved.drain(..) {
@@ -545,13 +543,11 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
                 if total > 0 && resolved >= total {
                     break;
                 }
-                if k > 1 {
-                    let (msgs, bytes) = deliver_mailboxes(shards);
-                    profile.mailbox_msgs += msgs;
-                    profile.mailbox_bytes += bytes;
-                    mb_msgs += msgs;
-                    mb_bytes += bytes;
-                }
+                let (msgs, bytes) = deliver_mailboxes(shards);
+                profile.mailbox_msgs += msgs;
+                profile.mailbox_bytes += bytes;
+                mailbox.0 += msgs;
+                mailbox.1 += bytes;
                 let next_fault = cx.faults.next_at(shards[0].fault_epoch);
                 let queued = shards.iter_mut().filter_map(|s| s.events.peek_time());
                 let Some(t0) = queued.chain(next_fault).min() else {
@@ -563,16 +559,7 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
                 if tcfg.enabled {
                     let iv = t0 / interval;
                     if iv > cur_iv {
-                        flush_telemetry(cx, shards, cur_iv);
-                        if mb_msgs != 0 {
-                            mailbox_rows.push(MailboxSample {
-                                iv: cur_iv,
-                                msgs: mb_msgs,
-                                bytes: mb_bytes,
-                            });
-                            mb_msgs = 0;
-                            mb_bytes = 0;
-                        }
+                        flush_telemetry(cx, shards, cur_iv, &mut mailbox, &mut mailbox_rows);
                         cur_iv = iv;
                     }
                 }
@@ -581,26 +568,16 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
                 for sh in shards.iter_mut() {
                     sh.window_base = t0;
                 }
-                if k == 1 {
-                    shards[0].run_window(cx, w_end, horizon);
-                } else {
-                    shards
-                        .par_chunks_mut(1)
-                        .for_each(|c| c[0].run_window(cx, w_end, horizon));
-                }
+                // One chunk per shard; the pool runs a lone chunk inline.
+                shards
+                    .par_chunks_mut(1)
+                    .for_each(|c| c[0].run_window(cx, w_end, horizon));
                 for sh in shards.iter_mut() {
                     sh.events.shrink_excess();
                 }
             }
             if tcfg.enabled {
-                flush_telemetry(cx, shards, cur_iv);
-                if mb_msgs != 0 {
-                    mailbox_rows.push(MailboxSample {
-                        iv: cur_iv,
-                        msgs: mb_msgs,
-                        bytes: mb_bytes,
-                    });
-                }
+                flush_telemetry(cx, shards, cur_iv, &mut mailbox, &mut mailbox_rows);
             }
         });
         // Harvest the collectors before the arenas are torn down.
@@ -688,9 +665,21 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
 /// Closes telemetry interval `iv` on every shard: each collector samples
 /// its own queue-depth histogram, pending events (its queue plus the
 /// fault events still ahead of its cursor), and packet-slab occupancy,
-/// and drains its per-link byte accumulators into rows. Runs only in the
-/// serial between-window section of the driver loop.
-fn flush_telemetry<R: ?Sized>(cx: &Ctx<'_, R>, shards: &mut [Shard], iv: u64) {
+/// and drains its per-link byte accumulators into rows. The interval's
+/// boundary traffic `mailbox` (messages, bytes) becomes a row when any
+/// message crossed, and restarts at zero. Runs only in the serial
+/// between-window section of the driver loop.
+fn flush_telemetry<R: ?Sized>(
+    cx: &Ctx<'_, R>,
+    shards: &mut [Shard],
+    iv: u64,
+    mailbox: &mut (u64, u64),
+    rows: &mut Vec<MailboxSample>,
+) {
+    let (msgs, bytes) = std::mem::take(mailbox);
+    if msgs != 0 {
+        rows.push(MailboxSample { iv, msgs, bytes });
+    }
     for sh in shards.iter_mut() {
         let pending_faults = sh.faults(cx).pending as u64;
         if let Some(mut tel) = sh.tel.take() {

@@ -5,6 +5,13 @@
 //! data packet's CE mark as ECE. Window reductions are flowlet boundaries
 //! for FatPaths layer re-selection (§VIII-A1).
 //!
+//! Only the protocol rules live here. The endpoint skeleton both
+//! transports share lives in `crate::shard`: the arrival split
+//! (`Shard::on_endpoint_arrive`: receiver echo state, the aborted-sender
+//! drop, the dead-RTO reset), the timer liveness test (`Shard::on_rto`)
+//! and the flowlet-boundary re-pick (`Shard::repick_path`), which TCP's
+//! window-reduction and timeout boundaries salt with their own hash.
+//!
 //! Sharding note: data arrivals run on the receiver's shard against the
 //! [`RxFlow`](crate::shard::RxFlow), ACKs on the sender's shard against
 //! the [`TxFlow`](crate::shard::TxFlow); the cumulative-ACK protocol
@@ -13,10 +20,9 @@
 //! [`TcpState`](crate::shard::TcpState) array (`Shard::tcp`, same local
 //! index as `Shard::tx`), allocated only for TCP transports.
 
-use crate::config::{AdaptiveMode, LoadBalancing, SimConfig, TcpVariant, Transport};
-use crate::engine::{EvKind, PktKind, TimePs};
+use crate::config::{SimConfig, TcpVariant, Transport};
+use crate::engine::{EvKind, Packet, PktKind, TimePs};
 use crate::shard::{Ctx, Shard};
-use fatpaths_core::fwd::fnv1a;
 use fatpaths_core::scheme::RoutingScheme;
 use fatpaths_telemetry::SpanKind;
 
@@ -24,6 +30,10 @@ use fatpaths_telemetry::SpanKind;
 const DCTCP_G: f64 = 1.0 / 16.0;
 /// Initial RTO before the first RTT sample.
 const INITIAL_RTO: TimePs = 1_000_000_000; // 1 ms
+/// Hash salt (shift, mix) of the window-reduction and timeout re-picks
+/// (`Shard::repick_path`); the gap boundary uses (20, 0).
+const REPICK_SHIFT: u32 = 22;
+const REPICK_MIX: u64 = 0xACED;
 
 fn tcp_params(cfg: &SimConfig) -> (TcpVariant, TimePs) {
     match cfg.transport {
@@ -45,7 +55,7 @@ impl Shard {
         let ti = cx.tx_idx(flow);
         let num_pkts = cx.meta(flow).num_pkts;
         loop {
-            let send = {
+            let (seq, retx) = {
                 let now = self.now;
                 let (txs, tcps) = (&mut self.tx, &mut self.tcp);
                 let f = &mut txs[ti];
@@ -57,64 +67,42 @@ impl Shard {
                 if c.inflight >= window {
                     return;
                 }
-                if let Some(seq) = crate::shard::pop_front(&mut f.retxq) {
-                    c.inflight += 1;
-                    (seq, true)
-                } else if f.next_new < num_pkts {
-                    let seq = f.next_new;
-                    f.next_new += 1;
-                    c.inflight += 1;
+                let Some((seq, retx)) = f.next_seq(num_pkts) else {
+                    return;
+                };
+                c.inflight += 1;
+                if !retx {
                     if c.timed.is_none() {
                         c.timed = Some((seq, now));
                     }
                     if c.window_end <= seq && c.window_end == 0 {
                         c.window_end = c.cwnd as u32 + 1;
                     }
-                    (seq, false)
-                } else {
-                    return;
                 }
+                (seq, retx)
             };
-            self.send_data(cx, flow, send.0, send.1);
+            self.send_data(cx, flow, seq, retx);
         }
     }
 
-    pub(crate) fn tcp_on_arrive<R: RoutingScheme + ?Sized>(
+    /// Receiver side: ACK every segment, echoing its CE mark.
+    pub(crate) fn tcp_on_data<R: RoutingScheme + ?Sized>(
         &mut self,
         cx: &Ctx<R>,
-        ep: u32,
-        pid: u32,
+        flow: u32,
+        pkt: Packet,
     ) {
-        let pkt = *self.packets.get(pid);
-        self.packets.release(pid);
-        let flow = pkt.flow();
-        match pkt.kind() {
-            PktKind::Data => {
-                debug_assert_eq!(ep, pkt.dst_ep);
-                let f = &mut self.rx[cx.rx_idx(flow)];
-                f.rx_last_layer = pkt.layer;
-                f.last_nonce = pkt.nonce;
-                f.mark_received(pkt.seq);
-                let cum = f.rcv_next;
-                let done = f.rcv_count == cx.meta(flow).num_pkts;
-                // ACK every segment; echo this segment's CE mark.
-                self.send_control(cx, flow, PktKind::Ack, cum, pkt.ecn_ce(), 0xff);
-                if done {
-                    self.complete_flow(cx, flow);
-                }
-            }
-            PktKind::Ack => {
-                if self.tx[cx.tx_idx(flow)].aborted {
-                    return;
-                }
-                self.reset_dead_rtos(cx, flow);
-                self.tcp_on_ack(cx, flow, pkt.seq, pkt.ecn_echo())
-            }
-            _ => {}
+        let f = &mut self.rx[cx.rx_idx(flow)];
+        f.mark_received(pkt.seq);
+        let cum = f.rcv_next;
+        let done = f.rcv_count == cx.meta(flow).num_pkts;
+        self.send_control(cx, flow, PktKind::Ack, cum, pkt.ecn_ce(), 0xff);
+        if done {
+            self.complete_flow(cx, flow);
         }
     }
 
-    fn tcp_on_ack<R: RoutingScheme + ?Sized>(
+    pub(crate) fn tcp_on_ack<R: RoutingScheme + ?Sized>(
         &mut self,
         cx: &Ctx<R>,
         flow: u32,
@@ -238,45 +226,10 @@ impl Shard {
         };
         if want && inflight <= 3 {
             self.tcp[ti].want_switch = false;
-            self.tcp_flowlet_boundary(cx, flow);
+            self.repick_path(cx, flow, REPICK_SHIFT, REPICK_MIX);
         }
         self.tcp_arm_rto(cx, flow);
         self.tcp_try_send(cx, flow);
-    }
-
-    /// Immediate path re-pick, safe only when the pipe is empty (RTO):
-    /// FatPaths re-picks the layer, LetFlow the nonce.
-    fn tcp_flowlet_boundary<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
-        let n_layers = cx.n_layers as u64;
-        let lb = cx.cfg.lb;
-        if cx.meta(flow).pinned_layer.is_some() {
-            return; // MPTCP subflows own their layer
-        }
-        let ti = cx.tx_idx(flow);
-        self.tx[ti].flowlet_ctr += 1;
-        let old_layer = self.tx[ti].layer;
-        if !(cx.cfg.adaptive == AdaptiveMode::QueueDepth && self.adaptive_repick(cx, flow)) {
-            let f = &mut self.tx[ti];
-            match lb {
-                LoadBalancing::FatPathsLayers => {
-                    f.layer = (fnv1a(((flow as u64) << 22) ^ 0xACED ^ f.flowlet_ctr as u64)
-                        % n_layers) as u8;
-                }
-                LoadBalancing::LetFlow => {
-                    f.nonce = fnv1a(((flow as u64) << 23) ^ 0xACED ^ f.flowlet_ctr as u64);
-                }
-                _ => {}
-            }
-        }
-        let new_layer = self.tx[ti].layer;
-        if new_layer != old_layer {
-            self.span(
-                flow,
-                SpanKind::LayerSwitch,
-                old_layer as u32,
-                new_layer as u32,
-            );
-        }
     }
 
     fn tcp_rto_value<R: RoutingScheme + ?Sized>(&self, cx: &Ctx<R>, flow: u32) -> TimePs {
@@ -302,20 +255,15 @@ impl Shard {
             .push(self.now + rto, EvKind::RtoTimer { flow, gen });
     }
 
-    pub(crate) fn tcp_on_rto<R: RoutingScheme + ?Sized>(
-        &mut self,
-        cx: &Ctx<R>,
-        flow: u32,
-        gen: u32,
-    ) {
+    /// A live timeout (`Shard::on_rto` has checked the generation):
+    /// collapse the window and re-pick the path, which is safe now that
+    /// the pipe is empty.
+    pub(crate) fn tcp_on_rto<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
         let ti = cx.tx_idx(flow);
         {
             let (txs, tcps) = (&mut self.tx, &mut self.tcp);
             let f = &mut txs[ti];
             let c = &mut tcps[ti];
-            if gen != f.rto_gen || !f.started || f.aborted || f.cum_ack >= cx.meta(flow).num_pkts {
-                return;
-            }
             // Timeout: collapse to slow start and go back to cum_ack.
             c.ssthresh = (c.cwnd / 2.0).max(2.0);
             c.cwnd = 1.0;
@@ -329,7 +277,7 @@ impl Shard {
             c.backoff += 1;
         }
         self.span(flow, SpanKind::Rto, 0, 0);
-        self.tcp_flowlet_boundary(cx, flow);
+        self.repick_path(cx, flow, REPICK_SHIFT, REPICK_MIX);
         self.tcp_arm_rto(cx, flow);
         self.tcp_try_send(cx, flow);
     }
