@@ -61,7 +61,7 @@ fn bench_forwarding_tables(c: &mut Criterion) {
     });
     let rt = RoutingTables::build(&t.graph, &ls);
     g.bench_function("path_resolution", |b| {
-        b.iter(|| black_box(rt.path(&t.graph, 2, 7, 600)))
+        b.iter(|| black_box(rt.ports().path(&t.graph, 2, 7, 600)))
     });
     g.finish();
 }

@@ -23,6 +23,12 @@
 //! deterministic hash of `(layer, src, dst)`, which decorrelates the
 //! choices across layers ("we try to pick different next-hop choices for
 //! each layer", §V-B) and across sources.
+//!
+//! [`PortTables`] owns the table format: the `[layer][dst · nr + src]`
+//! layout, lookups, rows and path resolution. [`RoutingTables`] is
+//! `PortTables` plus the distances, fallback ports and layer graphs its
+//! repair reads; the negotiated TE tables and the SPAIN / KSP / PAST
+//! baselines hold a `PortTables` alone.
 
 use crate::ecmp::hop_byte;
 use crate::layers::LayerSet;
@@ -34,12 +40,108 @@ use std::ops::{BitAnd, BitOr, Not};
 /// Marker for "no route" / "self" in the flat tables.
 pub const NO_PORT: u16 = u16::MAX;
 
-/// Forwarding tables for every layer of a [`LayerSet`].
+/// Per-layer destination-based port tables σᵢ: entry `(layer, src, dst)`
+/// is the base-graph output port at `src` toward `dst` within the layer
+/// ([`NO_PORT`] = no route, or `src == dst`). The one owner of the
+/// `[layer][dst · nr + src]` layout: every table-driven scheme (FatPaths
+/// layers, the negotiated TE tables, SPAIN, k-shortest paths, PAST)
+/// forwards from it, and nothing else indexes it.
+///
+/// As a [`RoutingScheme`](crate::scheme::RoutingScheme) it forwards by the
+/// FatPaths rule: the tag is clamped to the last layer, and a layer with
+/// no port at the router takes the layer-0 port.
+#[derive(Clone, Debug)]
+pub struct PortTables {
+    nr: usize,
+    /// `tables[layer][dst * nr + src]`.
+    tables: Vec<Vec<u16>>,
+}
+
+impl PortTables {
+    /// `n_layers` tables over `nr` routers, every entry [`NO_PORT`].
+    pub fn new(n_layers: usize, nr: usize) -> Self {
+        PortTables {
+            nr,
+            tables: vec![vec![NO_PORT; nr * nr]; n_layers],
+        }
+    }
+
+    /// Number of layers.
+    #[inline]
+    pub fn n_layers(&self) -> usize {
+        self.tables.len()
+    }
+
+    /// Number of routers.
+    #[inline]
+    pub fn nr(&self) -> usize {
+        self.nr
+    }
+
+    /// The port at `src` toward `dst` in `layer`, or `None` if `dst` is
+    /// unreachable there (or `src == dst`).
+    #[inline]
+    pub fn get(&self, layer: usize, src: RouterId, dst: RouterId) -> Option<u16> {
+        let p = self.tables[layer][dst as usize * self.nr + src as usize];
+        (p != NO_PORT).then_some(p)
+    }
+
+    /// `layer`'s row toward `dst`: entry `src` is the port at `src`.
+    #[inline]
+    pub fn row(&self, layer: usize, dst: RouterId) -> &[u16] {
+        &self.tables[layer][dst as usize * self.nr..][..self.nr]
+    }
+
+    /// Every layer's table as one mutable slice of `nr` rows (row `dst`
+    /// at `dst * nr`), in layer order.
+    pub fn layers_mut(&mut self) -> impl Iterator<Item = &mut [u16]> {
+        self.tables.iter_mut().map(Vec::as_mut_slice)
+    }
+
+    /// The forwarding rule: the port at `at` toward `dst` in `layer`
+    /// clamped to the last layer, or else the layer-0 port.
+    #[inline]
+    pub(crate) fn forward(&self, layer: usize, at: RouterId, dst: RouterId) -> Option<u16> {
+        let l = layer.min(self.n_layers() - 1);
+        self.get(l, at, dst).or_else(|| self.get(0, at, dst))
+    }
+
+    /// Resolves the full router path `src → dst` that a packet tagged
+    /// `layer` takes, hop by hop under the forwarding rule: `layer` is
+    /// clamped to the last layer, and at a router where it has no port
+    /// toward `dst` the hop takes the layer-0 port, so the path may leave
+    /// a sparse layer. Check [`get`](PortTables::get) at `src` first for a
+    /// path that stays inside `layer`. Returns `None` if a hop has no port
+    /// in either layer; the result includes both endpoints. Panics on a
+    /// forwarding loop, naming the layer and pair.
+    pub fn path(
+        &self,
+        base: &Graph,
+        layer: usize,
+        src: RouterId,
+        dst: RouterId,
+    ) -> Option<Vec<RouterId>> {
+        let mut path = vec![src];
+        let mut at = src;
+        while at != dst {
+            let port = self.forward(layer, at, dst)?;
+            at = base.neighbor_at(at, port as u32);
+            path.push(at);
+            assert!(
+                path.len() <= self.nr + 1,
+                "forwarding loop in layer {layer} from {src} to {dst}"
+            );
+        }
+        Some(path)
+    }
+}
+
+/// Forwarding tables for every layer of a [`LayerSet`]: the [`PortTables`]
+/// plus the in-layer distances, fallback ports and layer graphs repair
+/// reads.
 #[derive(Clone, Debug)]
 pub struct RoutingTables {
-    nr: usize,
-    /// `tables[layer][dst * nr + src]` = base-graph output port at `src`.
-    tables: Vec<Vec<u16>>,
+    ports: PortTables,
     /// `dists[layer][dst * nr + src]` = hop distance within the layer
     /// (`u8::MAX` if unreachable; a build panics on a finite distance
     /// above [`MAX_HOPS`](crate::ecmp::MAX_HOPS)). Used by adaptivity,
@@ -94,11 +196,11 @@ impl RoutingTables {
             .par_iter()
             .map(|lg| LayerPorts::new(base, lg))
             .collect();
-        let mut tables: Vec<Vec<u16>> = (0..layers.len()).map(|_| vec![NO_PORT; nr * nr]).collect();
+        let mut tables = PortTables::new(layers.len(), nr);
         let mut fallback: Vec<Vec<u16>> =
             (0..layers.len()).map(|_| vec![NO_PORT; nr * nr]).collect();
         let bands: Vec<Band<'_>> = tables
-            .iter_mut()
+            .layers_mut()
             .zip(fallback.iter_mut())
             .zip(dists.iter().zip(&ports))
             .enumerate()
@@ -108,8 +210,7 @@ impl RoutingTables {
             .collect();
         select_bands(bands);
         RoutingTables {
-            nr,
-            tables,
+            ports: tables,
             dists,
             fallback,
             layers: layers.clone(),
@@ -118,63 +219,37 @@ impl RoutingTables {
 
     /// Number of layers.
     pub fn n_layers(&self) -> usize {
-        self.tables.len()
+        self.ports.n_layers()
     }
 
     /// Number of routers.
     pub fn nr(&self) -> usize {
-        self.nr
+        self.ports.nr()
     }
 
-    /// `σᵢ(src, dst)`: output port at `src` toward `dst` in layer `layer`,
-    /// or `None` if `dst` is unreachable in that layer (or `src == dst`).
-    #[inline]
-    pub fn next_port(&self, layer: usize, src: RouterId, dst: RouterId) -> Option<u16> {
-        let p = self.tables[layer][dst as usize * self.nr + src as usize];
-        (p != NO_PORT).then_some(p)
+    /// The port tables.
+    pub fn ports(&self) -> &PortTables {
+        &self.ports
+    }
+
+    /// The port tables alone, dropping distances, fallbacks and layers.
+    pub fn into_ports(self) -> PortTables {
+        self.ports
     }
 
     /// Hop distance from `src` to `dst` within `layer` (`None` if
     /// unreachable).
     #[inline]
     pub fn layer_distance(&self, layer: usize, src: RouterId, dst: RouterId) -> Option<u32> {
-        let d = self.dists[layer][dst as usize * self.nr + src as usize];
+        let d = self.dists[layer][dst as usize * self.nr() + src as usize];
         (d != u8::MAX).then_some(d as u32)
-    }
-
-    /// True iff `dst` is reachable from `src` within `layer`.
-    #[inline]
-    pub fn reachable(&self, layer: usize, src: RouterId, dst: RouterId) -> bool {
-        src == dst || self.tables[layer][dst as usize * self.nr + src as usize] != NO_PORT
-    }
-
-    /// Resolves the full router path `src → dst` in `layer` by iterating σ.
-    /// Returns `None` if unreachable. The result includes both endpoints.
-    pub fn path(
-        &self,
-        base: &Graph,
-        layer: usize,
-        src: RouterId,
-        dst: RouterId,
-    ) -> Option<Vec<RouterId>> {
-        let mut path = vec![src];
-        let mut cur = src;
-        while cur != dst {
-            let port = self.next_port(layer, cur, dst)?;
-            cur = base.neighbor_at(cur, port as u32);
-            path.push(cur);
-            if path.len() > self.nr + 1 {
-                unreachable!("forwarding loop — tables are distance-decreasing by construction");
-            }
-        }
-        Some(path)
     }
 
     /// Approximate memory footprint in bytes (for the §VII-C remark that
     /// routing tables are a simulation memory concern). Counts the port,
     /// fallback-port, and distance entries.
     pub fn memory_bytes(&self) -> usize {
-        self.tables.len() * self.nr * self.nr * (2 * std::mem::size_of::<u16>() + 1)
+        self.n_layers() * self.nr() * self.nr() * (2 * std::mem::size_of::<u16>() + 1)
     }
 
     /// The layer subgraphs the tables were built from.
@@ -187,7 +262,7 @@ impl RoutingTables {
     /// minimal next hop).
     #[inline]
     pub fn fallback_port(&self, layer: usize, src: RouterId, dst: RouterId) -> Option<u16> {
-        let p = self.fallback[layer][dst as usize * self.nr + src as usize];
+        let p = self.fallback[layer][dst as usize * self.nr() + src as usize];
         (p != NO_PORT).then_some(p)
     }
 
@@ -218,8 +293,8 @@ impl RoutingTables {
         if down.is_empty() {
             return RouteRepair::none();
         }
-        let nr = self.nr;
-        let mut out = OverlayBuilder::new(&self.tables, nr);
+        let nr = self.nr();
+        let mut out = OverlayBuilder::new(&self.ports);
         for l in 0..self.n_layers() {
             let lg = self.layers.layer(l);
             let layer_down: Vec<(RouterId, RouterId)> =
@@ -281,8 +356,8 @@ impl RoutingTables {
         l: usize,
         dst: RouterId,
     ) -> Option<Vec<(RouterId, u16)>> {
-        let nr = self.nr;
-        let trow = &self.tables[l][dst as usize * nr..][..nr];
+        let nr = self.nr();
+        let trow = self.ports.row(l, dst);
         let drow = &self.dists[l][dst as usize * nr..][..nr];
         let frow = &self.fallback[l][dst as usize * nr..][..nr];
         let mut swaps = Vec::new();
@@ -645,7 +720,7 @@ mod tests {
     fn layer_zero_paths_are_minimal() {
         let (g, rt) = tables_for(5, 3, 0.6);
         for (s, t) in [(0u32, 17u32), (3, 44), (10, 29)] {
-            let p = rt.path(&g, 0, s, t).unwrap();
+            let p = rt.ports().path(&g, 0, s, t).unwrap();
             let d = g.bfs(s)[t as usize];
             assert_eq!(p.len() as u32 - 1, d, "layer-0 path not minimal");
         }
@@ -656,7 +731,7 @@ mod tests {
         let (g, rt) = tables_for(7, 5, 0.5);
         for layer in 0..rt.n_layers() {
             for (s, t) in [(0u32, 90u32), (5, 60), (33, 12)] {
-                let p = rt.path(&g, layer, s, t).expect("connected layer");
+                let p = rt.ports().path(&g, layer, s, t).expect("connected layer");
                 // Consecutive hops are base edges.
                 for w in p.windows(2) {
                     assert!(g.has_edge(w[0], w[1]));
@@ -706,7 +781,7 @@ mod tests {
         let (g, rt) = tables_for(5, 4, 0.5);
         for layer in 0..4 {
             for (s, t) in [(1u32, 40u32), (8, 31)] {
-                let p = rt.path(&g, layer, s, t).unwrap();
+                let p = rt.ports().path(&g, layer, s, t).unwrap();
                 assert_eq!(p.len() as u32 - 1, rt.layer_distance(layer, s, t).unwrap());
             }
         }
@@ -720,8 +795,8 @@ mod tests {
         let mut diverse = 0;
         let pairs = [(0u32, 50u32), (3, 77), (20, 91), (40, 13), (60, 25)];
         for &(s, t) in &pairs {
-            let p0 = rt.path(&g, 0, s, t).unwrap();
-            if (1..rt.n_layers()).any(|l| rt.path(&g, l, s, t).unwrap() != p0) {
+            let p0 = rt.ports().path(&g, 0, s, t).unwrap();
+            if (1..rt.n_layers()).any(|l| rt.ports().path(&g, l, s, t).unwrap() != p0) {
                 diverse += 1;
             }
         }
@@ -734,8 +809,8 @@ mod tests {
         let ls = LayerSet::minimal_only(&t.graph);
         let rt = RoutingTables::build(&t.graph, &ls);
         assert_eq!(rt.n_layers(), 1);
-        assert!(rt.reachable(0, 0, 49));
-        assert_eq!(rt.next_port(0, 7, 7), None);
+        assert!(rt.ports().get(0, 0, 49).is_some());
+        assert_eq!(rt.ports().get(0, 7, 7), None);
     }
 
     /// Walks `src → dst` in `layer` through tables + repair overlay the
@@ -777,7 +852,7 @@ mod tests {
     fn repair_routes_around_single_failed_link() {
         let (g, rt) = tables_for(5, 4, 0.6);
         // Fail the first hop of layer 0's 0→41 path.
-        let p0 = rt.path(&g, 0, 0, 41).unwrap();
+        let p0 = rt.ports().path(&g, 0, 0, 41).unwrap();
         let down = crate::repair::DownLinks::from_links(&[(p0[0], p0[1])]);
         let rep = rt.repair(&g, &down);
         assert!(!rep.is_empty());
@@ -818,7 +893,7 @@ mod tests {
                     with_fb += 1;
                     // The fallback is itself a minimal next hop, distinct
                     // from the chosen one.
-                    let chosen = rt.next_port(0, s, d).unwrap();
+                    let chosen = rt.ports().get(0, s, d).unwrap();
                     assert_ne!(fb, chosen);
                     let w = t.graph.neighbor_at(s, fb as u32);
                     assert_eq!(
@@ -862,7 +937,7 @@ mod tests {
             graphs: vec![g.clone(), layer1],
         };
         let rt = RoutingTables::build(&g, &ls);
-        assert_eq!(rt.next_port(1, 0, 3), None, "pair must start unreachable");
+        assert_eq!(rt.ports().get(1, 0, 3), None, "pair must start unreachable");
         // Layer 0 routes 0 -> 3 over the direct edge; fail it.
         let down = crate::repair::DownLinks::from_links(&[(0, 3)]);
         let rep = rt.repair(&g, &down);
@@ -875,6 +950,67 @@ mod tests {
         // And the walk on the sparse layer avoids the dead link.
         let path = walk_repaired(&g, &rt, &rep, 1, 0, 3).unwrap();
         assert_eq!(path, vec![0, 1, 2, 3]);
+    }
+
+    /// A 4-cycle with a sparse layer 1 that leaves router 3 isolated.
+    fn cycle_with_isolating_layer() -> (Graph, RoutingTables) {
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        let layer1 = Graph::from_edges(4, &[(0, 1), (1, 2)]);
+        let rt = RoutingTables::build(
+            &g,
+            &LayerSet {
+                graphs: vec![g.clone(), layer1],
+            },
+        );
+        (g, rt)
+    }
+
+    #[test]
+    fn port_tables_clamp_the_tag_and_take_layer_0_on_a_miss() {
+        use crate::scheme::RoutingScheme;
+        let (g, rt) = cycle_with_isolating_layer();
+        let pt = rt.ports();
+        let port = |u, v| g.port_of(u, v).unwrap() as u16;
+        // Layer 1 routes 0 -> 2 the long way round, layer 0 directly.
+        assert_eq!(pt.get(1, 0, 2), Some(port(0, 1)));
+        // Tags past the last layer clamp to it.
+        for tag in [1, 2, 200] {
+            assert_eq!(pt.candidate_ports(tag, 0, 2).as_slice(), &[port(0, 1)]);
+        }
+        // Layer 1 has no port toward 3: the layer-0 port forwards.
+        assert_eq!(pt.get(1, 0, 3), None);
+        assert_eq!(pt.candidate_ports(1, 0, 3).as_slice(), &[port(0, 3)]);
+        assert_eq!(pt.path(&g, 1, 0, 3), Some(vec![0, 3]));
+        assert_eq!(pt.path(&g, 1, 1, 3), pt.path(&g, 0, 1, 3));
+        // No router forwards to itself: `NO_PORT` on every diagonal.
+        for l in 0..pt.n_layers() {
+            for r in 0..4 {
+                assert_eq!(pt.row(l, r)[r as usize], NO_PORT);
+                assert_eq!(pt.get(l, r, r), None);
+                assert!(pt.candidate_ports(l as u8, r, r).is_empty());
+                assert_eq!(pt.path(&g, l, r, r), Some(vec![r]));
+            }
+        }
+    }
+
+    #[test]
+    fn port_tables_path_is_none_where_no_layer_routes() {
+        let g = Graph::from_edges(3, &[(0, 1)]);
+        let rt = RoutingTables::build(&g, &LayerSet::minimal_only(&g));
+        assert_eq!(rt.ports().path(&g, 0, 0, 2), None);
+        assert_eq!(rt.ports().path(&g, 0, 0, 1), Some(vec![0, 1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "forwarding loop in layer 0 from 0 to 2")]
+    fn port_tables_path_panics_on_a_forwarding_loop() {
+        let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
+        let mut pt = PortTables::new(1, 3);
+        let table = pt.layers_mut().next().unwrap();
+        // Toward 2: router 0 forwards to 1, and 1 back to 0.
+        table[2 * 3] = g.port_of(0, 1).unwrap() as u16;
+        table[2 * 3 + 1] = g.port_of(1, 0).unwrap() as u16;
+        pt.path(&g, 0, 0, 2);
     }
 
     #[test]
@@ -895,7 +1031,7 @@ mod tests {
         for s in 0..n {
             for d in 0..n {
                 assert_eq!(rt.layer_distance(0, s, d), Some(s.abs_diff(d)));
-                let p = rt.path(&g, 0, s, d).expect("every pair routes");
+                let p = rt.ports().path(&g, 0, s, d).expect("every pair routes");
                 assert_eq!(p.len() as u32 - 1, s.abs_diff(d));
             }
         }
@@ -986,7 +1122,7 @@ mod tests {
     fn assert_matches_reference(base: &Graph, layers: &LayerSet, what: &str) -> RoutingTables {
         let rt = RoutingTables::build(base, layers);
         let (t, d, f) = reference_arrays(base, layers);
-        assert!(rt.tables == t, "{what}: tables differ");
+        assert!(rt.ports.tables == t, "{what}: tables differ");
         assert!(rt.dists == d, "{what}: dists differ");
         assert!(rt.fallback == f, "{what}: fallback differs");
         rt
@@ -1035,7 +1171,7 @@ mod tests {
                 "the n-way tie has a fallback"
             );
             let seq = rayon::run_sequential(|| RoutingTables::build(&g, &layers));
-            assert!(rt.tables == seq.tables && rt.fallback == seq.fallback);
+            assert!(rt.ports.tables == seq.ports.tables && rt.fallback == seq.fallback);
         }
     }
 
@@ -1053,7 +1189,7 @@ mod tests {
                     Band::split(lg, &ports, l, &[dst], &dists, &mut table, &mut fallback).collect(),
                 );
                 let row = dst as usize * nr..(dst as usize + 1) * nr;
-                assert_eq!(table, rt.tables[l][row.clone()], "layer {l} dst {dst}");
+                assert_eq!(table, rt.ports.row(l, dst), "layer {l} dst {dst}");
                 assert_eq!(fallback, rt.fallback[l][row], "layer {l} dst {dst}");
             }
         }
@@ -1084,7 +1220,7 @@ mod tests {
             let layers = LayerSet { graphs };
             let rt = assert_matches_reference(&g, &layers, "random layers");
             let seq = rayon::run_sequential(|| RoutingTables::build(&g, &layers));
-            prop_assert!(rt.tables == seq.tables && rt.dists == seq.dists && rt.fallback == seq.fallback);
+            prop_assert!(rt.ports.tables == seq.ports.tables && rt.dists == seq.dists && rt.fallback == seq.fallback);
         }
     }
 }

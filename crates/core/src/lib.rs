@@ -15,8 +15,11 @@
 //! * [`interference_min`] — the path-interference-minimizing construction
 //!   (Listing 2);
 //! * [`fwd`] — per-layer destination-based forwarding tables σᵢ
-//!   (Listing 3), `O(Nr)` entries per destination; implements
-//!   [`RoutingScheme`] directly;
+//!   (Listing 3), `O(Nr)` entries per destination: [`PortTables`], the
+//!   one port-table format every table-driven scheme (FatPaths, TE,
+//!   SPAIN, KSP, PAST) forwards from, and the FatPaths
+//!   [`RoutingTables`] built on it; both implement [`RoutingScheme`]
+//!   directly;
 //! * [`repair`] — the route-repair vocabulary
 //!   ([`DownLinks`],
 //!   [`RouteRepair`]) behind the
@@ -26,10 +29,9 @@
 //! * [`ecmp`] — minimal multipath port sets, ECMP flow hashing, packet
 //!   spraying (adapter: [`MinimalScheme`]);
 //! * [`spain`], [`past`], [`ksp`] — the SPAIN, PAST and k-shortest-paths
-//!   baselines (Appendix C), simulatable through
-//!   [`SpainScheme`] /
-//!   [`PastScheme`] /
-//!   [`KspScheme`]; Valiant load balancing is
+//!   baselines (Appendix C), lowered into bare [`PortTables`]
+//!   ([`PortTables::spain`] / [`PortTables::past`] /
+//!   [`PortTables::ksp`]); Valiant load balancing is
 //!   [`ValiantScheme`];
 //! * [`schemes`] — Table I's feature matrix as data.
 //!
@@ -50,14 +52,11 @@ pub mod schemes;
 pub mod spain;
 
 pub use ecmp::DistanceMatrix;
-pub use fwd::{fnv1a, RoutingTables, NO_PORT};
+pub use fwd::{fnv1a, PortTables, RoutingTables, NO_PORT};
 pub use interference_min::{build_interference_min_layers, ImConfig};
 pub use ksp::k_shortest_paths;
 pub use layers::{build_random_layers, LayerConfig, LayerSet};
 pub use past::{PastTrees, PastVariant};
 pub use repair::{DownLinks, RouteRepair};
-pub use scheme::{
-    KspConfig, KspScheme, MinimalScheme, PastScheme, PortSet, RoutingScheme, SpainScheme,
-    ValiantScheme,
-};
+pub use scheme::{KspConfig, MinimalScheme, PortSet, RoutingScheme, ValiantScheme};
 pub use spain::{build_spain_layers, SpainConfig, SpainLayers};

@@ -36,7 +36,7 @@
 //!
 //! [`lookup`]: RouteRepair::lookup
 
-use crate::fwd::NO_PORT;
+use crate::fwd::{PortTables, NO_PORT};
 use crate::scheme::assert_layer_tags;
 use fatpaths_net::graph::{Graph, RouterId};
 use rustc_hash::FxHashSet;
@@ -272,28 +272,24 @@ impl RouteRepair {
     }
 }
 
-/// Assembles a [`RouteRepair`] against healthy per-layer port tables laid
-/// out `healthy[layer][dst * nr + src]` ([`NO_PORT`] = no route), with
-/// layer 0 the complete layer. Every layer is keyed by its own `u8` tag, so
-/// the table set may hold at most [`MAX_LAYERS`](crate::scheme::MAX_LAYERS)
-/// layers.
+/// Assembles a [`RouteRepair`] against healthy per-layer [`PortTables`],
+/// with layer 0 the complete layer. Every layer is keyed by its own `u8`
+/// tag, so the table set may hold at most
+/// [`MAX_LAYERS`](crate::scheme::MAX_LAYERS) layers.
 pub struct OverlayBuilder<'a> {
-    healthy: &'a [Vec<u16>],
-    nr: usize,
+    healthy: &'a PortTables,
     /// Rows in the order given. `None` is "unreachable" in layer 0 and
     /// "the layer-0 route" in a sparse layer, resolved by `finish`.
     rows: Vec<(RepairKey, Option<u16>)>,
 }
 
 impl<'a> OverlayBuilder<'a> {
-    /// An empty overlay over `healthy` (`nr` routers per row). Panics if
-    /// `healthy` has more than [`MAX_LAYERS`](crate::scheme::MAX_LAYERS)
-    /// layers.
-    pub fn new(healthy: &'a [Vec<u16>], nr: usize) -> Self {
-        assert_layer_tags(healthy.len());
+    /// An empty overlay over `healthy`. Panics if `healthy` has more than
+    /// [`MAX_LAYERS`](crate::scheme::MAX_LAYERS) layers.
+    pub fn new(healthy: &'a PortTables) -> Self {
+        assert_layer_tags(healthy.n_layers());
         OverlayBuilder {
             healthy,
-            nr,
             rows: Vec::new(),
         }
     }
@@ -310,7 +306,7 @@ impl<'a> OverlayBuilder<'a> {
     /// pair the rebuilt row cannot reach is unreachable in layer 0 (the
     /// complete layer) and takes the repaired layer-0 route elsewhere.
     pub fn rewrite_row(&mut self, layer: usize, dst: RouterId, new_row: &[u16]) {
-        let old_row = &self.healthy[layer][dst as usize * self.nr..][..self.nr];
+        let old_row = self.healthy.row(layer, dst);
         for (src, (&np, &op)) in new_row.iter().zip(old_row).enumerate() {
             let src = src as RouterId;
             if src != dst && np != op {
@@ -330,21 +326,19 @@ impl<'a> OverlayBuilder<'a> {
             self.rows.iter().partition(|((layer, ..), _)| *layer == 0);
         let layer0 =
             RouteRepair::from_rows(layer0.iter().map(|(key, port)| (*key, port.as_slice())));
-        // A healthy entry as a port set (`NO_PORT` is none).
-        let healthy = |l: usize, at: RouterId, dst: RouterId| {
-            let i = dst as usize * self.nr + at as usize;
-            match &self.healthy[l][i..=i] {
-                [NO_PORT] => &[][..],
-                p => p,
-            }
-        };
+        let healthy = self.healthy;
         let shadows = layer0.rows().flat_map(|((_, at, dst), ports)| {
-            let tags = (1..self.healthy.len()).map(|l| l as u8); // in range: checked in `new`
-            let lost = move |&l: &u8| healthy(l as usize, at, dst).is_empty();
+            let tags = (1..healthy.n_layers()).map(|l| l as u8); // in range: checked in `new`
+            let lost = move |&l: &u8| healthy.get(l as usize, at, dst).is_none();
             tags.filter(lost).map(move |l| ((l, at, dst), ports))
         });
-        // `None` in a sparse layer: the layer-0 route, repaired or healthy.
-        let route0 = |at, dst| layer0.lookup(0, at, dst).unwrap_or(healthy(0, at, dst));
+        // `None` in a sparse layer: the layer-0 route, repaired or healthy
+        // (a healthy `NO_PORT` is no port).
+        let route0 = |at: RouterId, dst| {
+            let port = std::slice::from_ref(&healthy.row(0, dst)[at as usize]);
+            let port = if port == [NO_PORT] { &[][..] } else { port };
+            layer0.lookup(0, at, dst).unwrap_or(port)
+        };
         let sparse = sparse
             .into_iter()
             .map(|&(key @ (_, at, dst), ref port)| match port {

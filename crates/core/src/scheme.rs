@@ -18,11 +18,12 @@
 //! may exceed that range and are owned entirely by the scheme.
 
 use crate::ecmp::DistanceMatrix;
-use crate::fwd::{fnv1a, RoutingTables};
+use crate::fwd::{fnv1a, PortTables, RoutingTables};
 use crate::ksp::k_shortest_paths;
+use crate::layers::LayerSet;
 use crate::past::{PastTrees, PastVariant};
 use crate::repair::{DownLinks, RouteRepair};
-use crate::spain::{build_spain_layers, SpainConfig, SpainLayers};
+use crate::spain::{build_spain_layers, SpainConfig};
 use fatpaths_net::graph::{Graph, RouterId};
 
 /// Inline capacity of a [`PortSet`]; candidate sets beyond this spill to
@@ -34,8 +35,8 @@ pub const PORTSET_INLINE: usize = 28;
 
 /// Most layers a scheme can address by tag: layer tags are `u8` in
 /// packets, in [`RoutingScheme::candidate_ports`] and in repair-overlay
-/// keys. Forest-layered schemes (SPAIN, KSP) may hold more layers and
-/// reach the rest by their cyclic fallback, but per-layer repair and TE
+/// keys. Forest-layered schemes (SPAIN, KSP) may hold more layers, of
+/// which tags address only the first `MAX_LAYERS`; per-layer repair and TE
 /// negotiation write every layer under its own tag and check this bound.
 pub const MAX_LAYERS: usize = u8::MAX as usize + 1;
 
@@ -135,9 +136,6 @@ impl AsRef<[u16]> for PortSet {
 /// construction, so this costs implementations nothing — it only rules
 /// out interior mutability (`Cell`/`RefCell`) in hot lookup paths.
 pub trait RoutingScheme: Sync {
-    /// Short scheme identifier for logs and CSV rows.
-    fn name(&self) -> &'static str;
-
     /// Number of endpoint-selectable layers (≥ 1). Endpoints tag packets
     /// with layers in `0..num_layers()`; flowlet load balancing re-picks
     /// within that range.
@@ -211,10 +209,6 @@ pub trait RoutingScheme: Sync {
 /// FIB-compiled scheme) own an arbitrary inner scheme as
 /// `Box<dyn RoutingScheme>` while staying a `RoutingScheme` themselves.
 impl<T: RoutingScheme + ?Sized> RoutingScheme for Box<T> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
     fn num_layers(&self) -> usize {
         (**self).num_layers()
     }
@@ -236,28 +230,33 @@ impl<T: RoutingScheme + ?Sized> RoutingScheme for Box<T> {
     }
 }
 
-/// FatPaths layered forwarding: one deterministic port per (layer, src,
-/// dst), falling back to the complete layer 0 when a sparse layer cannot
-/// reach the destination (it is connected by construction, so the
+/// Table-driven forwarding: one deterministic port per (layer, src, dst),
+/// falling back to layer 0 when the tagged layer has no port (FatPaths,
+/// TE and the baselines' layers are connected by construction, so the
 /// fallback only covers defensive clamping).
-impl RoutingScheme for RoutingTables {
-    fn name(&self) -> &'static str {
-        "layered"
+impl RoutingScheme for PortTables {
+    fn num_layers(&self) -> usize {
+        self.n_layers()
     }
 
+    #[inline]
+    fn candidate_ports(&self, layer: u8, at_router: RouterId, dst_router: RouterId) -> PortSet {
+        match self.forward(layer as usize, at_router, dst_router) {
+            Some(p) => PortSet::single(p),
+            None => PortSet::new(),
+        }
+    }
+}
+
+/// Forwards from its [`PortTables`]; repairs through
+/// [`RoutingTables::repair`].
+impl RoutingScheme for RoutingTables {
     fn num_layers(&self) -> usize {
         self.n_layers()
     }
 
     fn candidate_ports(&self, layer: u8, at_router: RouterId, dst_router: RouterId) -> PortSet {
-        let l = (layer as usize).min(self.n_layers() - 1);
-        match self
-            .next_port(l, at_router, dst_router)
-            .or_else(|| self.next_port(0, at_router, dst_router))
-        {
-            Some(p) => PortSet::single(p),
-            None => PortSet::new(),
-        }
+        self.ports().candidate_ports(layer, at_router, dst_router)
     }
 
     fn repair_routes(&self, base: &Graph, down: &DownLinks) -> RouteRepair {
@@ -285,10 +284,6 @@ impl<'a> MinimalScheme<'a> {
 }
 
 impl RoutingScheme for MinimalScheme<'_> {
-    fn name(&self) -> &'static str {
-        "minimal"
-    }
-
     fn num_layers(&self) -> usize {
         1
     }
@@ -347,143 +342,7 @@ fn degraded_minimal_ports(
     out
 }
 
-/// SPAIN (Mudigonda et al., NSDI'10) as a simulatable scheme: the merged
-/// VLAN forests become routing layers with per-layer destination-based
-/// forwarding. Forests do not span every pair in every layer, so lookups
-/// fall back to the first layer that reaches the destination — the VLAN
-/// the end host would have selected for that destination.
-#[derive(Clone, Debug)]
-pub struct SpainScheme {
-    tables: RoutingTables,
-    /// VLAN subgraph count before merging (§VI-B's resource cost).
-    pub vlans_before_merge: usize,
-}
-
-impl SpainScheme {
-    /// Runs the SPAIN construction on `base` and compiles its layers into
-    /// forwarding tables.
-    pub fn build(base: &Graph, cfg: &SpainConfig) -> Self {
-        let sl = build_spain_layers(base, cfg);
-        Self::from_layers(base, &sl)
-    }
-
-    /// Compiles previously built SPAIN layers.
-    pub fn from_layers(base: &Graph, sl: &SpainLayers) -> Self {
-        SpainScheme {
-            tables: RoutingTables::build(base, &sl.layers),
-            vlans_before_merge: sl.vlans_before_merge,
-        }
-    }
-
-    /// The compiled per-layer tables.
-    pub fn tables(&self) -> &RoutingTables {
-        &self.tables
-    }
-}
-
-impl RoutingScheme for SpainScheme {
-    fn name(&self) -> &'static str {
-        "spain"
-    }
-
-    fn num_layers(&self) -> usize {
-        self.tables.n_layers()
-    }
-
-    fn candidate_ports(&self, layer: u8, at_router: RouterId, dst_router: RouterId) -> PortSet {
-        // Preferred VLAN first, then the rest in cyclic order.
-        cyclic_fallback_port(&self.tables, layer, at_router, dst_router)
-    }
-}
-
-/// Forwarding shared by the forest-layered schemes (SPAIN, KSP), whose
-/// layers may not span every pair: the tagged layer first, then the
-/// remaining layers in cyclic order — the first one that reaches the
-/// destination wins. Loop-free: forwarding one hop within the chosen
-/// layer keeps that layer reachable at the next router (it sits on a
-/// layer path to the destination), so a packet's scan offset never
-/// increases along its route; the pair (offset, in-layer distance)
-/// decreases lexicographically at every hop.
-fn cyclic_fallback_port(
-    tables: &RoutingTables,
-    layer: u8,
-    at_router: RouterId,
-    dst_router: RouterId,
-) -> PortSet {
-    let n = tables.n_layers();
-    let start = (layer as usize) % n;
-    for off in 0..n {
-        if let Some(p) = tables.next_port((start + off) % n, at_router, dst_router) {
-            return PortSet::single(p);
-        }
-    }
-    PortSet::new()
-}
-
-/// PAST (Stephens et al., CoNEXT'12) as a simulatable scheme: one
-/// spanning tree per destination, compiled to a flat `(dst, src) → port`
-/// table. Exactly one path per pair — the §VI deficiency made measurable.
-#[derive(Clone, Debug)]
-pub struct PastScheme {
-    nr: usize,
-    ports: Vec<u16>,
-    variant: PastVariant,
-}
-
-impl PastScheme {
-    /// Builds the per-destination trees and compiles them to ports.
-    pub fn build(g: &Graph, variant: PastVariant, seed: u64) -> Self {
-        let trees = PastTrees::build(g, variant, seed);
-        Self::from_trees(g, &trees, variant)
-    }
-
-    /// Compiles previously built trees.
-    pub fn from_trees(g: &Graph, trees: &PastTrees, variant: PastVariant) -> Self {
-        let nr = g.n();
-        assert_eq!(trees.num_trees(), nr, "tree count must match router count");
-        let mut ports = vec![u16::MAX; nr * nr];
-        for dst in 0..nr as u32 {
-            for src in 0..nr as u32 {
-                if src == dst {
-                    continue;
-                }
-                if let Some(next) = trees.next_hop(src, dst) {
-                    let p = g
-                        .port_of(src, next)
-                        .expect("PAST tree edge must exist in the graph");
-                    ports[dst as usize * nr + src as usize] = p as u16;
-                }
-            }
-        }
-        PastScheme { nr, ports, variant }
-    }
-
-    /// Which tree construction this scheme uses.
-    pub fn variant(&self) -> PastVariant {
-        self.variant
-    }
-}
-
-impl RoutingScheme for PastScheme {
-    fn name(&self) -> &'static str {
-        "past"
-    }
-
-    fn num_layers(&self) -> usize {
-        1
-    }
-
-    fn candidate_ports(&self, _layer: u8, at_router: RouterId, dst_router: RouterId) -> PortSet {
-        let p = self.ports[dst_router as usize * self.nr + at_router as usize];
-        if p == u16::MAX {
-            PortSet::new()
-        } else {
-            PortSet::single(p)
-        }
-    }
-}
-
-/// Configuration of the [`KspScheme`] build.
+/// Configuration of the [`PortTables::ksp`] build.
 #[derive(Clone, Copy, Debug)]
 pub struct KspConfig {
     /// Paths per pair (= layers of the compiled scheme).
@@ -502,78 +361,112 @@ impl Default for KspConfig {
     }
 }
 
-/// k-shortest-paths routing (Singla et al.; Appendix C-D) as a
-/// simulatable scheme. The i-th shortest paths of (sampled) pairs are
-/// unioned into layer i's subgraph; minimal forwarding within each layer
-/// then realizes "spread over the k shortest paths" with plain
-/// destination-based tables, mirroring how §VI treats KSP as a layered
-/// comparison target. Layers are patched to connectivity so every pair
-/// remains routable in every layer.
-#[derive(Clone, Debug)]
-pub struct KspScheme {
-    tables: RoutingTables,
+/// The forest- and tree-layered baselines, lowered into bare port tables
+/// that forward by the [`PortTables`] rule: SPAIN (Mudigonda et al.,
+/// NSDI'10; one layer per merged VLAN forest), k-shortest paths (Singla et
+/// al.; Appendix C-D; one layer per path rank) and PAST (Stephens et al.,
+/// CoNEXT'12; one layer of per-destination trees, exactly one path per
+/// pair — the §VI deficiency made measurable). None of them repairs: their
+/// published constructions are static, so recovery stays end-to-end.
+///
+/// On a connected base every layer routes every pair, so the tagged layer
+/// alone decides: a SPAIN layer is one spanning tree (two distinct
+/// spanning trees never merge acyclically), KSP layers are patched to
+/// connectivity, and PAST's one layer holds a spanning tree per
+/// destination.
+impl PortTables {
+    /// Runs the SPAIN construction on `base` and compiles its layers into
+    /// port tables.
+    pub fn spain(base: &Graph, cfg: &SpainConfig) -> Self {
+        let sl = build_spain_layers(base, cfg);
+        RoutingTables::build(base, &sl.layers).into_ports()
+    }
+
+    /// k-shortest-paths routing: runs Yen's algorithm over the (sampled)
+    /// pairs — in parallel, one task per pair; Yen dominates construction
+    /// cost — and unions the i-th shortest paths into layer i's subgraph.
+    /// Minimal forwarding within each layer then realizes "spread over
+    /// the k shortest paths" with plain destination-based tables,
+    /// mirroring how §VI treats KSP as a layered comparison target.
+    pub fn ksp(base: &Graph, cfg: &KspConfig) -> Self {
+        RoutingTables::build(base, &ksp_layers(base, cfg)).into_ports()
+    }
+
+    /// Builds PAST's per-destination trees and compiles them into one
+    /// layer of port tables.
+    pub fn past(g: &Graph, variant: PastVariant, seed: u64) -> Self {
+        let trees = PastTrees::build(g, variant, seed);
+        let nr = g.n();
+        assert_eq!(trees.num_trees(), nr, "tree count must match router count");
+        let mut ports = PortTables::new(1, nr);
+        for table in ports.layers_mut() {
+            for (dst, row) in (0..nr as u32).zip(table.chunks_mut(nr)) {
+                for (src, entry) in (0..nr as u32).zip(row) {
+                    if src == dst {
+                        continue;
+                    }
+                    if let Some(next) = trees.next_hop(src, dst) {
+                        let p = g
+                            .port_of(src, next)
+                            .expect("PAST tree edge must exist in the graph");
+                        *entry = p as u16;
+                    }
+                }
+            }
+        }
+        ports
+    }
 }
 
-impl KspScheme {
-    /// Runs Yen's algorithm over the (sampled) pairs — in parallel, one
-    /// task per pair; Yen dominates construction cost — and compiles the
-    /// per-rank path unions into forwarding tables.
-    pub fn build(base: &Graph, cfg: &KspConfig) -> Self {
-        assert!(cfg.k >= 1, "need at least one path per pair");
-        let nr = base.n();
-        let mut edge_sets: Vec<rustc_hash::FxHashSet<(u32, u32)>> =
-            vec![rustc_hash::FxHashSet::default(); cfg.k];
-        let total_pairs = nr * (nr - 1);
-        let stride = if cfg.max_pairs == 0 || total_pairs <= cfg.max_pairs {
-            1
-        } else {
-            total_pairs.div_ceil(cfg.max_pairs)
-        };
-        let mut sampled: Vec<(u32, u32)> = Vec::new();
-        let mut idx = 0usize;
-        for s in 0..nr as u32 {
-            for d in 0..nr as u32 {
-                if s == d {
-                    continue;
-                }
-                idx += 1;
-                if idx.is_multiple_of(stride) {
-                    sampled.push((s, d));
-                }
+/// The KSP layers: layer i is the union of the (sampled) pairs' i-th
+/// shortest paths, patched to connectivity.
+fn ksp_layers(base: &Graph, cfg: &KspConfig) -> LayerSet {
+    assert!(cfg.k >= 1, "need at least one path per pair");
+    let nr = base.n();
+    let mut edge_sets: Vec<rustc_hash::FxHashSet<(u32, u32)>> =
+        vec![rustc_hash::FxHashSet::default(); cfg.k];
+    let total_pairs = nr * (nr - 1);
+    let stride = if cfg.max_pairs == 0 || total_pairs <= cfg.max_pairs {
+        1
+    } else {
+        total_pairs.div_ceil(cfg.max_pairs)
+    };
+    let mut sampled: Vec<(u32, u32)> = Vec::new();
+    let mut idx = 0usize;
+    for s in 0..nr as u32 {
+        for d in 0..nr as u32 {
+            if s == d {
+                continue;
+            }
+            idx += 1;
+            if idx.is_multiple_of(stride) {
+                sampled.push((s, d));
             }
         }
-        use rayon::prelude::*;
-        let per_pair: Vec<Vec<Vec<u32>>> = sampled
-            .into_par_iter()
-            .map(|(s, d)| k_shortest_paths(base, s, d, cfg.k))
-            .collect();
-        // Union the rank-i paths sequentially (pair order, deterministic).
-        for paths in &per_pair {
-            for (i, set) in edge_sets.iter_mut().enumerate() {
-                // Rank i path, or the longest available one.
-                let p = paths.get(i).or(paths.last()).unwrap();
-                for w in p.windows(2) {
-                    set.insert((w[0].min(w[1]), w[0].max(w[1])));
-                }
+    }
+    use rayon::prelude::*;
+    let per_pair: Vec<Vec<Vec<u32>>> = sampled
+        .into_par_iter()
+        .map(|(s, d)| k_shortest_paths(base, s, d, cfg.k))
+        .collect();
+    // Union the rank-i paths sequentially (pair order, deterministic).
+    for paths in &per_pair {
+        for (i, set) in edge_sets.iter_mut().enumerate() {
+            // Rank i path, or the longest available one.
+            let p = paths.get(i).or(paths.last()).unwrap();
+            for w in p.windows(2) {
+                set.insert((w[0].min(w[1]), w[0].max(w[1])));
             }
         }
-        let graphs: Vec<Graph> = edge_sets
-            .into_iter()
-            .map(|set| {
-                let edges: Vec<(u32, u32)> = set.into_iter().collect();
-                connect_with_base(base, edges)
-            })
-            .collect();
-        let layers = crate::layers::LayerSet { graphs };
-        KspScheme {
-            tables: RoutingTables::build(base, &layers),
-        }
     }
-
-    /// The compiled per-rank tables.
-    pub fn tables(&self) -> &RoutingTables {
-        &self.tables
-    }
+    let graphs: Vec<Graph> = edge_sets
+        .into_iter()
+        .map(|set| {
+            let edges: Vec<(u32, u32)> = set.into_iter().collect();
+            connect_with_base(base, edges)
+        })
+        .collect();
+    LayerSet { graphs }
 }
 
 /// Builds a graph from `edges`, greedily adding base-graph edges that
@@ -596,22 +489,6 @@ fn connect_with_base(base: &Graph, mut edges: Vec<(u32, u32)>) -> Graph {
             }
         }
         assert!(edges.len() > before, "base graph must be connected");
-    }
-}
-
-impl RoutingScheme for KspScheme {
-    fn name(&self) -> &'static str {
-        "ksp"
-    }
-
-    fn num_layers(&self) -> usize {
-        self.tables.n_layers()
-    }
-
-    fn candidate_ports(&self, layer: u8, at_router: RouterId, dst_router: RouterId) -> PortSet {
-        // Preferred rank first, then the rest in cyclic order (layers are
-        // patched to connectivity, so the first rank always resolves).
-        cyclic_fallback_port(&self.tables, layer, at_router, dst_router)
     }
 }
 
@@ -654,10 +531,6 @@ impl<'a> ValiantScheme<'a> {
 }
 
 impl RoutingScheme for ValiantScheme<'_> {
-    fn name(&self) -> &'static str {
-        "valiant"
-    }
-
     fn num_layers(&self) -> usize {
         self.n_vlb
     }
@@ -742,13 +615,13 @@ mod tests {
                 let ps = rt.candidate_ports(layer, s, d);
                 assert_eq!(
                     ps.as_slice(),
-                    &[rt.next_port(layer as usize, s, d).unwrap()]
+                    &[rt.ports().get(layer as usize, s, d).unwrap()]
                 );
             }
         }
         // Out-of-range layer clamps like the old simulator did.
         let clamped = rt.candidate_ports(200, 0, 30);
-        assert_eq!(clamped.as_slice(), &[rt.next_port(3, 0, 30).unwrap()]);
+        assert_eq!(clamped.as_slice(), &[rt.ports().get(3, 0, 30).unwrap()]);
         assert_eq!(RoutingScheme::num_layers(&rt), 4);
     }
 
@@ -772,7 +645,7 @@ mod tests {
     #[test]
     fn spain_scheme_reaches_every_pair() {
         let t = slim_fly(5, 1).unwrap();
-        let sp = SpainScheme::build(&t.graph, &SpainConfig::default());
+        let sp = PortTables::spain(&t.graph, &SpainConfig::default());
         assert!(sp.num_layers() >= 2);
         for (s, d) in [(0u32, 49u32), (13, 7), (25, 40)] {
             for layer in 0..sp.num_layers() as u8 {
@@ -786,8 +659,7 @@ mod tests {
     fn past_scheme_single_deterministic_path() {
         let t = slim_fly(5, 1).unwrap();
         let trees = PastTrees::build(&t.graph, PastVariant::Bfs, 3);
-        let ps = PastScheme::from_trees(&t.graph, &trees, PastVariant::Bfs);
-        assert_eq!(ps.variant(), PastVariant::Bfs);
+        let ps = PortTables::past(&t.graph, PastVariant::Bfs, 3);
         let p = walk(&ps, &t.graph, 0, 4, 37);
         assert_eq!(p, trees.path(4, 37).unwrap());
         // Layer tag is irrelevant: same path on any tag.
@@ -797,7 +669,7 @@ mod tests {
     #[test]
     fn ksp_layers_cover_all_pairs_and_rank0_is_minimal() {
         let t = slim_fly(5, 1).unwrap();
-        let ks = KspScheme::build(&t.graph, &KspConfig { k: 3, max_pairs: 0 });
+        let ks = PortTables::ksp(&t.graph, &KspConfig { k: 3, max_pairs: 0 });
         assert_eq!(ks.num_layers(), 3);
         for (s, d) in [(0u32, 49u32), (11, 30), (42, 2)] {
             let p0 = walk(&ks, &t.graph, 0, s, d);
@@ -806,6 +678,102 @@ mod tests {
             for layer in 1..3u8 {
                 let p = walk(&ks, &t.graph, layer, s, d);
                 assert_eq!(*p.last().unwrap(), d);
+            }
+        }
+    }
+
+    /// The baselines' own lookup — SPAIN's end host tries the tagged VLAN,
+    /// then the next ones in cyclic order — written against the full
+    /// [`RoutingTables`] of the same layers.
+    fn cyclic_oracle(rt: &RoutingTables, tag: usize, at: u32, dst: u32) -> Vec<u16> {
+        let n = rt.n_layers();
+        (tag..tag + n)
+            .find_map(|l| rt.ports().get(l % n, at, dst))
+            .into_iter()
+            .collect()
+    }
+
+    fn assert_cyclic(scheme: &PortTables, g: &Graph, layers: &LayerSet, what: &str) {
+        let rt = RoutingTables::build(g, layers);
+        assert_eq!(scheme.n_layers(), rt.n_layers(), "{what}");
+        let nr = g.n() as u32;
+        for tag in 0..scheme.n_layers() {
+            for at in 0..nr {
+                for dst in (0..nr).filter(|&dst| dst != at) {
+                    assert_eq!(
+                        scheme.candidate_ports(tag as u8, at, dst).as_slice(),
+                        cyclic_oracle(&rt, tag, at, dst),
+                        "{what}: tag {tag} {at}->{dst}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn oracle_topologies() -> [(&'static str, Graph); 2] {
+        [
+            ("SF q=5", slim_fly(5, 1).unwrap().graph),
+            ("FT k=4", fatpaths_net::topo::fattree::fat_tree(4, 1).graph),
+        ]
+    }
+
+    #[test]
+    fn spain_and_ksp_equal_a_cyclic_scan_of_their_layer_tables() {
+        // On a connected base every SPAIN layer is one spanning tree (two
+        // distinct spanning trees never merge acyclically). On the
+        // disjoint union the layers are forests: the layers missing one
+        // part form a suffix, so both the scan and the layer-0 fallback
+        // land on layer 0, and a pair across the parts has no port in any
+        // layer.
+        let [(_, sf), (_, ft)] = oracle_topologies();
+        let shift = sf.n() as u32;
+        let mut edges = sf.edge_vec();
+        edges.extend(ft.edges().map(|(u, v)| (u + shift, v + shift)));
+        let union = Graph::from_edges(sf.n() + ft.n(), &edges);
+        let spain_only = ("SF q=5 + FT k=4", union);
+        for (name, g) in oracle_topologies().into_iter().chain([spain_only]) {
+            for k_paths in [2, 3] {
+                let cfg = SpainConfig {
+                    k_paths,
+                    ..SpainConfig::default()
+                };
+                let what = format!("{name} SPAIN k_paths {k_paths}");
+                let layers = build_spain_layers(&g, &cfg).layers;
+                assert_cyclic(&PortTables::spain(&g, &cfg), &g, &layers, &what);
+            }
+            if !g.is_connected() {
+                continue; // Yen needs every pair connected
+            }
+            for k in [3, 4] {
+                let cfg = KspConfig { k, max_pairs: 0 };
+                let what = format!("{name} KSP k {k}");
+                assert_cyclic(&PortTables::ksp(&g, &cfg), &g, &ksp_layers(&g, &cfg), &what);
+            }
+        }
+    }
+
+    #[test]
+    fn past_equals_its_tree_next_hops() {
+        // Two triangles: no tree reaches across, so those pairs are empty.
+        let split = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]);
+        let [sf, ft] = oracle_topologies();
+        for (name, g) in [sf, ft, ("two triangles", split)] {
+            for variant in [PastVariant::Bfs, PastVariant::Valiant] {
+                let trees = PastTrees::build(&g, variant, 11);
+                let ps = PortTables::past(&g, variant, 11);
+                assert_eq!(ps.n_layers(), 1);
+                let nr = g.n() as u32;
+                for at in 0..nr {
+                    for dst in (0..nr).filter(|&dst| dst != at) {
+                        let want: Vec<u16> = trees
+                            .next_hop(at, dst)
+                            .map(|next| g.port_of(at, next).unwrap() as u16)
+                            .into_iter()
+                            .collect();
+                        let got = ps.candidate_ports(0, at, dst);
+                        assert_eq!(got.as_slice(), want, "{name} {variant:?} {at}->{dst}");
+                    }
+                }
             }
         }
     }
@@ -847,9 +815,6 @@ mod tests {
     struct SentinelScheme;
 
     impl RoutingScheme for SentinelScheme {
-        fn name(&self) -> &'static str {
-            "sentinel"
-        }
         fn num_layers(&self) -> usize {
             2
         }
@@ -877,7 +842,6 @@ mod tests {
     fn boxed_wrappers_forward_the_whole_contract() {
         let t = slim_fly(5, 1).unwrap();
         let boxed: Box<dyn RoutingScheme> = Box::new(SentinelScheme);
-        assert_eq!(boxed.name(), "sentinel");
         assert_eq!(boxed.num_layers(), 2);
         assert_eq!(boxed.tag_space(), 5, "tag_space fell back to num_layers");
         assert_eq!(boxed.candidate_ports(3, 0, 1).as_slice(), &[3]);

@@ -196,7 +196,7 @@ mod tests {
             for b in 0..t.num_routers() as u32 {
                 if a != b {
                     assert!(
-                        (0..rt.n_layers()).any(|l| rt.reachable(l, a, b)),
+                        (0..rt.n_layers()).any(|l| rt.ports().get(l, a, b).is_some()),
                         "({a},{b}) unreachable in every SPAIN layer"
                     );
                 }

@@ -36,7 +36,7 @@ proptest! {
         for layer in 0..n {
             for (s, d) in [(0u32, nr - 1), (3, 17), (nr / 2, 1)] {
                 if s == d { continue; }
-                let path = rt.path(&t.graph, layer, s, d);
+                let path = rt.ports().path(&t.graph, layer, s, d);
                 prop_assert!(path.is_some(), "unreachable in connected layer");
                 let path = path.unwrap();
                 // Loop-free: no repeated routers.

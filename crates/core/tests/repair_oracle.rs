@@ -78,7 +78,7 @@ fn check_against_rebuild(topo: &Topology, down: &DownLinks, seed: u64, what: &st
                         if full {
                             assert_eq!(
                                 got,
-                                oracle.next_port(l, src, dst),
+                                oracle.ports().get(l, src, dst),
                                 "{at}: rebuilt row differs from the rebuild"
                             );
                         }

@@ -10,9 +10,9 @@
 //! byte for byte.
 
 use fatpaths_core::ecmp::DistanceMatrix;
-use fatpaths_core::fwd::RoutingTables;
+use fatpaths_core::fwd::{PortTables, RoutingTables};
 use fatpaths_core::layers::{build_random_layers, LayerConfig};
-use fatpaths_core::scheme::{KspConfig, KspScheme, RoutingScheme};
+use fatpaths_core::scheme::{KspConfig, RoutingScheme};
 use fatpaths_diversity::apsp::shortest_path_stats;
 use fatpaths_experiments::adaptive::adaptive_matrix_on;
 use fatpaths_experiments::baselines::baselines_matrix_on;
@@ -245,7 +245,7 @@ fn routing_table_build_parity() {
     for layer in 0..par.n_layers() {
         for s in 0..t.num_routers() as u32 {
             for d in (0..t.num_routers() as u32).step_by(7) {
-                assert_eq!(par.next_port(layer, s, d), seq.next_port(layer, s, d));
+                assert_eq!(par.ports().get(layer, s, d), seq.ports().get(layer, s, d));
                 assert_eq!(
                     par.layer_distance(layer, s, d),
                     seq.layer_distance(layer, s, d)
@@ -272,8 +272,8 @@ fn scheme_construction_parity() {
         k: 3,
         max_pairs: 400,
     };
-    let ksp_par = KspScheme::build(&t.graph, &cfg);
-    let ksp_seq = rayon::run_sequential(|| KspScheme::build(&t.graph, &cfg));
+    let ksp_par = PortTables::ksp(&t.graph, &cfg);
+    let ksp_seq = rayon::run_sequential(|| PortTables::ksp(&t.graph, &cfg));
     for layer in 0..ksp_par.num_layers() as u8 {
         for s in (0..t.num_routers() as u32).step_by(3) {
             for d in (1..t.num_routers() as u32).step_by(5) {

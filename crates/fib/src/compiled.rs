@@ -58,10 +58,6 @@ impl<S: RoutingScheme + Sync> CompiledScheme<S> {
 }
 
 impl<S: RoutingScheme> RoutingScheme for CompiledScheme<S> {
-    fn name(&self) -> &'static str {
-        "compiled"
-    }
-
     fn num_layers(&self) -> usize {
         self.inner.num_layers()
     }
@@ -204,7 +200,6 @@ mod tests {
             }
         }
         assert_eq!(cs.num_layers(), 4);
-        assert_eq!(cs.name(), "compiled");
     }
 
     #[test]

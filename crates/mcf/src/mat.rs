@@ -38,7 +38,9 @@ pub trait PathProvider {
     fn layer_cost(&self) -> usize;
 }
 
-/// FatPaths / SPAIN style: one path per layer from forwarding tables.
+/// FatPaths / SPAIN style: one path per layer from forwarding tables, for
+/// each layer that reaches the destination from the source (a layer path
+/// never leaves its layer, so a layer-0 fallback never enters it).
 pub struct LayeredPaths<'a> {
     /// Base graph the tables were built on.
     pub base: &'a Graph,
@@ -48,9 +50,14 @@ pub struct LayeredPaths<'a> {
 
 impl PathProvider for LayeredPaths<'_> {
     fn paths(&self, src: RouterId, dst: RouterId) -> Vec<Vec<RouterId>> {
+        let ports = self.tables.ports();
         let mut out: Vec<Vec<u32>> = Vec::new();
-        for layer in 0..self.tables.n_layers() {
-            if let Some(p) = self.tables.path(self.base, layer, src, dst) {
+        for layer in 0..ports.n_layers() {
+            // A layer with a port at `src` routes the whole way inside it.
+            if src != dst && ports.get(layer, src, dst).is_none() {
+                continue;
+            }
+            if let Some(p) = ports.path(self.base, layer, src, dst) {
                 if !out.contains(&p) {
                     out.push(p);
                 }
@@ -314,6 +321,27 @@ mod tests {
             six.throughput,
             single.throughput
         );
+    }
+
+    #[test]
+    fn a_layer_adds_no_path_where_it_does_not_reach_the_destination() {
+        // Router 0 is isolated in layer 1: a packet tagged 1 at 0 takes the
+        // layer-0 port and then follows layer 1, a path of neither layer.
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (1, 3)]);
+        let layer1 = Graph::from_edges(4, &[(1, 2), (2, 3)]);
+        let rt = RoutingTables::build(
+            &g,
+            &LayerSet {
+                graphs: vec![g.clone(), layer1],
+            },
+        );
+        assert_eq!(rt.ports().path(&g, 1, 0, 3), Some(vec![0, 1, 2, 3]));
+        let lp = LayeredPaths {
+            base: &g,
+            tables: &rt,
+        };
+        assert_eq!(lp.paths(0, 3), vec![vec![0, 1, 3]]);
+        assert_eq!(lp.paths(1, 3), vec![vec![1, 3], vec![1, 2, 3]]);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! * [`FluidSim`] — event-driven arrivals/departures with rate re-solve,
 //!   for medium instances and for validating the bulk approximation.
 
-use fatpaths_core::fwd::RoutingTables;
 use fatpaths_net::topo::Topology;
 use rustc_hash::FxHashMap;
 
@@ -245,33 +244,6 @@ impl FluidSim {
         }
         (0..nf).map(|i| finish[i] - self.starts[i]).collect()
     }
-}
-
-/// Convenience: per-flow link paths under layered routing, choosing layer
-/// `hash(flow) % n_layers` per flow (the time-average of flowlet balancing).
-pub fn layered_paths_for_flows(
-    topo: &Topology,
-    tables: &RoutingTables,
-    links: &LinkSpace,
-    flows: &[(u32, u32)],
-) -> Vec<Vec<u32>> {
-    flows
-        .iter()
-        .enumerate()
-        .map(|(i, &(s, d))| {
-            let (rs, rd) = (topo.endpoint_router(s), topo.endpoint_router(d));
-            if rs == rd {
-                return vec![links.uplink(s), links.downlink(d)];
-            }
-            let layer =
-                (fatpaths_core::fwd::fnv1a(i as u64 ^ 0x77) % tables.n_layers() as u64) as usize;
-            let routers = tables
-                .path(&topo.graph, layer, rs, rd)
-                .or_else(|| tables.path(&topo.graph, 0, rs, rd))
-                .expect("connected");
-            links.flow_path(s, d, &routers)
-        })
-        .collect()
 }
 
 #[cfg(test)]

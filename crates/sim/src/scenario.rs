@@ -32,15 +32,12 @@ use crate::engine::TimePs;
 use crate::metrics::SimResult;
 use crate::simulator::Simulator;
 use fatpaths_core::ecmp::DistanceMatrix;
-use fatpaths_core::fwd::RoutingTables;
+use fatpaths_core::fwd::{PortTables, RoutingTables};
 use fatpaths_core::interference_min::{build_interference_min_layers, ImConfig};
 use fatpaths_core::layers::{build_random_layers, LayerConfig, LayerSet};
 use fatpaths_core::past::PastVariant;
 use fatpaths_core::repair::{DownLinks, RouteRepair};
-use fatpaths_core::scheme::{
-    KspConfig, KspScheme, MinimalScheme, PastScheme, PortSet, RoutingScheme, SpainScheme,
-    ValiantScheme,
-};
+use fatpaths_core::scheme::{KspConfig, MinimalScheme, PortSet, RoutingScheme, ValiantScheme};
 use fatpaths_core::spain::SpainConfig;
 use fatpaths_fib::{CompileMode, CompiledScheme};
 use fatpaths_net::fault::FaultPlan;
@@ -139,12 +136,9 @@ pub enum BuiltScheme<'a> {
         /// All-pairs distances.
         dm: DistanceMatrix,
     },
-    /// SPAIN forests.
-    Spain(SpainScheme),
-    /// PAST per-destination trees.
-    Past(PastScheme),
-    /// k-shortest-path layers.
-    Ksp(KspScheme),
+    /// SPAIN forests, k-shortest-path layers or PAST per-destination
+    /// trees, as bare port tables.
+    Tables(PortTables),
     /// Valiant load balancing.
     Valiant(ValiantScheme<'a>),
     /// Layered tables specialized to the scenario's traffic matrix by
@@ -158,26 +152,11 @@ pub enum BuiltScheme<'a> {
 }
 
 impl RoutingScheme for BuiltScheme<'_> {
-    fn name(&self) -> &'static str {
-        match self {
-            BuiltScheme::Layered(s) => s.name(),
-            BuiltScheme::Minimal { .. } => "minimal",
-            BuiltScheme::Spain(s) => s.name(),
-            BuiltScheme::Past(s) => s.name(),
-            BuiltScheme::Ksp(s) => s.name(),
-            BuiltScheme::Valiant(s) => s.name(),
-            BuiltScheme::Te(s) => s.name(),
-            BuiltScheme::Compiled(s) => s.name(),
-        }
-    }
-
     fn num_layers(&self) -> usize {
         match self {
             BuiltScheme::Layered(s) => RoutingScheme::num_layers(s),
             BuiltScheme::Minimal { .. } => 1,
-            BuiltScheme::Spain(s) => s.num_layers(),
-            BuiltScheme::Past(s) => s.num_layers(),
-            BuiltScheme::Ksp(s) => s.num_layers(),
+            BuiltScheme::Tables(s) => RoutingScheme::num_layers(s),
             BuiltScheme::Valiant(s) => s.num_layers(),
             BuiltScheme::Te(s) => RoutingScheme::num_layers(s),
             BuiltScheme::Compiled(s) => s.num_layers(),
@@ -188,9 +167,7 @@ impl RoutingScheme for BuiltScheme<'_> {
         match self {
             BuiltScheme::Layered(s) => s.tag_space(),
             BuiltScheme::Minimal { topo, dm } => MinimalScheme::new(&topo.graph, dm).tag_space(),
-            BuiltScheme::Spain(s) => s.tag_space(),
-            BuiltScheme::Past(s) => s.tag_space(),
-            BuiltScheme::Ksp(s) => s.tag_space(),
+            BuiltScheme::Tables(s) => s.tag_space(),
             BuiltScheme::Valiant(s) => s.tag_space(),
             BuiltScheme::Te(s) => s.tag_space(),
             BuiltScheme::Compiled(s) => s.tag_space(),
@@ -203,9 +180,7 @@ impl RoutingScheme for BuiltScheme<'_> {
             BuiltScheme::Minimal { topo, dm } => {
                 MinimalScheme::new(&topo.graph, dm).candidate_ports(layer, at, dst)
             }
-            BuiltScheme::Spain(s) => s.candidate_ports(layer, at, dst),
-            BuiltScheme::Past(s) => s.candidate_ports(layer, at, dst),
-            BuiltScheme::Ksp(s) => s.candidate_ports(layer, at, dst),
+            BuiltScheme::Tables(s) => s.candidate_ports(layer, at, dst),
             BuiltScheme::Valiant(s) => s.candidate_ports(layer, at, dst),
             BuiltScheme::Te(s) => s.candidate_ports(layer, at, dst),
             BuiltScheme::Compiled(s) => s.candidate_ports(layer, at, dst),
@@ -218,9 +193,7 @@ impl RoutingScheme for BuiltScheme<'_> {
             BuiltScheme::Minimal { topo, dm } => {
                 MinimalScheme::new(&topo.graph, dm).update_layer(layer, at, dst)
             }
-            BuiltScheme::Spain(s) => s.update_layer(layer, at, dst),
-            BuiltScheme::Past(s) => s.update_layer(layer, at, dst),
-            BuiltScheme::Ksp(s) => s.update_layer(layer, at, dst),
+            BuiltScheme::Tables(s) => s.update_layer(layer, at, dst),
             BuiltScheme::Valiant(s) => s.update_layer(layer, at, dst),
             BuiltScheme::Te(s) => s.update_layer(layer, at, dst),
             BuiltScheme::Compiled(s) => s.update_layer(layer, at, dst),
@@ -237,9 +210,7 @@ impl RoutingScheme for BuiltScheme<'_> {
             // repair): their published constructions are static, so
             // recovery stays end-to-end — exactly the deficiency §VI
             // measures.
-            BuiltScheme::Spain(s) => s.repair_routes(base, down),
-            BuiltScheme::Past(s) => s.repair_routes(base, down),
-            BuiltScheme::Ksp(s) => s.repair_routes(base, down),
+            BuiltScheme::Tables(s) => s.repair_routes(base, down),
             BuiltScheme::Valiant(s) => s.repair_routes(base, down),
             BuiltScheme::Te(s) => s.repair_routes(base, down),
             BuiltScheme::Compiled(s) => RoutingScheme::repair_routes(s, base, down),
@@ -514,7 +485,7 @@ impl<'a> Scenario<'a> {
                 topo: self.topo,
                 dm: DistanceMatrix::build(g),
             },
-            SchemeSpec::Spain { k_paths } => BuiltScheme::Spain(SpainScheme::build(
+            SchemeSpec::Spain { k_paths } => BuiltScheme::Tables(PortTables::spain(
                 g,
                 &SpainConfig {
                     k_paths,
@@ -523,9 +494,9 @@ impl<'a> Scenario<'a> {
                 },
             )),
             SchemeSpec::Past { variant } => {
-                BuiltScheme::Past(PastScheme::build(g, variant, self.seed))
+                BuiltScheme::Tables(PortTables::past(g, variant, self.seed))
             }
-            SchemeSpec::Ksp { k } => BuiltScheme::Ksp(KspScheme::build(
+            SchemeSpec::Ksp { k } => BuiltScheme::Tables(PortTables::ksp(
                 g,
                 &KspConfig {
                     k,

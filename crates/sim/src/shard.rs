@@ -98,6 +98,12 @@ impl Port {
         self.to_flags & PORT_TO_ROUTER != 0
     }
 
+    /// Queue depth: data plus priority packets.
+    #[inline]
+    pub(crate) fn depth(&self) -> u32 {
+        self.data_len as u32 + self.prio_len as u32
+    }
+
     /// Whether the serializer is running.
     #[inline]
     pub(crate) fn busy(&self) -> bool {
@@ -1216,26 +1222,15 @@ impl Shard {
                 }
             }
             LoadBalancing::LetFlow | LoadBalancing::EcmpFlow => {
-                let layer = cx.scheme.update_layer(self.tx[ti].layer, r, dst_router);
-                let fe = self.faults(cx);
                 let mut scheme_row = None;
-                let cands = resolve_row(fe, cx.scheme, layer, r, dst_router, &mut scheme_row);
+                let cands =
+                    self.first_hop_row(cx, r, dst_router, self.tx[ti].layer, &mut scheme_row);
                 if cands.len() <= 1 {
                     return false; // port selection has no choice to make
                 }
                 let mut depths = std::mem::take(&mut self.depth_scratch);
                 depths.clear();
-                for &sel in cands {
-                    let port = cx.net_base[r as usize] + sel as u32;
-                    depths.push(if fe.down_count != 0 && fe.is_port_down(port) {
-                        // A dead port's empty queue must not attract
-                        // flowlets.
-                        u32::MAX
-                    } else {
-                        let p = &self.ports[cx.port_idx(port)];
-                        p.data_len as u32 + p.prio_len as u32
-                    });
-                }
+                depths.extend(cands.iter().map(|&sel| self.port_depth(cx, r, sel)));
                 let pick = least_loaded(&depths, flow, ctr);
                 self.depth_scratch = depths;
                 let Some(j) = pick else { return false };
@@ -1265,12 +1260,39 @@ impl Shard {
         }
     }
 
-    /// Queue depth (data + priority packets) of the first-hop port a
-    /// packet of this flow tagged `layer` would leave router `r` on,
-    /// mirroring the forwarding path exactly: per-hop layer rewrite,
-    /// repair-overlay shadow, then the nonce-hash candidate pick of
-    /// `select_port`. `u32::MAX` marks unusable candidates (unreachable
-    /// rows, down ports) so `least_loaded` never steers into them.
+    /// The candidate row a packet tagged `layer` leaves its first hop
+    /// `r` on, mirroring the forwarding path: per-hop layer rewrite, then
+    /// the repair-overlay shadow ([`resolve_row`], `scheme_row` its
+    /// scratch).
+    fn first_hop_row<'a, R: RoutingScheme + ?Sized>(
+        &self,
+        cx: &'a Ctx<R>,
+        r: u32,
+        dst_router: u32,
+        layer: u8,
+        scheme_row: &'a mut Option<PortSet>,
+    ) -> &'a [u16] {
+        let layer = cx.scheme.update_layer(layer, r, dst_router);
+        resolve_row(self.faults(cx), cx.scheme, layer, r, dst_router, scheme_row)
+    }
+
+    /// Queue depth of router `r`'s port `sel`; `u32::MAX` when the port is
+    /// down, so a dead port's empty queue never attracts flowlets.
+    fn port_depth<R: RoutingScheme + ?Sized>(&self, cx: &Ctx<R>, r: u32, sel: u16) -> u32 {
+        let fe = self.faults(cx);
+        let port = cx.net_base[r as usize] + sel as u32;
+        if fe.down_count != 0 && fe.is_port_down(port) {
+            return u32::MAX;
+        }
+        debug_assert_eq!(cx.port_home[port as usize].shard(), self.id);
+        self.ports[cx.port_idx(port)].depth()
+    }
+
+    /// Queue depth of the first-hop port a packet of this flow tagged
+    /// `layer` would leave router `r` on: the first-hop row, then the
+    /// nonce-hash candidate pick of `select_port`. `u32::MAX` marks
+    /// unusable candidates (unreachable rows, down ports) so
+    /// `least_loaded` never steers into them.
     fn first_hop_depth<R: RoutingScheme + ?Sized>(
         &self,
         cx: &Ctx<R>,
@@ -1279,22 +1301,14 @@ impl Shard {
         layer: u8,
         nonce: u64,
     ) -> u32 {
-        let layer = cx.scheme.update_layer(layer, r, dst_router);
-        let fe = self.faults(cx);
         let mut scheme_row = None;
-        let cands = resolve_row(fe, cx.scheme, layer, r, dst_router, &mut scheme_row);
+        let cands = self.first_hop_row(cx, r, dst_router, layer, &mut scheme_row);
         let sel = match *cands {
             [] => return u32::MAX,
             [only] => only,
             _ => cands[nonce_pick(nonce, r, cands.len())],
         };
-        let port = cx.net_base[r as usize] + sel as u32;
-        if fe.down_count != 0 && fe.is_port_down(port) {
-            return u32::MAX;
-        }
-        debug_assert_eq!(cx.port_home[port as usize].shard(), self.id);
-        let p = &self.ports[cx.port_idx(port)];
-        p.data_len as u32 + p.prio_len as u32
+        self.port_depth(cx, r, sel)
     }
 
     // ---- shared endpoint helpers ------------------------------------------

@@ -686,10 +686,7 @@ fn flush_telemetry<R: ?Sized>(
             let ports = &sh.ports;
             tel.flush(
                 iv,
-                |l| {
-                    let p = &ports[l as usize];
-                    p.data_len as u32 + p.prio_len as u32
-                },
+                |l| ports[l as usize].depth(),
                 sh.events.len() as u64 + pending_faults,
                 sh.packets.live() as u64,
                 sh.packets.capacity() as u64,

@@ -15,7 +15,7 @@ use fatpaths_workloads::arrivals::FlowSpec;
 fn minimal_path_0_41(topo: &fatpaths_net::Topology) -> Vec<u32> {
     let ls = build_random_layers(&topo.graph, &LayerConfig::new(1, 1.0, 0));
     let rt = RoutingTables::build(&topo.graph, &ls);
-    let p0 = rt.path(&topo.graph, 0, 0, 41).unwrap();
+    let p0 = rt.ports().path(&topo.graph, 0, 0, 41).unwrap();
     assert_eq!(p0.len(), 3, "expected a 2-hop pair");
     p0
 }

@@ -6,10 +6,10 @@
 //! theory-only baselines complete real workloads.
 
 use fatpaths_core::ecmp::DistanceMatrix;
-use fatpaths_core::fwd::RoutingTables;
+use fatpaths_core::fwd::{PortTables, RoutingTables};
 use fatpaths_core::layers::{build_random_layers, LayerConfig};
 use fatpaths_core::past::PastVariant;
-use fatpaths_core::scheme::{MinimalScheme, PastScheme, RoutingScheme, SpainScheme};
+use fatpaths_core::scheme::{MinimalScheme, RoutingScheme};
 use fatpaths_core::spain::SpainConfig;
 use fatpaths_net::classes::{build, SizeClass};
 use fatpaths_net::topo::{fattree::fat_tree, slimfly::slim_fly, TopoKind, Topology};
@@ -150,7 +150,7 @@ fn minimal_dispatch_paths_are_bit_identical() {
 fn spain_adapter_completes_all_flows() {
     let topo = slim_fly(5, 2).unwrap();
     let flows = permutation_flows(&topo, 21, 64 * 1024);
-    let spain = SpainScheme::build(
+    let spain = PortTables::spain(
         &topo.graph,
         &SpainConfig {
             k_paths: 2,
@@ -181,7 +181,7 @@ fn spain_adapter_completes_all_flows() {
 fn past_adapter_completes_all_flows() {
     let topo = slim_fly(5, 2).unwrap();
     let flows = permutation_flows(&topo, 21, 64 * 1024);
-    let past = PastScheme::build(&topo.graph, PastVariant::Bfs, 4);
+    let past = PortTables::past(&topo.graph, PastVariant::Bfs, 4);
     let cfg = SimConfig {
         lb: LoadBalancing::EcmpFlow,
         ..SimConfig::default()

@@ -41,7 +41,7 @@ pub struct TeController<'a> {
 impl<'a> TeController<'a> {
     /// A controller with an empty rebuild cache.
     pub fn new(scheme: &'a TeScheme) -> Self {
-        let nl = scheme.tables.len();
+        let nl = scheme.ports.n_layers();
         TeController {
             scheme,
             sigs: vec![Vec::new(); nl],
@@ -64,13 +64,13 @@ impl<'a> TeController<'a> {
     /// Number of matrix entries whose negotiated routes cross any of the
     /// given down links — the demand-side blast radius of an event set.
     pub fn affected_demands(&self, base: &Graph, down: &DownLinks) -> usize {
-        let nl = self.scheme.tables.len();
+        let ports = &self.scheme.ports;
         self.scheme
             .demands
             .iter()
             .filter(|d| {
-                (0..nl).any(|l| {
-                    self.scheme
+                (0..ports.n_layers()).any(|l| {
+                    ports
                         .path(base, l, d.src, d.dst)
                         .is_some_and(|p| p.windows(2).any(|w| down.contains(w[0], w[1])))
                 })
@@ -85,8 +85,8 @@ impl<'a> TeController<'a> {
     pub fn repair(&mut self, base: &Graph, down: &DownLinks) -> RouteRepair {
         self.ticks += 1;
         let scheme = self.scheme;
-        let nr = scheme.nr;
-        let nl = scheme.tables.len();
+        let nr = scheme.ports.nr();
+        let nl = scheme.ports.n_layers();
         if down.is_empty() {
             for l in 0..nl {
                 self.sigs[l].clear();
@@ -94,7 +94,7 @@ impl<'a> TeController<'a> {
             }
             return RouteRepair::none();
         }
-        let mut out = OverlayBuilder::new(&scheme.tables, nr);
+        let mut out = OverlayBuilder::new(&scheme.ports);
         for l in 0..nl {
             let lg = scheme.layers.layer(l);
             let mut layer_down: Vec<(u32, u32)> =
@@ -108,16 +108,15 @@ impl<'a> TeController<'a> {
             if self.sigs[l] != layer_down {
                 let csr = scheme.csrs[l].without(&DownLinks::from_links(&layer_down));
                 let cost = csr.gather(&scheme.costs);
-                let table = &scheme.tables[l];
                 // A tree is affected iff one of its rows crosses a down
                 // link — i.e., the link's endpoints point at each other.
                 let affected: Vec<u32> = (0..nr as u32)
                     .filter(|&dst| {
+                        let row = scheme.ports.row(l, dst);
                         layer_down.iter().any(|&(a, b)| {
                             let pa = base.port_of(a, b).expect("down link is a base edge") as u16;
                             let pb = base.port_of(b, a).expect("down link is a base edge") as u16;
-                            table[dst as usize * nr + a as usize] == pa
-                                || table[dst as usize * nr + b as usize] == pb
+                            row[a as usize] == pa || row[b as usize] == pb
                         })
                     })
                     .collect();

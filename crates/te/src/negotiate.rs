@@ -17,8 +17,9 @@
 //! `(layer, dst)` on the layer subgraph (the `tree` module) — and the best
 //! iteration's trees (lowest peak link load) are kept.
 
+use crate::score::{edge_loads, peak_load};
 use crate::tree::{build_tree, LayerCsr, TreeScratch};
-use fatpaths_core::fwd::{RoutingTables, NO_PORT};
+use fatpaths_core::fwd::{PortTables, RoutingTables, NO_PORT};
 use fatpaths_core::layers::LayerSet;
 use fatpaths_core::repair::{DownLinks, RouteRepair};
 use fatpaths_core::scheme::{assert_layer_tags, PortSet, RoutingScheme};
@@ -66,10 +67,9 @@ impl Default for TeConfig {
 /// [`RoutingScheme::repair_routes`] unchanged.
 #[derive(Clone, Debug)]
 pub struct TeScheme {
-    pub(crate) nr: usize,
-    /// Negotiated `tables[layer][dst * nr + src]` ports (base-graph port
-    /// numbering, like the static tables).
-    pub(crate) tables: Vec<Vec<u16>>,
+    /// The negotiated ports (base-graph port numbering, like the static
+    /// tables).
+    pub(crate) ports: PortTables,
     /// The layer subgraphs negotiation routed within.
     pub(crate) layers: LayerSet,
     /// Final negotiated per-edge cost (the price snapshot of the best
@@ -92,10 +92,10 @@ impl TeScheme {
     /// input) and iterates reroute → measure → re-price over `demands`.
     ///
     /// Deterministic for fixed inputs at any thread count: demands are
-    /// sorted, load accumulation is sequential in demand order, tree
-    /// rebuilds are pure functions of the iteration's price vector, and
-    /// equal-cost predecessor ties break by `fnv1a(layer, src, dst)` —
-    /// the same key the static build uses.
+    /// sorted, load accumulation ([`edge_loads`]) is sequential in demand
+    /// order, tree rebuilds are pure functions of the iteration's price
+    /// vector, and equal-cost predecessor ties break by
+    /// `fnv1a(layer, src, dst)` — the same key the static build uses.
     ///
     /// Panics if `tables` has more layers than `u8` tags
     /// ([`MAX_LAYERS`](fatpaths_core::scheme::MAX_LAYERS)): the
@@ -107,8 +107,7 @@ impl TeScheme {
         cfg: &TeConfig,
     ) -> TeScheme {
         let nr = tables.nr();
-        let nl = tables.n_layers();
-        assert_layer_tags(nl);
+        assert_layer_tags(tables.n_layers());
         let m = base.m();
         let layers = tables.layer_set().clone();
         let edge_index = base.edge_index_map();
@@ -121,26 +120,13 @@ impl TeScheme {
             .iter()
             .map(|lg| LayerCsr::new(base, lg, &base_eids))
             .collect();
-        // Iteration 0: the static tables, copied row by row.
-        let mut cur: Vec<Vec<u16>> = (0..nl)
-            .map(|l| {
-                let mut t = vec![NO_PORT; nr * nr];
-                for dst in 0..nr as u32 {
-                    for src in 0..nr as u32 {
-                        if let Some(p) = tables.next_port(l, src, dst) {
-                            t[dst as usize * nr + src as usize] = p;
-                        }
-                    }
-                }
-                t
-            })
-            .collect();
+        // Iteration 0: the static tables.
+        let mut cur = tables.ports().clone();
         let mut demands = demands.to_vec();
         demands.sort_by_key(|d| (d.src, d.dst));
         let total: f64 = demands.iter().map(|d| d.demand).sum();
         let mut scheme = TeScheme {
-            nr,
-            tables: cur.clone(),
+            ports: cur.clone(),
             layers,
             costs: vec![1.0; m],
             csrs,
@@ -155,8 +141,8 @@ impl TeScheme {
         }
         let mut hist = vec![0.0f64; m];
         let mut costs = vec![1.0f64; m];
-        let mut loads = measure_loads(base, &base_eids, &cur, nr, &scheme.demands);
-        let mut prev = peak_of(&loads);
+        let mut loads = edge_loads(&cur, base, &scheme.demands);
+        let mut prev = peak_load(&loads);
         scheme.peak = prev;
         scheme.converged = false;
         for _ in 0..cfg.max_iterations {
@@ -171,12 +157,12 @@ impl TeScheme {
                 costs[e] = (1.0 + hist[e]) * (1.0 + cfg.present_factor * norm);
             }
             scheme.iterations += 1;
-            rebuild_trees(&scheme.csrs, &costs, nr, &mut cur);
-            loads = measure_loads(base, &base_eids, &cur, nr, &scheme.demands);
-            let peak = peak_of(&loads);
+            rebuild_trees(&scheme.csrs, &costs, &mut cur);
+            loads = edge_loads(&cur, base, &scheme.demands);
+            let peak = peak_load(&loads);
             if peak < scheme.peak {
                 scheme.peak = peak;
-                scheme.tables = cur.clone();
+                scheme.ports = cur.clone();
                 scheme.costs = costs.clone();
             }
             if (prev - peak).abs() <= cfg.epsilon * prev.max(f64::MIN_POSITIVE) {
@@ -216,58 +202,19 @@ impl TeScheme {
         &self.demands
     }
 
-    /// Negotiated port at `src` toward `dst` in `layer` (`None` when the
-    /// pair is unreachable within the layer, or `src == dst`).
-    #[inline]
-    pub fn next_port(&self, layer: usize, src: RouterId, dst: RouterId) -> Option<u16> {
-        let p = self.tables[layer][dst as usize * self.nr + src as usize];
-        (p != NO_PORT).then_some(p)
-    }
-
-    /// Resolves the full router path `src → dst` in `layer`, falling back
-    /// to layer 0 where the sparse layer has no row (the same resolution
-    /// `candidate_ports` applies). `None` if unroutable.
-    pub fn path(
-        &self,
-        base: &Graph,
-        layer: usize,
-        src: RouterId,
-        dst: RouterId,
-    ) -> Option<Vec<RouterId>> {
-        let mut path = vec![src];
-        let mut at = src;
-        while at != dst {
-            let p = self
-                .next_port(layer, at, dst)
-                .or_else(|| self.next_port(0, at, dst))?;
-            at = base.neighbor_at(at, p as u32);
-            path.push(at);
-            if path.len() > self.nr + 1 {
-                return None; // defensive: negotiated trees are loop-free
-            }
-        }
-        Some(path)
+    /// The negotiated port tables.
+    pub fn ports(&self) -> &PortTables {
+        &self.ports
     }
 }
 
 impl RoutingScheme for TeScheme {
-    fn name(&self) -> &'static str {
-        "te"
-    }
-
     fn num_layers(&self) -> usize {
-        self.tables.len()
+        self.ports.n_layers()
     }
 
     fn candidate_ports(&self, layer: u8, at_router: RouterId, dst_router: RouterId) -> PortSet {
-        let l = (layer as usize).min(self.tables.len() - 1);
-        match self
-            .next_port(l, at_router, dst_router)
-            .or_else(|| self.next_port(0, at_router, dst_router))
-        {
-            Some(p) => PortSet::single(p),
-            None => PortSet::new(),
-        }
+        self.ports.candidate_ports(layer, at_router, dst_router)
     }
 
     /// Delegates to a fresh [`crate::TeController`] — one coalesced
@@ -281,10 +228,11 @@ impl RoutingScheme for TeScheme {
 
 /// Rebuilds every `(layer, dst)` tree under the given per-edge prices —
 /// one flat parallel pass, mirroring the static build's work division.
-fn rebuild_trees(csrs: &[LayerCsr], costs: &[f64], nr: usize, cur: &mut [Vec<u16>]) {
+fn rebuild_trees(csrs: &[LayerCsr], costs: &[f64], cur: &mut PortTables) {
     let arc_costs: Vec<Vec<f64>> = csrs.iter().map(|c| c.gather(costs)).collect();
+    let nr = cur.nr();
     let rows: Vec<(usize, usize, &mut [u16])> = cur
-        .iter_mut()
+        .layers_mut()
         .enumerate()
         .flat_map(|(l, t)| {
             t.chunks_mut(nr)
@@ -299,54 +247,113 @@ fn rebuild_trees(csrs: &[LayerCsr], costs: &[f64], nr: usize, cur: &mut [Vec<u16
         });
 }
 
-/// Per-edge load of the tree set under `demands` with equal split over
-/// layers — the demand model the simulator's flowlet hashing realizes.
-/// Sequential in (sorted) demand order, so float accumulation is
-/// order-stable at any thread count.
-fn measure_loads(
-    base: &Graph,
-    base_eids: &[Vec<u32>],
-    tables: &[Vec<u16>],
-    nr: usize,
-    demands: &[RouterDemand],
-) -> Vec<f64> {
-    let nl = tables.len();
-    let mut loads = vec![0.0f64; base.m()];
-    for d in demands {
-        let share = d.demand / nl as f64;
-        for l in 0..nl {
-            let mut at = d.src;
-            let mut lcur = l;
-            let mut hops = 0usize;
-            while at != d.dst {
-                let mut p = tables[lcur][d.dst as usize * nr + at as usize];
-                if p == NO_PORT && lcur != 0 {
-                    lcur = 0; // sparse layer has no row: finish on layer 0
-                    p = tables[0][d.dst as usize * nr + at as usize];
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fatpaths_core::layers::{build_random_layers, LayerConfig};
+    use fatpaths_core::scheme::MAX_LAYERS;
+    use proptest::prelude::*;
+
+    /// The scoring walk negotiation used before it scored with
+    /// [`edge_loads`], kept as its reference: per demand and layer, follow
+    /// the ports from the source, finishing on layer 0 once a sparse
+    /// layer has no port, `demand / n_layers` on every hop.
+    fn measure_loads(base: &Graph, ports: &PortTables, demands: &[RouterDemand]) -> Vec<f64> {
+        let edge_index = base.edge_index_map();
+        let nl = ports.n_layers();
+        let mut loads = vec![0.0f64; base.m()];
+        for d in demands {
+            let share = d.demand / nl as f64;
+            for l in 0..nl {
+                let (mut at, mut lcur, mut hops) = (d.src, l, 0usize);
+                while at != d.dst {
+                    let mut p = ports.get(lcur, at, d.dst);
+                    if p.is_none() && lcur != 0 {
+                        lcur = 0; // sparse layer has no row: finish on layer 0
+                        p = ports.get(0, at, d.dst);
+                    }
+                    let Some(p) = p else {
+                        break; // disconnected pair
+                    };
+                    let nb = base.neighbor_at(at, p as u32);
+                    loads[edge_index[&(at.min(nb), at.max(nb))] as usize] += share;
+                    at = nb;
+                    hops += 1;
+                    if hops > ports.nr() {
+                        break; // defensive cap; trees are loop-free
+                    }
                 }
-                if p == NO_PORT {
-                    break; // disconnected pair
-                }
-                loads[base_eids[at as usize][p as usize] as usize] += share;
-                at = base.neighbor_at(at, p as u32);
-                hops += 1;
-                if hops > nr {
-                    break; // defensive cap; trees are loop-free
+            }
+        }
+        loads
+    }
+
+    fn bits(loads: &[f64]) -> Vec<u64> {
+        loads.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        // Random connected layer sets and random demands (self-pairs
+        // included): the shared scorer equals the reference walk bit for
+        // bit, on the static tables and on negotiated ones — the equality
+        // `negotiate`'s peaks rest on.
+        #[test]
+        fn edge_loads_equal_the_reference_walk_bit_for_bit(
+            n_layers in 1usize..5,
+            rho in 0.4f64..0.9,
+            seed in 0u64..1_000,
+            raw in prop::collection::vec((0u32..50, 0u32..50, 0.01f64..10.0), 1..60),
+        ) {
+            let g = fatpaths_net::topo::slimfly::slim_fly(5, 1).unwrap().graph;
+            let ls = build_random_layers(&g, &LayerConfig::new(n_layers, rho, seed));
+            let rt = RoutingTables::build(&g, &ls);
+            let demands: Vec<RouterDemand> = raw
+                .iter()
+                .map(|&(src, dst, demand)| RouterDemand { src, dst, demand })
+                .collect();
+            let cfg = TeConfig { max_iterations: 2, ..TeConfig::default() };
+            let te = TeScheme::negotiate(&g, &rt, &demands, &cfg);
+            for ports in [rt.ports(), te.ports()] {
+                prop_assert_eq!(
+                    bits(&edge_loads(ports, &g, &demands)),
+                    bits(&measure_loads(&g, ports, &demands))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zero_iterations_forward_like_the_static_tables() {
+        let topo = fatpaths_net::topo::slimfly::slim_fly(5, 1).unwrap();
+        let g = &topo.graph;
+        let rt = RoutingTables::build(g, &build_random_layers(g, &LayerConfig::new(4, 0.6, 3)));
+        let demands: Vec<RouterDemand> = (0..g.n() as u32)
+            .map(|src| RouterDemand {
+                src,
+                dst: (src * 7 + 3) % g.n() as u32,
+                demand: 1.0,
+            })
+            .collect();
+        let cfg = TeConfig {
+            max_iterations: 0,
+            ..TeConfig::default()
+        };
+        let te = TeScheme::negotiate(g, &rt, &demands, &cfg);
+        assert_eq!(te.iterations(), 0);
+        for tag in 0..=rt.n_layers() as u8 {
+            for at in 0..g.n() as u32 {
+                for dst in (0..g.n() as u32).filter(|&dst| dst != at) {
+                    assert_eq!(
+                        te.candidate_ports(tag, at, dst),
+                        rt.candidate_ports(tag, at, dst),
+                        "tag {tag} {at}->{dst}"
+                    );
                 }
             }
         }
     }
-    loads
-}
-
-fn peak_of(loads: &[f64]) -> f64 {
-    loads.iter().copied().fold(0.0, f64::max)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use fatpaths_core::scheme::MAX_LAYERS;
 
     fn triangle_tables(n_layers: usize) -> (Graph, RoutingTables) {
         let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);

@@ -65,7 +65,7 @@ fn repaired_routes_avoid_dead_links_and_stay_loop_free() {
     let g = &topo.graph;
     let te = negotiated(&topo);
     // Fail the first hop of a negotiated layer-0 route.
-    let p0 = te.path(g, 0, 0, 41).unwrap();
+    let p0 = te.ports().path(g, 0, 0, 41).unwrap();
     let down = DownLinks::from_links(&[(p0[0], p0[1])]);
     let rep = te.repair_routes(g, &down);
     assert!(!rep.is_empty());
@@ -94,8 +94,8 @@ fn incremental_controller_matches_from_scratch_repair() {
     let te = negotiated(&topo);
     let nl = RoutingScheme::num_layers(&te);
     let nr = g.n() as u32;
-    let p0 = te.path(g, 0, 0, 41).unwrap();
-    let p1 = te.path(g, 1, 7, 30).unwrap();
+    let p0 = te.ports().path(g, 0, 0, 41).unwrap();
+    let p1 = te.ports().path(g, 1, 7, 30).unwrap();
     let first = DownLinks::from_links(&[(p0[0], p0[1])]);
     let both = DownLinks::from_links(&[(p0[0], p0[1]), (p1[0], p1[1])]);
 
@@ -129,7 +129,7 @@ fn empty_down_set_repairs_nothing_and_blast_radius_is_sane() {
     assert!(te.repair_routes(g, &DownLinks::from_links(&[])).is_empty());
     let ctrl = TeController::new(&te);
     assert_eq!(ctrl.affected_demands(g, &DownLinks::from_links(&[])), 0);
-    let p0 = te.path(g, 0, 0, 41).unwrap();
+    let p0 = te.ports().path(g, 0, 0, 41).unwrap();
     let down = DownLinks::from_links(&[(p0[0], p0[1])]);
     let hit = ctrl.affected_demands(g, &down);
     assert!(hit <= te.demands().len());

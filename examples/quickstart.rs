@@ -34,7 +34,7 @@ fn main() {
     let layers = build_random_layers(&topo.graph, &LayerConfig::new(9, 0.6, 7));
     let tables = RoutingTables::build(&topo.graph, &layers);
     for layer in [0usize, 1, 2] {
-        let path = tables.path(&topo.graph, layer, s, t).unwrap();
+        let path = tables.ports().path(&topo.graph, layer, s, t).unwrap();
         println!("layer {layer}: path {:?} ({} hops)", path, path.len() - 1);
     }
 

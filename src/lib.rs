@@ -29,9 +29,9 @@
 //! |---|---|---|
 //! | FatPaths layers | [`RoutingTables`](core::fwd::RoutingTables) | one per layer (non-minimal in sparse layers) |
 //! | ECMP / spray / LetFlow | [`MinimalScheme`](core::scheme::MinimalScheme) | all minimal next hops |
-//! | SPAIN | [`SpainScheme`](core::scheme::SpainScheme) | one per merged VLAN forest |
-//! | PAST | [`PastScheme`](core::scheme::PastScheme) | exactly one (per-destination tree) |
-//! | k shortest paths | [`KspScheme`](core::scheme::KspScheme) | one per path rank |
+//! | SPAIN | [`PortTables::spain`](core::fwd::PortTables::spain) | one per merged VLAN forest |
+//! | PAST | [`PortTables::past`](core::fwd::PortTables::past) | exactly one (per-destination tree) |
+//! | k shortest paths | [`PortTables::ksp`](core::fwd::PortTables::ksp) | one per path rank |
 //! | Valiant (VLB) | [`ValiantScheme`](core::scheme::ValiantScheme) | one per intermediate |
 //!
 //! ## Crate map
@@ -97,13 +97,12 @@ pub use fatpaths_workloads as workloads;
 /// One-stop imports for the common workflow.
 pub mod prelude {
     pub use fatpaths_core::ecmp::DistanceMatrix;
-    pub use fatpaths_core::fwd::RoutingTables;
+    pub use fatpaths_core::fwd::{PortTables, RoutingTables};
     pub use fatpaths_core::interference_min::{build_interference_min_layers, ImConfig};
     pub use fatpaths_core::layers::{build_random_layers, LayerConfig, LayerSet};
     pub use fatpaths_core::past::PastVariant;
     pub use fatpaths_core::scheme::{
-        KspConfig, KspScheme, MinimalScheme, PastScheme, PortSet, RoutingScheme, SpainScheme,
-        ValiantScheme,
+        KspConfig, MinimalScheme, PortSet, RoutingScheme, ValiantScheme,
     };
     pub use fatpaths_fib::{compile, CompileMode, CompiledScheme, TableBudget};
     pub use fatpaths_net::classes::{build, SizeClass};
