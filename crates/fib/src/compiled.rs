@@ -20,7 +20,7 @@
 //!   ports change, and the rewritten-row count (with aggregated-range
 //!   splits and re-merges accounted) lands in
 //!   [`RouteRepair::fib_rows_rewritten`], which the simulator surfaces
-//!   per `RepairTick`.
+//!   per repair pass.
 //!
 //! [`update_layer`]: RoutingScheme::update_layer
 //! [`repair_routes`]: RoutingScheme::repair_routes

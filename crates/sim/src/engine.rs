@@ -1,5 +1,6 @@
-//! Discrete-event core: a deterministic time-ordered event queue and a
-//! packet slab.
+//! Discrete-event core: a deterministic time-ordered event queue, and
+//! the one [`Slab`] and [`Fifo`] every per-object queue of a shard —
+//! port queues, pull credits, retransmissions — is built from.
 //!
 //! Events are ordered by a **canonical key**, not by push sequence:
 //! `(time, class, key)` where `class` ranks event kinds (flow starts
@@ -107,6 +108,7 @@ struct EvEntry {
     a: u32,
     b: u32,
 }
+const _: () = assert!(std::mem::size_of::<EvEntry>() == 24);
 
 /// Canonical class ranks: flow starts before packet motion, and timers
 /// last (an ACK and an RTO at the same instant: the ACK bumps the timer
@@ -197,7 +199,8 @@ const RING_BUCKETS: usize = 4096;
 const RING_MASK: usize = RING_BUCKETS - 1;
 const RING_WORDS: usize = RING_BUCKETS / 64;
 
-/// Sentinel for "no entry" in the ring's chain links.
+/// Sentinel for "no slot": the end of a chain or of a free list, in the
+/// event ring and in every [`Slab`].
 const NO_SLOT: u32 = u32::MAX;
 
 /// The low half of `EvEntry::tcls`: the timestamp's low 24 bits over
@@ -211,14 +214,19 @@ const _: () = assert!(BUCKET_SHIFT <= 24, "a bucket must fix tcls' high half");
 
 type MinHeap = BinaryHeap<Reverse<EvEntry>>;
 
-/// Pushes without ever letting the heap double: a full heap grows by a
-/// bounded exact step (⅛ of capacity) instead, because a doubling
-/// realloc of a multi-hundred-k-entry heap permanently raises the
-/// process high-water mark far past the true event peak.
+/// The one growth rule for every buffer a shard pushes into (event
+/// heaps, slabs, mailboxes): when full, an exact step of ⅛ of its
+/// `capacity`, at least `floor`. A doubling realloc of a multi-MB buffer
+/// would permanently raise the process high-water mark past the peak.
+#[inline]
+pub(crate) fn grow_step(capacity: usize, floor: usize) -> usize {
+    (capacity / 8).max(floor)
+}
+
 #[inline]
 fn push_bounded(heap: &mut MinHeap, e: EvEntry) {
     if heap.len() == heap.capacity() {
-        heap.reserve_exact((heap.capacity() / 8).max(1024));
+        heap.reserve_exact(grow_step(heap.capacity(), 1024));
     }
     heap.push(Reverse(e));
 }
@@ -265,11 +273,13 @@ const SHRINK_FLOOR: usize = 8192;
 /// The buckets are intrusive chains through one slab rather than a
 /// `Vec` per bucket: per-bucket vectors keep their peak capacity
 /// forever, which measured tens of MiB of resident memory at fat-tree
-/// scale. Resident memory also shapes the rest: the chain and free-list
-/// links live in the entries themselves (see `SUB_MASK`), so a
-/// pending event costs the 24 bytes it cost in a single heap and the
-/// slab is one buffer (a link vector growing in step beside it measured
-/// worse than the 4 bytes per event it holds), and the current bucket
+/// scale. This slab is not a [`Slab`]: its chain and free-list links
+/// live in the entries themselves (see `SUB_MASK`), so a pending event
+/// costs the 24 bytes it cost in a single heap and the slab is one
+/// buffer — the side link vector a [`Slab`] keeps, growing in step
+/// beside the entries, measured over the 119k-endpoint RSS gate. It is
+/// also compacted mid-run (`compact_slab`), which a [`Slab`] is not:
+/// events hold packet ids, so packets never move. The current bucket
 /// is sorted in place because a synchronized workload puts 100 k events
 /// on one timestamp — copying such a bucket out to drain it, or even
 /// listing its ids, is a per-wave buffer at the moment the process
@@ -375,10 +385,9 @@ impl EventQueue {
             self.slab[id as usize] = e;
             id
         } else {
-            // Bounded exact growth, as in `push_bounded`.
             if self.slab.len() == self.slab.capacity() {
                 self.slab
-                    .reserve_exact((self.slab.capacity() / 8).max(1024));
+                    .reserve_exact(grow_step(self.slab.capacity(), 1024));
             }
             self.slab.push(e);
             (self.slab.len() - 1) as u32
@@ -748,6 +757,7 @@ pub struct Packet {
     /// counter — must not depend on event interleaving across flows.
     pub salt: u64,
 }
+const _: () = assert!(std::mem::size_of::<Packet>() == 32);
 
 /// Payload was trimmed by a congested NDP queue.
 const F_TRIMMED: u8 = 1 << 2;
@@ -851,97 +861,153 @@ impl Packet {
     }
 }
 
-/// Sentinel for "no packet" in the slab's intrusive queue links.
-pub const NO_PKT: u32 = u32::MAX;
-
-/// Fixed-capacity-free packet slab with id reuse.
-///
-/// Each slot carries an intrusive `next` link so queued packets chain
-/// through the slab itself: a port queue is then just a `(head, tail)`
-/// pair instead of a heap-allocated deque — at fat-tree scale the
-/// hundreds of thousands of per-port queue allocations were a dominant
-/// share of the event loop's transient memory.
-#[derive(Debug, Default)]
-pub struct PacketSlab {
-    slots: Vec<Packet>,
-    /// Intrusive successor link per slot ([`NO_PKT`] = end of chain).
+/// A shard's arena: slots with id reuse (last released, first reused),
+/// a successor link per slot, and a free list threaded through those
+/// links. Each per-object queue of a shard is a [`Fifo`] through one, so
+/// no port, endpoint or flow owns a heap buffer: at fat-tree scale a
+/// deque per object was a dominant share of the run's transient memory.
+#[derive(Debug)]
+pub struct Slab<T> {
+    slots: Vec<T>,
+    /// A slot's successor in its [`Fifo`] or in the free list.
     next: Vec<u32>,
-    free: Vec<u32>,
+    free: u32,
     live: usize,
 }
 
-impl PacketSlab {
-    /// Stores a packet, returning its id (its `next` link is reset).
-    pub fn alloc(&mut self, p: Packet) -> u32 {
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab {
+            slots: Vec::new(),
+            next: Vec::new(),
+            free: NO_SLOT,
+            live: 0,
+        }
+    }
+}
+
+impl<T: Copy> Slab<T> {
+    /// Stores `v`, returning its id.
+    pub fn alloc(&mut self, v: T) -> u32 {
         self.live += 1;
-        if let Some(id) = self.free.pop() {
-            self.slots[id as usize] = p;
-            self.next[id as usize] = NO_PKT;
+        if self.free != NO_SLOT {
+            let id = self.free;
+            self.free = self.next[id as usize];
+            self.slots[id as usize] = v;
             id
         } else {
-            // Bounded exact growth (see `push_bounded`):
-            // never let a push double a multi-MB arena.
             if self.slots.len() == self.slots.capacity() {
-                let step = (self.slots.capacity() / 8).max(1024);
+                let step = grow_step(self.slots.capacity(), 1024);
                 self.slots.reserve_exact(step);
                 self.next.reserve_exact(step);
             }
-            self.slots.push(p);
-            self.next.push(NO_PKT);
+            self.slots.push(v);
+            self.next.push(NO_SLOT);
             (self.slots.len() - 1) as u32
         }
     }
 
-    /// Releases a packet id for reuse.
-    pub fn release(&mut self, id: u32) {
+    /// Frees `id` for reuse, returning what it held.
+    pub fn release(&mut self, id: u32) -> T {
         self.live -= 1;
-        self.free.push(id);
-    }
-
-    /// The intrusive successor of `id` ([`NO_PKT`] at chain end).
-    #[inline]
-    pub fn next_of(&self, id: u32) -> u32 {
-        self.next[id as usize]
-    }
-
-    /// Links `id`'s intrusive successor.
-    #[inline]
-    pub fn set_next(&mut self, id: u32, next: u32) {
-        self.next[id as usize] = next;
+        self.next[id as usize] = self.free;
+        self.free = id;
+        self.slots[id as usize]
     }
 
     /// Immutable access.
-    pub fn get(&self, id: u32) -> &Packet {
+    pub fn get(&self, id: u32) -> &T {
         &self.slots[id as usize]
     }
 
     /// Mutable access.
-    pub fn get_mut(&mut self, id: u32) -> &mut Packet {
+    pub fn get_mut(&mut self, id: u32) -> &mut T {
         &mut self.slots[id as usize]
     }
 
-    /// Packets currently allocated.
+    /// Slots currently allocated.
     pub fn live(&self) -> usize {
         self.live
     }
 
-    /// Allocated slot capacity.
+    /// Slot capacity.
     pub fn capacity(&self) -> usize {
         self.slots.capacity()
     }
 
-    /// Pre-sizes backing storage so `n` further [`PacketSlab::alloc`]
-    /// calls need no growth. Free-list slots count toward that budget:
-    /// a steady-state slab with plenty of released ids reserves
-    /// nothing, so per-window bulk reserves (mailbox delivery) cannot
-    /// inflate the arena past its true high-water mark.
-    /// Growth is exact, not amortized: bulk reserves arrive every
-    /// delivery window, and doubling a multi-MB arena on each would
-    /// push the high-water mark far past the true peak population.
+    /// Pre-sizes the slab so `n` further [`Slab::alloc`] calls need no
+    /// growth. Free slots count toward that budget, and growth is exact:
+    /// per-window bulk reserves (mailbox delivery) must not inflate the
+    /// arena past its true high-water mark.
     pub fn reserve(&mut self, n: usize) {
-        let fresh = n.saturating_sub(self.free.len());
+        let fresh = n.saturating_sub(self.slots.len() - self.live);
         self.slots.reserve_exact(fresh);
         self.next.reserve_exact(fresh);
+    }
+}
+
+/// A FIFO of [`Slab`] ids chained through the slab's links: eight bytes
+/// however long. One slab serves any number of FIFOs.
+#[derive(Clone, Copy, Debug)]
+pub struct Fifo {
+    head: u32,
+    tail: u32,
+}
+
+impl Default for Fifo {
+    fn default() -> Self {
+        Fifo {
+            head: NO_SLOT,
+            tail: NO_SLOT,
+        }
+    }
+}
+
+impl Fifo {
+    /// True iff the FIFO holds no id.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.head == NO_SLOT
+    }
+
+    /// Appends `id`.
+    pub fn push_back<T>(&mut self, slab: &mut Slab<T>, id: u32) {
+        slab.next[id as usize] = NO_SLOT;
+        if self.tail == NO_SLOT {
+            self.head = id;
+        } else {
+            slab.next[self.tail as usize] = id;
+        }
+        self.tail = id;
+    }
+
+    /// Head-inserts `id`.
+    pub fn push_front<T>(&mut self, slab: &mut Slab<T>, id: u32) {
+        slab.next[id as usize] = self.head;
+        if self.tail == NO_SLOT {
+            self.tail = id;
+        }
+        self.head = id;
+    }
+
+    /// Unlinks and returns the head id, if any (it stays allocated).
+    pub fn pop_front<T>(&mut self, slab: &Slab<T>) -> Option<u32> {
+        let id = self.head;
+        if id == NO_SLOT {
+            return None;
+        }
+        self.head = slab.next[id as usize];
+        if self.head == NO_SLOT {
+            self.tail = NO_SLOT;
+        }
+        Some(id)
+    }
+
+    /// Releases every id it holds back to `slab`.
+    pub fn clear<T: Copy>(&mut self, slab: &mut Slab<T>) {
+        while let Some(id) = self.pop_front(slab) {
+            slab.release(id);
+        }
     }
 }
 
@@ -979,6 +1045,7 @@ pub fn least_loaded(depths: &[u32], flow: u32, ctr: u32) -> Option<usize> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     #[test]
     fn least_loaded_picks_a_minimum_and_is_deterministic() {
@@ -1319,16 +1386,90 @@ mod tests {
         assert_eq!((q.pop(), q.len()), (None, 0));
     }
 
-    #[test]
-    fn slab_reuses_ids() {
-        let mut s = PacketSlab::default();
-        let p = Packet::new(PktKind::Ack, 0, 64, 0, 0, 0, 0, 0xff);
-        let a = s.alloc(p);
-        let b = s.alloc(p);
-        assert_ne!(a, b);
-        s.release(a);
-        let c = s.alloc(p);
-        assert_eq!(c, a);
-        assert_eq!(s.live(), 2);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        // Three FIFOs chained through one slab, against `VecDeque`
+        // models: random pushes at either end, pops that release or
+        // keep the id, clears, and allocations and releases of ids held
+        // outside any FIFO. Every pop must match its model, `live()`
+        // must count every id not yet released, and a fresh allocation
+        // must reuse the most recently released id — the order a free
+        // `Vec` popped in.
+        #[test]
+        fn fifos_sharing_a_slab_match_vecdeque_models(
+            ops in prop::collection::vec((0u8..10, 0usize..3, any::<u32>()), 0..400),
+        ) {
+            let mut slab = Slab::<u32>::default();
+            let mut fifos = [Fifo::default(); 3];
+            let mut models: [VecDeque<(u32, u32)>; 3] = Default::default();
+            let mut loose: Vec<(u32, u32)> = Vec::new();
+            let mut freed: Vec<u32> = Vec::new();
+            let mut fresh = 0u32;
+            let mut alloc = |slab: &mut Slab<u32>, freed: &mut Vec<u32>, v: u32| {
+                let id = slab.alloc(v);
+                let want = freed.pop().unwrap_or_else(|| {
+                    fresh += 1;
+                    fresh - 1
+                });
+                assert_eq!(id, want, "ids are reused last-released first");
+                id
+            };
+            for (op, f, v) in ops {
+                match op {
+                    0 | 1 => {
+                        let id = alloc(&mut slab, &mut freed, v);
+                        fifos[f].push_back(&mut slab, id);
+                        models[f].push_back((id, v));
+                    }
+                    2 => {
+                        let id = alloc(&mut slab, &mut freed, v);
+                        fifos[f].push_front(&mut slab, id);
+                        models[f].push_front((id, v));
+                    }
+                    3 | 4 => {
+                        let got = fifos[f].pop_front(&slab);
+                        let want = models[f].pop_front();
+                        prop_assert_eq!(got, want.map(|(id, _)| id));
+                        if let Some((id, v)) = want {
+                            prop_assert_eq!(slab.release(id), v);
+                            freed.push(id);
+                        }
+                    }
+                    5 => {
+                        let got = fifos[f].pop_front(&slab);
+                        let want = models[f].pop_front();
+                        prop_assert_eq!(got, want.map(|(id, _)| id));
+                        loose.extend(want);
+                    }
+                    6 => {
+                        if let Some((id, v)) = loose.pop() {
+                            prop_assert_eq!(slab.release(id), v);
+                            freed.push(id);
+                        }
+                    }
+                    7 => {
+                        fifos[f].clear(&mut slab);
+                        freed.extend(models[f].drain(..).map(|(id, _)| id));
+                    }
+                    _ => {
+                        let id = alloc(&mut slab, &mut freed, v);
+                        loose.push((id, v));
+                    }
+                }
+                for (fifo, model) in fifos.iter().zip(&models) {
+                    prop_assert_eq!(fifo.is_empty(), model.is_empty());
+                }
+                let queued: usize = models.iter().map(VecDeque::len).sum();
+                prop_assert_eq!(slab.live(), queued + loose.len());
+            }
+            for (fifo, model) in fifos.iter_mut().zip(&models) {
+                for &(id, v) in model {
+                    prop_assert_eq!(fifo.pop_front(&slab), Some(id));
+                    prop_assert_eq!(*slab.get(id), v);
+                }
+                prop_assert_eq!(fifo.pop_front(&slab), None);
+            }
+        }
     }
 }

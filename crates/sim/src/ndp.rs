@@ -105,7 +105,8 @@ impl Shard {
             }
             PktKind::Nack => {
                 f.retx_count += 1;
-                f.retxq.push(pkt.seq);
+                let id = self.pending.alloc(pkt.seq);
+                f.retxq.push_back(&mut self.pending, id);
             }
             PktKind::Pull => self.ndp_send_next(cx, flow),
             PktKind::Data => unreachable!("data is not control"),
@@ -132,7 +133,8 @@ impl Shard {
     /// One pull credit = one packet: retransmissions first, then new data.
     fn ndp_send_next<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
         let num_pkts = cx.meta(flow).num_pkts;
-        if let Some((seq, retx)) = self.tx[cx.tx_idx(flow)].next_seq(num_pkts) {
+        let f = &mut self.tx[cx.tx_idx(flow)];
+        if let Some((seq, retx)) = f.next_seq(&mut self.pending, num_pkts) {
             self.send_data(cx, flow, seq, retx);
         }
     }
@@ -143,7 +145,9 @@ impl Shard {
     fn ndp_queue_pull<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
         let ep = cx.meta(flow).dst_ep;
         let li = cx.ep_idx(ep);
-        let was_empty = self.pull_push(li, flow);
+        let was_empty = self.pulls[li].is_empty();
+        let id = self.pending.alloc(flow);
+        self.pulls[li].push_back(&mut self.pending, id);
         let at = self.now.max(self.pull_ready[li]);
         if was_empty {
             self.events.push(at, EvKind::PullTick { ep });
@@ -157,9 +161,10 @@ impl Shard {
             self.events.push(at, EvKind::PullTick { ep });
             return;
         }
-        let Some(flow) = self.pull_pop(li) else {
+        let Some(id) = self.pulls[li].pop_front(&self.pending) else {
             return;
         };
+        let flow = self.pending.release(id);
         let f = &self.rx[cx.rx_idx(flow)];
         if !f.is_finished() {
             let suggest = f.rx_suggest;
@@ -168,7 +173,7 @@ impl Shard {
         // Pace: one pull per full-payload serialization interval.
         let interval = cx.cfg.ser_time(cx.cfg.transport.payload() + HDR_BYTES);
         self.pull_ready[li] = self.now + interval;
-        if self.pull_pending(li) {
+        if !self.pulls[li].is_empty() {
             self.events
                 .push(self.pull_ready[li], EvKind::PullTick { ep });
         }

@@ -16,6 +16,11 @@
 //! equal-time events by canonical content keys (see `crate::engine`),
 //! so results are bit-identical at any shard and thread count.
 //!
+//! Every per-object queue of a shard is a [`Fifo`] through one of its
+//! two [`Slab`]s: a port's data and priority queues through the packet
+//! slab (`Shard::packets`), pull credits and retransmissions through
+//! one `Slab<u32>` (`Shard::pending`).
+//!
 //! Flow state is split by side so no hot-path read ever crosses a
 //! shard: [`FlowMeta`] (immutable) is shared read-only, [`TxFlow`]
 //! lives on the sender's shard, [`RxFlow`] on the receiver's. Fault
@@ -33,7 +38,7 @@
 
 use crate::config::{AdaptiveMode, LoadBalancing, SimConfig, Transport, HDR_BYTES};
 use crate::engine::{
-    least_loaded, EvKind, EventQueue, Packet, PacketSlab, PktKind, TimePs, NO_PKT,
+    grow_step, least_loaded, EvKind, EventQueue, Fifo, Packet, PktKind, Slab, TimePs,
 };
 use crate::faults::{FaultEpoch, FaultTimeline};
 use fatpaths_core::fwd::fnv1a;
@@ -45,20 +50,18 @@ use std::collections::VecDeque;
 
 /// An output port: serializer + queues, owned by exactly one shard.
 ///
-/// The queues are intrusive chains through the owning shard's
-/// [`PacketSlab`] (`head`/`tail` slot ids linked by `PacketSlab::next`),
-/// not heap-allocated deques: at fat-tree scale the port array is
-/// hundreds of thousands of entries, and per-port deque buffers were
-/// the single largest static *and* transient allocation of a run.
+/// The data and priority queues are [`Fifo`]s through the owning
+/// shard's packet [`Slab`], not heap-allocated deques: at fat-tree
+/// scale the port array is hundreds of thousands of entries, and
+/// per-port deque buffers were the single largest static *and*
+/// transient allocation of a run.
 pub(crate) struct Port {
     /// Far-end id (bits 0..30), `to_is_router` (bit 30) and `busy`
     /// (bit 31) — packed because the port array is the largest static
     /// allocation and ids stay far below 2³⁰.
     to_flags: u32,
-    pub data_head: u32,
-    pub data_tail: u32,
-    pub prio_head: u32,
-    pub prio_tail: u32,
+    data: Fifo,
+    prio: Fifo,
     /// Queue depths. `u16` is ample: data queues are policy-capped at
     /// the transport's `queue_pkts` (≤ 100), priority queues at 1024
     /// (`push_prio_bounded`), and NIC queues are window-bounded. The
@@ -67,6 +70,7 @@ pub(crate) struct Port {
     pub data_len: u16,
     pub prio_len: u16,
 }
+const _: () = assert!(std::mem::size_of::<Port>() == 24);
 
 const PORT_TO_ROUTER: u32 = 1 << 30;
 const PORT_BUSY: u32 = 1 << 31;
@@ -77,10 +81,8 @@ impl Port {
         debug_assert!(to < PORT_TO_ROUTER);
         Port {
             to_flags: to | if to_is_router { PORT_TO_ROUTER } else { 0 },
-            data_head: NO_PKT,
-            data_tail: NO_PKT,
-            prio_head: NO_PKT,
-            prio_tail: NO_PKT,
+            data: Fifo::default(),
+            prio: Fifo::default(),
             data_len: 0,
             prio_len: 0,
         }
@@ -119,51 +121,31 @@ impl Port {
         }
     }
 
-    #[inline]
-    fn queue(&mut self, data: bool) -> (&mut u32, &mut u32, &mut u16) {
-        if data {
-            (&mut self.data_head, &mut self.data_tail, &mut self.data_len)
+    /// Queues `pid` on the data (`data = true`) or priority FIFO and
+    /// counts it: at the head when `front` (retransmissions jump the
+    /// data queue), else at the tail.
+    pub(crate) fn enqueue(&mut self, slab: &mut Slab<Packet>, data: bool, front: bool, pid: u32) {
+        let (q, len) = if data {
+            (&mut self.data, &mut self.data_len)
         } else {
-            (&mut self.prio_head, &mut self.prio_tail, &mut self.prio_len)
-        }
-    }
-
-    /// Appends `pid` to the data (`data = true`) or priority queue.
-    pub(crate) fn push_back(&mut self, slab: &mut PacketSlab, data: bool, pid: u32) {
-        slab.set_next(pid, NO_PKT);
-        let (head, tail, len) = self.queue(data);
-        if *tail == NO_PKT {
-            *head = pid;
+            (&mut self.prio, &mut self.prio_len)
+        };
+        if front {
+            q.push_front(slab, pid);
         } else {
-            slab.set_next(*tail, pid);
+            q.push_back(slab, pid);
         }
-        *tail = pid;
         *len = len.checked_add(1).expect(QUEUE_LEN_OVERFLOW);
     }
 
-    /// Head-inserts `pid` (retransmissions jump the data queue).
-    pub(crate) fn push_front(&mut self, slab: &mut PacketSlab, data: bool, pid: u32) {
-        let (head, tail, len) = self.queue(data);
-        slab.set_next(pid, *head);
-        if *tail == NO_PKT {
-            *tail = pid;
+    /// Unlinks the next packet to serialize: priority before data.
+    pub(crate) fn dequeue(&mut self, slab: &Slab<Packet>) -> Option<u32> {
+        if let Some(pid) = self.prio.pop_front(slab) {
+            self.prio_len -= 1;
+            return Some(pid);
         }
-        *head = pid;
-        *len = len.checked_add(1).expect(QUEUE_LEN_OVERFLOW);
-    }
-
-    /// Pops the queue head, if any.
-    pub(crate) fn pop_front(&mut self, slab: &PacketSlab, data: bool) -> Option<u32> {
-        let (head, tail, len) = self.queue(data);
-        let pid = *head;
-        if pid == NO_PKT {
-            return None;
-        }
-        *head = slab.next_of(pid);
-        if *head == NO_PKT {
-            *tail = NO_PKT;
-        }
-        *len -= 1;
+        let pid = self.data.pop_front(slab)?;
+        self.data_len -= 1;
         Some(pid)
     }
 }
@@ -174,6 +156,7 @@ impl Port {
 /// always-resident lookup tables at the 119k-endpoint scale.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SlotRef(u32);
+const _: () = assert!(std::mem::size_of::<SlotRef>() == 4);
 
 impl SlotRef {
     const IDX_BITS: u32 = 24;
@@ -315,10 +298,8 @@ impl SeqBits {
 pub(crate) struct TxFlow {
     pub started: bool,
     pub next_new: u32,
-    /// Pending retransmissions, FIFO (head at index 0: the queue is
-    /// almost always empty or a handful of entries, so a `Vec` beats a
-    /// `VecDeque` header per flow).
-    pub retxq: Vec<u32>,
+    /// Pending retransmissions: sequence numbers in `Shard::pending`.
+    pub retxq: Fifo,
     pub cum_ack: u32,
     /// Per-sequence ack bitmap (NDP): the sender's own view of what the
     /// receiver holds — replaces the pre-shard read of the receiver's
@@ -352,13 +333,14 @@ pub(crate) struct TxFlow {
     /// Aborted mid-transfer (dead-RTO budget exhausted): terminal.
     pub aborted: bool,
 }
+const _: () = assert!(std::mem::size_of::<TxFlow>() == 96);
 
 impl TxFlow {
     pub(crate) fn new(m: &FlowMeta) -> Self {
         TxFlow {
             started: false,
             next_new: 0,
-            retxq: Vec::new(),
+            retxq: Fifo::default(),
             cum_ack: 0,
             acked: SeqBits::new(m.num_pkts),
             acked_count: 0,
@@ -391,11 +373,15 @@ impl TxFlow {
     }
 
     /// The next sequence to transmit, `(seq, retx)`: pending
-    /// retransmissions first, then new data while any of the flow's
-    /// `num_pkts` remain unsent.
-    pub(crate) fn next_seq(&mut self, num_pkts: u32) -> Option<(u32, bool)> {
-        if !self.retxq.is_empty() {
-            Some((self.retxq.remove(0), true))
+    /// retransmissions (held in `pending`) first, then new data while
+    /// any of the flow's `num_pkts` remain unsent.
+    pub(crate) fn next_seq(
+        &mut self,
+        pending: &mut Slab<u32>,
+        num_pkts: u32,
+    ) -> Option<(u32, bool)> {
+        if let Some(id) = self.retxq.pop_front(pending) {
+            Some((pending.release(id), true))
         } else if self.next_new < num_pkts {
             self.next_new += 1;
             Some((self.next_new - 1, false))
@@ -524,6 +510,7 @@ pub(crate) struct OutMsg {
     to_flags: u32,
     pub pkt: Packet,
 }
+const _: () = assert!(std::mem::size_of::<OutMsg>() == 40);
 
 impl OutMsg {
     pub(crate) fn new(at: TimePs, base: TimePs, to: u32, to_is_router: bool, pkt: Packet) -> Self {
@@ -633,7 +620,7 @@ pub(crate) struct Shard {
     /// Time of the last event this shard processed (for `end_time`).
     pub last_t: TimePs,
     pub events: EventQueue,
-    pub packets: PacketSlab,
+    pub packets: Slab<Packet>,
     /// This shard's output ports, in global-id order.
     pub ports: Vec<Port>,
     /// Sender-side flow halves owned here.
@@ -642,17 +629,11 @@ pub(crate) struct Shard {
     pub tcp: Vec<TcpState>,
     /// Receiver-side flow halves owned here.
     pub rx: Vec<RxFlow>,
-    // NDP receiver pull pacing, for endpoints owned here. The credit
-    // queues are intrusive FIFO chains through a shared node pool (one
-    // node per outstanding credit, free-listed) instead of a `VecDeque`
-    // per endpoint — at fat-tree scale the deque headers and their
-    // minimum heap buffers dominated the queues' actual content.
-    pub pull_head: Vec<u32>,
-    pub pull_tail: Vec<u32>,
-    /// Credit nodes: `(flow, next)`; `next` chains both live queues and
-    /// the free list.
-    pull_pool: Vec<(u32, u32)>,
-    pull_free: u32,
+    /// Queued pull credits (flow ids, in `pulls`) and retransmissions
+    /// (sequence numbers, in `TxFlow::retxq`).
+    pub pending: Slab<u32>,
+    /// NDP receiver pull-credit queues, for endpoints owned here.
+    pub pulls: Vec<Fifo>,
     pub pull_ready: Vec<TimePs>,
     // counters
     pub drops: u64,
@@ -725,15 +706,13 @@ impl Shard {
             window_base: 0,
             last_t: 0,
             events: EventQueue::default(),
-            packets: PacketSlab::default(),
+            packets: Slab::default(),
             ports: Vec::new(),
             tx: Vec::new(),
             tcp: Vec::new(),
             rx: Vec::new(),
-            pull_head: Vec::new(),
-            pull_tail: Vec::new(),
-            pull_pool: Vec::new(),
-            pull_free: NO_PKT,
+            pending: Slab::default(),
+            pulls: Vec::new(),
             pull_ready: Vec::new(),
             drops: 0,
             trim_count: 0,
@@ -771,7 +750,7 @@ impl Shard {
         }
     }
 
-    /// Drops the run-time arenas — event queue, packet slab, ports,
+    /// Drops the run-time arenas — event queue, slabs, ports,
     /// mailboxes, pull queues — while keeping the flow halves and
     /// counters the driver reads during result assembly. Called once
     /// the event loop finishes so the per-flow record vector is not
@@ -779,61 +758,16 @@ impl Shard {
     /// process high-water mark would record the sum).
     pub(crate) fn release_arenas(&mut self) {
         self.events = EventQueue::default();
-        self.packets = PacketSlab::default();
+        self.packets = Slab::default();
         self.ports = Vec::new();
         self.tcp = Vec::new();
-        self.pull_head = Vec::new();
-        self.pull_tail = Vec::new();
-        self.pull_pool = Vec::new();
+        self.pending = Slab::default();
+        self.pulls = Vec::new();
         self.pull_ready = Vec::new();
         self.resolved = Vec::new();
         self.outbox = Vec::new();
         self.scratch = Vec::new();
         self.depth_scratch = Vec::new();
-    }
-
-    /// Appends a pull credit for `flow` to endpoint slot `li`'s FIFO.
-    /// Returns whether the queue was empty (the caller schedules the
-    /// first tick).
-    pub(crate) fn pull_push(&mut self, li: usize, flow: u32) -> bool {
-        let node = if self.pull_free != NO_PKT {
-            let n = self.pull_free;
-            self.pull_free = self.pull_pool[n as usize].1;
-            self.pull_pool[n as usize] = (flow, NO_PKT);
-            n
-        } else {
-            self.pull_pool.push((flow, NO_PKT));
-            (self.pull_pool.len() - 1) as u32
-        };
-        let was_empty = self.pull_head[li] == NO_PKT;
-        if was_empty {
-            self.pull_head[li] = node;
-        } else {
-            self.pull_pool[self.pull_tail[li] as usize].1 = node;
-        }
-        self.pull_tail[li] = node;
-        was_empty
-    }
-
-    /// Pops the head credit of endpoint slot `li`'s FIFO, if any.
-    pub(crate) fn pull_pop(&mut self, li: usize) -> Option<u32> {
-        let node = self.pull_head[li];
-        if node == NO_PKT {
-            return None;
-        }
-        let (flow, next) = self.pull_pool[node as usize];
-        self.pull_head[li] = next;
-        if next == NO_PKT {
-            self.pull_tail[li] = NO_PKT;
-        }
-        self.pull_pool[node as usize].1 = self.pull_free;
-        self.pull_free = node;
-        Some(flow)
-    }
-
-    #[inline]
-    pub(crate) fn pull_pending(&self, li: usize) -> bool {
-        self.pull_head[li] != NO_PKT
     }
 
     /// The fault snapshot this shard currently sees: immutable, shared
@@ -951,11 +885,7 @@ impl Shard {
                         // Retransmissions jump the data queue (they unblock
                         // stalled receivers, §III-C) but still count against
                         // the shallow limit — a payload is a payload.
-                        if is_retx {
-                            self.ports[li].push_front(&mut self.packets, true, pid);
-                        } else {
-                            self.ports[li].push_back(&mut self.packets, true, pid);
-                        }
+                        self.ports[li].enqueue(&mut self.packets, true, is_retx, pid);
                     } else {
                         // Trim: drop payload, keep the header, prioritize.
                         let p = self.packets.get_mut(pid);
@@ -983,7 +913,7 @@ impl Shard {
                 if depth >= ecn_threshold {
                     self.packets.get_mut(pid).set_ecn_ce();
                 }
-                self.ports[li].push_back(&mut self.packets, true, pid);
+                self.ports[li].enqueue(&mut self.packets, true, false, pid);
             }
         }
         self.port_try_start(cx, port);
@@ -994,7 +924,7 @@ impl Shard {
             self.drops += 1;
             self.packets.release(pid);
         } else {
-            self.ports[local_port].push_back(&mut self.packets, false, pid);
+            self.ports[local_port].enqueue(&mut self.packets, false, false, pid);
         }
     }
 
@@ -1009,7 +939,7 @@ impl Shard {
         debug_assert_eq!(cx.port_home[port as usize].shard(), self.id);
         let is_control = self.packets.get(pid).kind() != PktKind::Data;
         let li = cx.port_idx(port);
-        self.ports[li].push_back(&mut self.packets, !is_control, pid);
+        self.ports[li].enqueue(&mut self.packets, !is_control, false, pid);
         self.port_try_start(cx, port);
     }
 
@@ -1023,11 +953,7 @@ impl Shard {
             if self.ports[li].busy() {
                 return;
             }
-            let mut popped = self.ports[li].pop_front(&self.packets, false);
-            if popped.is_none() {
-                popped = self.ports[li].pop_front(&self.packets, true);
-            }
-            let Some(pid) = popped else {
+            let Some(pid) = self.ports[li].dequeue(&self.packets) else {
                 return;
             };
             let q = &mut self.ports[li];
@@ -1061,14 +987,10 @@ impl Shard {
             };
             self.events.push_arrival(arrive, kind, uid);
         } else {
-            let pkt = *self.packets.get(pid);
-            self.packets.release(pid);
+            let pkt = self.packets.release(pid);
             let ob = &mut self.outbox[tshard as usize];
-            // Bounded exact growth — a doubling push on a mailbox that
-            // already holds a window's worth of boundary packets would
-            // permanently raise the high-water mark.
             if ob.len() == ob.capacity() {
-                ob.reserve_exact((ob.capacity() / 8).max(256));
+                ob.reserve_exact(grow_step(ob.capacity(), 256));
             }
             ob.push(OutMsg::new(arrive, self.window_base, to, to_is_router, pkt));
         }
@@ -1785,26 +1707,28 @@ mod tests {
 
     #[test]
     fn intrusive_port_queues_are_fifo_with_head_insert() {
-        let mut slab = PacketSlab::default();
+        let mut slab = Slab::default();
         let mut port = Port::new(true, 0);
-        let mk = |slab: &mut PacketSlab, salt: u64| {
+        let mk = |slab: &mut Slab<Packet>, salt: u64| {
             slab.alloc(Packet::new(PktKind::Data, 0, 64, 0, 0, 0, salt, 0xff))
         };
         let (a, b, c) = (mk(&mut slab, 1), mk(&mut slab, 2), mk(&mut slab, 3));
-        port.push_back(&mut slab, true, a);
-        port.push_back(&mut slab, true, b);
-        port.push_front(&mut slab, true, c); // retx jumps the queue
+        port.enqueue(&mut slab, true, false, a);
+        port.enqueue(&mut slab, true, false, b);
+        port.enqueue(&mut slab, true, true, c); // retx jumps the queue
         assert_eq!(port.data_len, 3);
-        assert_eq!(port.pop_front(&slab, true), Some(c));
-        assert_eq!(port.pop_front(&slab, true), Some(a));
-        assert_eq!(port.pop_front(&slab, true), Some(b));
-        assert_eq!(port.pop_front(&slab, true), None);
-        assert_eq!(port.data_len, 0);
-        // The two queues chain through the same slab independently.
+        assert_eq!(port.dequeue(&slab), Some(c));
+        assert_eq!(port.dequeue(&slab), Some(a));
+        // The two queues chain through the same slab independently, and
+        // the priority queue drains first.
         let d = mk(&mut slab, 4);
-        port.push_back(&mut slab, false, d);
-        assert_eq!(port.pop_front(&slab, true), None);
-        assert_eq!(port.pop_front(&slab, false), Some(d));
+        port.enqueue(&mut slab, false, false, d);
+        assert_eq!((port.data_len, port.prio_len), (1, 1));
+        assert_eq!(port.dequeue(&slab), Some(d));
+        assert_eq!(port.dequeue(&slab), Some(b));
+        assert_eq!(port.dequeue(&slab), None);
+        assert_eq!((port.data_len, port.prio_len), (0, 0));
+        assert!(port.data.is_empty() && port.prio.is_empty());
     }
 
     /// A NIC queue has no policy cap, so its `u16` depth counter is the
@@ -1813,16 +1737,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "port queue holds more than u16::MAX packets")]
     fn nic_queue_depth_panics_past_the_u16_limit() {
-        let mut slab = PacketSlab::default();
+        let mut slab = Slab::default();
         let mut nic = Port::new(true, 0);
         let pkt = Packet::new(PktKind::Data, 0, 64, 0, 0, 0, 0, 0xff);
         for _ in 0..u16::MAX {
             let pid = slab.alloc(pkt);
-            nic.push_back(&mut slab, true, pid);
+            nic.enqueue(&mut slab, true, false, pid);
         }
         assert_eq!(nic.data_len, u16::MAX);
         let pid = slab.alloc(pkt);
-        nic.push_back(&mut slab, true, pid);
+        nic.enqueue(&mut slab, true, false, pid);
     }
 
     #[test]

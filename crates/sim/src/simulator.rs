@@ -22,7 +22,7 @@
 //! the same windowed loop on a single queue.
 
 use crate::config::{SimConfig, Transport, HDR_BYTES};
-use crate::engine::{assert_schedulable, EvKind, TimePs};
+use crate::engine::{assert_schedulable, EvKind, Fifo, TimePs};
 use crate::faults::{FaultTimeline, FaultWriter};
 use crate::metrics::{peak_rss_kb, reset_peak_rss, FlowRecord, RunProfile, SimResult};
 use crate::shard::{
@@ -134,8 +134,7 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
             }
             for (i, sh) in shards.iter_mut().enumerate() {
                 sh.ports.reserve_exact(nports[i]);
-                sh.pull_head.reserve_exact(neps[i]);
-                sh.pull_tail.reserve_exact(neps[i]);
+                sh.pulls.reserve_exact(neps[i]);
                 sh.pull_ready.reserve_exact(neps[i]);
             }
         }
@@ -167,9 +166,8 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
             let shard = router_shard[r as usize];
             push_port(&mut shards, &mut port_home, shard, Port::new(true, r));
             let sh = &mut shards[shard as usize];
-            ep_home.push(SlotRef::new(shard, sh.pull_head.len() as u32));
-            sh.pull_head.push(crate::engine::NO_PKT);
-            sh.pull_tail.push(crate::engine::NO_PKT);
+            ep_home.push(SlotRef::new(shard, sh.pulls.len() as u32));
+            sh.pulls.push(Fifo::default());
             sh.pull_ready.push(0);
         }
         Simulator {

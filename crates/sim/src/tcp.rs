@@ -67,7 +67,7 @@ impl Shard {
                 if c.inflight >= window {
                     return;
                 }
-                let Some((seq, retx)) = f.next_seq(num_pkts) else {
+                let Some((seq, retx)) = f.next_seq(&mut self.pending, num_pkts) else {
                     return;
                 };
                 c.inflight += 1;
@@ -199,7 +199,8 @@ impl Shard {
                 c.dup_acks += 1;
                 if c.dup_acks == 3 && !c.in_recovery {
                     // Fast retransmit.
-                    f.retxq.insert(0, f.cum_ack);
+                    let id = self.pending.alloc(f.cum_ack);
+                    f.retxq.push_front(&mut self.pending, id);
                     f.retx_count += 1;
                     c.timed = None;
                     c.ssthresh = (c.cwnd / 2.0).max(2.0);
@@ -270,8 +271,9 @@ impl Shard {
             c.inflight = 0;
             c.dup_acks = 0;
             c.in_recovery = false;
-            f.retxq.clear();
-            f.retxq.push(f.cum_ack);
+            f.retxq.clear(&mut self.pending);
+            let id = self.pending.alloc(f.cum_ack);
+            f.retxq.push_back(&mut self.pending, id);
             f.retx_count += 1;
             c.timed = None;
             c.backoff += 1;

@@ -15,7 +15,7 @@
 //! cached keyed on the layer's down-link signature, so a rolling-churn
 //! sequence that leaves a layer's failures unchanged pays nothing for
 //! that layer on the next tick. [`TeScheme`]'s `repair_routes` constructs a
-//! fresh controller per call (the simulator's `RepairTick` path is
+//! fresh controller per call (the simulator's repair pass is
 //! stateless and deterministic either way); hold one explicitly to get
 //! the incremental behavior.
 
