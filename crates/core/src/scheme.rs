@@ -136,9 +136,12 @@ impl AsRef<[u16]> for PortSet {
 /// construction, so this costs implementations nothing — it only rules
 /// out interior mutability (`Cell`/`RefCell`) in hot lookup paths.
 pub trait RoutingScheme: Sync {
-    /// Number of endpoint-selectable layers (≥ 1). Endpoints tag packets
-    /// with layers in `0..num_layers()`; flowlet load balancing re-picks
-    /// within that range.
+    /// Number of endpoint-selectable layers, in `1..=255`. Endpoints tag
+    /// packets with layers in `0..num_layers()`; flowlet load balancing
+    /// re-picks within that range. Packets carry a `u8` tag and `0xff`
+    /// is NDP's "no suggestion" marker, so a scheme with more layers
+    /// exposes only its first 255: a larger count would wrap tags onto
+    /// the low layers wherever a caller reduces a pick modulo it.
     fn num_layers(&self) -> usize;
 
     /// Total span of layer tags that may appear on a packet under this
@@ -236,7 +239,7 @@ impl<T: RoutingScheme + ?Sized> RoutingScheme for Box<T> {
 /// fallback only covers defensive clamping).
 impl RoutingScheme for PortTables {
     fn num_layers(&self) -> usize {
-        self.n_layers()
+        self.n_layers().min(255)
     }
 
     #[inline]
@@ -252,7 +255,7 @@ impl RoutingScheme for PortTables {
 /// [`RoutingTables::repair`].
 impl RoutingScheme for RoutingTables {
     fn num_layers(&self) -> usize {
-        self.n_layers()
+        self.ports().num_layers()
     }
 
     fn candidate_ports(&self, layer: u8, at_router: RouterId, dst_router: RouterId) -> PortSet {

@@ -142,7 +142,7 @@ mod tests {
     use super::*;
     use crate::table::TableBudget;
     use fatpaths_core::ecmp::DistanceMatrix;
-    use fatpaths_core::fwd::RoutingTables;
+    use fatpaths_core::fwd::{PortTables, RoutingTables};
     use fatpaths_core::layers::{build_random_layers, LayerConfig};
     use fatpaths_core::scheme::MinimalScheme;
     use fatpaths_net::topo::fattree::fat_tree;
@@ -162,6 +162,25 @@ mod tests {
         assert_eq!(st.entries_total, st.raw_entries);
         assert_eq!(st.compression, 1.0);
         assert_eq!(fib.tag_space(), 3);
+    }
+
+    /// Packets carry a `u8` tag, so a scheme with more than 255 layers
+    /// compiles tags `0..255` only: tags 256.. would re-read tags 0...
+    #[test]
+    fn tag_space_is_capped_at_255_layers() {
+        let t = slim_fly(5, 1).unwrap();
+        let nr = t.num_routers();
+        let ls = build_random_layers(&t.graph, &LayerConfig::new(1, 1.0, 1));
+        let rt = RoutingTables::build(&t.graph, &ls);
+        let layer0: Vec<u16> = (0..nr as u32)
+            .flat_map(|dst| rt.ports().row(0, dst).iter().copied())
+            .collect();
+        let mut pt = PortTables::new(300, nr);
+        for table in pt.layers_mut() {
+            table.copy_from_slice(&layer0);
+        }
+        let fib = compile(&t, &pt, CompileMode::HostRoutes);
+        assert_eq!(fib.tag_space(), 255);
     }
 
     #[test]

@@ -210,7 +210,7 @@ impl TeScheme {
 
 impl RoutingScheme for TeScheme {
     fn num_layers(&self) -> usize {
-        self.ports.n_layers()
+        self.ports.num_layers()
     }
 
     fn candidate_ports(&self, layer: u8, at_router: RouterId, dst_router: RouterId) -> PortSet {
