@@ -1,18 +1,21 @@
 //! The FIB compiler: enumerates a scheme's forwarding function and
-//! materializes it as per-switch prefix rules + interned ECMP groups.
+//! materializes it as one dense group index per switch + interned ECMP
+//! groups.
 //!
 //! For every switch `r`, layer tag `l`, and destination router `t` that
 //! hosts endpoints, the compiler asks
-//! [`RoutingScheme::candidate_ports`]`(l, r, t)` and stores the answer
-//! as a rule mapping `t`'s endpoint-id range to an ECMP group. In
-//! [`CompileMode::Aggregated`] a run-length pass merges adjacent
-//! destination ranges resolving to the same group into one rule —
+//! [`RoutingScheme::candidate_ports`]`(l, r, t)`, interns the answer as
+//! an ECMP group of `r`, and writes its id at `route[l · nr + t]`.
+//! Destinations with an empty candidate set get **no** rule (lookup
+//! miss = unreachable), and local delivery (`t == r`) is the switch's
+//! endpoint ports, not network FIB state. The rule count the
+//! [`CompileMode`] implies is counted here, once, by the run-length
+//! rule of [`Fib::rules`]: in [`CompileMode::Aggregated`] adjacent
+//! destination ranges resolving to the same group make one rule —
 //! router-major endpoint numbering makes structural domains (fat-tree
 //! pods, Dragonfly groups, HyperX rows) contiguous, so the merge is the
 //! prefix aggregation §V-E relies on without any per-topology special
-//! cases. Destinations with an empty candidate set get **no** rule
-//! (lookup miss = unreachable), and local delivery (`t == r`) is the
-//! switch's endpoint ports, not network FIB state.
+//! cases.
 //!
 //! Switch rows compile independently and in parallel on the shim pool;
 //! output is a pure function of `(topology, scheme, mode)`, so compiled
@@ -20,8 +23,8 @@
 //!
 //! [`RoutingScheme::candidate_ports`]: fatpaths_core::scheme::RoutingScheme::candidate_ports
 
-use crate::table::{Fib, FibEntry, SwitchFib};
-use fatpaths_core::scheme::RoutingScheme;
+use crate::table::{row_rules, Fib, SwitchFib, MAX_GROUPS};
+use fatpaths_core::scheme::{PortSet, RoutingScheme};
 use fatpaths_net::topo::Topology;
 use rayon::prelude::*;
 use rustc_hash::FxHashMap;
@@ -61,21 +64,21 @@ pub fn compile<S: RoutingScheme + Sync + ?Sized>(
     let dsts: Vec<u32> = (0..nr as u32)
         .filter(|&r| !topo.router_endpoints(r).is_empty())
         .collect();
+    let mut endpoint_offset = Vec::with_capacity(nr + 1);
+    endpoint_offset.push(0u32);
+    for r in 0..nr as u32 {
+        endpoint_offset.push(topo.router_endpoints(r).end);
+    }
     let per_switch: Vec<(SwitchFib, u64)> = (0..nr as u32)
         .collect::<Vec<_>>()
         .into_par_iter()
-        .map(|r| compile_switch(topo, scheme, mode, r, tag_space, &dsts))
+        .map(|r| compile_switch(scheme, mode, r, tag_space, &dsts, &endpoint_offset))
         .collect();
     let mut switches = Vec::with_capacity(nr);
     let mut raw_entries = 0u64;
     for (sf, raw) in per_switch {
         switches.push(sf);
         raw_entries += raw;
-    }
-    let mut endpoint_offset = Vec::with_capacity(nr + 1);
-    endpoint_offset.push(0u32);
-    for r in 0..nr as u32 {
-        endpoint_offset.push(topo.router_endpoints(r).end);
     }
     Fib {
         switches,
@@ -89,19 +92,20 @@ pub fn compile<S: RoutingScheme + Sync + ?Sized>(
 /// Compiles one switch's rows; returns the table and its host-route
 /// (pre-aggregation) rule count.
 fn compile_switch<S: RoutingScheme + Sync + ?Sized>(
-    topo: &Topology,
     scheme: &S,
     mode: CompileMode,
     r: u32,
     tag_space: usize,
     dsts: &[u32],
+    endpoint_offset: &[u32],
 ) -> (SwitchFib, u64) {
-    let mut groups: Vec<fatpaths_core::scheme::PortSet> = Vec::new();
-    let mut intern: FxHashMap<Vec<u16>, u32> = FxHashMap::default();
-    let mut layers = Vec::with_capacity(tag_space);
+    let nr = endpoint_offset.len() - 1;
+    let mut groups: Vec<PortSet> = Vec::new();
+    // Group id + 1 by port list; a key is allocated only for a new group.
+    let mut intern: FxHashMap<Vec<u16>, u16> = FxHashMap::default();
+    let mut route = vec![0u16; tag_space * nr].into_boxed_slice();
     let mut raw = 0u64;
-    for l in 0..tag_space {
-        let mut rules: Vec<FibEntry> = Vec::new();
+    for (l, row) in route.chunks_exact_mut(nr.max(1)).enumerate() {
         for &t in dsts {
             if t == r {
                 continue;
@@ -111,30 +115,32 @@ fn compile_switch<S: RoutingScheme + Sync + ?Sized>(
                 continue; // no rule: lookup miss = unreachable
             }
             raw += 1;
-            let gid = *intern.entry(ports.as_slice().to_vec()).or_insert_with(|| {
-                groups.push(ports.clone());
-                (groups.len() - 1) as u32
-            });
-            let range = topo.router_endpoints(t);
-            match rules.last_mut() {
-                // Run-length merge: contiguous address range, same group.
-                Some(prev)
-                    if mode == CompileMode::Aggregated
-                        && prev.hi == range.start
-                        && prev.group == gid =>
-                {
-                    prev.hi = range.end;
+            row[t as usize] = match intern.get(ports.as_slice()) {
+                Some(&id) => id,
+                None => {
+                    assert!(
+                        groups.len() < MAX_GROUPS,
+                        "switch {r} needs more than {MAX_GROUPS} ECMP groups, \
+                         the limit of its u16 group ids"
+                    );
+                    intern.insert(ports.as_slice().to_vec(), groups.len() as u16 + 1);
+                    groups.push(ports);
+                    groups.len() as u16
                 }
-                _ => rules.push(FibEntry {
-                    lo: range.start,
-                    hi: range.end,
-                    group: gid,
-                }),
-            }
+            };
         }
-        layers.push(rules);
     }
-    (SwitchFib { layers, groups }, raw)
+    let aggregated = mode == CompileMode::Aggregated;
+    let entries = route
+        .chunks_exact(nr.max(1))
+        .map(|row| row_rules(row, endpoint_offset, aggregated).count())
+        .sum();
+    let sf = SwitchFib {
+        route,
+        groups,
+        entries,
+    };
+    (sf, raw)
 }
 
 #[cfg(test)]
@@ -181,6 +187,64 @@ mod tests {
         }
         let fib = compile(&t, &pt, CompileMode::HostRoutes);
         assert_eq!(fib.tag_space(), 255);
+    }
+
+    /// Switch 0 of a 258-router line asked for `groups` distinct port
+    /// sets, one per `(tag, destination)` in order; every other switch
+    /// holds nothing. 255 tags × 257 destinations = `MAX_GROUPS + 1`
+    /// pairs, so the limit sits inside the scheme's reach.
+    struct DistinctGroups {
+        groups: usize,
+    }
+
+    const LINE: u32 = 258;
+
+    impl RoutingScheme for DistinctGroups {
+        fn num_layers(&self) -> usize {
+            255
+        }
+
+        fn candidate_ports(&self, layer: u8, at: u32, dst: u32) -> PortSet {
+            let mut ports = PortSet::new();
+            if at != 0 {
+                return ports;
+            }
+            let i = layer as usize * (LINE as usize - 1) + dst as usize - 1;
+            if i < self.groups {
+                ports.push((i >> 8) as u16);
+                ports.push((i & 0xff) as u16);
+            }
+            ports
+        }
+    }
+
+    fn compile_line(groups: usize) -> Fib {
+        use fatpaths_net::topo::{LinkClass, TopoKind};
+        let topo = Topology::assemble(
+            TopoKind::Star,
+            "line".into(),
+            LINE as usize,
+            (1..LINE).map(|r| (r - 1, r, LinkClass::Short)).collect(),
+            vec![1; LINE as usize],
+            LINE - 1,
+        );
+        compile(&topo, &DistinctGroups { groups }, CompileMode::HostRoutes)
+    }
+
+    #[test]
+    fn group_ids_fill_the_u16_index() {
+        let fib = compile_line(MAX_GROUPS);
+        assert_eq!(fib.switch(0).num_groups(), MAX_GROUPS);
+        // The last group interned reads back through the index.
+        let (layer, dst) = ((MAX_GROUPS - 1) / 257, (MAX_GROUPS - 1) % 257 + 1);
+        let last = fib.lookup_router(0, layer, dst as u32).unwrap();
+        assert_eq!(last.as_slice(), &[((MAX_GROUPS - 1) >> 8) as u16, 0xfd]);
+    }
+
+    #[test]
+    #[should_panic(expected = "switch 0 needs more than 65534 ECMP groups")]
+    fn a_switch_past_the_group_limit_panics() {
+        compile_line(MAX_GROUPS + 1);
     }
 
     #[test]
@@ -269,7 +333,7 @@ mod tests {
         assert_eq!(a.stats(), b.stats());
         for r in 0..t.num_routers() as u32 {
             for l in 0..a.tag_space() {
-                assert_eq!(a.switch(r).rules(l), b.switch(r).rules(l));
+                assert!(a.rules(r, l).eq(b.rules(r, l)));
             }
         }
     }

@@ -67,11 +67,15 @@ impl<S: RoutingScheme> RoutingScheme for CompiledScheme<S> {
     }
 
     fn candidate_ports(&self, layer: u8, at_router: RouterId, dst_router: RouterId) -> PortSet {
-        let l = (layer as usize).min(self.fib.tag_space() - 1);
-        match self.fib.lookup_router(at_router, l, dst_router) {
-            Some(g) => g.clone(),
-            None => PortSet::new(),
-        }
+        let span = self.fib.tag_space();
+        debug_assert!(
+            (layer as usize) < span,
+            "tag {layer} is outside the compiled span 0..{span}"
+        );
+        self.fib
+            .lookup_router(at_router, layer as usize, dst_router)
+            .cloned()
+            .unwrap_or_default()
     }
 
     fn update_layer(&self, layer: u8, at_router: RouterId, dst_router: RouterId) -> u8 {
@@ -114,12 +118,6 @@ impl<S: RoutingScheme> CompiledScheme<S> {
             (l as usize) < self.fib.tag_space() && off[dst as usize] < off[dst as usize + 1]
         });
         let aggregated = self.fib.mode() == CompileMode::Aggregated;
-        // The stored rule of switch `at` covering endpoint `ep`, if any.
-        let stored = |at: RouterId, l: u8, ep: u32| {
-            let rules = &self.fib.switches[at as usize].layers[l as usize];
-            let i = rules.partition_point(|e| e.hi <= ep);
-            rules.get(i).filter(|e| e.lo <= ep).copied()
-        };
         let mut rows = 0u64;
         // Run-length state over the new rules ((at, l, hi, ports)) and
         // the touched address segment ((at, l, seg_lo, seg_hi)) —
@@ -133,14 +131,10 @@ impl<S: RoutingScheme> CompiledScheme<S> {
             let Some((at, l, seg_lo, seg_hi)) = s else {
                 return 0u64;
             };
-            let mut n = 0u64;
-            if stored(at, l, seg_lo).is_some_and(|e| e.lo < seg_lo) {
-                n += 1; // left remnant of a split rule
-            }
-            if stored(at, l, seg_hi - 1).is_some_and(|e| e.hi > seg_hi) {
-                n += 1; // right remnant of a split rule
-            }
-            n
+            // A stored rule straddling either end of the segment leaves
+            // a left or right remnant of the split.
+            u64::from(self.fib.straddles(at, l as usize, seg_lo))
+                + u64::from(self.fib.straddles(at, l as usize, seg_hi))
         };
         for ((l, at, dst), ports) in keys {
             let (lo, hi) = (off[dst as usize], off[dst as usize + 1]);
@@ -200,6 +194,28 @@ mod tests {
             }
         }
         assert_eq!(cs.num_layers(), 4);
+    }
+
+    /// A tag at or past the compiled span has no rule on any compiled
+    /// path: the table lookups miss, and the adapter forwards nowhere
+    /// (and flags the tag in debug builds).
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        should_panic(expected = "tag 4 is outside the compiled span 0..4")
+    )]
+    fn out_of_span_tags_miss() {
+        let t = slim_fly(5, 1).unwrap();
+        let cs = compiled(&t, CompileMode::Aggregated);
+        let span = cs.tag_space();
+        assert_eq!(span, 4);
+        let (at, dst) = (0, 1);
+        let ep = t.router_endpoints(dst).start;
+        assert!(cs.fib().lookup_router(at, span - 1, dst).is_some());
+        assert!(cs.fib().lookup_router(at, span, dst).is_none());
+        assert!(cs.fib().lookup(at, span - 1, ep).is_some());
+        assert!(cs.fib().lookup(at, span, ep).is_none());
+        assert!(cs.candidate_ports(span as u8, at, dst).is_empty());
     }
 
     #[test]

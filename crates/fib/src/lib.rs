@@ -12,10 +12,12 @@
 //! computes routing *analytically* — `NextHops` derived from graphs on
 //! demand. This crate makes the switch-resident state explicit:
 //!
-//! * [`Fib`] / [`SwitchFib`] — per-switch tables of
-//!   `(layer tag, endpoint-address range) → ECMP group` entries, with
-//!   per-switch ECMP-group deduplication (two rules pointing at the same
-//!   port set share one group, as real ASICs share group-table slots);
+//! * [`Fib`] / [`SwitchFib`] — per-switch forwarding state stored as
+//!   one dense `(layer tag, destination router) → ECMP group` index,
+//!   with per-switch ECMP-group deduplication (two rules pointing at
+//!   the same port set share one group, as real ASICs share group-table
+//!   slots); the `(layer tag, endpoint-address range) → ECMP group`
+//!   rules a switch would install are derived from it ([`Fib::rules`]);
 //! * [`compile()`] — the compiler, in two modes:
 //!   [`CompileMode::HostRoutes`] emits one rule per destination router,
 //!   while [`CompileMode::Aggregated`] run-length merges rules over
@@ -29,7 +31,7 @@
 //!   group counts, a byte estimate, and overflow accounting against
 //!   configurable TCAM/SRAM capacities;
 //! * [`CompiledScheme`] — a [`RoutingScheme`] adapter that forwards by
-//!   longest-prefix match against the compiled tables, so the packet
+//!   one read of the compiled index per hop, so the packet
 //!   simulator runs on *exactly* the state a switch would hold, and a
 //!   `repair_routes` pass that prices link-failure repair in rewritten
 //!   FIB rows.
@@ -43,8 +45,10 @@
 
 pub mod compile;
 pub mod compiled;
+#[cfg(test)]
+mod oracle;
 pub mod table;
 
 pub use compile::{compile, CompileMode};
 pub use compiled::CompiledScheme;
-pub use table::{Fib, FibEntry, FibStats, SwitchFib, TableBudget};
+pub use table::{Fib, FibEntry, FibStats, SwitchFib, TableBudget, MAX_GROUPS};

@@ -1,15 +1,26 @@
-//! The switch-memory model: per-switch forwarding tables of
-//! `(layer tag, destination-address range) → ECMP group` entries, plus
-//! the capacity/statistics vocabulary built on them.
+//! The switch-memory model: per-switch forwarding state of
+//! `(layer tag, destination router) → ECMP group`, the range rules a
+//! switch would hold for it, and the capacity/statistics vocabulary
+//! built on them.
 //!
 //! Endpoint ids are dense and router-major (`Topology` attaches the
 //! endpoints of router `r` as one contiguous id range), so a
 //! "destination prefix" is modeled as a half-open endpoint-id range —
 //! the range-rule form TCAMs implement directly, and the shape §V-E's
-//! address-bit layering produces. Ranges within one `(switch, layer)`
-//! table are disjoint and sorted, so the longest-prefix-match lookup
-//! degenerates to a binary search; a lookup miss means the destination
-//! has no forwarding state here (unreachable — the packet drops).
+//! address-bit layering produces.
+//!
+//! What is *stored* is one dense group index per switch, `route[tag ·
+//! nr + dst_router]` = ECMP group id + 1 (`0` = no rule), two bytes per
+//! `(tag, destination)`: a router-keyed lookup is one read, and an
+//! endpoint-keyed one first maps the endpoint to its router. The range
+//! rules are a *derived view* ([`Fib::rules`]): a run-length pass over a
+//! `(switch, tag)` row in destination order, one rule per router in
+//! [`CompileMode::HostRoutes`], adjacent routers sharing a group merged
+//! in [`CompileMode::Aggregated`]. Rule counts, [`FibStats`] and the
+//! modeled TCAM bytes ([`Fib::memory_bytes`]) are those of the derived
+//! rules; the per-switch count is taken once, at compile time. A lookup
+//! miss means the destination has no forwarding state here
+//! (unreachable — the packet drops).
 
 use crate::compile::CompileMode;
 use fatpaths_core::scheme::PortSet;
@@ -27,32 +38,32 @@ pub struct FibEntry {
     pub group: u32,
 }
 
-/// Forwarding state of one switch: per-layer sorted rule vectors plus
-/// the deduplicated ECMP group table they point into.
+/// Most ECMP groups one switch may hold. The dense index stores `group
+/// id + 1` in a `u16` with `0` meaning "no rule", so ids `0..MAX_GROUPS`
+/// fit with `u16::MAX` to spare; [`compile`](crate::compile::compile)
+/// panics, naming the switch, rather than wrap an id past it.
+pub const MAX_GROUPS: usize = u16::MAX as usize - 1;
+
+/// Forwarding state of one switch: the dense group index, the
+/// deduplicated ECMP group table it points into, and the rule count its
+/// compile mode lays out.
 #[derive(Clone, Debug, Default)]
 pub struct SwitchFib {
-    /// `layers[tag]` = disjoint [`FibEntry`] ranges, ascending by `lo`.
-    pub(crate) layers: Vec<Vec<FibEntry>>,
+    /// `route[tag · nr + dst_router]` = group id + 1, `0` = no rule.
+    pub(crate) route: Box<[u16]>,
     /// Interned ECMP groups, in first-use order. Shared across layers
     /// and destinations: every rule resolving to the same candidate
     /// port set points at one slot, the ASIC group-table sharing that
     /// keeps ECMP state sublinear in rule count.
     pub(crate) groups: Vec<PortSet>,
+    /// Number of range rules [`Fib::rules`] derives over all tags.
+    pub(crate) entries: usize,
 }
 
 impl SwitchFib {
-    /// The rule covering endpoint `ep` on `layer`, if any.
-    #[inline]
-    pub fn lookup(&self, layer: usize, ep: u32) -> Option<&PortSet> {
-        let rules = self.layers.get(layer)?;
-        let i = rules.partition_point(|e| e.hi <= ep);
-        let e = rules.get(i)?;
-        (e.lo <= ep).then(|| &self.groups[e.group as usize])
-    }
-
     /// Total rule count across all layers.
     pub fn num_entries(&self) -> usize {
-        self.layers.iter().map(Vec::len).sum()
+        self.entries
     }
 
     /// Number of distinct ECMP groups.
@@ -60,15 +71,41 @@ impl SwitchFib {
         self.groups.len()
     }
 
-    /// The rules of `layer`, sorted and disjoint.
-    pub fn rules(&self, layer: usize) -> &[FibEntry] {
-        &self.layers[layer]
-    }
-
     /// The ports of ECMP group `id`.
     pub fn group(&self, id: u32) -> &PortSet {
         &self.groups[id as usize]
     }
+}
+
+/// The range rules of one `(switch, tag)` row of the dense index: a
+/// run-length pass over the destination routers in id order. Routers
+/// without endpoints own empty ranges and are transparent; a router
+/// with no rule ends the current run. With `aggregated`, consecutive
+/// routers sharing a group extend one rule, otherwise every router
+/// with a rule is its own.
+pub(crate) fn row_rules<'a>(
+    row: &'a [u16],
+    endpoint_offset: &'a [u32],
+    aggregated: bool,
+) -> impl Iterator<Item = FibEntry> + 'a {
+    let hosts = |r: usize| endpoint_offset[r] < endpoint_offset[r + 1];
+    let mut r = 0;
+    std::iter::from_fn(move || {
+        while r < row.len() && (row[r] == 0 || !hosts(r)) {
+            r += 1;
+        }
+        let id = *row.get(r)?;
+        let lo = endpoint_offset[r];
+        r += 1;
+        while aggregated && r < row.len() && (!hosts(r) || row[r] == id) {
+            r += 1;
+        }
+        Some(FibEntry {
+            lo,
+            hi: endpoint_offset[r],
+            group: id as u32 - 1,
+        })
+    })
 }
 
 /// Per-switch hardware capacities the compiled state is judged against.
@@ -166,15 +203,23 @@ impl Fib {
         self.mode
     }
 
-    /// The candidate ports switch `at` holds for endpoint `ep` on
-    /// `layer`, if any rule covers it.
-    #[inline]
-    pub fn lookup(&self, at: RouterId, layer: usize, ep: u32) -> Option<&PortSet> {
-        self.switches[at as usize].lookup(layer, ep)
+    /// The router owning endpoint `ep`, or `None` past the last one.
+    fn endpoint_router(&self, ep: u32) -> Option<usize> {
+        let i = self.endpoint_offset.partition_point(|&o| o <= ep);
+        (i < self.endpoint_offset.len()).then(|| i - 1)
     }
 
-    /// Router-keyed lookup used by the simulator adapter: resolves
-    /// `dst_router` to its first attached endpoint and matches that.
+    /// The candidate ports switch `at` holds for endpoint `ep` on
+    /// `layer`, if any rule covers it. Endpoints of `at` itself (local
+    /// delivery), unreachable destinations, endpoint ids past the last
+    /// one and tags outside the compiled span all miss.
+    pub fn lookup(&self, at: RouterId, layer: usize, ep: u32) -> Option<&PortSet> {
+        let dst = self.endpoint_router(ep)?;
+        self.lookup_router(at, layer, dst as RouterId)
+    }
+
+    /// Router-keyed lookup, the per-hop path of the simulator adapter:
+    /// one read of the dense index. Tags outside the compiled span miss.
     /// Must only be called for routers that host endpoints (the
     /// simulator only ever routes toward a flow's destination router,
     /// which does by construction).
@@ -185,12 +230,53 @@ impl Fib {
         layer: usize,
         dst_router: RouterId,
     ) -> Option<&PortSet> {
-        let lo = self.endpoint_offset[dst_router as usize];
+        let nr = self.switches.len();
+        let dst = dst_router as usize;
         debug_assert!(
-            lo < self.endpoint_offset[dst_router as usize + 1],
+            dst < nr,
+            "router {dst_router} is not in the {nr}-router FIB"
+        );
+        debug_assert!(
+            self.endpoint_offset[dst] < self.endpoint_offset[dst + 1],
             "router {dst_router} hosts no endpoints — nothing routes toward it"
         );
-        self.lookup(at, layer, lo)
+        if layer >= self.tag_space {
+            return None;
+        }
+        let s = &self.switches[at as usize];
+        let id = s.route[layer * nr + dst];
+        id.checked_sub(1).map(|g| &s.groups[g as usize])
+    }
+
+    /// The range rules switch `at` holds on `layer`, sorted and
+    /// disjoint — derived from the dense index by the compile mode's
+    /// run-length rule (see the [module docs](self)).
+    pub fn rules(&self, at: RouterId, layer: usize) -> impl Iterator<Item = FibEntry> + '_ {
+        row_rules(
+            self.row(at, layer),
+            &self.endpoint_offset,
+            self.mode == CompileMode::Aggregated,
+        )
+    }
+
+    /// The dense index of switch `at` on `layer`, one entry per router.
+    fn row(&self, at: RouterId, layer: usize) -> &[u16] {
+        let nr = self.switches.len();
+        &self.switches[at as usize].route[layer * nr..][..nr]
+    }
+
+    /// Whether one rule of switch `at` on `layer` covers both endpoint
+    /// `ep - 1` and `ep`, i.e. a rule straddles the address boundary
+    /// just below `ep`. Only aggregated rules span routers.
+    pub(crate) fn straddles(&self, at: RouterId, layer: usize, ep: u32) -> bool {
+        let (Some(a), Some(b)) = (
+            ep.checked_sub(1).and_then(|e| self.endpoint_router(e)),
+            self.endpoint_router(ep),
+        ) else {
+            return false;
+        };
+        let row = self.row(at, layer);
+        row[a] != 0 && row[a] == row[b] && (a == b || self.mode == CompileMode::Aggregated)
     }
 
     /// Aggregate table statistics.
@@ -228,8 +314,10 @@ impl Fib {
         }
     }
 
-    /// Coarse byte estimate: [`ENTRY_BYTES`] per rule plus
-    /// [`GROUP_HDR_BYTES`]` + 2·ports` per ECMP group.
+    /// Coarse byte estimate of the modeled switch state: [`ENTRY_BYTES`]
+    /// per rule plus [`GROUP_HDR_BYTES`]` + 2·ports` per ECMP group.
+    /// This models TCAM/SRAM on the switch, not the dense index this
+    /// crate keeps in host memory.
     pub fn memory_bytes(&self) -> u64 {
         self.switches
             .iter()
@@ -259,49 +347,77 @@ impl Fib {
 mod tests {
     use super::*;
 
-    fn two_rule_switch() -> SwitchFib {
+    /// Four routers at switch 3's view: router 0 owns endpoints `0..4`,
+    /// router 1 `4..8` (no rule), router 2 `8..10`, router 3 none. One
+    /// tag; routers 0 and 2 point at different groups.
+    fn two_rule_fib(mode: CompileMode) -> Fib {
         let mut g0 = PortSet::new();
         g0.push(1);
         g0.push(3);
-        SwitchFib {
-            layers: vec![vec![
-                FibEntry {
-                    lo: 0,
-                    hi: 4,
-                    group: 0,
-                },
-                FibEntry {
-                    lo: 8,
-                    hi: 10,
-                    group: 1,
-                },
-            ]],
+        let sw = SwitchFib {
+            route: vec![1, 0, 2, 0].into_boxed_slice(),
             groups: vec![g0, PortSet::single(7)],
+            entries: 2,
+        };
+        let empty = SwitchFib {
+            route: vec![0; 4].into_boxed_slice(),
+            ..SwitchFib::default()
+        };
+        Fib {
+            switches: vec![empty.clone(), empty.clone(), empty, sw],
+            endpoint_offset: vec![0, 4, 8, 10, 10],
+            tag_space: 1,
+            raw_entries: 4,
+            mode,
         }
     }
 
     #[test]
     fn lookup_hits_ranges_and_misses_gaps() {
-        let s = two_rule_switch();
-        assert_eq!(s.lookup(0, 0).unwrap().as_slice(), &[1, 3]);
-        assert_eq!(s.lookup(0, 3).unwrap().as_slice(), &[1, 3]);
-        assert!(s.lookup(0, 4).is_none(), "gap between rules");
-        assert_eq!(s.lookup(0, 9).unwrap().as_slice(), &[7]);
-        assert!(s.lookup(0, 10).is_none(), "hi is exclusive");
-        assert!(s.lookup(1, 0).is_none(), "no such layer");
-        assert_eq!(s.num_entries(), 2);
-        assert_eq!(s.num_groups(), 2);
+        let fib = two_rule_fib(CompileMode::Aggregated);
+        assert_eq!(fib.lookup(3, 0, 0).unwrap().as_slice(), &[1, 3]);
+        assert_eq!(fib.lookup(3, 0, 3).unwrap().as_slice(), &[1, 3]);
+        assert!(fib.lookup(3, 0, 4).is_none(), "gap between rules");
+        assert_eq!(fib.lookup(3, 0, 9).unwrap().as_slice(), &[7]);
+        assert!(fib.lookup(3, 0, 10).is_none(), "past the last endpoint");
+        assert!(fib.lookup(3, 1, 0).is_none(), "no such layer");
+        assert!(fib.lookup_router(3, 1, 0).is_none(), "no such layer");
+        assert_eq!(fib.lookup_router(3, 0, 2).unwrap().as_slice(), &[7]);
+        assert_eq!(
+            fib.rules(3, 0).collect::<Vec<_>>(),
+            [
+                FibEntry {
+                    lo: 0,
+                    hi: 4,
+                    group: 0
+                },
+                FibEntry {
+                    lo: 8,
+                    hi: 10,
+                    group: 1
+                }
+            ]
+        );
+        assert_eq!(fib.switch(3).num_entries(), 2);
+        assert_eq!(fib.switch(3).num_groups(), 2);
+    }
+
+    #[test]
+    fn aggregated_rows_merge_across_routers_without_endpoints() {
+        // Routers 0 and 2 share group 1 with router 1 (no endpoints)
+        // between them: one aggregated rule, two host routes.
+        let row = [1u16, 0, 1, 2];
+        let off = [0u32, 2, 2, 5, 6];
+        let agg: Vec<_> = row_rules(&row, &off, true).collect();
+        let host: Vec<_> = row_rules(&row, &off, false).collect();
+        let rule = |lo, hi, group| FibEntry { lo, hi, group };
+        assert_eq!(agg, [rule(0, 5, 0), rule(5, 6, 1)]);
+        assert_eq!(host, [rule(0, 2, 0), rule(2, 5, 0), rule(5, 6, 1)]);
     }
 
     #[test]
     fn budget_flags_overflow() {
-        let fib = Fib {
-            switches: vec![two_rule_switch(), SwitchFib::default()],
-            endpoint_offset: vec![0, 10, 10],
-            tag_space: 1,
-            raw_entries: 4,
-            mode: CompileMode::Aggregated,
-        };
+        let fib = two_rule_fib(CompileMode::Aggregated);
         assert_eq!(
             fib.overflowing_switches(&TableBudget {
                 entries: 1,
