@@ -55,7 +55,9 @@ pub enum EvKind {
         /// Flow index.
         flow: u32,
     },
-    /// A port's serializer finished; pop the next queued packet.
+    /// A serializer turn: a port's transmission ended with a packet
+    /// waiting behind it; start the next one. A transmission nothing
+    /// waits behind schedules no turn.
     PortPop {
         /// Port index.
         port: u32,

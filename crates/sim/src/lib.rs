@@ -43,8 +43,8 @@ pub use fatpaths_net::fault::{FaultModel, FaultPlan, LinkEvent, RouterEvent};
 pub use fatpaths_te::{TeConfig, TeScheme};
 pub use fatpaths_telemetry::{SpanEvent, SpanKind, TelemetryConfig, Trace, TraceMeta};
 pub use metrics::{
-    histogram, mean, peak_rss_kb, percentile, reset_peak_rss, throughput_by_size, FlowRecord,
-    HistogramResult, RepairTickRecord, RunProfile, SimResult, Summary,
+    histogram, mean, peak_rss_kb, percentile, reset_peak_rss, throughput_by_size, EventCounts,
+    FlowRecord, HistogramResult, RepairTickRecord, RunProfile, SimResult, Summary,
 };
 pub use scenario::{BuiltScheme, Scenario, SchemeSpec};
 pub use shard::partition_routers;

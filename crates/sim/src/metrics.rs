@@ -83,15 +83,59 @@ pub struct RunProfile {
     pub epochs_published: u64,
     /// Control-plane repair passes the run reached.
     pub repair_ticks: u64,
-    /// Events dispatched: flow starts, serializer pops, packet arrivals,
-    /// pull ticks and retransmission timers, summed over shards. Faults
+    /// Events dispatched: the sum of [`RunProfile::dispatched`]. Faults
     /// and repair passes are epochs of the shared timeline, not events,
     /// so the count is the same at every shard count — the denominator
     /// for host ns per event.
     pub events: u64,
+    /// Events dispatched per class, summed over shards in shard order.
+    pub dispatched: EventCounts,
     /// Peak resident set size of the process in KiB (`VmHWM`), read at
     /// the end of the run; 0 where `/proc` is unavailable.
     pub peak_rss_kb: u64,
+}
+
+/// Events a run dispatched, one count per event class. Each is exact
+/// work, a function of the simulated schedule alone: the same at every
+/// shard and thread count.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EventCounts {
+    /// Flow starts.
+    pub flow_starts: u64,
+    /// Serializer turns: a transmission ended with a packet waiting
+    /// behind it. A transmission nothing waits behind schedules none.
+    pub serializer_turns: u64,
+    /// Packet arrivals at routers.
+    pub router_arrivals: u64,
+    /// Packet arrivals at endpoints.
+    pub endpoint_arrivals: u64,
+    /// Paced NDP pull ticks.
+    pub pull_ticks: u64,
+    /// Retransmission timers, live or stale.
+    pub timers: u64,
+}
+
+impl EventCounts {
+    /// Events over every class.
+    pub fn total(&self) -> u64 {
+        self.flow_starts
+            + self.serializer_turns
+            + self.router_arrivals
+            + self.endpoint_arrivals
+            + self.pull_ticks
+            + self.timers
+    }
+}
+
+impl std::ops::AddAssign for EventCounts {
+    fn add_assign(&mut self, o: Self) {
+        self.flow_starts += o.flow_starts;
+        self.serializer_turns += o.serializer_turns;
+        self.router_arrivals += o.router_arrivals;
+        self.endpoint_arrivals += o.endpoint_arrivals;
+        self.pull_ticks += o.pull_ticks;
+        self.timers += o.timers;
+    }
 }
 
 /// Best-effort reset of the process peak-RSS high-water mark: writes

@@ -41,6 +41,7 @@ use crate::engine::{
     grow_step, least_loaded, EvKind, EventQueue, Fifo, Packet, PktKind, Slab, TimePs,
 };
 use crate::faults::{FaultEpoch, FaultTimeline};
+use crate::metrics::EventCounts;
 use fatpaths_core::fwd::fnv1a;
 use fatpaths_core::scheme::{PortSet, RoutingScheme};
 use fatpaths_net::topo::Topology;
@@ -55,9 +56,14 @@ use std::collections::VecDeque;
 /// scale the port array is hundreds of thousands of entries, and
 /// per-port deque buffers were the single largest static *and*
 /// transient allocation of a run.
+///
+/// The serializer is a time, not a flag: it runs until `free_at`. A
+/// serializer turn (`EvKind::PortPop`) is scheduled only while a
+/// packet waits behind a running transmission, so a port's queues are
+/// non-empty exactly while one turn for it is pending, at `free_at`.
 pub(crate) struct Port {
-    /// Far-end id (bits 0..30), `to_is_router` (bit 30) and `busy`
-    /// (bit 31) — packed because the port array is the largest static
+    /// Far-end id (bits 0..30) and `to_is_router` (bit 30; bit 31 is
+    /// unused) — packed because the port array is the largest static
     /// allocation and ids stay far below 2³⁰.
     to_flags: u32,
     data: Fifo,
@@ -69,11 +75,12 @@ pub(crate) struct Port {
     /// queue policy silently.
     pub data_len: u16,
     pub prio_len: u16,
+    /// When the serializer frees: the port is busy while `now < free_at`.
+    free_at: TimePs,
 }
-const _: () = assert!(std::mem::size_of::<Port>() == 24);
+const _: () = assert!(std::mem::size_of::<Port>() == 32);
 
 const PORT_TO_ROUTER: u32 = 1 << 30;
-const PORT_BUSY: u32 = 1 << 31;
 const QUEUE_LEN_OVERFLOW: &str = "port queue holds more than u16::MAX packets";
 
 impl Port {
@@ -85,6 +92,7 @@ impl Port {
             prio: Fifo::default(),
             data_len: 0,
             prio_len: 0,
+            free_at: 0,
         }
     }
 
@@ -104,21 +112,6 @@ impl Port {
     #[inline]
     pub(crate) fn depth(&self) -> u32 {
         self.data_len as u32 + self.prio_len as u32
-    }
-
-    /// Whether the serializer is running.
-    #[inline]
-    pub(crate) fn busy(&self) -> bool {
-        self.to_flags & PORT_BUSY != 0
-    }
-
-    #[inline]
-    pub(crate) fn set_busy(&mut self, busy: bool) {
-        if busy {
-            self.to_flags |= PORT_BUSY;
-        } else {
-            self.to_flags &= !PORT_BUSY;
-        }
     }
 
     /// Queues `pid` on the data (`data = true`) or priority FIFO and
@@ -640,8 +633,8 @@ pub(crate) struct Shard {
     pub trim_count: u64,
     pub unroutable: u64,
     pub host_dead: u64,
-    /// Events dispatched: the run's work count.
-    pub traffic_events: u64,
+    /// Events dispatched, per class: the run's work count.
+    pub dispatched: EventCounts,
     /// Flows resolved this window (completed, aborted, or host-dead);
     /// drained by the driver into its global termination bitset.
     pub resolved: Vec<u32>,
@@ -718,7 +711,7 @@ impl Shard {
             trim_count: 0,
             unroutable: 0,
             host_dead: 0,
-            traffic_events: 0,
+            dispatched: EventCounts::default(),
             resolved: Vec::new(),
             outbox: (0..n_shards).map(|_| Vec::new()).collect(),
             scratch: Vec::new(),
@@ -821,18 +814,39 @@ impl Shard {
     }
 
     pub(crate) fn dispatch<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, ev: EvKind) {
-        self.traffic_events += 1;
+        let n = &mut self.dispatched;
         match ev {
-            EvKind::FlowStart { flow } => self.on_flow_start(cx, flow),
-            EvKind::PortPop { port } => {
-                debug_assert_eq!(cx.port_home[port as usize].shard(), self.id);
-                self.ports[cx.port_idx(port)].set_busy(false);
-                self.port_try_start(cx, port);
+            EvKind::FlowStart { flow } => {
+                n.flow_starts += 1;
+                self.on_flow_start(cx, flow);
             }
-            EvKind::ArriveRouter { pkt, router } => self.on_router_arrive(cx, router, pkt),
-            EvKind::ArriveEndpoint { pkt, ep } => self.on_endpoint_arrive(cx, ep, pkt),
-            EvKind::PullTick { ep } => self.ndp_pull_tick(cx, ep),
-            EvKind::RtoTimer { flow, gen } => self.on_rto(cx, flow, gen),
+            EvKind::PortPop { port } => {
+                n.serializer_turns += 1;
+                debug_assert_eq!(cx.port_home[port as usize].shard(), self.id);
+                let q = &mut self.ports[cx.port_idx(port)];
+                debug_assert!(
+                    self.now >= q.free_at && q.depth() > 0,
+                    "a serializer turn needs a free serializer and a waiting packet"
+                );
+                let pid = q.dequeue(&self.packets).expect("a packet waits");
+                self.port_start(cx, port, pid);
+            }
+            EvKind::ArriveRouter { pkt, router } => {
+                n.router_arrivals += 1;
+                self.on_router_arrive(cx, router, pkt);
+            }
+            EvKind::ArriveEndpoint { pkt, ep } => {
+                n.endpoint_arrivals += 1;
+                self.on_endpoint_arrive(cx, ep, pkt);
+            }
+            EvKind::PullTick { ep } => {
+                n.pull_ticks += 1;
+                self.ndp_pull_tick(cx, ep);
+            }
+            EvKind::RtoTimer { flow, gen } => {
+                n.timers += 1;
+                self.on_rto(cx, flow, gen);
+            }
         }
     }
 
@@ -866,7 +880,8 @@ impl Shard {
     // ---- link layer -----------------------------------------------------
 
     /// Enqueues a packet at a router output port, applying the queue
-    /// policy (trim / drop / mark). `port` is a global id owned here.
+    /// policy (trim / drop / mark). `port` is a global id owned here. A
+    /// dropped packet schedules nothing.
     pub(crate) fn router_enqueue<R: RoutingScheme + ?Sized>(
         &mut self,
         cx: &Ctx<R>,
@@ -885,17 +900,17 @@ impl Shard {
                         // Retransmissions jump the data queue (they unblock
                         // stalled receivers, §III-C) but still count against
                         // the shallow limit — a payload is a payload.
-                        self.ports[li].enqueue(&mut self.packets, true, is_retx, pid);
+                        self.port_enqueue(cx, port, true, is_retx, pid);
                     } else {
                         // Trim: drop payload, keep the header, prioritize.
                         let p = self.packets.get_mut(pid);
                         p.set_trimmed();
                         p.wire_bytes = HDR_BYTES;
                         self.trim_count += 1;
-                        self.push_prio_bounded(li, pid);
+                        self.push_prio_bounded(cx, port, pid);
                     }
                 } else {
-                    self.push_prio_bounded(li, pid);
+                    self.push_prio_bounded(cx, port, pid);
                 }
             }
             Transport::Tcp {
@@ -913,18 +928,17 @@ impl Shard {
                 if depth >= ecn_threshold {
                     self.packets.get_mut(pid).set_ecn_ce();
                 }
-                self.ports[li].enqueue(&mut self.packets, true, false, pid);
+                self.port_enqueue(cx, port, true, false, pid);
             }
         }
-        self.port_try_start(cx, port);
     }
 
-    fn push_prio_bounded(&mut self, local_port: usize, pid: u32) {
-        if self.ports[local_port].prio_len >= 1024 {
+    fn push_prio_bounded<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, port: u32, pid: u32) {
+        if self.ports[cx.port_idx(port)].prio_len >= 1024 {
             self.drops += 1;
             self.packets.release(pid);
         } else {
-            self.ports[local_port].enqueue(&mut self.packets, false, false, pid);
+            self.port_enqueue(cx, port, false, false, pid);
         }
     }
 
@@ -938,38 +952,56 @@ impl Shard {
         let port = cx.up_base + ep;
         debug_assert_eq!(cx.port_home[port as usize].shard(), self.id);
         let is_control = self.packets.get(pid).kind() != PktKind::Data;
-        let li = cx.port_idx(port);
-        self.ports[li].enqueue(&mut self.packets, !is_control, false, pid);
-        self.port_try_start(cx, port);
+        self.port_enqueue(cx, port, !is_control, false, pid);
     }
 
-    /// Starts the serializer on `port` if idle. The arrival is pushed
-    /// locally when the far end is on this shard, otherwise the packet
-    /// is copied into the destination shard's mailbox (its local slab
-    /// slot is released — slab ids are shard-private).
-    fn port_try_start<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, port: u32) {
-        let (pid, to_is_router, to) = {
-            let li = cx.port_idx(port);
-            if self.ports[li].busy() {
-                return;
-            }
-            let Some(pid) = self.ports[li].dequeue(&self.packets) else {
-                return;
-            };
-            let q = &mut self.ports[li];
-            q.set_busy(true);
-            (pid, q.to_is_router(), q.to())
-        };
+    /// Hands `pid` to `port` (a global id owned here) on the data
+    /// (`data = true`) or priority queue, at its head when `front`. A
+    /// packet with nothing ahead of it takes a free serializer at once;
+    /// the first to wait behind a running transmission schedules the
+    /// serializer's next turn at `free_at`; any later one joins the
+    /// queue the pending turn will drain.
+    fn port_enqueue<R: RoutingScheme + ?Sized>(
+        &mut self,
+        cx: &Ctx<R>,
+        port: u32,
+        data: bool,
+        front: bool,
+        pid: u32,
+    ) {
+        let q = &mut self.ports[cx.port_idx(port)];
+        if q.depth() == 0 && self.now >= q.free_at {
+            return self.port_start(cx, port, pid);
+        }
+        q.enqueue(&mut self.packets, data, front, pid);
+        if q.depth() == 1 {
+            self.events.push(q.free_at, EvKind::PortPop { port });
+        }
+    }
+
+    /// Serializes `pid` on `port`, whose serializer is free, until
+    /// `free_at`, scheduling the next turn if packets still wait. The
+    /// arrival is pushed locally when the far end is on this shard,
+    /// otherwise the packet is copied into the destination shard's
+    /// mailbox (its local slab slot is released — slab ids are
+    /// shard-private).
+    fn port_start<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, port: u32, pid: u32) {
+        let li = cx.port_idx(port);
         let (bytes, layer) = {
             let p = self.packets.get(pid);
             (p.wire_bytes, p.layer)
         };
         if let Some(tel) = self.tel.as_deref_mut() {
-            tel.on_wire(cx.port_idx(port) as u32, layer, bytes);
+            tel.on_wire(li as u32, layer, bytes);
         }
         let ser = cx.cfg.ser_time(bytes);
-        self.events.push(self.now + ser, EvKind::PortPop { port });
-        let arrive = self.now + ser + cx.cfg.link_latency;
+        let q = &mut self.ports[li];
+        q.free_at = self.now + ser;
+        if q.depth() != 0 {
+            self.events.push(q.free_at, EvKind::PortPop { port });
+        }
+        let (to_is_router, to) = (q.to_is_router(), q.to());
+        let arrive = q.free_at + cx.cfg.link_latency;
         let tshard = if to_is_router {
             cx.router_shard[to as usize]
         } else {

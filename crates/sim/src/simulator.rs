@@ -288,19 +288,6 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
         self.faults.apply_plan(self.topo, &self.net_base, plan);
     }
 
-    /// Packets dropped because routing had no live candidate port
-    /// (destination unreachable in the degraded network). Summed over
-    /// shards in shard order.
-    pub fn unroutable_drops(&self) -> u64 {
-        self.shards.iter().map(|s| s.unroutable).sum()
-    }
-
-    /// Flows never injected because their source or destination host
-    /// sat behind a dead router at start time.
-    pub fn host_dead_flows(&self) -> u64 {
-        self.shards.iter().map(|s| s.host_dead).sum()
-    }
-
     /// True iff router `r` is currently dead in the writer's working
     /// state (statics applied immediately; timed events at run start).
     pub fn router_is_dead(&self, r: u32) -> bool {
@@ -367,9 +354,9 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
             sh.rx.reserve(nrx[i]);
             // Event-slab baseline: the start-burst census of an
             // endpoint-owning shard — a start event per sender, an
-            // event per windowed packet, and a second one (serializer
-            // *and* arrival) for the packet at the head of each
-            // sender's NIC. Transit-heavy shards (no local flows) start
+            // event per windowed packet, and one more per sender: the
+            // serializer turn its NIC schedules while packets wait
+            // behind the head. Transit-heavy shards (no local flows) start
             // empty and grow in bounded exact steps (`EventQueue` never
             // doubles) toward their own high-water mark; sizing the
             // flow-owning shards up front matters because stepwise
@@ -484,7 +471,10 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
     /// trace is therefore byte-identical for every thread count at a
     /// fixed shard count. Events inside a window are attributed to the
     /// window's start interval, so the effective resolution is
-    /// `max(interval_ps, lookahead)`.
+    /// `max(interval_ps, lookahead)`. A window starts at the earliest
+    /// pending event, so an engine change that adds or removes events —
+    /// even ones that decide nothing — moves window boundaries and with
+    /// them which interval a row lands in, at unchanged outcomes.
     ///
     /// # Panics
     ///
@@ -622,7 +612,10 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
         );
         let seen = timeline.epochs[epoch as usize].repairs as usize;
         profile.repair_ticks = seen as u64;
-        profile.events = self.shards.iter().map(|s| s.traffic_events).sum();
+        for sh in &self.shards {
+            profile.dispatched += sh.dispatched;
+        }
+        profile.events = profile.dispatched.total();
         profile.peak_rss_kb = peak_rss_kb();
         let trace = tcfg.enabled.then(|| {
             let repairs = timeline.log[..seen]

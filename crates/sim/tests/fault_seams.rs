@@ -49,7 +49,7 @@ fn far_link(topo: &Topology) -> (u32, u32) {
 }
 
 /// One 64 KiB flow between the endpoints of adjacent routers 0 and 1:
-/// its last event, fault-free, is at 70_465_600 ps.
+/// its last event, fault-free, is at 70_414_400 ps.
 fn one_flow(topo: &Topology) -> Vec<FlowSpec> {
     vec![FlowSpec {
         src: topo.router_endpoints(0).start,
@@ -101,7 +101,7 @@ fn fault_events_after_the_last_flow_are_not_reached() {
         .router_down_at(300_000_000, 10);
     let (r, pins) = seams(&plan, &one_flow(&topo), 1_000_000, 0);
     assert_eq!(r.completion_rate(), 1.0);
-    assert_eq!(pins, (70_465_600, 0, 51, 5));
+    assert_eq!(pins, (70_414_400, 0, 51, 5));
 }
 
 /// A horizon inside a same-instant burst's detection delay: the burst
@@ -115,5 +115,5 @@ fn horizon_inside_a_bursts_detection_delay() {
         .router_down_at(20_000_000, 33);
     let (r, pins) = seams(&plan, &one_flow(&topo), 50_000_000, 40_000_000);
     assert_eq!(r.flows[0].finish, None);
-    assert_eq!(pins, (39_358_400, 0, 25, 4));
+    assert_eq!(pins, (39_307_200, 0, 25, 4));
 }

@@ -121,10 +121,11 @@ fn sharded_runs_are_byte_identical_to_single_shard() {
     }
 }
 
-/// The work counter (`RunProfile::events`) counts traffic events only —
-/// the fault and repair events each shard replays for its epoch cursor
-/// are excluded — so it must not move with the shard count, healthy or
-/// under churn with repair, or host ns/event would not compare across K.
+/// The work counters (`RunProfile::dispatched`, one per event class,
+/// and their sum `RunProfile::events`) count traffic events only —
+/// faults and repair passes are epochs of the shared timeline — so none
+/// may move with the shard count, healthy or under churn with repair,
+/// or host ns/event would not compare across K.
 #[test]
 fn traffic_event_count_is_shard_count_invariant() {
     rayon::ensure_pool(4);
@@ -152,11 +153,15 @@ fn traffic_event_count_is_shard_count_invariant() {
                 }
                 let r = sc.run();
                 assert_eq!(r.repair_ticks() >= 2, plan.is_some());
-                r.profile.events
+                assert_eq!(r.profile.events, r.profile.dispatched.total());
+                r.profile.dispatched
             };
             let single = events(1);
-            // At least a start, a serializer pop and an arrival per flow.
-            assert!(single >= 3 * flows.len() as u64);
+            // A start and at least two arrivals per flow.
+            let n = flows.len() as u64;
+            assert_eq!(single.flow_starts, n);
+            assert!(single.router_arrivals + single.endpoint_arrivals >= 2 * n);
+            assert!(single.serializer_turns > 0 && single.pull_ticks > 0);
             for k in [2, 4, 9] {
                 assert_eq!(events(k), single, "{k} shards on {}", topo.name);
             }

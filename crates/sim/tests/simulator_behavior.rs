@@ -252,6 +252,39 @@ fn runs_are_deterministic() {
     assert_eq!(fa, fb);
 }
 
+/// The serializer tie, from first principles: a port is busy for exactly
+/// the packet's wire time, so a packet reaching it the picosecond the
+/// previous one leaves goes straight out. Two one-packet flows leave
+/// endpoint 0 for two endpoints of one far router over the same minimal
+/// path. A's packet leaves the NIC at `(1000 + 64) B · 8 bit · 100 ps`
+/// (10 Gbit/s). B started at that instant trails A by one wire time at
+/// every hop and never waits: its FCT equals A's. B started 1 ps earlier
+/// waits that 1 ps at the NIC and nowhere else.
+#[test]
+fn serializer_tie_starts_the_next_packet_on_the_same_picosecond() {
+    let topo = slim_fly(5, 2).unwrap();
+    assert_eq!(SimConfig::default().link_gbps, 10.0);
+    let leave = (1000 + 64) * 8 * 100;
+    let far = topo.router_endpoints(30).start;
+    for k in [1, 3] {
+        for early in [0, 1] {
+            let flows = [0, leave - early].map(|start| FlowSpec {
+                src: 0,
+                dst: far + (start != 0) as u32,
+                size: 1000,
+                start,
+            });
+            let r = Scenario::on(&topo)
+                .scheme(SchemeSpec::Minimal)
+                .workload(&flows)
+                .shards(k)
+                .run();
+            let fct = |i: usize| r.flows[i].finish.unwrap() - r.flows[i].start;
+            assert_eq!(fct(1), fct(0) + early, "K = {k}, B {early} ps early");
+        }
+    }
+}
+
 #[test]
 fn minimal_layer_set_equals_single_path_routing() {
     // FatPaths with only layer 0 must route like plain minimal routing.

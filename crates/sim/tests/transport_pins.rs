@@ -1,13 +1,17 @@
 //! Literal pins on the transports' shared endpoint decisions: the
 //! arrival split, the timeout liveness check and the flowlet re-pick,
-//! on Slim Fly with 48 flows. Each run digests every `FlowRecord`
-//! field, the drop, trim and unroutable counters, `end_time` and every
-//! span event, at one shard and at three (which must agree). The spans
-//! matter: a re-pick can land on another layer without moving a single
-//! time. A self-consistency suite passes when both legs share a
-//! mistake; a literal does not. With every flow sampled, each run also
-//! shows it reached the code it pins: a nonzero `LayerSwitch` span
-//! count, or `Abort` spans for the reboot run.
+//! on Slim Fly with 48 flows. Each run is pinned twice, at one shard
+//! and at three (which must agree): an outcome digest of every
+//! `FlowRecord` field, the drop, trim and unroutable counters and every
+//! span event, and `end_time` as its own literal. The split keeps what
+//! the transports decided apart from engine bookkeeping: the time of
+//! the last event dispatched can move with the event schedule while
+//! every outcome stays put. The spans matter: a re-pick can land on
+//! another layer without moving a single time. A self-consistency suite
+//! passes when both legs share a mistake; a literal does not. With
+//! every flow sampled, each run also shows it reached the code it pins:
+//! a nonzero `LayerSwitch` span count, or `Abort` spans for the reboot
+//! run.
 
 use fatpaths_core::fwd::fnv1a;
 use fatpaths_net::topo::slimfly::slim_fly;
@@ -51,16 +55,20 @@ fn shift(i: u32, n: u32) -> u32 {
     (i + n / 2) % n
 }
 
-/// What a run is pinned on: the digest, the `LayerSwitch` span count and
-/// the `Abort` spans of flows aborted mid-transfer.
+/// What a run is pinned on: the outcome digest, `end_time`, the
+/// `LayerSwitch` span count and the `Abort` spans of flows aborted
+/// mid-transfer.
 #[derive(Debug, PartialEq)]
 struct Pin {
-    digest: u64,
+    outcome: u64,
+    end_time: u64,
     switches: usize,
     aborts: usize,
 }
 
-fn digest(r: &SimResult, spans: &[SpanEvent]) -> u64 {
+/// Every flow record, the drop, trim and unroutable counters and every
+/// span — everything a run decides, and not when its last event ran.
+fn outcome(r: &SimResult, spans: &[SpanEvent]) -> u64 {
     let mut h = 0u64;
     let mut mix = |x: u64| h = fnv1a(h ^ x);
     for f in &r.flows {
@@ -72,7 +80,7 @@ fn digest(r: &SimResult, spans: &[SpanEvent]) -> u64 {
         mix(f.host_dead as u64);
         mix(f.aborted as u64);
     }
-    for x in [r.drops, r.trims, r.unroutable, r.end_time] {
+    for x in [r.drops, r.trims, r.unroutable] {
         mix(x);
     }
     for s in spans {
@@ -104,7 +112,8 @@ fn pin(topo: &Topology, sc: Scenario, plan: &FaultPlan, w: &[FlowSpec], subflows
         let spans = trace.expect("telemetry on").spans;
         let count = |keep: &dyn Fn(&SpanEvent) -> bool| spans.iter().filter(|s| keep(s)).count();
         Pin {
-            digest: digest(&r, &spans),
+            outcome: outcome(&r, &spans),
+            end_time: r.end_time,
             switches: count(&|s| s.kind == SpanKind::LayerSwitch),
             aborts: count(&|s| s.kind == SpanKind::Abort && r.flows[s.flow as usize].aborted),
         }
@@ -129,7 +138,8 @@ fn ndp_layers_oblivious() {
     let sc = Scenario::on(&topo).scheme(LAYERS).seed(3);
     let p = pin(&topo, sc, &FaultPlan::none(), &flows(&topo, incast), 1);
     assert!(p.switches > 0, "{p:?}");
-    assert_eq!(p.digest, 0x8320_9dc1_2600_ee80);
+    assert_eq!(p.outcome, 0x75b2_a99e_02da_df1d);
+    assert_eq!(p.end_time, 541_080_000);
 }
 
 /// NDP over FatPaths layers under queue-depth steering.
@@ -142,7 +152,8 @@ fn ndp_layers_queue_depth() {
         .seed(3);
     let p = pin(&topo, sc, &FaultPlan::none(), &flows(&topo, incast), 1);
     assert!(p.switches > 0, "{p:?}");
-    assert_eq!(p.digest, 0x1041_b156_e894_04af);
+    assert_eq!(p.outcome, 0x317c_3fa9_fcd8_7f30);
+    assert_eq!(p.end_time, 541_131_200);
 }
 
 /// DCTCP over FatPaths layers: window reductions and timeouts re-pick
@@ -158,7 +169,8 @@ fn dctcp_layers_window_reduction_repicks() {
         1,
     );
     assert!(p.switches > 0, "{p:?}");
-    assert_eq!(p.digest, 0xf748_7aef_4a0e_0889);
+    assert_eq!(p.outcome, 0x5f23_6723_6d4c_780c);
+    assert_eq!(p.end_time, 3_906_926_400);
 }
 
 /// DCTCP with minimal routing and LetFlow under queue-depth steering:
@@ -177,9 +189,11 @@ fn dctcp_letflow_queue_depth_nonce_search() {
     let (none, w) = (FaultPlan::none(), flows(&topo, shift));
     let oblivious = pin(&topo, sc.clone(), &none, &w, 1);
     let p = pin(&topo, sc.adaptive(AdaptiveMode::QueueDepth), &none, &w, 1);
-    assert_eq!(oblivious.digest, 0x5e84_0467_031d_6462);
-    assert_ne!(p.digest, oblivious.digest);
-    assert_eq!(p.digest, 0x5b9e_5080_6d2b_87f8);
+    assert_eq!(oblivious.outcome, 0x8dae_77c2_bb87_6810);
+    assert_eq!(oblivious.end_time, 388_521_600);
+    assert_ne!(p.outcome, oblivious.outcome);
+    assert_eq!(p.outcome, 0x0918_f4bc_b34a_046a);
+    assert_eq!(p.end_time, 338_696_000);
 }
 
 /// MPTCP with two subflows per connection: each subflow owns its layer,
@@ -196,7 +210,8 @@ fn mptcp_subflows_keep_their_layers() {
         2,
     );
     assert_eq!(p.switches, 0, "{p:?}");
-    assert_eq!(p.digest, 0xf777_a1c5_ec32_fd0b);
+    assert_eq!(p.outcome, 0xd01a_fd77_2008_c334);
+    assert_eq!(p.end_time, 683_966_981);
 }
 
 /// NDP through a rolling reboot with a two-dead-RTO abort budget and a
@@ -214,5 +229,6 @@ fn ndp_rolling_reboot_aborts() {
         .abort_on_host_death(2);
     let p = pin(&topo, sc, &plan, &flows(&topo, incast), 1);
     assert!(p.aborts > 0, "{p:?}");
-    assert_eq!(p.digest, 0x33cf_c765_cceb_443c);
+    assert_eq!(p.outcome, 0x0f10_2dcd_223e_941a);
+    assert_eq!(p.end_time, 4_143_512_000);
 }

@@ -60,7 +60,10 @@ pub struct TelemetryConfig {
     pub enabled: bool,
     /// Sampling-interval length in picoseconds. Intervals close at
     /// window boundaries in the serial driver, so the effective
-    /// resolution is `max(interval_ps, window length)`.
+    /// resolution is `max(interval_ps, window length)`. Rows are
+    /// attributed by window start, and windows start at the earliest
+    /// pending event, so an engine change in the event schedule moves
+    /// rows between intervals even when every outcome stays put.
     pub interval_ps: u64,
     /// Span sampling rate: flows are sampled 1-in-`span_every` by a
     /// seeded hash of the flow id (`0` disables spans entirely,
