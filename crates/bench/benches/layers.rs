@@ -1,12 +1,17 @@
-//! Benchmarks for the FatPaths core: layer construction (both variants)
-//! and forwarding-table builds, including the ablation sweeps over ρ and n
-//! that DESIGN.md calls out.
+//! Benchmarks for the FatPaths core: layer construction (both variants,
+//! with the ablation sweeps over ρ and n behind the README's "Layer
+//! density and count" discussion), the SPAIN and k-shortest-paths
+//! baselines as the `baselines_sweep` benchmark builds them, and
+//! forwarding-table builds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fatpaths_core::fwd::RoutingTables;
+use fatpaths_core::fwd::{PortTables, RoutingTables};
 use fatpaths_core::interference_min::{build_interference_min_layers, ImConfig};
 use fatpaths_core::layers::{build_random_layers, LayerConfig};
-use fatpaths_net::topo::slimfly::slim_fly;
+use fatpaths_core::scheme::KspConfig;
+use fatpaths_core::spain::SpainConfig;
+use fatpaths_net::classes::{build, SizeClass};
+use fatpaths_net::topo::{slimfly::slim_fly, TopoKind};
 use std::hint::black_box;
 
 fn bench_layer_construction(c: &mut Criterion) {
@@ -42,6 +47,29 @@ fn bench_layer_construction(c: &mut Criterion) {
                 },
             ))
         })
+    });
+    g.finish();
+    // The baselines on SF Small (242 routers), built and lowered to port
+    // tables: SPAIN at one and three trees per destination, KSP at k = 4.
+    let t = build(TopoKind::SlimFly, SizeClass::Small, 1);
+    let mut g = c.benchmark_group("layer_construction_sf_small");
+    g.sample_size(10);
+    for k_paths in [1usize, 3] {
+        g.bench_function(format!("spain_k{k_paths}"), |b| {
+            b.iter(|| {
+                black_box(PortTables::spain(
+                    &t.graph,
+                    &SpainConfig {
+                        k_paths,
+                        seed: 1,
+                        ..SpainConfig::default()
+                    },
+                ))
+            })
+        });
+    }
+    g.bench_function("ksp_k4", |b| {
+        b.iter(|| black_box(PortTables::ksp(&t.graph, &KspConfig::default())))
     });
     g.finish();
 }

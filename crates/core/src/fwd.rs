@@ -28,7 +28,9 @@
 //! layout, lookups, rows and path resolution. [`RoutingTables`] is
 //! `PortTables` plus the distances, fallback ports and layer graphs its
 //! repair reads; the negotiated TE tables and the SPAIN / KSP / PAST
-//! baselines hold a `PortTables` alone.
+//! baselines hold a `PortTables` alone, SPAIN and KSP lowering their
+//! layers through [`PortTables::build`], which runs the same two passes
+//! one layer at a time.
 
 use crate::ecmp::hop_byte;
 use crate::layers::LayerSet;
@@ -64,6 +66,33 @@ impl PortTables {
             nr,
             tables: vec![vec![NO_PORT; nr * nr]; n_layers],
         }
+    }
+
+    /// The port tables of `layers` over `base`: exactly the
+    /// [`ports`](RoutingTables::ports) of [`RoutingTables::build`], without
+    /// its distances, fallbacks and layer copies. Layers run in parallel,
+    /// each worker selecting one layer's rows at a time on its own
+    /// distance and fallback scratch, so memory beyond the tables stays
+    /// at two layers' rows per worker however many layers there are.
+    pub fn build(base: &Graph, layers: &LayerSet) -> Self {
+        let nr = base.n();
+        let all: Vec<RouterId> = (0..nr as u32).collect();
+        let mut tables = PortTables::new(layers.len(), nr);
+        let units: Vec<(usize, &mut [u16])> = tables.layers_mut().enumerate().collect();
+        units
+            .into_par_iter()
+            .for_each_init(LayerScratch::default, |s, (li, table)| {
+                let lg = layers.layer(li);
+                assert_eq!(lg.n(), nr, "layer router count mismatch");
+                distance_rows_into(lg, &all, &mut s.dists);
+                // Written by the kernel, never read: no reset needed.
+                s.fallback.resize(nr * nr, NO_PORT);
+                let ports = LayerPorts::new(base, lg);
+                for band in Band::split(lg, &ports, li, &all, &s.dists, table, &mut s.fallback) {
+                    band.select(&mut s.band);
+                }
+            });
+        tables
     }
 
     /// Number of layers.
@@ -230,11 +259,6 @@ impl RoutingTables {
     /// The port tables.
     pub fn ports(&self) -> &PortTables {
         &self.ports
-    }
-
-    /// The port tables alone, dropping distances, fallbacks and layers.
-    pub fn into_ports(self) -> PortTables {
-        self.ports
     }
 
     /// Hop distance from `src` to `dst` within `layer` (`None` if
@@ -416,14 +440,30 @@ fn scan_live_minimal(
 /// `i * nr + src` is `d(src, dsts[i])` (`u8::MAX` if unreachable). Each
 /// batch of destinations fills its own band of rows.
 fn distance_rows(lg: &Graph, dsts: &[RouterId]) -> Vec<u8> {
+    let mut dist = Vec::new();
+    distance_rows_into(lg, dsts, &mut dist);
+    dist
+}
+
+/// [`distance_rows`] into `dist`, resized and overwritten.
+fn distance_rows_into(lg: &Graph, dsts: &[RouterId], dist: &mut Vec<u8>) {
     let nr = lg.n();
-    let mut dist = vec![u8::MAX; dsts.len() * nr];
+    dist.clear();
+    dist.resize(dsts.len() * nr, u8::MAX);
     let bands: Vec<&mut [u8]> = dist.chunks_mut((BFS_BATCH * nr).max(1)).collect();
     lg.bfs_batches(dsts, bands, |band, level, src, bits| {
         let d = hop_byte(level);
         for_each_source(bits, |i| band[i * nr + src as usize] = d);
     });
-    dist
+}
+
+/// Per-worker scratch of [`PortTables::build`]: one layer's distance and
+/// fallback rows, and the band kernel's own scratch.
+#[derive(Default)]
+struct LayerScratch {
+    dists: Vec<u8>,
+    fallback: Vec<u16>,
+    band: BandScratch,
 }
 
 /// Base-graph ports of a layer's edges in the layer's CSR order: entry `i`
@@ -1221,6 +1261,7 @@ mod tests {
             let rt = assert_matches_reference(&g, &layers, "random layers");
             let seq = rayon::run_sequential(|| RoutingTables::build(&g, &layers));
             prop_assert!(rt.ports.tables == seq.ports.tables && rt.dists == seq.dists && rt.fallback == seq.fallback);
+            prop_assert!(PortTables::build(&g, &layers).tables == rt.ports.tables);
         }
     }
 }

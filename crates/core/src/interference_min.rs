@@ -18,11 +18,11 @@
 //! that every layer admits a total forwarding function.
 
 use crate::ecmp::DistanceMatrix;
-use crate::layers::{LayerConfig, LayerSet};
+use crate::layers::LayerSet;
 use fatpaths_net::graph::Graph;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use rustc_hash::FxHashSet;
+use rustc_hash::{FxHashMap, FxHashSet};
 
 /// Configuration of the interference-minimizing construction.
 #[derive(Clone, Copy, Debug)]
@@ -54,22 +54,32 @@ impl Default for ImConfig {
 
 /// Builds layers with the Listing 2 interference-minimizing heuristic.
 ///
-/// Panics if `base` is disconnected, or if its diameter exceeds
+/// # Panics
+///
+/// If `base` is disconnected, or if its diameter exceeds
 /// [`MAX_HOPS`](crate::ecmp::MAX_HOPS): the base distances behind `Lmin`
 /// come from one [`DistanceMatrix`].
 pub fn build_interference_min_layers(base: &Graph, cfg: &ImConfig) -> LayerSet {
     assert!(cfg.n_layers >= 1);
-    assert!(base.is_connected());
+    assert!(
+        base.is_connected(),
+        "interference-minimizing layers need a connected base graph"
+    );
     let nr = base.n();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let g = Indexed {
+        base,
+        arc_eids: base.arc_edge_ids(),
+        ends: base.edge_vec(),
+    };
     // Global edge weights W, shared across layers (Listing 2 line 5).
-    let edge_index = base.edge_index_map();
     let mut weights = vec![0u64; base.m()];
     // Paths placed per (unordered) pair so far — the priority key.
-    let mut pair_paths: rustc_hash::FxHashMap<(u32, u32), u32> = rustc_hash::FxHashMap::default();
+    let mut pair_paths: FxHashMap<(u32, u32), u32> = FxHashMap::default();
     // Base distances for Lmin.
     let base_dist = DistanceMatrix::build(base);
     let budget = ((cfg.paths_per_router * nr as f64) as usize).max(1);
+    let mut scratch = PathScratch::default();
 
     let mut graphs = Vec::with_capacity(cfg.n_layers);
     graphs.push(base.clone());
@@ -80,35 +90,54 @@ pub fn build_interference_min_layers(base: &Graph, cfg: &ImConfig) -> LayerSet {
         for (i, &v) in pi.iter().enumerate() {
             rank[v as usize] = i as u32;
         }
-        let layer_edges = create_layer(
-            base,
+        let mut layer_edges = create_layer(
+            &g,
             &rank,
-            &edge_index,
             &mut weights,
             &mut pair_paths,
             &base_dist,
             budget,
             cfg,
             &mut rng,
+            &mut scratch,
         );
-        graphs.push(patch_connected(base, layer_edges, &weights, &edge_index));
+        graphs.push(patch_connected(&g, &mut layer_edges, &weights));
     }
     LayerSet { graphs }
 }
 
+/// The base graph with its edge ids: per arc in CSR order
+/// ([`Graph::arc_edge_ids`]) and the endpoints of each id.
+struct Indexed<'a> {
+    base: &'a Graph,
+    arc_eids: Vec<u32>,
+    ends: Vec<(u32, u32)>,
+}
+
+impl Indexed<'_> {
+    /// Id of base edge `{u, v}`, if it exists.
+    #[inline]
+    fn eid(&self, u: u32, v: u32) -> Option<usize> {
+        let p = self.base.port_of(u, v)?;
+        Some(self.arc_eids[self.base.arcs(u).start + p as usize] as usize)
+    }
+}
+
+/// Places one layer's paths; returns its edges as a membership mask over
+/// base edge ids.
 #[allow(clippy::too_many_arguments)]
 fn create_layer(
-    base: &Graph,
+    g: &Indexed<'_>,
     rank: &[u32],
-    edge_index: &rustc_hash::FxHashMap<(u32, u32), u32>,
     weights: &mut [u64],
-    pair_paths: &mut rustc_hash::FxHashMap<(u32, u32), u32>,
+    pair_paths: &mut FxHashMap<(u32, u32), u32>,
     base_dist: &DistanceMatrix,
     budget: usize,
     cfg: &ImConfig,
     rng: &mut StdRng,
-) -> FxHashSet<(u32, u32)> {
-    let nr = base.n();
+    scratch: &mut PathScratch,
+) -> Vec<bool> {
+    let nr = g.base.n();
     // Eligible pairs: π(u) < π(v). Sort by (paths placed, random tiebreak)
     // ascending — the priority-queue semantics of Listing 2.
     let sample = (budget * 4).min(nr * (nr - 1) / 2);
@@ -136,9 +165,9 @@ fn create_layer(
     }
     pairs.sort_by_key(|&(u, v)| (*pair_paths.get(&key(u, v)).unwrap_or(&0), fnv_pair(u, v)));
 
-    let mut layer: FxHashSet<(u32, u32)> = FxHashSet::default();
+    let mut layer = vec![false; g.ends.len()];
     // Per-layer masked shortcut edges (incidenceG in the listing).
-    let mut masked: FxHashSet<(u32, u32)> = FxHashSet::default();
+    let mut masked = vec![false; g.ends.len()];
     let mut placed = 0usize;
     for &(u, v) in &pairs {
         if placed >= budget {
@@ -149,21 +178,21 @@ fn create_layer(
         };
         let lmin = dmin + cfg.lmin_extra;
         let lmax = lmin + cfg.lmax_slack;
-        if let Some(path) = find_path(base, rank, &masked, weights, edge_index, u, v, lmin, lmax) {
+        if let Some(path) = find_path(g, rank, &masked, weights, u, v, lmin, lmax, scratch) {
             placed += 1;
             let len = path.len() - 1;
             for (i, w) in path.windows(2).enumerate() {
-                layer.insert(key(w[0], w[1]));
+                let e = g.eid(w[0], w[1]).expect("path hops are base edges");
+                layer[e] = true;
                 // Listing 2 line 47: center-loaded weight increase.
-                let e = edge_index[&key(w[0], w[1])] as usize;
                 weights[e] += (i * (len - 1 - i)) as u64;
             }
             *pair_paths.entry(key(u, v)).or_insert(0) += 1;
             // Mask shortcut edges between non-adjacent path routers.
             for i in 0..path.len() {
                 for j in (i + 2)..path.len() {
-                    if base.has_edge(path[i], path[j]) {
-                        masked.insert(key(path[i], path[j]));
+                    if let Some(e) = g.eid(path[i], path[j]) {
+                        masked[e] = true;
                     }
                 }
             }
@@ -182,65 +211,77 @@ fn fnv_pair(u: u32, v: u32) -> u64 {
     crate::fwd::fnv1a(((u as u64) << 32) | v as u64)
 }
 
+/// Scratch of [`find_path`], reused across the pairs of a build.
+#[derive(Default)]
+struct PathScratch {
+    /// `cost[h * nr + x]`: cheapest `h`-hop arrival at `x`.
+    cost: Vec<u64>,
+    /// `parent[h * nr + x]`: the router before `x` on that arrival.
+    parent: Vec<u32>,
+    frontier: Vec<u32>,
+    next: Vec<u32>,
+}
+
 /// Minimum-weight `π`-increasing path from `u` to `v` with hop count in
 /// `[lmin, lmax]`, avoiding masked edges. DP over (hops, router):
 /// `O(lmax · m)`.
 #[allow(clippy::too_many_arguments)]
 fn find_path(
-    base: &Graph,
+    g: &Indexed<'_>,
     rank: &[u32],
-    masked: &FxHashSet<(u32, u32)>,
+    masked: &[bool],
     weights: &[u64],
-    edge_index: &rustc_hash::FxHashMap<(u32, u32), u32>,
     u: u32,
     v: u32,
     lmin: u32,
     lmax: u32,
+    s: &mut PathScratch,
 ) -> Option<Vec<u32>> {
-    let nr = base.n();
+    let nr = g.base.n();
     const INF: u64 = u64::MAX;
-    // cost[h][x], parent[h][x]
-    let mut cost = vec![vec![INF; nr]; (lmax + 1) as usize];
-    let mut parent = vec![vec![u32::MAX; nr]; (lmax + 1) as usize];
-    cost[0][u as usize] = 0;
-    let mut frontier = vec![u];
+    let rows = lmax as usize + 1;
+    s.cost.clear();
+    s.cost.resize(rows * nr, INF);
+    // Read only where `cost` is finite, so stale entries are harmless.
+    s.parent.resize(rows * nr, u32::MAX);
+    s.cost[u as usize] = 0;
+    s.frontier.clear();
+    s.frontier.push(u);
     for h in 0..lmax as usize {
-        let mut next_frontier = Vec::new();
-        for &x in &frontier {
-            let cx = cost[h][x as usize];
+        let (done, rest) = s.cost.split_at_mut((h + 1) * nr);
+        let (cur, next) = (&done[h * nr..], &mut rest[..nr]);
+        let parent = &mut s.parent[(h + 1) * nr..][..nr];
+        s.next.clear();
+        for &x in &s.frontier {
+            let cx = cur[x as usize];
             if cx == INF {
                 continue;
             }
-            for &y in base.neighbors(x) {
+            for (a, &y) in g.base.arcs(x).zip(g.base.neighbors(x)) {
                 // π-increasing edges only (acyclicity), skip masked.
                 if rank[y as usize] <= rank[x as usize] {
                     continue;
                 }
-                if masked.contains(&key(x, y)) {
+                let e = g.arc_eids[a] as usize;
+                if masked[e] {
                     continue;
                 }
-                let w = weights[edge_index[&key(x, y)] as usize] + 1;
-                let cand = cx.saturating_add(w);
-                if cand < cost[h + 1][y as usize] {
-                    if cost[h + 1][y as usize] == INF {
-                        next_frontier.push(y);
+                let cand = cx.saturating_add(weights[e] + 1);
+                if cand < next[y as usize] {
+                    if next[y as usize] == INF {
+                        s.next.push(y);
                     }
-                    cost[h + 1][y as usize] = cand;
-                    parent[h + 1][y as usize] = x;
+                    next[y as usize] = cand;
+                    parent[y as usize] = x;
                 }
             }
         }
-        frontier = next_frontier;
+        std::mem::swap(&mut s.frontier, &mut s.next);
     }
     // Pick the cheapest arrival with hop count in [lmin, lmax].
     let mut best: Option<(u64, usize)> = None;
-    for (h, row) in cost
-        .iter()
-        .enumerate()
-        .take(lmax as usize + 1)
-        .skip(lmin as usize)
-    {
-        let c = row[v as usize];
+    for h in lmin as usize..rows {
+        let c = s.cost[h * nr + v as usize];
         if c != INF && best.map(|(bc, _)| c < bc).unwrap_or(true) {
             best = Some((c, h));
         }
@@ -250,7 +291,7 @@ fn find_path(
     let mut cur = v;
     let mut hh = h;
     while cur != u {
-        cur = parent[hh][cur as usize];
+        cur = s.parent[hh * nr + cur as usize];
         hh -= 1;
         path.push(cur);
     }
@@ -258,55 +299,39 @@ fn find_path(
     Some(path)
 }
 
-/// Ensures the placed edge set forms a connected spanning subgraph by
-/// adding the lightest unused base edges that bridge components.
-fn patch_connected(
-    base: &Graph,
-    mut edges: FxHashSet<(u32, u32)>,
-    weights: &[u64],
-    edge_index: &rustc_hash::FxHashMap<(u32, u32), u32>,
-) -> Graph {
+/// Ensures the placed edges (a membership mask over base edge ids) form a
+/// connected spanning subgraph by adding the lightest unused base edges
+/// that bridge components.
+fn patch_connected(g: &Indexed<'_>, edges: &mut [bool], weights: &[u64]) -> Graph {
     loop {
-        let list: Vec<(u32, u32)> = edges.iter().copied().collect();
-        let g = Graph::from_edges(base.n(), &list);
-        let labels = g.component_labels();
+        let list: Vec<(u32, u32)> = g
+            .ends
+            .iter()
+            .zip(&*edges)
+            .filter_map(|(&uv, &on)| on.then_some(uv))
+            .collect();
+        let layer = Graph::from_edges(g.base.n(), &list);
+        let labels = layer.component_labels();
         let ncomp = *labels.iter().max().unwrap() + 1;
         if ncomp == 1 {
-            return g;
+            return layer;
         }
         // Lightest bridge per component pair this round.
-        let mut best: rustc_hash::FxHashMap<(u32, u32), ((u32, u32), u64)> =
-            rustc_hash::FxHashMap::default();
-        for (u, v) in base.edges() {
+        let mut best: FxHashMap<(u32, u32), (usize, u64)> = FxHashMap::default();
+        for (e, &(u, v)) in g.ends.iter().enumerate() {
             let (cu, cv) = (labels[u as usize], labels[v as usize]);
             if cu == cv {
                 continue;
             }
-            let ck = (cu.min(cv), cu.max(cv));
-            let w = weights[edge_index[&(u, v)] as usize];
-            let entry = best.entry(ck).or_insert(((u, v), w));
-            if w < entry.1 {
-                *entry = ((u, v), w);
+            let entry = best.entry(key(cu, cv)).or_insert((e, weights[e]));
+            if weights[e] < entry.1 {
+                *entry = (e, weights[e]);
             }
         }
-        for (edge, _) in best.values() {
-            edges.insert(*edge);
+        for &(e, _) in best.values() {
+            edges[e] = true;
         }
     }
-}
-
-/// Convenience: builds interference-minimizing layers with the same knobs
-/// as [`crate::layers::build_random_layers`] (ρ is ignored — density falls
-/// out of the path budget).
-pub fn build_from_layer_config(base: &Graph, cfg: &LayerConfig) -> LayerSet {
-    build_interference_min_layers(
-        base,
-        &ImConfig {
-            n_layers: cfg.n_layers,
-            seed: cfg.seed,
-            ..ImConfig::default()
-        },
-    )
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 
 use crate::ecmp::DistanceMatrix;
 use crate::fwd::{fnv1a, PortTables, RoutingTables};
-use crate::ksp::k_shortest_paths;
+use crate::ksp::{k_shortest_paths_in, YenScratch};
 use crate::layers::LayerSet;
 use crate::past::{PastTrees, PastVariant};
 use crate::repair::{DownLinks, RouteRepair};
@@ -379,20 +379,29 @@ impl Default for KspConfig {
 /// destination.
 impl PortTables {
     /// Runs the SPAIN construction on `base` and compiles its layers into
-    /// port tables.
+    /// port tables. Only the first [`MAX_LAYERS`] layers, the ones tags
+    /// address, are built and lowered.
     pub fn spain(base: &Graph, cfg: &SpainConfig) -> Self {
-        let sl = build_spain_layers(base, cfg);
-        RoutingTables::build(base, &sl.layers).into_ports()
+        let cap = cfg.max_layers.unwrap_or(MAX_LAYERS).min(MAX_LAYERS);
+        let cfg = SpainConfig {
+            max_layers: Some(cap),
+            ..*cfg
+        };
+        PortTables::build(base, &build_spain_layers(base, &cfg).layers)
     }
 
     /// k-shortest-paths routing: runs Yen's algorithm over the (sampled)
-    /// pairs — in parallel, one task per pair; Yen dominates construction
-    /// cost — and unions the i-th shortest paths into layer i's subgraph.
-    /// Minimal forwarding within each layer then realizes "spread over
-    /// the k shortest paths" with plain destination-based tables,
-    /// mirroring how §VI treats KSP as a layered comparison target.
+    /// pairs — in parallel, one task per pair — and unions the i-th
+    /// shortest paths into layer i's subgraph. Minimal forwarding within
+    /// each layer then realizes "spread over the k shortest paths" with
+    /// plain destination-based tables, mirroring how §VI treats KSP as a
+    /// layered comparison target.
+    ///
+    /// # Panics
+    ///
+    /// If `base` is disconnected: every sampled pair needs a path.
     pub fn ksp(base: &Graph, cfg: &KspConfig) -> Self {
-        RoutingTables::build(base, &ksp_layers(base, cfg)).into_ports()
+        PortTables::build(base, &ksp_layers(base, cfg))
     }
 
     /// Builds PAST's per-destination trees and compiles them into one
@@ -425,6 +434,10 @@ impl PortTables {
 /// shortest paths, patched to connectivity.
 fn ksp_layers(base: &Graph, cfg: &KspConfig) -> LayerSet {
     assert!(cfg.k >= 1, "need at least one path per pair");
+    assert!(
+        base.is_connected(),
+        "k-shortest-paths routing needs a connected base graph"
+    );
     let nr = base.n();
     let mut edge_sets: Vec<rustc_hash::FxHashSet<(u32, u32)>> =
         vec![rustc_hash::FxHashSet::default(); cfg.k];
@@ -450,7 +463,9 @@ fn ksp_layers(base: &Graph, cfg: &KspConfig) -> LayerSet {
     use rayon::prelude::*;
     let per_pair: Vec<Vec<Vec<u32>>> = sampled
         .into_par_iter()
-        .map(|(s, d)| k_shortest_paths(base, s, d, cfg.k))
+        .map_init(YenScratch::default, |scratch, (s, d)| {
+            k_shortest_paths_in(base, s, d, cfg.k, scratch)
+        })
         .collect();
     // Union the rank-i paths sequentially (pair order, deterministic).
     for paths in &per_pair {
@@ -683,6 +698,13 @@ mod tests {
                 assert_eq!(*p.last().unwrap(), d);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "k-shortest-paths routing needs a connected base graph")]
+    fn ksp_on_a_disconnected_base_names_the_precondition() {
+        let triangles = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
+        PortTables::ksp(&triangles, &KspConfig { k: 2, max_pairs: 0 });
     }
 
     /// The baselines' own lookup — SPAIN's end host tries the tagged VLAN,

@@ -1,6 +1,10 @@
 //! Fig. 13 — large-scale runs: packet-level at the ≈80k-endpoint class,
 //! fluid max-min at ≈1M endpoints (SF vs equivalent Jellyfish FCT
-//! histograms); see DESIGN.md §2.3 for the substitution argument.
+//! histograms). The fluid model stands in for packets at 1M endpoints
+//! because Fig. 13 compares FCT histogram *shapes*, which path-collision
+//! multiplicity governs and max-min fair sharing of fixed paths
+//! reproduces, while packet-level routing tables alone would need
+//! gigabytes at that scale.
 
 use crate::common::{f, label, pattern_workload, post_warmup, write_summary, Table};
 use fatpaths_core::fwd::fnv1a;

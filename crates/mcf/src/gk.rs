@@ -12,8 +12,10 @@
 //! maximize T  s.t.  Σᵢ Σ_{P∋e} f_i(P) ≤ c(e)  ∀e,   Σ_P f_i(P) = T·d_i ∀i
 //! ```
 //!
-//! The algorithm returns a `(1−O(ε))`-approximation; DESIGN.md §2.2 argues
-//! why that preserves every comparison in Fig. 9.
+//! The algorithm returns a `(1−O(ε))`-approximation. Fig. 9 solves every
+//! scheme at the same `ε` on the same demands, so each throughput carries
+//! the same relative error bound, and an ordering between two schemes can
+//! only flip where they lie within `O(ε)` of each other.
 //!
 //! # Parallelism
 //!

@@ -181,10 +181,9 @@ impl Graph {
         self.edges().collect()
     }
 
-    /// Index of canonical edge `{u, v}` into [`Graph::edge_vec`] order.
-    ///
-    /// Built lazily by callers that need it; provided here for convenience
-    /// as a linear scan-free lookup using per-router prefix counts.
+    /// Index of canonical edge `{u, v}` into [`Graph::edge_vec`] order, as
+    /// a hash map keyed by `(min, max)`. Callers that walk neighbour lists
+    /// read [`Graph::arc_edge_ids`] instead.
     pub fn edge_index_map(&self) -> rustc_hash::FxHashMap<(RouterId, RouterId), u32> {
         let mut map = rustc_hash::FxHashMap::default();
         map.reserve(self.m());
@@ -192,6 +191,34 @@ impl Graph {
             map.insert((u, v), i as u32);
         }
         map
+    }
+
+    /// The arcs of `u` in CSR order: `arcs(u).start + p` is the arc
+    /// behind port `p`, an index into [`Graph::arc_edge_ids`].
+    #[inline]
+    pub fn arcs(&self, u: RouterId) -> std::ops::Range<usize> {
+        self.offsets[u as usize] as usize..self.offsets[u as usize + 1] as usize
+    }
+
+    /// The canonical edge id ([`Graph::edge_vec`] index) of every arc in
+    /// CSR order: entry `arcs(u).start + p` is the id of `u`'s edge behind
+    /// port `p`. Both arcs of an edge carry its id.
+    pub fn arc_edge_ids(&self) -> Vec<u32> {
+        let mut ids = vec![0u32; self.neigh.len()];
+        let mut next = 0u32;
+        for u in 0..self.n() as u32 {
+            for (a, &v) in self.arcs(u).zip(self.neighbors(u)) {
+                ids[a] = if u < v {
+                    next += 1;
+                    next - 1
+                } else {
+                    // The edge was numbered from `v`'s side.
+                    let p = self.port_of(v, u).expect("neighbour lists are symmetric");
+                    ids[self.arcs(v).start + p as usize]
+                };
+            }
+        }
+        ids
     }
 
     /// BFS hop distances from `src` into `dist` (resized and overwritten).
@@ -513,6 +540,20 @@ mod tests {
         assert_eq!(edges, vec![(0, 1), (0, 3), (1, 2)]);
         let idx = g.edge_index_map();
         assert_eq!(idx[&(0, 3)], 1);
+    }
+
+    #[test]
+    fn arc_edge_ids_match_the_canonical_order() {
+        let t = crate::topo::slimfly::slim_fly(5, 1).unwrap();
+        let g = &t.graph;
+        let idx = g.edge_index_map();
+        let ids = g.arc_edge_ids();
+        assert_eq!(ids.len(), 2 * g.m());
+        for u in 0..g.n() as u32 {
+            for (p, &v) in g.neighbors(u).iter().enumerate() {
+                assert_eq!(ids[g.arcs(u).start + p], idx[&(u.min(v), u.max(v))]);
+            }
+        }
     }
 
     #[test]

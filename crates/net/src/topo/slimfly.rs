@@ -10,8 +10,10 @@
 //! * `(0,x,y) ~ (1,m,c)`   iff `y = m·x + c`
 //!
 //! yielding `Nr = 2q²` routers of network radix `k' = (3q − δ)/2` and
-//! diameter 2. We implement prime `q` only (see DESIGN.md §2.6); the
-//! diameter-2 property is asserted by tests for every shipped `q`.
+//! diameter 2. We implement prime `q` only: a prime power would need
+//! `GF(pᵏ)` arithmetic instead of integers mod `q`, and every size class
+//! (`q` = 11, 19, 37, 89) and figure sweep (`q` = 5, 7, 13) uses a prime.
+//! The diameter-2 property is asserted by tests for every shipped `q`.
 
 use super::{LinkClass, TopoKind, Topology};
 

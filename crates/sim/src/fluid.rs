@@ -1,5 +1,6 @@
 //! Flow-level max-min fluid simulator for huge-scale runs (Fig. 13 at
-//! ≈1M endpoints; DESIGN.md §2.3).
+//! ≈1M endpoints, where a packet-level run is out of reach; the
+//! `large_scale` experiment module states why the substitution holds).
 //!
 //! Each flow owns a fixed path of directed link ids (router links plus the
 //! endpoint access links). Rates follow max-min fairness via progressive

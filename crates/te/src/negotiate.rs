@@ -106,19 +106,14 @@ impl TeScheme {
         demands: &[RouterDemand],
         cfg: &TeConfig,
     ) -> TeScheme {
-        let nr = tables.nr();
         assert_layer_tags(tables.n_layers());
         let m = base.m();
         let layers = tables.layer_set().clone();
-        let edge_index = base.edge_index_map();
-        let eid = |u: u32, v: u32| edge_index[&(u.min(v), u.max(v))];
-        let base_eids: Vec<Vec<u32>> = (0..nr as u32)
-            .map(|u| base.neighbors(u).iter().map(|&v| eid(u, v)).collect())
-            .collect();
+        let arc_eids = base.arc_edge_ids();
         let csrs: Vec<LayerCsr> = layers
             .graphs
             .iter()
-            .map(|lg| LayerCsr::new(base, lg, &base_eids))
+            .map(|lg| LayerCsr::new(base, lg, &arc_eids))
             .collect();
         // Iteration 0: the static tables.
         let mut cur = tables.ports().clone();

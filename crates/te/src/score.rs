@@ -23,15 +23,7 @@ pub fn edge_loads<S: RoutingScheme + ?Sized>(
     base: &Graph,
     demands: &[RouterDemand],
 ) -> Vec<f64> {
-    let edge_index = base.edge_index_map();
-    let eids: Vec<Vec<u32>> = (0..base.n() as u32)
-        .map(|u| {
-            base.neighbors(u)
-                .iter()
-                .map(|&v| edge_index[&(u.min(v), u.max(v))])
-                .collect()
-        })
-        .collect();
+    let eids = base.arc_edge_ids();
     let mut loads = vec![0.0f64; base.m()];
     let nl = scheme.num_layers().max(1);
     for d in demands {
@@ -55,7 +47,7 @@ pub fn edge_loads<S: RoutingScheme + ?Sized>(
 fn spread<S: RoutingScheme + ?Sized>(
     scheme: &S,
     base: &Graph,
-    eids: &[Vec<u32>],
+    eids: &[u32],
     tag: u8,
     at: u32,
     dst: u32,
@@ -74,7 +66,7 @@ fn spread<S: RoutingScheme + ?Sized>(
     }
     let share = amount / ps.len() as f64;
     for &p in ps {
-        loads[eids[at as usize][p as usize] as usize] += share;
+        loads[eids[base.arcs(at).start + p as usize] as usize] += share;
         let nb = base.neighbor_at(at, p as u32);
         spread(scheme, base, eids, tag, nb, dst, share, depth + 1, loads);
     }

@@ -47,15 +47,15 @@ pub(crate) struct LayerCsr {
 }
 
 impl LayerCsr {
-    /// The view of layer graph `lg`; `base_eids[u][p]` is the base edge id
-    /// behind base port `p` of router `u`.
-    pub(crate) fn new(base: &Graph, lg: &Graph, base_eids: &[Vec<u32>]) -> Self {
+    /// The view of layer graph `lg`; `arc_eids` is the base's
+    /// [`Graph::arc_edge_ids`].
+    pub(crate) fn new(base: &Graph, lg: &Graph, arc_eids: &[u32]) -> Self {
         Self::from_arcs(lg.n(), |u| {
             lg.neighbors(u).iter().map(move |&v| {
                 let p = base
                     .port_of(u, v)
-                    .expect("layer edge must exist in base graph");
-                (v, p as u16, base_eids[u as usize][p as usize])
+                    .expect("layer edge must exist in base graph") as usize;
+                (v, p as u16, arc_eids[base.arcs(u).start + p])
             })
         })
     }
@@ -394,9 +394,7 @@ mod tests {
             let prices: Vec<f64> = (0..g.m()).map(|e| PRICES[price_of[e % price_of.len()]]).collect();
             let index = g.edge_index_map();
             let eid = |u: u32, v: u32| index[&(u.min(v), u.max(v))];
-            let base_eids: Vec<Vec<u32>> = (0..n as u32)
-                .map(|u| g.neighbors(u).iter().map(|&v| eid(u, v)).collect())
-                .collect();
+            let arc_eids = g.arc_edge_ids();
             let sparse = g.without_edges(
                 &canonical.iter().copied().enumerate().filter(|(e, _)| e % 3 == 1).map(|(_, uv)| uv).collect::<Vec<_>>(),
             );
@@ -407,7 +405,7 @@ mod tests {
                 let eids: Vec<Vec<u32>> = (0..n as u32)
                     .map(|u| lg.neighbors(u).iter().map(|&v| eid(u, v)).collect())
                     .collect();
-                let healthy = LayerCsr::new(&g, lg, &base_eids);
+                let healthy = LayerCsr::new(&g, lg, &arc_eids);
                 for skip in [None, Some(&down)] {
                     let csr = match skip {
                         Some(d) => healthy.without(d),

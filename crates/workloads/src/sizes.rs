@@ -6,7 +6,9 @@
 //! log-spaced sizes on `[32 KiB, 2 MiB]` with a power-law tilt
 //! `p_i ∝ s_i^a`, where `a` is solved by bisection so the mean is 1 MiB —
 //! preserving the mice/elephant mix that drives the mean-vs-tail
-//! separation in Figs. 2/11/14 (see DESIGN.md §2.4).
+//! separation in Figs. 2/11/14. The construction fixes the count, the
+//! range and the mean the paper states; the tilt only fills in the shape
+//! between them.
 
 use rand::Rng;
 
