@@ -269,25 +269,9 @@ impl RoutingTables {
         (d != u8::MAX).then_some(d as u32)
     }
 
-    /// Approximate memory footprint in bytes (for the §VII-C remark that
-    /// routing tables are a simulation memory concern). Counts the port,
-    /// fallback-port, and distance entries.
-    pub fn memory_bytes(&self) -> usize {
-        self.n_layers() * self.nr() * self.nr() * (2 * std::mem::size_of::<u16>() + 1)
-    }
-
     /// The layer subgraphs the tables were built from.
     pub fn layer_set(&self) -> &LayerSet {
         &self.layers
-    }
-
-    /// The precomputed second-choice minimal next-hop port at `src`
-    /// toward `dst` in `layer` (`None` if the chosen port is the only
-    /// minimal next hop).
-    #[inline]
-    pub fn fallback_port(&self, layer: usize, src: RouterId, dst: RouterId) -> Option<u16> {
-        let p = self.fallback[layer][dst as usize * self.nr() + src as usize];
-        (p != NO_PORT).then_some(p)
     }
 
     /// Link-failure repair (the layered arm of
@@ -298,7 +282,7 @@ impl RoutingTables {
     /// Per affected row the repair is **incremental**: if every router
     /// whose chosen next hop crosses a down link still has a live
     /// equal-cost alternative (checked first against the precomputed
-    /// [`fallback_port`](RoutingTables::fallback_port)), in-layer
+    /// second-choice fallback port), in-layer
     /// distances are provably unchanged and the repair is a handful of
     /// O(1) port swaps. Only rows where a distance actually changes are
     /// rebuilt, all of a layer's in one [`Graph::bfs_batches`] pass over
@@ -929,7 +913,8 @@ mod tests {
                     continue;
                 }
                 checked += 1;
-                if let Some(fb) = rt.fallback_port(0, s, d) {
+                let fb = rt.fallback[0][d as usize * rt.nr() + s as usize];
+                if fb != NO_PORT {
                     with_fb += 1;
                     // The fallback is itself a minimal next hop, distinct
                     // from the chosen one.
@@ -1206,8 +1191,9 @@ mod tests {
                 graphs: vec![g.clone(), g.without_edges(&sparse)],
             };
             let rt = assert_matches_reference(&g, &layers, &format!("hubs of degree {n}"));
+            // Layer 0, row `dst · nr + src` for hub 0 toward hub 1.
             assert!(
-                rt.fallback_port(0, 0, 1).is_some(),
+                rt.fallback[0][rt.nr()] != NO_PORT,
                 "the n-way tie has a fallback"
             );
             let seq = rayon::run_sequential(|| RoutingTables::build(&g, &layers));

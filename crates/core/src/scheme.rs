@@ -31,7 +31,7 @@ use fatpaths_net::graph::{Graph, RouterId};
 /// evaluation uses — a Large-class fat tree (k = 54) has k/2 = 27
 /// minimal up-ports per inter-pod hop — so the per-packet hot path stays
 /// allocation-free on every paper-size topology.
-pub const PORTSET_INLINE: usize = 28;
+const PORTSET_INLINE: usize = 28;
 
 /// Most layers a scheme can address by tag: layer tags are `u8` in
 /// packets, in [`RoutingScheme::candidate_ports`] and in repair-overlay
@@ -49,7 +49,7 @@ pub fn assert_layer_tags(n_layers: usize) {
 }
 
 /// A small set of candidate output ports, inline up to
-/// [`PORTSET_INLINE`] entries. Order is part of the contract: load
+/// `PORTSET_INLINE` (28) entries. Order is part of the contract: load
 /// balancers index into it deterministically, so schemes must emit ports
 /// in a stable order (ascending, for every scheme in this crate).
 #[derive(Clone, Debug, Default)]
@@ -542,7 +542,7 @@ impl<'a> ValiantScheme<'a> {
 
     /// The intermediate router of layer `l` toward `dst`.
     #[inline]
-    pub fn intermediate(&self, l: usize, dst: RouterId) -> RouterId {
+    fn intermediate(&self, l: usize, dst: RouterId) -> RouterId {
         let nr = self.graph.n() as u64;
         (fnv1a(self.seed ^ ((l as u64) << 40) ^ dst as u64) % nr) as u32
     }

@@ -6,7 +6,7 @@
 
 /// Degree of support for one path-diversity aspect.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Support {
+enum Support {
     /// Full support (👍 in the paper).
     Yes,
     /// Limited support.
@@ -23,7 +23,7 @@ pub enum Support {
 
 impl Support {
     /// Compact cell text.
-    pub fn cell(self) -> &'static str {
+    fn cell(self) -> &'static str {
         match self {
             Support::Yes => "Y",
             Support::Limited => "~",
@@ -37,29 +37,29 @@ impl Support {
 
 /// One row of Table I.
 #[derive(Clone, Copy, Debug)]
-pub struct SchemeRow {
+struct SchemeRow {
     /// Scheme name (and reference, where it disambiguates).
-    pub name: &'static str,
+    name: &'static str,
     /// TCP/IP stack layer(s).
-    pub stack_layer: &'static str,
+    stack_layer: &'static str,
     /// Arbitrary shortest paths.
-    pub sp: Support,
+    sp: Support,
     /// Non-minimal paths.
-    pub np: Support,
+    np: Support,
     /// Simultaneous minimal + non-minimal.
-    pub sm: Support,
+    sm: Support,
     /// Multi-pathing between two hosts.
-    pub mp: Support,
+    mp: Support,
     /// Disjoint paths.
-    pub dp: Support,
+    dp: Support,
     /// Adaptive load balancing.
-    pub alb: Support,
+    alb: Support,
     /// Arbitrary topology.
-    pub at: Support,
+    at: Support,
 }
 
 /// The full Table I dataset.
-pub fn table_i() -> Vec<SchemeRow> {
+fn table_i() -> Vec<SchemeRow> {
     use Support::*;
     vec![
         SchemeRow {

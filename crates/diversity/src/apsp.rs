@@ -40,43 +40,24 @@ pub fn shortest_path_stats(g: &Graph) -> PathStats {
     let n = g.n();
     assert!(n > 0);
     let sources: Vec<RouterId> = (0..n as u32).collect();
-    let (stats, reached) = stats_from(g, &sources);
-    assert!(reached == (n * n) as u64, "graph disconnected");
-    stats
-}
-
-/// Sampled variant for large graphs: the hop histogram of `samples`
-/// deterministic sources; the histogram is scaled to all-pairs semantics
-/// only in its relative shape (fractions remain unbiased for
-/// vertex-transitive graphs). Unreachable pairs are left out.
-pub fn shortest_path_stats_sampled(g: &Graph, samples: usize) -> PathStats {
-    let n = g.n();
-    let take = samples.min(n).max(1);
-    let stride = (n / take).max(1);
-    let sources: Vec<RouterId> = (0..take).map(|i| ((i * stride) % n) as u32).collect();
-    stats_from(g, &sources).0
-}
-
-/// Statistics over `sources` × every router they reach, and the number of
-/// pairs reached (self-pairs included).
-fn stats_from(g: &Graph, sources: &[RouterId]) -> (PathStats, u64) {
-    let mut hist = g.hop_histogram(sources);
+    let mut hist = g.hop_histogram(&sources);
     let (diameter, total, reached) = hop_totals(&hist);
+    assert!(reached == (n * n) as u64, "graph disconnected");
     if hist.len() < 2 {
         hist.resize(2, 0);
     }
-    let pairs = reached - sources.len() as u64; // exclude self-pairs
-    let stats = PathStats {
+    let pairs = reached - n as u64; // exclude self-pairs
+    PathStats {
         diameter,
         avg_path_length: total as f64 / pairs.max(1) as f64,
         lmin_histogram: hist,
-    };
-    (stats, reached)
+    }
 }
 
 /// Number of *distinct* shortest paths (not necessarily disjoint) from `src`
 /// to every router, via the standard BFS counting DP. Saturating at
-/// `u64::MAX`. Used to cross-validate the matrix method of Appendix B.
+/// `u64::MAX`. `tests/prop_cdp.rs` checks it against the matrix method of
+/// Appendix B.
 pub fn count_shortest_paths(g: &Graph, src: RouterId) -> Vec<u64> {
     let n = g.n();
     let mut dist = vec![UNREACHABLE; n];
@@ -152,15 +133,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn sampled_matches_exact_on_vertex_transitive() {
-        let t = fatpaths_net::topo::hyperx::hyperx(2, 5, 1);
-        let exact = shortest_path_stats(&t.graph);
-        let sampled = shortest_path_stats_sampled(&t.graph, 5);
-        assert_eq!(exact.diameter, sampled.diameter);
-        assert!((exact.avg_path_length - sampled.avg_path_length).abs() < 1e-9);
-    }
-
     /// The scalar formulation: one [`Graph::bfs`] per source, merged in
     /// source order into a histogram of at least two entries.
     fn reference_stats(g: &Graph, sources: &[RouterId]) -> PathStats {
@@ -211,7 +183,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         // Sizes on either side of the 256-source batch width; a random
-        // spanning tree under the random edges when `connected`.
+        // spanning tree under the random edges keeps the graph connected.
         #[test]
         fn stats_equal_scalar_formulation(
             (n, edges, tree) in (0usize..6).prop_flat_map(|i| {
@@ -223,26 +195,15 @@ mod tests {
                     prop::collection::vec(any::<u32>(), n..n + 1),
                 )
             }),
-            connected in any::<bool>(),
-            samples in 1usize..600,
         ) {
             let mut edges: Vec<(u32, u32)> = edges.into_iter().filter(|(u, v)| u != v).collect();
-            if connected {
-                edges.extend((1..n as u32).map(|v| (v, tree[v as usize] % v)));
-            }
+            edges.extend((1..n as u32).map(|v| (v, tree[v as usize] % v)));
             let g = Graph::from_edges(n, &edges);
-            let take = samples.min(n);
-            let stride = (n / take).max(1);
-            let sampled: Vec<RouterId> = (0..take).map(|i| ((i * stride) % n) as u32).collect();
-            let s = shortest_path_stats_sampled(&g, samples);
-            prop_assert_eq!(&s, &reference_stats(&g, &sampled));
-            prop_assert_eq!(&s, &rayon::run_sequential(|| shortest_path_stats_sampled(&g, samples)));
-            if g.is_connected() {
-                let all: Vec<RouterId> = (0..n as u32).collect();
-                let exact = shortest_path_stats(&g);
-                prop_assert_eq!(&exact, &reference_stats(&g, &all));
-                prop_assert_eq!(exact.avg_path_length.to_bits(), reference_stats(&g, &all).avg_path_length.to_bits());
-            }
+            let all: Vec<RouterId> = (0..n as u32).collect();
+            let exact = shortest_path_stats(&g);
+            prop_assert_eq!(&exact, &reference_stats(&g, &all));
+            prop_assert_eq!(exact.avg_path_length.to_bits(), reference_stats(&g, &all).avg_path_length.to_bits());
+            prop_assert_eq!(&exact, &rayon::run_sequential(|| shortest_path_stats(&g)));
         }
     }
 }

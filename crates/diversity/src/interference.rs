@@ -32,7 +32,7 @@ pub fn path_interference(
 
 /// [`path_interference`] with caller-provided scratch.
 #[allow(clippy::too_many_arguments)]
-pub fn path_interference_with(
+fn path_interference_with(
     g: &Graph,
     eids: &EdgeIds,
     a: RouterId,

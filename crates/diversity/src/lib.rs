@@ -8,19 +8,15 @@
 //!   Ford–Fulkerson, §IV-B1) and exact Menger max-flow for validation;
 //! * [`interference`] — path interference `I^l_{ac,bd}` (§IV-B2);
 //! * [`tnl`] — total network load bound (§IV-B3);
-//! * [`collisions`] — flow-collision histograms (§IV-A);
-//! * [`matpath`] — matrix-multiplication path counting (Appendix B).
+//! * [`collisions`] — flow-collision histograms (§IV-A).
 
-pub mod algebraic;
 pub mod apsp;
 pub mod cdp;
 pub mod collisions;
 pub mod interference;
-pub mod matpath;
 pub mod tnl;
 
 pub use apsp::{count_shortest_paths, shortest_path_stats, PathStats};
 pub use cdp::{cdp, edge_disjoint_maxflow, lmin_cmin, EdgeIds};
 pub use collisions::collision_histogram;
 pub use interference::{path_interference, sample_pi, PiSample};
-pub use tnl::total_network_load;

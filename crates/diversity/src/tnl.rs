@@ -12,7 +12,7 @@ use fatpaths_net::topo::Topology;
 /// TNL upper bound `k'·Nr / d` with explicit average path length `d`
 /// (which depends on the *routing*, not just the topology: Valiant doubles
 /// it, minimal routing keeps `d ≤ D`).
-pub fn total_network_load(topo: &Topology, avg_path_len: f64) -> f64 {
+fn total_network_load(topo: &Topology, avg_path_len: f64) -> f64 {
     assert!(avg_path_len > 0.0);
     let kprime = topo.network_radix() as f64;
     let nr = topo.num_routers() as f64;
@@ -28,12 +28,6 @@ pub fn tnl_minimal(topo: &Topology, exact_limit: usize) -> f64 {
         topo.graph.diameter_apl_sampled(128)
     };
     total_network_load(topo, d)
-}
-
-/// Ratio of demanded flows to TNL — values above 1.0 predict congestion
-/// even under ideal routing.
-pub fn load_ratio(topo: &Topology, num_flows: usize, avg_path_len: f64) -> f64 {
-    num_flows as f64 / total_network_load(topo, avg_path_len)
 }
 
 #[cfg(test)]
@@ -56,13 +50,5 @@ mod tests {
         let minimal = tnl_minimal(&t, 1000);
         let valiant = total_network_load(&t, 2.0 * 1.9); // Valiant ≈ doubles d
         assert!(valiant < minimal);
-    }
-
-    #[test]
-    fn load_ratio_scales_linearly() {
-        let t = slim_fly(5, 3).unwrap();
-        let r1 = load_ratio(&t, 100, 2.0);
-        let r2 = load_ratio(&t, 200, 2.0);
-        assert!((r2 / r1 - 2.0).abs() < 1e-9);
     }
 }

@@ -29,10 +29,10 @@ use std::io;
 
 /// Routing-table axis: the static seeded layers vs the same layers
 /// negotiated against the cell's matrix.
-pub const ROUTINGS: [&str; 2] = ["static", "te"];
+const ROUTINGS: [&str; 2] = ["static", "te"];
 
 /// Flowlet-boundary axis (maps onto [`AdaptiveMode`]).
-pub const BOUNDARIES: [&str; 2] = ["oblivious", "adaptive"];
+const BOUNDARIES: [&str; 2] = ["oblivious", "adaptive"];
 
 /// Payload per flow: 29 jumbo packets, so every flow outlives its
 /// line-rate first window and spends most of its life pull-paced —

@@ -7,7 +7,7 @@
 //! theory figures (Fig. 9), never run through the event loop.
 //!
 //! The (topology × scheme) grid runs as a parallel [`Grid`] sweep;
-//! [`baselines_matrix`] returns the CSV and summary as strings so the
+//! [`baselines_matrix_on`] returns the CSV and summary as strings so the
 //! parity suite can assert byte equality between pooled and
 //! single-threaded execution.
 
@@ -55,7 +55,7 @@ struct CellOut {
 
 /// Runs the full matrix on the evaluation-size SF/DF/FT3 set at the
 /// given injection window; see [`baselines_matrix_on`].
-pub fn baselines_matrix(window: f64) -> (String, String) {
+fn baselines_matrix(window: f64) -> (String, String) {
     let kinds = [TopoKind::SlimFly, TopoKind::Dragonfly, TopoKind::FatTree];
     baselines_matrix_on(small_topos(&kinds), window)
 }

@@ -44,10 +44,10 @@ use fatpaths_workloads::arrivals::FlowSpec;
 use std::io;
 
 /// Fractions of routers rebooted by the roll (sweep axis).
-pub const REBOOT_FRACTIONS: [f64; 2] = [0.05, 0.12];
+const REBOOT_FRACTIONS: [f64; 2] = [0.05, 0.12];
 
 /// Stagger between consecutive reboots, in µs (sweep axis).
-pub const STAGGERS_US: [u64; 2] = [500, 2_000];
+const STAGGERS_US: [u64; 2] = [500, 2_000];
 
 /// Reboot-sampler axis: `uniform` draws routers independently
 /// ([`FaultPlan::rolling_reboot`]); `domain` walks failure domains —
@@ -56,7 +56,7 @@ pub const STAGGERS_US: [u64; 2] = [500, 2_000];
 /// downtime inside fate-sharing units the way real maintenance rolls
 /// do. Topologies without domain metadata (SF) degrade to the uniform
 /// draw, so their two rows coincide by construction.
-pub const SAMPLERS: [&str; 2] = ["uniform", "domain"];
+const SAMPLERS: [&str; 2] = ["uniform", "domain"];
 
 /// Per-router downtime: long against the 2 ms NDP RTO, so a stuck
 /// single-path flow pays many timeouts while a layered one re-picks
@@ -292,7 +292,7 @@ pub fn churn_matrix_on(
 }
 
 /// The shipped experiment: small-class SF, DF, and FT3 under the
-/// [`REBOOT_FRACTIONS`] × [`STAGGERS_US`] rolling-reboot sweep.
+/// reboot-fraction × stagger rolling-reboot sweep.
 pub fn churn(quick: bool) -> io::Result<()> {
     let reduced = quick || is_smoke();
     let kinds: &[TopoKind] = if reduced {

@@ -2,7 +2,7 @@
 //! family of tables/figures from the FatPaths paper. Exposed as a
 //! library so integration tests (and benches) can run the same grid
 //! computations in-process — the parallel-vs-single-thread parity suite
-//! compares byte-for-byte CSV output of [`baselines::baselines_matrix`]
+//! compares byte-for-byte CSV output of [`baselines::baselines_matrix_on`]
 //! under both execution modes.
 //!
 //! Every experiment declares its scenario grid as a

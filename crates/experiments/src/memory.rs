@@ -28,7 +28,7 @@ use std::io;
 
 /// Layer counts swept for the layered scheme (the §V-B knob that
 /// multiplies table state).
-pub const LAYER_COUNTS: [usize; 3] = [3, 6, 9];
+const LAYER_COUNTS: [usize; 3] = [3, 6, 9];
 
 /// Compile modes swept.
 const MODES: [CompileMode; 2] = [CompileMode::HostRoutes, CompileMode::Aggregated];
@@ -151,7 +151,7 @@ pub fn memory_matrix_on(topos: Vec<Topology>, layer_counts: &[usize]) -> (String
 
 /// The shipped experiment: the full topology zoo (the five low-diameter
 /// families + fat tree + the complete graph) at the small class under
-/// the [`LAYER_COUNTS`] × mode sweep.
+/// the layer-count × compile-mode sweep.
 pub fn memory(quick: bool) -> io::Result<()> {
     let kinds: Vec<TopoKind> = if is_smoke() {
         vec![TopoKind::SlimFly, TopoKind::FatTree]

@@ -17,7 +17,7 @@
 //! `(switch, tag)` row in destination order, one rule per router in
 //! [`CompileMode::HostRoutes`], adjacent routers sharing a group merged
 //! in [`CompileMode::Aggregated`]. Rule counts, [`FibStats`] and the
-//! modeled TCAM bytes ([`Fib::memory_bytes`]) are those of the derived
+//! modeled TCAM bytes ([`FibStats::bytes_total`]) are those of the derived
 //! rules; the per-switch count is taken once, at compile time. A lookup
 //! miss means the destination has no forwarding state here
 //! (unreachable — the packet drops).
@@ -154,8 +154,10 @@ pub struct FibStats {
     pub groups_max: usize,
     /// `raw_entries / entries_total` (1.0 = no compression).
     pub compression: f64,
-    /// Coarse byte estimate of the stored state (see
-    /// [`Fib::memory_bytes`] for the model).
+    /// Coarse byte estimate of the modeled switch state: [`ENTRY_BYTES`]
+    /// per rule plus [`GROUP_HDR_BYTES`]` + 2·ports` per ECMP group.
+    /// This models TCAM/SRAM on the switch, not the dense index this
+    /// crate keeps in host memory.
     pub bytes_total: u64,
 }
 
@@ -183,11 +185,6 @@ pub const ENTRY_BYTES: u64 = 12;
 pub const GROUP_HDR_BYTES: u64 = 4;
 
 impl Fib {
-    /// Number of switches.
-    pub fn num_switches(&self) -> usize {
-        self.switches.len()
-    }
-
     /// The compiled state of switch `r`.
     pub fn switch(&self, r: RouterId) -> &SwitchFib {
         &self.switches[r as usize]
@@ -314,11 +311,8 @@ impl Fib {
         }
     }
 
-    /// Coarse byte estimate of the modeled switch state: [`ENTRY_BYTES`]
-    /// per rule plus [`GROUP_HDR_BYTES`]` + 2·ports` per ECMP group.
-    /// This models TCAM/SRAM on the switch, not the dense index this
-    /// crate keeps in host memory.
-    pub fn memory_bytes(&self) -> u64 {
+    /// [`FibStats::bytes_total`].
+    fn memory_bytes(&self) -> u64 {
         self.switches
             .iter()
             .map(|s| {

@@ -27,14 +27,14 @@
 //! bit of output is the *pricing* step: evaluating the length of every
 //! candidate path under the current edge lengths. For the small layered
 //! path sets of Fig. 9 (≤ tens of paths) the fan-out costs more than it
-//! saves, so pricing only goes parallel past [`PAR_PATHS_THRESHOLD`]
+//! saves, so pricing only goes parallel past `PAR_PATHS_THRESHOLD` (64)
 //! candidates; commodity *assembly* parallelism lives in
 //! [`crate::mat::mat`].
 
 use rayon::prelude::*;
 
 /// Candidate-set size beyond which path pricing fans out to the pool.
-pub const PAR_PATHS_THRESHOLD: usize = 64;
+const PAR_PATHS_THRESHOLD: usize = 64;
 
 /// Index of the cheapest path under `length`. The common small-set case
 /// is an allocation-free scan (this sits in GK's innermost loop); large

@@ -30,7 +30,7 @@ pub enum SizeClass {
 
 impl SizeClass {
     /// Nominal endpoint count of the class.
-    pub fn nominal_endpoints(self) -> usize {
+    fn nominal_endpoints(self) -> usize {
         match self {
             SizeClass::Small => 1_000,
             SizeClass::Medium => 10_000,

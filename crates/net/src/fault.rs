@@ -21,8 +21,8 @@
 //! phenomenon than `unroutable` pairs in a link-degraded network.
 //! Timed [`RouterEvent`]s compose into churn schedules:
 //! [`FaultPlan::rolling_reboot`] (staggered reboots, e.g. a firmware
-//! roll) and [`FaultPlan::maintenance_window`] (a rack taken down at
-//! once and restored later).
+//! roll) and [`FaultPlan::rolling_domain_reboot`] (the same walk over
+//! whole failure domains).
 
 use crate::graph::RouterId;
 use crate::topo::{LinkClass, Topology};
@@ -101,9 +101,9 @@ pub struct RouterEvent {
 /// Static failures are down from `t = 0`; [`LinkEvent`]s and
 /// [`RouterEvent`]s flip state mid-run. The simulator consumes the plan
 /// via `Simulator::apply_fault_plan`, and `Scenario::fault_plan` wires
-/// it into the fluent builder. The legacy single-link
-/// `Scenario::fail_link` / `Simulator::fail_link` APIs are thin wrappers
-/// over the static set, so there is exactly one failure mechanism.
+/// it into the fluent builder; a single dead link is
+/// `FaultPlan::none().fail(u, v)`, so there is exactly one failure
+/// mechanism.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     static_failures: Vec<(RouterId, RouterId)>,
@@ -127,16 +127,16 @@ impl FaultPlan {
         plan
     }
 
-    /// Adds a static (down from `t = 0`) failure of link `{u, v}`.
-    /// Duplicates (in either orientation) collapse.
-    pub fn add_static(&mut self, u: RouterId, v: RouterId) {
+    /// [`FaultPlan::fail`] in place.
+    fn add_static(&mut self, u: RouterId, v: RouterId) {
         let key = (u.min(v), u.max(v));
         if !self.static_failures.contains(&key) {
             self.static_failures.push(key);
         }
     }
 
-    /// Builder form of [`FaultPlan::add_static`].
+    /// Adds a static (down from `t = 0`) failure of link `{u, v}`.
+    /// Duplicates (in either orientation) collapse.
     pub fn fail(mut self, u: RouterId, v: RouterId) -> FaultPlan {
         self.add_static(u, v);
         self
@@ -161,16 +161,16 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a static (dead from `t = 0`) whole-router failure: all of
-    /// `r`'s incident links fail and its endpoints drop out of the
-    /// workload. Duplicates collapse.
-    pub fn add_router(&mut self, r: RouterId) {
+    /// [`FaultPlan::fail_router`] in place.
+    fn add_router(&mut self, r: RouterId) {
         if !self.static_router_failures.contains(&r) {
             self.static_router_failures.push(r);
         }
     }
 
-    /// Builder form of [`FaultPlan::add_router`].
+    /// Adds a static (dead from `t = 0`) whole-router failure: all of
+    /// `r`'s incident links fail and its endpoints drop out of the
+    /// workload. Duplicates collapse.
     pub fn fail_router(mut self, r: RouterId) -> FaultPlan {
         self.add_router(r);
         self
@@ -280,25 +280,6 @@ impl FaultPlan {
         plan
     }
 
-    /// A maintenance window: the sampled routers all die at `start` and
-    /// all return at `start + duration` — one correlated burst of
-    /// simultaneous events, the worst case for per-change repair cost.
-    pub fn maintenance_window(
-        topo: &Topology,
-        fraction: f64,
-        start: u64,
-        duration: u64,
-        seed: u64,
-    ) -> FaultPlan {
-        let mut plan = FaultPlan::default();
-        for r in sample_routers(topo, fraction, seed) {
-            plan = plan
-                .router_down_at(start, r)
-                .router_up_at(start + duration, r);
-        }
-        plan
-    }
-
     /// Samples a static failure set from `model` on `topo`. Deterministic:
     /// the same `(topo, model, seed)` always yields the same plan, and the
     /// draw is a pure function of the seed (never of thread count or call
@@ -404,15 +385,10 @@ impl FaultPlan {
     pub fn num_static(&self) -> usize {
         self.static_failures.len()
     }
-
-    /// Number of statically dead routers.
-    pub fn num_static_routers(&self) -> usize {
-        self.static_router_failures.len()
-    }
 }
 
 /// Draws `count_of(Nr, fraction)` distinct routers, uniformly, in a
-/// seed-determined order (shared by the churn schedule builders).
+/// seed-determined order (the [`FaultPlan::rolling_reboot`] schedule).
 fn sample_routers(topo: &Topology, fraction: f64, seed: u64) -> Vec<RouterId> {
     let mut rng = StdRng::seed_from_u64(seed);
     let nr = topo.num_routers();
@@ -564,7 +540,7 @@ mod tests {
         let a = FaultPlan::sample(&t, &m, 11);
         assert_eq!(a, FaultPlan::sample(&t, &m, 11));
         assert_ne!(a, FaultPlan::sample(&t, &m, 12));
-        assert_eq!(a.num_static_routers(), 3);
+        assert_eq!(a.static_router_failures().len(), 3);
         assert_eq!(a.num_static(), 0, "router failures, not link failures");
         let mut rs = a.static_router_failures().to_vec();
         rs.sort_unstable();
@@ -573,7 +549,7 @@ mod tests {
         assert!(rs.iter().all(|&r| (r as usize) < t.num_routers()));
         // Clamped to the population.
         let all = FaultPlan::sample(&t, &FaultModel::RouterDown { routers: 10_000 }, 1);
-        assert_eq!(all.num_static_routers(), t.num_routers());
+        assert_eq!(all.static_router_failures().len(), t.num_routers());
     }
 
     #[test]
@@ -689,19 +665,6 @@ mod tests {
         // Degraded views keep their domains.
         let e = df.graph.edge_vec()[0];
         assert_eq!(df.degraded(&[e]).domains, df.domains);
-    }
-
-    #[test]
-    fn maintenance_window_is_one_simultaneous_burst() {
-        let t = slim_fly(5, 1).unwrap();
-        let plan = FaultPlan::maintenance_window(&t, 0.2, 2_000, 900, 3);
-        let expect = (0.2 * t.num_routers() as f64).round() as usize;
-        let downs: Vec<_> = plan.router_events().iter().filter(|e| !e.up).collect();
-        let ups: Vec<_> = plan.router_events().iter().filter(|e| e.up).collect();
-        assert_eq!(downs.len(), expect);
-        assert_eq!(ups.len(), expect);
-        assert!(downs.iter().all(|e| e.at == 2_000));
-        assert!(ups.iter().all(|e| e.at == 2_900));
     }
 
     #[test]

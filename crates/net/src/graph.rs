@@ -137,7 +137,7 @@ impl Graph {
     }
 
     /// Minimum degree over all routers.
-    pub fn min_degree(&self) -> usize {
+    fn min_degree(&self) -> usize {
         (0..self.n())
             .map(|u| self.degree(u as u32))
             .min()
@@ -221,12 +221,11 @@ impl Graph {
         ids
     }
 
-    /// BFS hop distances from `src` into `dist` (resized and overwritten).
-    /// Unreached routers get [`UNREACHABLE`].
-    pub fn bfs_into(&self, src: RouterId, dist: &mut Vec<u32>, queue: &mut Vec<RouterId>) {
-        dist.clear();
-        dist.resize(self.n(), UNREACHABLE);
-        queue.clear();
+    /// BFS hop distances from `src`. Unreached routers get
+    /// [`UNREACHABLE`].
+    pub fn bfs(&self, src: RouterId) -> Vec<u32> {
+        let mut dist = vec![UNREACHABLE; self.n()];
+        let mut queue = Vec::new();
         dist[src as usize] = 0;
         queue.push(src);
         let mut head = 0;
@@ -241,13 +240,6 @@ impl Graph {
                 }
             }
         }
-    }
-
-    /// Allocating convenience wrapper around [`Graph::bfs_into`].
-    pub fn bfs(&self, src: RouterId) -> Vec<u32> {
-        let mut dist = Vec::new();
-        let mut queue = Vec::new();
-        self.bfs_into(src, &mut dist, &mut queue);
         dist
     }
 

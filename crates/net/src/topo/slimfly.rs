@@ -107,7 +107,7 @@ fn pow_mod(base: u32, mut exp: u32, q: u32) -> u32 {
 ///
 /// Both sets are symmetric (`X = −X`), making the intra-subgraph Cayley
 /// graphs undirected.
-pub fn generator_sets(q: u32) -> Result<(Vec<u32>, Vec<u32>), SlimFlyError> {
+fn generator_sets(q: u32) -> Result<(Vec<u32>, Vec<u32>), SlimFlyError> {
     if !is_prime(q) {
         return Err(SlimFlyError::NotPrime(q));
     }
@@ -212,15 +212,15 @@ pub fn slim_fly(q: u32, p: u32) -> Result<Topology, SlimFlyError> {
     Ok(topo)
 }
 
-/// Expected network radix `k' = (3q − δ)/2` for prime `q ≡ ±1 (mod 4)`.
-pub fn expected_radix(q: u32) -> u32 {
-    let delta: i64 = if q % 4 == 1 { 1 } else { -1 };
-    ((3 * q as i64 - delta) / 2) as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Expected network radix `k' = (3q − δ)/2` for prime `q ≡ ±1 (mod 4)`.
+    fn expected_radix(q: u32) -> u32 {
+        let delta: i64 = if q % 4 == 1 { 1 } else { -1 };
+        ((3 * q as i64 - delta) / 2) as u32
+    }
 
     #[test]
     fn rejects_bad_q() {

@@ -4,13 +4,10 @@
 //!
 //! Each flow owns a fixed path of directed link ids (router links plus the
 //! endpoint access links). Rates follow max-min fairness via progressive
-//! filling; FCTs derive from the rate trajectory. Two modes:
-//!
-//! * [`bulk_fcts`] — all flows concurrent, one water-filling pass; the
-//!   FCT *distribution shape* is governed by path-collision multiplicity,
-//!   which is what Fig. 13's histograms display;
-//! * [`FluidSim`] — event-driven arrivals/departures with rate re-solve,
-//!   for medium instances and for validating the bulk approximation.
+//! filling. [`bulk_fcts`] runs all flows concurrently through one
+//! water-filling pass and derives each FCT from its rate; the FCT
+//! *distribution shape* is governed by path-collision multiplicity, which
+//! is what Fig. 13's histograms display.
 
 use fatpaths_net::topo::Topology;
 use rustc_hash::FxHashMap;
@@ -45,18 +42,18 @@ impl LinkSpace {
     }
 
     /// Directed router-link id for hop `u → v`.
-    pub fn router_link(&self, u: u32, v: u32) -> u32 {
+    fn router_link(&self, u: u32, v: u32) -> u32 {
         let e = self.edge_index[&(u.min(v), u.max(v))];
         2 * e + u32::from(u > v)
     }
 
     /// Uplink id of endpoint `e`.
-    pub fn uplink(&self, e: u32) -> u32 {
+    fn uplink(&self, e: u32) -> u32 {
         (2 * self.m) as u32 + e
     }
 
     /// Downlink id of endpoint `e`.
-    pub fn downlink(&self, e: u32) -> u32 {
+    fn downlink(&self, e: u32) -> u32 {
         (2 * self.m + self.ne) as u32 + e
     }
 
@@ -82,7 +79,7 @@ pub fn max_min_rates(paths: &[Vec<u32>], n_links: usize, cap: f64) -> Vec<f64> {
 /// [`max_min_rates`] with a freezing tolerance: links whose fair share is
 /// within `(1+tol)` of the round's level freeze together, trading ≤ `tol`
 /// rate accuracy for far fewer rounds on million-flow instances.
-pub fn max_min_rates_approx(paths: &[Vec<u32>], n_links: usize, cap: f64, tol: f64) -> Vec<f64> {
+fn max_min_rates_approx(paths: &[Vec<u32>], n_links: usize, cap: f64, tol: f64) -> Vec<f64> {
     let nf = paths.len();
     let mut rate = vec![0.0f64; nf];
     let mut frozen = vec![false; nf];
@@ -156,97 +153,6 @@ pub fn bulk_fcts(paths: &[Vec<u32>], sizes: &[u64], n_links: usize, cap: f64) ->
         .collect()
 }
 
-/// Event-driven fluid simulation with arrivals and departures.
-pub struct FluidSim {
-    paths: Vec<Vec<u32>>,
-    sizes: Vec<f64>,
-    starts: Vec<f64>,
-    n_links: usize,
-    cap: f64,
-}
-
-impl FluidSim {
-    /// Creates a fluid simulation over the given flows.
-    pub fn new(
-        paths: Vec<Vec<u32>>,
-        sizes: Vec<u64>,
-        starts: Vec<f64>,
-        n_links: usize,
-        cap: f64,
-    ) -> Self {
-        assert_eq!(paths.len(), sizes.len());
-        assert_eq!(paths.len(), starts.len());
-        FluidSim {
-            paths,
-            sizes: sizes.into_iter().map(|s| s as f64).collect(),
-            starts,
-            n_links,
-            cap,
-        }
-    }
-
-    /// Runs to completion; returns per-flow FCT in seconds.
-    pub fn run(self) -> Vec<f64> {
-        let nf = self.paths.len();
-        let mut remaining = self.sizes.clone();
-        let mut finish = vec![0.0f64; nf];
-        let mut order: Vec<u32> = (0..nf as u32).collect();
-        order.sort_by(|&a, &b| self.starts[a as usize].total_cmp(&self.starts[b as usize]));
-        let mut arrived = 0usize;
-        let mut active: Vec<u32> = Vec::new();
-        let mut t = 0.0f64;
-        loop {
-            // Rates for the currently active set.
-            let act_paths: Vec<Vec<u32>> = active
-                .iter()
-                .map(|&i| self.paths[i as usize].clone())
-                .collect();
-            let rates = max_min_rates(&act_paths, self.n_links, self.cap);
-            // Next event: earliest completion vs next arrival.
-            let mut dt_complete = f64::INFINITY;
-            for (k, &i) in active.iter().enumerate() {
-                if rates[k] > 0.0 {
-                    dt_complete = dt_complete.min(remaining[i as usize] / rates[k]);
-                }
-            }
-            let next_arrival = if arrived < nf {
-                self.starts[order[arrived] as usize]
-            } else {
-                f64::INFINITY
-            };
-            if dt_complete.is_infinite() && next_arrival.is_infinite() {
-                break;
-            }
-            if t + dt_complete <= next_arrival {
-                // Advance to the completion.
-                t += dt_complete;
-                let mut still = Vec::with_capacity(active.len());
-                for (k, &i) in active.iter().enumerate() {
-                    remaining[i as usize] -= rates[k] * dt_complete;
-                    if remaining[i as usize] <= 1e-6 {
-                        finish[i as usize] = t;
-                    } else {
-                        still.push(i);
-                    }
-                }
-                active = still;
-            } else {
-                // Advance to the arrival.
-                let dt = next_arrival - t;
-                for (k, &i) in active.iter().enumerate() {
-                    remaining[i as usize] -= rates[k] * dt;
-                }
-                t = next_arrival;
-                while arrived < nf && self.starts[order[arrived] as usize] <= t {
-                    active.push(order[arrived]);
-                    arrived += 1;
-                }
-            }
-        }
-        (0..nf).map(|i| finish[i] - self.starts[i]).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,24 +198,6 @@ mod tests {
         let pair = bulk_fcts(&[vec![0], vec![0]], &[100, 100], 1, 10.0);
         assert!((lone[0] - 10.0).abs() < 1e-9);
         assert!((pair[0] - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn event_driven_matches_analytic_sequence() {
-        // Flow A starts at t=0 (size 10, cap 10); flow B at t=0.5 shares
-        // the link. A: 5 done by 0.5, then rate 5 → 1 more second for the
-        // remaining 5 ⇒ finish 1.5, FCT 1.5. B: gets 5 for 1s → 5 of 10 at
-        // 1.5, then full 10 ⇒ finishes at 2.0, FCT 1.5.
-        let sim = FluidSim::new(
-            vec![vec![0], vec![0]],
-            vec![10, 10],
-            vec![0.0, 0.5],
-            1,
-            10.0,
-        );
-        let fct = sim.run();
-        assert!((fct[0] - 1.5).abs() < 1e-6, "{:?}", fct);
-        assert!((fct[1] - 1.5).abs() < 1e-6, "{:?}", fct);
     }
 
     #[test]

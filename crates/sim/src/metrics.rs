@@ -338,7 +338,7 @@ pub struct HistogramResult {
 
 impl HistogramResult {
     /// Samples that landed inside `[lo, hi)`.
-    pub fn in_range(&self) -> u64 {
+    fn in_range(&self) -> u64 {
         self.counts.iter().sum()
     }
 
@@ -363,7 +363,8 @@ pub fn histogram(xs: &[f64], lo: f64, hi: f64, bins: usize) -> HistogramResult {
         } else if x >= hi {
             h.overflow += 1;
         } else {
-            h.counts[((x - lo) / w) as usize] += 1;
+            // A sample a few ulps below `hi` can divide out to `bins`.
+            h.counts[(((x - lo) / w) as usize).min(bins - 1)] += 1;
         }
     }
     h
@@ -445,6 +446,10 @@ mod tests {
         assert_eq!(h.underflow, 1);
         assert_eq!(h.in_range(), 4);
         assert_eq!(h.total(), xs.len() as u64);
+        // 0.9999999999999999 / (1/3) rounds to 3.0: the last bin, not past it.
+        let top = histogram(&[0.9999999999999999], 0.0, 1.0, 3);
+        assert_eq!(top.counts, vec![0, 0, 1]);
+        assert_eq!(top.overflow, 0);
     }
 
     #[test]

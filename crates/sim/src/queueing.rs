@@ -1,16 +1,11 @@
 //! Simple queueing-model FCT predictions — the reference line of Fig. 15
 //! ("FatPaths results are close to predictions from a simple queueing
-//! model"; the paper omits the model details for space, so we provide the
-//! two standard candidates and document the choice).
+//! model"; the paper omits the model details for space).
 //!
-//! The access link is modeled as a single server at utilization
-//! `ρ = λ·E[S]`:
-//!
-//! * **M/M/1-PS** (processor sharing, the classic TCP fair-sharing model):
-//!   a job of service time `S` has expected sojourn `S / (1 − ρ)` —
-//!   insensitive to the size distribution;
-//! * **M/D/1 FCFS** mean waiting time `W = ρ·S̄ / (2(1 − ρ))` added to the
-//!   service time, for the deterministic-service view of fixed-size flows.
+//! The access link is modeled as an **M/M/1-PS** server (processor
+//! sharing, the classic TCP fair-sharing model) at utilization
+//! `ρ = λ·E[S]`: a job of service time `S` has expected sojourn
+//! `S / (1 − ρ)`, insensitive to the size distribution.
 
 /// Inputs: per-flow service time `service_s` (size / line rate), arrival
 /// rate `lambda` (flows/s at the bottleneck), mean service time
@@ -34,21 +29,6 @@ impl QueueModel {
     pub fn mm1_ps_fct(&self, service_s: f64) -> f64 {
         service_s / (1.0 - self.utilization())
     }
-
-    /// M/D/1 FCFS prediction: service + mean queueing wait
-    /// `ρ·S̄ / (2(1 − ρ))`.
-    pub fn md1_fct(&self, service_s: f64) -> f64 {
-        let rho = self.utilization();
-        service_s + rho * self.mean_service_s / (2.0 * (1.0 - rho))
-    }
-
-    /// The p-quantile sojourn of M/M/1-PS is approximately exponential in
-    /// the PS context; we expose the standard M/M/1 sojourn quantile
-    /// `−ln(1−p)·S̄/(1−ρ)` as a tail reference.
-    pub fn mm1_fct_quantile(&self, p: f64) -> f64 {
-        assert!((0.0..1.0).contains(&p));
-        -(1.0 - p).ln() * self.mean_service_s / (1.0 - self.utilization())
-    }
 }
 
 #[cfg(test)]
@@ -62,7 +42,6 @@ mod tests {
             mean_service_s: 0.001,
         };
         assert_eq!(m.mm1_ps_fct(0.002), 0.002);
-        assert_eq!(m.md1_fct(0.002), 0.002);
     }
 
     #[test]
@@ -76,7 +55,6 @@ mod tests {
             mean_service_s: 0.001,
         };
         assert!(hi.mm1_ps_fct(0.001) > lo.mm1_ps_fct(0.001));
-        assert!(hi.md1_fct(0.001) > lo.md1_fct(0.001));
     }
 
     #[test]
@@ -86,14 +64,5 @@ mod tests {
             mean_service_s: 0.001,
         };
         assert!((m.mm1_ps_fct(0.001) - 0.002).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantiles_monotone() {
-        let m = QueueModel {
-            lambda: 300.0,
-            mean_service_s: 0.001,
-        };
-        assert!(m.mm1_fct_quantile(0.99) > m.mm1_fct_quantile(0.5));
     }
 }

@@ -115,7 +115,7 @@ impl SchemeSpec {
     /// The load balancer this scheme pairs with unless overridden:
     /// flowlets-over-layers for every layered family, flow-hash ECMP for
     /// minimal/PAST (single candidate path sets leave nothing to spray).
-    pub fn default_lb(&self) -> LoadBalancing {
+    fn default_lb(&self) -> LoadBalancing {
         match self {
             SchemeSpec::Minimal | SchemeSpec::Past { .. } => LoadBalancing::EcmpFlow,
             _ => LoadBalancing::FatPathsLayers,
@@ -279,7 +279,8 @@ impl<'a> Scenario<'a> {
         self
     }
 
-    /// Overrides the load balancer (default: [`SchemeSpec::default_lb`]).
+    /// Overrides the load balancer (default: flowlets over layers for
+    /// every layered family, flow-hash ECMP for minimal and PAST).
     ///
     /// Note: [`LoadBalancing::FatPathsLayers`] on a single-layer scheme
     /// (e.g. [`SchemeSpec::Minimal`] or [`SchemeSpec::Past`]) is not an
@@ -326,19 +327,12 @@ impl<'a> Scenario<'a> {
         self
     }
 
-    /// Fails the bidirectional link `{u, v}` before the run (§V-G).
-    /// Thin wrapper over [`Scenario::fault_plan`]'s static-failure set —
-    /// there is exactly one failure mechanism.
-    pub fn fail_link(mut self, u: u32, v: u32) -> Self {
-        self.faults.add_static(u, v);
-        self
-    }
-
     /// Installs a [`FaultPlan`]: static link and whole-router failures
     /// plus timed `LinkDown`/`LinkUp`/`RouterDown`/`RouterUp` events
     /// (e.g. the [`FaultPlan::rolling_reboot`] and
-    /// [`FaultPlan::maintenance_window`] churn schedules). Merges with
-    /// any links already failed via [`Scenario::fail_link`].
+    /// [`FaultPlan::rolling_domain_reboot`] churn schedules); one dead
+    /// link before the run (§V-G) is `FaultPlan::none().fail(u, v)`.
+    /// Merges with any plan installed before.
     ///
     /// Whole-router failures filter the workload: a flow whose source or
     /// destination endpoint sits behind a dead router at its start time

@@ -217,24 +217,15 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
         f(&cx, &mut self.shards)
     }
 
-    /// Fails the bidirectional link `{u, v}` from `t = 0` (§V-G): packets
-    /// forwarded onto it are lost, and — unless a
-    /// [detection delay](SimConfig::detection_delay) is configured —
-    /// recovery happens end-to-end: senders re-pick a layer on
-    /// retransmission timeout, so preprovisioned alternate layers carry
-    /// the affected flows around the failure.
-    ///
-    /// Thin wrapper over the [`FaultPlan`] path (see
-    /// [`Simulator::apply_fault_plan`]), kept for single-link ergonomics.
-    pub fn fail_link(&mut self, u: u32, v: u32) {
-        self.apply_fault_plan(&FaultPlan::none().fail(u, v));
-    }
-
     /// Applies a [`FaultPlan`]: static link and router failures take
     /// effect immediately, timed events are scheduled, and — when
     /// [`SimConfig::detection_delay`] is set — a repair of the routing
     /// state is scheduled one delay after each change (batched: any
     /// number of simultaneous changes trigger exactly one repair pass).
+    /// Packets forwarded onto a dead link are lost; without a detection
+    /// delay, recovery happens end-to-end (§V-G): senders re-pick a layer
+    /// on retransmission timeout, so preprovisioned alternate layers
+    /// carry the affected flows around the failure.
     ///
     /// The fault state lives once, in the writer, which replays the
     /// timed events at run start into the timeline every shard reads by

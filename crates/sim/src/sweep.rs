@@ -75,17 +75,14 @@ pub fn coord_str(s: &str) -> u64 {
 /// Runs a grid of independent cells in parallel, returning results in
 /// grid order. See the module docs for the determinism contract.
 pub struct SweepRunner<C> {
-    label: &'static str,
     cells: Vec<C>,
 }
 
 impl<C: Send + Sync> SweepRunner<C> {
     /// A sweep named `label` over `cells`. The label is the experiment
-    /// tag [`run_seeded`](SweepRunner::run_seeded) feeds to
-    /// [`cell_seed`], so two sweeps with different labels draw disjoint
-    /// seed streams from identical coordinates.
-    pub fn new(label: &'static str, cells: Vec<C>) -> Self {
-        SweepRunner { label, cells }
+    /// tag a cell passes to [`cell_seed`]; the runner does not read it.
+    pub fn new(_label: &'static str, cells: Vec<C>) -> Self {
+        SweepRunner { cells }
     }
 
     /// Number of cells in the grid.
@@ -110,22 +107,6 @@ impl<C: Send + Sync> SweepRunner<C> {
             .par_iter()
             .enumerate()
             .map(|(i, c)| f(i, c))
-            .collect()
-    }
-
-    /// Like [`run`](SweepRunner::run), but hands each cell its
-    /// coordinate-derived seed (`cell_seed(label, coords(cell))`).
-    pub fn run_seeded<R, F, K>(&self, coords: K, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &C, u64) -> R + Sync + Send,
-        K: Fn(&C) -> Vec<u64> + Sync + Send,
-    {
-        let label = self.label;
-        self.cells
-            .par_iter()
-            .enumerate()
-            .map(|(i, c)| f(i, c, cell_seed(label, &coords(c))))
             .collect()
     }
 }
@@ -260,19 +241,6 @@ mod tests {
         let par = runner.run(work);
         let seq = rayon::run_sequential(|| runner.run(work));
         assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn run_seeded_passes_coordinate_seeds() {
-        let runner = SweepRunner::new("seeds", vec![(0u64, 5u64), (1, 5), (0, 7)]);
-        let seeds = runner.run_seeded(|&(a, b)| vec![a, b], |_, _, s| s);
-        assert_eq!(seeds[0], cell_seed("seeds", &[0, 5]));
-        assert_ne!(seeds[0], seeds[1]);
-        assert_ne!(seeds[0], seeds[2]);
-        // Stable across grid layout: same coordinates → same seed.
-        let wider = SweepRunner::new("seeds", vec![(9u64, 9u64), (0, 5)]);
-        let s2 = wider.run_seeded(|&(a, b)| vec![a, b], |_, _, s| s);
-        assert_eq!(s2[1], seeds[0]);
     }
 
     /// Checks one grid against an odometer (the definition of nested

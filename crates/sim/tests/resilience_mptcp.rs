@@ -40,8 +40,6 @@ fn fatpaths_routes_around_failed_link() {
             .seed(3)
             .horizon(50_000_000_000); // 50 ms
         if fail {
-            // The FaultPlan path (Scenario::fail_link is a thin wrapper
-            // over the same static-failure set).
             sc = sc.fault_plan(FaultPlan::from_links(&[(p0[0], p0[1])]));
         }
         sc.run()
@@ -87,7 +85,7 @@ fn failure_recovery_costs_bounded_time() {
         }])
         .seed(3)
         .horizon(100_000_000_000)
-        .fail_link(p0[0], p0[1])
+        .fault_plan(FaultPlan::none().fail(p0[0], p0[1]))
         .run();
     let fct = res.flows[0].fct_s().expect("must complete");
     // Ideal ≈ 0.21 ms; recovery adds RTOs (2 ms each) but must stay small.
@@ -282,7 +280,7 @@ fn ecmp_minimal_survives_failure_when_alternatives_exist() {
             start: 0,
         }])
         .horizon(50_000_000_000)
-        .fail_link(0, agg)
+        .fault_plan(FaultPlan::none().fail(0, agg))
         .run();
     assert_eq!(res.completion_rate(), 1.0);
 }

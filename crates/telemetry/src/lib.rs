@@ -31,11 +31,11 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
 /// Number of queue-depth histogram bins: `[0, 1, 2, ≤4, ≤8, ≤16, ≤32, >32]`.
-pub const QBINS: usize = 8;
+const QBINS: usize = 8;
 
 /// Bin index for a queue depth (packets).
 #[inline]
-pub fn qbin(depth: u32) -> usize {
+fn qbin(depth: u32) -> usize {
     match depth {
         0 => 0,
         1 => 1,
@@ -76,9 +76,9 @@ pub struct TelemetryConfig {
 
 impl TelemetryConfig {
     /// Default sampling interval: 100 µs.
-    pub const DEFAULT_INTERVAL_PS: u64 = 100_000_000;
+    const DEFAULT_INTERVAL_PS: u64 = 100_000_000;
     /// Default span sampling: 1 in 8 flows.
-    pub const DEFAULT_SPAN_EVERY: u32 = 8;
+    const DEFAULT_SPAN_EVERY: u32 = 8;
 
     /// Telemetry off (the `SimConfig` default): zero hot-loop work.
     pub const fn disabled() -> Self {
@@ -168,7 +168,7 @@ impl SpanKind {
     }
 
     /// Inverse of [`name`](SpanKind::name).
-    pub fn from_name(s: &str) -> Option<SpanKind> {
+    fn from_name(s: &str) -> Option<SpanKind> {
         Some(match s {
             "inject" => SpanKind::Inject,
             "first_data" => SpanKind::FirstData,
@@ -211,7 +211,8 @@ pub struct ShardSample {
     pub live: u64,
     /// Slab capacity (slots) at flush time.
     pub cap: u64,
-    /// Queue-depth histogram over the shard's output ports ([`qbin`]).
+    /// Queue-depth histogram over the shard's output ports, bins
+    /// `[0, 1, 2, ≤4, ≤8, ≤16, ≤32, >32]`.
     pub qhist: [u64; QBINS],
 }
 

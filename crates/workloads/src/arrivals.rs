@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 pub type TimePs = u64;
 
 /// One second in picoseconds.
-pub const SEC_PS: TimePs = 1_000_000_000_000;
+const SEC_PS: TimePs = 1_000_000_000_000;
 
 /// A flow to inject into the simulator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,17 +81,6 @@ pub fn bulk_flows(pairs: &[(u32, u32)], size: u64, start: TimePs) -> Vec<FlowSpe
         .collect()
 }
 
-/// Drops flows that start in the first half of the window (warm-up,
-/// §VII-A8) given the window length in seconds.
-pub fn drop_warmup(flows: &[FlowSpec], window_s: f64) -> Vec<FlowSpec> {
-    let cutoff = (window_s * 0.5 * SEC_PS as f64) as TimePs;
-    flows
-        .iter()
-        .copied()
-        .filter(|f| f.start >= cutoff)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,18 +110,6 @@ mod tests {
         let flows = poisson_flows(&pairs, 100.0, 0.2, &d, 4);
         // 50 endpoints × 100 flows/s × 0.2s = 1000 expected.
         assert!((800..1200).contains(&flows.len()), "{}", flows.len());
-    }
-
-    #[test]
-    fn warmup_drops_first_half() {
-        let pairs = [(0u32, 1u32)];
-        let d = FlowSizeDist::fixed(1000);
-        let flows = poisson_flows(&pairs, 10_000.0, 0.01, &d, 5);
-        let kept = drop_warmup(&flows, 0.01);
-        assert!(kept.len() < flows.len());
-        assert!(kept
-            .iter()
-            .all(|f| f.start >= (0.005 * SEC_PS as f64) as u64));
     }
 
     #[test]

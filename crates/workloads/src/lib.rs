@@ -8,7 +8,7 @@
 //!   permutation, heavy-hitter skew) for the TE sweep;
 //! * [`sizes`] — the 20-point web-search-like flow-size distribution
 //!   (mean 1 MiB on [32 KiB, 2 MiB]);
-//! * [`arrivals`] — Poisson flow arrivals with warm-up dropping;
+//! * [`arrivals`] — Poisson flow arrivals and bulk-synchronous phases;
 //! * [`mapping`] — randomized workload mapping (§III-D);
 //! * [`stencil`] — the bulk-synchronous stencil + barrier workload
 //!   (Fig. 17).
@@ -20,8 +20,8 @@ pub mod patterns;
 pub mod sizes;
 pub mod stencil;
 
-pub use arrivals::{bulk_flows, drop_warmup, poisson_flows, FlowSpec, TimePs, SEC_PS};
-pub use mapping::{apply_mapping, identity_mapping, random_mapping};
+pub use arrivals::{bulk_flows, poisson_flows, FlowSpec, TimePs};
+pub use mapping::{apply_mapping, random_mapping};
 pub use matrices::{matrix_flows, MatrixSpec};
 pub use patterns::{adversarial_for, Pattern};
 pub use sizes::{FlowSizeDist, KIB, MIB};

@@ -25,11 +25,6 @@ pub fn apply_mapping(mapping: &[u32], pairs: &[(u32, u32)]) -> Vec<(u32, u32)> {
         .collect()
 }
 
-/// Identity mapping (the "no randomization" control).
-pub fn identity_mapping(n: u32) -> Vec<u32> {
-    (0..n).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

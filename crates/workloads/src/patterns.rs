@@ -69,13 +69,6 @@ impl Pattern {
         }
     }
 
-    /// Stencil for `N > 10,000` (offsets `{±1, ±1337}`, §II-C).
-    pub fn stencil_large() -> Pattern {
-        Pattern::Stencil {
-            offsets: vec![1, -1, 1337, -1337],
-        }
-    }
-
     /// Generates the flow pair list `(src, dst)` over `n` endpoints.
     /// Self-flows are skipped. Deterministic in `seed`.
     pub fn flows(&self, n: u64, seed: u64) -> Vec<(u32, u32)> {
