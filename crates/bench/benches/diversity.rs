@@ -1,14 +1,14 @@
 //! Benchmarks for the path-diversity kernels of §IV.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fatpaths_diversity::cdp::{cdp, edge_disjoint_maxflow, EdgeIds};
+use fatpaths_diversity::cdp::{cdp, edge_disjoint_maxflow};
 use fatpaths_diversity::interference::path_interference;
 use fatpaths_net::topo::slimfly::slim_fly;
 use std::hint::black_box;
 
 fn bench_diversity(c: &mut Criterion) {
     let t = slim_fly(19, 14).unwrap();
-    let eids = EdgeIds::new(&t.graph);
+    let eids = t.graph.arc_edge_ids();
     let mut g = c.benchmark_group("diversity_sf722");
     g.bench_function("cdp_l3", |b| {
         b.iter(|| black_box(cdp(&t.graph, &eids, &[0], &[500], 3)))

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use fatpaths_core::fwd::RoutingTables;
 use fatpaths_core::layers::{build_random_layers, LayerConfig};
-use fatpaths_diversity::cdp::{cdp_with, CdpScratch, EdgeIds};
+use fatpaths_diversity::cdp::{cdp_with, CdpScratch};
 use fatpaths_diversity::collisions::collision_histogram;
 use fatpaths_diversity::interference::sample_pi;
 use fatpaths_mcf::mat::{mat, router_demands, LayeredPaths};
@@ -19,7 +19,7 @@ use std::hint::black_box;
 
 fn bench_figure_pipelines(c: &mut Criterion) {
     let t = slim_fly(7, 5).unwrap();
-    let eids = EdgeIds::new(&t.graph);
+    let eids = t.graph.arc_edge_ids();
     let mut g = c.benchmark_group("figure_pipelines_sf98");
     g.sample_size(10);
 

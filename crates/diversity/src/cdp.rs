@@ -11,52 +11,6 @@
 
 use fatpaths_net::graph::{Graph, RouterId};
 
-/// Maps each CSR direction slot to its undirected edge id, so edge removal
-/// can be tracked with a flat bitmap.
-#[derive(Clone, Debug)]
-pub struct EdgeIds {
-    per_dir: Vec<u32>,
-    offsets: Vec<u32>,
-    m: usize,
-}
-
-impl EdgeIds {
-    /// Builds the direction→edge-id map for `g` (edge ids follow
-    /// [`Graph::edges`] canonical order).
-    pub fn new(g: &Graph) -> Self {
-        let n = g.n();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        for u in 0..n as u32 {
-            offsets.push(offsets[u as usize] + g.degree(u) as u32);
-        }
-        let mut per_dir = vec![u32::MAX; g.total_ports()];
-        for (id, (u, v)) in g.edges().enumerate() {
-            let pu = g.port_of(u, v).unwrap();
-            let pv = g.port_of(v, u).unwrap();
-            per_dir[(offsets[u as usize] + pu) as usize] = id as u32;
-            per_dir[(offsets[v as usize] + pv) as usize] = id as u32;
-        }
-        EdgeIds {
-            per_dir,
-            offsets,
-            m: g.m(),
-        }
-    }
-
-    /// Edge id of `u`'s `port`-th link.
-    #[inline]
-    pub fn edge_id(&self, u: RouterId, port: u32) -> u32 {
-        self.per_dir[(self.offsets[u as usize] + port) as usize]
-    }
-
-    /// Number of undirected edges.
-    #[inline]
-    pub fn m(&self) -> usize {
-        self.m
-    }
-}
-
 /// Reusable scratch buffers for masked BFS.
 #[derive(Default)]
 pub struct CdpScratch {
@@ -70,8 +24,10 @@ pub struct CdpScratch {
 /// Greedy count of edge-disjoint paths of length ≤ `max_len` from any
 /// router in `a` to any router in `b` (the paper's `c_l(A,B)`).
 ///
-/// `a` and `b` must be disjoint and non-empty.
-pub fn cdp(g: &Graph, eids: &EdgeIds, a: &[RouterId], b: &[RouterId], max_len: u32) -> u32 {
+/// `a` and `b` must be disjoint and non-empty. `eids` is `g`'s
+/// [`Graph::arc_edge_ids`]: a deleted path is marked by edge id, so
+/// both directions of an edge go at once.
+pub fn cdp(g: &Graph, eids: &[u32], a: &[RouterId], b: &[RouterId], max_len: u32) -> u32 {
     let mut scratch = CdpScratch::default();
     cdp_with(g, eids, a, b, max_len, &mut scratch)
 }
@@ -79,7 +35,7 @@ pub fn cdp(g: &Graph, eids: &EdgeIds, a: &[RouterId], b: &[RouterId], max_len: u
 /// [`cdp`] with caller-provided scratch space (for hot sampling loops).
 pub fn cdp_with(
     g: &Graph,
-    eids: &EdgeIds,
+    eids: &[u32],
     a: &[RouterId],
     b: &[RouterId],
     max_len: u32,
@@ -89,7 +45,7 @@ pub fn cdp_with(
     debug_assert!(a.iter().all(|x| !b.contains(x)), "A and B must be disjoint");
     let n = g.n();
     scratch.removed.clear();
-    scratch.removed.resize(eids.m(), false);
+    scratch.removed.resize(g.m(), false);
     scratch.is_target.clear();
     scratch.is_target.resize(n, false);
     for &t in b {
@@ -112,7 +68,7 @@ pub fn cdp_with(
 /// one shortest path to any marked target within `max_len`, or `None`.
 fn shortest_surviving_path(
     g: &Graph,
-    eids: &EdgeIds,
+    eids: &[u32],
     a: &[RouterId],
     max_len: u32,
     s: &mut CdpScratch,
@@ -135,8 +91,8 @@ fn shortest_surviving_path(
         if du >= max_len {
             continue;
         }
-        for (port, &v) in g.neighbors(u).iter().enumerate() {
-            let e = eids.edge_id(u, port as u32);
+        for (arc, &v) in g.arcs(u).zip(g.neighbors(u)) {
+            let e = eids[arc];
             if s.removed[e as usize] || s.dist[v as usize] != u32::MAX {
                 continue;
             }
@@ -161,7 +117,7 @@ fn shortest_surviving_path(
 
 /// Minimal-path length and greedy minimal-path CDP for a single pair:
 /// `(lmin(s,t), cmin(s,t))` of §IV-B1.
-pub fn lmin_cmin(g: &Graph, eids: &EdgeIds, s: RouterId, t: RouterId) -> (u32, u32) {
+pub fn lmin_cmin(g: &Graph, eids: &[u32], s: RouterId, t: RouterId) -> (u32, u32) {
     let dist = g.bfs(s);
     let l = dist[t as usize];
     assert!(l != u32::MAX, "disconnected pair");
@@ -179,7 +135,7 @@ pub fn edge_disjoint_maxflow(g: &Graph, s: RouterId, t: RouterId) -> u32 {
     let n = g.n();
     // Residual: per directed slot, capacity 0/1; an undirected edge becomes
     // two anti-parallel unit arcs.
-    let eids = EdgeIds::new(g);
+    let eids = g.arc_edge_ids();
     // flow[e]: -1, 0, +1 on canonical orientation (u<v => +1 means u->v).
     let mut flow = vec![0i8; g.m()];
     let canon: Vec<(u32, u32)> = g.edge_vec();
@@ -194,11 +150,11 @@ pub fn edge_disjoint_maxflow(g: &Graph, s: RouterId, t: RouterId) -> u32 {
         'bfs: while head < queue.len() {
             let u = queue[head];
             head += 1;
-            for (port, &v) in g.neighbors(u).iter().enumerate() {
+            for (arc, &v) in g.arcs(u).zip(g.neighbors(u)) {
                 if parent[v as usize].0 != u32::MAX {
                     continue;
                 }
-                let e = eids.edge_id(u, port as u32) as usize;
+                let e = eids[arc] as usize;
                 let forward = canon[e].0 == u; // traveling in canonical direction
                 let residual = if forward { flow[e] < 1 } else { flow[e] > -1 };
                 if !residual {
@@ -244,7 +200,7 @@ mod tests {
     #[test]
     fn cdp_respects_length_bound() {
         let g = theta_graph();
-        let e = EdgeIds::new(&g);
+        let e = g.arc_edge_ids();
         assert_eq!(cdp(&g, &e, &[0], &[1], 1), 1);
         assert_eq!(cdp(&g, &e, &[0], &[1], 2), 2);
         assert_eq!(cdp(&g, &e, &[0], &[1], 3), 3);
@@ -254,7 +210,7 @@ mod tests {
     #[test]
     fn lmin_cmin_basic() {
         let g = theta_graph();
-        let e = EdgeIds::new(&g);
+        let e = g.arc_edge_ids();
         assert_eq!(lmin_cmin(&g, &e, 0, 1), (1, 1));
         // 2→3: the only length-2 path is 2-0-3 (2-1-4-3 has length 3).
         assert_eq!(lmin_cmin(&g, &e, 2, 3), (2, 1));
@@ -270,7 +226,7 @@ mod tests {
             }
         }
         let g = Graph::from_edges(5, &edges);
-        let e = EdgeIds::new(&g);
+        let e = g.arc_edge_ids();
         assert_eq!(edge_disjoint_maxflow(&g, 0, 4), 4);
         assert_eq!(cdp(&g, &e, &[0], &[4], 2), 4);
     }
@@ -279,7 +235,7 @@ mod tests {
     fn greedy_no_more_than_maxflow() {
         let t = fatpaths_net::topo::slimfly::slim_fly(5, 1).unwrap();
         let g = &t.graph;
-        let e = EdgeIds::new(g);
+        let e = g.arc_edge_ids();
         for (s, d) in [(0u32, 7u32), (3, 30), (10, 44)] {
             let mf = edge_disjoint_maxflow(g, s, d);
             let greedy = cdp(g, &e, &[s], &[d], 64);
@@ -295,7 +251,7 @@ mod tests {
     #[test]
     fn multi_source_sets() {
         let g = theta_graph();
-        let e = EdgeIds::new(&g);
+        let e = g.arc_edge_ids();
         // From {0} to {1,4}: edge-disjoint: 0-1, 0-2-1... and 0-3-4.
         assert_eq!(cdp(&g, &e, &[0], &[1, 4], 2), 3);
     }
@@ -305,7 +261,7 @@ mod tests {
         // §IV-C2 takeaway: SF offers ≥3 disjoint paths at lmin+1 = 3 hops.
         let t = fatpaths_net::topo::slimfly::slim_fly(7, 1).unwrap();
         let g = &t.graph;
-        let e = EdgeIds::new(g);
+        let e = g.arc_edge_ids();
         let dist = g.bfs(0);
         let far: Vec<u32> = (0..g.n() as u32)
             .filter(|&v| dist[v as usize] == 2)

@@ -10,7 +10,7 @@
 //! Positive PI means that bandwidth available to either pair shrinks when
 //! both communicate (their disjoint-path sets are not independent).
 
-use crate::cdp::{cdp_with, CdpScratch, EdgeIds};
+use crate::cdp::{cdp_with, CdpScratch};
 use fatpaths_net::graph::{Graph, RouterId};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -19,7 +19,7 @@ use rayon::prelude::*;
 /// Computes `I^l_{ac,bd}` for one sample of two communicating pairs.
 pub fn path_interference(
     g: &Graph,
-    eids: &EdgeIds,
+    eids: &[u32],
     a: RouterId,
     b: RouterId,
     c: RouterId,
@@ -34,7 +34,7 @@ pub fn path_interference(
 #[allow(clippy::too_many_arguments)]
 fn path_interference_with(
     g: &Graph,
-    eids: &EdgeIds,
+    eids: &[u32],
     a: RouterId,
     b: RouterId,
     c: RouterId,
@@ -62,7 +62,7 @@ pub struct PiSample {
 
 /// Samples `count` router 4-tuples u.a.r. (all four routers distinct) and
 /// returns their PI at distance `l`. Deterministic in `seed`; parallel.
-pub fn sample_pi(g: &Graph, eids: &EdgeIds, l: u32, count: usize, seed: u64) -> Vec<PiSample> {
+pub fn sample_pi(g: &Graph, eids: &[u32], l: u32, count: usize, seed: u64) -> Vec<PiSample> {
     let all: Vec<u32> = (0..g.n() as u32).collect();
     sample_pi_from(g, eids, l, count, seed, &all)
 }
@@ -72,7 +72,7 @@ pub fn sample_pi(g: &Graph, eids: &EdgeIds, l: u32, count: usize, seed: u64) -> 
 /// (the paper's PI is over *communicating* router pairs).
 pub fn sample_pi_from(
     g: &Graph,
-    eids: &EdgeIds,
+    eids: &[u32],
     l: u32,
     count: usize,
     seed: u64,
@@ -142,7 +142,7 @@ mod tests {
                 (7, 6), // second long bridge to keep it 2-connected
             ],
         );
-        let e = EdgeIds::new(&g);
+        let e = g.arc_edge_ids();
         // (0→1) and (4→5) at l=1 use only their own direct edges.
         assert_eq!(path_interference(&g, &e, 0, 1, 4, 5, 1), 0);
     }
@@ -151,13 +151,13 @@ mod tests {
     fn shared_bottleneck_has_positive_pi() {
         // Star around hub 4: pairs (0→1) and (2→3) both need the hub.
         let g = Graph::from_edges(5, &[(0, 4), (1, 4), (2, 4), (3, 4)]);
-        let e = EdgeIds::new(&g);
+        let e = g.arc_edge_ids();
         // c_2({0,2},{1}) = 1, c_2({0,2},{3}) = 1, c_2({0,2},{1,3}): paths
         // 0-4-1 and 2-4-3 share no edge → 2. PI = 0 here (edge-disjoint).
         assert_eq!(path_interference(&g, &e, 0, 1, 2, 3, 2), 0);
         // Through a single shared edge it becomes positive: path graph.
         let g2 = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let e2 = EdgeIds::new(&g2);
+        let e2 = g2.arc_edge_ids();
         // (0→3) and (1→2) share edge 1-2: c_3({0,1},{3})=1, c_3({0,1},{2})=1,
         // c_3({0,1},{2,3})=1 ⇒ PI=1.
         assert_eq!(path_interference(&g2, &e2, 0, 3, 1, 2, 3), 1);
@@ -166,7 +166,7 @@ mod tests {
     #[test]
     fn sampling_is_deterministic() {
         let t = fatpaths_net::topo::slimfly::slim_fly(5, 1).unwrap();
-        let e = EdgeIds::new(&t.graph);
+        let e = t.graph.arc_edge_ids();
         let a = sample_pi(&t.graph, &e, 3, 50, 9);
         let b = sample_pi(&t.graph, &e, 3, 50, 9);
         let va: Vec<i64> = a.iter().map(|s| s.pi).collect();
@@ -179,7 +179,7 @@ mod tests {
         // Table IV: FT3 has PI ≈ 0 between communicating (edge) routers —
         // full bisection means disjoint path supplies don't overlap.
         let ft = fatpaths_net::topo::fattree::fat_tree(8, 1);
-        let e = EdgeIds::new(&ft.graph);
+        let e = ft.graph.arc_edge_ids();
         let edge_routers: Vec<u32> =
             (0..fatpaths_net::topo::fattree::edge_router_count(8)).collect();
         let samples = sample_pi_from(&ft.graph, &e, 4, 60, 3, &edge_routers);

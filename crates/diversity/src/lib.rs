@@ -17,6 +17,6 @@ pub mod interference;
 pub mod tnl;
 
 pub use apsp::{count_shortest_paths, shortest_path_stats, PathStats};
-pub use cdp::{cdp, edge_disjoint_maxflow, lmin_cmin, EdgeIds};
+pub use cdp::{cdp, edge_disjoint_maxflow, lmin_cmin};
 pub use collisions::collision_histogram;
 pub use interference::{path_interference, sample_pi, PiSample};

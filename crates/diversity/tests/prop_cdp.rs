@@ -3,7 +3,7 @@
 //! of Appendix B.
 
 use fatpaths_diversity::apsp::count_shortest_paths;
-use fatpaths_diversity::cdp::{cdp, edge_disjoint_maxflow, EdgeIds};
+use fatpaths_diversity::cdp::{cdp, edge_disjoint_maxflow};
 use fatpaths_diversity::collisions::{collision_histogram, fraction_with_at_least};
 use fatpaths_net::graph::Graph;
 use fatpaths_net::topo::jellyfish::random_regular_edges;
@@ -104,7 +104,7 @@ proptest! {
     fn cdp_monotone_in_length(seed in 0u64..100, s in 0u32..29, t in 0u32..29) {
         prop_assume!(s != t);
         let g = connected_regular(30, 5, seed);
-        let e = EdgeIds::new(&g);
+        let e = g.arc_edge_ids();
         let mut prev = 0;
         for l in 1..=6u32 {
             let c = cdp(&g, &e, &[s], &[t], l);
@@ -117,7 +117,7 @@ proptest! {
     fn cdp_bounded_by_degree_and_maxflow(seed in 0u64..100, s in 0u32..29, t in 0u32..29) {
         prop_assume!(s != t);
         let g = connected_regular(30, 5, seed);
-        let e = EdgeIds::new(&g);
+        let e = g.arc_edge_ids();
         let c = cdp(&g, &e, &[s], &[t], 30);
         let mf = edge_disjoint_maxflow(&g, s, t);
         prop_assert!(c <= 5, "CDP exceeds endpoint degree");

@@ -3,7 +3,7 @@
 //! Fig. 8 (path-interference distributions), Table IV (CDP/PI summary).
 
 use crate::common::{class_for, f, label, write_summary, Table};
-use fatpaths_diversity::cdp::{cdp_with, lmin_cmin, CdpScratch, EdgeIds};
+use fatpaths_diversity::cdp::{cdp_with, lmin_cmin, CdpScratch};
 use fatpaths_diversity::collisions::{collision_histogram, fraction_with_at_least};
 use fatpaths_diversity::interference::{pi_summary, sample_pi_from};
 use fatpaths_net::classes::{build, SizeClass};
@@ -109,7 +109,7 @@ pub fn fig6(quick: bool) -> io::Result<()> {
         for (variant, t) in [("default", &base), ("jellyfish", &jf)] {
             let hosts = hosting_routers(t);
             let pairs = sample_pairs(&hosts, if quick { 300 } else { 1500 }, 42);
-            let eids = EdgeIds::new(&t.graph);
+            let eids = t.graph.arc_edge_ids();
             let results: Vec<(u32, u32)> = pairs
                 .par_iter()
                 .map(|&(a, b)| lmin_cmin(&t.graph, &eids, a, b))
@@ -159,7 +159,7 @@ pub fn fig7(quick: bool) -> io::Result<()> {
     for (name, t) in [("SF", &sf), ("DF", &df), ("HX", &hx), ("SF-JF", &sfjf)] {
         let hosts = hosting_routers(t);
         let pairs = sample_pairs(&hosts, if quick { 200 } else { 800 }, 5);
-        let eids = EdgeIds::new(&t.graph);
+        let eids = t.graph.arc_edge_ids();
         for l in [2u32, 3, 4] {
             let counts: Vec<u32> = pairs
                 .par_iter()
@@ -211,7 +211,7 @@ pub fn fig8(quick: bool) -> io::Result<()> {
     }
     let samples = if quick { 150 } else { 600 };
     for (name, t) in &entries {
-        let eids = EdgeIds::new(&t.graph);
+        let eids = t.graph.arc_edge_ids();
         let hosts = hosting_routers(t);
         for l in [2u32, 3, 4, 5] {
             let s = sample_pi_from(&t.graph, &eids, l, samples, 77, &hosts);
@@ -294,7 +294,7 @@ pub fn table4(quick: bool) -> io::Result<()> {
          topo      d'  CDPmean  CDP1%   PImean  PI99.9%\n",
     );
     for (name, t, dprime) in &rows {
-        let eids = EdgeIds::new(&t.graph);
+        let eids = t.graph.arc_edge_ids();
         let hosts = hosting_routers(t);
         // Radix-invariant normalization uses the *communicating* routers'
         // network radix (fat trees: edge-router uplinks, the paper's k'=18).

@@ -70,11 +70,6 @@ impl SwitchFib {
     pub fn num_groups(&self) -> usize {
         self.groups.len()
     }
-
-    /// The ports of ECMP group `id`.
-    pub fn group(&self, id: u32) -> &PortSet {
-        &self.groups[id as usize]
-    }
 }
 
 /// The range rules of one `(switch, tag)` row of the dense index: a

@@ -662,9 +662,6 @@ mod tests {
         let hx = hyperx(2, 4, 1);
         assert_eq!(hx.domains.len(), 4);
         assert!(hx.domains.iter().all(|d| d.len() == 4));
-        // Degraded views keep their domains.
-        let e = df.graph.edge_vec()[0];
-        assert_eq!(df.degraded(&[e]).domains, df.domains);
     }
 
     #[test]

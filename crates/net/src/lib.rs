@@ -16,8 +16,7 @@
 //! * [`fault`] — deterministic link-failure plans
 //!   ([`fault::FaultPlan`]): seeded samplers (uniform fraction, router
 //!   bursts, cable-class targeted) and timed up/down events, plus the
-//!   degraded views [`Graph::without_edges`](graph::Graph::without_edges)
-//!   / [`Topology::degraded`](topo::Topology::degraded).
+//!   degraded view [`Graph::without_edges`](graph::Graph::without_edges).
 
 pub mod classes;
 pub mod cost;

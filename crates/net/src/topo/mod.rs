@@ -186,34 +186,6 @@ impl Topology {
     pub fn uniform_concentration(n: usize, p: u32) -> Vec<u32> {
         vec![p; n]
     }
-
-    /// Degraded view of this topology with the given links removed:
-    /// same routers, endpoints and concentration, the surviving links
-    /// keeping their cable classes. Structural `diameter` is preserved
-    /// from the healthy instance (it describes the design, not the
-    /// degraded state). Port numbering shifts — see
-    /// [`Graph::without_edges`] for the caveat.
-    pub fn degraded(&self, removed: &[(RouterId, RouterId)]) -> Topology {
-        let dead: rustc_hash::FxHashSet<(RouterId, RouterId)> =
-            removed.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
-        let edges: Vec<(RouterId, RouterId, LinkClass)> = self
-            .graph
-            .edges()
-            .zip(self.link_classes.iter())
-            .filter(|&((u, v), _)| !dead.contains(&(u, v)))
-            .map(|((u, v), &c)| (u, v, c))
-            .collect();
-        let mut degraded = Topology::assemble(
-            self.kind,
-            format!("{}-degraded", self.name),
-            self.num_routers(),
-            edges,
-            self.concentration.clone(),
-            self.diameter,
-        );
-        degraded.domains = self.domains.clone();
-        degraded
-    }
 }
 
 #[cfg(test)]

@@ -81,12 +81,10 @@ pub enum EvKind {
         /// Endpoint id.
         ep: u32,
     },
-    /// TCP retransmission timeout.
+    /// A flow's retransmission timer (both transports).
     RtoTimer {
         /// Flow index.
         flow: u32,
-        /// Timer generation (stale timers are ignored).
-        gen: u32,
     },
 }
 
@@ -113,12 +111,13 @@ struct EvEntry {
 const _: () = assert!(std::mem::size_of::<EvEntry>() == 24);
 
 /// Canonical class ranks: flow starts before packet motion, and timers
-/// last (an ACK and an RTO at the same instant: the ACK bumps the timer
-/// generation, so the RTO is stale — matching the pre-shard push-order
-/// behavior where timers were armed after sends). Fault epochs are not
-/// ranked here: they rank before every class, because a shard moves
-/// its fault cursor past `t` before it dispatches anything at `t` (a
-/// link that dies at `t` drops packets forwarded at `t`).
+/// last (an ACK and an RTO at the same instant: the ACK first moves the
+/// deadline of the flow's one lazy timer, so the timer only defers —
+/// matching the pre-shard push-order behavior where timers were armed
+/// after sends). Fault epochs are not ranked here: they rank before
+/// every class, because a shard moves its fault cursor past `t` before
+/// it dispatches anything at `t` (a link that dies at `t` drops packets
+/// forwarded at `t`).
 const CLS_FLOW_START: u8 = 0;
 const CLS_PORT_POP: u8 = 1;
 const CLS_ARRIVE_ROUTER: u8 = 2;
@@ -140,9 +139,7 @@ impl EvEntry {
                 (CLS_ARRIVE_EP, uid, pkt, ep)
             }
             EvKind::PullTick { ep } => (CLS_PULL_TICK, ep as u64, ep, 0),
-            EvKind::RtoTimer { flow, gen } => {
-                (CLS_RTO, ((flow as u64) << 32) | gen as u64, flow, gen)
-            }
+            EvKind::RtoTimer { flow } => (CLS_RTO, flow as u64, flow, 0),
         };
         debug_assert!(
             t < ENCODING_LIMIT_PS,
@@ -174,10 +171,7 @@ impl EvEntry {
                 ep: self.b,
             },
             CLS_PULL_TICK => EvKind::PullTick { ep: self.a },
-            CLS_RTO => EvKind::RtoTimer {
-                flow: self.a,
-                gen: self.b,
-            },
+            CLS_RTO => EvKind::RtoTimer { flow: self.a },
             _ => unreachable!("corrupt event class"),
         };
         (self.t(), kind)
@@ -1095,7 +1089,7 @@ mod tests {
     #[test]
     fn equal_time_classes_rank_starts_before_motion_before_timers() {
         let mut q = EventQueue::default();
-        q.push(7, EvKind::RtoTimer { flow: 0, gen: 1 });
+        q.push(7, EvKind::RtoTimer { flow: 0 });
         q.push(7, EvKind::PullTick { ep: 0 });
         q.push_arrival(7, EvKind::ArriveEndpoint { pkt: 4, ep: 1 }, 7);
         q.push_arrival(7, EvKind::ArriveRouter { pkt: 9, router: 2 }, 42);
@@ -1110,7 +1104,7 @@ mod tests {
                 EvKind::ArriveRouter { pkt: 9, router: 2 },
                 EvKind::ArriveEndpoint { pkt: 4, ep: 1 },
                 EvKind::PullTick { ep: 0 },
-                EvKind::RtoTimer { flow: 0, gen: 1 },
+                EvKind::RtoTimer { flow: 0 },
             ]
         );
     }
@@ -1141,7 +1135,7 @@ mod tests {
             (9, EvKind::PortPop { port: 2 }),
             (3, EvKind::PullTick { ep: 8 }),
             (9, EvKind::FlowStart { flow: 1 }),
-            (3, EvKind::RtoTimer { flow: 6, gen: 2 }),
+            (3, EvKind::RtoTimer { flow: 6 }),
         ];
         let mut fwd = EventQueue::default();
         let mut rev = EventQueue::default();
@@ -1203,7 +1197,7 @@ mod tests {
         match sel % 8 {
             0 => (EvKind::PortPop { port: k }, None),
             1 => (EvKind::PullTick { ep: k }, None),
-            2 => (EvKind::RtoTimer { flow: k, gen: 1 }, None),
+            2 => (EvKind::RtoTimer { flow: k }, None),
             3 => (EvKind::FlowStart { flow: k }, None),
             // Equal uids under different slab ids: ties run down to the
             // payload words, as between any two distinct entries.

@@ -111,7 +111,8 @@ pub struct EventCounts {
     pub endpoint_arrivals: u64,
     /// Paced NDP pull ticks.
     pub pull_ticks: u64,
-    /// Retransmission timers, live or stale.
+    /// Retransmission timer events: timeouts, deferrals to a moved
+    /// deadline and superseded events.
     pub timers: u64,
 }
 

@@ -13,8 +13,9 @@
 //! Only the protocol rules live here. The endpoint skeleton both
 //! transports share lives in `crate::shard`: the arrival split
 //! (`Shard::on_endpoint_arrive`: receiver echo state, the aborted-sender
-//! drop, the dead-RTO reset), the timer liveness test (`Shard::on_rto`)
-//! and the flowlet-boundary re-pick (`Shard::repick_path`).
+//! drop, the dead-RTO reset), the one lazy timer behind retransmission
+//! (`Shard::arm_rto`, `Shard::on_rto`) and the flowlet-boundary re-pick
+//! (`Shard::repick_path`).
 //!
 //! Sharding note: handlers touch only the flow half that lives on the
 //! executing shard — data arrivals the [`RxFlow`](crate::shard::RxFlow),
@@ -44,7 +45,7 @@ impl Shard {
         for _ in 0..cx.meta(flow).num_pkts.min(initial_window) {
             self.ndp_send_next(cx, flow);
         }
-        self.ndp_arm_rto(cx, flow);
+        self.arm_rto(cx, flow, self.now + NDP_RTO);
     }
 
     /// Receiver side: a data packet (full or trimmed) arrived.
@@ -111,7 +112,7 @@ impl Shard {
             PktKind::Pull => self.ndp_send_next(cx, flow),
             PktKind::Data => unreachable!("data is not control"),
         }
-        self.ndp_arm_rto(cx, flow);
+        self.arm_rto(cx, flow, self.now + NDP_RTO);
     }
 
     fn ndp_adopt_suggestion<R: RoutingScheme + ?Sized>(
@@ -179,26 +180,6 @@ impl Shard {
         }
     }
 
-    /// Arms (or extends) the lazy retransmission timer: the deadline
-    /// moves to `now + RTO`, and a timer event is queued only if none is
-    /// outstanding — `Shard::on_rto` re-arms a too-early firing at the
-    /// extended deadline, so at most one `RtoTimer` event per flow is
-    /// ever live (the eager push-per-ack scheme kept every superseded
-    /// timer in the heap for a full RTO).
-    fn ndp_arm_rto<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
-        let ti = cx.tx_idx(flow);
-        if self.tx[ti].aborted || self.tx[ti].acked_count >= cx.meta(flow).num_pkts {
-            return;
-        }
-        let at = self.now + NDP_RTO;
-        self.tx[ti].rto_deadline = at;
-        if !self.tx[ti].rto_armed {
-            self.tx[ti].rto_armed = true;
-            let gen = self.tx[ti].rto_gen;
-            self.events.push(at, EvKind::RtoTimer { flow, gen });
-        }
-    }
-
     /// Safety net: if the flow has stalled (all credits or announcements
     /// lost — rare under trimming, routine under link failures), re-pick
     /// the routing layer (§V-G fault tolerance: redirect to one of the
@@ -212,9 +193,8 @@ impl Shard {
     /// Resending one packet per 2 ms RTO would stretch a lost w-packet
     /// window to w timeouts; resending the window mirrors the line-rate
     /// first window of §III-C (receiver-side dedup makes spurious copies
-    /// harmless). `Shard::on_rto` calls this only for a live timer at
-    /// the true (fully extended) timeout instant; `window` is the
-    /// transport's initial window.
+    /// harmless). `Shard::on_rto` calls this only at the flow's deadline,
+    /// last progress + RTO; `window` is the transport's initial window.
     pub(crate) fn ndp_on_rto<R: RoutingScheme + ?Sized>(
         &mut self,
         cx: &Ctx<R>,
@@ -254,6 +234,6 @@ impl Shard {
             self.send_data(cx, flow, seq, true);
         }
         self.scratch = missing;
-        self.ndp_arm_rto(cx, flow);
+        self.arm_rto(cx, flow, self.now + NDP_RTO);
     }
 }

@@ -282,6 +282,9 @@ impl SeqBits {
     }
 }
 
+/// [`TxFlow::rto_event_at`] when the flow has no `RtoTimer` queued.
+const NO_RTO_EVENT: TimePs = TimePs::MAX;
+
 /// Sender-side flow state, owned by the source router's shard.
 ///
 /// TCP congestion state lives in the parallel [`TcpState`] array
@@ -308,15 +311,16 @@ pub(crate) struct TxFlow {
     pub uid_ctr: u32,
     // counters
     pub retx_count: u32,
-    pub rto_gen: u32,
-    /// Lazy NDP retransmission timer: progress moves this deadline
-    /// forward without touching the event queue; a timer event firing
-    /// before it simply re-arms at the deadline. Keeps at most one live
-    /// `RtoTimer` event per flow instead of one per ack — at 100k+
-    /// flows the difference is tens of MB of event-heap high-water.
+    /// Deadline of the one lazy timer behind retransmission, both
+    /// transports': progress moves it without touching the event queue,
+    /// and a timer event firing before it re-queues at the deadline
+    /// ([`Shard::arm_rto`], `Shard::on_rto`). One live `RtoTimer` event
+    /// per flow instead of one per ack — at 100k+ flows the difference
+    /// is tens of MB of event-heap high-water.
     pub rto_deadline: TimePs,
-    /// Whether an `RtoTimer` event for this flow is in the queue.
-    pub rto_armed: bool,
+    /// Time of this flow's queued `RtoTimer` event, or [`NO_RTO_EVENT`].
+    /// An event firing at any other time was superseded.
+    pub rto_event_at: TimePs,
     /// The flow was never injected: its source or destination host sat
     /// behind a dead router at start time.
     pub host_dead: bool,
@@ -343,9 +347,8 @@ impl TxFlow {
             flowlet_ctr: 0,
             uid_ctr: 0,
             retx_count: 0,
-            rto_gen: 0,
             rto_deadline: 0,
-            rto_armed: false,
+            rto_event_at: NO_RTO_EVENT,
             host_dead: false,
             dead_rtos: 0,
             aborted: false,
@@ -843,9 +846,9 @@ impl Shard {
                 n.pull_ticks += 1;
                 self.ndp_pull_tick(cx, ep);
             }
-            EvKind::RtoTimer { flow, gen } => {
+            EvKind::RtoTimer { flow } => {
                 n.timers += 1;
-                self.on_rto(cx, flow, gen);
+                self.on_rto(cx, flow);
             }
         }
     }
@@ -1451,32 +1454,50 @@ impl Shard {
         }
     }
 
-    /// A retransmission timer fires. NDP's lazy timer first defers to
-    /// its extended deadline; then one liveness test covers both timer
-    /// disciplines (NDP never bumps `rto_gen`, so only TCP's superseded
-    /// timers fail the generation check).
-    fn on_rto<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32, gen: u32) {
+    /// Arms the flow's one lazy retransmission timer, both transports'
+    /// (a finished or aborted flow arms nothing): the deadline moves to
+    /// `at`, and an event is queued only when none is, or when `at` is
+    /// earlier than the queued one. NDP's deadline only moves later;
+    /// TCP's can move earlier, when a new ACK resets the backoff after a
+    /// timeout or the first RTT sample replaces the initial RTO.
+    pub(crate) fn arm_rto<R: RoutingScheme + ?Sized>(
+        &mut self,
+        cx: &Ctx<R>,
+        flow: u32,
+        at: TimePs,
+    ) {
         let ti = cx.tx_idx(flow);
-        if matches!(cx.cfg.transport, Transport::Ndp { .. }) {
-            // Lazy timer discipline: acks extend `rto_deadline` without
-            // queueing anything, so a firing before the (extended)
-            // deadline is a deferral — push the single timer event out
-            // to the deadline and do nothing else. Only a firing at the
-            // deadline is a real timeout. The effective timeout instant
-            // (last progress + RTO) is identical to the eager
-            // one-event-per-ack scheme, so results are unchanged.
-            self.tx[ti].rto_armed = false;
-            if self.now < self.tx[ti].rto_deadline {
-                if !self.tx[ti].aborted && !self.tx_done(cx, flow) {
-                    let at = self.tx[ti].rto_deadline;
-                    self.tx[ti].rto_armed = true;
-                    self.events.push(at, EvKind::RtoTimer { flow, gen });
-                }
-                return;
-            }
+        if self.tx[ti].aborted || self.tx_done(cx, flow) {
+            return;
         }
+        let f = &mut self.tx[ti];
+        f.rto_deadline = at;
+        if at < f.rto_event_at {
+            f.rto_event_at = at;
+            self.events.push(at, EvKind::RtoTimer { flow });
+        }
+    }
+
+    /// A retransmission timer fires, one rule for both transports. An
+    /// event firing at any other time than the flow's recorded one was
+    /// superseded by an earlier event and does nothing. One firing
+    /// before the deadline (progress moved it on) re-queues at the
+    /// deadline. Only one firing at the deadline is a timeout, so the
+    /// timeout instant is last arming + RTO, as if every arming had
+    /// queued its own event.
+    fn on_rto<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
+        let ti = cx.tx_idx(flow);
+        if self.now != self.tx[ti].rto_event_at {
+            return;
+        }
+        self.tx[ti].rto_event_at = NO_RTO_EVENT;
         let f = &self.tx[ti];
-        if f.aborted || !f.started || gen != f.rto_gen || self.tx_done(cx, flow) {
+        if f.aborted || !f.started || self.tx_done(cx, flow) {
+            return;
+        }
+        if self.now < f.rto_deadline {
+            let at = f.rto_deadline;
+            self.arm_rto(cx, flow, at);
             return;
         }
         if self.abort_if_host_dead(cx, flow) {

@@ -8,9 +8,10 @@
 //! Only the protocol rules live here. The endpoint skeleton both
 //! transports share lives in `crate::shard`: the arrival split
 //! (`Shard::on_endpoint_arrive`: receiver echo state, the aborted-sender
-//! drop, the dead-RTO reset), the timer liveness test (`Shard::on_rto`)
-//! and the flowlet-boundary re-pick (`Shard::repick_path`), which TCP's
-//! window-reduction and timeout boundaries salt with their own hash.
+//! drop, the dead-RTO reset), the one lazy timer behind retransmission
+//! (`Shard::arm_rto`, `Shard::on_rto`) and the flowlet-boundary re-pick
+//! (`Shard::repick_path`), which TCP's window-reduction and timeout
+//! boundaries salt with their own hash.
 //!
 //! Sharding note: data arrivals run on the receiver's shard against the
 //! [`RxFlow`](crate::shard::RxFlow), ACKs on the sender's shard against
@@ -21,7 +22,7 @@
 //! index as `Shard::tx`), allocated only for TCP transports.
 
 use crate::config::{SimConfig, TcpVariant, Transport};
-use crate::engine::{EvKind, Packet, PktKind, TimePs};
+use crate::engine::{Packet, PktKind, TimePs};
 use crate::shard::{Ctx, Shard};
 use fatpaths_core::scheme::RoutingScheme;
 use fatpaths_telemetry::SpanKind;
@@ -233,7 +234,10 @@ impl Shard {
         self.tcp_try_send(cx, flow);
     }
 
-    fn tcp_rto_value<R: RoutingScheme + ?Sized>(&self, cx: &Ctx<R>, flow: u32) -> TimePs {
+    /// Arms the flow's timer one RTO from now: the smoothed estimate
+    /// (the initial RTO before the first sample), floored at `min_rto`
+    /// and doubled per backoff.
+    fn tcp_arm_rto<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
         let (_, min_rto) = tcp_params(&cx.cfg);
         let c = &self.tcp[cx.tx_idx(flow)];
         let base = if c.srtt == 0.0 {
@@ -241,22 +245,10 @@ impl Shard {
         } else {
             (c.srtt + 4.0 * c.rttvar) as TimePs
         };
-        (base.max(min_rto)) << c.backoff.min(6)
+        self.arm_rto(cx, flow, self.now + (base.max(min_rto) << c.backoff.min(6)));
     }
 
-    fn tcp_arm_rto<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
-        let rto = self.tcp_rto_value(cx, flow);
-        let ti = cx.tx_idx(flow);
-        if self.tx[ti].cum_ack >= cx.meta(flow).num_pkts || self.tx[ti].aborted {
-            return;
-        }
-        self.tx[ti].rto_gen += 1;
-        let gen = self.tx[ti].rto_gen;
-        self.events
-            .push(self.now + rto, EvKind::RtoTimer { flow, gen });
-    }
-
-    /// A live timeout (`Shard::on_rto` has checked the generation):
+    /// A timeout (`Shard::on_rto` has found the deadline reached):
     /// collapse the window and re-pick the path, which is safe now that
     /// the pipe is empty.
     pub(crate) fn tcp_on_rto<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {

@@ -5,9 +5,10 @@
 
 use fatpaths_core::ecmp::DistanceMatrix;
 use fatpaths_core::scheme::MinimalScheme;
-use fatpaths_net::topo::{slimfly::slim_fly, star::star};
+use fatpaths_net::topo::{complete::complete, slimfly::slim_fly, star::star};
 use fatpaths_sim::{
-    LoadBalancing, Scenario, SchemeSpec, SimConfig, Simulator, TcpVariant, Transport,
+    FaultPlan, LoadBalancing, Scenario, SchemeSpec, SimConfig, Simulator, SpanKind, TcpVariant,
+    TelemetryConfig, Transport, HDR_BYTES,
 };
 use fatpaths_workloads::arrivals::FlowSpec;
 use fatpaths_workloads::MIB;
@@ -342,4 +343,70 @@ fn tcp_ecn_reno_reacts_before_loss() {
     let ecn = run(TcpVariant::EcnReno);
     assert_eq!(ecn.completion_rate(), 1.0);
     assert!(ecn.drops <= reno.drops);
+}
+
+/// The retransmission timer against times worked out by hand. One
+/// two-packet DCTCP flow crosses the one link of a two-router complete
+/// graph, 3 store-and-forward hops each way. The link is down over
+/// [0, 2 ms) and [4 ms, 8 ms). No retransmission ever yields an RTT
+/// sample (Karn), so the base RTO stays at the 1 ms initial value and
+/// doubles per backoff:
+///
+/// * both packets are lost; timeouts at 1 ms and 3 ms (backoff 1); the
+///   second retransmits packet 0 over the repaired link, and the timer
+///   event queued then is due at 3 + 4 = 7 ms;
+/// * packet 0's ACK at `3 ms + rtt` resets the backoff and moves the
+///   deadline *earlier*, to `3 ms + rtt + 1 ms`. Packet 1, lost at the
+///   start, waits for a timeout and nothing else is sent, so the next
+///   timeout lands exactly there, not at 7 ms;
+/// * that retransmission and the one 2 ms later die on the downed link;
+///   the superseded 7 ms event then fires and must do nothing. The
+///   link is back for the timeout 4 ms later, which completes the flow.
+///
+/// Six timer events run: five timeouts and the superseded one. Had the
+/// superseded event counted as live, it would have re-queued a second
+/// event for the deadline: seven.
+#[test]
+fn tcp_timeouts_land_at_last_arming_plus_rto() {
+    const MS: u64 = 1_000_000_000;
+    let topo = complete(1, 1);
+    let dm = DistanceMatrix::build(&topo.graph);
+    let ms = MinimalScheme::new(&topo.graph, &dm);
+    let mut cfg = tcp_cfg(TcpVariant::Dctcp, LoadBalancing::EcmpFlow);
+    cfg.telemetry = TelemetryConfig {
+        span_every: 1,
+        ..TelemetryConfig::on()
+    };
+    let Transport::Tcp { mss, .. } = cfg.transport else {
+        unreachable!()
+    };
+    let hop = |bytes| cfg.ser_time(bytes) + cfg.link_latency;
+    let (data_way, ack_way) = (3 * hop(mss + HDR_BYTES), 3 * hop(HDR_BYTES));
+    let mut sim = Simulator::new(&topo, &ms, cfg);
+    sim.apply_fault_plan(
+        &FaultPlan::none()
+            .link_down_at(0, 0, 1)
+            .link_up_at(2 * MS, 0, 1)
+            .link_down_at(4 * MS, 0, 1)
+            .link_up_at(8 * MS, 0, 1),
+    );
+    sim.add_flows(&[FlowSpec {
+        src: 0,
+        dst: 1,
+        size: 2 * mss as u64,
+        start: 0,
+    }]);
+    let (res, trace) = sim.run_traced();
+    let rtos: Vec<u64> = trace
+        .expect("telemetry on")
+        .spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Rto)
+        .map(|s| s.t)
+        .collect();
+    let reset = 3 * MS + data_way + ack_way + MS;
+    assert_eq!(rtos, [MS, 3 * MS, reset, reset + 2 * MS, reset + 6 * MS]);
+    assert_eq!(res.flows[0].finish, Some(reset + 6 * MS + data_way));
+    assert_eq!(res.flows[0].retx, 5);
+    assert_eq!(res.profile.dispatched.timers, 6);
 }

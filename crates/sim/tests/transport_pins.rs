@@ -1,11 +1,14 @@
 //! Literal pins on the transports' shared endpoint decisions: the
-//! arrival split, the timeout liveness check and the flowlet re-pick,
-//! on Slim Fly with 48 flows. Each run is pinned twice, at one shard
-//! and at three (which must agree): an outcome digest of every
-//! `FlowRecord` field, the drop, trim and unroutable counters and every
-//! span event, and `end_time` as its own literal. The split keeps what
-//! the transports decided apart from engine bookkeeping: the time of
-//! the last event dispatched can move with the event schedule while
+//! arrival split, the timeout rule of the one lazy timer and the
+//! flowlet re-pick, on Slim Fly with 48 flows. Each run is pinned
+//! twice, at one shard and at three (which must agree): an outcome
+//! digest of every `FlowRecord` field, the drop, trim and unroutable
+//! counters and every span event, and `end_time` as its own literal.
+//! The split keeps what the transports decided apart from engine
+//! bookkeeping: the time of the last event dispatched can move with the
+//! event schedule while every outcome stays put. TCP runs also pin the
+//! timer events dispatched, an exact work count: a timer that queued
+//! one event per ACK again would multiply it several times over while
 //! every outcome stays put. The spans matter: a re-pick can land on
 //! another layer without moving a single time. A self-consistency suite
 //! passes when both legs share a mistake; a literal does not. With
@@ -55,13 +58,14 @@ fn shift(i: u32, n: u32) -> u32 {
     (i + n / 2) % n
 }
 
-/// What a run is pinned on: the outcome digest, `end_time`, the
-/// `LayerSwitch` span count and the `Abort` spans of flows aborted
-/// mid-transfer.
+/// What a run is pinned on: the outcome digest, `end_time`, the timer
+/// events dispatched, the `LayerSwitch` span count and the `Abort` spans
+/// of flows aborted mid-transfer.
 #[derive(Debug, PartialEq)]
 struct Pin {
     outcome: u64,
     end_time: u64,
+    timers: u64,
     switches: usize,
     aborts: usize,
 }
@@ -114,6 +118,7 @@ fn pin(topo: &Topology, sc: Scenario, plan: &FaultPlan, w: &[FlowSpec], subflows
         Pin {
             outcome: outcome(&r, &spans),
             end_time: r.end_time,
+            timers: r.profile.dispatched.timers,
             switches: count(&|s| s.kind == SpanKind::LayerSwitch),
             aborts: count(&|s| s.kind == SpanKind::Abort && r.flows[s.flow as usize].aborted),
         }
@@ -171,6 +176,7 @@ fn dctcp_layers_window_reduction_repicks() {
     assert!(p.switches > 0, "{p:?}");
     assert_eq!(p.outcome, 0x5f23_6723_6d4c_780c);
     assert_eq!(p.end_time, 3_906_926_400);
+    assert_eq!(p.timers, 394);
 }
 
 /// DCTCP with minimal routing and LetFlow under queue-depth steering:
@@ -190,10 +196,12 @@ fn dctcp_letflow_queue_depth_nonce_search() {
     let oblivious = pin(&topo, sc.clone(), &none, &w, 1);
     let p = pin(&topo, sc.adaptive(AdaptiveMode::QueueDepth), &none, &w, 1);
     assert_eq!(oblivious.outcome, 0x8dae_77c2_bb87_6810);
-    assert_eq!(oblivious.end_time, 388_521_600);
+    assert_eq!(oblivious.end_time, 388_441_600);
+    assert_eq!(oblivious.timers, 47);
     assert_ne!(p.outcome, oblivious.outcome);
     assert_eq!(p.outcome, 0x0918_f4bc_b34a_046a);
-    assert_eq!(p.end_time, 338_696_000);
+    assert_eq!(p.end_time, 338_804_800);
+    assert_eq!(p.timers, 44);
 }
 
 /// MPTCP with two subflows per connection: each subflow owns its layer,
@@ -211,7 +219,8 @@ fn mptcp_subflows_keep_their_layers() {
     );
     assert_eq!(p.switches, 0, "{p:?}");
     assert_eq!(p.outcome, 0xd01a_fd77_2008_c334);
-    assert_eq!(p.end_time, 683_966_981);
+    assert_eq!(p.end_time, 683_510_871);
+    assert_eq!(p.timers, 148);
 }
 
 /// NDP through a rolling reboot with a two-dead-RTO abort budget and a

@@ -80,7 +80,6 @@ pub struct TeScheme {
     pub(crate) csrs: Vec<LayerCsr>,
     /// The (sorted) traffic matrix the tables were negotiated for.
     pub(crate) demands: Vec<RouterDemand>,
-    cfg: TeConfig,
     iterations: usize,
     converged: bool,
     peak: f64,
@@ -126,7 +125,6 @@ impl TeScheme {
             costs: vec![1.0; m],
             csrs,
             demands,
-            cfg: *cfg,
             iterations: 0,
             converged: true,
             peak: 0.0,
@@ -185,11 +183,6 @@ impl TeScheme {
     /// achieved throughput the sweep reports.
     pub fn peak(&self) -> f64 {
         self.peak
-    }
-
-    /// The configuration the scheme was negotiated with.
-    pub fn config(&self) -> &TeConfig {
-        &self.cfg
     }
 
     /// The (sorted) traffic matrix the tables were negotiated for.

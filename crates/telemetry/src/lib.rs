@@ -331,11 +331,6 @@ impl ShardTelemetry {
         }
     }
 
-    /// The config this collector was built from.
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.cfg
-    }
-
     /// Records `bytes` serialized onto the shard's local port index
     /// `local` under `layer`.
     #[inline]

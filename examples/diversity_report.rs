@@ -7,7 +7,7 @@
 //! ```
 
 use fatpaths::diversity::apsp::shortest_path_stats;
-use fatpaths::diversity::cdp::{cdp, lmin_cmin, EdgeIds};
+use fatpaths::diversity::cdp::{cdp, lmin_cmin};
 use fatpaths::diversity::interference::{pi_summary, sample_pi};
 use fatpaths::diversity::tnl::tnl_minimal;
 use fatpaths::prelude::*;
@@ -47,7 +47,7 @@ fn main() {
     }
 
     // Minimal-path diversity over sampled pairs (§IV-C1).
-    let eids = EdgeIds::new(&topo.graph);
+    let eids = topo.graph.arc_edge_ids();
     let mut rng = StdRng::seed_from_u64(3);
     let nr = topo.num_routers() as u32;
     let pairs: Vec<(u32, u32)> = (0..200)

@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use fatpaths::diversity::cdp::{cdp, EdgeIds};
+use fatpaths::diversity::cdp::cdp;
 use fatpaths::prelude::*;
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
 
     // 2. Shortest paths fall short: count minimal vs almost-minimal
     //    disjoint paths for a sample pair (§IV).
-    let eids = EdgeIds::new(&topo.graph);
+    let eids = topo.graph.arc_edge_ids();
     let (s, t) = (0u32, 141u32);
     let lmin = topo.graph.bfs(s)[t as usize];
     let cmin = cdp(&topo.graph, &eids, &[s], &[t], lmin);

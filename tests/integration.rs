@@ -2,7 +2,7 @@
 //! topology generation through layered routing to simulation and analysis.
 
 use fatpaths::diversity::apsp::shortest_path_stats;
-use fatpaths::diversity::cdp::{cdp, EdgeIds};
+use fatpaths::diversity::cdp::cdp;
 use fatpaths::mcf::mat::{mat, router_demands, LayeredPaths, PastPaths};
 use fatpaths::mcf::worstcase::worst_case_flows;
 use fatpaths::net::cost::cost_per_endpoint;
@@ -15,7 +15,7 @@ use fatpaths::workloads::{apply_mapping, poisson_flows, random_mapping};
 #[test]
 fn shortest_paths_fall_short_but_almost_shortest_do_not() {
     let topo = fatpaths::net::topo::slimfly::slim_fly(11, 8).unwrap();
-    let eids = EdgeIds::new(&topo.graph);
+    let eids = topo.graph.arc_edge_ids();
     let stats = shortest_path_stats(&topo.graph);
     assert_eq!(stats.diameter, 2);
     let mut unique = 0usize;
