@@ -1,7 +1,8 @@
 //! Benchmarks for the offline control plane of the `control_plane`
 //! workload: one TE negotiation iteration (every `(layer, dst)` tree
 //! rebuilt under new prices) and the static repair of the layer tables
-//! for a 2% link-failure sample, both on Slim Fly q = 19 with nine layers.
+//! for a 2% link-failure sample and for two down links of it, all on Slim
+//! Fly q = 19 with nine layers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fatpaths_core::fwd::RoutingTables;
@@ -23,9 +24,9 @@ fn bench_control_plane(c: &mut Criterion) {
         max_iterations: 1,
         ..TeConfig::default()
     };
-    let down = DownLinks::from_links(
-        FaultPlan::sample(&t, &FaultModel::UniformFraction { fraction: 0.02 }, 1).static_failures(),
-    );
+    let plan = FaultPlan::sample(&t, &FaultModel::UniformFraction { fraction: 0.02 }, 1);
+    let down = DownLinks::from_links(plan.static_failures());
+    let two = DownLinks::from_links(&plan.static_failures()[..2]);
     let mut g = c.benchmark_group("control_plane");
     g.sample_size(10);
     g.bench_function("te/rebuild_sf722_n9", |b| {
@@ -40,6 +41,9 @@ fn bench_control_plane(c: &mut Criterion) {
     });
     g.bench_function("repair/sf722_n9_2pct", |b| {
         b.iter(|| black_box(tables.repair(&t.graph, black_box(&down))))
+    });
+    g.bench_function("repair/sf722_n9_2links", |b| {
+        b.iter(|| black_box(tables.repair(&t.graph, black_box(&two))))
     });
     g.finish();
 }

@@ -11,9 +11,9 @@
 use fatpaths_net::graph::{for_each_source, Graph, RouterId, BFS_BATCH};
 
 /// Largest finite hop distance the `u8` distance stores of this crate
-/// ([`DistanceMatrix`], the per-layer distances of
-/// [`RoutingTables`](crate::fwd::RoutingTables)) hold; `u8::MAX` marks an
-/// unreachable pair.
+/// ([`DistanceMatrix`], the per-layer distance rows that
+/// [`PortTables::build`](crate::fwd::PortTables::build) and layer repair
+/// select ports from) hold; `u8::MAX` marks an unreachable pair.
 pub const MAX_HOPS: u32 = u8::MAX as u32 - 1;
 
 /// A finite hop distance as a `u8` distance entry. Panics, naming the

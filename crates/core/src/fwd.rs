@@ -14,10 +14,10 @@
 //! instead of destinations: it transposes the band's distance rows into
 //! one lane per destination at every router, and for each source counts
 //! and ranks the minimal next hops of all lanes together in branch-free
-//! passes over the source's layer neighbours. The `(layer, band)` units
-//! run on the pool, each writing its own band of port and fallback rows.
-//! Repair rebuilds degraded rows with the same two passes, the band set
-//! to the rows it rebuilds.
+//! passes over the source's layer neighbours. Layers run on the pool,
+//! each worker selecting one layer's bands at a time. Repair rebuilds the
+//! rows a down link breaks with the same two passes over the degraded
+//! layer, the band set to those rows.
 //!
 //! When several neighbors lie on minimal paths, the tie is broken by a
 //! deterministic hash of `(layer, src, dst)`, which decorrelates the
@@ -25,16 +25,16 @@
 //! each layer", §V-B) and across sources.
 //!
 //! [`PortTables`] owns the table format: the `[layer][dst · nr + src]`
-//! layout, lookups, rows and path resolution. [`RoutingTables`] is
-//! `PortTables` plus the distances, fallback ports and layer graphs its
-//! repair reads; the negotiated TE tables and the SPAIN / KSP / PAST
-//! baselines hold a `PortTables` alone, SPAIN and KSP lowering their
-//! layers through [`PortTables::build`], which runs the same two passes
-//! one layer at a time.
+//! layout, lookups, rows and path resolution, and [`PortTables::build`]
+//! runs the two passes. [`RoutingTables`] is `PortTables` plus the layer
+//! graphs its repair rebuilds rows on; the negotiated TE tables and the
+//! SPAIN / KSP / PAST baselines hold a `PortTables` alone, SPAIN and KSP
+//! lowering their layers through `PortTables::build` as
+//! [`RoutingTables::build`] does.
 
 use crate::ecmp::hop_byte;
 use crate::layers::LayerSet;
-use crate::repair::{DownLinks, OverlayBuilder, RouteRepair};
+use crate::repair::{broken_rows, DownLinks, OverlayBuilder, RouteRepair};
 use fatpaths_net::graph::{for_each_source, Graph, RouterId, BFS_BATCH};
 use rayon::prelude::*;
 use std::ops::{BitAnd, BitOr, Not};
@@ -68,12 +68,12 @@ impl PortTables {
         }
     }
 
-    /// The port tables of `layers` over `base`: exactly the
-    /// [`ports`](RoutingTables::ports) of [`RoutingTables::build`], without
-    /// its distances, fallbacks and layer copies. Layers run in parallel,
-    /// each worker selecting one layer's rows at a time on its own
-    /// distance and fallback scratch, so memory beyond the tables stays
-    /// at two layers' rows per worker however many layers there are.
+    /// The port tables of `layers` over `base`, which must be the graph
+    /// the layers were sampled from. Panics if a finite in-layer distance
+    /// exceeds [`MAX_HOPS`](crate::ecmp::MAX_HOPS). Layers run in
+    /// parallel, each worker selecting one layer's rows at a time on its
+    /// own distance scratch, so memory beyond the tables stays at one
+    /// layer's distance rows per worker however many layers there are.
     pub fn build(base: &Graph, layers: &LayerSet) -> Self {
         let nr = base.n();
         let all: Vec<RouterId> = (0..nr as u32).collect();
@@ -85,10 +85,8 @@ impl PortTables {
                 let lg = layers.layer(li);
                 assert_eq!(lg.n(), nr, "layer router count mismatch");
                 distance_rows_into(lg, &all, &mut s.dists);
-                // Written by the kernel, never read: no reset needed.
-                s.fallback.resize(nr * nr, NO_PORT);
                 let ports = LayerPorts::new(base, lg);
-                for band in Band::split(lg, &ports, li, &all, &s.dists, table, &mut s.fallback) {
+                for band in Band::split(lg, &ports, li, &all, &s.dists, table) {
                     band.select(&mut s.band);
                 }
             });
@@ -166,24 +164,10 @@ impl PortTables {
 }
 
 /// Forwarding tables for every layer of a [`LayerSet`]: the [`PortTables`]
-/// plus the in-layer distances, fallback ports and layer graphs repair
-/// reads.
+/// plus the layer graphs repair rebuilds broken rows on.
 #[derive(Clone, Debug)]
 pub struct RoutingTables {
     ports: PortTables,
-    /// `dists[layer][dst * nr + src]` = hop distance within the layer
-    /// (`u8::MAX` if unreachable; a build panics on a finite distance
-    /// above [`MAX_HOPS`](crate::ecmp::MAX_HOPS)). Used by adaptivity,
-    /// analysis and repair.
-    dists: Vec<Vec<u8>>,
-    /// `fallback[layer][dst * nr + src]` = a second, distinct minimal
-    /// next-hop port (`NO_PORT` if the chosen one is the only minimal
-    /// next hop) — precomputed at build so single-link repair is O(1)
-    /// when an equal-cost alternative exists.
-    fallback: Vec<Vec<u16>>,
-    /// The layer subgraphs the tables were built from, retained so link
-    /// failures can be repaired per layer (degraded BFS on the affected
-    /// rows only).
     layers: LayerSet,
 }
 
@@ -200,48 +184,13 @@ pub fn fnv1a(key: u64) -> u64 {
 }
 
 impl RoutingTables {
-    /// Builds tables for all layers. `base` must be the graph the layers
-    /// were sampled from (ports refer to it). Panics if a finite in-layer
+    /// Builds tables for all layers through [`PortTables::build`] and keeps
+    /// a copy of the layers. `base` must be the graph the layers were
+    /// sampled from (ports refer to it). Panics if a finite in-layer
     /// distance exceeds [`MAX_HOPS`](crate::ecmp::MAX_HOPS).
-    ///
-    /// Distances come from one [`Graph::bfs_batches`] pass per layer (the
-    /// layers in parallel); then the band kernel selects every `(layer,
-    /// band)` unit in one flat parallel pass across the entire layer
-    /// vector — rather than layer by layer — so thread utilization stays
-    /// high even when a layer has fewer bands than the pool has workers.
     pub fn build(base: &Graph, layers: &LayerSet) -> Self {
-        let nr = base.n();
-        for lg in &layers.graphs {
-            assert_eq!(lg.n(), nr, "layer router count mismatch");
-        }
-        let all: Vec<RouterId> = (0..nr as u32).collect();
-        let dists: Vec<Vec<u8>> = layers
-            .graphs
-            .par_iter()
-            .map(|lg| distance_rows(lg, &all))
-            .collect();
-        let ports: Vec<LayerPorts> = layers
-            .graphs
-            .par_iter()
-            .map(|lg| LayerPorts::new(base, lg))
-            .collect();
-        let mut tables = PortTables::new(layers.len(), nr);
-        let mut fallback: Vec<Vec<u16>> =
-            (0..layers.len()).map(|_| vec![NO_PORT; nr * nr]).collect();
-        let bands: Vec<Band<'_>> = tables
-            .layers_mut()
-            .zip(fallback.iter_mut())
-            .zip(dists.iter().zip(&ports))
-            .enumerate()
-            .flat_map(|(li, ((table, fallback), (dists, ports)))| {
-                Band::split(layers.layer(li), ports, li, &all, dists, table, fallback)
-            })
-            .collect();
-        select_bands(bands);
         RoutingTables {
-            ports: tables,
-            dists,
-            fallback,
+            ports: PortTables::build(base, layers),
             layers: layers.clone(),
         }
     }
@@ -261,14 +210,6 @@ impl RoutingTables {
         &self.ports
     }
 
-    /// Hop distance from `src` to `dst` within `layer` (`None` if
-    /// unreachable).
-    #[inline]
-    pub fn layer_distance(&self, layer: usize, src: RouterId, dst: RouterId) -> Option<u32> {
-        let d = self.dists[layer][dst as usize * self.nr() + src as usize];
-        (d != u8::MAX).then_some(d as u32)
-    }
-
     /// The layer subgraphs the tables were built from.
     pub fn layer_set(&self) -> &LayerSet {
         &self.layers
@@ -277,21 +218,17 @@ impl RoutingTables {
     /// Link-failure repair (the layered arm of
     /// [`RoutingScheme::repair_routes`](crate::scheme::RoutingScheme::repair_routes)):
     /// returns a sparse overlay covering exactly the `(layer, dst)` rows
-    /// the down links invalidate.
+    /// the down links break.
     ///
-    /// Per affected row the repair is **incremental**: if every router
-    /// whose chosen next hop crosses a down link still has a live
-    /// equal-cost alternative (checked first against the precomputed
-    /// second-choice fallback port), in-layer
-    /// distances are provably unchanged and the repair is a handful of
-    /// O(1) port swaps. Only rows where a distance actually changes are
-    /// rebuilt, all of a layer's in one [`Graph::bfs_batches`] pass over
-    /// the degraded layer graph and through the build's band kernel — so
-    /// a rebuilt row is exactly the row a from-scratch build on the
-    /// degraded layers selects. Routers left unable to reach `dst` within
-    /// a sparse layer fall back to the (repaired) layer-0 route; an empty
-    /// overlay entry marks pairs disconnected even in the degraded base
-    /// graph.
+    /// A row is broken when one of its chosen hops crosses a down link
+    /// ([`broken_rows`]); every other row is a tree of live links and
+    /// stays as it is. A layer's broken rows are rebuilt in one
+    /// [`Graph::bfs_batches`] pass over the degraded layer graph and
+    /// through the build's band kernel, so a repaired row is exactly the
+    /// row a from-scratch build on the degraded layers selects. Routers
+    /// left unable to reach `dst` within a sparse layer fall back to the
+    /// (repaired) layer-0 route; an empty overlay entry marks pairs
+    /// disconnected even in the degraded base graph.
     ///
     /// Assumes layer 0 is the complete layer (true for FatPaths tables),
     /// so layer-0 reachability equals degraded-base reachability. Panics
@@ -304,120 +241,21 @@ impl RoutingTables {
         let nr = self.nr();
         let mut out = OverlayBuilder::new(&self.ports);
         for l in 0..self.n_layers() {
-            let lg = self.layers.layer(l);
-            let layer_down: Vec<(RouterId, RouterId)> =
-                down.iter().filter(|&(u, v)| lg.has_edge(u, v)).collect();
-            if layer_down.is_empty() {
+            let broken = broken_rows(&self.ports, base, l, down);
+            if broken.is_empty() {
                 continue;
             }
-            // `Some(swaps)` repairs the row in place; `None` rebuilds it.
-            let plans: Vec<Option<Vec<(RouterId, u16)>>> = (0..nr as u32)
-                .map(|dst| self.swap_plan(base, down, &layer_down, l, dst))
-                .collect();
-            let rebuilt: Vec<RouterId> = (0..nr as u32)
-                .filter(|&dst| plans[dst as usize].is_none())
-                .collect();
-            let degraded = lg.without_edges(&layer_down);
-            let degraded_ports = LayerPorts::new(base, &degraded);
-            let new_dists = distance_rows(&degraded, &rebuilt);
-            let mut new_table = vec![NO_PORT; new_dists.len()];
-            let mut new_fallback = vec![NO_PORT; new_dists.len()];
-            select_bands(
-                Band::split(
-                    &degraded,
-                    &degraded_ports,
-                    l,
-                    &rebuilt,
-                    &new_dists,
-                    &mut new_table,
-                    &mut new_fallback,
-                )
-                .collect(),
-            );
-            let mut new_rows = new_table.chunks(nr.max(1));
-            for (dst, plan) in (0..nr as u32).zip(plans) {
-                match plan {
-                    Some(swaps) => {
-                        for (a, p) in swaps {
-                            out.set_port(l, a, dst, p);
-                        }
-                    }
-                    None => {
-                        let row = new_rows.next().expect("one selected row per rebuilt row");
-                        out.rewrite_row(l, dst, row);
-                    }
-                }
+            let degraded = self.layers.layer(l).without_edges(down.as_slice());
+            let ports = LayerPorts::new(base, &degraded);
+            let dists = distance_rows(&degraded, &broken);
+            let mut rows = vec![NO_PORT; dists.len()];
+            select_bands(Band::split(&degraded, &ports, l, &broken, &dists, &mut rows).collect());
+            for (&dst, row) in broken.iter().zip(rows.chunks(nr)) {
+                out.rewrite_row(l, dst, row);
             }
         }
         out.finish()
     }
-
-    /// The port swaps that repair layer `l`'s row toward `dst` with its
-    /// distances unchanged, or `None` when some router whose chosen next
-    /// hop crosses a down link has no live equal-cost alternative (the
-    /// row's distances change, so it must be rebuilt).
-    fn swap_plan(
-        &self,
-        base: &Graph,
-        down: &DownLinks,
-        layer_down: &[(RouterId, RouterId)],
-        l: usize,
-        dst: RouterId,
-    ) -> Option<Vec<(RouterId, u16)>> {
-        let nr = self.nr();
-        let trow = self.ports.row(l, dst);
-        let drow = &self.dists[l][dst as usize * nr..][..nr];
-        let frow = &self.fallback[l][dst as usize * nr..][..nr];
-        let mut swaps = Vec::new();
-        for &(u, v) in layer_down {
-            for (a, b) in [(u, v), (v, u)] {
-                let (da, db) = (drow[a as usize], drow[b as usize]);
-                if da == u8::MAX || db == u8::MAX || da != db + 1 {
-                    continue; // edge not used downhill from `a`
-                }
-                let to_b = base.port_of(a, b).expect("down link must be a base edge") as u16;
-                if trow[a as usize] != to_b {
-                    // `a`'s chosen next hop is a different, still minimal
-                    // neighbor; if that link is also down its own
-                    // iteration handles it.
-                    continue;
-                }
-                // Live minimal alternative: the precomputed fallback port
-                // if its link survives, else the first live minimal
-                // layer-neighbor in port order.
-                let fb = frow[a as usize];
-                let alt = if fb != NO_PORT && !down.contains(a, base.neighbor_at(a, fb as u32)) {
-                    Some(fb)
-                } else {
-                    scan_live_minimal(base, self.layers.layer(l), drow, down, a, da)
-                };
-                swaps.push((a, alt?));
-            }
-        }
-        // Every broken chosen hop has a live equal-cost alternative ⇒ all
-        // in-layer distances are unchanged (induction on BFS level) ⇒ the
-        // swaps alone repair the row, loop-free.
-        Some(swaps)
-    }
-}
-
-/// A live minimal next-hop port at `a` (in-layer distance `da` per
-/// `drow`): the first layer-neighbor one step closer to the destination
-/// whose link is not down, in port order.
-fn scan_live_minimal(
-    base: &Graph,
-    lg: &Graph,
-    drow: &[u8],
-    down: &DownLinks,
-    a: RouterId,
-    da: u8,
-) -> Option<u16> {
-    for &w in lg.neighbors(a) {
-        if drow[w as usize] != u8::MAX && drow[w as usize] + 1 == da && !down.contains(a, w) {
-            return Some(base.port_of(a, w).expect("layer edge in base") as u16);
-        }
-    }
-    None
 }
 
 /// In-layer distance rows of `lg` toward each of `dsts`: entry
@@ -441,12 +279,11 @@ fn distance_rows_into(lg: &Graph, dsts: &[RouterId], dist: &mut Vec<u8>) {
     });
 }
 
-/// Per-worker scratch of [`PortTables::build`]: one layer's distance and
-/// fallback rows, and the band kernel's own scratch.
+/// Per-worker scratch of [`PortTables::build`]: one layer's distance
+/// rows and the band kernel's own scratch.
 #[derive(Default)]
 struct LayerScratch {
     dists: Vec<u8>,
-    fallback: Vec<u16>,
     band: BandScratch,
 }
 
@@ -490,8 +327,8 @@ impl LayerPorts {
 
 /// One `(layer, band)` unit of the band kernel: up to [`BFS_BATCH`]
 /// destinations of one layer, their distance rows (`dists[i * nr + src]`
-/// = `d(src, dsts[i])`) and the port and fallback rows it fills, laid out
-/// the same way.
+/// = `d(src, dsts[i])`) and the port rows it fills, laid out the same
+/// way.
 struct Band<'a> {
     lg: &'a Graph,
     ports: &'a LayerPorts,
@@ -499,7 +336,6 @@ struct Band<'a> {
     dsts: &'a [RouterId],
     dists: &'a [u8],
     table: &'a mut [u16],
-    fallback: &'a mut [u16],
 }
 
 /// Runs the band kernel over `bands` on the pool, each worker reusing one
@@ -521,16 +357,14 @@ struct BandScratch {
     wide: LaneState<u16>,
 }
 
-/// The per-lane state of one source: candidate counts, the chosen and
-/// fallback slots (indices into the source's layer neighbours), the
-/// candidate ranks to select and the running rank of pass 2.
+/// The per-lane state of one source: candidate counts, the chosen slot
+/// (an index into the source's layer neighbours), the candidate rank to
+/// select and the running rank of pass 2.
 #[derive(Default)]
 struct LaneState<W> {
     count: Vec<W>,
     slot: Vec<W>,
-    fallback: Vec<W>,
     pick: Vec<W>,
-    next: Vec<W>,
     rank: Vec<W>,
 }
 
@@ -586,8 +420,7 @@ lane!(u8, u16);
 
 impl<'a> Band<'a> {
     /// Cuts the rows toward `dsts` (one row of `nr` entries each in
-    /// `dists`, `table` and `fallback`) into bands of [`BFS_BATCH`]
-    /// destinations.
+    /// `dists` and `table`) into bands of [`BFS_BATCH`] destinations.
     fn split(
         lg: &'a Graph,
         ports: &'a LayerPorts,
@@ -595,20 +428,18 @@ impl<'a> Band<'a> {
         dsts: &'a [RouterId],
         dists: &'a [u8],
         table: &'a mut [u16],
-        fallback: &'a mut [u16],
     ) -> impl Iterator<Item = Band<'a>> {
         let rows = (BFS_BATCH * lg.n()).max(1);
         dsts.chunks(BFS_BATCH)
             .zip(dists.chunks(rows))
-            .zip(table.chunks_mut(rows).zip(fallback.chunks_mut(rows)))
-            .map(move |((dsts, dists), (table, fallback))| Band {
+            .zip(table.chunks_mut(rows))
+            .map(move |((dsts, dists), table)| Band {
                 lg,
                 ports,
                 layer,
                 dsts,
                 dists,
                 table,
-                fallback,
             })
     }
 
@@ -632,11 +463,9 @@ impl<'a> Band<'a> {
     }
 
     /// For every source and every lane `i` that reaches `dsts[i]`, writes
-    /// a hash-picked minimal next hop (a layer neighbour one hop closer),
-    /// plus — when the tie has ≥ 2 candidates — the cyclically-next
-    /// candidate in CSR order as the precomputed repair fallback. Entries
-    /// of a destination itself and of sources that cannot reach it are
-    /// left untouched.
+    /// a hash-picked minimal next hop (a layer neighbour one hop closer).
+    /// Entries of a destination itself and of sources that cannot reach it
+    /// are left untouched.
     ///
     /// A neighbour `v` of `s` is a candidate of lane `i` iff
     /// `d(v) + 1 == d(s)` in wrapping `u8` arithmetic: a source and its
@@ -644,14 +473,7 @@ impl<'a> Band<'a> {
     /// side is unreachable on both and never matches.
     fn select_lanes<W: Lane>(self, lanes: &[u8], st: &mut LaneState<W>) {
         let (nr, k) = (self.lg.n(), self.dsts.len());
-        for v in [
-            &mut st.count,
-            &mut st.slot,
-            &mut st.fallback,
-            &mut st.pick,
-            &mut st.next,
-            &mut st.rank,
-        ] {
+        for v in [&mut st.count, &mut st.slot, &mut st.pick, &mut st.rank] {
             v.clear();
             v.resize(k, W::default());
         }
@@ -666,57 +488,40 @@ impl<'a> Band<'a> {
                     *n = n.plus(dv.wrapping_add(1) == ds);
                 }
             }
-            // The candidate ranks to select: the hash's pick and the next
-            // one for ties, the only candidate otherwise.
-            for (i, (&n, (pick, next))) in st
-                .count
-                .iter()
-                .zip(st.pick.iter_mut().zip(&mut st.next))
-                .enumerate()
-            {
-                (*pick, *next) = match n.get() {
-                    0 => (W::NONE, W::NONE),
-                    1 => (W::of(0), W::NONE),
+            // The candidate rank to select: the hash's pick for ties, the
+            // only candidate otherwise.
+            for (i, (&n, pick)) in st.count.iter().zip(&mut st.pick).enumerate() {
+                *pick = match n.get() {
+                    0 => W::NONE,
+                    1 => W::of(0),
                     n => {
                         let key =
                             (self.layer as u64) << 48 | (s as u64) << 24 | self.dsts[i] as u64;
-                        let p = (fnv1a(key) % n as u64) as usize;
-                        (W::of(p), W::of((p + 1) % n))
+                        W::of((fnv1a(key) % n as u64) as usize)
                     }
                 };
             }
-            // Pass 2: rank the candidates, select the picked and the next.
+            // Pass 2: rank the candidates, select the picked one.
             st.rank.fill(W::default());
             for (j, &v) in nbs.iter().enumerate() {
                 let dv = &lanes[v as usize * k..][..k];
                 let j = W::of(j);
-                for (((rank, (slot, fallback)), (&pick, &next)), (&dv, &ds)) in st
+                for (((rank, slot), &pick), (&dv, &ds)) in st
                     .rank
                     .iter_mut()
-                    .zip(st.slot.iter_mut().zip(&mut st.fallback))
-                    .zip(st.pick.iter().zip(&st.next))
+                    .zip(&mut st.slot)
+                    .zip(&st.pick)
                     .zip(dv.iter().zip(ds))
                 {
                     let hit = dv.wrapping_add(1) == ds;
-                    let m = W::mask(hit);
-                    *slot = slot.set_if(m & W::mask(*rank == pick), j);
-                    *fallback = fallback.set_if(m & W::mask(*rank == next), j);
+                    *slot = slot.set_if(W::mask(hit) & W::mask(*rank == pick), j);
                     *rank = rank.plus(hit);
                 }
             }
             let ports = self.ports.of(s as RouterId);
-            for (i, (&n, (&slot, &fallback))) in st
-                .count
-                .iter()
-                .zip(st.slot.iter().zip(&st.fallback))
-                .enumerate()
-            {
-                let n = n.get();
-                if n >= 1 {
+            for (i, (&n, &slot)) in st.count.iter().zip(&st.slot).enumerate() {
+                if n.get() >= 1 {
                     self.table[i * nr + s] = ports[slot.get()];
-                }
-                if n >= 2 {
-                    self.fallback[i * nr + s] = ports[fallback.get()];
                 }
             }
         }
@@ -780,13 +585,14 @@ mod tests {
         let mut total = 0;
         for layer in 1..rt.n_layers() {
             for s in (0..98u32).step_by(13) {
+                let (base, in_layer) = (g.bfs(s), rt.layer_set().layer(layer).bfs(s));
                 for t in (1..98u32).step_by(17) {
                     if s == t {
                         continue;
                     }
-                    let d_min = g.bfs(s)[t as usize];
-                    let d_layer = rt.layer_distance(layer, s, t).unwrap();
-                    assert!(d_layer >= d_min);
+                    let d_min = base[t as usize];
+                    let d_layer = in_layer[t as usize];
+                    assert!(d_layer != UNREACHABLE && d_layer >= d_min);
                     total += 1;
                     if d_layer > d_min {
                         longer += 1;
@@ -806,7 +612,8 @@ mod tests {
         for layer in 0..4 {
             for (s, t) in [(1u32, 40u32), (8, 31)] {
                 let p = rt.ports().path(&g, layer, s, t).unwrap();
-                assert_eq!(p.len() as u32 - 1, rt.layer_distance(layer, s, t).unwrap());
+                let d = rt.layer_set().layer(layer).bfs(s)[t as usize];
+                assert_eq!(p.len() as u32 - 1, d);
             }
         }
     }
@@ -898,38 +705,6 @@ mod tests {
                 assert_eq!(q.len(), p.len());
             }
         }
-    }
-
-    #[test]
-    fn fallback_ports_exist_where_ties_do() {
-        let t = slim_fly(7, 1).unwrap();
-        let ls = build_random_layers(&t.graph, &LayerConfig::new(3, 0.7, 5));
-        let rt = RoutingTables::build(&t.graph, &ls);
-        let mut with_fb = 0;
-        let mut checked = 0;
-        for s in (0..98u32).step_by(7) {
-            for d in (1..98u32).step_by(11) {
-                if s == d {
-                    continue;
-                }
-                checked += 1;
-                let fb = rt.fallback[0][d as usize * rt.nr() + s as usize];
-                if fb != NO_PORT {
-                    with_fb += 1;
-                    // The fallback is itself a minimal next hop, distinct
-                    // from the chosen one.
-                    let chosen = rt.ports().get(0, s, d).unwrap();
-                    assert_ne!(fb, chosen);
-                    let w = t.graph.neighbor_at(s, fb as u32);
-                    assert_eq!(
-                        rt.layer_distance(0, w, d).unwrap() + 1,
-                        rt.layer_distance(0, s, d).unwrap()
-                    );
-                }
-            }
-        }
-        // SF is mostly single-minimal-path, but some pairs tie.
-        assert!(with_fb > 0, "no fallback among {checked} pairs");
     }
 
     #[test]
@@ -1055,7 +830,6 @@ mod tests {
         let rt = RoutingTables::build(&g, &LayerSet::minimal_only(&g));
         for s in 0..n {
             for d in 0..n {
-                assert_eq!(rt.layer_distance(0, s, d), Some(s.abs_diff(d)));
                 let p = rt.ports().path(&g, 0, s, d).expect("every pair routes");
                 assert_eq!(p.len() as u32 - 1, s.abs_diff(d));
             }
@@ -1100,18 +874,14 @@ mod tests {
         rt.repair(&g, &crate::repair::DownLinks::from_links(&[(0, 1)]));
     }
 
-    /// `(tables, dists, fallback)` of the scalar formulation: one
-    /// [`Graph::bfs`] per (layer, destination), then a count + nth pick
-    /// per source with two `port_of` searches.
-    type Arrays = (Vec<Vec<u16>>, Vec<Vec<u8>>, Vec<Vec<u16>>);
-
-    fn reference_arrays(base: &Graph, layers: &LayerSet) -> Arrays {
+    /// The port tables of the scalar formulation: one [`Graph::bfs`] per
+    /// (layer, destination), then a count + nth pick per source with a
+    /// `port_of` search.
+    fn reference_tables(base: &Graph, layers: &LayerSet) -> Vec<Vec<u16>> {
         let nr = base.n();
-        let mut out: Arrays = (Vec::new(), Vec::new(), Vec::new());
+        let mut out = Vec::new();
         for (li, lg) in layers.graphs.iter().enumerate() {
             let mut trows = vec![NO_PORT; nr * nr];
-            let mut drows = vec![u8::MAX; nr * nr];
-            let mut frows = vec![NO_PORT; nr * nr];
             for dst in 0..nr as u32 {
                 let at = dst as usize * nr;
                 let dist = lg.bfs(dst);
@@ -1119,37 +889,27 @@ mod tests {
                     if d == UNREACHABLE || src as u32 == dst {
                         continue;
                     }
-                    drows[at + src] = d as u8;
                     let src = src as u32;
                     let nbs = lg.neighbors(src);
                     let is_minimal = |v: &&u32| dist[**v as usize] + 1 == d;
                     let count = nbs.iter().filter(is_minimal).count();
                     let key = (li as u64) << 48 | (src as u64) << 24 | dst as u64;
                     let pick = (fnv1a(key) % count as u64) as usize;
-                    let port = |n: usize| {
-                        let v = *nbs.iter().filter(is_minimal).nth(n).unwrap();
-                        base.port_of(src, v).unwrap() as u16
-                    };
-                    trows[at + src as usize] = port(pick);
-                    if count > 1 {
-                        frows[at + src as usize] = port((pick + 1) % count);
-                    }
+                    let v = *nbs.iter().filter(is_minimal).nth(pick).unwrap();
+                    trows[at + src as usize] = base.port_of(src, v).unwrap() as u16;
                 }
-                drows[at + dst as usize] = 0;
             }
-            out.0.push(trows);
-            out.1.push(drows);
-            out.2.push(frows);
+            out.push(trows);
         }
         out
     }
 
     fn assert_matches_reference(base: &Graph, layers: &LayerSet, what: &str) -> RoutingTables {
         let rt = RoutingTables::build(base, layers);
-        let (t, d, f) = reference_arrays(base, layers);
-        assert!(rt.ports.tables == t, "{what}: tables differ");
-        assert!(rt.dists == d, "{what}: dists differ");
-        assert!(rt.fallback == f, "{what}: fallback differs");
+        assert!(
+            rt.ports.tables == reference_tables(base, layers),
+            "{what}: tables differ"
+        );
         rt
     }
 
@@ -1191,13 +951,8 @@ mod tests {
                 graphs: vec![g.clone(), g.without_edges(&sparse)],
             };
             let rt = assert_matches_reference(&g, &layers, &format!("hubs of degree {n}"));
-            // Layer 0, row `dst · nr + src` for hub 0 toward hub 1.
-            assert!(
-                rt.fallback[0][rt.nr()] != NO_PORT,
-                "the n-way tie has a fallback"
-            );
             let seq = rayon::run_sequential(|| RoutingTables::build(&g, &layers));
-            assert!(rt.ports.tables == seq.ports.tables && rt.fallback == seq.fallback);
+            assert!(rt.ports.tables == seq.ports.tables);
         }
     }
 
@@ -1210,13 +965,9 @@ mod tests {
             let ports = LayerPorts::new(&g, lg);
             for dst in [0u32, 17, nr as u32 - 1] {
                 let dists = distance_rows(lg, &[dst]);
-                let (mut table, mut fallback) = (vec![NO_PORT; nr], vec![NO_PORT; nr]);
-                select_bands(
-                    Band::split(lg, &ports, l, &[dst], &dists, &mut table, &mut fallback).collect(),
-                );
-                let row = dst as usize * nr..(dst as usize + 1) * nr;
+                let mut table = vec![NO_PORT; nr];
+                select_bands(Band::split(lg, &ports, l, &[dst], &dists, &mut table).collect());
                 assert_eq!(table, rt.ports.row(l, dst), "layer {l} dst {dst}");
-                assert_eq!(fallback, rt.fallback[l][row], "layer {l} dst {dst}");
             }
         }
     }
@@ -1246,8 +997,7 @@ mod tests {
             let layers = LayerSet { graphs };
             let rt = assert_matches_reference(&g, &layers, "random layers");
             let seq = rayon::run_sequential(|| RoutingTables::build(&g, &layers));
-            prop_assert!(rt.ports.tables == seq.ports.tables && rt.dists == seq.dists && rt.fallback == seq.fallback);
-            prop_assert!(PortTables::build(&g, &layers).tables == rt.ports.tables);
+            prop_assert!(rt.ports.tables == seq.ports.tables);
         }
     }
 }

@@ -367,16 +367,16 @@ mod tests {
                 ..ImConfig::default()
             },
         );
-        let rt = crate::fwd::RoutingTables::build(&t.graph, &ls);
         let mut within = 0;
         let mut total = 0;
         for s in (0..98u32).step_by(11) {
-            let d = t.graph.bfs(s);
+            let (d, in_layer) = (t.graph.bfs(s), ls.layer(1).bfs(s));
             for v in (1..98u32).step_by(7) {
                 if s == v {
                     continue;
                 }
-                if let Some(dl) = rt.layer_distance(1, s, v) {
+                let dl = in_layer[v as usize];
+                if dl != fatpaths_net::graph::UNREACHABLE {
                     total += 1;
                     if dl <= d[v as usize] + 2 {
                         within += 1;

@@ -24,8 +24,8 @@
 //!   ([`DownLinks`],
 //!   [`RouteRepair`]) behind the
 //!   [`RoutingScheme::repair_routes`]
-//!   link-state hook: layered tables repair affected rows incrementally,
-//!   adapters rebuild from the degraded graph;
+//!   link-state hook: layered tables rebuild the rows a down link
+//!   breaks, adapters rebuild from the degraded graph;
 //! * [`ecmp`] — minimal multipath port sets, ECMP flow hashing, packet
 //!   spraying (adapter: [`MinimalScheme`]);
 //! * [`spain`], [`past`], [`ksp`] — the SPAIN, PAST and k-shortest-paths

@@ -32,7 +32,9 @@
 //!
 //! Schemes that repair by rewriting whole destination rows of a
 //! per-layer port table (the static layer tables and the negotiated TE
-//! tables) assemble their overlay through one [`OverlayBuilder`].
+//! tables) rewrite exactly the [`broken_rows`], each rebuilt on the
+//! degraded layer, and assemble their overlay through one
+//! [`OverlayBuilder`].
 //!
 //! [`lookup`]: RouteRepair::lookup
 
@@ -272,6 +274,29 @@ impl RouteRepair {
     }
 }
 
+/// The destinations whose row of `layer` in `tables` a down link breaks:
+/// a row crosses link `{a, b}` iff `a`'s entry is its port toward `b` or
+/// `b`'s its port toward `a`. Every other row is a tree of live links and
+/// stays valid as it is. Links not in `base` break nothing.
+pub fn broken_rows(
+    tables: &PortTables,
+    base: &Graph,
+    layer: usize,
+    down: &DownLinks,
+) -> Vec<RouterId> {
+    let hops: Vec<(usize, u16)> = down
+        .iter()
+        .flat_map(|(a, b)| [(a, b), (b, a)])
+        .filter_map(|(a, b)| Some((a as usize, base.port_of(a, b)? as u16)))
+        .collect();
+    (0..tables.nr() as RouterId)
+        .filter(|&dst| {
+            let row = tables.row(layer, dst);
+            hops.iter().any(|&(a, port)| row[a] == port)
+        })
+        .collect()
+}
+
 /// Assembles a [`RouteRepair`] against healthy per-layer [`PortTables`],
 /// with layer 0 the complete layer. Every layer is keyed by its own `u8`
 /// tag, so the table set may hold at most
@@ -292,11 +317,6 @@ impl<'a> OverlayBuilder<'a> {
             healthy,
             rows: Vec::new(),
         }
-    }
-
-    /// Replaces the entry at `(layer, at, dst)` with the single `port`.
-    pub fn set_port(&mut self, layer: usize, at: RouterId, dst: RouterId, port: u16) {
-        self.rows.push(((layer as u8, at, dst), Some(port))); // checked in `new`
     }
 
     /// Installs `layer`'s rebuilt row toward `dst` (`new_row[src]`, same

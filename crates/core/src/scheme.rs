@@ -187,9 +187,9 @@ pub trait RoutingScheme: Sync {
     ///
     /// The default returns an empty overlay — the scheme does not reroute
     /// and recovery stays end-to-end (senders re-pick layers after
-    /// timeouts, §V-G). [`RoutingTables`] repairs affected `(layer, dst)`
-    /// rows incrementally; [`MinimalScheme`] rebuilds its distance view
-    /// from the degraded graph.
+    /// timeouts, §V-G). [`RoutingTables`] rebuilds the `(layer, dst)`
+    /// rows a down link breaks on the degraded layer; [`MinimalScheme`]
+    /// rebuilds its distance view from the degraded graph.
     ///
     /// **Wrapper contract.** A wrapper scheme must delegate this hook to
     /// (or derive it from) its inner scheme — never inherit the empty
@@ -197,8 +197,8 @@ pub trait RoutingScheme: Sync {
     /// for every scheme it wraps: simulations still run, but failures
     /// are only ever recovered end-to-end, which corrupts any resilience
     /// comparison. The FIB-compiled scheme delegates and re-prices the
-    /// overlay in FIB rows; the TE scheme reroutes through its
-    /// controller on the negotiated cost snapshot; `Box<T>` forwards
+    /// overlay in FIB rows; the TE scheme rebuilds its broken trees on
+    /// the negotiated cost snapshot; `Box<T>` forwards
     /// verbatim (pinned by `boxed_wrappers_forward_the_whole_contract`).
     ///
     /// [`candidate_ports`]: RoutingScheme::candidate_ports

@@ -5,6 +5,7 @@
 use fatpaths_core::fwd::RoutingTables;
 use fatpaths_core::ksp::k_shortest_paths;
 use fatpaths_core::layers::{build_random_layers, LayerConfig};
+use fatpaths_net::graph::UNREACHABLE;
 use fatpaths_net::topo::slimfly::slim_fly;
 use proptest::prelude::*;
 
@@ -45,10 +46,7 @@ proptest! {
                 q.dedup();
                 prop_assert_eq!(q.len(), path.len());
                 // Hop count equals the layer BFS distance (layer-minimal).
-                prop_assert_eq!(
-                    path.len() as u32 - 1,
-                    rt.layer_distance(layer, s, d).unwrap()
-                );
+                prop_assert_eq!(path.len() as u32 - 1, ls.layer(layer).bfs(s)[d as usize]);
             }
         }
     }
@@ -60,12 +58,12 @@ proptest! {
     ) {
         let t = slim_fly(5, 1).unwrap();
         let ls = build_random_layers(&t.graph, &LayerConfig::new(4, rho, seed));
-        let rt = RoutingTables::build(&t.graph, &ls);
         let base = t.graph.bfs(0);
-        for d in 1..t.num_routers() as u32 {
-            for layer in 0..4 {
-                let ld = rt.layer_distance(layer, 0, d).unwrap();
-                prop_assert!(ld >= base[d as usize], "layer path beats base shortest path");
+        for layer in 0..4 {
+            let in_layer = ls.layer(layer).bfs(0);
+            for d in 1..t.num_routers() {
+                prop_assert!(in_layer[d] != UNREACHABLE, "layer disconnected");
+                prop_assert!(in_layer[d] >= base[d], "layer path beats base shortest path");
             }
         }
     }

@@ -232,8 +232,9 @@ fn apsp_stats_parity() {
     assert_eq!(par.avg_path_length.to_bits(), seq.avg_path_length.to_bits());
 }
 
-/// Routing-table construction (flat parallel pass over all
-/// (layer, destination) rows) yields identical tables and distances.
+/// Routing-table construction (layers in parallel, each a pass over its
+/// destination bands) yields identical tables, and every port steps one
+/// hop down the layer's own BFS distances.
 #[test]
 fn routing_table_build_parity() {
     wide_pool();
@@ -243,13 +244,16 @@ fn routing_table_build_parity() {
     let seq = rayon::run_sequential(|| RoutingTables::build(&t.graph, &ls));
     assert_eq!(par.n_layers(), seq.n_layers());
     for layer in 0..par.n_layers() {
-        for s in 0..t.num_routers() as u32 {
-            for d in (0..t.num_routers() as u32).step_by(7) {
-                assert_eq!(par.ports().get(layer, s, d), seq.ports().get(layer, s, d));
-                assert_eq!(
-                    par.layer_distance(layer, s, d),
-                    seq.layer_distance(layer, s, d)
-                );
+        let lg = ls.layer(layer);
+        for d in (0..t.num_routers() as u32).step_by(7) {
+            let dist = lg.bfs(d);
+            for s in 0..t.num_routers() as u32 {
+                let port = par.ports().get(layer, s, d);
+                assert_eq!(port, seq.ports().get(layer, s, d));
+                if let Some(p) = port {
+                    let next = t.graph.neighbor_at(s, p as u32);
+                    assert_eq!(dist[next as usize] + 1, dist[s as usize]);
+                }
             }
         }
     }

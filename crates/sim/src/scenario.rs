@@ -370,8 +370,9 @@ impl<'a> Scenario<'a> {
     /// negotiated-congestion traffic engineering (`fatpaths_te`):
     /// [`Scenario::build_scheme`] aggregates the workload's flows into a
     /// router traffic matrix and runs [`TeScheme::negotiate`] over the
-    /// static tables, so per-packet forwarding (and route repair, via
-    /// the TE controller) reads the negotiated tables. Composes with
+    /// static tables, so per-packet forwarding (and route repair, which
+    /// rebuilds broken trees under the negotiated prices) reads the
+    /// negotiated tables. Composes with
     /// [`Scenario::compiled`] — the TE tables are what gets compiled.
     ///
     /// Only meaningful for layered specs; [`Scenario::build_scheme`]

@@ -172,8 +172,9 @@ fn compiled_label_is_distinct() {
 /// TE compiled parity — the PR 6 acceptance pin: negotiated TE tables
 /// compile through `crates/fib` like any other scheme, and simulating
 /// on the compiled form is byte-identical to the analytic TE run, both
-/// healthy and through a fault + detection-driven repair (which routes
-/// through the TE controller rather than the static-table repair).
+/// healthy and through a fault + detection-driven repair (which
+/// rebuilds broken trees under the negotiated prices rather than through
+/// the static-table repair).
 #[test]
 fn te_compiled_fib_runs_match_analytic_runs() {
     for topo in mini_topos() {

@@ -30,21 +30,18 @@
 //! * [`TeScheme`] — the negotiated scheme; a drop-in
 //!   [`RoutingScheme`](fatpaths_core::scheme::RoutingScheme) that
 //!   compiles through `fatpaths-fib` and repairs through
-//!   `repair_routes` like every other scheme.
-//! * [`TeController`] — the slow control loop: re-prices and re-routes
-//!   only the trees that actually cross links invalidated by fault or
-//!   churn events, caching per-layer rebuilds across repair ticks.
+//!   `repair_routes` like every other scheme: under faults it reroutes
+//!   only the trees that cross a down link, on the degraded layer and
+//!   under the negotiated prices.
 //! * [`score`] — matrix scoring shared with the experiments: per-edge
 //!   loads of any scheme under equal flowlet split, and the achieved
 //!   throughput `1 / max_load` compared against the
 //!   `fatpaths-mcf` upper bound.
 
-pub mod controller;
 pub mod negotiate;
 pub mod score;
 mod tree;
 
-pub use controller::TeController;
 pub use fatpaths_mcf::RouterDemand;
 pub use negotiate::{TeConfig, TeScheme};
 pub use score::{achieved_throughput, edge_loads, peak_load};

@@ -20,8 +20,7 @@
 use crate::score::{edge_loads, peak_load};
 use crate::tree::{build_tree, LayerCsr, TreeScratch};
 use fatpaths_core::fwd::{PortTables, RoutingTables, NO_PORT};
-use fatpaths_core::layers::LayerSet;
-use fatpaths_core::repair::{DownLinks, RouteRepair};
+use fatpaths_core::repair::{broken_rows, DownLinks, OverlayBuilder, RouteRepair};
 use fatpaths_core::scheme::{assert_layer_tags, PortSet, RoutingScheme};
 use fatpaths_mcf::RouterDemand;
 use fatpaths_net::graph::{Graph, RouterId};
@@ -69,17 +68,15 @@ impl Default for TeConfig {
 pub struct TeScheme {
     /// The negotiated ports (base-graph port numbering, like the static
     /// tables).
-    pub(crate) ports: PortTables,
-    /// The layer subgraphs negotiation routed within.
-    pub(crate) layers: LayerSet,
+    ports: PortTables,
     /// Final negotiated per-edge cost (the price snapshot of the best
     /// iteration) — reused by repair so degraded reroutes respect the
     /// negotiated congestion picture.
-    pub(crate) costs: Vec<f64>,
+    costs: Vec<f64>,
     /// Per-layer arc views the tree builds run on (built once).
-    pub(crate) csrs: Vec<LayerCsr>,
+    csrs: Vec<LayerCsr>,
     /// The (sorted) traffic matrix the tables were negotiated for.
-    pub(crate) demands: Vec<RouterDemand>,
+    demands: Vec<RouterDemand>,
     iterations: usize,
     converged: bool,
     peak: f64,
@@ -107,9 +104,9 @@ impl TeScheme {
     ) -> TeScheme {
         assert_layer_tags(tables.n_layers());
         let m = base.m();
-        let layers = tables.layer_set().clone();
         let arc_eids = base.arc_edge_ids();
-        let csrs: Vec<LayerCsr> = layers
+        let csrs: Vec<LayerCsr> = tables
+            .layer_set()
             .graphs
             .iter()
             .map(|lg| LayerCsr::new(base, lg, &arc_eids))
@@ -121,7 +118,6 @@ impl TeScheme {
         let total: f64 = demands.iter().map(|d| d.demand).sum();
         let mut scheme = TeScheme {
             ports: cur.clone(),
-            layers,
             costs: vec![1.0; m],
             csrs,
             demands,
@@ -205,12 +201,37 @@ impl RoutingScheme for TeScheme {
         self.ports.candidate_ports(layer, at_router, dst_router)
     }
 
-    /// Delegates to a fresh [`crate::TeController`] — one coalesced
-    /// repair per tick, pricing degraded reroutes with the negotiated
-    /// cost snapshot. Hold a controller across ticks to reuse its
-    /// per-layer rebuild cache.
+    /// Rebuilds every tree a down link breaks ([`broken_rows`]) on its
+    /// degraded layer under the negotiated cost snapshot, so reroutes
+    /// respect the congestion picture the negotiation settled on, not
+    /// plain hop counts. Whole trees are replaced, never mixed, so the
+    /// overlay stays loop-free.
     fn repair_routes(&self, base: &Graph, down: &DownLinks) -> RouteRepair {
-        crate::TeController::new(self).repair(base, down)
+        if down.is_empty() {
+            return RouteRepair::none();
+        }
+        let nr = self.ports.nr();
+        let mut out = OverlayBuilder::new(&self.ports);
+        for (l, csr) in self.csrs.iter().enumerate() {
+            let broken = broken_rows(&self.ports, base, l, down);
+            if broken.is_empty() {
+                continue;
+            }
+            let csr = csr.without(down);
+            let cost = csr.gather(&self.costs);
+            let rows: Vec<Vec<u16>> = broken
+                .par_iter()
+                .map_init(TreeScratch::default, |scratch, &dst| {
+                    let mut row = vec![NO_PORT; nr];
+                    build_tree(&csr, &cost, l as u32, dst, scratch, &mut row);
+                    row
+                })
+                .collect();
+            for (&dst, row) in broken.iter().zip(&rows) {
+                out.rewrite_row(l, dst, row);
+            }
+        }
+        out.finish()
     }
 }
 
@@ -238,7 +259,7 @@ fn rebuild_trees(csrs: &[LayerCsr], costs: &[f64], cur: &mut PortTables) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fatpaths_core::layers::{build_random_layers, LayerConfig};
+    use fatpaths_core::layers::{build_random_layers, LayerConfig, LayerSet};
     use fatpaths_core::scheme::MAX_LAYERS;
     use proptest::prelude::*;
 

@@ -1,6 +1,5 @@
-//! Controller repair semantics: repaired routes avoid dead links and
-//! stay loop-free, the incremental (cached) controller matches a
-//! from-scratch repair bit for bit, and the demand blast radius is sane.
+//! Negotiated-table repair semantics: repaired routes avoid dead links
+//! and stay loop-free, and an empty down set repairs nothing.
 
 use fatpaths_core::fwd::RoutingTables;
 use fatpaths_core::layers::{build_random_layers, LayerConfig};
@@ -8,7 +7,7 @@ use fatpaths_core::repair::{DownLinks, RouteRepair};
 use fatpaths_core::scheme::RoutingScheme;
 use fatpaths_net::graph::Graph;
 use fatpaths_net::topo::Topology;
-use fatpaths_te::{endpoint_demands, TeConfig, TeController, TeScheme};
+use fatpaths_te::{endpoint_demands, TeConfig, TeScheme};
 use fatpaths_workloads::matrices::{matrix_flows, MatrixSpec};
 
 fn negotiated(topo: &Topology) -> TeScheme {
@@ -43,22 +42,6 @@ fn walk_repaired(
     Some(path)
 }
 
-fn overlays_equal(a: &RouteRepair, b: &RouteRepair, nl: usize, nr: u32) -> bool {
-    for l in 0..nl as u8 {
-        for dst in 0..nr {
-            for src in 0..nr {
-                let (ea, eb) = (a.lookup(l, src, dst), b.lookup(l, src, dst));
-                match (ea, eb) {
-                    (None, None) => {}
-                    (Some(x), Some(y)) if x == y => {}
-                    _ => return false,
-                }
-            }
-        }
-    }
-    true
-}
-
 #[test]
 fn repaired_routes_avoid_dead_links_and_stay_loop_free() {
     let topo = fatpaths_net::topo::slimfly::slim_fly(5, 2).unwrap();
@@ -88,53 +71,9 @@ fn repaired_routes_avoid_dead_links_and_stay_loop_free() {
 }
 
 #[test]
-fn incremental_controller_matches_from_scratch_repair() {
-    let topo = fatpaths_net::topo::slimfly::slim_fly(5, 2).unwrap();
-    let g = &topo.graph;
-    let te = negotiated(&topo);
-    let nl = RoutingScheme::num_layers(&te);
-    let nr = g.n() as u32;
-    let p0 = te.ports().path(g, 0, 0, 41).unwrap();
-    let p1 = te.ports().path(g, 1, 7, 30).unwrap();
-    let first = DownLinks::from_links(&[(p0[0], p0[1])]);
-    let both = DownLinks::from_links(&[(p0[0], p0[1]), (p1[0], p1[1])]);
-
-    // Stateful controller across two ticks: layers whose down signature
-    // is unchanged on tick 2 reuse cached rebuilds.
-    let mut ctrl = TeController::new(&te);
-    let _ = ctrl.repair(g, &first);
-    let rebuilt_after_first = ctrl.rebuilt_trees();
-    let incremental = ctrl.repair(g, &both);
-    assert_eq!(ctrl.ticks(), 2);
-
-    let fresh = te.repair_routes(g, &both);
-    assert!(
-        overlays_equal(&incremental, &fresh, nl, nr),
-        "cached repair diverged from from-scratch repair"
-    );
-    // The second tick rebuilt strictly fewer trees than a cold start.
-    let mut cold = TeController::new(&te);
-    let _ = cold.repair(g, &both);
-    assert!(
-        ctrl.rebuilt_trees() - rebuilt_after_first <= cold.rebuilt_trees(),
-        "incremental tick rebuilt more than a cold repair"
-    );
-}
-
-#[test]
-fn empty_down_set_repairs_nothing_and_blast_radius_is_sane() {
+fn empty_down_set_repairs_nothing() {
     let topo = fatpaths_net::topo::slimfly::slim_fly(5, 2).unwrap();
     let g = &topo.graph;
     let te = negotiated(&topo);
     assert!(te.repair_routes(g, &DownLinks::from_links(&[])).is_empty());
-    let ctrl = TeController::new(&te);
-    assert_eq!(ctrl.affected_demands(g, &DownLinks::from_links(&[])), 0);
-    let p0 = te.ports().path(g, 0, 0, 41).unwrap();
-    let down = DownLinks::from_links(&[(p0[0], p0[1])]);
-    let hit = ctrl.affected_demands(g, &down);
-    assert!(hit <= te.demands().len());
-    // The dead link lay on at least router 0's own route if 0 sends.
-    if te.demands().iter().any(|d| d.src == 0 && d.dst == 41) {
-        assert!(hit > 0);
-    }
 }
