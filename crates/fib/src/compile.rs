@@ -323,6 +323,147 @@ mod tests {
         assert_eq!(fib.overflowing_switches(&TableBudget::default()), 0);
     }
 
+    /// Streaming FNV-1a over the little-endian bytes of `words`.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Digests of a compiled FIB: every switch's dense index, its groups
+    /// (length, then ports) in id order, and its rule counts.
+    fn digests(fib: &Fib) -> (u64, u64, u64) {
+        let sw = &fib.switches;
+        let route = fnv(sw.iter().flat_map(|s| s.route.iter().map(|&g| g as u64)));
+        let groups = fnv(sw.iter().flat_map(|s| {
+            s.groups.iter().flat_map(|g| {
+                std::iter::once(g.len() as u64).chain(g.as_slice().iter().map(|&p| p as u64))
+            })
+        }));
+        let entries = fnv(sw.iter().map(|s| s.entries as u64).chain([fib.raw_entries]));
+        (route, groups, entries)
+    }
+
+    // The literals were computed before the compiler interned single-port
+    // groups through a per-switch array, so a change to a group id, its
+    // order or a rule count fails here.
+    #[test]
+    fn compiled_outputs_are_pinned() {
+        use fatpaths_te::{endpoint_demands, TeConfig, TeScheme};
+        use fatpaths_workloads::matrices::{matrix_flows, MatrixSpec};
+        // (route, groups, entries) digests per topology, scheme (layer
+        // tables, TE, minimal) and mode (host routes, aggregated), in
+        // that nesting order.
+        let want: [[u64; 3]; 12] = [
+            [
+                3018889466820306018,
+                18002743374189872485,
+                1216979908827095627,
+            ],
+            [
+                3018889466820306018,
+                18002743374189872485,
+                18062765496172666651,
+            ],
+            [
+                1531031605242404421,
+                18133693329941046596,
+                1216979908827095627,
+            ],
+            [
+                1531031605242404421,
+                18133693329941046596,
+                13602370892335162718,
+            ],
+            [
+                1001050964400596837,
+                18002743374189872485,
+                12788593303979226292,
+            ],
+            [
+                1001050964400596837,
+                18002743374189872485,
+                10609197673622804643,
+            ],
+            [
+                11451844574690808904,
+                10287696886677507109,
+                15059888585955047336,
+            ],
+            [
+                11451844574690808904,
+                10287696886677507109,
+                5600035069144122538,
+            ],
+            [
+                16181928141612093324,
+                17525316508622433476,
+                15059888585955047336,
+            ],
+            [
+                16181928141612093324,
+                17525316508622433476,
+                6078210268992093656,
+            ],
+            [
+                9721399223175003941,
+                10005492980583988005,
+                5390127172511054514,
+            ],
+            [
+                9721399223175003941,
+                10005492980583988005,
+                2781317058434632274,
+            ],
+        ];
+        // Each topology with the layer seed, matrix, matrix seed and
+        // iteration cap under which negotiation moves off the static tables.
+        let hot = MatrixSpec::HeavyHitter {
+            hotspots: 2,
+            skew: 0.5,
+        };
+        let cases = [
+            (
+                slim_fly(5, 2).unwrap(),
+                2,
+                MatrixSpec::WorstCase { intensity: 0.7 },
+                3,
+                3,
+            ),
+            (fat_tree(8, 1), 5, hot, 1, 16),
+        ];
+        let mut got = Vec::new();
+        for (t, layer_seed, matrix, matrix_seed, max_iterations) in cases {
+            let g = &t.graph;
+            let ls = build_random_layers(g, &LayerConfig::new(4, 0.6, layer_seed));
+            let rt = RoutingTables::build(g, &ls);
+            let pairs = matrix_flows(&t, &matrix, matrix_seed);
+            let cfg = TeConfig {
+                max_iterations,
+                ..TeConfig::default()
+            };
+            let te = TeScheme::negotiate(g, &rt, &endpoint_demands(&t, &pairs), &cfg);
+            let moved =
+                (0..g.n() as u32).any(|dst| te.ports().row(1, dst) != rt.ports().row(1, dst));
+            assert!(moved, "{}: negotiation kept the static tables", t.name);
+            let dm = DistanceMatrix::build(g);
+            let ms = MinimalScheme::new(g, &dm);
+            let schemes: [&(dyn RoutingScheme + Sync); 3] = [&rt, &te, &ms];
+            for scheme in schemes {
+                for mode in [CompileMode::HostRoutes, CompileMode::Aggregated] {
+                    let (route, groups, entries) = digests(&compile(&t, scheme, mode));
+                    got.push([route, groups, entries]);
+                }
+            }
+        }
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn compile_is_deterministic() {
         let t = slim_fly(5, 1).unwrap();
