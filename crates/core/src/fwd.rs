@@ -15,9 +15,10 @@
 //! one lane per destination at every router, and for each source counts
 //! and ranks the minimal next hops of all lanes together in branch-free
 //! passes over the source's layer neighbours. Layers run on the pool,
-//! each worker selecting one layer's bands at a time. Repair rebuilds the
-//! rows a down link breaks with the same two passes over the degraded
-//! layer, the band set to those rows.
+//! and each layer's bands run as a parallel op nested in its unit, so
+//! idle workers help with the last layers instead of waiting. Repair
+//! rebuilds the rows a down link breaks with the same two passes over
+//! the degraded layer, the band set to those rows.
 //!
 //! When several neighbors lie on minimal paths, the tie is broken by a
 //! deterministic hash of `(layer, src, dst)`, which decorrelates the
@@ -71,9 +72,10 @@ impl PortTables {
     /// The port tables of `layers` over `base`, which must be the graph
     /// the layers were sampled from. Panics if a finite in-layer distance
     /// exceeds [`MAX_HOPS`](crate::ecmp::MAX_HOPS). Layers run in
-    /// parallel, each worker selecting one layer's rows at a time on its
-    /// own distance scratch, so memory beyond the tables stays at one
-    /// layer's distance rows per worker however many layers there are.
+    /// parallel, each unit filling one layer's distance rows into its
+    /// worker's scratch and then selecting that layer's bands as a nested
+    /// parallel op, so memory beyond the tables stays at one layer's
+    /// distance rows per running unit however many layers there are.
     pub fn build(base: &Graph, layers: &LayerSet) -> Self {
         let nr = base.n();
         let all: Vec<RouterId> = (0..nr as u32).collect();
@@ -81,14 +83,12 @@ impl PortTables {
         let units: Vec<(usize, &mut [u16])> = tables.layers_mut().enumerate().collect();
         units
             .into_par_iter()
-            .for_each_init(LayerScratch::default, |s, (li, table)| {
+            .for_each_init(Vec::new, |dists, (li, table)| {
                 let lg = layers.layer(li);
                 assert_eq!(lg.n(), nr, "layer router count mismatch");
-                distance_rows_into(lg, &all, &mut s.dists);
+                distance_rows_into(lg, &all, dists);
                 let ports = LayerPorts::new(base, lg);
-                for band in Band::split(lg, &ports, li, &all, &s.dists, table) {
-                    band.select(&mut s.band);
-                }
+                select_bands(Band::split(lg, &ports, li, &all, dists, table).collect());
             });
         tables
     }
@@ -277,14 +277,6 @@ fn distance_rows_into(lg: &Graph, dsts: &[RouterId], dist: &mut Vec<u8>) {
         let d = hop_byte(level);
         for_each_source(bits, |i| band[i * nr + src as usize] = d);
     });
-}
-
-/// Per-worker scratch of [`PortTables::build`]: one layer's distance
-/// rows and the band kernel's own scratch.
-#[derive(Default)]
-struct LayerScratch {
-    dists: Vec<u8>,
-    band: BandScratch,
 }
 
 /// Base-graph ports of a layer's edges in the layer's CSR order: entry `i`

@@ -34,7 +34,12 @@
 //! per-layer port table (the static layer tables and the negotiated TE
 //! tables) rewrite exactly the [`broken_rows`], each rebuilt on the
 //! degraded layer, and assemble their overlay through one
-//! [`OverlayBuilder`].
+//! [`OverlayBuilder`]. It keeps the entries that differ from the healthy
+//! rows and lays them out in linear time: a stable counting sort on the
+//! router puts them in the overlay's `(at, layer, dst)` order, and the
+//! same pass resolves sparse-layer entries to the layer-0 route and adds
+//! the layer-0 shadows, straight into the spans — no comparison sort and
+//! no lookup into an intermediate overlay.
 //!
 //! [`lookup`]: RouteRepair::lookup
 
@@ -167,23 +172,17 @@ impl RouteRepair {
     /// The overlay holding `rows` (empty ports = unreachable) given in
     /// any order; of rows with equal keys the last one given wins.
     pub fn from_rows<P: AsRef<[u16]>>(rows: impl IntoIterator<Item = (RepairKey, P)>) -> Self {
-        let (mut ports_in, mut tags) = (Vec::new(), 0);
+        let mut ports_in = Vec::new();
         let mut keyed: Vec<((RouterId, u8, RouterId), u32, u32)> = rows
             .into_iter()
             .map(|((layer, at, dst), ports)| {
                 let (ports, off) = (ports.as_ref(), ports_in.len() as u32);
                 ports_in.extend_from_slice(ports);
-                tags = tags.max(layer as usize + 1);
                 ((at, layer, dst), off, ports.len() as u32)
             })
             .collect();
         keyed.sort_by_key(|&(key, ..)| key); // stable: the last given stays last
-        let mut rep = RouteRepair {
-            spans: Vec::with_capacity(keyed.len()),
-            pool: Vec::with_capacity(ports_in.len()),
-            tags,
-            ..RouteRepair::default()
-        };
+        let mut out = SpanWriter::with_capacity(keyed.len(), ports_in.len());
         for (i, &((at, layer, dst), off, len)) in keyed.iter().enumerate() {
             if keyed
                 .get(i + 1)
@@ -191,30 +190,9 @@ impl RouteRepair {
             {
                 continue; // a later row overwrites this one
             }
-            let ports = &ports_in[off as usize..][..len as usize];
-            rep.len += 1;
-            let row = at as usize * tags + layer as usize;
-            if rep.row_start.len() <= row {
-                rep.row_start.resize(row + 1, rep.spans.len() as u32);
-            } else if let Some(last) = rep.spans.last_mut() {
-                if last.dst_end == dst
-                    && rep.pool[last.off as usize..][..last.len as usize] == *ports
-                {
-                    last.dst_end += 1; // extends the row's last span
-                    continue;
-                }
-            }
-            let off = rep.pool.len() as u32;
-            rep.spans.push(RepairSpan {
-                dst_start: dst,
-                dst_end: dst + 1,
-                off,
-                len,
-            });
-            rep.pool.extend_from_slice(ports);
+            out.push((layer, at, dst), &ports_in[off as usize..][..len as usize]);
         }
-        rep.row_start.push(rep.spans.len() as u32);
-        rep
+        out.finish()
     }
 
     /// Looks up a repaired row; see the type docs for the semantics.
@@ -274,6 +252,79 @@ impl RouteRepair {
     }
 }
 
+/// Assembles a [`RouteRepair`] from rows given in strictly ascending
+/// `(at, layer, dst)` order: equal adjacent rows of one `(layer, at)` row
+/// extend one span, and the row index is laid out at the end, once the
+/// highest layer tag is known.
+#[derive(Default)]
+struct SpanWriter {
+    spans: Vec<RepairSpan>,
+    pool: Vec<u16>,
+    /// Each non-empty `(at, layer)` row with the index of its first span.
+    rows: Vec<(RouterId, u8, u32)>,
+    len: usize,
+}
+
+impl SpanWriter {
+    /// A writer with room for `rows` single spans and `ports` pool entries.
+    fn with_capacity(rows: usize, ports: usize) -> Self {
+        SpanWriter {
+            spans: Vec::with_capacity(rows),
+            pool: Vec::with_capacity(ports),
+            ..SpanWriter::default()
+        }
+    }
+
+    fn push(&mut self, (layer, at, dst): RepairKey, ports: &[u16]) {
+        self.len += 1;
+        if self
+            .rows
+            .last()
+            .is_some_and(|&(a, l, _)| (a, l) == (at, layer))
+        {
+            let last = self.spans.last_mut().expect("a row holds a span");
+            if last.dst_end == dst && self.pool[last.off as usize..][..last.len as usize] == *ports
+            {
+                last.dst_end += 1; // extends the row's last span
+                return;
+            }
+        } else {
+            self.rows.push((at, layer, self.spans.len() as u32));
+        }
+        self.spans.push(RepairSpan {
+            dst_start: dst,
+            dst_end: dst + 1,
+            off: self.pool.len() as u32,
+            len: ports.len() as u32,
+        });
+        self.pool.extend_from_slice(ports);
+    }
+
+    fn finish(self) -> RouteRepair {
+        let tags = self
+            .rows
+            .iter()
+            .map(|&(_, l, _)| l as usize + 1)
+            .max()
+            .unwrap_or(0);
+        // Row `r` starts at the first span of the first non-empty row at
+        // or after it; one more entry closes the last row.
+        let mut row_start = Vec::new();
+        for &(at, layer, first) in &self.rows {
+            row_start.resize(at as usize * tags + layer as usize + 1, first);
+        }
+        row_start.push(self.spans.len() as u32);
+        RouteRepair {
+            spans: self.spans,
+            pool: self.pool,
+            tags,
+            row_start,
+            len: self.len,
+            fib_rows_rewritten: 0,
+        }
+    }
+}
+
 /// The destinations whose row of `layer` in `tables` a down link breaks:
 /// a row crosses link `{a, b}` iff `a`'s entry is its port toward `b` or
 /// `b`'s its port toward `a`. Every other row is a tree of live links and
@@ -303,9 +354,13 @@ pub fn broken_rows(
 /// [`MAX_LAYERS`](crate::scheme::MAX_LAYERS) layers.
 pub struct OverlayBuilder<'a> {
     healthy: &'a PortTables,
-    /// Rows in the order given. `None` is "unreachable" in layer 0 and
-    /// "the layer-0 route" in a sparse layer, resolved by `finish`.
-    rows: Vec<(RepairKey, Option<u16>)>,
+    /// One `(layer, dst, end)` per rewritten row, in the order given: its
+    /// entries are `entries[end of the previous row..end]`.
+    rows: Vec<(u8, RouterId, usize)>,
+    /// The entries that differ from the healthy rows, as `(src, port)`.
+    /// [`NO_PORT`] is "unreachable" in layer 0 and "the layer-0 route" in
+    /// a sparse layer, resolved by `finish`.
+    entries: Vec<(RouterId, u16)>,
 }
 
 impl<'a> OverlayBuilder<'a> {
@@ -316,6 +371,7 @@ impl<'a> OverlayBuilder<'a> {
         OverlayBuilder {
             healthy,
             rows: Vec::new(),
+            entries: Vec::new(),
         }
     }
 
@@ -330,43 +386,122 @@ impl<'a> OverlayBuilder<'a> {
         for (src, (&np, &op)) in new_row.iter().zip(old_row).enumerate() {
             let src = src as RouterId;
             if src != dst && np != op {
-                let port = (np != NO_PORT).then_some(np);
-                self.rows.push(((layer as u8, src, dst), port));
+                self.entries.push((src, np));
             }
         }
+        self.rows.push((layer as u8, dst, self.entries.len()));
     }
 
     /// The overlay. Pairs a sparse layer never reached forward through the
     /// scheme's internal layer-0 fallback, which reads the *healthy*
     /// layer-0 table; wherever layer 0 was rewritten, those sparse-layer
     /// keys are shadowed with the repaired entry so the fallback cannot
-    /// resurrect a dead port.
+    /// resurrect a dead port. Of two rewrites of one row the later wins.
+    ///
+    /// Linear in the entries: a stable counting sort by router puts them
+    /// in the overlay's `(at, layer, dst)` order, and one pass per router
+    /// resolves the layer-0 routes and merges the shadows in.
     pub fn finish(self) -> RouteRepair {
-        let (layer0, sparse): (Vec<&_>, Vec<&_>) =
-            self.rows.iter().partition(|((layer, ..), _)| *layer == 0);
-        let layer0 =
-            RouteRepair::from_rows(layer0.iter().map(|(key, port)| (*key, port.as_slice())));
         let healthy = self.healthy;
-        let shadows = layer0.rows().flat_map(|((_, at, dst), ports)| {
-            let tags = (1..healthy.n_layers()).map(|l| l as u8); // in range: checked in `new`
-            let lost = move |&l: &u8| healthy.get(l as usize, at, dst).is_none();
-            tags.filter(lost).map(move |l| ((l, at, dst), ports))
-        });
-        // `None` in a sparse layer: the layer-0 route, repaired or healthy
-        // (a healthy `NO_PORT` is no port).
-        let route0 = |at: RouterId, dst| {
-            let port = std::slice::from_ref(&healthy.row(0, dst)[at as usize]);
-            let port = if port == [NO_PORT] { &[][..] } else { port };
-            layer0.lookup(0, at, dst).unwrap_or(port)
-        };
-        let sparse = sparse
-            .into_iter()
-            .map(|&(key @ (_, at, dst), ref port)| match port {
-                Some(_) => (key, port.as_slice()),
-                None => (key, route0(at, dst)),
-            });
-        // Shadows go first: a sparse-layer row given for the same key wins.
-        RouteRepair::from_rows(layer0.rows().chain(shadows).chain(sparse))
+        let (start, by_at) = self.entries_by_router();
+        let mut out = SpanWriter::with_capacity(by_at.len(), by_at.len());
+        // Per destination, the repaired layer-0 port at the current router
+        // (`NO_PORT`: unreachable), or `None` where layer 0 kept its row.
+        let mut route0: Vec<Option<u16>> = vec![None; healthy.nr()];
+        let mut zero: Vec<(RouterId, u16)> = Vec::new();
+        for (at, w) in start.windows(2).enumerate() {
+            let at = at as RouterId;
+            let mut here = by_at[w[0]..w[1]].iter().peekable();
+            zero.clear();
+            while let Some(mut e) = here.next_if(|e| e.0 == 0) {
+                while let Some(later) = here.next_if(|n| n.0 == 0 && n.1 == e.1) {
+                    e = later; // a later rewrite of the row wins
+                }
+                zero.push((e.1, e.2));
+                route0[e.1 as usize] = Some(e.2);
+                out.push((0, at, e.1), port_slice(&e.2));
+            }
+            for l in 1..healthy.n_layers() {
+                // This layer's entries, merged in `dst` order with the
+                // shadows: layer-0 repairs where the layer has no port.
+                // A given entry wins over a shadow, a later one over an
+                // earlier.
+                let mut shadows = zero
+                    .iter()
+                    .filter(|&&(dst, _)| healthy.get(l, at, dst).is_none())
+                    .peekable();
+                loop {
+                    let given = here.peek().filter(|e| e.0 as usize == l).map(|e| e.1);
+                    let shadow = shadows.peek().map(|s| s.0);
+                    let (dst, port) = match (given, shadow) {
+                        (None, None) => break,
+                        (Some(dst), _) if shadow.is_none_or(|s| dst <= s) => {
+                            shadows.next_if(|s| s.0 == dst);
+                            let mut e = here.next().expect("peeked");
+                            while let Some(later) = here.next_if(|n| n.0 == e.0 && n.1 == dst) {
+                                e = later;
+                            }
+                            // `NO_PORT` here is the layer-0 route, repaired
+                            // or healthy.
+                            let port = match (e.2, route0[dst as usize]) {
+                                (NO_PORT, None) => healthy.row(0, dst)[at as usize],
+                                (NO_PORT, Some(p)) => p,
+                                (p, _) => p,
+                            };
+                            (dst, port)
+                        }
+                        _ => *shadows.next().expect("peeked"),
+                    };
+                    out.push((l as u8, at, dst), port_slice(&port));
+                }
+            }
+            for &(dst, _) in &zero {
+                route0[dst as usize] = None;
+            }
+        }
+        out.finish()
+    }
+
+    /// The entries bucketed by router, each bucket in `(layer, dst)` order
+    /// with rewrites of one row in the order given: `by_at[start[at]..
+    /// start[at + 1]]` holds router `at`'s entries as `(layer, dst, port)`.
+    /// The rows are sorted by `(layer, dst)` (stably, and already in order
+    /// from both table repairs), then a stable counting sort on the router
+    /// deals their entries out.
+    fn entries_by_router(self) -> (Vec<usize>, Vec<(u8, RouterId, u16)>) {
+        let mut rows = Vec::with_capacity(self.rows.len());
+        let mut begin = 0;
+        for &(layer, dst, end) in &self.rows {
+            rows.push((layer, dst, begin..end));
+            begin = end;
+        }
+        rows.sort_by_key(|&(layer, dst, _)| (layer, dst));
+        let nr = self.healthy.nr();
+        let mut start = vec![0usize; nr + 1];
+        for &(src, _) in &self.entries {
+            start[src as usize + 1] += 1;
+        }
+        for at in 0..nr {
+            start[at + 1] += start[at];
+        }
+        let mut fill = start.clone();
+        let mut by_at = vec![(0, 0, NO_PORT); self.entries.len()];
+        for (layer, dst, range) in rows {
+            for &(src, port) in &self.entries[range] {
+                by_at[fill[src as usize]] = (layer, dst, port);
+                fill[src as usize] += 1;
+            }
+        }
+        (start, by_at)
+    }
+}
+
+/// One port as an overlay row's port set: [`NO_PORT`] is none.
+fn port_slice(port: &u16) -> &[u16] {
+    if *port == NO_PORT {
+        &[]
+    } else {
+        std::slice::from_ref(port)
     }
 }
 
@@ -469,6 +604,91 @@ mod tests {
                         let want = model.get(&(at, layer, dst)).map(|p| p.as_slice());
                         prop_assert_eq!(r.lookup(layer, at, dst), want);
                         prop_assert_eq!(r.lookup_unindexed(layer, at, dst), want);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The assembly `OverlayBuilder::finish` replaced, kept as its
+    /// reference: the rows of `calls` (`rewrite_row` arguments, in order)
+    /// partitioned by layer, layer 0 built into an overlay of its own,
+    /// then the shadows and the resolved sparse rows appended and the
+    /// whole sorted again.
+    fn finish_reference(
+        healthy: &PortTables,
+        calls: &[(usize, RouterId, Vec<u16>)],
+    ) -> RouteRepair {
+        let mut rows: Vec<(RepairKey, Option<u16>)> = Vec::new();
+        for (layer, dst, new_row) in calls {
+            let old_row = healthy.row(*layer, *dst);
+            for (src, (&np, &op)) in new_row.iter().zip(old_row).enumerate() {
+                if src as RouterId != *dst && np != op {
+                    let port = (np != NO_PORT).then_some(np);
+                    rows.push(((*layer as u8, src as RouterId, *dst), port));
+                }
+            }
+        }
+        let (layer0, sparse): (Vec<&_>, Vec<&_>) =
+            rows.iter().partition(|((layer, ..), _)| *layer == 0);
+        let layer0 =
+            RouteRepair::from_rows(layer0.iter().map(|(key, port)| (*key, port.as_slice())));
+        let shadows = layer0.rows().flat_map(|((_, at, dst), ports)| {
+            let tags = (1..healthy.n_layers()).map(|l| l as u8);
+            let lost = move |&l: &u8| healthy.get(l as usize, at, dst).is_none();
+            tags.filter(lost).map(move |l| ((l, at, dst), ports))
+        });
+        let route0 = |at: RouterId, dst| {
+            let port = std::slice::from_ref(&healthy.row(0, dst)[at as usize]);
+            let port = if port == [NO_PORT] { &[][..] } else { port };
+            layer0.lookup(0, at, dst).unwrap_or(port)
+        };
+        let sparse = sparse
+            .into_iter()
+            .map(|&(key @ (_, at, dst), ref port)| match port {
+                Some(_) => (key, port.as_slice()),
+                None => (key, route0(at, dst)),
+            });
+        RouteRepair::from_rows(layer0.rows().chain(shadows).chain(sparse))
+    }
+
+    proptest! {
+        // Random healthy tables (sparse layers with holes) and rewrites in
+        // random order, rows rewritten twice among them: the one-pass
+        // assembly returns the reference's rows, and answers every lookup
+        // as the reference does.
+        #[test]
+        fn overlay_assembly_equals_the_reference(
+            n_layers in 1usize..4,
+            healthy in prop::collection::vec(0u16..5, 147..148),
+            calls in prop::collection::vec((0usize..3, 0u32..7, prop::collection::vec(0u16..5, 7..8)), 0..12),
+        ) {
+            let nr = 7;
+            // Code 4 is no port: a hole in a sparse layer, an unreachable
+            // or layer-0-routed entry in a rewrite.
+            let port = |code: u16| if code == 4 { NO_PORT } else { code };
+            let mut tables = PortTables::new(n_layers, nr);
+            for (l, table) in tables.layers_mut().enumerate() {
+                for (i, entry) in table.iter_mut().enumerate() {
+                    *entry = port(healthy[l * nr * nr + i]);
+                }
+            }
+            let calls: Vec<(usize, RouterId, Vec<u16>)> = calls
+                .into_iter()
+                .map(|(l, dst, row)| (l % n_layers, dst, row.into_iter().map(port).collect()))
+                .collect();
+            let mut builder = OverlayBuilder::new(&tables);
+            for (l, dst, row) in &calls {
+                builder.rewrite_row(*l, *dst, row);
+            }
+            let got = builder.finish();
+            let want = finish_reference(&tables, &calls);
+            prop_assert_eq!(got.len(), want.len());
+            prop_assert!(got.rows().eq(want.rows()));
+            for layer in 0..4u8 {
+                for at in 0..nr as u32 {
+                    for dst in 0..nr as u32 {
+                        prop_assert_eq!(got.lookup(layer, at, dst), want.lookup(layer, at, dst));
                     }
                 }
             }

@@ -5,7 +5,12 @@
 //! For every switch `r`, layer tag `l`, and destination router `t` that
 //! hosts endpoints, the compiler asks
 //! [`RoutingScheme::candidate_ports`]`(l, r, t)`, interns the answer as
-//! an ECMP group of `r`, and writes its id at `route[l · nr + t]`.
+//! an ECMP group of `r`, and writes its id at `route[l · nr + t]`. Ids
+//! are assigned in first-use order. A one-port group — every group of
+//! the table-driven schemes (FatPaths layers, TE, SPAIN, KSP, PAST) — is
+//! interned through a per-switch `port → id` array, without hashing; a
+//! multi-port group (minimal multipath, Valiant) through a hash map
+//! keyed by its port list.
 //! Destinations with an empty candidate set get **no** rule (lookup
 //! miss = unreachable), and local delivery (`t == r`) is the switch's
 //! endpoint ports, not network FIB state. The rule count the
@@ -102,7 +107,10 @@ fn compile_switch<S: RoutingScheme + Sync + ?Sized>(
     let nr = endpoint_offset.len() - 1;
     let mut groups: Vec<PortSet> = Vec::new();
     // Group id + 1 by port list; a key is allocated only for a new group.
+    // Single-port groups — every group of a port-table scheme — are
+    // interned by port in `single` instead, without hashing.
     let mut intern: FxHashMap<Vec<u16>, u16> = FxHashMap::default();
+    let mut single: Vec<u16> = Vec::new();
     let mut route = vec![0u16; tag_space * nr].into_boxed_slice();
     let mut raw = 0u64;
     for (l, row) in route.chunks_exact_mut(nr.max(1)).enumerate() {
@@ -115,18 +123,30 @@ fn compile_switch<S: RoutingScheme + Sync + ?Sized>(
                 continue; // no rule: lookup miss = unreachable
             }
             raw += 1;
-            row[t as usize] = match intern.get(ports.as_slice()) {
-                Some(&id) => id,
-                None => {
-                    assert!(
-                        groups.len() < MAX_GROUPS,
-                        "switch {r} needs more than {MAX_GROUPS} ECMP groups, \
-                         the limit of its u16 group ids"
-                    );
-                    intern.insert(ports.as_slice().to_vec(), groups.len() as u16 + 1);
-                    groups.push(ports);
-                    groups.len() as u16
+            let known = match *ports.as_slice() {
+                [p] => {
+                    if single.len() <= p as usize {
+                        single.resize(p as usize + 1, 0);
+                    }
+                    single[p as usize]
                 }
+                _ => intern.get(ports.as_slice()).copied().unwrap_or(0),
+            };
+            row[t as usize] = if known != 0 {
+                known
+            } else {
+                assert!(
+                    groups.len() < MAX_GROUPS,
+                    "switch {r} needs more than {MAX_GROUPS} ECMP groups, \
+                     the limit of its u16 group ids"
+                );
+                let id = groups.len() as u16 + 1;
+                match *ports.as_slice() {
+                    [p] => single[p as usize] = id,
+                    _ => _ = intern.insert(ports.as_slice().to_vec(), id),
+                }
+                groups.push(ports);
+                id
             };
         }
     }

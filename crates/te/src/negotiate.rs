@@ -18,7 +18,7 @@
 //! iteration's trees (lowest peak link load) are kept.
 
 use crate::score::{edge_loads, peak_load};
-use crate::tree::{build_tree, LayerCsr, TreeScratch};
+use crate::tree::{build_tree, LayerCsr, PricedArc, TreeScratch};
 use fatpaths_core::fwd::{PortTables, RoutingTables, NO_PORT};
 use fatpaths_core::repair::{broken_rows, DownLinks, OverlayBuilder, RouteRepair};
 use fatpaths_core::scheme::{assert_layer_tags, PortSet, RoutingScheme};
@@ -218,12 +218,12 @@ impl RoutingScheme for TeScheme {
                 continue;
             }
             let csr = csr.without(down);
-            let cost = csr.gather(&self.costs);
+            let arcs = csr.gather(&self.costs);
             let rows: Vec<Vec<u16>> = broken
                 .par_iter()
                 .map_init(TreeScratch::default, |scratch, &dst| {
                     let mut row = vec![NO_PORT; nr];
-                    build_tree(&csr, &cost, l as u32, dst, scratch, &mut row);
+                    build_tree(&csr, &arcs, l as u32, dst, scratch, &mut row);
                     row
                 })
                 .collect();
@@ -238,7 +238,7 @@ impl RoutingScheme for TeScheme {
 /// Rebuilds every `(layer, dst)` tree under the given per-edge prices —
 /// one flat parallel pass, mirroring the static build's work division.
 fn rebuild_trees(csrs: &[LayerCsr], costs: &[f64], cur: &mut PortTables) {
-    let arc_costs: Vec<Vec<f64>> = csrs.iter().map(|c| c.gather(costs)).collect();
+    let arcs: Vec<Vec<PricedArc>> = csrs.iter().map(|c| c.gather(costs)).collect();
     let nr = cur.nr();
     let rows: Vec<(usize, usize, &mut [u16])> = cur
         .layers_mut()
@@ -252,7 +252,7 @@ fn rebuild_trees(csrs: &[LayerCsr], costs: &[f64], cur: &mut PortTables) {
     rows.into_par_iter()
         .for_each_init(TreeScratch::default, |scratch, (l, dst, row)| {
             row.fill(NO_PORT);
-            build_tree(&csrs[l], &arc_costs[l], l as u32, dst as u32, scratch, row);
+            build_tree(&csrs[l], &arcs[l], l as u32, dst as u32, scratch, row);
         });
 }
 

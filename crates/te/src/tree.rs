@@ -5,11 +5,15 @@
 //! Tree builds are the hot loop of negotiation (each iteration rebuilds
 //! every `(layer, dst)` tree) and of TE repair. A [`LayerCsr`] is built
 //! once per layer per negotiation — neighbour, base port, base edge id and
-//! the bit of each arc's reverse among its head's neighbour slots — so a
+//! the slot of each arc's reverse among its head's neighbour slots — so a
 //! build never searches the base graph or hashes an edge. An iteration's
-//! per-edge prices are laid out per arc once ([`LayerCsr::gather`]), and
-//! [`build_tree`] runs Dijkstra on an indexed 4-ary heap (decrease-key,
-//! keyed on the bit pattern of the non-negative `f64` distance) with
+//! per-edge prices are gathered once into one [`PricedArc`] record per arc
+//! (head, reverse slot, price; [`LayerCsr::gather`]), and [`build_tree`]
+//! runs Dijkstra over those records on a [`RadixQueue`] — a monotone
+//! radix heap keyed on the bit pattern of the non-negative `f64`
+//! distance, exact because that pattern orders like the value — with
+//! lazy deletion (a router is re-queued on each strict improvement, and a
+//! popped entry whose key is no longer its router's label is skipped) and
 //! per-worker scratch.
 //!
 //! The rows are exactly those of the scan formulation (the test oracle
@@ -20,8 +24,10 @@
 //! strict improvement and OR-ing on each equal relaxation thus leaves
 //! exactly the tight predecessors, as a bitmask over `v`'s own neighbour
 //! slots; candidate order stays neighbour order, and the `fnv1a` pick
-//! reads the mask instead of scanning the arcs a second time. Routers of
-//! degree above 64 do not fit a mask and fall back to the scan.
+//! reads the mask instead of scanning the arcs a second time — or is
+//! skipped when the mask has one bit, the only candidate any hash picks.
+//! Routers of degree above 64 do not fit a mask and fall back to the
+//! scan.
 
 use fatpaths_core::fwd::fnv1a;
 use fatpaths_core::repair::DownLinks;
@@ -42,8 +48,21 @@ pub(crate) struct LayerCsr {
     port: Vec<u16>,
     /// Base edge id of each arc: its index into a per-edge price vector.
     eid: Vec<u32>,
-    /// `1 << j` when the arc's reverse is slot `j < 64` of its head, else 0.
-    rev_bit: Vec<u64>,
+    /// The slot of each arc's reverse among its head's neighbours.
+    rev: Vec<u32>,
+}
+
+/// One arc as a tree build relaxes it: everything the inner loop reads,
+/// in one record.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PricedArc {
+    head: RouterId,
+    /// The slot of the reverse arc at `head`: the bit this arc sets in
+    /// `head`'s tight-predecessor mask (taken mod 64). Masks are read only
+    /// at routers of at most [`MASK_SLOTS`] neighbours, where every slot
+    /// is below 64, so the wrapped bits of wider routers are never read.
+    rev: u32,
+    price: f64,
 }
 
 impl LayerCsr {
@@ -80,7 +99,7 @@ impl LayerCsr {
             head: Vec::new(),
             port: Vec::new(),
             eid: Vec::new(),
-            rev_bit: Vec::new(),
+            rev: Vec::new(),
         };
         csr.start.push(0);
         for u in 0..n as RouterId {
@@ -94,18 +113,14 @@ impl LayerCsr {
         // Tails are stored ascending and every list is ascending and
         // symmetric, so the k-th stored arc into `v` comes from `v`'s k-th
         // neighbour: its reverse is slot k of `v`.
-        let mut into = vec![0usize; n];
-        csr.rev_bit = csr
+        let mut into = vec![0u32; n];
+        csr.rev = csr
             .head
             .iter()
             .map(|&v| {
                 let k = into[v as usize];
                 into[v as usize] += 1;
-                if k < MASK_SLOTS {
-                    1 << k
-                } else {
-                    0
-                }
+                k
             })
             .collect();
         csr
@@ -119,162 +134,197 @@ impl LayerCsr {
         self.start[u as usize] as usize..self.start[u as usize + 1] as usize
     }
 
-    /// Per-edge `prices` laid out per arc, the cost array [`build_tree`]
-    /// reads.
-    pub(crate) fn gather(&self, prices: &[f64]) -> Vec<f64> {
-        self.eid.iter().map(|&e| prices[e as usize]).collect()
+    /// Per-edge `prices` laid out per arc with each arc's head and reverse
+    /// slot: the records [`build_tree`] relaxes.
+    pub(crate) fn gather(&self, prices: &[f64]) -> Vec<PricedArc> {
+        self.head
+            .iter()
+            .zip(&self.rev)
+            .zip(&self.eid)
+            .map(|((&head, &rev), &e)| PricedArc {
+                head,
+                rev,
+                price: prices[e as usize],
+            })
+            .collect()
     }
 }
 
-/// Branching factor of [`Heap`].
-const ARITY: usize = 4;
+/// Buckets of [`RadixQueue`]: keys are non-negative `f64` bit patterns,
+/// so bit 63 never differs and 63 bit positions plus "equal" suffice.
+const BUCKETS: usize = 64;
 
-/// [`Heap::pos`] of a router that is not queued.
-const ABSENT: u32 = u32::MAX;
-
-/// Indexed 4-ary min-heap of routers with decrease-key.
-#[derive(Default)]
-struct Heap {
-    /// `(key, router)` in heap order.
-    items: Vec<(u64, RouterId)>,
-    /// Index of each router in `items`, or [`ABSENT`].
-    pos: Vec<u32>,
+/// Exact monotone priority queue of routers keyed by `u64`: a radix heap.
+/// Every key pushed must be at least the last key popped (Dijkstra's
+/// labels only grow), so a key's bucket is the position of the highest
+/// bit in which it differs from that last key; a pop empties the lowest
+/// bucket, and when that is not the bucket of keys equal to the last one
+/// it first moves the bucket's minimum there and redistributes the rest,
+/// each into a strictly lower bucket. Equal keys pop in no particular
+/// order, and a router may be queued more than once: the caller skips
+/// entries whose key is stale.
+struct RadixQueue {
+    /// The last key popped (0 before the first pop).
+    last: u64,
+    /// `buckets[0]` holds keys equal to `last`; `buckets[i]`, `i > 0`,
+    /// keys whose highest bit differing from `last` is bit `i - 1`.
+    buckets: [Vec<(u64, RouterId)>; BUCKETS],
+    /// Bit `i` is set iff `buckets[i]` is non-empty.
+    occupied: u64,
 }
 
-impl Heap {
-    fn reset(&mut self, n: usize) {
-        self.items.clear();
-        self.pos.clear();
-        self.pos.resize(n, ABSENT);
-    }
-
-    /// Queues `v` at `key`, or lowers its key if it is already queued
-    /// (keys only ever fall).
-    fn push_or_decrease(&mut self, v: RouterId, key: u64) {
-        let i = match self.pos[v as usize] {
-            ABSENT => {
-                self.items.push((key, v));
-                self.items.len() - 1
-            }
-            i => i as usize,
-        };
-        self.sift_up(i, (key, v));
-    }
-
-    fn pop(&mut self) -> Option<RouterId> {
-        let (_, top) = *self.items.first()?;
-        self.pos[top as usize] = ABSENT;
-        let last = self.items.pop().expect("the heap is not empty");
-        if !self.items.is_empty() {
-            self.sift_down(0, last);
+impl Default for RadixQueue {
+    fn default() -> Self {
+        RadixQueue {
+            last: 0,
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
         }
-        Some(top)
-    }
-
-    fn place(&mut self, i: usize, item: (u64, RouterId)) {
-        self.items[i] = item;
-        self.pos[item.1 as usize] = i as u32;
-    }
-
-    fn sift_up(&mut self, mut i: usize, item: (u64, RouterId)) {
-        while i > 0 {
-            let parent = (i - 1) / ARITY;
-            if self.items[parent].0 <= item.0 {
-                break;
-            }
-            self.place(i, self.items[parent]);
-            i = parent;
-        }
-        self.place(i, item);
-    }
-
-    fn sift_down(&mut self, mut i: usize, item: (u64, RouterId)) {
-        let len = self.items.len();
-        loop {
-            let first = i * ARITY + 1;
-            if first >= len {
-                break;
-            }
-            let child = (first..(first + ARITY).min(len))
-                .min_by_key(|&c| self.items[c].0)
-                .expect("at least one child");
-            if self.items[child].0 >= item.0 {
-                break;
-            }
-            self.place(i, self.items[child]);
-            i = child;
-        }
-        self.place(i, item);
     }
 }
+
+impl RadixQueue {
+    /// Empties the queue, keeping its buckets' capacity.
+    fn reset(&mut self) {
+        while self.occupied != 0 {
+            let b = self.occupied.trailing_zeros() as usize;
+            self.buckets[b].clear();
+            self.occupied &= self.occupied - 1;
+        }
+        self.last = 0;
+    }
+
+    #[inline]
+    fn bucket(&self, key: u64) -> usize {
+        (u64::BITS - (key ^ self.last).leading_zeros()) as usize
+    }
+
+    /// Queues `v` at `key`, which must be at least the last key popped and
+    /// below `2^63` (the bit pattern of a non-negative `f64`).
+    #[inline]
+    fn push(&mut self, key: u64, v: RouterId) {
+        debug_assert!(
+            key >= self.last && key >> 63 == 0,
+            "key {key} below {}",
+            self.last
+        );
+        let b = self.bucket(key);
+        self.buckets[b].push((key, v));
+        self.occupied |= 1 << b;
+    }
+
+    /// Pops an entry of the least key.
+    fn pop(&mut self) -> Option<(u64, RouterId)> {
+        if self.occupied & 1 == 0 {
+            if self.occupied == 0 {
+                return None;
+            }
+            let b = self.occupied.trailing_zeros() as usize;
+            let mut moved = std::mem::take(&mut self.buckets[b]);
+            self.occupied &= !(1 << b);
+            self.last = moved
+                .iter()
+                .map(|&(k, _)| k)
+                .min()
+                .expect("bucket is occupied");
+            for &(k, v) in &moved {
+                let i = self.bucket(k);
+                self.buckets[i].push((k, v));
+                self.occupied |= 1 << i;
+            }
+            moved.clear();
+            self.buckets[b] = moved;
+        }
+        let item = self.buckets[0].pop();
+        if self.buckets[0].is_empty() {
+            self.occupied &= !1;
+        }
+        item
+    }
+}
+
+/// The label of a router not reached (yet): the pattern of `+∞`.
+const UNREACHED: u64 = f64::INFINITY.to_bits();
 
 /// Scratch of [`build_tree`], reused across the trees one worker builds.
 #[derive(Default)]
 pub(crate) struct TreeScratch {
-    dist: Vec<f64>,
+    /// Per router, the bit pattern of its distance label: patterns of
+    /// non-negative `f64`s order like their values, so labels compare as
+    /// integers.
+    dist: Vec<u64>,
     /// Per router, its tight predecessors as a mask over its own slots.
     tight: Vec<u64>,
-    heap: Heap,
+    queue: RadixQueue,
 }
 
 /// Builds one negotiated `(layer, dst)` tree into `trow` (entries of
 /// `dst` and of sources that cannot reach it are left untouched): per
 /// source, the base port toward one tight predecessor under the arc
-/// prices `cost` ([`LayerCsr::gather`]), picked among them in neighbour
+/// records `arcs` ([`LayerCsr::gather`]), picked among them in neighbour
 /// order by `fnv1a(layer, src, dst)` — the static tables' discipline.
 /// Loop-free: prices are ≥ 1, so every hop strictly lowers the distance
 /// to `dst`.
 pub(crate) fn build_tree(
     csr: &LayerCsr,
-    cost: &[f64],
+    arcs: &[PricedArc],
     layer: u32,
     dst: RouterId,
     scratch: &mut TreeScratch,
     trow: &mut [u16],
 ) {
     let n = csr.n();
-    let TreeScratch { dist, tight, heap } = scratch;
+    let TreeScratch { dist, tight, queue } = scratch;
     dist.clear();
-    dist.resize(n, f64::INFINITY);
+    dist.resize(n, UNREACHED);
     // Every reached router's mask is reset by its first relaxation.
     tight.resize(n, 0);
-    heap.reset(n);
-    dist[dst as usize] = 0.0;
-    heap.push_or_decrease(dst, 0.0f64.to_bits());
-    while let Some(u) = heap.pop() {
-        let du = dist[u as usize];
-        for i in csr.slots(u) {
-            let v = csr.head[i] as usize;
-            let nd = du + cost[i];
+    let (dist, tight) = (&mut dist[..], &mut tight[..n]);
+    queue.reset();
+    dist[dst as usize] = 0.0f64.to_bits();
+    queue.push(dist[dst as usize], dst);
+    while let Some((key, u)) = queue.pop() {
+        if key != dist[u as usize] {
+            continue; // stale: `u` was queued again at a lower label
+        }
+        let du = f64::from_bits(key);
+        for a in &arcs[csr.slots(u)] {
+            let v = a.head as usize;
+            let nd = (du + a.price).to_bits();
             if nd < dist[v] {
                 dist[v] = nd;
-                tight[v] = csr.rev_bit[i];
-                heap.push_or_decrease(v as RouterId, nd.to_bits());
+                tight[v] = 1u64.wrapping_shl(a.rev);
+                queue.push(nd, a.head);
             } else if nd == dist[v] {
-                tight[v] |= csr.rev_bit[i];
+                tight[v] |= 1u64.wrapping_shl(a.rev);
             }
         }
     }
     for src in 0..n as RouterId {
         let ds = dist[src as usize];
-        if src == dst || ds == f64::INFINITY {
+        if src == dst || ds == UNREACHED {
             continue;
         }
         let slots = csr.slots(src);
         let key = (layer as u64) << 48 | (src as u64) << 24 | dst as u64;
-        let hash = fnv1a(key);
         let slot = if slots.len() <= MASK_SLOTS {
             let mut mask = tight[src as usize];
-            for _ in 0..hash % mask.count_ones() as u64 {
-                mask &= mask - 1;
+            let count = mask.count_ones() as u64;
+            if count > 1 {
+                for _ in 0..fnv1a(key) % count {
+                    mask &= mask - 1;
+                }
             }
             slots.start + mask.trailing_zeros() as usize
         } else {
-            let is_tight = |i: &usize| dist[csr.head[*i] as usize] + cost[*i] == ds;
+            let is_tight = |i: &usize| {
+                let a = &arcs[*i];
+                (f64::from_bits(dist[a.head as usize]) + a.price).to_bits() == ds
+            };
             let count = slots.clone().filter(is_tight).count() as u64;
             slots
                 .filter(is_tight)
-                .nth((hash % count) as usize)
+                .nth((fnv1a(key) % count) as usize)
                 .expect("the neighbour that relaxed `src` is tight")
         };
         trow[src as usize] = csr.port[slot];
@@ -365,8 +415,11 @@ mod tests {
 
     /// Few distinct prices, so equal-cost ties are common; 1.1 / 2.2 / 3.3
     /// add sums that tie or miss by one rounding depending on the order
-    /// they are formed in.
-    const PRICES: [f64; 5] = [1.0, 1.1, 2.0, 2.2, 3.3];
+    /// they are formed in. `1 + 2^-52` sums to labels one ulp apart (the
+    /// queue's lowest bucket boundaries), and 1e3 / 1e9 to labels many
+    /// exponents apart, where a cheap detour ties or beats one dear arc
+    /// and most routers keep a single tight predecessor.
+    const PRICES: [f64; 8] = [1.0, 1.0 + f64::EPSILON, 1.1, 2.0, 2.2, 3.3, 1e3, 1e9];
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
@@ -422,6 +475,84 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A label the queue proptest pushes: `last` plus a step of one of
+    /// many magnitudes (0 and one ulp included), so keys span 0 to past
+    /// 1e9 and land in every bucket.
+    fn step(last: f64, kind: usize, frac: f64) -> f64 {
+        match kind {
+            0 => last,
+            1 => f64::from_bits(last.to_bits() + 1),
+            2 => last + frac,
+            3 => last + frac * 1e3,
+            4 => last + frac * 1e6,
+            _ => last + frac * 1e9,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Random monotone runs as Dijkstra drives the queue: pushes at or
+        // above the last key popped (equal keys, one-ulp steps, jumps of
+        // many exponents), re-pushes of a queued router at a lower label
+        // leaving a stale entry, pops that skip stale entries. Every pop
+        // returns the key a `BinaryHeap` holding the same entries pops,
+        // every live pop the least live label, and both pop the same
+        // entries overall.
+        #[test]
+        fn radix_queue_pops_like_a_binary_heap(
+            ops in prop::collection::vec((0u8..5, 0u32..24, 0usize..6, 0.0f64..1.0), 1..400),
+        ) {
+            let mut queue = RadixQueue::default();
+            let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+            // Per router its live label (the least pushed since its last
+            // live pop), as the tree build's `dist` holds it.
+            let mut label: Vec<Option<u64>> = vec![None; 24];
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for &(op, v, kind, frac) in &ops {
+                if op < 4 {
+                    let key = step(f64::from_bits(queue.last), kind, frac).to_bits();
+                    if label[v as usize].is_none_or(|old| key < old) {
+                        label[v as usize] = Some(key);
+                        queue.push(key, v);
+                        heap.push(Reverse((key, v)));
+                    }
+                    continue;
+                }
+                // One live pop.
+                let least = label.iter().flatten().min().copied();
+                loop {
+                    let (a, b) = (queue.pop(), heap.pop().map(|Reverse(e)| e));
+                    prop_assert_eq!(a.map(|e| e.0), b.map(|e| e.0));
+                    got.extend(a);
+                    want.extend(b);
+                    match a {
+                        None => {
+                            prop_assert_eq!(least, None);
+                            break;
+                        }
+                        Some((k, u)) if label[u as usize] == Some(k) => {
+                            prop_assert_eq!(Some(k), least);
+                            label[u as usize] = None;
+                            break;
+                        }
+                        Some(_) => {} // stale
+                    }
+                }
+            }
+            while let Some(a) = queue.pop() {
+                let b = heap.pop().map(|Reverse(e)| e);
+                prop_assert_eq!(Some(a.0), b.map(|e| e.0));
+                got.push(a);
+                want.extend(b);
+            }
+            prop_assert!(heap.is_empty());
+            got.sort_unstable();
+            want.sort_unstable();
+            prop_assert_eq!(got, want);
         }
     }
 }
