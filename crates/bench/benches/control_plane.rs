@@ -24,10 +24,7 @@ fn bench_control_plane(c: &mut Criterion) {
     let tables = RoutingTables::build(&t.graph, &layers);
     let pairs = matrix_flows(&t, &MatrixSpec::WorstCase { intensity: 0.7 }, 1);
     let demands = endpoint_demands(&t, &pairs);
-    let one_iteration = TeConfig {
-        max_iterations: 1,
-        ..TeConfig::default()
-    };
+    let one_iteration = TeConfig { max_iterations: 1 };
     let plan = FaultPlan::sample(&t, &FaultModel::UniformFraction { fraction: 0.02 }, 1);
     let down = DownLinks::from_links(plan.static_failures());
     let two = DownLinks::from_links(&plan.static_failures()[..2]);

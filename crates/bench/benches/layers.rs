@@ -43,7 +43,6 @@ fn bench_layer_construction(c: &mut Criterion) {
                 &ImConfig {
                     n_layers: 4,
                     seed: 1,
-                    ..ImConfig::default()
                 },
             ))
         })

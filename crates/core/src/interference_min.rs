@@ -24,32 +24,21 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 use rustc_hash::{FxHashMap, FxHashSet};
 
+/// Extra hops over the pair's minimal distance for `Lmin`: the paper
+/// prefers almost-minimal paths, `+1` (§IV, §V-B3).
+const LMIN_EXTRA: u32 = 1;
+/// Path-length slack: `Lmax = Lmin + LMAX_SLACK`.
+const LMAX_SLACK: u32 = 1;
+/// Budget `M`: maximum paths placed per layer, as a multiple of `Nr`.
+const PATHS_PER_ROUTER: f64 = 3.0;
+
 /// Configuration of the interference-minimizing construction.
 #[derive(Clone, Copy, Debug)]
 pub struct ImConfig {
     /// Total number of layers including the complete layer 0.
     pub n_layers: usize,
-    /// Extra hops over the pair's minimal distance for `Lmin`
-    /// (the paper prefers `+1`).
-    pub lmin_extra: u32,
-    /// Path-length slack: `Lmax = Lmin + lmax_slack`.
-    pub lmax_slack: u32,
-    /// Budget `M`: maximum paths placed per layer, as a multiple of `Nr`.
-    pub paths_per_router: f64,
     /// RNG seed.
     pub seed: u64,
-}
-
-impl Default for ImConfig {
-    fn default() -> Self {
-        ImConfig {
-            n_layers: 4,
-            lmin_extra: 1,
-            lmax_slack: 1,
-            paths_per_router: 3.0,
-            seed: 0,
-        }
-    }
 }
 
 /// Builds layers with the Listing 2 interference-minimizing heuristic.
@@ -78,7 +67,7 @@ pub fn build_interference_min_layers(base: &Graph, cfg: &ImConfig) -> LayerSet {
     let mut pair_paths: FxHashMap<(u32, u32), u32> = FxHashMap::default();
     // Base distances for Lmin.
     let base_dist = DistanceMatrix::build(base);
-    let budget = ((cfg.paths_per_router * nr as f64) as usize).max(1);
+    let budget = ((PATHS_PER_ROUTER * nr as f64) as usize).max(1);
     let mut scratch = PathScratch::default();
 
     let mut graphs = Vec::with_capacity(cfg.n_layers);
@@ -97,7 +86,6 @@ pub fn build_interference_min_layers(base: &Graph, cfg: &ImConfig) -> LayerSet {
             &mut pair_paths,
             &base_dist,
             budget,
-            cfg,
             &mut rng,
             &mut scratch,
         );
@@ -133,7 +121,6 @@ fn create_layer(
     pair_paths: &mut FxHashMap<(u32, u32), u32>,
     base_dist: &DistanceMatrix,
     budget: usize,
-    cfg: &ImConfig,
     rng: &mut StdRng,
     scratch: &mut PathScratch,
 ) -> Vec<bool> {
@@ -176,8 +163,8 @@ fn create_layer(
         let Some(dmin) = base_dist.get(u, v) else {
             continue;
         };
-        let lmin = dmin + cfg.lmin_extra;
-        let lmax = lmin + cfg.lmax_slack;
+        let lmin = dmin + LMIN_EXTRA;
+        let lmax = lmin + LMAX_SLACK;
         if let Some(path) = find_path(g, rank, &masked, weights, u, v, lmin, lmax, scratch) {
             placed += 1;
             let len = path.len() - 1;
@@ -347,7 +334,6 @@ mod tests {
             &ImConfig {
                 n_layers: 4,
                 seed: 3,
-                ..ImConfig::default()
             },
         );
         assert_eq!(ls.len(), 4);
@@ -364,7 +350,6 @@ mod tests {
             &ImConfig {
                 n_layers: 3,
                 seed: 5,
-                ..ImConfig::default()
             },
         );
         let mut within = 0;
@@ -396,7 +381,6 @@ mod tests {
         let cfg = ImConfig {
             n_layers: 3,
             seed: 8,
-            ..ImConfig::default()
         };
         let a = build_interference_min_layers(&t.graph, &cfg);
         let b = build_interference_min_layers(&t.graph, &cfg);
@@ -415,7 +399,6 @@ mod tests {
             &ImConfig {
                 n_layers: 5,
                 seed: 1,
-                ..ImConfig::default()
             },
         );
         let mut used = FxHashSet::default();

@@ -163,11 +163,7 @@ fn interference_min_layer_sets_are_pinned() {
         ("FT", ft(), 1, 1436844532338048590),
     ];
     for (name, g, seed, digest) in cases {
-        let cfg = ImConfig {
-            n_layers: 4,
-            seed,
-            ..ImConfig::default()
-        };
+        let cfg = ImConfig { n_layers: 4, seed };
         let ls = build_interference_min_layers(&g, &cfg);
         assert_eq!(
             layers_digest(&ls),

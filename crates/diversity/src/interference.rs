@@ -180,8 +180,8 @@ mod tests {
         // full bisection means disjoint path supplies don't overlap.
         let ft = fatpaths_net::topo::fattree::fat_tree(8, 1);
         let e = ft.graph.arc_edge_ids();
-        let edge_routers: Vec<u32> =
-            (0..fatpaths_net::topo::fattree::edge_router_count(8)).collect();
+        // Edge routers are ids 0..k²/2.
+        let edge_routers: Vec<u32> = (0..8 * 8 / 2).collect();
         let samples = sample_pi_from(&ft.graph, &e, 4, 60, 3, &edge_routers);
         let (mean, _) = pi_summary(&samples, 99.9);
         assert!(mean.abs() < 0.6, "FT mean PI {mean} not ~0");

@@ -56,14 +56,7 @@ pub fn fig9(quick: bool) -> io::Result<()> {
             let flows = worst_case_flows(t, 0.55, 17);
             let demands = router_demands(&flows, |e| t.endpoint_router(e));
             // FatPaths, interference-minimizing construction.
-            let ls = build_interference_min_layers(
-                &t.graph,
-                &ImConfig {
-                    n_layers,
-                    seed: 5,
-                    ..ImConfig::default()
-                },
-            );
+            let ls = build_interference_min_layers(&t.graph, &ImConfig { n_layers, seed: 5 });
             let rt = RoutingTables::build(&t.graph, &ls);
             let fp = mat(
                 &t.graph,

@@ -463,10 +463,7 @@ mod tests {
             let ls = build_random_layers(g, &LayerConfig::new(4, 0.6, layer_seed));
             let rt = RoutingTables::build(g, &ls);
             let pairs = matrix_flows(&t, &matrix, matrix_seed);
-            let cfg = TeConfig {
-                max_iterations,
-                ..TeConfig::default()
-            };
+            let cfg = TeConfig { max_iterations };
             let te = TeScheme::negotiate(g, &rt, &endpoint_demands(&t, &pairs), &cfg);
             let moved =
                 (0..g.n() as u32).any(|dst| te.ports().row(1, dst) != rt.ports().row(1, dst));

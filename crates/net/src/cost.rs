@@ -86,16 +86,16 @@ pub fn cost(topo: &Topology, prices: &PriceBook) -> CostBreakdown {
     }
 }
 
-/// Convenience: per-endpoint cost with the default price book.
-pub fn cost_per_endpoint(topo: &Topology) -> f64 {
-    cost(topo, &PriceBook::default()).per_endpoint(topo.num_endpoints())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::classes::{build, SizeClass};
     use crate::topo::TopoKind;
+
+    /// Per-endpoint cost with the default price book.
+    fn cost_per_endpoint(topo: &Topology) -> f64 {
+        cost(topo, &PriceBook::default()).per_endpoint(topo.num_endpoints())
+    }
 
     #[test]
     fn breakdown_sums() {

@@ -25,7 +25,7 @@
 //! whole failure domains).
 
 use crate::graph::RouterId;
-use crate::topo::{LinkClass, Topology};
+use crate::topo::Topology;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -40,29 +40,10 @@ pub enum FaultModel {
         /// Fraction of links to fail, in `[0, 1]`.
         fraction: f64,
     },
-    /// Correlated bursts: pick `routers` routers uniformly and fail
-    /// `fraction` of each one's incident links — models a failing
-    /// linecard / top-of-rack event rather than independent cable faults.
-    RouterBursts {
-        /// Number of routers hit by a burst.
-        routers: usize,
-        /// Fraction of each hit router's incident links that die.
-        fraction: f64,
-    },
-    /// Fail `fraction` of the links of one cable class only — e.g. the
-    /// long optical global links of a Dragonfly, which dominate cost and
-    /// fail differently than short copper.
-    ClassTargeted {
-        /// Cable class to target.
-        class: LinkClass,
-        /// Fraction of that class's links to fail.
-        fraction: f64,
-    },
     /// Whole-router failures: pick `routers` routers uniformly and kill
     /// them outright — every incident link fails *and* the attached
     /// endpoints drop out of the workload (power event, crashed control
-    /// plane). The node-level analogue of [`FaultModel::RouterBursts`],
-    /// which only damages links and keeps the router's hosts injecting.
+    /// plane).
     RouterDown {
         /// Number of routers that die.
         routers: usize,
@@ -289,39 +270,10 @@ impl FaultPlan {
         let edges = topo.graph.edge_vec();
         let mut plan = FaultPlan::default();
         match *model {
-            // The fraction samplers draw from canonical edge lists, so
-            // their picks are distinct by construction: push directly
-            // instead of paying add_static's linear dedup scan per link.
+            // The canonical edge list makes the picks distinct by
+            // construction: no dedup scan per link.
             FaultModel::UniformFraction { fraction } => {
                 plan.static_failures = sample_fraction(&edges, fraction, &mut rng);
-            }
-            FaultModel::RouterBursts { routers, fraction } => {
-                let nr = topo.num_routers();
-                let mut ids: Vec<RouterId> = (0..nr as u32).collect();
-                ids.shuffle(&mut rng);
-                // Two burst routers may share a link: dedup via a set,
-                // keeping first-drawn order.
-                let mut seen = rustc_hash::FxHashSet::default();
-                for &r in ids.iter().take(routers.min(nr)) {
-                    let mut nbs: Vec<RouterId> = topo.graph.neighbors(r).to_vec();
-                    let kill = count_of(nbs.len(), fraction);
-                    nbs.shuffle(&mut rng);
-                    for &nb in nbs.iter().take(kill) {
-                        let key = (r.min(nb), r.max(nb));
-                        if seen.insert(key) {
-                            plan.static_failures.push(key);
-                        }
-                    }
-                }
-            }
-            FaultModel::ClassTargeted { class, fraction } => {
-                let pool: Vec<(RouterId, RouterId)> = edges
-                    .iter()
-                    .zip(&topo.link_classes)
-                    .filter(|&(_, &c)| c == class)
-                    .map(|(&e, _)| e)
-                    .collect();
-                plan.static_failures = sample_fraction(&pool, fraction, &mut rng);
             }
             FaultModel::RouterDown { routers } => {
                 let nr = topo.num_routers();
@@ -423,7 +375,6 @@ fn sample_fraction(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topo::dragonfly::dragonfly;
     use crate::topo::slimfly::slim_fly;
 
     #[test]
@@ -449,67 +400,6 @@ mod tests {
         assert!(none.is_empty());
         let all = FaultPlan::sample(&t, &FaultModel::UniformFraction { fraction: 1.0 }, 1);
         assert_eq!(all.num_static(), t.graph.m());
-    }
-
-    #[test]
-    fn router_bursts_concentrate_on_few_routers() {
-        let t = slim_fly(7, 1).unwrap();
-        let m = FaultModel::RouterBursts {
-            routers: 2,
-            fraction: 0.5,
-        };
-        let a = FaultPlan::sample(&t, &m, 9);
-        assert_eq!(a, FaultPlan::sample(&t, &m, 9));
-        // Every failed link touches one of at most 2 burst routers.
-        let mut touched = std::collections::BTreeSet::new();
-        for &(u, v) in a.static_failures() {
-            touched.insert(u);
-            touched.insert(v);
-        }
-        // Each burst router loses ~half its radix; with 2 bursts the
-        // failed set is far smaller than a uniform 50% draw would be.
-        assert!(a.num_static() <= t.graph.max_degree() + 2);
-        assert!(a.num_static() >= 2);
-        // Concentration: the burst centers are incident to many failed
-        // links (exactly 2 routers can cover every failed link), which a
-        // uniform draw of the same size essentially never produces.
-        let incident = |r: u32| {
-            a.static_failures()
-                .iter()
-                .filter(|&&(u, v)| u == r || v == r)
-                .count()
-        };
-        let hot: Vec<u32> = (0..t.num_routers() as u32)
-            .filter(|&r| incident(r) >= 3)
-            .collect();
-        assert!(
-            (1..=2).contains(&hot.len()),
-            "expected 1-2 burst centers, got {hot:?}"
-        );
-        assert!(
-            a.static_failures()
-                .iter()
-                .all(|&(u, v)| hot.contains(&u) || hot.contains(&v)),
-            "every failed link must touch a burst center"
-        );
-        assert!(touched.len() <= 2 + a.num_static());
-    }
-
-    #[test]
-    fn class_targeted_only_hits_that_class() {
-        let t = dragonfly(3);
-        let m = FaultModel::ClassTargeted {
-            class: LinkClass::Long,
-            fraction: 0.5,
-        };
-        let a = FaultPlan::sample(&t, &m, 4);
-        assert_eq!(a, FaultPlan::sample(&t, &m, 4));
-        assert!(!a.is_empty(), "DF must have long links");
-        let classes: std::collections::HashMap<_, _> =
-            t.graph.edges().zip(t.link_classes.iter()).collect();
-        for &(u, v) in a.static_failures() {
-            assert_eq!(classes[&(u, v)], &LinkClass::Long);
-        }
     }
 
     #[test]

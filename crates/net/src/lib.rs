@@ -14,8 +14,8 @@
 //!   endpoints) with the Table IV configurations;
 //! * [`cost`] — the router/cable cost model behind Fig. 10;
 //! * [`fault`] — deterministic link-failure plans
-//!   ([`fault::FaultPlan`]): seeded samplers (uniform fraction, router
-//!   bursts, cable-class targeted) and timed up/down events, plus the
+//!   ([`fault::FaultPlan`]): seeded samplers (uniform link fraction,
+//!   whole routers down) and timed up/down events, plus the
 //!   degraded view [`Graph::without_edges`](graph::Graph::without_edges).
 
 pub mod classes;

@@ -61,11 +61,6 @@ pub fn fat_tree(k: u32, oversubscription: u32) -> Topology {
     topo
 }
 
-/// Number of edge routers of a radix-`k` fat tree (`k²/2`).
-pub fn edge_router_count(k: u32) -> u32 {
-    k * k / 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

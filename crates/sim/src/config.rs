@@ -3,64 +3,40 @@
 use crate::engine::TimePs;
 use fatpaths_telemetry::TelemetryConfig;
 
-/// Transport family. Constants default to §VII-A6: NDP uses 9 KB jumbo
-/// frames, an 8-packet window and 8-packet queues; TCP uses 100-packet
-/// tail-drop queues with ECN marking at 33, fast retransmit at 3 dup-acks,
-/// a 200 µs minimum RTO.
+/// NDP payload bytes per packet: 9 KB jumbo frames (§VII-A6).
+const NDP_MTU_PAYLOAD: u32 = 9000;
+/// TCP maximum segment size in payload bytes (§VII-A6).
+const TCP_MSS: u32 = 1460;
+
+/// Transport family. Its constants are §VII-A6's and sit beside the
+/// code that reads them: NDP uses 9 KB jumbo frames, an 8-packet window
+/// and 8-packet queues; TCP uses 1460-byte segments, 100-packet
+/// tail-drop queues with ECN marking at 33, fast retransmit at 3
+/// dup-acks and a 200 µs minimum RTO.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Transport {
     /// The FatPaths "purified" receiver-driven transport (NDP-derived):
     /// line-rate first window, payload trimming, priority queues for
     /// trimmed headers and retransmissions, paced pulls (§III-C).
-    Ndp {
-        /// Data-queue limit per router port, in packets.
-        queue_pkts: u32,
-        /// Initial window (packets pushed at line rate).
-        initial_window: u32,
-        /// Payload bytes per packet (jumbo frame).
-        mtu_payload: u32,
-    },
+    Ndp,
     /// TCP family with per-ACK clocking (§VII-C / §VIII-A).
     Tcp {
         /// Congestion-control variant.
         variant: TcpVariant,
-        /// Maximum segment size (payload bytes).
-        mss: u32,
-        /// Tail-drop queue limit per port, in packets.
-        queue_pkts: u32,
-        /// ECN marking threshold, in packets.
-        ecn_threshold: u32,
-        /// Lower bound on the retransmission timeout.
-        min_rto: TimePs,
     },
 }
 
 impl Transport {
-    /// Paper-default NDP.
-    pub fn ndp_default() -> Transport {
-        Transport::Ndp {
-            queue_pkts: 8,
-            initial_window: 8,
-            mtu_payload: 9000,
-        }
-    }
-
-    /// Paper-default TCP of the given variant.
+    /// The paper's TCP of the given variant.
     pub fn tcp_default(variant: TcpVariant) -> Transport {
-        Transport::Tcp {
-            variant,
-            mss: 1460,
-            queue_pkts: 100,
-            ecn_threshold: 33,
-            min_rto: 200_000_000, // 200 µs
-        }
+        Transport::Tcp { variant }
     }
 
     /// Payload bytes per full packet.
     pub fn payload(&self) -> u32 {
-        match *self {
-            Transport::Ndp { mtu_payload, .. } => mtu_payload,
-            Transport::Tcp { mss, .. } => mss,
+        match self {
+            Transport::Ndp => NDP_MTU_PAYLOAD,
+            Transport::Tcp { .. } => TCP_MSS,
         }
     }
 }
@@ -70,8 +46,6 @@ impl Transport {
 pub enum TcpVariant {
     /// Classic Reno (loss-driven).
     Reno,
-    /// Reno + ECN echo (RFC 3168): window halves on ECE, once per window.
-    EcnReno,
     /// DCTCP: fractional window reduction by the marked fraction α.
     Dctcp,
 }
@@ -125,8 +99,6 @@ pub struct SimConfig {
     /// Flowlet-boundary path selection policy (congestion-oblivious
     /// hashing vs. local queue-depth awareness).
     pub adaptive: AdaptiveMode,
-    /// Flowlet gap (§VII-A6: 50 µs).
-    pub flowlet_gap: TimePs,
     /// RNG seed (full determinism).
     pub seed: u64,
     /// Stop simulating at this time even if flows remain (0 = run to
@@ -170,10 +142,9 @@ impl Default for SimConfig {
         SimConfig {
             link_gbps: 10.0,
             link_latency: 1_000_000, // 1 µs
-            transport: Transport::ndp_default(),
+            transport: Transport::Ndp,
             lb: LoadBalancing::FatPathsLayers,
             adaptive: AdaptiveMode::Oblivious,
-            flowlet_gap: 50_000_000, // 50 µs
             seed: 1,
             horizon: 0,
             detection_delay: None,
@@ -228,28 +199,12 @@ mod tests {
 
     #[test]
     fn defaults_match_paper() {
-        match Transport::ndp_default() {
-            Transport::Ndp {
-                queue_pkts,
-                initial_window,
-                mtu_payload,
-            } => {
-                assert_eq!((queue_pkts, initial_window, mtu_payload), (8, 8, 9000));
-            }
-            _ => panic!(),
-        }
-        match Transport::tcp_default(TcpVariant::Dctcp) {
-            Transport::Tcp {
-                queue_pkts,
-                ecn_threshold,
-                min_rto,
-                ..
-            } => {
-                assert_eq!(queue_pkts, 100);
-                assert_eq!(ecn_threshold, 33);
-                assert_eq!(min_rto, 200_000_000);
-            }
-            _ => panic!(),
-        }
+        use crate::shard::{FLOWLET_GAP, NDP_QUEUE_PKTS, TCP_ECN_THRESHOLD, TCP_QUEUE_PKTS};
+        assert_eq!(Transport::Ndp.payload(), 9000);
+        assert_eq!((NDP_QUEUE_PKTS, crate::ndp::INITIAL_WINDOW), (8, 8));
+        assert_eq!(Transport::tcp_default(TcpVariant::Dctcp).payload(), 1460);
+        assert_eq!((TCP_QUEUE_PKTS, TCP_ECN_THRESHOLD), (100, 33));
+        assert_eq!(crate::tcp::MIN_RTO, 200_000_000);
+        assert_eq!(FLOWLET_GAP, 50_000_000);
     }
 }

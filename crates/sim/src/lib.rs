@@ -10,7 +10,7 @@
 //! * [`simulator`] — ports, queues (trim+priority / taildrop+ECN), links,
 //!   routing and load balancing (ECMP, spraying, LetFlow, FatPaths layers);
 //! * `ndp` (internal) — the purified receiver-driven transport (§III-C);
-//! * `tcp` (internal) — Reno, ECN-Reno, DCTCP (§VIII-A);
+//! * `tcp` (internal) — Reno and DCTCP (§VIII-A);
 //! * [`fluid`] — max-min fluid model (Fig. 13 at 1M endpoints);
 //! * [`metrics`] — FCT/throughput statistics;
 //! * [`sweep`] — [`SweepRunner`]: deterministic parallel execution of

@@ -371,25 +371,6 @@ pub fn histogram(xs: &[f64], lo: f64, hi: f64, bins: usize) -> HistogramResult {
     h
 }
 
-/// MPTCP connection FCTs: a connection completes when its slowest subflow
-/// does. `groups` comes from `Simulator::add_mptcp_flows`; returns one FCT
-/// (seconds) per connection, `None` if any subflow was cut off.
-pub fn mptcp_group_fcts(result: &SimResult, groups: &[Vec<u32>]) -> Vec<Option<f64>> {
-    groups
-        .iter()
-        .map(|g| {
-            let mut worst: f64 = 0.0;
-            for &fid in g {
-                match result.flows[fid as usize].fct_s() {
-                    Some(f) => worst = worst.max(f),
-                    None => return None,
-                }
-            }
-            Some(worst)
-        })
-        .collect()
-}
-
 /// Groups completed flows by size and reports
 /// `(size, mean TPF, tail-1% TPF, count)` per group, ascending by size —
 /// the rows of Figs. 2 and 11.

@@ -34,15 +34,13 @@ use fatpaths_telemetry::SpanKind;
 /// Fixed NDP sender retransmission timeout (a rare safety net: payload
 /// trimming means losses are announced, not inferred).
 const NDP_RTO: TimePs = 2_000_000_000; // 2 ms
+/// Packets a sender pushes at line rate before the first pull, and the
+/// most an RTO resends: an 8-packet window (§VII-A6).
+pub(crate) const INITIAL_WINDOW: u32 = 8;
 
 impl Shard {
-    pub(crate) fn ndp_start<R: RoutingScheme + ?Sized>(
-        &mut self,
-        cx: &Ctx<R>,
-        flow: u32,
-        initial_window: u32,
-    ) {
-        for _ in 0..cx.meta(flow).num_pkts.min(initial_window) {
+    pub(crate) fn ndp_start<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
+        for _ in 0..cx.meta(flow).num_pkts.min(INITIAL_WINDOW) {
             self.ndp_send_next(cx, flow);
         }
         self.arm_rto(cx, flow, self.now + NDP_RTO);
@@ -194,13 +192,8 @@ impl Shard {
     /// window to w timeouts; resending the window mirrors the line-rate
     /// first window of §III-C (receiver-side dedup makes spurious copies
     /// harmless). `Shard::on_rto` calls this only at the flow's deadline,
-    /// last progress + RTO; `window` is the transport's initial window.
-    pub(crate) fn ndp_on_rto<R: RoutingScheme + ?Sized>(
-        &mut self,
-        cx: &Ctx<R>,
-        flow: u32,
-        window: u32,
-    ) {
+    /// last progress + RTO; the window resent is [`INITIAL_WINDOW`].
+    pub(crate) fn ndp_on_rto<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
         let ti = cx.tx_idx(flow);
         self.span(flow, SpanKind::Rto, 0, 0);
         let nl = cx.n_layers as u64;
@@ -226,7 +219,7 @@ impl Shard {
             missing.extend(
                 (0..cx.meta(flow).num_pkts)
                     .filter(|&s| !f.is_acked(s))
-                    .take(window as usize),
+                    .take(INITIAL_WINDOW as usize),
             );
         }
         self.tx[ti].retx_count += missing.len() as u32;

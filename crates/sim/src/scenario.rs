@@ -13,7 +13,7 @@
 //! let flows = [FlowSpec { src: 0, dst: 55, size: 64 * 1024, start: 0 }];
 //! let result = Scenario::on(&topo)
 //!     .scheme(SchemeSpec::LayeredRandom { n_layers: 4, rho: 0.6 })
-//!     .transport(Transport::ndp_default())
+//!     .transport(Transport::Ndp)
 //!     .workload(&flows)
 //!     .seed(7)
 //!     .run();
@@ -251,7 +251,7 @@ impl<'a> Scenario<'a> {
                 n_layers: 9,
                 rho: 0.6,
             },
-            transport: Transport::ndp_default(),
+            transport: Transport::Ndp,
             lb: None,
             adaptive: AdaptiveMode::Oblivious,
             seed: 1,
@@ -468,7 +468,6 @@ impl<'a> Scenario<'a> {
                     &ImConfig {
                         n_layers,
                         seed: self.seed,
-                        ..ImConfig::default()
                     },
                 );
                 BuiltScheme::Layered(RoutingTables::build(g, &ls))
@@ -558,17 +557,6 @@ impl<'a> Scenario<'a> {
         sim.add_flows(&self.flows);
         let (result, trace) = sim.run_traced();
         (result, trace.expect("telemetry was enabled"))
-    }
-
-    /// Runs the scenario with each workload flow striped over `subflows`
-    /// MPTCP subflows (§VIII-A2); returns the result and the per-
-    /// connection flow-id groups for
-    /// [`mptcp_group_fcts`](crate::metrics::mptcp_group_fcts).
-    pub fn run_mptcp(self, subflows: u32) -> (SimResult, Vec<Vec<u32>>) {
-        let scheme = self.build_scheme();
-        let mut sim = self.make_sim(&scheme);
-        let groups = sim.add_mptcp_flows(&self.flows, subflows);
-        (sim.run(), groups)
     }
 }
 

@@ -69,7 +69,7 @@ pub(crate) struct Port {
     data: Fifo,
     prio: Fifo,
     /// Queue depths. `u16` is ample: data queues are policy-capped at
-    /// the transport's `queue_pkts` (≤ 100), priority queues at 1024
+    /// [`NDP_QUEUE_PKTS`] or [`TCP_QUEUE_PKTS`], priority queues at 1024
     /// (`push_prio_bounded`), and NIC queues are window-bounded. The
     /// increments are checked all the same — a wrap would corrupt the
     /// queue policy silently.
@@ -82,6 +82,18 @@ const _: () = assert!(std::mem::size_of::<Port>() == 32);
 
 const PORT_TO_ROUTER: u32 = 1 << 30;
 const QUEUE_LEN_OVERFLOW: &str = "port queue holds more than u16::MAX packets";
+
+/// NDP data-queue limit per router port, in packets: a full payload
+/// beyond it is trimmed to its header (§VII-A6).
+pub(crate) const NDP_QUEUE_PKTS: u32 = 8;
+/// TCP tail-drop queue limit per router port, in packets (§VII-A6).
+pub(crate) const TCP_QUEUE_PKTS: u32 = 100;
+/// TCP queue depth, in packets, at which arriving data is ECN-marked
+/// (§VII-A6).
+pub(crate) const TCP_ECN_THRESHOLD: u32 = 33;
+/// Sending pause after which the next packet starts a new flowlet
+/// (§VII-A6: 50 µs).
+pub(crate) const FLOWLET_GAP: TimePs = 50_000_000;
 
 impl Port {
     pub(crate) fn new(to_is_router: bool, to: u32) -> Self {
@@ -181,33 +193,19 @@ pub(crate) struct FlowMeta {
     pub size: u64,
     pub start: TimePs,
     pub num_pkts: u32,
-    /// MPTCP subflow: layer is pinned, never re-picked.
-    pub pinned_layer: Option<u8>,
-    /// Congestion-avoidance increase factor (LIA coupling: 1/k).
-    pub ca_scale: f64,
     pub init_nonce: u64,
-    pub init_layer: u8,
 }
+const _: () = assert!(std::mem::size_of::<FlowMeta>() == 40);
 
 impl FlowMeta {
-    pub(crate) fn new(
-        spec: &FlowSpec,
-        payload: u32,
-        init_nonce: u64,
-        init_layer: u8,
-        pinned_layer: Option<u8>,
-        ca_scale: f64,
-    ) -> Self {
+    pub(crate) fn new(spec: &FlowSpec, payload: u32, init_nonce: u64) -> Self {
         FlowMeta {
             src_ep: spec.src,
             dst_ep: spec.dst,
             size: spec.size,
             start: spec.start,
             num_pkts: spec.size.div_ceil(payload as u64).max(1) as u32,
-            pinned_layer,
-            ca_scale,
             init_nonce,
-            init_layer,
         }
     }
 
@@ -341,7 +339,7 @@ impl TxFlow {
             cum_ack: 0,
             acked: SeqBits::new(m.num_pkts),
             acked_count: 0,
-            layer: m.init_layer,
+            layer: 0,
             nonce: m.init_nonce,
             last_tx: 0,
             flowlet_ctr: 0,
@@ -406,7 +404,6 @@ pub(crate) struct TcpState {
     pub ce_total: u32,
     pub alpha: f64,
     pub window_end: u32,
-    pub cwr: bool,
     /// A window reduction requested a path switch; applied once the
     /// pipe is nearly empty (reorder-safe) or at a flowlet gap.
     pub want_switch: bool,
@@ -429,7 +426,6 @@ impl TcpState {
             ce_total: 0,
             alpha: 0.0,
             window_end: 0,
-            cwr: false,
             want_switch: false,
         }
     }
@@ -875,7 +871,7 @@ impl Shard {
         self.tx[cx.tx_idx(flow)].started = true;
         self.span(flow, SpanKind::Inject, 0, 0);
         match cx.cfg.transport {
-            Transport::Ndp { initial_window, .. } => self.ndp_start(cx, flow, initial_window),
+            Transport::Ndp => self.ndp_start(cx, flow),
             Transport::Tcp { .. } => self.tcp_start(cx, flow),
         }
     }
@@ -892,14 +888,14 @@ impl Shard {
         pid: u32,
     ) {
         match cx.cfg.transport {
-            Transport::Ndp { queue_pkts, .. } => {
+            Transport::Ndp => {
                 let (is_data, is_retx) = {
                     let p = self.packets.get(pid);
                     (p.kind() == PktKind::Data && !p.trimmed(), p.retx())
                 };
                 let li = cx.port_idx(port);
                 if is_data {
-                    if (self.ports[li].data_len as u32) < queue_pkts {
+                    if (self.ports[li].data_len as u32) < NDP_QUEUE_PKTS {
                         // Retransmissions jump the data queue (they unblock
                         // stalled receivers, §III-C) but still count against
                         // the shallow limit — a payload is a payload.
@@ -916,19 +912,15 @@ impl Shard {
                     self.push_prio_bounded(cx, port, pid);
                 }
             }
-            Transport::Tcp {
-                queue_pkts,
-                ecn_threshold,
-                ..
-            } => {
+            Transport::Tcp { .. } => {
                 let li = cx.port_idx(port);
                 let depth = self.ports[li].data_len as u32;
-                if depth >= queue_pkts {
+                if depth >= TCP_QUEUE_PKTS {
                     self.drops += 1;
                     self.packets.release(pid);
                     return;
                 }
-                if depth >= ecn_threshold {
+                if depth >= TCP_ECN_THRESHOLD {
                     self.packets.get_mut(pid).set_ecn_ce();
                 }
                 self.port_enqueue(cx, port, true, false, pid);
@@ -1136,19 +1128,16 @@ impl Shard {
     /// runs byte-identical at any shard and thread count.
     ///
     /// Returns `true` when a decision was applied; `false` defers to the
-    /// caller's oblivious hash (spraying, pinned MPTCP subflows,
-    /// same-router pairs, single-candidate rows, or every candidate
-    /// down). Cost is O(candidates) per boundary with no allocation
-    /// (`depth_scratch` is reused across decisions).
+    /// caller's oblivious hash (spraying, same-router pairs,
+    /// single-candidate rows, or every candidate down). Cost is
+    /// O(candidates) per boundary with no allocation (`depth_scratch` is
+    /// reused across decisions).
     pub(crate) fn adaptive_repick<R: RoutingScheme + ?Sized>(
         &mut self,
         cx: &Ctx<R>,
         flow: u32,
     ) -> bool {
         let m = cx.meta(flow);
-        if m.pinned_layer.is_some() {
-            return false;
-        }
         let r = cx.ep_router[m.src_ep as usize];
         let dst_router = cx.ep_router[m.dst_ep as usize];
         if r == dst_router {
@@ -1271,7 +1260,7 @@ impl Shard {
     // ---- shared endpoint helpers ------------------------------------------
 
     /// Applies source-side flowlet logic before a data transmission:
-    /// after a gap > `flowlet_gap`, re-pick the path.
+    /// after a gap > [`FLOWLET_GAP`], re-pick the path.
     ///
     /// A ≥ gap pause implies the pipe has drained (the gap exceeds the
     /// RTT), so switching paths at a gap cannot reorder — LetFlow's core
@@ -1280,7 +1269,7 @@ impl Shard {
     pub(crate) fn flowlet_update<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
         let ti = cx.tx_idx(flow);
         let last = self.tx[ti].last_tx;
-        if last != 0 && self.now.saturating_sub(last) > cx.cfg.flowlet_gap {
+        if last != 0 && self.now.saturating_sub(last) > FLOWLET_GAP {
             self.repick_path(cx, flow, 20, 0);
         }
         self.tx[ti].last_tx = self.now;
@@ -1288,11 +1277,10 @@ impl Shard {
 
     /// The one flowlet-boundary re-pick, shared by the gap boundary and
     /// TCP's window-reduction and timeout boundaries, which salt the
-    /// hash differently (`shift`, `mix`). Pinned MPTCP subflows own
-    /// their layer. Otherwise the flowlet counter advances and the path
-    /// is steered ([`AdaptiveMode::QueueDepth`]) or hashed: a new layer
-    /// for FatPaths, a new nonce for LetFlow. ECMP keeps everything
-    /// static; spraying has no flowlets.
+    /// hash differently (`shift`, `mix`). The flowlet counter advances
+    /// and the path is steered ([`AdaptiveMode::QueueDepth`]) or hashed:
+    /// a new layer for FatPaths, a new nonce for LetFlow. ECMP keeps
+    /// everything static; spraying has no flowlets.
     pub(crate) fn repick_path<R: RoutingScheme + ?Sized>(
         &mut self,
         cx: &Ctx<R>,
@@ -1300,9 +1288,6 @@ impl Shard {
         shift: u32,
         mix: u64,
     ) {
-        if cx.meta(flow).pinned_layer.is_some() {
-            return;
-        }
         let ti = cx.tx_idx(flow);
         let old = self.tx[ti].layer;
         self.tx[ti].flowlet_ctr += 1;
@@ -1419,7 +1404,7 @@ impl Shard {
     pub(crate) fn tx_done<R: RoutingScheme + ?Sized>(&self, cx: &Ctx<R>, flow: u32) -> bool {
         let f = &self.tx[cx.tx_idx(flow)];
         match cx.cfg.transport {
-            Transport::Ndp { .. } => f.acked_count >= cx.meta(flow).num_pkts,
+            Transport::Ndp => f.acked_count >= cx.meta(flow).num_pkts,
             Transport::Tcp { .. } => f.cum_ack >= cx.meta(flow).num_pkts,
         }
     }
@@ -1439,7 +1424,7 @@ impl Shard {
             f.rx_last_layer = pkt.layer;
             f.last_nonce = pkt.nonce;
             match cx.cfg.transport {
-                Transport::Ndp { .. } => self.ndp_on_data(cx, flow, pkt),
+                Transport::Ndp => self.ndp_on_data(cx, flow, pkt),
                 Transport::Tcp { .. } => self.tcp_on_data(cx, flow, pkt),
             }
         } else {
@@ -1448,7 +1433,7 @@ impl Shard {
             }
             self.reset_dead_rtos(cx, flow);
             match cx.cfg.transport {
-                Transport::Ndp { .. } => self.ndp_on_control(cx, flow, pkt),
+                Transport::Ndp => self.ndp_on_control(cx, flow, pkt),
                 Transport::Tcp { .. } => self.tcp_on_ack(cx, flow, pkt.seq, pkt.ecn_echo()),
             }
         }
@@ -1504,7 +1489,7 @@ impl Shard {
             return;
         }
         match cx.cfg.transport {
-            Transport::Ndp { initial_window, .. } => self.ndp_on_rto(cx, flow, initial_window),
+            Transport::Ndp => self.ndp_on_rto(cx, flow),
             Transport::Tcp { .. } => self.tcp_on_rto(cx, flow),
         }
     }

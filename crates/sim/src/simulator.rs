@@ -25,6 +25,7 @@ use crate::config::{SimConfig, Transport, HDR_BYTES};
 use crate::engine::{assert_schedulable, EvKind, Fifo, TimePs};
 use crate::faults::{FaultTimeline, FaultWriter};
 use crate::metrics::{peak_rss_kb, reset_peak_rss, FlowRecord, RunProfile, SimResult};
+use crate::ndp::INITIAL_WINDOW;
 use crate::shard::{
     deliver_mailboxes, partition_routers, Ctx, FlowMeta, Port, RxFlow, Shard, SlotRef, TcpState,
     TxFlow,
@@ -33,7 +34,9 @@ use fatpaths_core::fwd::fnv1a;
 use fatpaths_core::scheme::RoutingScheme;
 use fatpaths_net::fault::FaultPlan;
 use fatpaths_net::topo::Topology;
-use fatpaths_telemetry::{MailboxSample, RepairSample, ShardTelemetry, Trace, TraceMeta};
+use fatpaths_telemetry::{
+    MailboxSample, RepairSample, ShardTelemetry, Trace, TraceMeta, INTERVAL_PS,
+};
 use fatpaths_workloads::arrivals::FlowSpec;
 use rayon::prelude::*;
 
@@ -322,7 +325,7 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
         let k = self.shards.len();
         let payload = self.cfg.transport.payload() as u64;
         let win_cap = match self.cfg.transport {
-            Transport::Ndp { initial_window, .. } => initial_window.min(16) as u64,
+            Transport::Ndp => INITIAL_WINDOW as u64,
             Transport::Tcp { .. } => 4,
         };
         let mut ntx = vec![0usize; k];
@@ -369,69 +372,34 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
         self.rx_home.reserve(specs.len());
     }
 
-    /// Registers flows (any order); they start at their spec times.
+    /// Registers flows (any order); they start at their spec times, on
+    /// layer 0.
     ///
     /// # Panics
     ///
-    /// If a start time lies at or beyond 2^55 ps (the bound on
-    /// scheduled times; the event queue's timestamps are 56 bits wide).
+    /// If a flow names an endpoint the topology does not have, or if a
+    /// start time lies at or beyond 2^55 ps (the bound on scheduled
+    /// times; the event queue's timestamps are 56 bits wide).
     pub fn add_flows(&mut self, specs: &[FlowSpec]) {
+        let ne = self.topo.num_endpoints();
+        for (i, spec) in specs.iter().enumerate() {
+            let id = self.meta.len() + i;
+            for (role, e) in [("source", spec.src), ("destination", spec.dst)] {
+                assert!(
+                    (e as usize) < ne,
+                    "flow {id} names {role} endpoint {e}, but the topology has {ne} endpoints"
+                );
+            }
+        }
         let payload = self.cfg.transport.payload();
         self.reserve_for(specs);
         for spec in specs {
             assert_ne!(spec.src, spec.dst, "self-flow");
             let id = self.meta.len() as u32;
-            // Initial layer / nonce: deterministic per flow.
-            let m = FlowMeta::new(spec, payload, fnv1a(0x5151 ^ id as u64), 0, None, 1.0);
+            // Initial nonce: deterministic per flow.
+            let m = FlowMeta::new(spec, payload, fnv1a(0x5151 ^ id as u64));
             self.push_flow(m, spec.start);
         }
-    }
-
-    /// Registers MPTCP connections (§VIII-A2, reduced form): each spec is
-    /// striped over `subflows` TCP subflows, one pinned to each routing
-    /// layer, with LIA-style coupled congestion avoidance (each subflow's
-    /// additive increase is scaled by `1/subflows`). Returns, per spec, the
-    /// flow-id group; the connection's FCT is the max over its group (see
-    /// [`mptcp_group_fcts`](crate::metrics::mptcp_group_fcts)).
-    pub fn add_mptcp_flows(&mut self, specs: &[FlowSpec], subflows: u32) -> Vec<Vec<u32>> {
-        assert!(
-            matches!(self.cfg.transport, Transport::Tcp { .. }),
-            "MPTCP runs on the TCP transport"
-        );
-        let subflows = subflows.clamp(1, self.scheme.num_layers() as u32);
-        let payload = self.cfg.transport.payload();
-        let mut groups = Vec::with_capacity(specs.len());
-        for spec in specs {
-            assert_ne!(spec.src, spec.dst, "self-flow");
-            let mut group = Vec::with_capacity(subflows as usize);
-            let per = spec.size / subflows as u64;
-            let mut assigned = 0u64;
-            for k in 0..subflows {
-                let size = if k + 1 == subflows {
-                    spec.size - assigned
-                } else {
-                    per
-                };
-                assigned += size;
-                if size == 0 {
-                    continue;
-                }
-                let sub = FlowSpec { size, ..*spec };
-                let id = self.meta.len() as u32;
-                let m = FlowMeta::new(
-                    &sub,
-                    payload,
-                    fnv1a(0x3333 ^ id as u64),
-                    k as u8,
-                    Some(k as u8),
-                    1.0 / subflows as f64,
-                );
-                self.push_flow(m, sub.start);
-                group.push(id);
-            }
-            groups.push(group);
-        }
-        groups
     }
 
     /// Runs to completion (or the horizon) and returns per-flow records.
@@ -458,11 +426,11 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
     /// Collection is strictly shard-local: each shard accumulates into
     /// its own [`ShardTelemetry`], and the driver flushes interval rows
     /// *between* windows, where execution is serial and the interval
-    /// boundary (`t0 / interval_ps`) is globally agreed. The merged
+    /// boundary (`t0 / INTERVAL_PS`) is globally agreed. The merged
     /// trace is therefore byte-identical for every thread count at a
     /// fixed shard count. Events inside a window are attributed to the
     /// window's start interval, so the effective resolution is
-    /// `max(interval_ps, lookahead)`. A window starts at the earliest
+    /// `max(INTERVAL_PS, lookahead)`. A window starts at the earliest
     /// pending event, so an engine change that adds or removes events —
     /// even ones that decide nothing — moves window boundaries and with
     /// them which interval a row lands in, at unchanged outcomes.
@@ -506,7 +474,6 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
             // Telemetry interval bookkeeping — driven entirely from the
             // serial between-window section, never read across shards
             // mid-window.
-            let interval = tcfg.interval_ps.max(1);
             let mut cur_iv: u64 = 0;
             let mut mailbox = (0u64, 0u64);
             loop {
@@ -536,7 +503,7 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
                     break;
                 }
                 if tcfg.enabled {
-                    let iv = t0 / interval;
+                    let iv = t0 / INTERVAL_PS;
                     if iv > cur_iv {
                         flush_telemetry(cx, shards, cur_iv, &mut mailbox, &mut mailbox_rows);
                         cur_iv = iv;
@@ -620,7 +587,7 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
             Trace::assemble(
                 TraceMeta {
                     shards: self.shards.len() as u32,
-                    interval_ps: tcfg.interval_ps.max(1),
+                    interval_ps: INTERVAL_PS,
                     span_every: tcfg.span_every,
                     seed: tcfg.seed,
                     end_time,
@@ -819,6 +786,26 @@ mod tests {
         let (topo, rt) = fixture();
         let mut sim = Simulator::new(&topo, &rt, SimConfig::default().shards(1));
         sim.apply_fault_plan(&FaultPlan::none().router_down_at(7_000, 50));
+    }
+
+    /// A flow naming an endpoint past the topology is rejected where it
+    /// enters, naming the flow, before any per-shard sizing indexes by
+    /// its router.
+    #[test]
+    #[should_panic(
+        expected = "flow 1 names destination endpoint 50, but the topology has 50 endpoints"
+    )]
+    fn flow_naming_an_endpoint_past_the_topology_is_rejected() {
+        let (topo, rt) = fixture();
+        assert_eq!(topo.num_endpoints(), 50);
+        let mut sim = Simulator::new(&topo, &rt, SimConfig::default().shards(2));
+        let flow = |src, dst| FlowSpec {
+            src,
+            dst,
+            size: 1000,
+            start: 0,
+        };
+        sim.add_flows(&[flow(0, 49), flow(1, 50)]);
     }
 
     #[test]

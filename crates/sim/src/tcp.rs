@@ -1,9 +1,9 @@
 //! TCP-family endpoint logic (§VII-C, §VIII-A): Reno slow start /
-//! congestion avoidance / fast retransmit, ECN-Reno (RFC 3168 echo), and
-//! DCTCP's fractional window reduction. Receivers ACK every segment
-//! (low-latency datacenter stacks disable delayed ACKs); ACKs carry the
-//! data packet's CE mark as ECE. Window reductions are flowlet boundaries
-//! for FatPaths layer re-selection (§VIII-A1).
+//! congestion avoidance / fast retransmit, and DCTCP's fractional window
+//! reduction. Receivers ACK every segment (low-latency datacenter stacks
+//! disable delayed ACKs); ACKs carry the data packet's CE mark as ECE.
+//! Window reductions are flowlet boundaries for FatPaths layer
+//! re-selection (§VIII-A1).
 //!
 //! Only the protocol rules live here. The endpoint skeleton both
 //! transports share lives in `crate::shard`: the arrival split
@@ -31,17 +31,17 @@ use fatpaths_telemetry::SpanKind;
 const DCTCP_G: f64 = 1.0 / 16.0;
 /// Initial RTO before the first RTT sample.
 const INITIAL_RTO: TimePs = 1_000_000_000; // 1 ms
+/// Lower bound on the retransmission timeout: 200 µs (§VII-A6).
+pub(crate) const MIN_RTO: TimePs = 200_000_000;
 /// Hash salt (shift, mix) of the window-reduction and timeout re-picks
 /// (`Shard::repick_path`); the gap boundary uses (20, 0).
 const REPICK_SHIFT: u32 = 22;
 const REPICK_MIX: u64 = 0xACED;
 
-fn tcp_params(cfg: &SimConfig) -> (TcpVariant, TimePs) {
+fn tcp_variant(cfg: &SimConfig) -> TcpVariant {
     match cfg.transport {
-        Transport::Tcp {
-            variant, min_rto, ..
-        } => (variant, min_rto),
-        _ => unreachable!("tcp handler in non-tcp mode"),
+        Transport::Tcp { variant } => variant,
+        Transport::Ndp => unreachable!("tcp handler in non-tcp mode"),
     }
 }
 
@@ -110,10 +110,9 @@ impl Shard {
         cum: u32,
         ece: bool,
     ) {
-        let (variant, _) = tcp_params(&cx.cfg);
+        let variant = tcp_variant(&cx.cfg);
         let ti = cx.tx_idx(flow);
         let num_pkts = cx.meta(flow).num_pkts;
-        let ca_scale = cx.meta(flow).ca_scale;
         let mut became_boundary = false; // cwnd reduction = flowlet boundary
         {
             let now = self.now;
@@ -158,42 +157,27 @@ impl Shard {
                     if c.cwnd < c.ssthresh {
                         c.cwnd += delta as f64; // slow start
                     } else {
-                        // Congestion avoidance; ca_scale couples MPTCP
-                        // subflows (1/k aggressiveness each).
-                        c.cwnd += ca_scale * delta as f64 / c.cwnd;
+                        c.cwnd += delta as f64 / c.cwnd; // congestion avoidance
                     }
                 }
-                // Window rollover: apply per-window ECN reactions.
+                // Window rollover: apply DCTCP's per-window ECN reaction.
                 if cum >= c.window_end {
-                    match variant {
-                        TcpVariant::Dctcp => {
-                            let frac = if c.ce_total > 0 {
-                                c.ce_marked as f64 / c.ce_total as f64
-                            } else {
-                                0.0
-                            };
-                            c.alpha = (1.0 - DCTCP_G) * c.alpha + DCTCP_G * frac;
-                            if c.ce_marked > 0 {
-                                c.cwnd = (c.cwnd * (1.0 - c.alpha / 2.0)).max(2.0);
-                                c.ssthresh = c.cwnd;
-                                became_boundary = true;
-                            }
+                    if variant == TcpVariant::Dctcp {
+                        let frac = if c.ce_total > 0 {
+                            c.ce_marked as f64 / c.ce_total as f64
+                        } else {
+                            0.0
+                        };
+                        c.alpha = (1.0 - DCTCP_G) * c.alpha + DCTCP_G * frac;
+                        if c.ce_marked > 0 {
+                            c.cwnd = (c.cwnd * (1.0 - c.alpha / 2.0)).max(2.0);
+                            c.ssthresh = c.cwnd;
+                            became_boundary = true;
                         }
-                        TcpVariant::EcnReno => {
-                            c.cwr = false;
-                        }
-                        TcpVariant::Reno => {}
                     }
                     c.ce_marked = 0;
                     c.ce_total = 0;
                     c.window_end = cum + (c.cwnd as u32).max(1);
-                }
-                // ECN-Reno reacts at most once per window, immediately.
-                if variant == TcpVariant::EcnReno && ece && !c.cwr {
-                    c.ssthresh = (c.cwnd / 2.0).max(2.0);
-                    c.cwnd = c.ssthresh;
-                    c.cwr = true;
-                    became_boundary = true;
                 }
             } else {
                 // Duplicate ACK.
@@ -235,17 +219,16 @@ impl Shard {
     }
 
     /// Arms the flow's timer one RTO from now: the smoothed estimate
-    /// (the initial RTO before the first sample), floored at `min_rto`
-    /// and doubled per backoff.
+    /// (the initial RTO before the first sample), floored at
+    /// [`MIN_RTO`] and doubled per backoff.
     fn tcp_arm_rto<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
-        let (_, min_rto) = tcp_params(&cx.cfg);
         let c = &self.tcp[cx.tx_idx(flow)];
         let base = if c.srtt == 0.0 {
             INITIAL_RTO
         } else {
             (c.srtt + 4.0 * c.rttvar) as TimePs
         };
-        self.arm_rto(cx, flow, self.now + (base.max(min_rto) << c.backoff.min(6)));
+        self.arm_rto(cx, flow, self.now + (base.max(MIN_RTO) << c.backoff.min(6)));
     }
 
     /// A timeout (`Shard::on_rto` has found the deadline reached):

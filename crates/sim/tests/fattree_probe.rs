@@ -25,7 +25,7 @@ fn ndp_spray_on_fat_tree_permutation() {
     let res = Scenario::on(&topo)
         .scheme(SchemeSpec::Minimal)
         .lb(LoadBalancing::PacketSpray)
-        .transport(Transport::ndp_default())
+        .transport(Transport::Ndp)
         .workload(&flows)
         .run();
     let mean_tp: f64 = res

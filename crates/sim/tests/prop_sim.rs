@@ -19,7 +19,7 @@ proptest! {
         let ms = MinimalScheme::new(&topo.graph, &dm);
         let cfg = SimConfig {
             transport: if ndp {
-                Transport::ndp_default()
+                Transport::Ndp
             } else {
                 Transport::tcp_default(fatpaths_sim::TcpVariant::Reno)
             },

@@ -1,12 +1,11 @@
 //! Tests for §V-G fault tolerance (layer-based failover around link
 //! failures, the `FaultPlan` subsystem, timed link events, and
-//! detection-triggered route repair) and the §VIII-A2 MPTCP integration.
+//! detection-triggered route repair).
 
 use fatpaths_core::fwd::RoutingTables;
 use fatpaths_core::layers::{build_random_layers, LayerConfig};
 use fatpaths_net::topo::slimfly::slim_fly;
-use fatpaths_sim::metrics::mptcp_group_fcts;
-use fatpaths_sim::{FaultPlan, Scenario, SchemeSpec, TcpVariant, Transport};
+use fatpaths_sim::{FaultPlan, Scenario, SchemeSpec};
 use fatpaths_workloads::arrivals::FlowSpec;
 
 /// The unique layer-0 (minimal) path of the 2-hop pair the failure tests
@@ -193,74 +192,6 @@ fn detection_and_repair_revive_single_path_routing() {
     assert_eq!(res.completion_rate(), 1.0, "repair must route around");
     let fct = res.flows[0].fct_s().unwrap();
     assert!(fct < 0.05, "repaired recovery took {fct}s");
-}
-
-#[test]
-fn mptcp_stripes_over_layers_and_completes() {
-    let topo = slim_fly(5, 2).unwrap();
-    let specs = [
-        FlowSpec {
-            src: 0,
-            dst: 80,
-            size: 1 << 20,
-            start: 0,
-        },
-        FlowSpec {
-            src: 3,
-            dst: 55,
-            size: 300_000,
-            start: 0,
-        },
-    ];
-    let (res, groups) = Scenario::on(&topo)
-        .scheme(SchemeSpec::LayeredRandom {
-            n_layers: 4,
-            rho: 0.6,
-        })
-        .transport(Transport::tcp_default(TcpVariant::Dctcp))
-        .workload(&specs)
-        .seed(3)
-        .run_mptcp(4);
-    assert_eq!(groups.len(), 2);
-    assert_eq!(groups[0].len(), 4);
-    assert_eq!(res.completion_rate(), 1.0);
-    let fcts = mptcp_group_fcts(&res, &groups);
-    assert!(fcts.iter().all(|f| f.is_some()));
-    // Total bytes conserved across subflows.
-    let total: u64 = groups[0]
-        .iter()
-        .map(|&fid| res.flows[fid as usize].size)
-        .sum();
-    assert_eq!(total, 1 << 20);
-}
-
-#[test]
-fn mptcp_survives_failure_of_one_layer_path() {
-    // One subflow's pinned layer crosses a failed link; the connection
-    // still finishes because that subflow recovers via RTO retransmits on
-    // its own layer... unless the layer is fully broken for the pair — in
-    // which case the test documents that pinning trades resilience for
-    // stability (subflow stalls, connection FCT = None at horizon).
-    let topo = slim_fly(5, 2).unwrap();
-    let (res, groups) = Scenario::on(&topo)
-        .scheme(SchemeSpec::LayeredRandom {
-            n_layers: 4,
-            rho: 0.6,
-        })
-        .transport(Transport::tcp_default(TcpVariant::Dctcp))
-        .workload(&[FlowSpec {
-            src: 0,
-            dst: 80,
-            size: 400_000,
-            start: 0,
-        }])
-        .seed(3)
-        .horizon(30_000_000_000)
-        .run_mptcp(2);
-    let fcts = mptcp_group_fcts(&res, &groups);
-    assert_eq!(fcts.len(), 1);
-    // No failure injected here: baseline must complete.
-    assert!(fcts[0].is_some());
 }
 
 #[test]

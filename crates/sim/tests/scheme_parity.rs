@@ -159,7 +159,7 @@ fn spain_adapter_completes_all_flows() {
     );
     assert!(spain.num_layers() >= 2);
     for transport in [
-        Transport::ndp_default(),
+        Transport::Ndp,
         Transport::tcp_default(fatpaths_sim::TcpVariant::Dctcp),
     ] {
         let cfg = SimConfig {

@@ -479,33 +479,6 @@ fn disabled_telemetry_emits_nothing() {
     assert_eq!(res.completion_rate(), 1.0);
 }
 
-/// MPTCP subflow groups (pinned layers, coupled congestion avoidance)
-/// survive sharding bit-for-bit, including the group structure.
-#[test]
-fn sharded_mptcp_runs_match_single_shard() {
-    rayon::ensure_pool(4);
-    let topo = fatpaths_net::topo::slimfly::slim_fly(5, 2).unwrap();
-    let flows = permutation(&topo, 11);
-    let run = |k: u32| {
-        Scenario::on(&topo)
-            .scheme(SchemeSpec::LayeredRandom {
-                n_layers: 4,
-                rho: 0.6,
-            })
-            .transport(fatpaths_sim::Transport::tcp_default(
-                fatpaths_sim::TcpVariant::Dctcp,
-            ))
-            .workload(&flows)
-            .seed(3)
-            .shards(k)
-            .run_mptcp(3)
-    };
-    let (res1, groups1) = run(1);
-    let (res4, groups4) = run(4);
-    assert_eq!(groups1, groups4);
-    assert!(fingerprint(&res1) == fingerprint(&res4));
-}
-
 /// Strategy for the cross-shard merge key. The engine realizes this
 /// order through canonical per-transmission uids; the model here is the
 /// contract the docs state: time first, then source shard, then send

@@ -15,7 +15,7 @@ use fatpaths_workloads::MIB;
 
 fn ndp_cfg(lb: LoadBalancing) -> SimConfig {
     SimConfig {
-        transport: Transport::ndp_default(),
+        transport: Transport::Ndp,
         lb,
         ..SimConfig::default()
     }
@@ -63,7 +63,7 @@ fn single_tcp_flow_completes_slower_than_ndp() {
     }];
     let rn = Scenario::on(&topo)
         .scheme(SchemeSpec::Minimal)
-        .transport(Transport::ndp_default())
+        .transport(Transport::Ndp)
         .workload(&flows)
         .run();
     let rt = Scenario::on(&topo)
@@ -321,30 +321,6 @@ fn horizon_cuts_off_unfinished_flows() {
     assert!(res.flows[0].finish.is_none());
 }
 
-#[test]
-fn tcp_ecn_reno_reacts_before_loss() {
-    let topo = star(8);
-    let dm = DistanceMatrix::build(&topo.graph);
-    let ms = MinimalScheme::new(&topo.graph, &dm);
-    let run = |variant| {
-        let mut sim = Simulator::new(&topo, &ms, tcp_cfg(variant, LoadBalancing::EcmpFlow));
-        let flows: Vec<FlowSpec> = (1..=6)
-            .map(|s| FlowSpec {
-                src: s,
-                dst: 0,
-                size: MIB,
-                start: 0,
-            })
-            .collect();
-        sim.add_flows(&flows);
-        sim.run()
-    };
-    let reno = run(TcpVariant::Reno);
-    let ecn = run(TcpVariant::EcnReno);
-    assert_eq!(ecn.completion_rate(), 1.0);
-    assert!(ecn.drops <= reno.drops);
-}
-
 /// The retransmission timer against times worked out by hand. One
 /// two-packet DCTCP flow crosses the one link of a two-router complete
 /// graph, 3 store-and-forward hops each way. The link is down over
@@ -377,9 +353,7 @@ fn tcp_timeouts_land_at_last_arming_plus_rto() {
         span_every: 1,
         ..TelemetryConfig::on()
     };
-    let Transport::Tcp { mss, .. } = cfg.transport else {
-        unreachable!()
-    };
+    let mss = cfg.transport.payload();
     let hop = |bytes| cfg.ser_time(bytes) + cfg.link_latency;
     let (data_way, ack_way) = (3 * hop(mss + HDR_BYTES), 3 * hop(HDR_BYTES));
     let mut sim = Simulator::new(&topo, &ms, cfg);

@@ -95,9 +95,8 @@ fn outcome(r: &SimResult, spans: &[SpanEvent]) -> u64 {
     h
 }
 
-/// Runs `sc` with `plan` on `w` (striped over `subflows` MPTCP subflows
-/// when > 1), every flow sampled, at K = 1 and K = 3.
-fn pin(topo: &Topology, sc: Scenario, plan: &FaultPlan, w: &[FlowSpec], subflows: u32) -> Pin {
+/// Runs `sc` with `plan` on `w`, every flow sampled, at K = 1 and K = 3.
+fn pin(topo: &Topology, sc: Scenario, plan: &FaultPlan, w: &[FlowSpec]) -> Pin {
     let scheme = sc.build_scheme();
     let run = |k| {
         let mut cfg = sc.sim_config().shards(k);
@@ -107,11 +106,7 @@ fn pin(topo: &Topology, sc: Scenario, plan: &FaultPlan, w: &[FlowSpec], subflows
         };
         let mut sim = Simulator::new(topo, &scheme, cfg);
         sim.apply_fault_plan(plan);
-        if subflows > 1 {
-            sim.add_mptcp_flows(w, subflows);
-        } else {
-            sim.add_flows(w);
-        }
+        sim.add_flows(w);
         let (r, trace) = sim.run_traced();
         let spans = trace.expect("telemetry on").spans;
         let count = |keep: &dyn Fn(&SpanEvent) -> bool| spans.iter().filter(|s| keep(s)).count();
@@ -141,7 +136,7 @@ fn dctcp(topo: &Topology) -> Scenario<'_> {
 fn ndp_layers_oblivious() {
     let topo = slim_fly(5, 2).unwrap();
     let sc = Scenario::on(&topo).scheme(LAYERS).seed(3);
-    let p = pin(&topo, sc, &FaultPlan::none(), &flows(&topo, incast), 1);
+    let p = pin(&topo, sc, &FaultPlan::none(), &flows(&topo, incast));
     assert!(p.switches > 0, "{p:?}");
     assert_eq!(p.outcome, 0x75b2_a99e_02da_df1d);
     assert_eq!(p.end_time, 541_080_000);
@@ -155,7 +150,7 @@ fn ndp_layers_queue_depth() {
         .scheme(LAYERS)
         .adaptive(AdaptiveMode::QueueDepth)
         .seed(3);
-    let p = pin(&topo, sc, &FaultPlan::none(), &flows(&topo, incast), 1);
+    let p = pin(&topo, sc, &FaultPlan::none(), &flows(&topo, incast));
     assert!(p.switches > 0, "{p:?}");
     assert_eq!(p.outcome, 0x317c_3fa9_fcd8_7f30);
     assert_eq!(p.end_time, 541_131_200);
@@ -171,7 +166,6 @@ fn dctcp_layers_window_reduction_repicks() {
         dctcp(&topo).scheme(LAYERS),
         &FaultPlan::none(),
         &flows(&topo, incast),
-        1,
     );
     assert!(p.switches > 0, "{p:?}");
     assert_eq!(p.outcome, 0x5f23_6723_6d4c_780c);
@@ -193,8 +187,8 @@ fn dctcp_letflow_queue_depth_nonce_search() {
         .scheme(SchemeSpec::Minimal)
         .lb(LoadBalancing::LetFlow);
     let (none, w) = (FaultPlan::none(), flows(&topo, shift));
-    let oblivious = pin(&topo, sc.clone(), &none, &w, 1);
-    let p = pin(&topo, sc.adaptive(AdaptiveMode::QueueDepth), &none, &w, 1);
+    let oblivious = pin(&topo, sc.clone(), &none, &w);
+    let p = pin(&topo, sc.adaptive(AdaptiveMode::QueueDepth), &none, &w);
     assert_eq!(oblivious.outcome, 0x8dae_77c2_bb87_6810);
     assert_eq!(oblivious.end_time, 388_441_600);
     assert_eq!(oblivious.timers, 47);
@@ -202,25 +196,6 @@ fn dctcp_letflow_queue_depth_nonce_search() {
     assert_eq!(p.outcome, 0x0918_f4bc_b34a_046a);
     assert_eq!(p.end_time, 338_804_800);
     assert_eq!(p.timers, 44);
-}
-
-/// MPTCP with two subflows per connection: each subflow owns its layer,
-/// so no boundary ever switches one (the same workload as single-path
-/// DCTCP switches hundreds of times).
-#[test]
-fn mptcp_subflows_keep_their_layers() {
-    let topo = slim_fly(5, 2).unwrap();
-    let p = pin(
-        &topo,
-        dctcp(&topo).scheme(LAYERS),
-        &FaultPlan::none(),
-        &flows(&topo, incast),
-        2,
-    );
-    assert_eq!(p.switches, 0, "{p:?}");
-    assert_eq!(p.outcome, 0xd01a_fd77_2008_c334);
-    assert_eq!(p.end_time, 683_510_871);
-    assert_eq!(p.timers, 148);
 }
 
 /// NDP through a rolling reboot with a two-dead-RTO abort budget and a
@@ -236,7 +211,7 @@ fn ndp_rolling_reboot_aborts() {
         .horizon(60 * MS)
         .detection_delay(200 * US)
         .abort_on_host_death(2);
-    let p = pin(&topo, sc, &plan, &flows(&topo, incast), 1);
+    let p = pin(&topo, sc, &plan, &flows(&topo, incast));
     assert!(p.aborts > 0, "{p:?}");
     assert_eq!(p.outcome, 0x0f10_2dcd_223e_941a);
     assert_eq!(p.end_time, 4_143_512_000);

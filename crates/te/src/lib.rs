@@ -18,10 +18,10 @@
 //!    layers — the same demand model the simulator's hashing realizes);
 //! 3. re-price each link with a *present* cost proportional to its
 //!    current load and an accumulated *historic* cost for persistent
-//!    oversubscription ([`TeConfig::hist_factor`]);
+//!    oversubscription (PathFinder's `pfac` 0.8 and `hfac` 0.4);
 //! 4. rebuild all trees as shortest-path trees under the new prices and
-//!    repeat until the peak load stops improving
-//!    ([`TeConfig::epsilon`]) or [`TeConfig::max_iterations`] is hit.
+//!    repeat until the peak load changes by less than 0.1% or
+//!    [`TeConfig::max_iterations`] is hit.
 //!
 //! The negotiation is deterministic end to end — stable demand ordering,
 //! the same `fnv1a(layer, src, dst)` tie-break as the static tables, no

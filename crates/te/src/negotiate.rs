@@ -26,36 +26,33 @@ use fatpaths_mcf::RouterDemand;
 use fatpaths_net::graph::{Graph, RouterId};
 use rayon::prelude::*;
 
-/// Knobs of the negotiation loop. The defaults converge on every
-/// paper-size topology class within a handful of iterations.
+/// Historic-cost accumulation rate: every iteration each link adds
+/// `HIST_FACTOR · max(0, load/mean − 1)` to its permanent penalty —
+/// PathFinder's `hfac`. Larger values escape oscillation faster but
+/// overshoot.
+const HIST_FACTOR: f64 = 0.4;
+/// Present-cost slope: a link currently carrying `load` costs
+/// `(1 + hist) · (1 + PRESENT_FACTOR · load/mean)` — PathFinder's `pfac`,
+/// applied to normalized load instead of wire overuse since links have
+/// no hard signal capacity.
+const PRESENT_FACTOR: f64 = 0.8;
+/// Convergence threshold: negotiation stops when the peak link load
+/// changes by less than this (relative) between iterations.
+const EPSILON: f64 = 1e-3;
+
+/// The negotiation loop's iteration budget. With the default budget it
+/// converges on every paper-size topology class within a handful of
+/// iterations.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TeConfig {
-    /// Historic-cost accumulation rate: every iteration each link adds
-    /// `hist_factor · max(0, load/mean − 1)` to its permanent penalty —
-    /// PathFinder's `hfac`. Larger values escape oscillation faster but
-    /// overshoot; `0` disables history (pure present-cost iteration).
-    pub hist_factor: f64,
-    /// Present-cost slope: a link currently carrying `load` costs
-    /// `(1 + hist) · (1 + present_factor · load/mean)` — PathFinder's
-    /// `pfac`, applied to normalized load instead of wire overuse since
-    /// links have no hard signal capacity.
-    pub present_factor: f64,
     /// Iteration budget. Negotiation stops early on convergence; hitting
     /// the budget is reported via [`TeScheme::converged`]` == false`.
     pub max_iterations: usize,
-    /// Convergence threshold: stop when the peak link load changes by
-    /// less than `epsilon` (relative) between iterations.
-    pub epsilon: f64,
 }
 
 impl Default for TeConfig {
     fn default() -> Self {
-        TeConfig {
-            hist_factor: 0.4,
-            present_factor: 0.8,
-            max_iterations: 16,
-            epsilon: 1e-3,
-        }
+        TeConfig { max_iterations: 16 }
     }
 }
 
@@ -111,56 +108,69 @@ impl TeScheme {
             .iter()
             .map(|lg| LayerCsr::new(base, lg, &arc_eids))
             .collect();
-        // Iteration 0: the static tables.
-        let mut cur = tables.ports().clone();
         let mut demands = demands.to_vec();
         demands.sort_by_key(|d| (d.src, d.dst));
         let total: f64 = demands.iter().map(|d| d.demand).sum();
-        let mut scheme = TeScheme {
-            ports: cur.clone(),
-            costs: vec![1.0; m],
+        let statics = tables.ports();
+        // The best iteration's tables and prices; `None` while iteration
+        // 0, the static tables scored in place, is still the best.
+        let mut best: Option<PortTables> = None;
+        let mut best_costs = vec![1.0; m];
+        let (mut iterations, mut converged, mut best_peak) = (0, true, 0.0);
+        if total > 0.0 && m > 0 {
+            let mut hist = vec![0.0f64; m];
+            let mut costs = vec![1.0f64; m];
+            let mut loads = edge_loads(statics, base, &demands);
+            let mut prev = peak_load(&loads);
+            best_peak = prev;
+            converged = false;
+            // The next iteration's tables: the last iteration's, or a
+            // beaten best. `rebuild_trees` writes every row, so they are
+            // reused instead of reallocated.
+            let mut spare: Option<PortTables> = None;
+            for _ in 0..cfg.max_iterations {
+                let mean = loads.iter().sum::<f64>() / m as f64;
+                if mean <= 0.0 {
+                    converged = true;
+                    break;
+                }
+                for e in 0..m {
+                    let norm = loads[e] / mean;
+                    hist[e] += HIST_FACTOR * (norm - 1.0).max(0.0);
+                    costs[e] = (1.0 + hist[e]) * (1.0 + PRESENT_FACTOR * norm);
+                }
+                iterations += 1;
+                let mut cur = spare
+                    .take()
+                    .unwrap_or_else(|| PortTables::new(statics.n_layers(), statics.nr()));
+                rebuild_trees(&csrs, &costs, &mut cur);
+                loads = edge_loads(&cur, base, &demands);
+                let peak = peak_load(&loads);
+                if peak < best_peak {
+                    best_peak = peak;
+                    spare = best.replace(cur);
+                    best_costs.copy_from_slice(&costs);
+                } else {
+                    spare = Some(cur);
+                }
+                if (prev - peak).abs() <= EPSILON * prev.max(f64::MIN_POSITIVE) {
+                    converged = true;
+                    break;
+                }
+                prev = peak;
+            }
+        }
+        // `spare` is freed by now, so a clone of the static tables can
+        // take its memory.
+        TeScheme {
+            ports: best.unwrap_or_else(|| statics.clone()),
+            costs: best_costs,
             csrs,
             demands,
-            iterations: 0,
-            converged: true,
-            peak: 0.0,
-        };
-        if total <= 0.0 || m == 0 {
-            return scheme; // nothing to negotiate over
+            iterations,
+            converged,
+            peak: best_peak,
         }
-        let mut hist = vec![0.0f64; m];
-        let mut costs = vec![1.0f64; m];
-        let mut loads = edge_loads(&cur, base, &scheme.demands);
-        let mut prev = peak_load(&loads);
-        scheme.peak = prev;
-        scheme.converged = false;
-        for _ in 0..cfg.max_iterations {
-            let mean = loads.iter().sum::<f64>() / m as f64;
-            if mean <= 0.0 {
-                scheme.converged = true;
-                break;
-            }
-            for e in 0..m {
-                let norm = loads[e] / mean;
-                hist[e] += cfg.hist_factor * (norm - 1.0).max(0.0);
-                costs[e] = (1.0 + hist[e]) * (1.0 + cfg.present_factor * norm);
-            }
-            scheme.iterations += 1;
-            rebuild_trees(&scheme.csrs, &costs, &mut cur);
-            loads = edge_loads(&cur, base, &scheme.demands);
-            let peak = peak_load(&loads);
-            if peak < scheme.peak {
-                scheme.peak = peak;
-                scheme.ports = cur.clone();
-                scheme.costs = costs.clone();
-            }
-            if (prev - peak).abs() <= cfg.epsilon * prev.max(f64::MIN_POSITIVE) {
-                scheme.converged = true;
-                break;
-            }
-            prev = peak;
-        }
-        scheme
     }
 
     /// Number of negotiation iterations executed (0 for an empty matrix).
@@ -168,8 +178,8 @@ impl TeScheme {
         self.iterations
     }
 
-    /// True when the loop met the [`TeConfig::epsilon`] criterion before
-    /// exhausting [`TeConfig::max_iterations`].
+    /// True when the peak link load settled (changed by less than 0.1%
+    /// between iterations) before [`TeConfig::max_iterations`] ran out.
     pub fn converged(&self) -> bool {
         self.converged
     }
@@ -322,7 +332,7 @@ mod tests {
                 .iter()
                 .map(|&(src, dst, demand)| RouterDemand { src, dst, demand })
                 .collect();
-            let cfg = TeConfig { max_iterations: 2, ..TeConfig::default() };
+            let cfg = TeConfig { max_iterations: 2 };
             let te = TeScheme::negotiate(&g, &rt, &demands, &cfg);
             for ports in [rt.ports(), te.ports()] {
                 prop_assert_eq!(
@@ -345,10 +355,7 @@ mod tests {
                 demand: 1.0,
             })
             .collect();
-        let cfg = TeConfig {
-            max_iterations: 0,
-            ..TeConfig::default()
-        };
+        let cfg = TeConfig { max_iterations: 0 };
         let te = TeScheme::negotiate(g, &rt, &demands, &cfg);
         assert_eq!(te.iterations(), 0);
         for tag in 0..=rt.n_layers() as u8 {

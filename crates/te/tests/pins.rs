@@ -46,10 +46,7 @@ fn negotiated_ports_peak_and_repair_are_pinned() {
     let g = &topo.graph;
     let rt = RoutingTables::build(g, &build_random_layers(g, &LayerConfig::new(4, 0.6, 1)));
     let pairs = matrix_flows(&topo, &MatrixSpec::WorstCase { intensity: 0.7 }, 1);
-    let cfg = TeConfig {
-        max_iterations: 3,
-        ..TeConfig::default()
-    };
+    let cfg = TeConfig { max_iterations: 3 };
     let te = TeScheme::negotiate(g, &rt, &endpoint_demands(&topo, &pairs), &cfg);
     let pt = te.ports();
     let ports = fnv((0..pt.n_layers()).flat_map(|l| {

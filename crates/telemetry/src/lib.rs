@@ -48,6 +48,14 @@ fn qbin(depth: u32) -> usize {
     }
 }
 
+/// Sampling-interval length in picoseconds: 100 µs. Intervals close at
+/// window boundaries in the simulator's serial driver, so the effective
+/// resolution is `max(INTERVAL_PS, window length)`. Rows are attributed
+/// by window start, and windows start at the earliest pending event, so
+/// an engine change in the event schedule moves rows between intervals
+/// even when every outcome stays put.
+pub const INTERVAL_PS: u64 = 100_000_000;
+
 /// Telemetry knobs, embedded by value in the simulator's `SimConfig`.
 ///
 /// `Copy` and allocation-free by design: the disabled path must cost the
@@ -58,13 +66,6 @@ pub struct TelemetryConfig {
     /// Master switch. When false, no collector is allocated and no hook
     /// does any work.
     pub enabled: bool,
-    /// Sampling-interval length in picoseconds. Intervals close at
-    /// window boundaries in the serial driver, so the effective
-    /// resolution is `max(interval_ps, window length)`. Rows are
-    /// attributed by window start, and windows start at the earliest
-    /// pending event, so an engine change in the event schedule moves
-    /// rows between intervals even when every outcome stays put.
-    pub interval_ps: u64,
     /// Span sampling rate: flows are sampled 1-in-`span_every` by a
     /// seeded hash of the flow id (`0` disables spans entirely,
     /// `1` samples every flow).
@@ -75,8 +76,6 @@ pub struct TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Default sampling interval: 100 µs.
-    const DEFAULT_INTERVAL_PS: u64 = 100_000_000;
     /// Default span sampling: 1 in 8 flows.
     const DEFAULT_SPAN_EVERY: u32 = 8;
 
@@ -84,7 +83,6 @@ impl TelemetryConfig {
     pub const fn disabled() -> Self {
         TelemetryConfig {
             enabled: false,
-            interval_ps: Self::DEFAULT_INTERVAL_PS,
             span_every: Self::DEFAULT_SPAN_EVERY,
             seed: 0,
         }
@@ -809,7 +807,6 @@ mod tests {
     fn sample_trace() -> Trace {
         let cfg = TelemetryConfig {
             enabled: true,
-            interval_ps: 1_000,
             span_every: 1,
             seed: 7,
         };
@@ -889,7 +886,6 @@ mod tests {
     fn flow_sampling_is_a_pure_function() {
         let cfg = TelemetryConfig {
             enabled: true,
-            interval_ps: 1,
             span_every: 8,
             seed: 42,
         };

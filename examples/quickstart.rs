@@ -57,7 +57,7 @@ fn main() {
     let run = |spec: SchemeSpec| {
         Scenario::on(&topo)
             .scheme(spec)
-            .transport(Transport::ndp_default())
+            .transport(Transport::Ndp)
             .workload(&flows)
             .seed(7)
             .run()

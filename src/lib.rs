@@ -66,7 +66,7 @@
 //! // FatPaths layered routing over the purified transport.
 //! let result = Scenario::on(&topo)
 //!     .scheme(SchemeSpec::LayeredRandom { n_layers: 6, rho: 0.6 })
-//!     .transport(Transport::ndp_default())
+//!     .transport(Transport::Ndp)
 //!     .workload(&flows)
 //!     .seed(1)
 //!     .run();
@@ -81,7 +81,7 @@
 //! assert_eq!(spain.completion_rate(), 1.0);
 //! ```
 //!
-//! For full control (custom schemes, MPTCP, link failures), construct the
+//! For full control (custom schemes, link failures), construct the
 //! [`Simulator`](sim::Simulator) directly with any
 //! [`RoutingScheme`](core::scheme::RoutingScheme) implementation.
 

@@ -5,7 +5,7 @@ use fatpaths::diversity::apsp::shortest_path_stats;
 use fatpaths::diversity::cdp::cdp;
 use fatpaths::mcf::mat::{mat, router_demands, LayeredPaths, PastPaths};
 use fatpaths::mcf::worstcase::worst_case_flows;
-use fatpaths::net::cost::cost_per_endpoint;
+use fatpaths::net::cost::{cost, PriceBook};
 use fatpaths::prelude::*;
 use fatpaths::sim::metrics::mean;
 use fatpaths::workloads::{apply_mapping, poisson_flows, random_mapping};
@@ -132,7 +132,6 @@ fn mat_pipeline_fatpaths_beats_past() {
         &ImConfig {
             n_layers: 6,
             seed: 4,
-            ..ImConfig::default()
         },
     );
     let tables = RoutingTables::build(&topo.graph, &layers);
@@ -160,7 +159,10 @@ fn mat_pipeline_fatpaths_beats_past() {
 fn evaluation_topologies_have_comparable_cost() {
     let costs: Vec<f64> = fatpaths::net::classes::evaluated_kinds()
         .iter()
-        .map(|&k| cost_per_endpoint(&build(k, SizeClass::Small, 1)))
+        .map(|&k| {
+            let t = build(k, SizeClass::Small, 1);
+            cost(&t, &PriceBook::default()).per_endpoint(t.num_endpoints())
+        })
         .collect();
     let lo = costs.iter().cloned().fold(f64::INFINITY, f64::min);
     let hi = costs.iter().cloned().fold(0.0f64, f64::max);
@@ -189,10 +191,7 @@ fn all_topologies_run_both_transports() {
             .workload(&flows)
             .seed(5);
         let scheme = sc.build_scheme();
-        for transport in [
-            Transport::ndp_default(),
-            Transport::tcp_default(TcpVariant::Dctcp),
-        ] {
+        for transport in [Transport::Ndp, Transport::tcp_default(TcpVariant::Dctcp)] {
             let res = sc.clone().transport(transport).run_with(&scheme);
             assert_eq!(res.completion_rate(), 1.0, "{kind:?} {transport:?}");
         }
@@ -216,7 +215,7 @@ fn prelude_quickstart_compiles_and_runs() {
             n_layers: 6,
             rho: 0.6,
         })
-        .transport(Transport::ndp_default())
+        .transport(Transport::Ndp)
         .workload(&flows)
         .seed(1)
         .run();

@@ -1,29 +1,41 @@
 #!/usr/bin/env bash
-# Reachability sweep: lists every `pub fn|struct|enum|const|type|trait`
-# declared under crates/*/src (the dependency shims excluded) whose name
-# has no whole-word use in any other tracked `*.rs` file — benchmark/,
-# examples, benches and integration tests included. `pub use` lines
-# (re-exports) and comment lines do not count as uses.
+# Reachability sweep over every `pub fn|struct|enum|const|type|trait`
+# declared under crates/*/src (the dependency shims excluded). A name
+# counts as used in a file when it appears there as a whole word;
+# `pub use` lines (re-exports) and comment lines do not count. It lists
+#
+# * unreached items: the name has no use in any other tracked `*.rs`
+#   file — benchmark/, examples, benches and integration tests included;
+# * test-only items: every use outside the declaration is test code,
+#   that is a file under a `tests/` directory or a line at or after a
+#   file's first unindented `#[cfg(test)]` (the test module; an indented
+#   one gates a single item). Other files' tests reach such an item, but
+#   no figure, workload, bench, example or library code does.
 #
 # Exits non-zero when a listed name is not in tests/reachability_allow.txt
 # (one `name reason` per line, `#` starts a comment), when an entry there
-# has no reason, or when an entry no longer names a listed item. Items
-# used only inside their own file are private instead, where rustc's
-# `dead_code` lint polices them.
+# has no reason, when a test-only item's reason does not start with
+# `test:` (or an unreached item's does), or when an entry no longer
+# names a listed item. Items used only inside their own file are private
+# instead, where rustc's `dead_code` lint polices them.
 #
 # Usage: bash tests/reachability.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 allow=tests/reachability_allow.txt
 
-unused=$(git ls-files -z -- '*.rs' | xargs -0 awk '
-  FNR == 1 { in_reexport = 0 }
+listed=$(git ls-files -z -- '*.rs' | xargs -0 awk '
+  FNR == 1 {
+    in_reexport = 0
+    in_test = FILENAME ~ /(^|\/)tests\//
+  }
   # A multi-line `pub use a::{ ... };` runs until its semicolon.
   in_reexport { if (index($0, ";")) in_reexport = 0; next }
   /^[[:space:]]*pub(\([^)]*\))?[[:space:]]+use[[:space:]]/ {
     if (!index($0, ";")) in_reexport = 1
     next
   }
+  /^#\[cfg\(test\)\]/ { in_test = 1 }
   /^[[:space:]]*\/\// { next }
   {
     if (FILENAME ~ /^crates\/[^\/]+\/src\// && FILENAME !~ /^crates\/shims\// &&
@@ -33,8 +45,10 @@ unused=$(git ls-files -z -- '*.rs' | xargs -0 awk '
       def_name[nd] = w[n]
       def_file[nd] = FILENAME
       def_at[nd] = FILENAME ":" FNR " " w[n - 1]
+      def_live[nd] = !in_test
     }
     line = $0
+    split("", on_line)
     while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
       tok = substr(line, RSTART, RLENGTH)
       if (!((tok, FILENAME) in seen)) {
@@ -42,24 +56,41 @@ unused=$(git ls-files -z -- '*.rs' | xargs -0 awk '
         files[tok]++
         last_file[tok] = FILENAME
       }
+      # Lines of non-test code naming the token, its declaration included.
+      if (!in_test && !(tok in on_line)) {
+        on_line[tok] = 1
+        live_lines[tok]++
+      }
       line = substr(line, RSTART + RLENGTH)
     }
   }
   END {
-    for (i = 1; i <= nd; i++)
-      if (files[def_name[i]] == 1 && last_file[def_name[i]] == def_file[i])
-        print def_name[i], def_at[i]
+    for (i = 1; i <= nd; i++) {
+      name = def_name[i]
+      if (files[name] == 1 && last_file[name] == def_file[i])
+        print name, def_at[i], "unreached"
+      else if (live_lines[name] - def_live[i] == 0)
+        print name, def_at[i], "test-only"
+    }
   }
 ' | sort)
 
 status=0
-while read -r name at kind; do
+while read -r name at kind why; do
   [ -n "$name" ] || continue
+  reason=$(grep -E "^${name}([[:space:]]|\$)" "$allow" | head -1 | cut -s -d' ' -f2-) ||
+    reason=""
   if ! grep -Eq "^${name}([[:space:]]|\$)" "$allow"; then
-    echo "unreached: $at $kind $name"
+    echo "$why: $at $kind $name"
+    status=1
+  elif [ "$why" = test-only ] && [ "${reason#test:}" = "$reason" ]; then
+    echo "test-only item allowlisted without a 'test:' reason: $name"
+    status=1
+  elif [ "$why" = unreached ] && [ "${reason#test:}" != "$reason" ]; then
+    echo "unreached item allowlisted with a 'test:' reason: $name"
     status=1
   fi
-done <<< "$unused"
+done <<< "$listed"
 
 while read -r name reason; do
   case "$name" in '' | '#'*) continue ;; esac
@@ -67,15 +98,17 @@ while read -r name reason; do
     echo "allowlist entry without a reason: $name"
     status=1
   fi
-  if ! grep -q "^${name} " <<< "$unused"; then
+  if ! grep -q "^${name} " <<< "$listed"; then
     echo "stale allowlist entry (reached elsewhere or gone): $name"
     status=1
   fi
 done < "$allow"
 
 if [ "$status" -ne 0 ]; then
-  echo "Each public item must be reached from outside its file; otherwise"
-  echo "make it private, move it under #[cfg(test)], delete it, or allowlist"
-  echo "it in $allow with the figure, workload, bench, example or oracle it serves."
+  echo "Each public item must be reached from outside its file by code other"
+  echo "than tests; otherwise make it private, move it under #[cfg(test)],"
+  echo "delete it, or allowlist it in $allow with the figure, workload,"
+  echo "bench, example or oracle it serves ('test: <oracle>' for an item"
+  echo "only tests reach)."
 fi
 exit "$status"
