@@ -18,7 +18,7 @@
 //! that every layer admits a total forwarding function.
 
 use crate::ecmp::DistanceMatrix;
-use crate::layers::LayerSet;
+use crate::layers::{connect_with_bridges, LayerSet};
 use fatpaths_net::graph::Graph;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -79,7 +79,7 @@ pub fn build_interference_min_layers(base: &Graph, cfg: &ImConfig) -> LayerSet {
         for (i, &v) in pi.iter().enumerate() {
             rank[v as usize] = i as u32;
         }
-        let mut layer_edges = create_layer(
+        let layer = create_layer(
             &g,
             &rank,
             &mut weights,
@@ -89,7 +89,22 @@ pub fn build_interference_min_layers(base: &Graph, cfg: &ImConfig) -> LayerSet {
             &mut rng,
             &mut scratch,
         );
-        graphs.push(patch_connected(&g, &mut layer_edges, &weights));
+        let edges = g
+            .ends
+            .iter()
+            .zip(&layer)
+            .filter_map(|(&uv, &on)| on.then_some(uv));
+        // Lightest bridges first; the stable sort keeps canonical order
+        // among equal weights.
+        let weight = |&(u, v): &(u32, u32)| {
+            let e = base
+                .edge_id(&g.arc_eids, u, v)
+                .expect("bridges are base edges");
+            weights[e as usize]
+        };
+        graphs.push(connect_with_bridges(base, edges.collect(), |bridges| {
+            bridges.sort_by_cached_key(weight)
+        }));
     }
     LayerSet { graphs }
 }
@@ -100,15 +115,6 @@ struct Indexed<'a> {
     base: &'a Graph,
     arc_eids: Vec<u32>,
     ends: Vec<(u32, u32)>,
-}
-
-impl Indexed<'_> {
-    /// Id of base edge `{u, v}`, if it exists.
-    #[inline]
-    fn eid(&self, u: u32, v: u32) -> Option<usize> {
-        let p = self.base.port_of(u, v)?;
-        Some(self.arc_eids[self.base.arcs(u).start + p as usize] as usize)
-    }
 }
 
 /// Places one layer's paths; returns its edges as a membership mask over
@@ -169,7 +175,8 @@ fn create_layer(
             placed += 1;
             let len = path.len() - 1;
             for (i, w) in path.windows(2).enumerate() {
-                let e = g.eid(w[0], w[1]).expect("path hops are base edges");
+                let e = g.base.edge_id(&g.arc_eids, w[0], w[1]);
+                let e = e.expect("path hops are base edges") as usize;
                 layer[e] = true;
                 // Listing 2 line 47: center-loaded weight increase.
                 weights[e] += (i * (len - 1 - i)) as u64;
@@ -178,8 +185,8 @@ fn create_layer(
             // Mask shortcut edges between non-adjacent path routers.
             for i in 0..path.len() {
                 for j in (i + 2)..path.len() {
-                    if let Some(e) = g.eid(path[i], path[j]) {
-                        masked[e] = true;
+                    if let Some(e) = g.base.edge_id(&g.arc_eids, path[i], path[j]) {
+                        masked[e as usize] = true;
                     }
                 }
             }
@@ -284,41 +291,6 @@ fn find_path(
     }
     path.reverse();
     Some(path)
-}
-
-/// Ensures the placed edges (a membership mask over base edge ids) form a
-/// connected spanning subgraph by adding the lightest unused base edges
-/// that bridge components.
-fn patch_connected(g: &Indexed<'_>, edges: &mut [bool], weights: &[u64]) -> Graph {
-    loop {
-        let list: Vec<(u32, u32)> = g
-            .ends
-            .iter()
-            .zip(&*edges)
-            .filter_map(|(&uv, &on)| on.then_some(uv))
-            .collect();
-        let layer = Graph::from_edges(g.base.n(), &list);
-        let labels = layer.component_labels();
-        let ncomp = *labels.iter().max().unwrap() + 1;
-        if ncomp == 1 {
-            return layer;
-        }
-        // Lightest bridge per component pair this round.
-        let mut best: FxHashMap<(u32, u32), (usize, u64)> = FxHashMap::default();
-        for (e, &(u, v)) in g.ends.iter().enumerate() {
-            let (cu, cv) = (labels[u as usize], labels[v as usize]);
-            if cu == cv {
-                continue;
-            }
-            let entry = best.entry(key(cu, cv)).or_insert((e, weights[e]));
-            if weights[e] < entry.1 {
-                *entry = (e, weights[e]);
-            }
-        }
-        for &(e, _) in best.values() {
-            edges[e] = true;
-        }
-    }
 }
 
 #[cfg(test)]

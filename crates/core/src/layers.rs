@@ -126,30 +126,41 @@ fn sample_connected_layer(
             return g;
         }
     }
-    // Patch the last sample: greedily add original edges that bridge
-    // components until connected (rare; only for very low ρ).
-    let mut edges: Vec<(u32, u32)> = idx[..keep].iter().map(|&i| all_edges[i as usize]).collect();
+    // Patch the last sample: add original edges that bridge components
+    // until connected (rare; only for very low ρ), shuffled by the layer
+    // RNG.
+    let edges = idx[..keep].iter().map(|&i| all_edges[i as usize]).collect();
+    connect_with_bridges(base, edges, |bridges| bridges.shuffle(rng))
+}
+
+/// Builds the layer graph of `edges`, a subgraph of `base`, adding base
+/// edges that bridge its components until it is connected — the one
+/// connectivity patch every layer builder shares. Each round collects
+/// the bridges in canonical [`Graph::edges`] order, lets `order` reorder
+/// them (a shuffle, a sort by weight, or nothing) and adds the first
+/// bridge per pair of components. A connected `edges` is built once and
+/// returned.
+pub(crate) fn connect_with_bridges(
+    base: &Graph,
+    mut edges: Vec<(u32, u32)>,
+    mut order: impl FnMut(&mut Vec<(u32, u32)>),
+) -> Graph {
     loop {
         let g = Graph::from_edges(base.n(), &edges);
-        if g.is_connected() {
+        let comp = g.component_labels();
+        if comp.iter().all(|&c| c == 0) {
             return g;
         }
-        let comp = g.component_labels();
-        let mut bridges: Vec<(u32, u32)> = all_edges
-            .iter()
-            .copied()
+        let mut bridges: Vec<(u32, u32)> = base
+            .edges()
             .filter(|&(u, v)| comp[u as usize] != comp[v as usize])
             .collect();
         assert!(!bridges.is_empty(), "base graph must be connected");
-        bridges.shuffle(rng);
-        // Add one bridge per distinct component pair this round.
+        order(&mut bridges);
         let mut seen = rustc_hash::FxHashSet::default();
         for (u, v) in bridges {
-            let key = (
-                comp[u as usize].min(comp[v as usize]),
-                comp[u as usize].max(comp[v as usize]),
-            );
-            if seen.insert(key) {
+            let (cu, cv) = (comp[u as usize], comp[v as usize]);
+            if seen.insert((cu.min(cv), cu.max(cv))) {
                 edges.push((u, v));
             }
         }

@@ -4,24 +4,20 @@
 //! PAST installs one spanning tree *per destination address*; a router
 //! forwards toward a destination along that destination's unique tree path.
 //! Multi-pathing between a fixed pair is therefore impossible (§VI), which
-//! is exactly the deficiency Fig. 9 quantifies. Two variants:
-//!
-//! * **BFS** — tree rooted at the destination, random tie-breaking
-//!   (distributes trees over links);
-//! * **Valiant-inspired non-minimal** — tree rooted at a random
-//!   intermediate switch, as in Listing 5.
+//! is exactly the deficiency Fig. 9 quantifies. Each tree is a BFS tree
+//! rooted at its destination with random tie-breaking, which distributes
+//! the trees over the links.
 
 use fatpaths_net::graph::{Graph, RouterId};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
-/// Which PAST tree construction to use.
+/// The PAST tree construction a scheme spec names; the destination-rooted
+/// BFS tree is the only one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PastVariant {
     /// Destination-rooted BFS with random tie-breaking.
     Bfs,
-    /// Random-intermediate-rooted BFS (non-minimal, Valiant-inspired).
-    Valiant,
 }
 
 /// The per-destination spanning trees: `parent[dst][v]` = next hop of `v`
@@ -33,18 +29,14 @@ pub struct PastTrees {
 
 impl PastTrees {
     /// Builds one spanning tree per destination router.
-    pub fn build(g: &Graph, variant: PastVariant, seed: u64) -> Self {
-        let nr = g.n();
-        let mut parent = Vec::with_capacity(nr);
-        for dst in 0..nr as u32 {
-            let mut rng =
-                StdRng::seed_from_u64(seed ^ (0xD1F9_6E37u64.wrapping_mul(dst as u64 + 1)));
-            let root = match variant {
-                PastVariant::Bfs => dst,
-                PastVariant::Valiant => rng.random_range(0..nr as u32),
-            };
-            parent.push(tree_toward(g, dst, root, &mut rng));
-        }
+    pub fn build(g: &Graph, seed: u64) -> Self {
+        let parent = (0..g.n() as u32)
+            .map(|dst| {
+                let mut rng =
+                    StdRng::seed_from_u64(seed ^ (0xD1F9_6E37u64.wrapping_mul(dst as u64 + 1)));
+                tree_toward(g, dst, &mut rng)
+            })
+            .collect();
         PastTrees { parent }
     }
 
@@ -77,17 +69,15 @@ impl PastTrees {
     }
 }
 
-/// Builds a spanning tree that routes *toward* `dst`. For the Valiant
-/// variant (`root != dst`) the tree is grown from `root`, then re-oriented
-/// so every router's parent pointer walks to `dst` through the tree.
-fn tree_toward(g: &Graph, dst: RouterId, root: RouterId, rng: &mut StdRng) -> Vec<u32> {
+/// The BFS spanning tree rooted at `dst`, neighbours visited in a
+/// shuffled order: every router's parent pointer walks to `dst`.
+fn tree_toward(g: &Graph, dst: RouterId, rng: &mut StdRng) -> Vec<u32> {
     let nr = g.n();
-    // BFS from root with randomized neighbor order → tree edges.
     let mut order: Vec<u32> = Vec::with_capacity(nr);
-    let mut tree_parent = vec![u32::MAX; nr]; // toward root
+    let mut parent = vec![u32::MAX; nr];
     let mut visited = vec![false; nr];
-    visited[root as usize] = true;
-    order.push(root);
+    visited[dst as usize] = true;
+    order.push(dst);
     let mut head = 0;
     let mut nbs: Vec<u32> = Vec::new();
     while head < order.len() {
@@ -99,40 +89,12 @@ fn tree_toward(g: &Graph, dst: RouterId, root: RouterId, rng: &mut StdRng) -> Ve
         for &v in &nbs {
             if !visited[v as usize] {
                 visited[v as usize] = true;
-                tree_parent[v as usize] = u;
+                parent[v as usize] = u;
                 order.push(v);
             }
         }
     }
-    if root == dst {
-        return tree_parent;
-    }
-    // Re-orient toward dst: build adjacency of the tree, BFS from dst.
-    let mut tree_edges: Vec<(u32, u32)> = Vec::with_capacity(nr - 1);
-    for v in 0..nr as u32 {
-        let p = tree_parent[v as usize];
-        if p != u32::MAX {
-            tree_edges.push((v, p));
-        }
-    }
-    let tg = Graph::from_edges(nr, &tree_edges);
-    let mut toward = vec![u32::MAX; nr];
-    let mut queue = vec![dst];
-    let mut seen = vec![false; nr];
-    seen[dst as usize] = true;
-    let mut head = 0;
-    while head < queue.len() {
-        let u = queue[head];
-        head += 1;
-        for &v in tg.neighbors(u) {
-            if !seen[v as usize] {
-                seen[v as usize] = true;
-                toward[v as usize] = u;
-                queue.push(v);
-            }
-        }
-    }
-    toward
+    parent
 }
 
 #[cfg(test)]
@@ -143,18 +105,16 @@ mod tests {
     #[test]
     fn paths_reach_destination() {
         let t = slim_fly(5, 1).unwrap();
-        for variant in [PastVariant::Bfs, PastVariant::Valiant] {
-            let trees = PastTrees::build(&t.graph, variant, 3);
-            for (s, d) in [(0u32, 17u32), (44, 3), (10, 10)] {
-                if s == d {
-                    continue;
-                }
-                let p = trees.path(s, d).unwrap();
-                assert_eq!(*p.first().unwrap(), s);
-                assert_eq!(*p.last().unwrap(), d);
-                for w in p.windows(2) {
-                    assert!(t.graph.has_edge(w[0], w[1]));
-                }
+        let trees = PastTrees::build(&t.graph, 3);
+        for (s, d) in [(0u32, 17u32), (44, 3), (10, 10)] {
+            if s == d {
+                continue;
+            }
+            let p = trees.path(s, d).unwrap();
+            assert_eq!(*p.first().unwrap(), s);
+            assert_eq!(*p.last().unwrap(), d);
+            for w in p.windows(2) {
+                assert!(t.graph.has_edge(w[0], w[1]));
             }
         }
     }
@@ -162,7 +122,7 @@ mod tests {
     #[test]
     fn bfs_variant_is_minimal() {
         let t = slim_fly(5, 1).unwrap();
-        let trees = PastTrees::build(&t.graph, PastVariant::Bfs, 1);
+        let trees = PastTrees::build(&t.graph, 1);
         let d0 = t.graph.bfs(17);
         for s in 0..t.num_routers() as u32 {
             if s == 17 {
@@ -178,30 +138,10 @@ mod tests {
     }
 
     #[test]
-    fn valiant_variant_can_be_non_minimal() {
-        let t = slim_fly(7, 1).unwrap();
-        let trees = PastTrees::build(&t.graph, PastVariant::Valiant, 5);
-        let mut longer = 0;
-        for dst in (0..98u32).step_by(9) {
-            let dd = t.graph.bfs(dst);
-            for s in (1..98u32).step_by(13) {
-                if s == dst {
-                    continue;
-                }
-                let p = trees.path(s, dst).unwrap();
-                if p.len() as u32 - 1 > dd[s as usize] {
-                    longer += 1;
-                }
-            }
-        }
-        assert!(longer > 0, "Valiant PAST produced only minimal paths");
-    }
-
-    #[test]
     fn single_path_per_pair() {
         // PAST's defining limitation: the path is unique per (src, dst).
         let t = slim_fly(5, 1).unwrap();
-        let trees = PastTrees::build(&t.graph, PastVariant::Bfs, 2);
+        let trees = PastTrees::build(&t.graph, 2);
         let p1 = trees.path(3, 40).unwrap();
         let p2 = trees.path(3, 40).unwrap();
         assert_eq!(p1, p2);

@@ -20,8 +20,8 @@
 use crate::ecmp::DistanceMatrix;
 use crate::fwd::{fnv1a, PortTables, RoutingTables};
 use crate::ksp::{k_shortest_paths_in, YenScratch};
-use crate::layers::LayerSet;
-use crate::past::{PastTrees, PastVariant};
+use crate::layers::{connect_with_bridges, LayerSet};
+use crate::past::PastTrees;
 use crate::repair::{DownLinks, RouteRepair};
 use crate::spain::{build_spain_layers, SpainConfig};
 use fatpaths_net::graph::{Graph, RouterId};
@@ -406,8 +406,8 @@ impl PortTables {
 
     /// Builds PAST's per-destination trees and compiles them into one
     /// layer of port tables.
-    pub fn past(g: &Graph, variant: PastVariant, seed: u64) -> Self {
-        let trees = PastTrees::build(g, variant, seed);
+    pub fn past(g: &Graph, seed: u64) -> Self {
+        let trees = PastTrees::build(g, seed);
         let nr = g.n();
         assert_eq!(trees.num_trees(), nr, "tree count must match router count");
         let mut ports = PortTables::new(1, nr);
@@ -480,34 +480,11 @@ fn ksp_layers(base: &Graph, cfg: &KspConfig) -> LayerSet {
     let graphs: Vec<Graph> = edge_sets
         .into_iter()
         .map(|set| {
-            let edges: Vec<(u32, u32)> = set.into_iter().collect();
-            connect_with_base(base, edges)
+            // Bridges in canonical order: the build stays deterministic.
+            connect_with_bridges(base, set.into_iter().collect(), |_| {})
         })
         .collect();
     LayerSet { graphs }
-}
-
-/// Builds a graph from `edges`, greedily adding base-graph edges that
-/// bridge components until connected (deterministic: canonical order).
-fn connect_with_base(base: &Graph, mut edges: Vec<(u32, u32)>) -> Graph {
-    loop {
-        let g = Graph::from_edges(base.n(), &edges);
-        if g.is_connected() {
-            return g;
-        }
-        // Add the first bridging edge per pair of components in
-        // canonical edge order.
-        let label = g.component_labels();
-        let mut seen = rustc_hash::FxHashSet::default();
-        let before = edges.len();
-        for (u, v) in base.edges() {
-            let (cu, cv) = (label[u as usize], label[v as usize]);
-            if cu != cv && seen.insert((cu.min(cv), cu.max(cv))) {
-                edges.push((u, v));
-            }
-        }
-        assert!(edges.len() > before, "base graph must be connected");
-    }
 }
 
 /// Valiant load balancing (VLB): route minimally to a per-(layer,
@@ -676,8 +653,8 @@ mod tests {
     #[test]
     fn past_scheme_single_deterministic_path() {
         let t = slim_fly(5, 1).unwrap();
-        let trees = PastTrees::build(&t.graph, PastVariant::Bfs, 3);
-        let ps = PortTables::past(&t.graph, PastVariant::Bfs, 3);
+        let trees = PastTrees::build(&t.graph, 3);
+        let ps = PortTables::past(&t.graph, 3);
         let p = walk(&ps, &t.graph, 0, 4, 37);
         assert_eq!(p, trees.path(4, 37).unwrap());
         // Layer tag is irrelevant: same path on any tag.
@@ -783,21 +760,19 @@ mod tests {
         let split = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]);
         let [sf, ft] = oracle_topologies();
         for (name, g) in [sf, ft, ("two triangles", split)] {
-            for variant in [PastVariant::Bfs, PastVariant::Valiant] {
-                let trees = PastTrees::build(&g, variant, 11);
-                let ps = PortTables::past(&g, variant, 11);
-                assert_eq!(ps.n_layers(), 1);
-                let nr = g.n() as u32;
-                for at in 0..nr {
-                    for dst in (0..nr).filter(|&dst| dst != at) {
-                        let want: Vec<u16> = trees
-                            .next_hop(at, dst)
-                            .map(|next| g.port_of(at, next).unwrap() as u16)
-                            .into_iter()
-                            .collect();
-                        let got = ps.candidate_ports(0, at, dst);
-                        assert_eq!(got.as_slice(), want, "{name} {variant:?} {at}->{dst}");
-                    }
+            let trees = PastTrees::build(&g, 11);
+            let ps = PortTables::past(&g, 11);
+            assert_eq!(ps.n_layers(), 1);
+            let nr = g.n() as u32;
+            for at in 0..nr {
+                for dst in (0..nr).filter(|&dst| dst != at) {
+                    let want: Vec<u16> = trees
+                        .next_hop(at, dst)
+                        .map(|next| g.port_of(at, next).unwrap() as u16)
+                        .into_iter()
+                        .collect();
+                    let got = ps.candidate_ports(0, at, dst);
+                    assert_eq!(got.as_slice(), want, "{name} {at}->{dst}");
                 }
             }
         }

@@ -247,7 +247,7 @@ pub(crate) mod tests {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut subgraphs: Vec<FxHashSet<(u32, u32)>> = Vec::new();
         let mut edge_use = vec![0u64; base.m()];
-        let edge_index = base.edge_index_map();
+        let edge_index: FxHashMap<(u32, u32), u32> = base.edge_vec().into_iter().zip(0..).collect();
         for dst in 0..nr as u32 {
             for _ in 0..cfg.k_paths {
                 let tree = oracle_tree(base, dst, &edge_use, &edge_index, &mut rng);

@@ -1,13 +1,15 @@
-//! Pins the SPAIN, k-shortest-paths and interference-minimizing builds
-//! bit for bit: FNV digests of their layer sets and port tables on small
-//! Slim Fly and fat-tree instances (and, for SPAIN, their disjoint union,
-//! where layers are forests rather than spanning trees). The literals
-//! were computed before the builders were rewritten as allocation-free
-//! kernels, so any change to a layer edge, a tie-break or a port fails
-//! here.
+//! Pins the SPAIN, k-shortest-paths, interference-minimizing and random
+//! layer builds bit for bit: FNV digests of their layer sets and port
+//! tables on small Slim Fly and fat-tree instances (and, for SPAIN, their
+//! disjoint union, where layers are forests rather than spanning trees).
+//! The literals were computed before the builders were rewritten as
+//! allocation-free kernels, so any change to a layer edge, a tie-break or
+//! a port fails here. The KSP case with 20 sampled pairs, the
+//! interference-min cases and every random case patch at least one layer
+//! to connectivity, so they pin the bridges each builder picks.
 
 use fatpaths_core::interference_min::{build_interference_min_layers, ImConfig};
-use fatpaths_core::layers::LayerSet;
+use fatpaths_core::layers::{build_random_layers, LayerConfig, LayerSet};
 use fatpaths_core::scheme::{KspConfig, MAX_LAYERS};
 use fatpaths_core::spain::{build_spain_layers, SpainConfig};
 use fatpaths_core::PortTables;
@@ -139,10 +141,12 @@ fn spain_ports_beyond_the_tag_space_are_pinned() {
 
 #[test]
 fn ksp_ports_are_pinned() {
-    // (topology, max_pairs, port digest); 500 pairs samples with a stride.
-    let cases: [(&str, Graph, usize, u64); 3] = [
+    // (topology, max_pairs, port digest); 500 pairs samples with a stride,
+    // and 20 pairs leave layers that need bridging.
+    let cases: [(&str, Graph, usize, u64); 4] = [
         ("SF", sf(), 0, 9654369835885283217),
         ("SF", sf(), 500, 4043547462143803830),
+        ("SF", sf(), 20, 12252089348903475122),
         ("FT", ft(), 0, 210753948508494497),
     ];
     for (name, g, max_pairs, digest) in cases {
@@ -170,5 +174,20 @@ fn interference_min_layer_sets_are_pinned() {
             digest,
             "{name} interference-min seed {seed}"
         );
+    }
+}
+
+#[test]
+fn patched_random_layer_sets_are_pinned() {
+    // ⌊0.2 · 175⌋ = 35 edges cannot span 50 routers, so every sparse
+    // layer is the last resampled draw patched with bridges.
+    let cases: [(u64, u64); 3] = [
+        (1, 2997780095703323843),
+        (2, 13556290922183344391),
+        (3, 1172441520914601905),
+    ];
+    for (seed, digest) in cases {
+        let ls = build_random_layers(&sf(), &LayerConfig::new(3, 0.2, seed));
+        assert_eq!(layers_digest(&ls), digest, "SF random layers seed {seed}");
     }
 }

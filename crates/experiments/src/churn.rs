@@ -36,7 +36,7 @@ use crate::common::{
     f, is_smoke, label, on_time_goodput, small_topos, write_summary, write_text, SchemeArm, Table,
     FATPATHS,
 };
-use fatpaths_net::fault::FaultPlan;
+use fatpaths_net::fault::{Change, FaultPlan};
 use fatpaths_net::topo::{TopoKind, Topology};
 use fatpaths_sim::metrics::Summary;
 use fatpaths_sim::{cell_seed, coord_str, Grid, LoadBalancing, Scenario, SchemeSpec};
@@ -113,9 +113,18 @@ fn reboot_plan(topo: &Topology, fraction: f64, stagger_us: u64, sampler: &str) -
         ),
         _ => FaultPlan::rolling_reboot(topo, fraction, CHURN_START_PS, stagger, DOWNTIME_PS, seed),
     };
-    let n = plan.router_events().len() as u64 / 2;
+    let n = reboots(&plan);
     let end = CHURN_START_PS + n.saturating_sub(1) * stagger + DOWNTIME_PS;
     (plan, end)
+}
+
+/// Routers a churn plan reboots: one death each.
+fn reboots(plan: &FaultPlan) -> u64 {
+    let downs = plan
+        .changes()
+        .iter()
+        .filter(|(_, c)| matches!(c, Change::RouterDown(_)));
+    downs.count() as u64
 }
 
 /// Wave workload: `N_WAVES` endpoint permutations spread evenly from
@@ -176,7 +185,7 @@ pub fn churn_matrix_on(
     .run(|[ti, si, fi, sti, sai]| {
         let topo = &topos[ti];
         let (plan, churn_end) = reboot_plan(topo, fractions[fi], staggers_us[sti], SAMPLERS[sai]);
-        let rebooted = plan.router_events().len() as u64 / 2;
+        let rebooted = reboots(&plan);
         let flows = wave_flows(topo, churn_end);
         let res = arms[si]
             .on(Scenario::on(topo)

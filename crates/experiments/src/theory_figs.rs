@@ -4,7 +4,7 @@
 use crate::common::{f, label, topo_set, write_summary, Table};
 use fatpaths_core::fwd::RoutingTables;
 use fatpaths_core::interference_min::{build_interference_min_layers, ImConfig};
-use fatpaths_core::past::{PastTrees, PastVariant};
+use fatpaths_core::past::PastTrees;
 use fatpaths_core::spain::{build_spain_layers, SpainConfig};
 use fatpaths_mcf::mat::{mat, router_demands, KspPaths, LayeredPaths, PastPaths};
 use fatpaths_mcf::worstcase::worst_case_flows;
@@ -87,7 +87,7 @@ pub fn fig9(quick: bool) -> io::Result<()> {
                 eps,
             );
             // PAST.
-            let trees = PastTrees::build(&t.graph, PastVariant::Bfs, 7);
+            let trees = PastTrees::build(&t.graph, 7);
             let pa = mat(&t.graph, &demands, &PastPaths { trees: &trees }, eps);
             // k-shortest paths.
             let ks = mat(

@@ -119,7 +119,7 @@ pub fn mat<P: PathProvider + Sync>(
     provider: &P,
     eps: f64,
 ) -> McfResult {
-    let edge_index: FxHashMap<(u32, u32), u32> = g.edge_index_map();
+    let arc_eids = g.arc_edge_ids();
     let commodities: Vec<Commodity> = demands
         .par_iter()
         .map(|d| {
@@ -128,7 +128,10 @@ pub fn mat<P: PathProvider + Sync>(
                 .into_iter()
                 .map(|p| {
                     p.windows(2)
-                        .map(|w| edge_index[&(w[0].min(w[1]), w[0].max(w[1]))])
+                        .map(|w| {
+                            g.edge_id(&arc_eids, w[0], w[1])
+                                .expect("path hops are links")
+                        })
                         .collect::<Vec<u32>>()
                 })
                 .filter(|p| !p.is_empty())
@@ -256,7 +259,6 @@ mod tests {
     use super::*;
     use crate::worstcase::worst_case_flows;
     use fatpaths_core::layers::{build_random_layers, LayerConfig, LayerSet};
-    use fatpaths_core::past::PastVariant;
     use fatpaths_net::topo::slimfly::slim_fly;
     use proptest::prelude::*;
 
@@ -278,7 +280,7 @@ mod tests {
             },
             0.08,
         );
-        let trees = PastTrees::build(&t.graph, PastVariant::Bfs, 3);
+        let trees = PastTrees::build(&t.graph, 3);
         let past = mat(&t.graph, &demands, &PastPaths { trees: &trees }, 0.08);
         assert!(
             fat.throughput > past.throughput,

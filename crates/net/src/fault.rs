@@ -4,7 +4,7 @@
 //! traffic flowing when links die, while single-path minimal routing
 //! collapses. Testing that claim needs failures to be a *modeled,
 //! sweepable dimension*: a [`FaultPlan`] describes which links are down —
-//! either statically from `t = 0` or through timed [`LinkEvent`]s — and is
+//! either statically from `t = 0` or through timed [`Change`]s — and is
 //! sampled from seeded [`FaultModel`]s so a sweep cell's failure set is a
 //! pure function of its seed (the determinism discipline of the execution
 //! layer; see `fatpaths_sim::cell_seed`).
@@ -19,7 +19,7 @@
 //! its attached endpoints out of the workload — flows whose source or
 //! destination host sits behind it are `host_dead`, a different
 //! phenomenon than `unroutable` pairs in a link-degraded network.
-//! Timed [`RouterEvent`]s compose into churn schedules:
+//! Timed router changes compose into churn schedules:
 //! [`FaultPlan::rolling_reboot`] (staggered reboots, e.g. a firmware
 //! roll) and [`FaultPlan::rolling_domain_reboot`] (the same walk over
 //! whole failure domains).
@@ -50,37 +50,27 @@ pub enum FaultModel {
     },
 }
 
-/// A timed link state change, in simulation picoseconds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LinkEvent {
-    /// Absolute event time (ps).
-    pub at: u64,
-    /// Link endpoints (canonical order not required).
-    pub u: RouterId,
-    /// Second endpoint.
-    pub v: RouterId,
-    /// `true` = the link comes (back) up; `false` = it goes down.
-    pub up: bool,
-}
-
-/// A timed router state change, in simulation picoseconds. A router
-/// going down atomically fails every incident link and marks its
-/// attached endpoints dead; coming back up revives exactly the links
-/// whose other end is alive and not independently failed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RouterEvent {
-    /// Absolute event time (ps).
-    pub at: u64,
-    /// The router whose state flips.
-    pub router: RouterId,
-    /// `true` = the router comes (back) up; `false` = it dies.
-    pub up: bool,
+/// A timed state change, links in canonical `(min, max)` form. The
+/// derived order — variant, then ids — is the replay order at equal
+/// times: link failures, router deaths, link revivals, router revivals.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Change {
+    /// Link `{u, v}` goes down.
+    LinkDown(RouterId, RouterId),
+    /// The router dies: every incident link fails at once and its
+    /// attached endpoints are marked dead.
+    RouterDown(RouterId),
+    /// Link `{u, v}` comes back up.
+    LinkUp(RouterId, RouterId),
+    /// The router comes back up, reviving exactly the links whose other
+    /// end is alive and not independently failed.
+    RouterUp(RouterId),
 }
 
 /// A deterministic description of which links and routers fail and when.
 ///
-/// Static failures are down from `t = 0`; [`LinkEvent`]s and
-/// [`RouterEvent`]s flip state mid-run. The simulator consumes the plan
+/// Static failures are down from `t = 0`; timed [`Change`]s flip state
+/// mid-run. The simulator consumes the plan
 /// via `Simulator::apply_fault_plan`, and `Scenario::fault_plan` wires
 /// it into the fluent builder; a single dead link is
 /// `FaultPlan::none().fail(u, v)`, so there is exactly one failure
@@ -88,9 +78,10 @@ pub struct RouterEvent {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     static_failures: Vec<(RouterId, RouterId)>,
-    events: Vec<LinkEvent>,
     static_router_failures: Vec<RouterId>,
-    router_events: Vec<RouterEvent>,
+    /// Timed changes `(ps, change)`, in replay order: by time, then
+    /// change.
+    changes: Vec<(u64, Change)>,
 }
 
 impl FaultPlan {
@@ -123,23 +114,21 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules link `{u, v}` to go down at `at` picoseconds.
-    pub fn link_down_at(mut self, at: u64, u: RouterId, v: RouterId) -> FaultPlan {
-        self.events.push(LinkEvent {
-            at,
-            u,
-            v,
-            up: false,
-        });
-        self.events.sort_by_key(|e| e.at);
+    /// Inserts `change` at `at` picoseconds, keeping the replay order.
+    fn schedule(mut self, at: u64, change: Change) -> FaultPlan {
+        let i = self.changes.partition_point(|&e| e <= (at, change));
+        self.changes.insert(i, (at, change));
         self
     }
 
+    /// Schedules link `{u, v}` to go down at `at` picoseconds.
+    pub fn link_down_at(self, at: u64, u: RouterId, v: RouterId) -> FaultPlan {
+        self.schedule(at, Change::LinkDown(u.min(v), u.max(v)))
+    }
+
     /// Schedules link `{u, v}` to come back up at `at` picoseconds.
-    pub fn link_up_at(mut self, at: u64, u: RouterId, v: RouterId) -> FaultPlan {
-        self.events.push(LinkEvent { at, u, v, up: true });
-        self.events.sort_by_key(|e| e.at);
-        self
+    pub fn link_up_at(self, at: u64, u: RouterId, v: RouterId) -> FaultPlan {
+        self.schedule(at, Change::LinkUp(u.min(v), u.max(v)))
     }
 
     /// [`FaultPlan::fail_router`] in place.
@@ -158,25 +147,13 @@ impl FaultPlan {
     }
 
     /// Schedules router `r` to die at `at` picoseconds.
-    pub fn router_down_at(mut self, at: u64, r: RouterId) -> FaultPlan {
-        self.router_events.push(RouterEvent {
-            at,
-            router: r,
-            up: false,
-        });
-        self.router_events.sort_by_key(|e| e.at);
-        self
+    pub fn router_down_at(self, at: u64, r: RouterId) -> FaultPlan {
+        self.schedule(at, Change::RouterDown(r))
     }
 
     /// Schedules router `r` to come back up at `at` picoseconds.
-    pub fn router_up_at(mut self, at: u64, r: RouterId) -> FaultPlan {
-        self.router_events.push(RouterEvent {
-            at,
-            router: r,
-            up: true,
-        });
-        self.router_events.sort_by_key(|e| e.at);
-        self
+    pub fn router_up_at(self, at: u64, r: RouterId) -> FaultPlan {
+        self.schedule(at, Change::RouterUp(r))
     }
 
     /// A rolling-reboot (firmware roll / staggered maintenance)
@@ -286,8 +263,8 @@ impl FaultPlan {
     }
 
     /// Merges `other` into this plan: static link and router failures
-    /// dedup (keeping this plan's order first), timed events interleave
-    /// with one stable sort by time.
+    /// dedup (keeping this plan's order first), timed changes interleave
+    /// in replay order.
     pub fn merge(&mut self, other: &FaultPlan) {
         let mut seen: rustc_hash::FxHashSet<(RouterId, RouterId)> =
             self.static_failures.iter().copied().collect();
@@ -296,13 +273,11 @@ impl FaultPlan {
                 self.static_failures.push(key);
             }
         }
-        self.events.extend_from_slice(&other.events);
-        self.events.sort_by_key(|e| e.at);
         for &r in &other.static_router_failures {
             self.add_router(r);
         }
-        self.router_events.extend_from_slice(&other.router_events);
-        self.router_events.sort_by_key(|e| e.at);
+        self.changes.extend_from_slice(&other.changes);
+        self.changes.sort_unstable();
     }
 
     /// The links down from `t = 0`, in canonical `(min, max)` form.
@@ -310,27 +285,22 @@ impl FaultPlan {
         &self.static_failures
     }
 
-    /// Timed link events, sorted by time.
-    pub fn events(&self) -> &[LinkEvent] {
-        &self.events
-    }
-
     /// The routers dead from `t = 0`, in draw order.
     pub fn static_router_failures(&self) -> &[RouterId] {
         &self.static_router_failures
     }
 
-    /// Timed router events, sorted by time.
-    pub fn router_events(&self) -> &[RouterEvent] {
-        &self.router_events
+    /// Timed changes `(ps, change)` of links and routers, in replay
+    /// order: by time, then change.
+    pub fn changes(&self) -> &[(u64, Change)] {
+        &self.changes
     }
 
     /// True iff the plan fails nothing, ever.
     pub fn is_empty(&self) -> bool {
         self.static_failures.is_empty()
-            && self.events.is_empty()
             && self.static_router_failures.is_empty()
-            && self.router_events.is_empty()
+            && self.changes.is_empty()
     }
 
     /// Number of statically failed links.
@@ -377,6 +347,18 @@ mod tests {
     use super::*;
     use crate::topo::slimfly::slim_fly;
 
+    /// `(time, router)` of every router revival (`up`) or death.
+    fn router_changes(plan: &FaultPlan, up: bool) -> Vec<(u64, RouterId)> {
+        plan.changes()
+            .iter()
+            .filter_map(|&(at, c)| match c {
+                Change::RouterUp(r) if up => Some((at, r)),
+                Change::RouterDown(r) if !up => Some((at, r)),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn uniform_fraction_is_deterministic_in_seed() {
         let t = slim_fly(5, 1).unwrap();
@@ -408,12 +390,18 @@ mod tests {
             .fail(3, 1)
             .fail(1, 3)
             .link_up_at(2_000, 0, 2)
-            .link_down_at(1_000, 0, 2);
+            .link_down_at(1_000, 2, 0)
+            .router_down_at(1_000, 1);
         assert_eq!(plan.static_failures(), &[(1, 3)]);
-        let at: Vec<u64> = plan.events().iter().map(|e| e.at).collect();
-        assert_eq!(at, vec![1_000, 2_000]);
-        assert!(!plan.events()[0].up);
-        assert!(plan.events()[1].up);
+        // Sorted by time, then change; links canonical.
+        assert_eq!(
+            plan.changes(),
+            &[
+                (1_000, Change::LinkDown(0, 2)),
+                (1_000, Change::RouterDown(1)),
+                (2_000, Change::LinkUp(0, 2)),
+            ]
+        );
         assert!(!plan.is_empty());
     }
 
@@ -448,24 +436,18 @@ mod tests {
         let plan = FaultPlan::rolling_reboot(&t, 0.1, 1_000, 500, 200, 7);
         assert_eq!(plan, FaultPlan::rolling_reboot(&t, 0.1, 1_000, 500, 200, 7));
         let expect = (0.1 * t.num_routers() as f64).round() as usize;
-        assert_eq!(plan.router_events().len(), 2 * expect);
+        assert_eq!(plan.changes().len(), 2 * expect);
         assert!(plan.static_router_failures().is_empty());
         // Each sampled router gets one down and one up, downtime apart,
         // and consecutive reboots start one stagger apart.
-        let mut downs: Vec<&RouterEvent> = plan.router_events().iter().filter(|e| !e.up).collect();
-        downs.sort_by_key(|e| e.at);
-        for (i, d) in downs.iter().enumerate() {
-            assert_eq!(d.at, 1_000 + i as u64 * 500);
-            let up = plan
-                .router_events()
-                .iter()
-                .find(|e| e.up && e.router == d.router)
-                .expect("matching up event");
-            assert_eq!(up.at, d.at + 200);
+        let (downs, ups) = (router_changes(&plan, false), router_changes(&plan, true));
+        assert_eq!(downs.len(), expect);
+        for (i, &(at, r)) in downs.iter().enumerate() {
+            assert_eq!(at, 1_000 + i as u64 * 500);
+            assert!(ups.contains(&(at + 200, r)), "matching up change");
         }
-        // Events are time-sorted.
-        let at: Vec<u64> = plan.router_events().iter().map(|e| e.at).collect();
-        assert!(at.windows(2).all(|w| w[0] <= w[1]));
+        // Changes are in replay order.
+        assert!(plan.changes().windows(2).all(|w| w[0] <= w[1]));
         assert!(!plan.is_empty());
     }
 
@@ -480,24 +462,18 @@ mod tests {
             FaultPlan::rolling_domain_reboot(&t, 0.1, 1_000, 500, 200, 9)
         );
         // Budget matches the uniform roll: count_of(80, 0.1) = 8 routers.
-        let mut downs: Vec<&RouterEvent> = plan.router_events().iter().filter(|e| !e.up).collect();
+        let (downs, ups) = (router_changes(&plan, false), router_changes(&plan, true));
         assert_eq!(downs.len(), 8);
-        downs.sort_by_key(|e| e.at);
         // Staggered down/up pairs, like the uniform roll.
-        for (i, d) in downs.iter().enumerate() {
-            assert_eq!(d.at, 1_000 + i as u64 * 500);
-            let up = plan
-                .router_events()
-                .iter()
-                .find(|e| e.up && e.router == d.router)
-                .unwrap();
-            assert_eq!(up.at, d.at + 200);
+        for (i, &(at, r)) in downs.iter().enumerate() {
+            assert_eq!(at, 1_000 + i as u64 * 500);
+            assert!(ups.contains(&(at + 200, r)));
         }
         // The walk consumes whole domains consecutively: the first four
         // reboots are exactly one pod's aggregation layer (ascending),
         // the next four exactly another's.
         for half in downs.chunks(4) {
-            let ids: Vec<u32> = half.iter().map(|e| e.router).collect();
+            let ids: Vec<u32> = half.iter().map(|&(_, r)| r).collect();
             let dom = t
                 .domains
                 .iter()
@@ -522,12 +498,15 @@ mod tests {
         let covered: usize = t.domains.iter().map(|d| d.len()).sum();
         assert_eq!(covered, 32);
         let plan = FaultPlan::rolling_domain_reboot(&t, 0.9, 1_000, 500, 200, 2);
-        let downs = plan.router_events().iter().filter(|e| !e.up).count();
-        assert_eq!(downs, covered, "budget clamps at the covered population");
-        assert!(plan
-            .router_events()
+        let downs = router_changes(&plan, false);
+        assert_eq!(
+            downs.len(),
+            covered,
+            "budget clamps at the covered population"
+        );
+        assert!(downs
             .iter()
-            .all(|e| t.domains.iter().any(|d| d.contains(&e.router))));
+            .all(|(_, r)| t.domains.iter().any(|d| d.contains(r))));
     }
 
     #[test]
@@ -563,8 +542,10 @@ mod tests {
             .router_up_at(500, 5);
         a.merge(&b);
         assert_eq!(a.static_router_failures(), &[3, 7]);
-        let at: Vec<u64> = a.router_events().iter().map(|e| e.at).collect();
-        assert_eq!(at, vec![500, 1_000]);
+        assert_eq!(
+            a.changes(),
+            &[(500, Change::RouterUp(5)), (1_000, Change::RouterDown(5))]
+        );
     }
 
     #[test]
@@ -575,7 +556,7 @@ mod tests {
             .link_down_at(1_000, 2, 3);
         a.merge(&b);
         assert_eq!(a.static_failures(), &[(0, 1), (2, 3), (4, 5)]);
-        let at: Vec<u64> = a.events().iter().map(|e| e.at).collect();
+        let at: Vec<u64> = a.changes().iter().map(|&(at, _)| at).collect();
         assert_eq!(at, vec![1_000, 5_000, 9_000]);
     }
 }

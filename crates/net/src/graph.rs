@@ -181,18 +181,6 @@ impl Graph {
         self.edges().collect()
     }
 
-    /// Index of canonical edge `{u, v}` into [`Graph::edge_vec`] order, as
-    /// a hash map keyed by `(min, max)`. Callers that walk neighbour lists
-    /// read [`Graph::arc_edge_ids`] instead.
-    pub fn edge_index_map(&self) -> rustc_hash::FxHashMap<(RouterId, RouterId), u32> {
-        let mut map = rustc_hash::FxHashMap::default();
-        map.reserve(self.m());
-        for (i, (u, v)) in self.edges().enumerate() {
-            map.insert((u, v), i as u32);
-        }
-        map
-    }
-
     /// The arcs of `u` in CSR order: `arcs(u).start + p` is the arc
     /// behind port `p`, an index into [`Graph::arc_edge_ids`].
     #[inline]
@@ -219,6 +207,15 @@ impl Graph {
             }
         }
         ids
+    }
+
+    /// Canonical id of edge `{u, v}`, if the link exists, read from
+    /// `arc_eids` — this graph's [`Graph::arc_edge_ids`] — behind `u`'s
+    /// port toward `v`.
+    #[inline]
+    pub fn edge_id(&self, arc_eids: &[u32], u: RouterId, v: RouterId) -> Option<u32> {
+        let p = self.port_of(u, v)?;
+        Some(arc_eids[self.arcs(u).start + p as usize])
     }
 
     /// BFS hop distances from `src`. Unreached routers get
@@ -530,20 +527,23 @@ mod tests {
         let g = Graph::from_edges(4, &[(2, 1), (0, 3), (0, 1)]);
         let edges = g.edge_vec();
         assert_eq!(edges, vec![(0, 1), (0, 3), (1, 2)]);
-        let idx = g.edge_index_map();
-        assert_eq!(idx[&(0, 3)], 1);
+        let ids = g.arc_edge_ids();
+        assert_eq!(g.edge_id(&ids, 3, 0), Some(1));
+        assert_eq!(g.edge_id(&ids, 1, 3), None);
     }
 
     #[test]
     fn arc_edge_ids_match_the_canonical_order() {
         let t = crate::topo::slimfly::slim_fly(5, 1).unwrap();
         let g = &t.graph;
-        let idx = g.edge_index_map();
+        let idx: rustc_hash::FxHashMap<(u32, u32), u32> =
+            g.edge_vec().into_iter().zip(0..).collect();
         let ids = g.arc_edge_ids();
         assert_eq!(ids.len(), 2 * g.m());
         for u in 0..g.n() as u32 {
             for (p, &v) in g.neighbors(u).iter().enumerate() {
                 assert_eq!(ids[g.arcs(u).start + p], idx[&(u.min(v), u.max(v))]);
+                assert_eq!(g.edge_id(&ids, u, v), Some(idx[&(u.min(v), u.max(v))]));
             }
         }
     }

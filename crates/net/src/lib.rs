@@ -25,6 +25,6 @@ pub mod graph;
 pub mod topo;
 
 pub use classes::{build, SizeClass};
-pub use fault::{FaultModel, FaultPlan, LinkEvent};
+pub use fault::{FaultModel, FaultPlan};
 pub use graph::{Graph, RouterId, UNREACHABLE};
 pub use topo::{LinkClass, TopoKind, Topology};

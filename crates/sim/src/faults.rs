@@ -22,8 +22,8 @@
 //!   ranks before all traffic at `t`, and every hot-path read goes
 //!   through the snapshot in force at that instant.
 //!
-//! Replay order: the timed events sort by time, then kind (link
-//! failures, router deaths, link revivals, router revivals), then ids,
+//! Replay order: the timed events sort by time, then [`Change`] (link
+//! failures, router deaths, link revivals, router revivals, then ids),
 //! and merge with the pending repair passes, fault events first at equal
 //! times. A change at `t` schedules a repair pass one detection delay
 //! later (the statics, one delay after `t = 0`). A burst of
@@ -38,7 +38,7 @@ use crate::engine::TimePs;
 use crate::metrics::RepairTickRecord;
 use fatpaths_core::repair::{DownLinks, RouteRepair};
 use fatpaths_core::scheme::RoutingScheme;
-use fatpaths_net::fault::FaultPlan;
+use fatpaths_net::fault::{Change, FaultPlan};
 use fatpaths_net::topo::Topology;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -102,17 +102,6 @@ impl FaultTimeline {
     }
 }
 
-/// A timed state change, links in canonical `(min, max)` form. The
-/// derived order — variant, then ids — is the replay order at equal
-/// times.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Change {
-    LinkDown(u32, u32),
-    RouterDown(u32),
-    LinkUp(u32, u32),
-    RouterUp(u32),
-}
-
 /// The single mutable owner of the fault state: accumulates the plan,
 /// replays it once at run start, publishes the epochs.
 #[derive(Debug)]
@@ -163,23 +152,7 @@ impl FaultWriter {
         for &r in plan.static_router_failures() {
             self.set_router_state(topo, net_base, r, false);
         }
-        for ev in plan.events() {
-            let (u, v) = (ev.u.min(ev.v), ev.u.max(ev.v));
-            let change = if ev.up {
-                Change::LinkUp(u, v)
-            } else {
-                Change::LinkDown(u, v)
-            };
-            self.events.push((ev.at, change));
-        }
-        for ev in plan.router_events() {
-            let change = if ev.up {
-                Change::RouterUp(ev.router)
-            } else {
-                Change::RouterDown(ev.router)
-            };
-            self.events.push((ev.at, change));
-        }
+        self.events.extend_from_slice(plan.changes());
     }
 
     /// True iff router `r` is currently dead in the writer's working

@@ -9,23 +9,25 @@
 //! *distribution shape* is governed by path-collision multiplicity, which
 //! is what Fig. 13's histograms display.
 
+use fatpaths_net::graph::Graph;
 use fatpaths_net::topo::Topology;
-use rustc_hash::FxHashMap;
 
 /// Directed-link id space for a topology: `2*edge + dir` for router links,
 /// then per-endpoint uplinks and downlinks.
 #[derive(Clone, Debug)]
-pub struct LinkSpace {
-    edge_index: FxHashMap<(u32, u32), u32>,
+pub struct LinkSpace<'a> {
+    graph: &'a Graph,
+    arc_eids: Vec<u32>,
     m: usize,
     ne: usize,
 }
 
-impl LinkSpace {
+impl<'a> LinkSpace<'a> {
     /// Builds the id space for `topo`.
-    pub fn new(topo: &Topology) -> Self {
+    pub fn new(topo: &'a Topology) -> Self {
         LinkSpace {
-            edge_index: topo.graph.edge_index_map(),
+            graph: &topo.graph,
+            arc_eids: topo.graph.arc_edge_ids(),
             m: topo.graph.m(),
             ne: topo.num_endpoints(),
         }
@@ -43,7 +45,10 @@ impl LinkSpace {
 
     /// Directed router-link id for hop `u → v`.
     fn router_link(&self, u: u32, v: u32) -> u32 {
-        let e = self.edge_index[&(u.min(v), u.max(v))];
+        let e = self
+            .graph
+            .edge_id(&self.arc_eids, u, v)
+            .expect("path hops are links");
         2 * e + u32::from(u > v)
     }
 

@@ -39,7 +39,7 @@ pub use engine::{least_loaded, TimePs};
 pub use fatpaths_core::repair::{DownLinks, RouteRepair};
 pub use fatpaths_core::scheme::{PortSet, RoutingScheme};
 pub use fatpaths_fib::{CompileMode, CompiledScheme, Fib, FibStats, TableBudget};
-pub use fatpaths_net::fault::{FaultModel, FaultPlan, LinkEvent, RouterEvent};
+pub use fatpaths_net::fault::{FaultModel, FaultPlan};
 pub use fatpaths_te::{TeConfig, TeScheme};
 pub use fatpaths_telemetry::{SpanEvent, SpanKind, TelemetryConfig, Trace, TraceMeta};
 pub use metrics::{

@@ -77,7 +77,7 @@ pub enum SchemeSpec {
     },
     /// PAST: one spanning tree per destination.
     Past {
-        /// Tree construction variant.
+        /// Tree construction (destination-rooted BFS, the only one).
         variant: PastVariant,
     },
     /// k-shortest-paths layers (Jellyfish-style).
@@ -103,10 +103,7 @@ impl SchemeSpec {
             SchemeSpec::LayeredMinimal => "layered_minimal".into(),
             SchemeSpec::Minimal => "minimal".into(),
             SchemeSpec::Spain { k_paths } => format!("spain(k={k_paths})"),
-            SchemeSpec::Past { variant } => match variant {
-                PastVariant::Bfs => "past_bfs".into(),
-                PastVariant::Valiant => "past_valiant".into(),
-            },
+            SchemeSpec::Past { .. } => "past_bfs".into(),
             SchemeSpec::Ksp { k } => format!("ksp(k={k})"),
             SchemeSpec::Valiant { n_layers } => format!("valiant(n={n_layers})"),
         }
@@ -225,19 +222,15 @@ impl RoutingScheme for BuiltScheme<'_> {
 pub struct Scenario<'a> {
     topo: &'a Topology,
     spec: SchemeSpec,
-    transport: Transport,
+    /// The simulator settings the setters write; its `lb` is resolved by
+    /// [`Scenario::sim_config`].
+    cfg: SimConfig,
+    /// The balancer override; `None` pairs the spec's default.
     lb: Option<LoadBalancing>,
-    adaptive: AdaptiveMode,
-    seed: u64,
-    horizon: TimePs,
     flows: Vec<FlowSpec>,
     faults: FaultPlan,
-    detection_delay: Option<TimePs>,
     compiled: Option<CompileMode>,
-    abort_host_death: Option<u32>,
     te: Option<TeConfig>,
-    shards: u32,
-    telemetry: TelemetryConfig,
 }
 
 impl<'a> Scenario<'a> {
@@ -251,19 +244,12 @@ impl<'a> Scenario<'a> {
                 n_layers: 9,
                 rho: 0.6,
             },
-            transport: Transport::Ndp,
+            cfg: SimConfig::default(),
             lb: None,
-            adaptive: AdaptiveMode::Oblivious,
-            seed: 1,
-            horizon: 0,
             flows: Vec::new(),
             faults: FaultPlan::none(),
-            detection_delay: None,
             compiled: None,
-            abort_host_death: None,
             te: None,
-            shards: 0,
-            telemetry: TelemetryConfig::disabled(),
         }
     }
 
@@ -275,7 +261,7 @@ impl<'a> Scenario<'a> {
 
     /// Selects the transport (NDP or a TCP variant).
     pub fn transport(mut self, transport: Transport) -> Self {
-        self.transport = transport;
+        self.cfg.transport = transport;
         self
     }
 
@@ -301,7 +287,7 @@ impl<'a> Scenario<'a> {
     /// [`Scenario::compiled`]; a no-op under
     /// [`LoadBalancing::PacketSpray`], which has no flowlet decision.
     pub fn adaptive(mut self, mode: AdaptiveMode) -> Self {
-        self.adaptive = mode;
+        self.cfg.adaptive = mode;
         self
     }
 
@@ -311,13 +297,13 @@ impl<'a> Scenario<'a> {
     /// and workload, the seed does not add simulation noise (it is still
     /// recorded in [`SimConfig::seed`] for provenance).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.cfg.seed = seed;
         self
     }
 
     /// Stops simulating at `horizon` ps even if flows remain (0 = off).
     pub fn horizon(mut self, horizon: TimePs) -> Self {
-        self.horizon = horizon;
+        self.cfg.horizon = horizon;
         self
     }
 
@@ -350,7 +336,7 @@ impl<'a> Scenario<'a> {
     /// link-state change. Without it (the default), failures are never
     /// detected and recovery is purely end-to-end.
     pub fn detection_delay(mut self, delay: TimePs) -> Self {
-        self.detection_delay = Some(delay);
+        self.cfg.detection_delay = Some(delay);
         self
     }
 
@@ -386,7 +372,7 @@ impl<'a> Scenario<'a> {
     /// dead at RTO time after it burns `k` such timeouts (see
     /// [`SimConfig::abort_on_host_death`]).
     pub fn abort_on_host_death(mut self, k: u32) -> Self {
-        self.abort_host_death = Some(k);
+        self.cfg.abort_on_host_death = Some(k);
         self
     }
 
@@ -394,7 +380,7 @@ impl<'a> Scenario<'a> {
     /// parallelism (0 = resolve from `FATPATHS_SHARDS`, then 1; see
     /// [`SimConfig::shards`]). Results are bit-identical for any value.
     pub fn shards(mut self, k: u32) -> Self {
-        self.shards = k;
+        self.cfg.shards = k;
         self
     }
 
@@ -404,7 +390,7 @@ impl<'a> Scenario<'a> {
     /// [`Scenario::run`] with telemetry set still pays the collection
     /// cost but discards the trace.
     pub fn telemetry(mut self, cfg: TelemetryConfig) -> Self {
-        self.telemetry = cfg;
+        self.cfg.telemetry = cfg;
         self
     }
 
@@ -414,7 +400,7 @@ impl<'a> Scenario<'a> {
     /// scenario simulates on compiled FIBs.
     pub fn label(&self) -> String {
         let mut label = self.spec.label();
-        if self.adaptive == AdaptiveMode::QueueDepth {
+        if self.cfg.adaptive == AdaptiveMode::QueueDepth {
             label.push_str("+adapt");
         }
         if self.te.is_some() {
@@ -459,7 +445,7 @@ impl<'a> Scenario<'a> {
         let g = &self.topo.graph;
         match self.spec {
             SchemeSpec::LayeredRandom { n_layers, rho } => {
-                let ls = build_random_layers(g, &LayerConfig::new(n_layers, rho, self.seed));
+                let ls = build_random_layers(g, &LayerConfig::new(n_layers, rho, self.cfg.seed));
                 BuiltScheme::Layered(RoutingTables::build(g, &ls))
             }
             SchemeSpec::LayeredInterferenceMin { n_layers } => {
@@ -467,7 +453,7 @@ impl<'a> Scenario<'a> {
                     g,
                     &ImConfig {
                         n_layers,
-                        seed: self.seed,
+                        seed: self.cfg.seed,
                     },
                 );
                 BuiltScheme::Layered(RoutingTables::build(g, &ls))
@@ -483,13 +469,11 @@ impl<'a> Scenario<'a> {
                 g,
                 &SpainConfig {
                     k_paths,
-                    seed: self.seed,
+                    seed: self.cfg.seed,
                     ..SpainConfig::default()
                 },
             )),
-            SchemeSpec::Past { variant } => {
-                BuiltScheme::Tables(PortTables::past(g, variant, self.seed))
-            }
+            SchemeSpec::Past { .. } => BuiltScheme::Tables(PortTables::past(g, self.cfg.seed)),
             SchemeSpec::Ksp { k } => BuiltScheme::Tables(PortTables::ksp(
                 g,
                 &KspConfig {
@@ -498,7 +482,7 @@ impl<'a> Scenario<'a> {
                 },
             )),
             SchemeSpec::Valiant { n_layers } => {
-                BuiltScheme::Valiant(ValiantScheme::build(g, n_layers, self.seed))
+                BuiltScheme::Valiant(ValiantScheme::build(g, n_layers, self.cfg.seed))
             }
         }
     }
@@ -506,16 +490,8 @@ impl<'a> Scenario<'a> {
     /// The simulator configuration this scenario resolves to.
     pub fn sim_config(&self) -> SimConfig {
         SimConfig {
-            transport: self.transport,
             lb: self.lb.unwrap_or_else(|| self.spec.default_lb()),
-            adaptive: self.adaptive,
-            seed: self.seed,
-            horizon: self.horizon,
-            detection_delay: self.detection_delay,
-            abort_on_host_death: self.abort_host_death,
-            shards: self.shards,
-            telemetry: self.telemetry,
-            ..SimConfig::default()
+            ..self.cfg
         }
     }
 
@@ -546,9 +522,9 @@ impl<'a> Scenario<'a> {
     /// defaults ([`TelemetryConfig::on`] with this scenario's seed)
     /// apply.
     pub fn run_traced(mut self) -> (SimResult, Trace) {
-        if !self.telemetry.enabled {
-            self.telemetry = TelemetryConfig {
-                seed: self.seed,
+        if !self.cfg.telemetry.enabled {
+            self.cfg.telemetry = TelemetryConfig {
+                seed: self.cfg.seed,
                 ..TelemetryConfig::on()
             };
         }

@@ -32,7 +32,7 @@ use crate::shard::{
 };
 use fatpaths_core::fwd::fnv1a;
 use fatpaths_core::scheme::RoutingScheme;
-use fatpaths_net::fault::FaultPlan;
+use fatpaths_net::fault::{Change, FaultPlan};
 use fatpaths_net::topo::Topology;
 use fatpaths_telemetry::{
     MailboxSample, RepairSample, ShardTelemetry, Trace, TraceMeta, INTERVAL_PS,
@@ -273,11 +273,13 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
         for &r in plan.static_router_failures() {
             check_router("static router failure", 0, r);
         }
-        for e in plan.events() {
-            check_link(if e.up { "LinkUp" } else { "LinkDown" }, e.at, e.u, e.v);
-        }
-        for e in plan.router_events() {
-            check_router(if e.up { "RouterUp" } else { "RouterDown" }, e.at, e.router);
+        for &(at, change) in plan.changes() {
+            match change {
+                Change::LinkDown(u, v) => check_link("LinkDown", at, u, v),
+                Change::RouterDown(r) => check_router("RouterDown", at, r),
+                Change::LinkUp(u, v) => check_link("LinkUp", at, u, v),
+                Change::RouterUp(r) => check_router("RouterUp", at, r),
+            }
         }
         self.faults.apply_plan(self.topo, &self.net_base, plan);
     }

@@ -8,7 +8,6 @@
 use fatpaths_core::ecmp::DistanceMatrix;
 use fatpaths_core::fwd::{PortTables, RoutingTables};
 use fatpaths_core::layers::{build_random_layers, LayerConfig};
-use fatpaths_core::past::PastVariant;
 use fatpaths_core::scheme::{MinimalScheme, RoutingScheme};
 use fatpaths_core::spain::SpainConfig;
 use fatpaths_net::classes::{build, SizeClass};
@@ -181,7 +180,7 @@ fn spain_adapter_completes_all_flows() {
 fn past_adapter_completes_all_flows() {
     let topo = slim_fly(5, 2).unwrap();
     let flows = permutation_flows(&topo, 21, 64 * 1024);
-    let past = PortTables::past(&topo.graph, PastVariant::Bfs, 4);
+    let past = PortTables::past(&topo.graph, 4);
     let cfg = SimConfig {
         lb: LoadBalancing::EcmpFlow,
         ..SimConfig::default()

@@ -278,7 +278,8 @@ mod tests {
     /// the ports from the source, finishing on layer 0 once a sparse
     /// layer has no port, `demand / n_layers` on every hop.
     fn measure_loads(base: &Graph, ports: &PortTables, demands: &[RouterDemand]) -> Vec<f64> {
-        let edge_index = base.edge_index_map();
+        let edge_index: std::collections::HashMap<(u32, u32), u32> =
+            base.edge_vec().into_iter().zip(0..).collect();
         let nl = ports.n_layers();
         let mut loads = vec![0.0f64; base.m()];
         for d in demands {

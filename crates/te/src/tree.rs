@@ -445,7 +445,7 @@ mod tests {
             let g = Graph::from_edges(n, &edges);
             let canonical = g.edge_vec();
             let prices: Vec<f64> = (0..g.m()).map(|e| PRICES[price_of[e % price_of.len()]]).collect();
-            let index = g.edge_index_map();
+            let index: std::collections::HashMap<(u32, u32), u32> = canonical.iter().copied().zip(0..).collect();
             let eid = |u: u32, v: u32| index[&(u.min(v), u.max(v))];
             let arc_eids = g.arc_edge_ids();
             let sparse = g.without_edges(

@@ -106,7 +106,7 @@ pub mod prelude {
     };
     pub use fatpaths_fib::{compile, CompileMode, CompiledScheme, TableBudget};
     pub use fatpaths_net::classes::{build, SizeClass};
-    pub use fatpaths_net::fault::{FaultModel, FaultPlan, LinkEvent};
+    pub use fatpaths_net::fault::{FaultModel, FaultPlan};
     pub use fatpaths_net::topo::{TopoKind, Topology};
     pub use fatpaths_sim::{
         BuiltScheme, LoadBalancing, Scenario, SchemeSpec, SimConfig, SimResult, Simulator,

@@ -144,11 +144,7 @@ fn mat_pipeline_fatpaths_beats_past() {
         },
         0.08,
     );
-    let trees = fatpaths::core::past::PastTrees::build(
-        &topo.graph,
-        fatpaths::core::past::PastVariant::Bfs,
-        5,
-    );
+    let trees = fatpaths::core::past::PastTrees::build(&topo.graph, 5);
     let past = mat(&topo.graph, &demands, &PastPaths { trees: &trees }, 0.08);
     assert!(fat.throughput > past.throughput);
 }
