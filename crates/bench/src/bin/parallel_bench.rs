@@ -1,7 +1,8 @@
 //! Execution-layer profile of the 119k-endpoint scale scenario:
 //!
 //! ```text
-//! parallel_bench --profile       # RunProfile as JSON on stdout
+//! parallel_bench --profile                     # RunProfile as JSON on stdout
+//! FATPATHS_SHARDS=2 parallel_bench --profile   # the same run on two shards
 //! ```
 //!
 //! Timing of the pipeline stages lives in the repo benchmark
@@ -24,7 +25,9 @@ use std::time::Instant;
 /// routers / 119,164 endpoints — under minimal routing + packet spray.
 /// The same configuration as the `FATPATHS_SCALE=1` acceptance test, so
 /// a memory regression here is a regression of the scale story itself.
-fn scale_run(shards: u32) -> fatpaths_sim::SimResult {
+/// The shard count resolves as `SimConfig::shards` does: from
+/// `FATPATHS_SHARDS`, else 1.
+fn scale_run() -> fatpaths_sim::SimResult {
     let t = fatpaths_net::topo::fattree::fat_tree(62, 2);
     let n = t.num_endpoints() as u64;
     let flows: Vec<FlowSpec> = (0..n)
@@ -40,7 +43,6 @@ fn scale_run(shards: u32) -> fatpaths_sim::SimResult {
         .scheme(SchemeSpec::Minimal)
         .lb(LoadBalancing::PacketSpray)
         .workload(&flows)
-        .shards(shards)
         .run();
     assert!(r.completion_rate() == 1.0);
     r
@@ -54,13 +56,8 @@ fn main() {
     // Window count, mailbox traffic, fault-epoch publications, traffic
     // events (per class, and wall ns per event), and peak RSS, as JSON
     // on stdout.
-    // `FATPATHS_THREADS` picks the shard count.
-    let shards: u32 = std::env::var("FATPATHS_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
     let start = Instant::now();
-    let r = scale_run(shards);
+    let r = scale_run();
     let secs = start.elapsed().as_secs_f64();
     let p = r.profile;
     let mut json = String::from("{\n");

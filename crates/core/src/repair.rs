@@ -7,8 +7,9 @@
 //! in place, or rebuild from the degraded topology. This module provides
 //! the shared vocabulary for the last two:
 //!
-//! * [`DownLinks`] — the canonical set of currently-down links, with
-//!   O(1) membership and deterministic (sorted) iteration;
+//! * [`DownLinks`] — the canonical set of currently-down links, one
+//!   sorted vector: binary-search membership and deterministic
+//!   iteration;
 //! * [`RouteRepair`] — a sparse overlay of repaired forwarding rows the
 //!   simulator consults *before* the scheme's own
 //!   [`candidate_ports`](crate::scheme::RoutingScheme::candidate_ports).
@@ -46,7 +47,6 @@
 use crate::fwd::{PortTables, NO_PORT};
 use crate::scheme::assert_layer_tags;
 use fatpaths_net::graph::{Graph, RouterId};
-use rustc_hash::FxHashSet;
 
 /// The set of currently-down bidirectional links, canonicalized to
 /// `(min, max)` pairs. Iteration order is sorted, so everything derived
@@ -55,7 +55,6 @@ use rustc_hash::FxHashSet;
 #[derive(Clone, Debug, Default)]
 pub struct DownLinks {
     sorted: Vec<(RouterId, RouterId)>,
-    set: FxHashSet<(RouterId, RouterId)>,
 }
 
 impl DownLinks {
@@ -65,8 +64,7 @@ impl DownLinks {
             links.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
         sorted.sort_unstable();
         sorted.dedup();
-        let set = sorted.iter().copied().collect();
-        DownLinks { sorted, set }
+        DownLinks { sorted }
     }
 
     /// Builds the set from explicitly failed links *plus* whole-router
@@ -90,7 +88,7 @@ impl DownLinks {
     /// True iff link `{u, v}` is down (orientation-insensitive).
     #[inline]
     pub fn contains(&self, u: RouterId, v: RouterId) -> bool {
-        self.set.contains(&(u.min(v), u.max(v)))
+        self.sorted.binary_search(&(u.min(v), u.max(v))).is_ok()
     }
 
     /// The down links in canonical sorted order.
@@ -512,7 +510,7 @@ mod tests {
     use std::collections::BTreeMap;
 
     #[test]
-    fn down_links_canonicalize_and_sort() {
+    fn down_set_canonicalizes_and_sorts() {
         let d = DownLinks::from_links(&[(7, 2), (0, 1), (2, 7), (1, 0)]);
         assert_eq!(d.as_slice(), &[(0, 1), (2, 7)]);
         assert_eq!(d.len(), 2);

@@ -49,20 +49,9 @@ fn path_interference_with(
     to_b + to_d - to_both
 }
 
-/// One sampled PI observation: the pairs and the interference value.
-#[derive(Clone, Copy, Debug)]
-pub struct PiSample {
-    /// First communicating pair (a → b).
-    pub ab: (RouterId, RouterId),
-    /// Second communicating pair (c → d).
-    pub cd: (RouterId, RouterId),
-    /// Interference value.
-    pub pi: i64,
-}
-
 /// Samples `count` router 4-tuples u.a.r. (all four routers distinct) and
 /// returns their PI at distance `l`. Deterministic in `seed`; parallel.
-pub fn sample_pi(g: &Graph, eids: &[u32], l: u32, count: usize, seed: u64) -> Vec<PiSample> {
+pub fn sample_pi(g: &Graph, eids: &[u32], l: u32, count: usize, seed: u64) -> Vec<i64> {
     let all: Vec<u32> = (0..g.n() as u32).collect();
     sample_pi_from(g, eids, l, count, seed, &all)
 }
@@ -77,7 +66,7 @@ pub fn sample_pi_from(
     count: usize,
     seed: u64,
     candidates: &[RouterId],
-) -> Vec<PiSample> {
+) -> Vec<i64> {
     assert!(candidates.len() >= 4, "need at least 4 candidate routers");
     // Pre-draw the tuples sequentially for determinism, evaluate in parallel.
     let mut rng = StdRng::seed_from_u64(seed);
@@ -99,20 +88,18 @@ pub fn sample_pi_from(
         .collect();
     tuples
         .into_par_iter()
-        .map_init(CdpScratch::default, |s, [a, b, c, d]| PiSample {
-            ab: (a, b),
-            cd: (c, d),
-            pi: path_interference_with(g, eids, a, b, c, d, l, s),
+        .map_init(CdpScratch::default, |s, [a, b, c, d]| {
+            path_interference_with(g, eids, a, b, c, d, l, s)
         })
         .collect()
 }
 
 /// Summary statistics of a PI sample: `(mean, tail_percentile_value)`.
-pub fn pi_summary(samples: &[PiSample], tail_pct: f64) -> (f64, i64) {
+pub fn pi_summary(samples: &[i64], tail_pct: f64) -> (f64, i64) {
     if samples.is_empty() {
         return (0.0, 0);
     }
-    let mut vals: Vec<i64> = samples.iter().map(|s| s.pi).collect();
+    let mut vals = samples.to_vec();
     vals.sort_unstable();
     let mean = vals.iter().sum::<i64>() as f64 / vals.len() as f64;
     let idx = ((tail_pct / 100.0) * (vals.len() as f64 - 1.0)).round() as usize;
@@ -169,9 +156,7 @@ mod tests {
         let e = t.graph.arc_edge_ids();
         let a = sample_pi(&t.graph, &e, 3, 50, 9);
         let b = sample_pi(&t.graph, &e, 3, 50, 9);
-        let va: Vec<i64> = a.iter().map(|s| s.pi).collect();
-        let vb: Vec<i64> = b.iter().map(|s| s.pi).collect();
-        assert_eq!(va, vb);
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -189,13 +174,7 @@ mod tests {
 
     #[test]
     fn pi_summary_percentiles() {
-        let samples: Vec<PiSample> = (0..100)
-            .map(|i| PiSample {
-                ab: (0, 1),
-                cd: (2, 3),
-                pi: i,
-            })
-            .collect();
+        let samples: Vec<i64> = (0..100).collect();
         let (mean, p99) = pi_summary(&samples, 99.0);
         assert!((mean - 49.5).abs() < 1e-9);
         assert_eq!(p99, 98); // (99/100)·(100−1) rounds to index 98

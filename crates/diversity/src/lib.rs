@@ -19,4 +19,4 @@ pub mod tnl;
 pub use apsp::{count_shortest_paths, shortest_path_stats, PathStats};
 pub use cdp::{cdp, edge_disjoint_maxflow, lmin_cmin};
 pub use collisions::collision_histogram;
-pub use interference::{path_interference, sample_pi, PiSample};
+pub use interference::{path_interference, sample_pi};

@@ -214,8 +214,7 @@ pub fn fig8(quick: bool) -> io::Result<()> {
         let eids = t.graph.arc_edge_ids();
         let hosts = hosting_routers(t);
         for l in [2u32, 3, 4, 5] {
-            let s = sample_pi_from(&t.graph, &eids, l, samples, 77, &hosts);
-            let vals: Vec<i64> = s.iter().map(|x| x.pi).collect();
+            let vals = sample_pi_from(&t.graph, &eids, l, samples, 77, &hosts);
             let max_v = vals.iter().copied().max().unwrap_or(0);
             for v in 0..=max_v {
                 let frac = vals.iter().filter(|&&x| x == v).count() as f64 / vals.len() as f64;
@@ -223,7 +222,7 @@ pub fn fig8(quick: bool) -> io::Result<()> {
                     table.row(&[name, &l, &v, &f(frac)]);
                 }
             }
-            let (mean, p999) = pi_summary(&s, 99.9);
+            let (mean, p999) = pi_summary(&vals, 99.9);
             summary.push_str(&format!(
                 "{:<7} l={} mean PI {:.2} (99.9% {})\n",
                 name, l, mean, p999

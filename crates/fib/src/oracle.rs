@@ -129,7 +129,6 @@ impl OracleFib {
             entries_total,
             entries_mean: entries_total as f64 / n.max(1) as f64,
             entries_max: entries().max().unwrap_or(0),
-            groups_total,
             groups_mean: groups_total as f64 / n.max(1) as f64,
             groups_max: groups().max().unwrap_or(0),
             compression: if entries_total > 0 {

@@ -141,8 +141,6 @@ pub struct FibStats {
     pub entries_mean: f64,
     /// Max rules on any one switch (the overflow-critical figure).
     pub entries_max: usize,
-    /// ECMP groups summed over switches.
-    pub groups_total: u64,
     /// Mean groups per switch.
     pub groups_mean: f64,
     /// Max groups on any one switch.
@@ -294,7 +292,6 @@ impl Fib {
             entries_total,
             entries_mean: entries_total as f64 / switches as f64,
             entries_max,
-            groups_total,
             groups_mean: groups_total as f64 / switches as f64,
             groups_max,
             compression: if entries_total > 0 {

@@ -5,6 +5,10 @@ use fatpaths_telemetry::TelemetryConfig;
 
 /// NDP payload bytes per packet: 9 KB jumbo frames (§VII-A6).
 const NDP_MTU_PAYLOAD: u32 = 9000;
+/// One-way latency of every link, in ps: the paper's fixed 1 µs
+/// (§VII-A6). Links are homogeneous, so it is also the lookahead of the
+/// sharded window driver.
+pub(crate) const LINK_LATENCY: TimePs = 1_000_000;
 /// TCP maximum segment size in payload bytes (§VII-A6).
 const TCP_MSS: u32 = 1460;
 
@@ -90,8 +94,6 @@ pub enum AdaptiveMode {
 pub struct SimConfig {
     /// Link rate in Gbit/s (all links homogeneous, §II-A).
     pub link_gbps: f64,
-    /// Per-link one-way latency (propagation + the paper's fixed 1 µs).
-    pub link_latency: TimePs,
     /// Transport family and constants.
     pub transport: Transport,
     /// Load-balancing scheme.
@@ -111,16 +113,6 @@ pub struct SimConfig {
     /// the FatPaths story: preprovisioned layers mask failures without
     /// any control-plane help.
     pub detection_delay: Option<TimePs>,
-    /// Mid-flow host-death semantics: when `Some(k)`, a flow whose
-    /// source or destination endpoint is dead (its router is down) at
-    /// retransmission-timeout time aborts after burning `k` such RTOs —
-    /// the connection reset a real stack would surface. `None` (the
-    /// default) preserves the old behavior: the flow stalls and, if the
-    /// router revives before the horizon, the *same* transfer finishes,
-    /// indistinguishable from an undisturbed one. The knob separates
-    /// "host came back" from "transfer would have restarted" in
-    /// long-churn studies (see `FlowRecord::aborted`).
-    pub abort_on_host_death: Option<u32>,
     /// Number of event-loop shards (intra-simulation parallelism):
     /// routers and their endpoints are partitioned into this many
     /// regions, each stepped on its own event queue in conservative-
@@ -141,14 +133,12 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             link_gbps: 10.0,
-            link_latency: 1_000_000, // 1 µs
             transport: Transport::Ndp,
             lb: LoadBalancing::FatPathsLayers,
             adaptive: AdaptiveMode::Oblivious,
             seed: 1,
             horizon: 0,
             detection_delay: None,
-            abort_on_host_death: None,
             shards: 0,
             telemetry: TelemetryConfig::disabled(),
         }

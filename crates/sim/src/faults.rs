@@ -113,12 +113,10 @@ pub(crate) struct FaultWriter {
     repairs: VecDeque<TimePs>,
     port_down: Vec<u64>,
     down_count: u32,
-    /// Currently-down links in canonical form (feeds route repair):
-    /// links failed in their own right plus links incident to a dead
-    /// router.
-    down_links: Vec<(u32, u32)>,
-    /// Links failed in their own right, kept apart from `down_links` so
-    /// a reviving router does not resurrect an independently cut link.
+    /// Links failed in their own right, in canonical form. With
+    /// `router_dead` it defines the down set: a link is down iff it
+    /// failed or either end is dead, so a reviving router does not
+    /// resurrect an independently cut link.
     link_failed: rustc_hash::FxHashSet<(u32, u32)>,
     router_dead: Vec<bool>,
     dead_router_count: u32,
@@ -134,7 +132,6 @@ impl FaultWriter {
             repairs: VecDeque::new(),
             port_down: vec![0u64; n_ports_total.div_ceil(64)],
             down_count: 0,
-            down_links: Vec::new(),
             link_failed: rustc_hash::FxHashSet::default(),
             router_dead: vec![false; n_routers],
             dead_router_count: 0,
@@ -164,7 +161,9 @@ impl FaultWriter {
     /// True iff link `{u, v}` is currently down — failed in its own
     /// right or incident to a dead router.
     pub(crate) fn link_is_down(&self, u: u32, v: u32) -> bool {
-        self.down_links.contains(&(u.min(v), u.max(v)))
+        self.link_failed.contains(&(u.min(v), u.max(v)))
+            || self.router_dead[u as usize]
+            || self.router_dead[v as usize]
     }
 
     /// Replays the timed changes and the repair passes they schedule in
@@ -217,7 +216,11 @@ impl FaultWriter {
                 }
             } else {
                 self.repairs.pop_front();
-                let down = DownLinks::from_links(&self.down_links);
+                let failed: Vec<(u32, u32)> = self.link_failed.iter().copied().collect();
+                let dead: Vec<u32> = (0..self.router_dead.len() as u32)
+                    .filter(|&r| self.router_dead[r as usize])
+                    .collect();
+                let down = DownLinks::from_failures(&topo.graph, &failed, &dead);
                 let rep = scheme.repair_routes(&topo.graph, &down);
                 tl.log.push(RepairTickRecord {
                     at,
@@ -304,7 +307,8 @@ impl FaultWriter {
         }
     }
 
-    /// Flips the state of link `{u, v}` (both directions). Idempotent.
+    /// Flips the state of link `{u, v}` (both directions) in the port
+    /// bitmask, which is where a transition shows. Idempotent.
     pub(crate) fn set_link_state(
         &mut self,
         topo: &Topology,
@@ -314,28 +318,22 @@ impl FaultWriter {
         up: bool,
     ) {
         assert!(topo.graph.has_edge(u, v), "no such link");
-        let key = (u.min(v), u.max(v));
-        let was_down = self.down_links.contains(&key);
-        if up == was_down {
-            // State actually changes.
-            self.links_dirty = true;
-            if up {
-                self.down_links.retain(|&k| k != key);
-                self.down_count -= 1;
-            } else {
-                self.down_links.push(key);
-                self.down_count += 1;
-            }
-            for (a, b) in [(u, v), (v, u)] {
-                let port =
-                    net_base[a as usize] + topo.graph.port_of(a, b).expect("checked has_edge");
-                let (w, bit) = (port as usize / 64, port % 64);
-                if up {
-                    self.port_down[w] &= !(1u64 << bit);
-                } else {
-                    self.port_down[w] |= 1u64 << bit;
-                }
-            }
+        let port = |a: u32, b: u32| {
+            net_base[a as usize] + topo.graph.port_of(a, b).expect("checked has_edge")
+        };
+        let p = port(u, v);
+        let was_down = self.port_down[p as usize / 64] >> (p % 64) & 1 == 1;
+        if up != was_down {
+            return;
+        }
+        self.links_dirty = true;
+        if up {
+            self.down_count -= 1;
+        } else {
+            self.down_count += 1;
+        }
+        for p in [p, port(v, u)] {
+            self.port_down[p as usize / 64] ^= 1u64 << (p % 64);
         }
     }
 
@@ -343,21 +341,34 @@ impl FaultWriter {
     pub(crate) fn down_count(&self) -> u32 {
         self.down_count
     }
-
-    #[cfg(test)]
-    pub(crate) fn down_links(&self) -> &[(u32, u32)] {
-        &self.down_links
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fatpaths_core::fwd::RoutingTables;
-    use fatpaths_core::layers::LayerSet;
+    use fatpaths_core::scheme::PortSet;
+    use fatpaths_net::graph::Graph;
     use fatpaths_net::topo::slimfly::slim_fly;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
+    use std::sync::Mutex;
+
+    /// A scheme that only records the down set of every repair pass.
+    #[derive(Default)]
+    struct Recorder(Mutex<Vec<Vec<(u32, u32)>>>);
+
+    impl RoutingScheme for Recorder {
+        fn num_layers(&self) -> usize {
+            1
+        }
+        fn candidate_ports(&self, _: u8, _: u32, _: u32) -> PortSet {
+            unreachable!("the writer routes nothing")
+        }
+        fn repair_routes(&self, _: &Graph, down: &DownLinks) -> RouteRepair {
+            self.0.lock().unwrap().push(down.as_slice().to_vec());
+            RouteRepair::none()
+        }
+    }
 
     /// Spacing of the instants random plans draw from: few instants, so
     /// same-instant bursts are common, and detection delays that are
@@ -371,8 +382,8 @@ mod tests {
         // around it, replayed by the writer and by a from-scratch model:
         // a link is down iff it failed in its own right or either end is
         // dead, over the events applied so far in (time, kind, id) order.
-        // Every epoch's state, time, repair count and pending count must
-        // match the model's.
+        // Every epoch's state, time, repair count and pending count, and
+        // the down set each repair pass receives, must match the model's.
         #[test]
         fn replay_matches_a_from_scratch_model(
             raw in prop::collection::vec((0u64..8, 0u8..4, 0usize..6, any::<bool>()), 0..24),
@@ -382,7 +393,6 @@ mod tests {
         ) {
             let topo = slim_fly(5, 1).unwrap();
             let g = &topo.graph;
-            let rt = RoutingTables::build(g, &LayerSet::minimal_only(g));
             let links: Vec<(u32, u32)> = g.edge_vec()[..6].to_vec();
             let routers: Vec<u32> = std::iter::once(0).chain(g.neighbors(0)[..5].iter().copied()).collect();
             let delay = [None, Some(0), Some(STEP / 2), Some(STEP), Some(3 * STEP)][delay_sel];
@@ -425,7 +435,9 @@ mod tests {
             }
             let mut writer = FaultWriter::new(n_ports, topo.num_routers());
             writer.apply_plan(&topo, &net_base, &plan);
-            let tl = writer.finalize(&topo, &net_base, &rt, &cfg);
+            let recorder = Recorder::default();
+            let tl = writer.finalize(&topo, &net_base, &recorder, &cfg);
+            let passes = recorder.0.into_inner().unwrap();
 
             // The model's timeline: every event within the horizon, and
             // one repair pass per distinct (event time + delay) — plus one
@@ -489,10 +501,10 @@ mod tests {
                 }) - n_run;
                 prop_assert_eq!(ep.pending as usize, model_events.len() - n_applied + owed);
                 let mut port_down = vec![0u64; n_ports.div_ceil(64)];
-                let mut down = 0;
+                let mut down = Vec::new();
                 for (u, v) in g.edge_vec() {
                     if failed.contains(&(u, v)) || dead.contains(&u) || dead.contains(&v) {
-                        down += 1;
+                        down.push((u, v));
                         for (a, b) in [(u, v), (v, u)] {
                             let port = net_base[a as usize] + g.port_of(a, b).unwrap();
                             port_down[port as usize / 64] |= 1 << (port % 64);
@@ -500,12 +512,17 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(&*ep.port_down, &port_down);
-                prop_assert_eq!(ep.down_count, down);
+                prop_assert_eq!(ep.down_count as usize, down.len());
+                if i > 0 && steps[i - 1].1 {
+                    down.sort_unstable();
+                    prop_assert_eq!(&passes[n_run - 1], &down);
+                }
                 let router_dead: Vec<bool> =
                     (0..topo.num_routers() as u32).map(|r| dead.contains(&r)).collect();
                 prop_assert_eq!(&*ep.router_dead, &router_dead);
                 prop_assert_eq!(ep.dead_router_count as usize, dead.len());
             }
+            prop_assert_eq!(passes.len(), n_run);
         }
     }
 }

@@ -22,14 +22,10 @@ pub struct FlowRecord {
     /// injected but cut off by the horizon, and from `unroutable`
     /// drops, which are the network's failure between live hosts.
     pub host_dead: bool,
-    /// The flow was injected but aborted mid-transfer: an endpoint died
-    /// *after* injection and the sender burned
-    /// [`SimConfig::abort_on_host_death`](crate::config::SimConfig::abort_on_host_death)
-    /// RTOs against the dead host. Separates "the host came back and
-    /// the same transfer finished" (no abort, late `finish`) from "the
-    /// transfer would have to be restarted" (abort, `finish = None`).
-    /// Aborted flows stay in the eligible denominator — the connection
-    /// reset is the scheme-visible outcome of the fault.
+    /// Always `false`: the simulator never aborts a transfer (a flow
+    /// whose host dies after injection stalls until the host revives or
+    /// the horizon passes). Kept only because the benchmark harness
+    /// reads and builds it.
     pub aborted: bool,
 }
 
@@ -207,12 +203,6 @@ impl SimResult {
     /// dead router at start time.
     pub fn host_dead(&self) -> usize {
         self.flows.iter().filter(|f| f.host_dead).count()
-    }
-
-    /// Flows aborted mid-transfer after burning the configured RTO
-    /// budget against an endpoint that died post-injection.
-    pub fn aborted(&self) -> usize {
-        self.flows.iter().filter(|f| f.aborted).count()
     }
 
     /// Number of control-plane repair passes that ran.

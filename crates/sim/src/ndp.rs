@@ -12,10 +12,13 @@
 //!
 //! Only the protocol rules live here. The endpoint skeleton both
 //! transports share lives in `crate::shard`: the arrival split
-//! (`Shard::on_endpoint_arrive`: receiver echo state, the aborted-sender
-//! drop, the dead-RTO reset), the one lazy timer behind retransmission
-//! (`Shard::arm_rto`, `Shard::on_rto`) and the flowlet-boundary re-pick
-//! (`Shard::repick_path`).
+//! (`Shard::on_endpoint_arrive`: receiver echo state), the one lazy
+//! timer behind retransmission (`Shard::arm_rto`, `Shard::on_rto`) and
+//! the flowlet-boundary re-pick (`Shard::repick_path`).
+//!
+//! Host death: a flow whose source or destination host dies after
+//! injection stalls — its timeouts keep firing — until the host revives
+//! or the horizon passes; a revived host finishes the same transfer.
 //!
 //! Sharding note: handlers touch only the flow half that lives on the
 //! executing shard — data arrivals the [`RxFlow`](crate::shard::RxFlow),

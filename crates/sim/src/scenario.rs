@@ -368,14 +368,6 @@ impl<'a> Scenario<'a> {
         self
     }
 
-    /// Mid-flow host-death semantics: aborts a flow whose endpoint is
-    /// dead at RTO time after it burns `k` such timeouts (see
-    /// [`SimConfig::abort_on_host_death`]).
-    pub fn abort_on_host_death(mut self, k: u32) -> Self {
-        self.cfg.abort_on_host_death = Some(k);
-        self
-    }
-
     /// Sets the number of event-loop shards for intra-simulation
     /// parallelism (0 = resolve from `FATPATHS_SHARDS`, then 1; see
     /// [`SimConfig::shards`]). Results are bit-identical for any value.

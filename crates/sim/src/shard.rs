@@ -7,7 +7,7 @@
 //! owns the output ports, flow halves, and event queue for its region
 //! and runs windows of `[t0, t0 + L)` where the lookahead `L` is the
 //! minimum cross-shard link latency (links are homogeneous, so `L =
-//! SimConfig::link_latency`): every packet handoff takes at least
+//! LINK_LATENCY`): every packet handoff takes at least
 //! serialization + latency ≥ L, so events a shard processes inside a
 //! window cannot be affected by any other shard's events in the same
 //! window. Cross-shard packets go through per-shard-pair mailboxes
@@ -36,7 +36,7 @@
 //! `cx.faults.epochs[fault_epoch]`. One copy of the fault state
 //! regardless of K, zero synchronization.
 
-use crate::config::{AdaptiveMode, LoadBalancing, SimConfig, Transport, HDR_BYTES};
+use crate::config::{AdaptiveMode, LoadBalancing, SimConfig, Transport, HDR_BYTES, LINK_LATENCY};
 use crate::engine::{
     grow_step, least_loaded, EvKind, EventQueue, Fifo, Packet, PktKind, Slab, TimePs,
 };
@@ -322,11 +322,6 @@ pub(crate) struct TxFlow {
     /// The flow was never injected: its source or destination host sat
     /// behind a dead router at start time.
     pub host_dead: bool,
-    /// RTOs burned while an endpoint was dead (only tracked when
-    /// `SimConfig::abort_on_host_death` is set).
-    pub dead_rtos: u32,
-    /// Aborted mid-transfer (dead-RTO budget exhausted): terminal.
-    pub aborted: bool,
 }
 const _: () = assert!(std::mem::size_of::<TxFlow>() == 96);
 
@@ -348,8 +343,6 @@ impl TxFlow {
             rto_deadline: 0,
             rto_event_at: NO_RTO_EVENT,
             host_dead: false,
-            dead_rtos: 0,
-            aborted: false,
         }
     }
 
@@ -634,7 +627,7 @@ pub(crate) struct Shard {
     pub host_dead: u64,
     /// Events dispatched, per class: the run's work count.
     pub dispatched: EventCounts,
-    /// Flows resolved this window (completed, aborted, or host-dead);
+    /// Flows resolved this window (completed or host-dead);
     /// drained by the driver into its global termination bitset.
     pub resolved: Vec<u32>,
     /// Outgoing boundary packets, one mailbox per destination shard.
@@ -996,7 +989,7 @@ impl Shard {
             self.events.push(q.free_at, EvKind::PortPop { port });
         }
         let (to_is_router, to) = (q.to_is_router(), q.to());
-        let arrive = q.free_at + cx.cfg.link_latency;
+        let arrive = q.free_at + LINK_LATENCY;
         let tshard = if to_is_router {
             cx.router_shard[to as usize]
         } else {
@@ -1411,9 +1404,8 @@ impl Shard {
 
     /// A packet reaches its endpoint. Data arrives on the receiver's
     /// shard, which records the layer and nonce its control packets
-    /// echo. Control arrives on the sender's shard: an aborted sender
-    /// ignores it, and any other sender takes it as proof of life. The
-    /// transports see only what is left.
+    /// echo. Control arrives on the sender's shard. The transports see
+    /// only what is left.
     fn on_endpoint_arrive<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, ep: u32, pid: u32) {
         let pkt = *self.packets.get(pid);
         self.packets.release(pid);
@@ -1428,10 +1420,6 @@ impl Shard {
                 Transport::Tcp { .. } => self.tcp_on_data(cx, flow, pkt),
             }
         } else {
-            if self.tx[cx.tx_idx(flow)].aborted {
-                return;
-            }
-            self.reset_dead_rtos(cx, flow);
             match cx.cfg.transport {
                 Transport::Ndp => self.ndp_on_control(cx, flow, pkt),
                 Transport::Tcp { .. } => self.tcp_on_ack(cx, flow, pkt.seq, pkt.ecn_echo()),
@@ -1440,7 +1428,7 @@ impl Shard {
     }
 
     /// Arms the flow's one lazy retransmission timer, both transports'
-    /// (a finished or aborted flow arms nothing): the deadline moves to
+    /// (a finished flow arms nothing): the deadline moves to
     /// `at`, and an event is queued only when none is, or when `at` is
     /// earlier than the queued one. NDP's deadline only moves later;
     /// TCP's can move earlier, when a new ACK resets the backoff after a
@@ -1451,11 +1439,10 @@ impl Shard {
         flow: u32,
         at: TimePs,
     ) {
-        let ti = cx.tx_idx(flow);
-        if self.tx[ti].aborted || self.tx_done(cx, flow) {
+        if self.tx_done(cx, flow) {
             return;
         }
-        let f = &mut self.tx[ti];
+        let f = &mut self.tx[cx.tx_idx(flow)];
         f.rto_deadline = at;
         if at < f.rto_event_at {
             f.rto_event_at = at;
@@ -1477,7 +1464,7 @@ impl Shard {
         }
         self.tx[ti].rto_event_at = NO_RTO_EVENT;
         let f = &self.tx[ti];
-        if f.aborted || !f.started || self.tx_done(cx, flow) {
+        if !f.started || self.tx_done(cx, flow) {
             return;
         }
         if self.now < f.rto_deadline {
@@ -1485,60 +1472,9 @@ impl Shard {
             self.arm_rto(cx, flow, at);
             return;
         }
-        if self.abort_if_host_dead(cx, flow) {
-            return;
-        }
         match cx.cfg.transport {
             Transport::Ndp => self.ndp_on_rto(cx, flow),
             Transport::Tcp { .. } => self.tcp_on_rto(cx, flow),
-        }
-    }
-
-    /// Mid-flow host-death semantics
-    /// ([`SimConfig::abort_on_host_death`]): when an endpoint of an
-    /// in-flight flow is dead at RTO time, the timeout counts against
-    /// the flow's dead-RTO budget; exhausting it aborts the transfer (a
-    /// connection reset — the real-stack outcome, instead of silently
-    /// outwaiting the reboot). Called for live timers only. Returns
-    /// `true` when the flow was aborted (the timer must not be re-armed
-    /// or the transport consulted).
-    fn abort_if_host_dead<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) -> bool {
-        let Some(budget) = cx.cfg.abort_on_host_death else {
-            return false;
-        };
-        let m = cx.meta(flow);
-        let ti = cx.tx_idx(flow);
-        let fe = self.faults(cx);
-        let endpoint_dead = fe.dead_router_count != 0
-            && (fe.router_is_dead(cx.ep_router[m.src_ep as usize])
-                || fe.router_is_dead(cx.ep_router[m.dst_ep as usize]));
-        let f = &mut self.tx[ti];
-        if !endpoint_dead {
-            // The budget counts *consecutive* RTOs against a dead
-            // endpoint (one outage), so a timeout with both hosts alive
-            // clears it — separate survivable outages must not sum to
-            // an abort (`reset_dead_rtos` clears it on receiver-side
-            // evidence too).
-            f.dead_rtos = 0;
-            return false;
-        }
-        f.dead_rtos += 1;
-        if f.dead_rtos < budget.max(1) {
-            return false; // keep retrying: the transport re-arms the timer
-        }
-        f.aborted = true;
-        self.resolved.push(flow);
-        self.span(flow, SpanKind::Abort, 0, 0);
-        true
-    }
-
-    /// Clears the consecutive-dead-RTO budget on proof of life: any
-    /// receiver-originated packet reaching the sender means the
-    /// endpoint is (back) up, so a later outage starts a fresh count.
-    #[inline]
-    pub(crate) fn reset_dead_rtos<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
-        if cx.cfg.abort_on_host_death.is_some() {
-            self.tx[cx.tx_idx(flow)].dead_rtos = 0;
         }
     }
 }

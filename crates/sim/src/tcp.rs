@@ -7,11 +7,14 @@
 //!
 //! Only the protocol rules live here. The endpoint skeleton both
 //! transports share lives in `crate::shard`: the arrival split
-//! (`Shard::on_endpoint_arrive`: receiver echo state, the aborted-sender
-//! drop, the dead-RTO reset), the one lazy timer behind retransmission
-//! (`Shard::arm_rto`, `Shard::on_rto`) and the flowlet-boundary re-pick
-//! (`Shard::repick_path`), which TCP's window-reduction and timeout
-//! boundaries salt with their own hash.
+//! (`Shard::on_endpoint_arrive`: receiver echo state), the one lazy
+//! timer behind retransmission (`Shard::arm_rto`, `Shard::on_rto`) and
+//! the flowlet-boundary re-pick (`Shard::repick_path`), which TCP's
+//! window-reduction and timeout boundaries salt with their own hash.
+//!
+//! Host death: a flow whose source or destination host dies after
+//! injection stalls — its timeouts keep firing — until the host revives
+//! or the horizon passes; a revived host finishes the same transfer.
 //!
 //! Sharding note: data arrivals run on the receiver's shard against the
 //! [`RxFlow`](crate::shard::RxFlow), ACKs on the sender's shard against
@@ -61,7 +64,7 @@ impl Shard {
                 let (txs, tcps) = (&mut self.tx, &mut self.tcp);
                 let f = &mut txs[ti];
                 let c = &mut tcps[ti];
-                if f.cum_ack >= num_pkts || f.aborted {
+                if f.cum_ack >= num_pkts {
                     return;
                 }
                 let window = c.cwnd.floor().max(1.0) as u32;

@@ -146,10 +146,7 @@ fn traffic_event_count_is_shard_count_invariant() {
                     .horizon(40_000_000_000)
                     .shards(k);
                 if let Some(plan) = plan {
-                    sc = sc
-                        .fault_plan(plan.clone())
-                        .detection_delay(50_000_000)
-                        .abort_on_host_death(3);
+                    sc = sc.fault_plan(plan.clone()).detection_delay(50_000_000);
                 }
                 let r = sc.run();
                 assert_eq!(r.repair_ticks() >= 2, plan.is_some());
@@ -193,7 +190,6 @@ fn sharded_fault_churn_repair_runs_match_single_shard() {
                 .horizon(40_000_000_000)
                 .fault_plan(plan.clone())
                 .detection_delay(50_000_000)
-                .abort_on_host_death(3)
                 .shards(k)
                 .run()
         };
@@ -298,7 +294,6 @@ fn sharded_adaptive_fault_churn_runs_match_single_shard() {
                 .horizon(40_000_000_000)
                 .fault_plan(plan.clone())
                 .detection_delay(50_000_000)
-                .abort_on_host_death(3)
                 .shards(k)
                 .run()
         };

@@ -354,7 +354,8 @@ fn tcp_timeouts_land_at_last_arming_plus_rto() {
         ..TelemetryConfig::on()
     };
     let mss = cfg.transport.payload();
-    let hop = |bytes| cfg.ser_time(bytes) + cfg.link_latency;
+    // Serialization plus the paper's fixed 1 µs of link latency.
+    let hop = |bytes| cfg.ser_time(bytes) + 1_000_000;
     let (data_way, ack_way) = (3 * hop(mss + HDR_BYTES), 3 * hop(HDR_BYTES));
     let mut sim = Simulator::new(&topo, &ms, cfg);
     sim.apply_fault_plan(

@@ -72,8 +72,6 @@ pub struct TeScheme {
     costs: Vec<f64>,
     /// Per-layer arc views the tree builds run on (built once).
     csrs: Vec<LayerCsr>,
-    /// The (sorted) traffic matrix the tables were negotiated for.
-    demands: Vec<RouterDemand>,
     iterations: usize,
     converged: bool,
     peak: f64,
@@ -166,7 +164,6 @@ impl TeScheme {
             ports: best.unwrap_or_else(|| statics.clone()),
             costs: best_costs,
             csrs,
-            demands,
             iterations,
             converged,
             peak: best_peak,
@@ -189,11 +186,6 @@ impl TeScheme {
     /// achieved throughput the sweep reports.
     pub fn peak(&self) -> f64 {
         self.peak
-    }
-
-    /// The (sorted) traffic matrix the tables were negotiated for.
-    pub fn demands(&self) -> &[RouterDemand] {
-        &self.demands
     }
 
     /// The negotiated port tables.

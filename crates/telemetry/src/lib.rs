@@ -146,7 +146,8 @@ pub enum SpanKind {
     /// Flow completed (receiver side); `a` = packets received,
     /// `b` = trims the receiver saw.
     Finish = 6,
-    /// Flow aborted against a dead endpoint.
+    /// Flow never injected: its source or destination host was dead at
+    /// start time (`FlowRecord::host_dead` in the simulator).
     Abort = 7,
 }
 

@@ -12,6 +12,12 @@
 #   one gates a single item). Other files' tests reach such an item, but
 #   no figure, workload, bench, example or library code does.
 #
+# It also sweeps every named `pub` or `pub(...)` field of a struct
+# declared there, listed as `Struct::field`. A field counts as read
+# where `.field` appears not followed by `(` (a method call) or `::`;
+# writes count too, struct literals and patterns do not. A field that
+# nothing reads is unreached, one that only test code reads test-only.
+#
 # Exits non-zero when a listed name is not in tests/reachability_allow.txt
 # (one `name reason` per line, `#` starts a comment), when an entry there
 # has no reason, when a test-only item's reason does not start with
@@ -28,6 +34,7 @@ listed=$(git ls-files -z -- '*.rs' | xargs -0 awk '
   FNR == 1 {
     in_reexport = 0
     in_test = FILENAME ~ /(^|\/)tests\//
+    struct_name = ""
   }
   # A multi-line `pub use a::{ ... };` runs until its semicolon.
   in_reexport { if (index($0, ";")) in_reexport = 0; next }
@@ -46,6 +53,33 @@ listed=$(git ls-files -z -- '*.rs' | xargs -0 awk '
       def_file[nd] = FILENAME
       def_at[nd] = FILENAME ":" FNR " " w[n - 1]
       def_live[nd] = !in_test
+    }
+    if (FILENAME ~ /^crates\/[^\/]+\/src\// && FILENAME !~ /^crates\/shims\// && !in_test) {
+      if (match($0, /(^|[[:space:]])struct[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/)) {
+        n = split(substr($0, RSTART, RLENGTH), w, /[[:space:]]+/)
+        struct_name = w[n]
+      } else if (struct_name != "" &&
+                 match($0, /^[[:space:]]*pub(\([^)]*\))?[[:space:]]+[a-z_][A-Za-z0-9_]*[[:space:]]*:([^:]|$)/)) {
+        decl = substr($0, RSTART, RLENGTH)
+        sub(/[[:space:]]*:.*$/, "", decl)
+        n = split(decl, w, /[[:space:]]+/)
+        nf++
+        field_name[nf] = w[n]
+        field_at[nf] = struct_name "::" w[n] " " FILENAME ":" FNR " field"
+      }
+    }
+    # Field reads: `.name` not after another `.` and not a method call
+    # or path.
+    line = $0
+    while (match(line, /\.[a-z_][A-Za-z0-9_]*/)) {
+      tok = substr(line, RSTART + 1, RLENGTH - 1)
+      before = RSTART > 1 ? substr(line, RSTART - 1, 1) : ""
+      after = substr(line, RSTART + RLENGTH, 2)
+      if (before != "." && after !~ /^(\(|::)/) {
+        if (in_test) test_reads[tok]++
+        else live_reads[tok]++
+      }
+      line = substr(line, RSTART + RLENGTH)
     }
     line = $0
     split("", on_line)
@@ -71,6 +105,12 @@ listed=$(git ls-files -z -- '*.rs' | xargs -0 awk '
         print name, def_at[i], "unreached"
       else if (live_lines[name] - def_live[i] == 0)
         print name, def_at[i], "test-only"
+    }
+    for (i = 1; i <= nf; i++) {
+      name = field_name[i]
+      if (live_reads[name] > 0)
+        continue
+      print field_at[i], (test_reads[name] > 0 ? "test-only" : "unreached")
     }
   }
 ' | sort)
