@@ -68,7 +68,7 @@ fn main() {
     let _ = writeln!(json, "  \"mailbox_msgs\": {},", p.mailbox_msgs);
     let _ = writeln!(json, "  \"mailbox_bytes\": {},", p.mailbox_bytes);
     let _ = writeln!(json, "  \"epochs_published\": {},", p.epochs_published);
-    let _ = writeln!(json, "  \"repair_ticks\": {},", p.repair_ticks);
+    let _ = writeln!(json, "  \"repair_ticks\": {},", r.repair_ticks());
     // Wall clock over the whole scenario (scheme build included)
     // per traffic event — an upper bound on the engine's own cost.
     let _ = writeln!(json, "  \"events\": {},", p.events);

@@ -32,6 +32,13 @@
 //! SPAIN / KSP / PAST baselines hold a `PortTables` alone, SPAIN and KSP
 //! lowering their layers through `PortTables::build` as
 //! [`RoutingTables::build`] does.
+//!
+//! Every layer of a production table set routes every pair (σᵢ is
+//! defined inside layer `i`, and Listing 1 redraws a sparse layer until
+//! it is connected): [`RoutingTables::build`] checks it and the baselines
+//! check for a connected base, so forwarding reads the tagged layer
+//! alone. Only repair crosses layers: a pair a degraded sparse layer lost
+//! takes the repaired layer-0 route ([`RoutingTables::repair`]).
 
 use crate::ecmp::hop_byte;
 use crate::layers::LayerSet;
@@ -51,8 +58,8 @@ pub const NO_PORT: u16 = u16::MAX;
 /// forwards from it, and nothing else indexes it.
 ///
 /// As a [`RoutingScheme`](crate::scheme::RoutingScheme) it forwards by the
-/// FatPaths rule: the tag is clamped to the last layer, and a layer with
-/// no port at the router takes the layer-0 port.
+/// FatPaths rule: the tag is clamped to the last layer, and that layer
+/// alone decides.
 #[derive(Clone, Debug)]
 pub struct PortTables {
     nr: usize,
@@ -70,8 +77,9 @@ impl PortTables {
     }
 
     /// The port tables of `layers` over `base`, which must be the graph
-    /// the layers were sampled from. Panics if a finite in-layer distance
-    /// exceeds [`MAX_HOPS`](crate::ecmp::MAX_HOPS). Layers run in
+    /// the layers were sampled from; a layer may leave pairs unreachable
+    /// ([`NO_PORT`]). Panics if a finite in-layer distance exceeds
+    /// [`MAX_HOPS`](crate::ecmp::MAX_HOPS). Layers run in
     /// parallel, each unit filling one layer's distance rows into its
     /// worker's scratch and then selecting that layer's bands as a nested
     /// parallel op, so memory beyond the tables stays at one layer's
@@ -126,21 +134,17 @@ impl PortTables {
     }
 
     /// The forwarding rule: the port at `at` toward `dst` in `layer`
-    /// clamped to the last layer, or else the layer-0 port.
+    /// clamped to the last layer.
     #[inline]
     pub(crate) fn forward(&self, layer: usize, at: RouterId, dst: RouterId) -> Option<u16> {
-        let l = layer.min(self.n_layers() - 1);
-        self.get(l, at, dst).or_else(|| self.get(0, at, dst))
+        self.get(layer.min(self.n_layers() - 1), at, dst)
     }
 
     /// Resolves the full router path `src → dst` that a packet tagged
     /// `layer` takes, hop by hop under the forwarding rule: `layer` is
-    /// clamped to the last layer, and at a router where it has no port
-    /// toward `dst` the hop takes the layer-0 port, so the path may leave
-    /// a sparse layer. Check [`get`](PortTables::get) at `src` first for a
-    /// path that stays inside `layer`. Returns `None` if a hop has no port
-    /// in either layer; the result includes both endpoints. Panics on a
-    /// forwarding loop, naming the layer and pair.
+    /// clamped to the last layer, and every hop stays inside it. Returns
+    /// `None` if a hop has no port there; the result includes both
+    /// endpoints. Panics on a forwarding loop, naming the layer and pair.
     pub fn path(
         &self,
         base: &Graph,
@@ -186,9 +190,14 @@ pub fn fnv1a(key: u64) -> u64 {
 impl RoutingTables {
     /// Builds tables for all layers through [`PortTables::build`] and keeps
     /// a copy of the layers. `base` must be the graph the layers were
-    /// sampled from (ports refer to it). Panics if a finite in-layer
-    /// distance exceeds [`MAX_HOPS`](crate::ecmp::MAX_HOPS).
+    /// sampled from (ports refer to it). Panics unless every layer is a
+    /// connected subgraph of `base` ([`LayerSet::validate`]), and if a
+    /// finite in-layer distance exceeds [`MAX_HOPS`](crate::ecmp::MAX_HOPS).
     pub fn build(base: &Graph, layers: &LayerSet) -> Self {
+        assert!(
+            layers.validate(base),
+            "every layer must be a connected subgraph of the base graph"
+        );
         RoutingTables {
             ports: PortTables::build(base, layers),
             layers: layers.clone(),
@@ -638,8 +647,8 @@ mod tests {
 
     /// Walks `src → dst` in `layer` through tables + repair overlay the
     /// way the simulator does (overlay first, then the scheme's
-    /// `candidate_ports` with its internal layer-0 fallback). Returns the
-    /// path, or `None` if an unreachable entry is hit.
+    /// `candidate_ports`). Returns the path, or `None` if an unreachable
+    /// entry is hit.
     fn walk_repaired(
         g: &Graph,
         rt: &RoutingTables,
@@ -715,53 +724,28 @@ mod tests {
         assert!(walk_repaired(&g, &rt, &rep, 0, 2, 3).is_some());
     }
 
-    #[test]
-    fn build_time_unreachable_sparse_rows_shadow_repaired_layer0() {
-        // Base: 4-cycle. Layer 1 deliberately leaves router 3 isolated,
-        // so (0, 3) is unreachable in layer 1 at build time and forwards
-        // through candidate_ports' internal layer-0 fallback. Fail layer
-        // 0's direct 0-3 link: the repair must shadow the (layer 1, 0, 3)
-        // key too, or the stale layer-0 port would resurrect the dead
-        // link.
+    /// A 4-cycle with a sparse layer 1 that leaves router 3 isolated.
+    fn cycle_with_isolating_layer() -> (Graph, LayerSet) {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
         let layer1 = Graph::from_edges(4, &[(0, 1), (1, 2)]);
         let ls = LayerSet {
             graphs: vec![g.clone(), layer1],
         };
-        let rt = RoutingTables::build(&g, &ls);
-        assert_eq!(rt.ports().get(1, 0, 3), None, "pair must start unreachable");
-        // Layer 0 routes 0 -> 3 over the direct edge; fail it.
-        let down = crate::repair::DownLinks::from_links(&[(0, 3)]);
-        let rep = rt.repair(&g, &down);
-        // The repaired layer-0 row detours 0 -> 1 -> 2 -> 3.
-        let p0 = rep.lookup(0, 0, 3).expect("layer-0 row repaired");
-        assert_eq!(p0, &[g.port_of(0, 1).unwrap() as u16]);
-        // The sparse layer's key is shadowed with the same repaired route.
-        let p1 = rep.lookup(1, 0, 3).expect("sparse-layer key shadowed");
-        assert_eq!(p1, p0);
-        // And the walk on the sparse layer avoids the dead link.
-        let path = walk_repaired(&g, &rt, &rep, 1, 0, 3).unwrap();
-        assert_eq!(path, vec![0, 1, 2, 3]);
-    }
-
-    /// A 4-cycle with a sparse layer 1 that leaves router 3 isolated.
-    fn cycle_with_isolating_layer() -> (Graph, RoutingTables) {
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        let layer1 = Graph::from_edges(4, &[(0, 1), (1, 2)]);
-        let rt = RoutingTables::build(
-            &g,
-            &LayerSet {
-                graphs: vec![g.clone(), layer1],
-            },
-        );
-        (g, rt)
+        (g, ls)
     }
 
     #[test]
-    fn port_tables_clamp_the_tag_and_take_layer_0_on_a_miss() {
+    #[should_panic(expected = "every layer must be a connected subgraph of the base graph")]
+    fn routing_tables_reject_a_layer_that_isolates_a_router() {
+        let (g, ls) = cycle_with_isolating_layer();
+        RoutingTables::build(&g, &ls);
+    }
+
+    #[test]
+    fn port_tables_clamp_the_tag_and_read_only_that_layer() {
         use crate::scheme::RoutingScheme;
-        let (g, rt) = cycle_with_isolating_layer();
-        let pt = rt.ports();
+        let (g, ls) = cycle_with_isolating_layer();
+        let pt = &PortTables::build(&g, &ls);
         let port = |u, v| g.port_of(u, v).unwrap() as u16;
         // Layer 1 routes 0 -> 2 the long way round, layer 0 directly.
         assert_eq!(pt.get(1, 0, 2), Some(port(0, 1)));
@@ -769,11 +753,12 @@ mod tests {
         for tag in [1, 2, 200] {
             assert_eq!(pt.candidate_ports(tag, 0, 2).as_slice(), &[port(0, 1)]);
         }
-        // Layer 1 has no port toward 3: the layer-0 port forwards.
+        // Layer 1 has no port toward 3, and no other layer stands in.
+        assert_eq!(pt.get(0, 0, 3), Some(port(0, 3)));
         assert_eq!(pt.get(1, 0, 3), None);
-        assert_eq!(pt.candidate_ports(1, 0, 3).as_slice(), &[port(0, 3)]);
-        assert_eq!(pt.path(&g, 1, 0, 3), Some(vec![0, 3]));
-        assert_eq!(pt.path(&g, 1, 1, 3), pt.path(&g, 0, 1, 3));
+        assert!(pt.candidate_ports(1, 0, 3).is_empty());
+        assert_eq!(pt.path(&g, 1, 0, 3), None);
+        assert_eq!(pt.path(&g, 0, 0, 3), Some(vec![0, 3]));
         // No router forwards to itself: `NO_PORT` on every diagonal.
         for l in 0..pt.n_layers() {
             for r in 0..4 {
@@ -788,9 +773,9 @@ mod tests {
     #[test]
     fn port_tables_path_is_none_where_no_layer_routes() {
         let g = Graph::from_edges(3, &[(0, 1)]);
-        let rt = RoutingTables::build(&g, &LayerSet::minimal_only(&g));
-        assert_eq!(rt.ports().path(&g, 0, 0, 2), None);
-        assert_eq!(rt.ports().path(&g, 0, 0, 1), Some(vec![0, 1]));
+        let pt = PortTables::build(&g, &LayerSet::minimal_only(&g));
+        assert_eq!(pt.path(&g, 0, 0, 2), None);
+        assert_eq!(pt.path(&g, 0, 0, 1), Some(vec![0, 1]));
     }
 
     #[test]
@@ -896,13 +881,13 @@ mod tests {
         out
     }
 
-    fn assert_matches_reference(base: &Graph, layers: &LayerSet, what: &str) -> RoutingTables {
-        let rt = RoutingTables::build(base, layers);
+    fn assert_matches_reference(base: &Graph, layers: &LayerSet, what: &str) -> PortTables {
+        let pt = PortTables::build(base, layers);
         assert!(
-            rt.ports.tables == reference_tables(base, layers),
+            pt.tables == reference_tables(base, layers),
             "{what}: tables differ"
         );
-        rt
+        pt
     }
 
     #[test]
@@ -942,9 +927,9 @@ mod tests {
             let layers = LayerSet {
                 graphs: vec![g.clone(), g.without_edges(&sparse)],
             };
-            let rt = assert_matches_reference(&g, &layers, &format!("hubs of degree {n}"));
-            let seq = rayon::run_sequential(|| RoutingTables::build(&g, &layers));
-            assert!(rt.ports.tables == seq.ports.tables);
+            let pt = assert_matches_reference(&g, &layers, &format!("hubs of degree {n}"));
+            let seq = rayon::run_sequential(|| PortTables::build(&g, &layers));
+            assert!(pt.tables == seq.tables);
         }
     }
 
@@ -987,9 +972,9 @@ mod tests {
                 graphs.push(g.without_edges(&dropped));
             }
             let layers = LayerSet { graphs };
-            let rt = assert_matches_reference(&g, &layers, "random layers");
-            let seq = rayon::run_sequential(|| RoutingTables::build(&g, &layers));
-            prop_assert!(rt.ports.tables == seq.ports.tables);
+            let pt = assert_matches_reference(&g, &layers, "random layers");
+            let seq = rayon::run_sequential(|| PortTables::build(&g, &layers));
+            prop_assert!(pt.tables == seq.tables);
         }
     }
 }

@@ -15,15 +15,17 @@
 //!   [`candidate_ports`](crate::scheme::RoutingScheme::candidate_ports).
 //!
 //! A repair entry stores the scheme's **final** decision for a
-//! `(layer, at_router, dst_router)` key — including any internal
-//! fallback (e.g. a sparse layer falling back to layer 0) — so the
+//! `(layer, at_router, dst_router)` key — including the repair-time
+//! fallback (a pair a degraded sparse layer lost takes the repaired
+//! layer-0 route) — so the
 //! simulator stays scheme-agnostic: present + non-empty means "use
 //! exactly these ports", present + empty means "genuinely unreachable in
 //! the degraded network, drop", absent means "the original row is still
 //! valid, ask the scheme".
 //!
-//! The overlay is built once, by [`RouteRepair::from_rows`]: rows sorted
-//! by `(at, layer, dst)` become destination-range spans whose ports sit in
+//! The overlay is built once, by [`RouteRepair::from_rows`]: rows given
+//! once each in ascending `(at, layer, dst)` order (checked) become
+//! destination-range spans whose ports sit in
 //! one shared `u16` pool ([`lookup`] is a row-index probe plus a binary
 //! search over that row's few spans). Equal adjacent rows share a span, so
 //! where repairs cluster on contiguous router ids (a fat-tree pod, a
@@ -35,12 +37,16 @@
 //! per-layer port table (the static layer tables and the negotiated TE
 //! tables) rewrite exactly the [`broken_rows`], each rebuilt on the
 //! degraded layer, and assemble their overlay through one
-//! [`OverlayBuilder`]. It keeps the entries that differ from the healthy
-//! rows and lays them out in linear time: a stable counting sort on the
-//! router puts them in the overlay's `(at, layer, dst)` order, and the
-//! same pass resolves sparse-layer entries to the layer-0 route and adds
-//! the layer-0 shadows, straight into the spans — no comparison sort and
-//! no lookup into an intermediate overlay.
+//! [`OverlayBuilder`]. Both emit their rows once each in ascending
+//! `(layer, dst)` order, which the builder checks. It keeps the entries
+//! that differ from the healthy rows and lays them out in linear time: a
+//! stable counting sort on the router puts them in the overlay's
+//! `(at, layer, dst)` order, and the same pass resolves sparse-layer
+//! entries to the layer-0 route, straight into the spans — no comparison
+//! sort and no lookup into an intermediate overlay. Every healthy layer
+//! routes every pair ([`RoutingTables::build`](crate::fwd::RoutingTables::build)
+//! checks it), so no healthy key needs a repaired entry unless its own
+//! row broke.
 //!
 //! [`lookup`]: RouteRepair::lookup
 
@@ -135,7 +141,7 @@ pub type RepairKey = (u8, RouterId, RouterId);
 /// * `None` — the scheme's original row survived the failures; use
 ///   [`candidate_ports`](crate::scheme::RoutingScheme::candidate_ports).
 /// * `Some(ports)` non-empty — the repaired candidates (already
-///   including any scheme-internal fallback).
+///   including the repair-time layer-0 fallback).
 /// * `Some(ports)` empty — the destination is unreachable from here in
 ///   the degraded network; the packet cannot be forwarded.
 #[derive(Clone, Debug, Default)]
@@ -167,28 +173,14 @@ impl RouteRepair {
         RouteRepair::default()
     }
 
-    /// The overlay holding `rows` (empty ports = unreachable) given in
-    /// any order; of rows with equal keys the last one given wins.
+    /// The overlay holding `rows` (empty ports = unreachable), given once
+    /// each in strictly ascending `(at, layer, dst)` order — the order
+    /// [`rows`](Self::rows) returns. Panics, naming both keys, on a key out
+    /// of order or given twice.
     pub fn from_rows<P: AsRef<[u16]>>(rows: impl IntoIterator<Item = (RepairKey, P)>) -> Self {
-        let mut ports_in = Vec::new();
-        let mut keyed: Vec<((RouterId, u8, RouterId), u32, u32)> = rows
-            .into_iter()
-            .map(|((layer, at, dst), ports)| {
-                let (ports, off) = (ports.as_ref(), ports_in.len() as u32);
-                ports_in.extend_from_slice(ports);
-                ((at, layer, dst), off, ports.len() as u32)
-            })
-            .collect();
-        keyed.sort_by_key(|&(key, ..)| key); // stable: the last given stays last
-        let mut out = SpanWriter::with_capacity(keyed.len(), ports_in.len());
-        for (i, &((at, layer, dst), off, len)) in keyed.iter().enumerate() {
-            if keyed
-                .get(i + 1)
-                .is_some_and(|next| next.0 == (at, layer, dst))
-            {
-                continue; // a later row overwrites this one
-            }
-            out.push((layer, at, dst), &ports_in[off as usize..][..len as usize]);
+        let mut out = SpanWriter::default();
+        for (key, ports) in rows {
+            out.push(key, ports.as_ref());
         }
         out.finish()
     }
@@ -251,9 +243,9 @@ impl RouteRepair {
 }
 
 /// Assembles a [`RouteRepair`] from rows given in strictly ascending
-/// `(at, layer, dst)` order: equal adjacent rows of one `(layer, at)` row
-/// extend one span, and the row index is laid out at the end, once the
-/// highest layer tag is known.
+/// `(at, layer, dst)` order (checked): equal adjacent rows of one
+/// `(layer, at)` row extend one span, and the row index is laid out at the
+/// end, once the highest layer tag is known.
 #[derive(Default)]
 struct SpanWriter {
     spans: Vec<RepairSpan>,
@@ -261,6 +253,8 @@ struct SpanWriter {
     /// Each non-empty `(at, layer)` row with the index of its first span.
     rows: Vec<(RouterId, u8, u32)>,
     len: usize,
+    /// The last key pushed, as `(at, layer, dst)`.
+    last: Option<(RouterId, u8, RouterId)>,
 }
 
 impl SpanWriter {
@@ -274,6 +268,15 @@ impl SpanWriter {
     }
 
     fn push(&mut self, (layer, at, dst): RepairKey, ports: &[u16]) {
+        let key = (at, layer, dst);
+        if let Some(last) = self.last {
+            assert!(
+                last < key,
+                "repair rows must arrive in strictly ascending (at, layer, dst) order: \
+                 {key:?} after {last:?}"
+            );
+        }
+        self.last = Some(key);
         self.len += 1;
         if self
             .rows
@@ -298,7 +301,13 @@ impl SpanWriter {
         self.pool.extend_from_slice(ports);
     }
 
-    fn finish(self) -> RouteRepair {
+    /// The overlay, its spans and pool shrunk to their length: the writer
+    /// is sized by an upper bound ([`OverlayBuilder::finish`]) or grown
+    /// row by row ([`RouteRepair::from_rows`]), and a simulation keeps
+    /// every repair pass's overlay for the whole run.
+    fn finish(mut self) -> RouteRepair {
+        self.spans.shrink_to_fit();
+        self.pool.shrink_to_fit();
         let tags = self
             .rows
             .iter()
@@ -352,8 +361,9 @@ pub fn broken_rows(
 /// [`MAX_LAYERS`](crate::scheme::MAX_LAYERS) layers.
 pub struct OverlayBuilder<'a> {
     healthy: &'a PortTables,
-    /// One `(layer, dst, end)` per rewritten row, in the order given: its
-    /// entries are `entries[end of the previous row..end]`.
+    /// One `(layer, dst, end)` per rewritten row, in ascending
+    /// `(layer, dst)` order: its entries are `entries[end of the previous
+    /// row..end]`.
     rows: Vec<(u8, RouterId, usize)>,
     /// The entries that differ from the healthy rows, as `(src, port)`.
     /// [`NO_PORT`] is "unreachable" in layer 0 and "the layer-0 route" in
@@ -379,7 +389,20 @@ impl<'a> OverlayBuilder<'a> {
     /// tree, so the overlay never mixes two trees and stays loop-free. A
     /// pair the rebuilt row cannot reach is unreachable in layer 0 (the
     /// complete layer) and takes the repaired layer-0 route elsewhere.
+    ///
+    /// Rows arrive once each in strictly ascending `(layer, dst)` order,
+    /// as both table repairs emit them; panics, naming both rows, on a row
+    /// out of order or given twice.
     pub fn rewrite_row(&mut self, layer: usize, dst: RouterId, new_row: &[u16]) {
+        let key = (layer as u8, dst);
+        if let Some(&(l, d, _)) = self.rows.last() {
+            assert!(
+                (l, d) < key,
+                "rewritten rows must arrive in strictly ascending (layer, dst) order: \
+                 {key:?} after {:?}",
+                (l, d)
+            );
+        }
         let old_row = self.healthy.row(layer, dst);
         for (src, (&np, &op)) in new_row.iter().zip(old_row).enumerate() {
             let src = src as RouterId;
@@ -390,15 +413,13 @@ impl<'a> OverlayBuilder<'a> {
         self.rows.push((layer as u8, dst, self.entries.len()));
     }
 
-    /// The overlay. Pairs a sparse layer never reached forward through the
-    /// scheme's internal layer-0 fallback, which reads the *healthy*
-    /// layer-0 table; wherever layer 0 was rewritten, those sparse-layer
-    /// keys are shadowed with the repaired entry so the fallback cannot
-    /// resurrect a dead port. Of two rewrites of one row the later wins.
+    /// The overlay. A sparse-layer entry its rebuilt row cannot reach
+    /// resolves to the layer-0 route at its router: the repaired one where
+    /// layer 0 was rewritten, the healthy one elsewhere.
     ///
     /// Linear in the entries: a stable counting sort by router puts them
     /// in the overlay's `(at, layer, dst)` order, and one pass per router
-    /// resolves the layer-0 routes and merges the shadows in.
+    /// resolves the layer-0 routes.
     pub fn finish(self) -> RouteRepair {
         let healthy = self.healthy;
         let (start, by_at) = self.entries_by_router();
@@ -406,54 +427,22 @@ impl<'a> OverlayBuilder<'a> {
         // Per destination, the repaired layer-0 port at the current router
         // (`NO_PORT`: unreachable), or `None` where layer 0 kept its row.
         let mut route0: Vec<Option<u16>> = vec![None; healthy.nr()];
-        let mut zero: Vec<(RouterId, u16)> = Vec::new();
         for (at, w) in start.windows(2).enumerate() {
-            let at = at as RouterId;
-            let mut here = by_at[w[0]..w[1]].iter().peekable();
-            zero.clear();
-            while let Some(mut e) = here.next_if(|e| e.0 == 0) {
-                while let Some(later) = here.next_if(|n| n.0 == 0 && n.1 == e.1) {
-                    e = later; // a later rewrite of the row wins
-                }
-                zero.push((e.1, e.2));
-                route0[e.1 as usize] = Some(e.2);
-                out.push((0, at, e.1), port_slice(&e.2));
+            let (at, here) = (at as RouterId, &by_at[w[0]..w[1]]);
+            for &(layer, dst, port) in here {
+                let port = match (layer, port) {
+                    (0, _) => {
+                        route0[dst as usize] = Some(port);
+                        port
+                    }
+                    (_, NO_PORT) => {
+                        route0[dst as usize].unwrap_or(healthy.row(0, dst)[at as usize])
+                    }
+                    _ => port,
+                };
+                out.push((layer, at, dst), port_slice(&port));
             }
-            for l in 1..healthy.n_layers() {
-                // This layer's entries, merged in `dst` order with the
-                // shadows: layer-0 repairs where the layer has no port.
-                // A given entry wins over a shadow, a later one over an
-                // earlier.
-                let mut shadows = zero
-                    .iter()
-                    .filter(|&&(dst, _)| healthy.get(l, at, dst).is_none())
-                    .peekable();
-                loop {
-                    let given = here.peek().filter(|e| e.0 as usize == l).map(|e| e.1);
-                    let shadow = shadows.peek().map(|s| s.0);
-                    let (dst, port) = match (given, shadow) {
-                        (None, None) => break,
-                        (Some(dst), _) if shadow.is_none_or(|s| dst <= s) => {
-                            shadows.next_if(|s| s.0 == dst);
-                            let mut e = here.next().expect("peeked");
-                            while let Some(later) = here.next_if(|n| n.0 == e.0 && n.1 == dst) {
-                                e = later;
-                            }
-                            // `NO_PORT` here is the layer-0 route, repaired
-                            // or healthy.
-                            let port = match (e.2, route0[dst as usize]) {
-                                (NO_PORT, None) => healthy.row(0, dst)[at as usize],
-                                (NO_PORT, Some(p)) => p,
-                                (p, _) => p,
-                            };
-                            (dst, port)
-                        }
-                        _ => *shadows.next().expect("peeked"),
-                    };
-                    out.push((l as u8, at, dst), port_slice(&port));
-                }
-            }
-            for &(dst, _) in &zero {
+            for &(_, dst, _) in here.iter().take_while(|e| e.0 == 0) {
                 route0[dst as usize] = None;
             }
         }
@@ -461,19 +450,10 @@ impl<'a> OverlayBuilder<'a> {
     }
 
     /// The entries bucketed by router, each bucket in `(layer, dst)` order
-    /// with rewrites of one row in the order given: `by_at[start[at]..
-    /// start[at + 1]]` holds router `at`'s entries as `(layer, dst, port)`.
-    /// The rows are sorted by `(layer, dst)` (stably, and already in order
-    /// from both table repairs), then a stable counting sort on the router
-    /// deals their entries out.
+    /// (the rows' own order): `by_at[start[at]..start[at + 1]]` holds
+    /// router `at`'s entries as `(layer, dst, port)`, dealt out by a
+    /// stable counting sort on the router.
     fn entries_by_router(self) -> (Vec<usize>, Vec<(u8, RouterId, u16)>) {
-        let mut rows = Vec::with_capacity(self.rows.len());
-        let mut begin = 0;
-        for &(layer, dst, end) in &self.rows {
-            rows.push((layer, dst, begin..end));
-            begin = end;
-        }
-        rows.sort_by_key(|&(layer, dst, _)| (layer, dst));
         let nr = self.healthy.nr();
         let mut start = vec![0usize; nr + 1];
         for &(src, _) in &self.entries {
@@ -484,11 +464,13 @@ impl<'a> OverlayBuilder<'a> {
         }
         let mut fill = start.clone();
         let mut by_at = vec![(0, 0, NO_PORT); self.entries.len()];
-        for (layer, dst, range) in rows {
-            for &(src, port) in &self.entries[range] {
+        let mut begin = 0;
+        for &(layer, dst, end) in &self.rows {
+            for &(src, port) in &self.entries[begin..end] {
                 by_at[fill[src as usize]] = (layer, dst, port);
                 fill[src as usize] += 1;
             }
+            begin = end;
         }
         (start, by_at)
     }
@@ -571,11 +553,11 @@ mod tests {
     }
 
     proptest! {
-        // Rows in random order, with duplicate keys (the last one wins)
-        // and empty, single- and multi-port sets, against a `BTreeMap`
-        // model keyed in `rows()` order: every `(layer, at, dst)` — hits,
-        // gaps inside a row, rows never repaired — answers the same from
-        // the model, the row index and the unindexed search.
+        // Random rows with empty, single- and multi-port sets, collected
+        // into a `BTreeMap` model keyed in `rows()` order and fed in that
+        // order: every `(layer, at, dst)` — hits, gaps inside a row, rows
+        // never repaired — answers the same from the model, the row index
+        // and the unindexed search.
         #[test]
         fn lookups_and_rows_match_a_btreemap_model(
             rows in prop::collection::vec((0u8..3, 0u32..6, 0u32..24, 0u16..12), 0..120),
@@ -587,7 +569,7 @@ mod tests {
                 model.insert((at, layer, dst), ports(code));
             }
             let r = RouteRepair::from_rows(
-                rows.iter().map(|&(layer, at, dst, code)| ((layer, at, dst), ports(code))),
+                model.iter().map(|(&(at, layer, dst), p)| ((layer, at, dst), p)),
             );
             prop_assert_eq!(r.len(), model.len());
             let got: Vec<(RepairKey, Vec<u16>)> = r.rows().map(|(k, p)| (k, p.to_vec())).collect();
@@ -608,73 +590,67 @@ mod tests {
         }
     }
 
-    /// The assembly `OverlayBuilder::finish` replaced, kept as its
-    /// reference: the rows of `calls` (`rewrite_row` arguments, in order)
-    /// partitioned by layer, layer 0 built into an overlay of its own,
-    /// then the shadows and the resolved sparse rows appended and the
-    /// whole sorted again.
+    /// The overlay `OverlayBuilder::finish` assembles, written plainly as
+    /// its reference: every entry of `calls` (`rewrite_row` arguments) that
+    /// differs from its healthy row, keyed in a `BTreeMap` by
+    /// `(at, layer, dst)`, a sparse-layer entry with no port resolved to
+    /// the layer-0 route at its router, repaired or healthy.
     fn finish_reference(
         healthy: &PortTables,
         calls: &[(usize, RouterId, Vec<u16>)],
     ) -> RouteRepair {
-        let mut rows: Vec<(RepairKey, Option<u16>)> = Vec::new();
+        let mut rows: BTreeMap<(RouterId, u8, RouterId), u16> = BTreeMap::new();
         for (layer, dst, new_row) in calls {
             let old_row = healthy.row(*layer, *dst);
             for (src, (&np, &op)) in new_row.iter().zip(old_row).enumerate() {
                 if src as RouterId != *dst && np != op {
-                    let port = (np != NO_PORT).then_some(np);
-                    rows.push(((*layer as u8, src as RouterId, *dst), port));
+                    rows.insert((src as RouterId, *layer as u8, *dst), np);
                 }
             }
         }
-        let (layer0, sparse): (Vec<&_>, Vec<&_>) =
-            rows.iter().partition(|((layer, ..), _)| *layer == 0);
-        let layer0 =
-            RouteRepair::from_rows(layer0.iter().map(|(key, port)| (*key, port.as_slice())));
-        let shadows = layer0.rows().flat_map(|((_, at, dst), ports)| {
-            let tags = (1..healthy.n_layers()).map(|l| l as u8);
-            let lost = move |&l: &u8| healthy.get(l as usize, at, dst).is_none();
-            tags.filter(lost).map(move |l| ((l, at, dst), ports))
-        });
-        let route0 = |at: RouterId, dst| {
-            let port = std::slice::from_ref(&healthy.row(0, dst)[at as usize]);
-            let port = if port == [NO_PORT] { &[][..] } else { port };
-            layer0.lookup(0, at, dst).unwrap_or(port)
+        let route0 = |at: RouterId, dst: RouterId| match rows.get(&(at, 0, dst)) {
+            Some(&port) => port,
+            None => healthy.row(0, dst)[at as usize],
         };
-        let sparse = sparse
-            .into_iter()
-            .map(|&(key @ (_, at, dst), ref port)| match port {
-                Some(_) => (key, port.as_slice()),
-                None => (key, route0(at, dst)),
-            });
-        RouteRepair::from_rows(layer0.rows().chain(shadows).chain(sparse))
+        RouteRepair::from_rows(rows.iter().map(|(&(at, layer, dst), &port)| {
+            let port = if layer != 0 && port == NO_PORT {
+                route0(at, dst)
+            } else {
+                port
+            };
+            ((layer, at, dst), port_slice(&port).to_vec())
+        }))
     }
 
     proptest! {
-        // Random healthy tables (sparse layers with holes) and rewrites in
-        // random order, rows rewritten twice among them: the one-pass
-        // assembly returns the reference's rows, and answers every lookup
-        // as the reference does.
+        // Random healthy tables (every layer routes every pair: no holes
+        // off the diagonal) and rewrites, ascending in `(layer, dst)` and
+        // once each: the one-pass assembly returns the reference's rows,
+        // and answers every lookup as the reference does.
         #[test]
         fn overlay_assembly_equals_the_reference(
             n_layers in 1usize..4,
-            healthy in prop::collection::vec(0u16..5, 147..148),
+            healthy in prop::collection::vec(0u16..4, 147..148),
             calls in prop::collection::vec((0usize..3, 0u32..7, prop::collection::vec(0u16..5, 7..8)), 0..12),
         ) {
             let nr = 7;
-            // Code 4 is no port: a hole in a sparse layer, an unreachable
-            // or layer-0-routed entry in a rewrite.
-            let port = |code: u16| if code == 4 { NO_PORT } else { code };
             let mut tables = PortTables::new(n_layers, nr);
             for (l, table) in tables.layers_mut().enumerate() {
                 for (i, entry) in table.iter_mut().enumerate() {
-                    *entry = port(healthy[l * nr * nr + i]);
+                    if i / nr != i % nr {
+                        *entry = healthy[l * nr * nr + i];
+                    }
                 }
             }
-            let calls: Vec<(usize, RouterId, Vec<u16>)> = calls
+            // Code 4 is no port in a rewrite: unreachable in layer 0, the
+            // layer-0 route in a sparse layer.
+            let port = |code: u16| if code == 4 { NO_PORT } else { code };
+            let mut calls: Vec<(usize, RouterId, Vec<u16>)> = calls
                 .into_iter()
                 .map(|(l, dst, row)| (l % n_layers, dst, row.into_iter().map(port).collect()))
                 .collect();
+            calls.sort_by_key(|&(l, dst, _)| (l, dst));
+            calls.dedup_by_key(|&mut (l, dst, _)| (l, dst));
             let mut builder = OverlayBuilder::new(&tables);
             for (l, dst, row) in &calls {
                 builder.rewrite_row(*l, *dst, row);
@@ -691,6 +667,44 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "rewritten rows must arrive in strictly ascending (layer, dst) order: (0, 2) after (1, 0)"
+    )]
+    fn rewrite_row_rejects_a_row_out_of_order() {
+        let healthy = PortTables::new(2, 3);
+        let mut builder = OverlayBuilder::new(&healthy);
+        builder.rewrite_row(1, 0, &[NO_PORT; 3]);
+        builder.rewrite_row(0, 2, &[NO_PORT; 3]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "rewritten rows must arrive in strictly ascending (layer, dst) order: (1, 2) after (1, 2)"
+    )]
+    fn rewrite_row_rejects_a_row_given_twice() {
+        let healthy = PortTables::new(2, 3);
+        let mut builder = OverlayBuilder::new(&healthy);
+        builder.rewrite_row(1, 2, &[NO_PORT; 3]);
+        builder.rewrite_row(1, 2, &[NO_PORT; 3]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "repair rows must arrive in strictly ascending (at, layer, dst) order: (1, 1, 7) after (2, 0, 5)"
+    )]
+    fn from_rows_rejects_a_key_out_of_order() {
+        RouteRepair::from_rows([((0, 2, 5), [1]), ((1, 1, 7), [2])]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "repair rows must arrive in strictly ascending (at, layer, dst) order: (2, 0, 5) after (2, 0, 5)"
+    )]
+    fn from_rows_rejects_a_key_given_twice() {
+        RouteRepair::from_rows([((0, 2, 5), [1]), ((0, 2, 5), [2])]);
     }
 
     #[test]

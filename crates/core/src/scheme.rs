@@ -234,9 +234,9 @@ impl<T: RoutingScheme + ?Sized> RoutingScheme for Box<T> {
 }
 
 /// Table-driven forwarding: one deterministic port per (layer, src, dst),
-/// falling back to layer 0 when the tagged layer has no port (FatPaths,
-/// TE and the baselines' layers are connected by construction, so the
-/// fallback only covers defensive clamping).
+/// read from the tagged layer clamped to the last. FatPaths, TE and the
+/// baselines route every pair in every layer (checked where they are
+/// built), so the tagged layer alone decides.
 impl RoutingScheme for PortTables {
     fn num_layers(&self) -> usize {
         self.n_layers().min(255)
@@ -372,7 +372,8 @@ impl Default for KspConfig {
 /// pair — the §VI deficiency made measurable). None of them repairs: their
 /// published constructions are static, so recovery stays end-to-end.
 ///
-/// On a connected base every layer routes every pair, so the tagged layer
+/// Each build checks that `base` is connected and panics otherwise. On a
+/// connected base every layer routes every pair, so the tagged layer
 /// alone decides: a SPAIN layer is one spanning tree (two distinct
 /// spanning trees never merge acyclically), KSP layers are patched to
 /// connectivity, and PAST's one layer holds a spanning tree per
@@ -382,6 +383,10 @@ impl PortTables {
     /// port tables. Only the first [`MAX_LAYERS`] layers, the ones tags
     /// address, are built and lowered.
     pub fn spain(base: &Graph, cfg: &SpainConfig) -> Self {
+        assert!(
+            base.is_connected(),
+            "SPAIN routing needs a connected base graph"
+        );
         let cap = cfg.max_layers.unwrap_or(MAX_LAYERS).min(MAX_LAYERS);
         let cfg = SpainConfig {
             max_layers: Some(cap),
@@ -407,6 +412,10 @@ impl PortTables {
     /// Builds PAST's per-destination trees and compiles them into one
     /// layer of port tables.
     pub fn past(g: &Graph, seed: u64) -> Self {
+        assert!(
+            g.is_connected(),
+            "PAST routing needs a connected base graph"
+        );
         let trees = PastTrees::build(g, seed);
         let nr = g.n();
         assert_eq!(trees.num_trees(), nr, "tree count must match router count");
@@ -677,34 +686,49 @@ mod tests {
         }
     }
 
+    fn two_triangles() -> Graph {
+        Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    }
+
     #[test]
     #[should_panic(expected = "k-shortest-paths routing needs a connected base graph")]
     fn ksp_on_a_disconnected_base_names_the_precondition() {
-        let triangles = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
-        PortTables::ksp(&triangles, &KspConfig { k: 2, max_pairs: 0 });
+        PortTables::ksp(&two_triangles(), &KspConfig { k: 2, max_pairs: 0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "SPAIN routing needs a connected base graph")]
+    fn spain_on_a_disconnected_base_names_the_precondition() {
+        PortTables::spain(&two_triangles(), &SpainConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "PAST routing needs a connected base graph")]
+    fn past_on_a_disconnected_base_names_the_precondition() {
+        PortTables::past(&two_triangles(), 11);
     }
 
     /// The baselines' own lookup — SPAIN's end host tries the tagged VLAN,
-    /// then the next ones in cyclic order — written against the full
-    /// [`RoutingTables`] of the same layers.
-    fn cyclic_oracle(rt: &RoutingTables, tag: usize, at: u32, dst: u32) -> Vec<u16> {
-        let n = rt.n_layers();
+    /// then the next ones in cyclic order — written against the raw
+    /// [`PortTables::build`] of the same layers.
+    fn cyclic_oracle(pt: &PortTables, tag: usize, at: u32, dst: u32) -> Vec<u16> {
+        let n = pt.n_layers();
         (tag..tag + n)
-            .find_map(|l| rt.ports().get(l % n, at, dst))
+            .find_map(|l| pt.get(l % n, at, dst))
             .into_iter()
             .collect()
     }
 
     fn assert_cyclic(scheme: &PortTables, g: &Graph, layers: &LayerSet, what: &str) {
-        let rt = RoutingTables::build(g, layers);
-        assert_eq!(scheme.n_layers(), rt.n_layers(), "{what}");
+        let pt = PortTables::build(g, layers);
+        assert_eq!(scheme.n_layers(), pt.n_layers(), "{what}");
         let nr = g.n() as u32;
         for tag in 0..scheme.n_layers() {
             for at in 0..nr {
                 for dst in (0..nr).filter(|&dst| dst != at) {
                     assert_eq!(
                         scheme.candidate_ports(tag as u8, at, dst).as_slice(),
-                        cyclic_oracle(&rt, tag, at, dst),
+                        cyclic_oracle(&pt, tag, at, dst),
                         "{what}: tag {tag} {at}->{dst}"
                     );
                 }
@@ -721,19 +745,10 @@ mod tests {
 
     #[test]
     fn spain_and_ksp_equal_a_cyclic_scan_of_their_layer_tables() {
-        // On a connected base every SPAIN layer is one spanning tree (two
-        // distinct spanning trees never merge acyclically). On the
-        // disjoint union the layers are forests: the layers missing one
-        // part form a suffix, so both the scan and the layer-0 fallback
-        // land on layer 0, and a pair across the parts has no port in any
-        // layer.
-        let [(_, sf), (_, ft)] = oracle_topologies();
-        let shift = sf.n() as u32;
-        let mut edges = sf.edge_vec();
-        edges.extend(ft.edges().map(|(u, v)| (u + shift, v + shift)));
-        let union = Graph::from_edges(sf.n() + ft.n(), &edges);
-        let spain_only = ("SF q=5 + FT k=4", union);
-        for (name, g) in oracle_topologies().into_iter().chain([spain_only]) {
+        // Every SPAIN layer is one spanning tree (two distinct spanning
+        // trees never merge acyclically) and every KSP layer is patched
+        // to connectivity, so the scan stops at the tagged layer.
+        for (name, g) in oracle_topologies() {
             for k_paths in [2, 3] {
                 let cfg = SpainConfig {
                     k_paths,
@@ -742,9 +757,6 @@ mod tests {
                 let what = format!("{name} SPAIN k_paths {k_paths}");
                 let layers = build_spain_layers(&g, &cfg).layers;
                 assert_cyclic(&PortTables::spain(&g, &cfg), &g, &layers, &what);
-            }
-            if !g.is_connected() {
-                continue; // Yen needs every pair connected
             }
             for k in [3, 4] {
                 let cfg = KspConfig { k, max_pairs: 0 };
@@ -756,10 +768,7 @@ mod tests {
 
     #[test]
     fn past_equals_its_tree_next_hops() {
-        // Two triangles: no tree reaches across, so those pairs are empty.
-        let split = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]);
-        let [sf, ft] = oracle_topologies();
-        for (name, g) in [sf, ft, ("two triangles", split)] {
+        for (name, g) in oracle_topologies() {
             let trees = PastTrees::build(&g, 11);
             let ps = PortTables::past(&g, 11);
             assert_eq!(ps.n_layers(), 1);

@@ -1,5 +1,5 @@
 //! Static repair judged against a from-scratch rebuild: a
-//! `RoutingTables::build` on the degraded layers is the oracle. A row one
+//! `PortTables::build` on the degraded layers is the oracle. A row one
 //! of whose chosen hops crosses a down link must read, through the
 //! overlay, exactly the oracle's row — a pair the degraded sparse layer
 //! lost takes the repaired layer-0 route — and every other row must read
@@ -10,7 +10,7 @@
 //! Checked on Slim Fly and a three-level fat tree at 1, 2 and 5% link
 //! failures, with one link down and with one router dead.
 
-use fatpaths_core::fwd::RoutingTables;
+use fatpaths_core::fwd::{PortTables, RoutingTables};
 use fatpaths_core::layers::{build_random_layers, LayerConfig, LayerSet};
 use fatpaths_core::repair::{DownLinks, RouteRepair};
 use fatpaths_core::scheme::RoutingScheme;
@@ -52,7 +52,7 @@ fn check_against_rebuild(topo: &Topology, down: &DownLinks, seed: u64, what: &st
             .map(|lg| lg.without_edges(down.as_slice()))
             .collect(),
     };
-    let oracle = RoutingTables::build(g, &degraded);
+    let oracle = PortTables::build(g, &degraded);
     let mut broken_rows = 0;
     for l in 0..layers.len() {
         let dl = degraded.layer(l);
@@ -69,7 +69,7 @@ fn check_against_rebuild(topo: &Topology, down: &DownLinks, seed: u64, what: &st
                 let got = effective(&rt, &rep, l, src, dst);
                 // A broken row reads the rebuild's, any other row as before.
                 let (want, what_differs) = if broken {
-                    (oracle.ports(), "rebuilt row differs from the rebuild")
+                    (&oracle, "rebuilt row differs from the rebuild")
                 } else {
                     (rt.ports(), "unbroken row changed")
                 };

@@ -181,8 +181,8 @@ mod tests {
         let rt = RoutingTables::build(&t.graph, &ls);
         let fib = compile(&t, &rt, CompileMode::HostRoutes);
         let nr = t.num_routers() as u64;
-        // Every pair reachable in every layer (fallback to layer 0), so
-        // raw = stored = layers · nr · (nr − 1).
+        // Every layer routes every pair (`RoutingTables::build` checks
+        // it), so raw = stored = layers · nr · (nr − 1).
         let st = fib.stats();
         assert_eq!(st.raw_entries, 3 * nr * (nr - 1));
         assert_eq!(st.entries_total, st.raw_entries);

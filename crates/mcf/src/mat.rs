@@ -6,8 +6,7 @@
 //! concurrently. Commodity candidate paths come from the scheme:
 //!
 //! * **FatPaths layered routing** — one destination-based path per layer;
-//! * **SPAIN** — the path within each (forest) layer that connects the
-//!   pair, where one exists;
+//! * **SPAIN** — the path within each layer (one spanning tree each);
 //! * **PAST** — the single tree path of the destination's spanning tree;
 //! * **k-shortest paths** — Yen's paths.
 
@@ -38,9 +37,10 @@ pub trait PathProvider {
     fn layer_cost(&self) -> usize;
 }
 
-/// FatPaths / SPAIN style: one path per layer from forwarding tables, for
-/// each layer that reaches the destination from the source (a layer path
-/// never leaves its layer, so a layer-0 fallback never enters it).
+/// FatPaths / SPAIN style: one path per layer from forwarding tables.
+/// Every layer of a [`RoutingTables`] routes every pair (its build checks
+/// that), and a path never leaves its layer, so each layer adds the path
+/// it routes the pair on, unless an earlier layer already gave it.
 pub struct LayeredPaths<'a> {
     /// Base graph the tables were built on.
     pub base: &'a Graph,
@@ -53,10 +53,6 @@ impl PathProvider for LayeredPaths<'_> {
         let ports = self.tables.ports();
         let mut out: Vec<Vec<u32>> = Vec::new();
         for layer in 0..ports.n_layers() {
-            // A layer with a port at `src` routes the whole way inside it.
-            if src != dst && ports.get(layer, src, dst).is_none() {
-                continue;
-            }
             if let Some(p) = ports.path(self.base, layer, src, dst) {
                 if !out.contains(&p) {
                     out.push(p);
@@ -323,27 +319,6 @@ mod tests {
             six.throughput,
             single.throughput
         );
-    }
-
-    #[test]
-    fn a_layer_adds_no_path_where_it_does_not_reach_the_destination() {
-        // Router 0 is isolated in layer 1: a packet tagged 1 at 0 takes the
-        // layer-0 port and then follows layer 1, a path of neither layer.
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (1, 3)]);
-        let layer1 = Graph::from_edges(4, &[(1, 2), (2, 3)]);
-        let rt = RoutingTables::build(
-            &g,
-            &LayerSet {
-                graphs: vec![g.clone(), layer1],
-            },
-        );
-        assert_eq!(rt.ports().path(&g, 1, 0, 3), Some(vec![0, 1, 2, 3]));
-        let lp = LayeredPaths {
-            base: &g,
-            tables: &rt,
-        };
-        assert_eq!(lp.paths(0, 3), vec![vec![0, 1, 3]]);
-        assert_eq!(lp.paths(1, 3), vec![vec![1, 3], vec![1, 2, 3]]);
     }
 
     #[test]

@@ -35,11 +35,11 @@
 
 use crate::config::SimConfig;
 use crate::engine::TimePs;
-use crate::metrics::RepairTickRecord;
 use fatpaths_core::repair::{DownLinks, RouteRepair};
 use fatpaths_core::scheme::RoutingScheme;
 use fatpaths_net::fault::{Change, FaultPlan};
 use fatpaths_net::topo::Topology;
+use fatpaths_telemetry::RepairSample;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -91,7 +91,7 @@ pub(crate) struct FaultTimeline {
     /// One record per replayed repair pass, in execution order. The
     /// driver truncates to the passes the run actually reached (early
     /// termination can leave trailing passes unexecuted).
-    pub log: Vec<RepairTickRecord>,
+    pub log: Vec<RepairSample>,
 }
 
 impl FaultTimeline {
@@ -154,12 +154,14 @@ impl FaultWriter {
 
     /// True iff router `r` is currently dead in the writer's working
     /// state (statics applied; timed events once finalized).
+    #[cfg(test)]
     pub(crate) fn router_is_dead(&self, r: u32) -> bool {
         self.router_dead[r as usize]
     }
 
     /// True iff link `{u, v}` is currently down — failed in its own
     /// right or incident to a dead router.
+    #[cfg(test)]
     pub(crate) fn link_is_down(&self, u: u32, v: u32) -> bool {
         self.link_failed.contains(&(u.min(v), u.max(v)))
             || self.router_dead[u as usize]
@@ -222,7 +224,7 @@ impl FaultWriter {
                     .collect();
                 let down = DownLinks::from_failures(&topo.graph, &failed, &dead);
                 let rep = scheme.repair_routes(&topo.graph, &down);
-                tl.log.push(RepairTickRecord {
+                tl.log.push(RepairSample {
                     at,
                     rows: rep.len() as u64,
                     fib_rows: rep.fib_rows_rewritten,

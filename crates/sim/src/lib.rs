@@ -41,10 +41,12 @@ pub use fatpaths_core::scheme::{PortSet, RoutingScheme};
 pub use fatpaths_fib::{CompileMode, CompiledScheme, Fib, FibStats, TableBudget};
 pub use fatpaths_net::fault::{FaultModel, FaultPlan};
 pub use fatpaths_te::{TeConfig, TeScheme};
-pub use fatpaths_telemetry::{SpanEvent, SpanKind, TelemetryConfig, Trace, TraceMeta};
+pub use fatpaths_telemetry::{
+    RepairSample, SpanEvent, SpanKind, TelemetryConfig, Trace, TraceMeta,
+};
 pub use metrics::{
     histogram, mean, peak_rss_kb, percentile, reset_peak_rss, throughput_by_size, EventCounts,
-    FlowRecord, HistogramResult, RepairTickRecord, RunProfile, SimResult, Summary,
+    FlowRecord, HistogramResult, RunProfile, SimResult, Summary,
 };
 pub use scenario::{BuiltScheme, Scenario, SchemeSpec};
 pub use shard::partition_routers;

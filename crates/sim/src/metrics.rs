@@ -2,6 +2,7 @@
 //! flow, workload completion time).
 
 use crate::engine::TimePs;
+use fatpaths_telemetry::RepairSample;
 
 /// Outcome of one simulated flow.
 #[derive(Clone, Copy, Debug)]
@@ -42,21 +43,6 @@ impl FlowRecord {
     }
 }
 
-/// One control-plane repair pass: when it ran and how
-/// much state it touched — the per-event cost record the churn and
-/// resilience sweeps aggregate into control-plane-work columns.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RepairTickRecord {
-    /// Simulation time the repair pass executed.
-    pub at: TimePs,
-    /// Routing rows the recomputed overlay covers
-    /// (`RouteRepair::len`).
-    pub rows: u64,
-    /// FIB rows a compiled scheme would push for this overlay
-    /// (`RouteRepair::fib_rows_rewritten`; zero for analytic schemes).
-    pub fib_rows: u64,
-}
-
 /// Execution-layer counters for one run: how many lookahead windows the
 /// driver stepped, how much traffic crossed shard boundaries, and how
 /// much fault state was published. Purely observational — none of it
@@ -77,8 +63,6 @@ pub struct RunProfile {
     /// Fault epochs published by the writer (≥ 1: the post-static
     /// snapshot counts).
     pub epochs_published: u64,
-    /// Control-plane repair passes the run reached.
-    pub repair_ticks: u64,
     /// Events dispatched: the sum of [`RunProfile::dispatched`]. Faults
     /// and repair passes are epochs of the shared timeline, not events,
     /// so the count is the same at every shard count — the denominator
@@ -179,8 +163,9 @@ pub struct SimResult {
     pub unroutable: u64,
     /// Time the last event executed.
     pub end_time: TimePs,
-    /// One record per control-plane repair pass, in execution order.
-    pub repair_log: Vec<RepairTickRecord>,
+    /// One record per control-plane repair pass, in execution order: the
+    /// rows a trace carries as its repairs.
+    pub repair_log: Vec<RepairSample>,
     /// Execution-layer counters (windows, mailbox traffic, memory).
     pub profile: RunProfile,
 }

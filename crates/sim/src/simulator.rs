@@ -34,9 +34,7 @@ use fatpaths_core::fwd::fnv1a;
 use fatpaths_core::scheme::RoutingScheme;
 use fatpaths_net::fault::{Change, FaultPlan};
 use fatpaths_net::topo::Topology;
-use fatpaths_telemetry::{
-    MailboxSample, RepairSample, ShardTelemetry, Trace, TraceMeta, INTERVAL_PS,
-};
+use fatpaths_telemetry::{MailboxSample, ShardTelemetry, Trace, TraceMeta, INTERVAL_PS};
 use fatpaths_workloads::arrivals::FlowSpec;
 use rayon::prelude::*;
 
@@ -282,18 +280,6 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
             }
         }
         self.faults.apply_plan(self.topo, &self.net_base, plan);
-    }
-
-    /// True iff router `r` is currently dead in the writer's working
-    /// state (statics applied immediately; timed events at run start).
-    pub fn router_is_dead(&self, r: u32) -> bool {
-        self.faults.router_is_dead(r)
-    }
-
-    /// True iff link `{u, v}` is currently down — failed in its own
-    /// right or incident to a dead router.
-    pub fn link_is_down(&self, u: u32, v: u32) -> bool {
-        self.faults.link_is_down(u, v)
     }
 
     /// Registers a flow's halves on their home shards and schedules its
@@ -568,21 +554,13 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
             "fault-epoch cursors diverged across shards"
         );
         let seen = timeline.epochs[epoch as usize].repairs as usize;
-        profile.repair_ticks = seen as u64;
+        let repair_log = timeline.log[..seen].to_vec();
         for sh in &self.shards {
             profile.dispatched += sh.dispatched;
         }
         profile.events = profile.dispatched.total();
         profile.peak_rss_kb = peak_rss_kb();
         let trace = tcfg.enabled.then(|| {
-            let repairs = timeline.log[..seen]
-                .iter()
-                .map(|r| RepairSample {
-                    at: r.at,
-                    rows: r.rows,
-                    fib_rows: r.fib_rows,
-                })
-                .collect();
             Trace::assemble(
                 TraceMeta {
                     shards: self.shards.len() as u32,
@@ -594,7 +572,7 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
                 },
                 collectors,
                 mailbox_rows,
-                repairs,
+                repair_log.clone(),
             )
         });
         let result = SimResult {
@@ -603,7 +581,7 @@ impl<'a, R: RoutingScheme + ?Sized> Simulator<'a, R> {
             trims: self.shards.iter().map(|s| s.trim_count).sum(),
             unroutable: self.shards.iter().map(|s| s.unroutable).sum(),
             end_time,
-            repair_log: timeline.log[..seen].to_vec(),
+            repair_log,
             profile,
         };
         (result, trace)
@@ -675,18 +653,21 @@ mod tests {
         sim.faults
             .set_router_state(&topo, &sim.net_base, other_dead, false);
         sim.faults.set_router_state(&topo, &sim.net_base, r, false);
-        assert!(sim.router_is_dead(r));
+        assert!(sim.faults.router_is_dead(r));
         // The port bitmask's transitions agree with the down set the
         // failures define.
         let derived = |sim: &Simulator<RoutingTables>| {
             let edges = topo.graph.edge_vec();
             edges
                 .iter()
-                .filter(|&&(u, v)| sim.link_is_down(u, v))
+                .filter(|&&(u, v)| sim.faults.link_is_down(u, v))
                 .count()
         };
         for &nb in nbs {
-            assert!(sim.link_is_down(r, nb), "incident link {r}-{nb} must die");
+            assert!(
+                sim.faults.link_is_down(r, nb),
+                "incident link {r}-{nb} must die"
+            );
         }
         assert_eq!(sim.faults.down_count() as usize, derived(&sim));
         // Idempotent.
@@ -696,11 +677,11 @@ mod tests {
         // Revival: every incident link returns except the independently
         // cut one and the one into the still-dead neighbor.
         sim.faults.set_router_state(&topo, &sim.net_base, r, true);
-        assert!(!sim.router_is_dead(r));
+        assert!(!sim.faults.router_is_dead(r));
         for &nb in nbs {
             let expect_down = nb == cut || nb == other_dead;
             assert_eq!(
-                sim.link_is_down(r, nb),
+                sim.faults.link_is_down(r, nb),
                 expect_down,
                 "link {r}-{nb} after revival"
             );
@@ -708,8 +689,22 @@ mod tests {
         assert_eq!(sim.faults.down_count() as usize, derived(&sim));
         // The independently cut link returns only by its own revival.
         sim.faults.restore_link_now(&topo, &sim.net_base, r, cut);
-        assert!(!sim.link_is_down(r, cut));
+        assert!(!sim.faults.link_is_down(r, cut));
         assert_eq!(sim.faults.down_count() as usize, derived(&sim));
+    }
+
+    /// A statically dead router takes every incident link down with it
+    /// and leaves its neighbours alive.
+    #[test]
+    fn static_router_down_kills_links_and_hosts() {
+        let (topo, rt) = fixture();
+        let mut sim = Simulator::new(&topo, &rt, SimConfig::default());
+        sim.apply_fault_plan(&FaultPlan::none().fail_router(11));
+        assert!(sim.faults.router_is_dead(11));
+        assert!(!sim.faults.router_is_dead(10));
+        for &nb in topo.graph.neighbors(11) {
+            assert!(sim.faults.link_is_down(11, nb));
+        }
     }
 
     /// A burst of simultaneous link-state changes coalesces into one
@@ -773,8 +768,8 @@ mod tests {
             .fail_router(31);
         sim.apply_fault_plan(&plan);
         assert!(sim.shards.iter().all(|s| s.events.is_empty()));
-        assert!(sim.router_is_dead(20) && sim.router_is_dead(31));
-        assert!(sim.link_is_down(e.0, e.1));
+        assert!(sim.faults.router_is_dead(20) && sim.faults.router_is_dead(31));
+        assert!(sim.faults.link_is_down(e.0, e.1));
         let tl = sim
             .faults
             .finalize(sim.topo, &sim.net_base, sim.scheme, &sim.cfg);

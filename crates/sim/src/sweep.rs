@@ -85,16 +85,6 @@ impl<C: Send + Sync> SweepRunner<C> {
         SweepRunner { cells }
     }
 
-    /// Number of cells in the grid.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True when the grid is empty.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
     /// Evaluates `f(index, cell)` for every cell on the thread pool and
     /// returns the results in cell order. A panicking cell propagates
     /// after the sweep drains (no deadlock, no partial output).

@@ -4,12 +4,10 @@
 //! `RouterDown`/`RouterUp` events model reboots that strand in-flight
 //! flows only until the router returns.
 
-use fatpaths_core::fwd::RoutingTables;
-use fatpaths_core::layers::{build_random_layers, LayerConfig};
 use fatpaths_net::fault::FaultPlan;
 use fatpaths_net::topo::slimfly::slim_fly;
 use fatpaths_net::topo::Topology;
-use fatpaths_sim::{Scenario, SchemeSpec, SimConfig, Simulator};
+use fatpaths_sim::{Scenario, SchemeSpec};
 use fatpaths_workloads::arrivals::FlowSpec;
 
 fn permutation(topo: &Topology, offset: u64, start: u64) -> Vec<FlowSpec> {
@@ -23,21 +21,6 @@ fn permutation(topo: &Topology, offset: u64, start: u64) -> Vec<FlowSpec> {
         })
         .filter(|f| f.src != f.dst)
         .collect()
-}
-
-/// Statically dead router: all incident links down, hosts dead.
-#[test]
-fn static_router_down_kills_links_and_hosts() {
-    let topo = slim_fly(5, 2).unwrap();
-    let ls = build_random_layers(&topo.graph, &LayerConfig::new(4, 0.6, 3));
-    let rt = RoutingTables::build(&topo.graph, &ls);
-    let mut sim = Simulator::new(&topo, &rt, SimConfig::default());
-    sim.apply_fault_plan(&FaultPlan::none().fail_router(11));
-    assert!(sim.router_is_dead(11));
-    assert!(!sim.router_is_dead(10));
-    for &nb in topo.graph.neighbors(11) {
-        assert!(sim.link_is_down(11, nb));
-    }
 }
 
 /// Flows whose endpoint sits behind a statically dead router are

@@ -267,8 +267,9 @@ mod tests {
 
     /// The scoring walk negotiation used before it scored with
     /// [`edge_loads`], kept as its reference: per demand and layer, follow
-    /// the ports from the source, finishing on layer 0 once a sparse
-    /// layer has no port, `demand / n_layers` on every hop.
+    /// the layer's ports from the source, `demand / n_layers` on every
+    /// hop. Every layer routes every pair (static and negotiated tables
+    /// alike), so the walk never leaves its layer.
     fn measure_loads(base: &Graph, ports: &PortTables, demands: &[RouterDemand]) -> Vec<f64> {
         let edge_index: std::collections::HashMap<(u32, u32), u32> =
             base.edge_vec().into_iter().zip(0..).collect();
@@ -277,16 +278,11 @@ mod tests {
         for d in demands {
             let share = d.demand / nl as f64;
             for l in 0..nl {
-                let (mut at, mut lcur, mut hops) = (d.src, l, 0usize);
+                let (mut at, mut hops) = (d.src, 0usize);
                 while at != d.dst {
-                    let mut p = ports.get(lcur, at, d.dst);
-                    if p.is_none() && lcur != 0 {
-                        lcur = 0; // sparse layer has no row: finish on layer 0
-                        p = ports.get(0, at, d.dst);
-                    }
-                    let Some(p) = p else {
-                        break; // disconnected pair
-                    };
+                    let p = ports
+                        .get(l, at, d.dst)
+                        .expect("every layer routes every pair");
                     let nb = base.neighbor_at(at, p as u32);
                     loads[edge_index[&(at.min(nb), at.max(nb))] as usize] += share;
                     at = nb;

@@ -251,14 +251,17 @@ pub struct MailboxSample {
     pub bytes: u64,
 }
 
-/// One control-plane repair pass (mirrors the simulator's repair log).
+/// One control-plane repair pass: when it ran and how much state it
+/// touched. The simulator's repair log holds one per pass, and the churn
+/// and resilience sweeps aggregate them into control-plane-work columns.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RepairSample {
-    /// Repair time (ps).
+    /// Simulation time the repair pass executed (ps).
     pub at: u64,
-    /// Routing rows touched.
+    /// Routing rows the recomputed overlay covers (`RouteRepair::len`).
     pub rows: u64,
-    /// FIB rows rewritten (compiled schemes only).
+    /// FIB rows a compiled scheme would push for this overlay
+    /// (`RouteRepair::fib_rows_rewritten`; zero for analytic schemes).
     pub fib_rows: u64,
 }
 

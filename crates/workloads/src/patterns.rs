@@ -49,19 +49,6 @@ pub enum Pattern {
 }
 
 impl Pattern {
-    /// Short label used in result files.
-    pub fn label(&self) -> String {
-        match self {
-            Pattern::Uniform => "uniform".into(),
-            Pattern::Permutation => "permutation".into(),
-            Pattern::OffDiagonal { offset } => format!("offdiag{offset}"),
-            Pattern::Shuffle => "shuffle".into(),
-            Pattern::Stencil { offsets } => format!("stencil{}", offsets.len()),
-            Pattern::MultiPermutation { k } => format!("{k}perms"),
-            Pattern::AdversarialOffDiagonal { .. } => "adversarial".into(),
-        }
-    }
-
     /// The canonical 2D stencil of the paper: offsets `{±1, ±42}`.
     pub fn stencil_small() -> Pattern {
         Pattern::Stencil {
