@@ -3,7 +3,7 @@
 //!
 //! [`DistanceMatrix`] stores every router pair's hop distance; with the
 //! graph it answers, at any router, which output ports lie on *some*
-//! shortest path to a destination ([`DistanceMatrix::minimal_port_set`]).
+//! shortest path to a destination (`DistanceMatrix::minimal_port_set`).
 //! Which of those ports a packet takes — per flow (ECMP), per packet
 //! (spraying) or per flowlet (LetFlow) — is the simulator's hash pick,
 //! not this module's.
@@ -101,7 +101,7 @@ impl DistanceMatrix {
     /// [`PortSet`](crate::scheme::PortSet), in ascending port order (empty
     /// for `src == dst`) — the `+1`-distance invariant
     /// [`crate::scheme::MinimalScheme`] forwards on.
-    pub fn minimal_port_set(
+    pub(crate) fn minimal_port_set(
         &self,
         g: &Graph,
         src: RouterId,

@@ -28,10 +28,11 @@
 //! [`PortTables`] owns the table format: the `[layer][dst · nr + src]`
 //! layout, lookups, rows and path resolution, and [`PortTables::build`]
 //! runs the two passes. [`RoutingTables`] is `PortTables` plus the layer
-//! graphs its repair rebuilds rows on; the negotiated TE tables and the
-//! SPAIN / KSP / PAST baselines hold a `PortTables` alone, SPAIN and KSP
-//! lowering their layers through `PortTables::build` as
-//! [`RoutingTables::build`] does.
+//! graphs its repair rebuilds rows on: [`RoutingTables::build`] selects
+//! the rows, and the negotiated TE tables pair their own rows with the
+//! same layers ([`RoutingTables::from_parts`]). The SPAIN / KSP / PAST
+//! baselines hold a `PortTables` alone, SPAIN and KSP lowering their
+//! layers through `PortTables::build` as `RoutingTables::build` does.
 //!
 //! Every layer of a production table set routes every pair (σᵢ is
 //! defined inside layer `i`, and Listing 1 redraws a sparse layer until
@@ -204,6 +205,21 @@ impl RoutingTables {
         }
     }
 
+    /// Pairs `ports` with the `layers` they route in: the tables another
+    /// builder selects over a built set's layers (the negotiated TE
+    /// tables), which then forward and repair like the built ones. Every
+    /// row must be a tree of its layer's edges toward its destination
+    /// that reaches every router. Panics unless the layer and router
+    /// counts agree.
+    pub fn from_parts(ports: PortTables, layers: LayerSet) -> Self {
+        assert_eq!(ports.n_layers(), layers.len(), "layer count mismatch");
+        assert!(
+            layers.graphs.iter().all(|lg| lg.n() == ports.nr()),
+            "layer router count mismatch"
+        );
+        RoutingTables { ports, layers }
+    }
+
     /// Number of layers.
     pub fn n_layers(&self) -> usize {
         self.ports.n_layers()
@@ -224,17 +240,18 @@ impl RoutingTables {
         &self.layers
     }
 
-    /// Link-failure repair (the layered arm of
+    /// Link-failure repair (the layered and TE arms of
     /// [`RoutingScheme::repair_routes`](crate::scheme::RoutingScheme::repair_routes)):
     /// returns a sparse overlay covering exactly the `(layer, dst)` rows
     /// the down links break.
     ///
     /// A row is broken when one of its chosen hops crosses a down link
-    /// ([`broken_rows`]); every other row is a tree of live links and
+    /// (`repair::broken_rows`); every other row is a tree of live links and
     /// stays as it is. A layer's broken rows are rebuilt in one
     /// [`Graph::bfs_batches`] pass over the degraded layer graph and
     /// through the build's band kernel, so a repaired row is exactly the
-    /// row a from-scratch build on the degraded layers selects. Routers
+    /// row a from-scratch build on the degraded layers selects, whichever
+    /// builder chose the healthy rows ([`RoutingTables::from_parts`]). Routers
     /// left unable to reach `dst` within a sparse layer fall back to the
     /// (repaired) layer-0 route; an empty overlay entry marks pairs
     /// disconnected even in the degraded base graph.

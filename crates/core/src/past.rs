@@ -42,7 +42,7 @@ impl PastTrees {
 
     /// Next hop of `src` toward `dst` in `dst`'s tree.
     #[inline]
-    pub fn next_hop(&self, src: RouterId, dst: RouterId) -> Option<RouterId> {
+    pub(crate) fn next_hop(&self, src: RouterId, dst: RouterId) -> Option<RouterId> {
         let p = self.parent[dst as usize][src as usize];
         (p != u32::MAX).then_some(p)
     }

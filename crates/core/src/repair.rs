@@ -23,7 +23,7 @@
 //! the degraded network, drop", absent means "the original row is still
 //! valid, ask the scheme".
 //!
-//! The overlay is built once, by [`RouteRepair::from_rows`]: rows given
+//! The overlay is built once, by `RouteRepair::from_rows`: rows given
 //! once each in ascending `(at, layer, dst)` order (checked) become
 //! destination-range spans whose ports sit in
 //! one shared `u16` pool ([`lookup`] is a row-index probe plus a binary
@@ -33,13 +33,14 @@
 //! Fly merging saves under 2%, ≈ 16 bytes per repaired row. One shared
 //! copy serves every simulation shard.
 //!
-//! Schemes that repair by rewriting whole destination rows of a
-//! per-layer port table (the static layer tables and the negotiated TE
-//! tables) rewrite exactly the [`broken_rows`], each rebuilt on the
-//! degraded layer, and assemble their overlay through one
-//! [`OverlayBuilder`]. Both emit their rows once each in ascending
-//! `(layer, dst)` order, which the builder checks. It keeps the entries
-//! that differ from the healthy rows and lays them out in linear time: a
+//! [`RoutingTables::repair`](crate::fwd::RoutingTables::repair) — the
+//! one repair that rewrites whole destination rows of a per-layer port
+//! table, for the static layer tables and the negotiated TE tables alike
+//! — rewrites exactly the `broken_rows`, each rebuilt on the degraded
+//! layer, and assembles its overlay through an `OverlayBuilder`. It
+//! emits its rows once each in ascending `(layer, dst)` order, which the
+//! builder checks. The builder keeps the entries that differ from the
+//! healthy rows and lays them out in linear time: a
 //! stable counting sort on the router puts them in the overlay's
 //! `(at, layer, dst)` order, and the same pass resolves sparse-layer
 //! entries to the layer-0 route, straight into the spans — no comparison
@@ -177,7 +178,9 @@ impl RouteRepair {
     /// each in strictly ascending `(at, layer, dst)` order — the order
     /// [`rows`](Self::rows) returns. Panics, naming both keys, on a key out
     /// of order or given twice.
-    pub fn from_rows<P: AsRef<[u16]>>(rows: impl IntoIterator<Item = (RepairKey, P)>) -> Self {
+    pub(crate) fn from_rows<P: AsRef<[u16]>>(
+        rows: impl IntoIterator<Item = (RepairKey, P)>,
+    ) -> Self {
         let mut out = SpanWriter::default();
         for (key, ports) in rows {
             out.push(key, ports.as_ref());
@@ -336,7 +339,7 @@ impl SpanWriter {
 /// a row crosses link `{a, b}` iff `a`'s entry is its port toward `b` or
 /// `b`'s its port toward `a`. Every other row is a tree of live links and
 /// stays valid as it is. Links not in `base` break nothing.
-pub fn broken_rows(
+pub(crate) fn broken_rows(
     tables: &PortTables,
     base: &Graph,
     layer: usize,
@@ -359,7 +362,7 @@ pub fn broken_rows(
 /// with layer 0 the complete layer. Every layer is keyed by its own `u8`
 /// tag, so the table set may hold at most
 /// [`MAX_LAYERS`](crate::scheme::MAX_LAYERS) layers.
-pub struct OverlayBuilder<'a> {
+pub(crate) struct OverlayBuilder<'a> {
     healthy: &'a PortTables,
     /// One `(layer, dst, end)` per rewritten row, in ascending
     /// `(layer, dst)` order: its entries are `entries[end of the previous
@@ -374,7 +377,7 @@ pub struct OverlayBuilder<'a> {
 impl<'a> OverlayBuilder<'a> {
     /// An empty overlay over `healthy`. Panics if `healthy` has more than
     /// [`MAX_LAYERS`](crate::scheme::MAX_LAYERS) layers.
-    pub fn new(healthy: &'a PortTables) -> Self {
+    pub(crate) fn new(healthy: &'a PortTables) -> Self {
         assert_layer_tags(healthy.n_layers());
         OverlayBuilder {
             healthy,
@@ -391,9 +394,9 @@ impl<'a> OverlayBuilder<'a> {
     /// complete layer) and takes the repaired layer-0 route elsewhere.
     ///
     /// Rows arrive once each in strictly ascending `(layer, dst)` order,
-    /// as both table repairs emit them; panics, naming both rows, on a row
+    /// as the table repair emits them; panics, naming both rows, on a row
     /// out of order or given twice.
-    pub fn rewrite_row(&mut self, layer: usize, dst: RouterId, new_row: &[u16]) {
+    pub(crate) fn rewrite_row(&mut self, layer: usize, dst: RouterId, new_row: &[u16]) {
         let key = (layer as u8, dst);
         if let Some(&(l, d, _)) = self.rows.last() {
             assert!(
@@ -420,7 +423,7 @@ impl<'a> OverlayBuilder<'a> {
     /// Linear in the entries: a stable counting sort by router puts them
     /// in the overlay's `(at, layer, dst)` order, and one pass per router
     /// resolves the layer-0 routes.
-    pub fn finish(self) -> RouteRepair {
+    pub(crate) fn finish(self) -> RouteRepair {
         let healthy = self.healthy;
         let (start, by_at) = self.entries_by_router();
         let mut out = SpanWriter::with_capacity(by_at.len(), by_at.len());

@@ -197,9 +197,8 @@ pub trait RoutingScheme: Sync {
     /// for every scheme it wraps: simulations still run, but failures
     /// are only ever recovered end-to-end, which corrupts any resilience
     /// comparison. The FIB-compiled scheme delegates and re-prices the
-    /// overlay in FIB rows; the TE scheme rebuilds its broken trees on
-    /// the negotiated cost snapshot; `Box<T>` forwards
-    /// verbatim (pinned by `boxed_wrappers_forward_the_whole_contract`).
+    /// overlay in FIB rows; `Box<T>` forwards verbatim (pinned by
+    /// `boxed_wrappers_forward_the_whole_contract`).
     ///
     /// [`candidate_ports`]: RoutingScheme::candidate_ports
     fn repair_routes(&self, base: &Graph, down: &DownLinks) -> RouteRepair {

@@ -92,7 +92,7 @@ pub fn te_matrix_on(topos: Vec<Topology>, n_layers: usize, rho: f64) -> (String,
                 let te = TeScheme::negotiate(g, &p.tables, &p.demands, &TeConfig::default());
                 CellOut {
                     layers: n_layers,
-                    achieved: achieved_throughput(&edge_loads(&te, g, &p.demands)),
+                    achieved: achieved_throughput(&edge_loads(te.tables(), g, &p.demands)),
                     negotiation: Some((te.iterations(), te.converged())),
                 }
             }

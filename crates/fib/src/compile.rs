@@ -465,12 +465,12 @@ mod tests {
             let pairs = matrix_flows(&t, &matrix, matrix_seed);
             let cfg = TeConfig { max_iterations };
             let te = TeScheme::negotiate(g, &rt, &endpoint_demands(&t, &pairs), &cfg);
-            let moved =
-                (0..g.n() as u32).any(|dst| te.ports().row(1, dst) != rt.ports().row(1, dst));
+            let moved = (0..g.n() as u32)
+                .any(|dst| te.tables().ports().row(1, dst) != rt.ports().row(1, dst));
             assert!(moved, "{}: negotiation kept the static tables", t.name);
             let dm = DistanceMatrix::build(g);
             let ms = MinimalScheme::new(g, &dm);
-            let schemes: [&(dyn RoutingScheme + Sync); 3] = [&rt, &te, &ms];
+            let schemes: [&(dyn RoutingScheme + Sync); 3] = [&rt, te.tables(), &ms];
             for scheme in schemes {
                 for mode in [CompileMode::HostRoutes, CompileMode::Aggregated] {
                     let (route, groups, entries) = digests(&compile(&t, scheme, mode));

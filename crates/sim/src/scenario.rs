@@ -155,7 +155,7 @@ impl RoutingScheme for BuiltScheme<'_> {
             BuiltScheme::Minimal { .. } => 1,
             BuiltScheme::Tables(s) => RoutingScheme::num_layers(s),
             BuiltScheme::Valiant(s) => s.num_layers(),
-            BuiltScheme::Te(s) => RoutingScheme::num_layers(s),
+            BuiltScheme::Te(s) => RoutingScheme::num_layers(s.tables()),
             BuiltScheme::Compiled(s) => s.num_layers(),
         }
     }
@@ -166,7 +166,7 @@ impl RoutingScheme for BuiltScheme<'_> {
             BuiltScheme::Minimal { topo, dm } => MinimalScheme::new(&topo.graph, dm).tag_space(),
             BuiltScheme::Tables(s) => s.tag_space(),
             BuiltScheme::Valiant(s) => s.tag_space(),
-            BuiltScheme::Te(s) => s.tag_space(),
+            BuiltScheme::Te(s) => s.tables().tag_space(),
             BuiltScheme::Compiled(s) => s.tag_space(),
         }
     }
@@ -179,7 +179,7 @@ impl RoutingScheme for BuiltScheme<'_> {
             }
             BuiltScheme::Tables(s) => s.candidate_ports(layer, at, dst),
             BuiltScheme::Valiant(s) => s.candidate_ports(layer, at, dst),
-            BuiltScheme::Te(s) => s.candidate_ports(layer, at, dst),
+            BuiltScheme::Te(s) => s.tables().candidate_ports(layer, at, dst),
             BuiltScheme::Compiled(s) => s.candidate_ports(layer, at, dst),
         }
     }
@@ -192,7 +192,7 @@ impl RoutingScheme for BuiltScheme<'_> {
             }
             BuiltScheme::Tables(s) => s.update_layer(layer, at, dst),
             BuiltScheme::Valiant(s) => s.update_layer(layer, at, dst),
-            BuiltScheme::Te(s) => s.update_layer(layer, at, dst),
+            BuiltScheme::Te(s) => s.tables().update_layer(layer, at, dst),
             BuiltScheme::Compiled(s) => s.update_layer(layer, at, dst),
         }
     }
@@ -209,7 +209,7 @@ impl RoutingScheme for BuiltScheme<'_> {
             // measures.
             BuiltScheme::Tables(s) => s.repair_routes(base, down),
             BuiltScheme::Valiant(s) => s.repair_routes(base, down),
-            BuiltScheme::Te(s) => s.repair_routes(base, down),
+            BuiltScheme::Te(s) => s.tables().repair_routes(base, down),
             BuiltScheme::Compiled(s) => RoutingScheme::repair_routes(s, base, down),
         }
     }
@@ -356,9 +356,9 @@ impl<'a> Scenario<'a> {
     /// negotiated-congestion traffic engineering (`fatpaths_te`):
     /// [`Scenario::build_scheme`] aggregates the workload's flows into a
     /// router traffic matrix and runs [`TeScheme::negotiate`] over the
-    /// static tables, so per-packet forwarding (and route repair, which
-    /// rebuilds broken trees under the negotiated prices) reads the
-    /// negotiated tables. Composes with
+    /// static tables, so per-packet forwarding reads the negotiated
+    /// tables, and route repair rebuilds the negotiated rows a down link
+    /// breaks on the degraded layer, as it does the static ones. Composes with
     /// [`Scenario::compiled`] — the TE tables are what gets compiled.
     ///
     /// Only meaningful for layered specs; [`Scenario::build_scheme`]

@@ -27,12 +27,14 @@
 //! the same `fnv1a(layer, src, dst)` tie-break as the static tables, no
 //! RNG — so negotiated tables are bit-identical at any thread count.
 //!
-//! * [`TeScheme`] — the negotiated scheme; a drop-in
-//!   [`RoutingScheme`](fatpaths_core::scheme::RoutingScheme) that
-//!   compiles through `fatpaths-fib` and repairs through
-//!   `repair_routes` like every other scheme: under faults it reroutes
-//!   only the trees that cross a down link, on the degraded layer and
-//!   under the negotiated prices.
+//! * [`TeScheme`] — the negotiation's result: the negotiated tables,
+//!   paired with the static layers as
+//!   [`RoutingTables`](fatpaths_core::fwd::RoutingTables), and its
+//!   iteration count, convergence flag and peak load. The tables forward,
+//!   compile through `fatpaths-fib` and repair exactly like the static
+//!   ones: under faults `RoutingTables::repair` rebuilds the rows a down
+//!   link breaks on the degraded layer. A repaired row is a hop-count
+//!   tree, so a broken row loses its negotiated routes.
 //! * [`score`] — matrix scoring shared with the experiments: per-edge
 //!   loads of any scheme under equal flowlet split, and the achieved
 //!   throughput `1 / max_load` compared against the

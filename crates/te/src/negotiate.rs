@@ -20,10 +20,9 @@
 use crate::score::{edge_loads, peak_load};
 use crate::tree::{build_tree, LayerCsr, PricedArc, TreeScratch};
 use fatpaths_core::fwd::{PortTables, RoutingTables, NO_PORT};
-use fatpaths_core::repair::{broken_rows, DownLinks, OverlayBuilder, RouteRepair};
-use fatpaths_core::scheme::{assert_layer_tags, PortSet, RoutingScheme};
+use fatpaths_core::scheme::assert_layer_tags;
 use fatpaths_mcf::RouterDemand;
-use fatpaths_net::graph::{Graph, RouterId};
+use fatpaths_net::graph::Graph;
 use rayon::prelude::*;
 
 /// Historic-cost accumulation rate: every iteration each link adds
@@ -57,21 +56,17 @@ impl Default for TeConfig {
 }
 
 /// Forwarding tables specialized to a traffic matrix by negotiated-
-/// congestion routing. Drop-in [`RoutingScheme`]: same destination-based
-/// per-layer contract as the static [`RoutingTables`] it starts from, so
-/// it compiles through `fatpaths-fib` and repairs through
-/// [`RoutingScheme::repair_routes`] unchanged.
+/// congestion routing, and the negotiation's statistics. The negotiated
+/// [`PortTables`] are paired with the static layers they were negotiated
+/// over ([`RoutingTables::from_parts`]), so they forward, compile through
+/// `fatpaths-fib` and repair exactly like the static tables: a down link's
+/// broken rows are rebuilt on the degraded layer by
+/// [`RoutingTables::repair`].
 #[derive(Clone, Debug)]
 pub struct TeScheme {
     /// The negotiated ports (base-graph port numbering, like the static
-    /// tables).
-    ports: PortTables,
-    /// Final negotiated per-edge cost (the price snapshot of the best
-    /// iteration) — reused by repair so degraded reroutes respect the
-    /// negotiated congestion picture.
-    costs: Vec<f64>,
-    /// Per-layer arc views the tree builds run on (built once).
-    csrs: Vec<LayerCsr>,
+    /// tables) over the static layers.
+    tables: RoutingTables,
     iterations: usize,
     converged: bool,
     peak: f64,
@@ -90,7 +85,7 @@ impl TeScheme {
     ///
     /// Panics if `tables` has more layers than `u8` tags
     /// ([`MAX_LAYERS`](fatpaths_core::scheme::MAX_LAYERS)): the
-    /// negotiated scheme forwards and repairs every layer by its tag.
+    /// negotiated tables forward and repair every layer by its tag.
     pub fn negotiate(
         base: &Graph,
         tables: &RoutingTables,
@@ -110,10 +105,9 @@ impl TeScheme {
         demands.sort_by_key(|d| (d.src, d.dst));
         let total: f64 = demands.iter().map(|d| d.demand).sum();
         let statics = tables.ports();
-        // The best iteration's tables and prices; `None` while iteration
-        // 0, the static tables scored in place, is still the best.
+        // The best iteration's tables; `None` while iteration 0, the
+        // static tables scored in place, is still the best.
         let mut best: Option<PortTables> = None;
-        let mut best_costs = vec![1.0; m];
         let (mut iterations, mut converged, mut best_peak) = (0, true, 0.0);
         if total > 0.0 && m > 0 {
             let mut hist = vec![0.0f64; m];
@@ -147,7 +141,6 @@ impl TeScheme {
                 if peak < best_peak {
                     best_peak = peak;
                     spare = best.replace(cur);
-                    best_costs.copy_from_slice(&costs);
                 } else {
                     spare = Some(cur);
                 }
@@ -160,10 +153,9 @@ impl TeScheme {
         }
         // `spare` is freed by now, so a clone of the static tables can
         // take its memory.
+        let ports = best.unwrap_or_else(|| statics.clone());
         TeScheme {
-            ports: best.unwrap_or_else(|| statics.clone()),
-            costs: best_costs,
-            csrs,
+            tables: RoutingTables::from_parts(ports, tables.layer_set().clone()),
             iterations,
             converged,
             peak: best_peak,
@@ -188,52 +180,9 @@ impl TeScheme {
         self.peak
     }
 
-    /// The negotiated port tables.
-    pub fn ports(&self) -> &PortTables {
-        &self.ports
-    }
-}
-
-impl RoutingScheme for TeScheme {
-    fn num_layers(&self) -> usize {
-        self.ports.num_layers()
-    }
-
-    fn candidate_ports(&self, layer: u8, at_router: RouterId, dst_router: RouterId) -> PortSet {
-        self.ports.candidate_ports(layer, at_router, dst_router)
-    }
-
-    /// Rebuilds every tree a down link breaks ([`broken_rows`]) on its
-    /// degraded layer under the negotiated cost snapshot, so reroutes
-    /// respect the congestion picture the negotiation settled on, not
-    /// plain hop counts. Whole trees are replaced, never mixed, so the
-    /// overlay stays loop-free.
-    fn repair_routes(&self, base: &Graph, down: &DownLinks) -> RouteRepair {
-        if down.is_empty() {
-            return RouteRepair::none();
-        }
-        let nr = self.ports.nr();
-        let mut out = OverlayBuilder::new(&self.ports);
-        for (l, csr) in self.csrs.iter().enumerate() {
-            let broken = broken_rows(&self.ports, base, l, down);
-            if broken.is_empty() {
-                continue;
-            }
-            let csr = csr.without(down);
-            let arcs = csr.gather(&self.costs);
-            let rows: Vec<Vec<u16>> = broken
-                .par_iter()
-                .map_init(TreeScratch::default, |scratch, &dst| {
-                    let mut row = vec![NO_PORT; nr];
-                    build_tree(&csr, &arcs, l as u32, dst, scratch, &mut row);
-                    row
-                })
-                .collect();
-            for (&dst, row) in broken.iter().zip(&rows) {
-                out.rewrite_row(l, dst, row);
-            }
-        }
-        out.finish()
+    /// The negotiated tables over the static layers.
+    pub fn tables(&self) -> &RoutingTables {
+        &self.tables
     }
 }
 
@@ -262,7 +211,8 @@ fn rebuild_trees(csrs: &[LayerCsr], costs: &[f64], cur: &mut PortTables) {
 mod tests {
     use super::*;
     use fatpaths_core::layers::{build_random_layers, LayerConfig, LayerSet};
-    use fatpaths_core::scheme::MAX_LAYERS;
+    use fatpaths_core::repair::DownLinks;
+    use fatpaths_core::scheme::{RoutingScheme, MAX_LAYERS};
     use proptest::prelude::*;
 
     /// The scoring walk negotiation used before it scored with
@@ -323,7 +273,7 @@ mod tests {
                 .collect();
             let cfg = TeConfig { max_iterations: 2 };
             let te = TeScheme::negotiate(&g, &rt, &demands, &cfg);
-            for ports in [rt.ports(), te.ports()] {
+            for ports in [rt.ports(), te.tables().ports()] {
                 prop_assert_eq!(
                     bits(&edge_loads(ports, &g, &demands)),
                     bits(&measure_loads(&g, ports, &demands))
@@ -351,7 +301,7 @@ mod tests {
             for at in 0..g.n() as u32 {
                 for dst in (0..g.n() as u32).filter(|&dst| dst != at) {
                     assert_eq!(
-                        te.candidate_ports(tag, at, dst),
+                        te.tables().candidate_ports(tag, at, dst),
                         rt.candidate_ports(tag, at, dst),
                         "tag {tag} {at}->{dst}"
                     );
@@ -381,7 +331,7 @@ mod tests {
     fn widest_layer_tag_negotiates_and_repairs_under_its_own_tag() {
         let (g, rt) = triangle_tables(MAX_LAYERS);
         let te = TeScheme::negotiate(&g, &rt, &one_demand(), &TeConfig::default());
-        let rep = te.repair_routes(&g, &DownLinks::from_links(&[(0, 1)]));
+        let rep = te.tables().repair(&g, &DownLinks::from_links(&[(0, 1)]));
         let detour = g.port_of(0, 2).unwrap() as u16;
         let last = (MAX_LAYERS - 1) as u8;
         assert_eq!(rep.lookup(last, 0, 1).unwrap(), &[detour]);

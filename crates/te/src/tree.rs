@@ -2,11 +2,11 @@
 //! per-layer CSR view, recording every router's tight predecessors while
 //! it relaxes.
 //!
-//! Tree builds are the hot loop of negotiation (each iteration rebuilds
-//! every `(layer, dst)` tree) and of TE repair. A [`LayerCsr`] is built
-//! once per layer per negotiation — neighbour, base port, base edge id and
-//! the slot of each arc's reverse among its head's neighbour slots — so a
-//! build never searches the base graph or hashes an edge. An iteration's
+//! Tree builds are the hot loop of negotiation: each iteration rebuilds
+//! every `(layer, dst)` tree. A [`LayerCsr`] is built once per layer per
+//! negotiation — neighbour, base port, base edge id and the slot of each
+//! arc's reverse among its head's neighbour slots — so a build never
+//! searches the base graph or hashes an edge. An iteration's
 //! per-edge prices are gathered once into one [`PricedArc`] record per arc
 //! (head, reverse slot, price; [`LayerCsr::gather`]), and [`build_tree`]
 //! runs Dijkstra over those records on a [`RadixQueue`] — a monotone
@@ -30,7 +30,6 @@
 //! scan.
 
 use fatpaths_core::fwd::fnv1a;
-use fatpaths_core::repair::DownLinks;
 use fatpaths_net::graph::{Graph, RouterId};
 use std::ops::Range;
 
@@ -69,31 +68,7 @@ impl LayerCsr {
     /// The view of layer graph `lg`; `arc_eids` is the base's
     /// [`Graph::arc_edge_ids`].
     pub(crate) fn new(base: &Graph, lg: &Graph, arc_eids: &[u32]) -> Self {
-        Self::from_arcs(lg.n(), |u| {
-            lg.neighbors(u).iter().map(move |&v| {
-                let p = base
-                    .port_of(u, v)
-                    .expect("layer edge must exist in base graph") as usize;
-                (v, p as u16, arc_eids[base.arcs(u).start + p])
-            })
-        })
-    }
-
-    /// This view without the arcs of `down`: the degraded layer.
-    pub(crate) fn without(&self, down: &DownLinks) -> Self {
-        Self::from_arcs(self.n(), |u| {
-            self.slots(u)
-                .filter(move |&i| !down.contains(u, self.head[i]))
-                .map(|i| (self.head[i], self.port[i], self.eid[i]))
-        })
-    }
-
-    /// Builds the view from each router's `(head, port, edge id)` arcs,
-    /// which must be ascending by head and symmetric.
-    fn from_arcs<I>(n: usize, arcs: impl Fn(RouterId) -> I) -> Self
-    where
-        I: Iterator<Item = (RouterId, u16, u32)>,
-    {
+        let n = lg.n();
         let mut csr = LayerCsr {
             start: Vec::with_capacity(n + 1),
             head: Vec::new(),
@@ -103,16 +78,19 @@ impl LayerCsr {
         };
         csr.start.push(0);
         for u in 0..n as RouterId {
-            for (v, p, e) in arcs(u) {
+            for &v in lg.neighbors(u) {
+                let p = base
+                    .port_of(u, v)
+                    .expect("layer edge must exist in base graph") as usize;
                 csr.head.push(v);
-                csr.port.push(p);
-                csr.eid.push(e);
+                csr.port.push(p as u16);
+                csr.eid.push(arc_eids[base.arcs(u).start + p]);
             }
             csr.start.push(csr.head.len() as u32);
         }
-        // Tails are stored ascending and every list is ascending and
-        // symmetric, so the k-th stored arc into `v` comes from `v`'s k-th
-        // neighbour: its reverse is slot k of `v`.
+        // Tails are stored ascending and every neighbour list is ascending
+        // and symmetric, so the k-th stored arc into `v` comes from `v`'s
+        // k-th neighbour: its reverse is slot k of `v`.
         let mut into = vec![0u32; n];
         csr.rev = csr
             .head
@@ -356,16 +334,14 @@ mod tests {
 
     /// The scan formulation [`build_tree`] must equal: a lazy-deletion
     /// binary-heap Dijkstra from `dst` over `lg` under per-edge `costs`
-    /// (`eids[u][i]` is the edge id of `lg.neighbors(u)[i]`), `skip`
-    /// masking down links, then a second pass over every source's arcs
-    /// counting and picking the tight ones.
-    #[allow(clippy::too_many_arguments)]
+    /// (`eids[u][i]` is the edge id of `lg.neighbors(u)[i]`), then a
+    /// second pass over every source's arcs counting and picking the
+    /// tight ones.
     fn weighted_tree(
         base: &Graph,
         lg: &Graph,
         eids: &[Vec<u32>],
         costs: &[f64],
-        skip: Option<&DownLinks>,
         layer: u32,
         dst: u32,
         trow: &mut [u16],
@@ -380,9 +356,6 @@ mod tests {
                 continue;
             }
             for (i, &v) in lg.neighbors(u).iter().enumerate() {
-                if skip.is_some_and(|s| s.contains(u, v)) {
-                    continue;
-                }
                 let nd = d + costs[eids[u as usize][i] as usize];
                 if nd < dist[v as usize] {
                     dist[v as usize] = nd;
@@ -396,10 +369,8 @@ mod tests {
                 continue;
             }
             let nbs = lg.neighbors(src);
-            let cand = |i: usize, v: u32| {
-                !skip.is_some_and(|s| s.contains(src, v))
-                    && dist[v as usize] + costs[eids[src as usize][i] as usize] == ds
-            };
+            let cand =
+                |i: usize, v: u32| dist[v as usize] + costs[eids[src as usize][i] as usize] == ds;
             let count = nbs.iter().enumerate().filter(|&(i, &v)| cand(i, v)).count();
             let key = (layer as u64) << 48 | (src as u64) << 24 | dst as u64;
             let pick = (fnv1a(key) % count as u64) as usize;
@@ -425,8 +396,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         // Random graphs where router 0 has degree ≥ 65 (the scan
-        // fallback), the complete graph and a sparse layer of it, with and
-        // without down links: every row equals the oracle's byte for byte.
+        // fallback), the complete graph and a sparse layer of it, each
+        // whole and without a sample of links (which may leave routers
+        // unable to reach `dst`): every row equals the oracle's byte for
+        // byte.
         #[test]
         fn rows_equal_the_scan_oracle(
             n in 66usize..96,
@@ -448,30 +421,25 @@ mod tests {
             let index: std::collections::HashMap<(u32, u32), u32> = canonical.iter().copied().zip(0..).collect();
             let eid = |u: u32, v: u32| index[&(u.min(v), u.max(v))];
             let arc_eids = g.arc_edge_ids();
-            let sparse = g.without_edges(
-                &canonical.iter().copied().enumerate().filter(|(e, _)| e % 3 == 1).map(|(_, uv)| uv).collect::<Vec<_>>(),
-            );
-            let down = DownLinks::from_links(
-                &canonical.iter().copied().enumerate().filter(|(e, _)| e % down_mod == 0).map(|(_, uv)| uv).collect::<Vec<_>>(),
-            );
+            let every = |k: usize, r: usize| -> Vec<(u32, u32)> {
+                canonical.iter().copied().enumerate().filter(|(e, _)| e % k == r).map(|(_, uv)| uv).collect()
+            };
+            let sparse = g.without_edges(&every(3, 1));
+            let down = every(down_mod, 0);
             for lg in [&g, &sparse] {
-                let eids: Vec<Vec<u32>> = (0..n as u32)
-                    .map(|u| lg.neighbors(u).iter().map(|&v| eid(u, v)).collect())
-                    .collect();
-                let healthy = LayerCsr::new(&g, lg, &arc_eids);
-                for skip in [None, Some(&down)] {
-                    let csr = match skip {
-                        Some(d) => healthy.without(d),
-                        None => healthy.clone(),
-                    };
+                for (case, degraded) in [(lg.clone(), false), (lg.without_edges(&down), true)] {
+                    let eids: Vec<Vec<u32>> = (0..n as u32)
+                        .map(|u| case.neighbors(u).iter().map(|&v| eid(u, v)).collect())
+                        .collect();
+                    let csr = LayerCsr::new(&g, &case, &arc_eids);
                     let cost = csr.gather(&prices);
                     let mut scratch = TreeScratch::default();
                     for dst in 0..n as u32 {
                         let mut want = vec![NO_PORT; n];
-                        weighted_tree(&g, lg, &eids, &prices, skip, layer, dst, &mut want);
+                        weighted_tree(&g, &case, &eids, &prices, layer, dst, &mut want);
                         let mut got = vec![NO_PORT; n];
                         build_tree(&csr, &cost, layer, dst, &mut scratch, &mut got);
-                        prop_assert_eq!(&got, &want, "dst {} down {}", dst, skip.is_some());
+                        prop_assert_eq!(&got, &want, "dst {} degraded {}", dst, degraded);
                     }
                 }
             }

@@ -19,7 +19,7 @@ fn gain_on(topo: &Topology, n_layers: usize, layer_seed: u64, matrix_seed: u64) 
     assert!(!demands.is_empty());
     let te = TeScheme::negotiate(&topo.graph, &rt, &demands, &TeConfig::default());
     let static_t = achieved_throughput(&edge_loads(&rt, &topo.graph, &demands));
-    let te_t = achieved_throughput(&edge_loads(&te, &topo.graph, &demands));
+    let te_t = achieved_throughput(&edge_loads(te.tables(), &topo.graph, &demands));
     // Negotiation keeps the best iteration and iteration 0 is the static
     // tables, so TE can never be worse; the pin below demands strictly
     // better.
@@ -61,7 +61,7 @@ fn te_ratio_against_upper_bound_is_sane() {
     let upper = fatpaths_mcf::throughput_upper_bound(&topo, &demands);
     assert!(upper.is_finite() && upper > 0.0);
     let te = TeScheme::negotiate(&topo.graph, &rt, &demands, &TeConfig::default());
-    let ratio = achieved_throughput(&edge_loads(&te, &topo.graph, &demands)) / upper;
+    let ratio = achieved_throughput(&edge_loads(te.tables(), &topo.graph, &demands)) / upper;
     // The k-path relaxation is near-optimal; a fixed-tree scheme under
     // equal split must land in a sane band around it.
     assert!(ratio > 0.1 && ratio < 1.6, "ratio {ratio} out of band");

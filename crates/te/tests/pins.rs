@@ -1,8 +1,9 @@
 //! Pins the negotiated tables bit for bit: an FNV digest of the ports
 //! `TeScheme::negotiate` settles on, the bits of its peak and its
 //! iteration count (Slim Fly q = 7, four layers, three iterations,
-//! worst-case matrix), and a digest of its repair overlay for a 2% link
-//! failure sample. The literals were computed before the tree kernel's
+//! worst-case matrix), and a digest of the overlay the static repair rule
+//! builds over them for a 2% link failure sample. The negotiation
+//! literals were computed before the tree kernel's
 //! queue, arc layout and tie pick were rewritten, so a kernel change that
 //! moves a distance, a tie-break or a port fails here, not only against
 //! the kernel's own test oracle.
@@ -10,7 +11,6 @@
 use fatpaths_core::fwd::RoutingTables;
 use fatpaths_core::layers::{build_random_layers, LayerConfig};
 use fatpaths_core::repair::{DownLinks, RouteRepair};
-use fatpaths_core::scheme::RoutingScheme;
 use fatpaths_net::fault::{FaultModel, FaultPlan};
 use fatpaths_net::topo::slimfly::slim_fly;
 use fatpaths_te::{endpoint_demands, TeConfig, TeScheme};
@@ -48,7 +48,7 @@ fn negotiated_ports_peak_and_repair_are_pinned() {
     let pairs = matrix_flows(&topo, &MatrixSpec::WorstCase { intensity: 0.7 }, 1);
     let cfg = TeConfig { max_iterations: 3 };
     let te = TeScheme::negotiate(g, &rt, &endpoint_demands(&topo, &pairs), &cfg);
-    let pt = te.ports();
+    let pt = te.tables().ports();
     let ports = fnv((0..pt.n_layers()).flat_map(|l| {
         (0..pt.nr() as u32).flat_map(move |dst| pt.row(l, dst).iter().map(|&p| p as u64))
     }));
@@ -58,10 +58,12 @@ fn negotiated_ports_peak_and_repair_are_pinned() {
         "negotiated ports, peak bits, iterations"
     );
     let plan = FaultPlan::sample(&topo, &FaultModel::UniformFraction { fraction: 0.02 }, 1);
-    let rep = te.repair_routes(g, &DownLinks::from_links(plan.static_failures()));
+    let rep = te
+        .tables()
+        .repair(g, &DownLinks::from_links(plan.static_failures()));
     assert_eq!(
         (rep.len(), overlay_digest(&rep)),
-        (3526, 14647245191260870685),
+        (22017, 4913465419320603114),
         "repair at 2%"
     );
 }

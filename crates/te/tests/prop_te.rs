@@ -46,12 +46,12 @@ proptest! {
                     if src == dst {
                         continue;
                     }
-                    if let Some(p) = te.ports().get(l, src, dst) {
+                    if let Some(p) = te.tables().ports().get(l, src, dst) {
                         let nb = g.neighbor_at(src, p as u32);
                         prop_assert!(lg.has_edge(src, nb),
                             "layer {l} row {src}->{dst} leaves the layer edge set");
                     }
-                    let path = te.ports().path(g, l, src, dst);
+                    let path = te.tables().ports().path(g, l, src, dst);
                     prop_assert!(path.is_some(), "layer {l} {src}->{dst} unroutable/looping");
                 }
             }
@@ -65,7 +65,7 @@ proptest! {
         for l in 0..n_layers {
             for dst in 0..nr {
                 for src in 0..nr {
-                    prop_assert_eq!(te.ports().get(l, src, dst), seq.ports().get(l, src, dst));
+                    prop_assert_eq!(te.tables().ports().get(l, src, dst), seq.tables().ports().get(l, src, dst));
                 }
             }
         }

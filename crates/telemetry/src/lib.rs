@@ -138,8 +138,10 @@ pub enum SpanKind {
     FirstTrim = 2,
     /// First retransmission queued at the sender.
     FirstRetx = 3,
-    /// Layer (or LetFlow-nonce) switch at a flowlet boundary;
-    /// `a` = old layer, `b` = new layer.
+    /// Layer switch at a flowlet boundary or an NDP path suggestion,
+    /// recorded only when the layer changes (a LetFlow nonce re-roll
+    /// keeps the layer and records nothing); `a` = old layer, `b` = new
+    /// layer.
     LayerSwitch = 4,
     /// Retransmission timeout fired at the sender.
     Rto = 5,
