@@ -1,5 +1,5 @@
-//! Pins the SPAIN, k-shortest-paths, interference-minimizing and random
-//! layer builds bit for bit: FNV digests of their layer sets and port
+//! Pins the SPAIN, k-shortest-paths, PAST, interference-minimizing and
+//! random layer builds bit for bit: FNV digests of their layer sets and port
 //! tables on small Slim Fly and fat-tree instances (and, for SPAIN, their
 //! disjoint union, where layers are forests rather than spanning trees).
 //! The literals were computed before the builders were rewritten as
@@ -195,5 +195,19 @@ fn patched_random_layer_sets_are_pinned() {
     for (seed, digest) in cases {
         let ls = build_random_layers(&sf(), &LayerConfig::new(3, 0.2, seed));
         assert_eq!(layers_digest(&ls), digest, "SF random layers seed {seed}");
+    }
+}
+
+#[test]
+fn past_ports_are_pinned() {
+    // (topology, seed, port digest): one destination-rooted tree per
+    // router, lowered into one layer.
+    let cases: [(&str, Graph, u64, u64); 2] = [
+        ("SF", sf(), 3, 7144828869078634592),
+        ("FT", ft(), 7, 10802872463491764985),
+    ];
+    for (name, g, seed, digest) in cases {
+        let pt = PortTables::past(&g, seed);
+        assert_eq!(ports_digest(&pt), digest, "{name} PAST seed {seed}");
     }
 }
