@@ -8,7 +8,7 @@ use fatpaths_core::layers::{build_random_layers, LayerConfig};
 use fatpaths_diversity::cdp::{cdp_with, CdpScratch};
 use fatpaths_diversity::collisions::collision_histogram;
 use fatpaths_diversity::interference::sample_pi;
-use fatpaths_mcf::mat::{mat, router_demands, LayeredPaths};
+use fatpaths_mcf::mat::{mat, router_demands};
 use fatpaths_mcf::worstcase::worst_case_flows;
 use fatpaths_net::topo::slimfly::slim_fly;
 use fatpaths_sim::{LoadBalancing, SimConfig, Simulator};
@@ -62,10 +62,7 @@ fn bench_figure_pipelines(c: &mut Criterion) {
             black_box(mat(
                 &t.graph,
                 &demands,
-                &LayeredPaths {
-                    base: &t.graph,
-                    tables: &rt,
-                },
+                |s, d| rt.ports().paths(&t.graph, s, d),
                 0.1,
             ))
         })

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use fatpaths_core::fwd::RoutingTables;
 use fatpaths_core::layers::{build_random_layers, LayerConfig};
-use fatpaths_mcf::mat::{mat, router_demands, LayeredPaths};
+use fatpaths_mcf::mat::{mat, router_demands};
 use fatpaths_mcf::worstcase::{worst_case_flows, worst_case_router_matching};
 use fatpaths_net::topo::slimfly::slim_fly;
 use std::hint::black_box;
@@ -25,10 +25,7 @@ fn bench_mcf(c: &mut Criterion) {
             black_box(mat(
                 &t.graph,
                 &demands,
-                &LayeredPaths {
-                    base: &t.graph,
-                    tables: &rt,
-                },
+                |s, d| rt.ports().paths(&t.graph, s, d),
                 0.08,
             ))
         })

@@ -166,6 +166,24 @@ impl PortTables {
         }
         Some(path)
     }
+
+    /// The distinct paths `src → dst` over every layer, in layer order:
+    /// each layer adds the [`path`](PortTables::path) it routes the pair
+    /// on, unless it has no route or an earlier layer already gave that
+    /// path. This is the path set a layered scheme offers a pair, which
+    /// the maximum-achievable-throughput analysis (Fig. 9) charges it
+    /// with.
+    pub fn paths(&self, base: &Graph, src: RouterId, dst: RouterId) -> Vec<Vec<RouterId>> {
+        let mut out: Vec<Vec<RouterId>> = Vec::new();
+        for layer in 0..self.n_layers() {
+            if let Some(p) = self.path(base, layer, src, dst) {
+                if !out.contains(&p) {
+                    out.push(p);
+                }
+            }
+        }
+        out
+    }
 }
 
 /// Forwarding tables for every layer of a [`LayerSet`]: the [`PortTables`]
@@ -776,6 +794,9 @@ mod tests {
         assert!(pt.candidate_ports(1, 0, 3).is_empty());
         assert_eq!(pt.path(&g, 1, 0, 3), None);
         assert_eq!(pt.path(&g, 0, 0, 3), Some(vec![0, 3]));
+        // The path set skips a layer without a route and a repeated path.
+        assert_eq!(pt.paths(&g, 0, 3), vec![vec![0, 3]]);
+        assert_eq!(pt.paths(&g, 0, 1), vec![vec![0, 1]]);
         // No router forwards to itself: `NO_PORT` on every diagonal.
         for l in 0..pt.n_layers() {
             for r in 0..4 {

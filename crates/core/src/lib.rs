@@ -32,7 +32,11 @@
 //!   baselines (Appendix C), lowered into bare [`PortTables`]
 //!   ([`PortTables::spain`] / [`PortTables::past`] /
 //!   [`PortTables::ksp`]); Valiant load balancing is
-//!   [`ValiantScheme`];
+//!   [`ValiantScheme`]. [`PortTables::paths`] lists the distinct paths a
+//!   table set offers a pair, one per layer, which Fig. 9's
+//!   maximum-achievable-throughput analysis charges each table-driven
+//!   scheme with (`fatpaths-mcf` takes the paths as a function and does
+//!   not depend on this crate); [`k_shortest_paths`] gives KSP's;
 //! * [`schemes`] — Table I's feature matrix as data.
 //!
 //! To add a new routing scheme, implement
@@ -56,7 +60,7 @@ pub use fwd::{fnv1a, PortTables, RoutingTables, NO_PORT};
 pub use interference_min::{build_interference_min_layers, ImConfig};
 pub use ksp::k_shortest_paths;
 pub use layers::{build_random_layers, LayerConfig, LayerSet};
-pub use past::{PastTrees, PastVariant};
+pub use past::PastVariant;
 pub use repair::{DownLinks, RouteRepair};
 pub use scheme::{KspConfig, MinimalScheme, PortSet, RoutingScheme, ValiantScheme};
 pub use spain::{build_spain_layers, SpainConfig, SpainLayers};

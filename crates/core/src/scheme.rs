@@ -21,7 +21,7 @@ use crate::ecmp::DistanceMatrix;
 use crate::fwd::{fnv1a, PortTables, RoutingTables};
 use crate::ksp::{k_shortest_paths_in, YenScratch};
 use crate::layers::{connect_with_bridges, LayerSet};
-use crate::past::PastTrees;
+use crate::past::tree_toward;
 use crate::repair::{DownLinks, RouteRepair};
 use crate::spain::{build_spain_layers, SpainConfig};
 use fatpaths_net::graph::{Graph, RouterId};
@@ -408,24 +408,20 @@ impl PortTables {
         PortTables::build(base, &ksp_layers(base, cfg))
     }
 
-    /// Builds PAST's per-destination trees and compiles them into one
-    /// layer of port tables.
+    /// PAST as one layer of port tables: destination `dst`'s row is its
+    /// spanning tree, each router's port toward its tree parent.
     pub fn past(g: &Graph, seed: u64) -> Self {
         assert!(
             g.is_connected(),
             "PAST routing needs a connected base graph"
         );
-        let trees = PastTrees::build(g, seed);
         let nr = g.n();
-        assert_eq!(trees.num_trees(), nr, "tree count must match router count");
         let mut ports = PortTables::new(1, nr);
         for table in ports.layers_mut() {
             for (dst, row) in (0..nr as u32).zip(table.chunks_mut(nr)) {
-                for (src, entry) in (0..nr as u32).zip(row) {
-                    if src == dst {
-                        continue;
-                    }
-                    if let Some(next) = trees.next_hop(src, dst) {
+                let parent = tree_toward(g, dst, seed);
+                for ((src, entry), &next) in (0..nr as u32).zip(row).zip(&parent) {
+                    if src != dst {
                         let p = g
                             .port_of(src, next)
                             .expect("PAST tree edge must exist in the graph");
@@ -661,10 +657,14 @@ mod tests {
     #[test]
     fn past_scheme_single_deterministic_path() {
         let t = slim_fly(5, 1).unwrap();
-        let trees = PastTrees::build(&t.graph, 3);
+        let parent = tree_toward(&t.graph, 37, 3);
         let ps = PortTables::past(&t.graph, 3);
         let p = walk(&ps, &t.graph, 0, 4, 37);
-        assert_eq!(p, trees.path(4, 37).unwrap());
+        let mut tree_path = vec![4];
+        while *tree_path.last().unwrap() != 37 {
+            tree_path.push(parent[*tree_path.last().unwrap() as usize]);
+        }
+        assert_eq!(p, tree_path);
         // Layer tag is irrelevant: same path on any tag.
         assert_eq!(walk(&ps, &t.graph, 5, 4, 37), p);
     }
@@ -768,17 +768,13 @@ mod tests {
     #[test]
     fn past_equals_its_tree_next_hops() {
         for (name, g) in oracle_topologies() {
-            let trees = PastTrees::build(&g, 11);
             let ps = PortTables::past(&g, 11);
             assert_eq!(ps.n_layers(), 1);
             let nr = g.n() as u32;
-            for at in 0..nr {
-                for dst in (0..nr).filter(|&dst| dst != at) {
-                    let want: Vec<u16> = trees
-                        .next_hop(at, dst)
-                        .map(|next| g.port_of(at, next).unwrap() as u16)
-                        .into_iter()
-                        .collect();
+            for dst in 0..nr {
+                let parent = tree_toward(&g, dst, 11);
+                for at in (0..nr).filter(|&at| at != dst) {
+                    let want = [g.port_of(at, parent[at as usize]).unwrap() as u16];
                     let got = ps.candidate_ports(0, at, dst);
                     assert_eq!(got.as_slice(), want, "{name} {at}->{dst}");
                 }

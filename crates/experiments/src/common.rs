@@ -32,7 +32,7 @@ pub struct Table {
 
 impl Table {
     /// An empty table with the given column names.
-    pub fn new(header: &[&str]) -> Table {
+    pub(crate) fn new(header: &[&str]) -> Table {
         let mut t = Table {
             columns: header.len(),
             text: String::new(),
@@ -44,7 +44,7 @@ impl Table {
     /// Appends one row; cells are anything `Display`. Panics when the
     /// row's arity differs from the header's. Cells containing `,`, `"`
     /// or a line break are quoted per RFC 4180.
-    pub fn row(&mut self, cells: &[&dyn Display]) {
+    pub(crate) fn row(&mut self, cells: &[&dyn Display]) {
         assert!(
             cells.len() == self.columns,
             "row has {} cells, header has {} columns",
@@ -70,12 +70,12 @@ impl Table {
     }
 
     /// The CSV text (what the `*_matrix_on` entry points return).
-    pub fn into_text(self) -> String {
+    pub(crate) fn into_text(self) -> String {
         self.text
     }
 
     /// Writes `results/<name>.csv` and reports the path.
-    pub fn write(self, name: &str) -> io::Result<PathBuf> {
+    pub(crate) fn write(self, name: &str) -> io::Result<PathBuf> {
         write_text(&format!("{name}.csv"), &self.text)
     }
 }
@@ -156,7 +156,7 @@ pub struct SchemeArm {
 impl SchemeArm {
     /// An arm running `spec` with its default balancer, analytic
     /// tables and no control plane.
-    pub fn new(name: &'static str, spec: SchemeSpec) -> SchemeArm {
+    pub(crate) fn new(name: &'static str, spec: SchemeSpec) -> SchemeArm {
         SchemeArm {
             name,
             spec,
@@ -167,25 +167,25 @@ impl SchemeArm {
     }
 
     /// Overrides the load balancer.
-    pub fn lb(mut self, lb: LoadBalancing) -> SchemeArm {
+    pub(crate) fn lb(mut self, lb: LoadBalancing) -> SchemeArm {
         self.lb = Some(lb);
         self
     }
 
     /// Runs the arm from compiled FIBs.
-    pub fn compiled(mut self, mode: CompileMode) -> SchemeArm {
+    pub(crate) fn compiled(mut self, mode: CompileMode) -> SchemeArm {
         self.compiled = Some(mode);
         self
     }
 
     /// Repairs routing `delay_ps` after every link-state change.
-    pub fn detect(mut self, delay_ps: u64) -> SchemeArm {
+    pub(crate) fn detect(mut self, delay_ps: u64) -> SchemeArm {
         self.detect = Some(delay_ps);
         self
     }
 
     /// Applies the arm to a scenario.
-    pub fn on<'a>(&self, sc: Scenario<'a>) -> Scenario<'a> {
+    pub(crate) fn on<'a>(&self, sc: Scenario<'a>) -> Scenario<'a> {
         let mut sc = sc.scheme(self.spec);
         if let Some(lb) = self.lb {
             sc = sc.lb(lb);

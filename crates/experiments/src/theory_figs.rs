@@ -2,11 +2,11 @@
 //! (cost model), Fig. 19 (edge density / radix scaling), Tables I and V.
 
 use crate::common::{f, label, topo_set, write_summary, Table};
-use fatpaths_core::fwd::RoutingTables;
+use fatpaths_core::fwd::{PortTables, RoutingTables};
 use fatpaths_core::interference_min::{build_interference_min_layers, ImConfig};
-use fatpaths_core::past::PastTrees;
-use fatpaths_core::spain::{build_spain_layers, SpainConfig};
-use fatpaths_mcf::mat::{mat, router_demands, KspPaths, LayeredPaths, PastPaths};
+use fatpaths_core::ksp::k_shortest_paths;
+use fatpaths_core::spain::SpainConfig;
+use fatpaths_mcf::mat::{mat, router_demands};
 use fatpaths_mcf::worstcase::worst_case_flows;
 use fatpaths_net::classes::{build, SizeClass};
 use fatpaths_net::cost::{cost, PriceBook};
@@ -55,53 +55,30 @@ pub fn fig9(quick: bool) -> io::Result<()> {
         .map(|t| {
             let flows = worst_case_flows(t, 0.55, 17);
             let demands = router_demands(&flows, |e| t.endpoint_router(e));
+            let g = &t.graph;
             // FatPaths, interference-minimizing construction.
-            let ls = build_interference_min_layers(&t.graph, &ImConfig { n_layers, seed: 5 });
-            let rt = RoutingTables::build(&t.graph, &ls);
-            let fp = mat(
-                &t.graph,
-                &demands,
-                &LayeredPaths {
-                    base: &t.graph,
-                    tables: &rt,
-                },
-                eps,
-            );
+            let ls = build_interference_min_layers(g, &ImConfig { n_layers, seed: 5 });
+            let rt = RoutingTables::build(g, &ls);
+            let fp = mat(g, &demands, |s, d| rt.ports().paths(g, s, d), eps);
             // SPAIN (capped to the same layer budget for fairness, §VI-C).
-            let spain = build_spain_layers(
-                &t.graph,
+            let spain = PortTables::spain(
+                g,
                 &SpainConfig {
                     k_paths: 2,
                     max_layers: Some(n_layers),
                     seed: 6,
                 },
             );
-            let srt = RoutingTables::build(&t.graph, &spain.layers);
-            let sp = mat(
-                &t.graph,
-                &demands,
-                &LayeredPaths {
-                    base: &t.graph,
-                    tables: &srt,
-                },
-                eps,
-            );
+            let sp = mat(g, &demands, |s, d| spain.paths(g, s, d), eps);
             // PAST.
-            let trees = PastTrees::build(&t.graph, 7);
-            let pa = mat(&t.graph, &demands, &PastPaths { trees: &trees }, eps);
-            // k-shortest paths.
-            let ks = mat(
-                &t.graph,
-                &demands,
-                &KspPaths {
-                    graph: &t.graph,
-                    k: n_layers,
-                },
-                eps,
-            );
+            let past = PortTables::past(g, 7);
+            let pa = mat(g, &demands, |s, d| past.paths(g, s, d), eps);
+            // k-shortest paths: Yen's paths, not the `PortTables::ksp`
+            // layers the simulator forwards on (see `fatpaths_mcf::mat`).
+            let ks = mat(g, &demands, |s, d| k_shortest_paths(g, s, d, n_layers), eps);
             [
                 ("fatpaths", fp.throughput, n_layers),
-                ("spain", sp.throughput, spain.layers.len()),
+                ("spain", sp.throughput, spain.n_layers()),
                 ("past", pa.throughput, t.num_routers()),
                 ("ksp", ks.throughput, n_layers),
             ]

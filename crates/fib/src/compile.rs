@@ -15,7 +15,7 @@
 //! miss = unreachable), and local delivery (`t == r`) is the switch's
 //! endpoint ports, not network FIB state. The rule count the
 //! [`CompileMode`] implies is counted here, once, by the run-length
-//! rule of [`Fib::rules`]: in [`CompileMode::Aggregated`] adjacent
+//! rule of `row_rules`: in [`CompileMode::Aggregated`] adjacent
 //! destination ranges resolving to the same group make one rule —
 //! router-major endpoint numbering makes structural domains (fat-tree
 //! pods, Dragonfly groups, HyperX rows) contiguous, so the merge is the

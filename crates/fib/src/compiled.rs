@@ -52,7 +52,8 @@ impl<S: RoutingScheme + Sync> CompiledScheme<S> {
     }
 
     /// The analytic scheme the tables were compiled from.
-    pub fn inner(&self) -> &S {
+    #[cfg(test)]
+    pub(crate) fn inner(&self) -> &S {
         &self.inner
     }
 }

@@ -17,7 +17,7 @@
 //!   with per-switch ECMP-group deduplication (two rules pointing at
 //!   the same port set share one group, as real ASICs share group-table
 //!   slots); the `(layer tag, endpoint-address range) → ECMP group`
-//!   rules a switch would install are derived from it ([`Fib::rules`]);
+//!   rules a switch would install are derived from it (`row_rules`);
 //! * [`compile()`] — the compiler, in two modes:
 //!   [`CompileMode::HostRoutes`] emits one rule per destination router,
 //!   while [`CompileMode::Aggregated`] run-length merges rules over

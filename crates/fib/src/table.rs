@@ -13,7 +13,7 @@
 //! nr + dst_router]` = ECMP group id + 1 (`0` = no rule), two bytes per
 //! `(tag, destination)`: a router-keyed lookup is one read, and an
 //! endpoint-keyed one first maps the endpoint to its router. The range
-//! rules are a *derived view* ([`Fib::rules`]): a run-length pass over a
+//! rules are a *derived view* (`row_rules`): a run-length pass over a
 //! `(switch, tag)` row in destination order, one rule per router in
 //! [`CompileMode::HostRoutes`], adjacent routers sharing a group merged
 //! in [`CompileMode::Aggregated`]. Rule counts, [`FibStats`] and the
@@ -189,7 +189,7 @@ impl Fib {
     }
 
     /// Which compile mode produced this state.
-    pub fn mode(&self) -> CompileMode {
+    pub(crate) fn mode(&self) -> CompileMode {
         self.mode
     }
 
@@ -214,7 +214,7 @@ impl Fib {
     /// simulator only ever routes toward a flow's destination router,
     /// which does by construction).
     #[inline]
-    pub fn lookup_router(
+    pub(crate) fn lookup_router(
         &self,
         at: RouterId,
         layer: usize,
@@ -241,7 +241,8 @@ impl Fib {
     /// The range rules switch `at` holds on `layer`, sorted and
     /// disjoint — derived from the dense index by the compile mode's
     /// run-length rule (see the [module docs](self)).
-    pub fn rules(&self, at: RouterId, layer: usize) -> impl Iterator<Item = FibEntry> + '_ {
+    #[cfg(test)]
+    pub(crate) fn rules(&self, at: RouterId, layer: usize) -> impl Iterator<Item = FibEntry> + '_ {
         row_rules(
             self.row(at, layer),
             &self.endpoint_offset,

@@ -3,17 +3,25 @@
 //!
 //! For a topology, a routing scheme, and a traffic pattern, MAT is the
 //! largest `T` such that every commodity can ship `T · demand`
-//! concurrently. Commodity candidate paths come from the scheme:
+//! concurrently over the scheme's own candidate paths, which [`mat`]
+//! takes as a function of the pair. Fig. 9 reads them where the packet
+//! simulator forwards from, `fatpaths-core`'s port tables, through
+//! `PortTables::paths` (the distinct per-layer paths, in layer order):
 //!
-//! * **FatPaths layered routing** — one destination-based path per layer;
-//! * **SPAIN** — the path within each layer (one spanning tree each);
-//! * **PAST** — the single tree path of the destination's spanning tree;
-//! * **k-shortest paths** — Yen's paths.
+//! * **FatPaths layered routing** — one destination-based path per layer,
+//!   from the ports of its `RoutingTables`;
+//! * **SPAIN** — the path within each layer (one spanning tree each),
+//!   from `PortTables::spain`;
+//! * **PAST** — the single tree path of the destination's spanning tree,
+//!   from `PortTables::past`.
+//!
+//! **k-shortest paths** is the exception: Fig. 9 charges it with Yen's
+//! k shortest paths themselves (`k_shortest_paths`), not with the layer
+//! tables `PortTables::ksp` builds for the simulator, where layer `i`
+//! unions every pair's `i`-th shortest path and minimal forwarding inside
+//! that union may take another path.
 
 use crate::gk::{max_concurrent_flow, Commodity, McfResult};
-use fatpaths_core::fwd::RoutingTables;
-use fatpaths_core::ksp::k_shortest_paths;
-use fatpaths_core::past::PastTrees;
 use fatpaths_net::graph::{Graph, RouterId, BFS_BATCH, UNREACHABLE};
 use rayon::prelude::*;
 use rustc_hash::FxHashMap;
@@ -29,98 +37,27 @@ pub struct RouterDemand {
     pub demand: f64,
 }
 
-/// Provides candidate router-paths for (src, dst) pairs.
-pub trait PathProvider {
-    /// Candidate paths as router sequences (`src ..= dst`).
-    fn paths(&self, src: RouterId, dst: RouterId) -> Vec<Vec<RouterId>>;
-    /// Number of "layers" (hardware resource cost, §VI-B).
-    fn layer_cost(&self) -> usize;
-}
-
-/// FatPaths / SPAIN style: one path per layer from forwarding tables.
-/// Every layer of a [`RoutingTables`] routes every pair (its build checks
-/// that), and a path never leaves its layer, so each layer adds the path
-/// it routes the pair on, unless an earlier layer already gave it.
-pub struct LayeredPaths<'a> {
-    /// Base graph the tables were built on.
-    pub base: &'a Graph,
-    /// The per-layer forwarding tables.
-    pub tables: &'a RoutingTables,
-}
-
-impl PathProvider for LayeredPaths<'_> {
-    fn paths(&self, src: RouterId, dst: RouterId) -> Vec<Vec<RouterId>> {
-        let ports = self.tables.ports();
-        let mut out: Vec<Vec<u32>> = Vec::new();
-        for layer in 0..ports.n_layers() {
-            if let Some(p) = ports.path(self.base, layer, src, dst) {
-                if !out.contains(&p) {
-                    out.push(p);
-                }
-            }
-        }
-        out
-    }
-
-    fn layer_cost(&self) -> usize {
-        self.tables.n_layers()
-    }
-}
-
-/// PAST: the unique per-destination tree path.
-pub struct PastPaths<'a> {
-    /// The per-destination spanning trees.
-    pub trees: &'a PastTrees,
-}
-
-impl PathProvider for PastPaths<'_> {
-    fn paths(&self, src: RouterId, dst: RouterId) -> Vec<Vec<RouterId>> {
-        self.trees.path(src, dst).into_iter().collect()
-    }
-
-    fn layer_cost(&self) -> usize {
-        self.trees.num_trees()
-    }
-}
-
-/// Yen's k shortest paths.
-pub struct KspPaths<'a> {
-    /// The graph.
-    pub graph: &'a Graph,
-    /// Paths per pair.
-    pub k: usize,
-}
-
-impl PathProvider for KspPaths<'_> {
-    fn paths(&self, src: RouterId, dst: RouterId) -> Vec<Vec<RouterId>> {
-        k_shortest_paths(self.graph, src, dst, self.k)
-    }
-
-    fn layer_cost(&self) -> usize {
-        self.k
-    }
-}
-
 /// Computes MAT: assembles commodities (router paths → edge-id paths) and
-/// runs the Garg–Könemann solver with unit edge capacities.
+/// runs the Garg–Könemann solver with unit edge capacities. `paths(src,
+/// dst)` gives a demand's candidate paths as router sequences
+/// (`src ..= dst`).
 ///
-/// Commodity assembly — the table walks / Yen runs behind
-/// [`PathProvider::paths`] — is embarrassingly parallel and dominates
-/// wall-clock for large demand sets, so it fans out per demand (hence
-/// the `Sync` bound on providers); the GK iterations themselves are
-/// data-dependent and stay sequential (see [`crate::gk`]).
-pub fn mat<P: PathProvider + Sync>(
+/// Commodity assembly — the table walks / Yen runs behind `paths` — is
+/// embarrassingly parallel and dominates wall-clock for large demand
+/// sets, so it fans out per demand (hence the `Sync` bound); the GK
+/// iterations themselves are data-dependent and stay sequential (see
+/// [`crate::gk`]).
+pub fn mat(
     g: &Graph,
     demands: &[RouterDemand],
-    provider: &P,
+    paths: impl Fn(RouterId, RouterId) -> Vec<Vec<RouterId>> + Sync,
     eps: f64,
 ) -> McfResult {
     let arc_eids = g.arc_edge_ids();
     let commodities: Vec<Commodity> = demands
         .par_iter()
         .map(|d| {
-            let paths = provider
-                .paths(d.src, d.dst)
+            let paths = paths(d.src, d.dst)
                 .into_iter()
                 .map(|p| {
                     p.windows(2)
@@ -255,6 +192,7 @@ mod tests {
     use super::*;
     use crate::worstcase::worst_case_flows;
     use fatpaths_core::layers::{build_random_layers, LayerConfig, LayerSet};
+    use fatpaths_core::{PortTables, RoutingTables};
     use fatpaths_net::topo::slimfly::slim_fly;
     use proptest::prelude::*;
 
@@ -263,21 +201,14 @@ mod tests {
         // The Fig. 9 headline: FatPaths layered routing outperforms PAST on
         // low-diameter topologies under worst-case traffic.
         let t = slim_fly(5, 3).unwrap();
+        let g = &t.graph;
         let flows = worst_case_flows(&t, 0.55, 1);
         let demands = router_demands(&flows, |e| t.endpoint_router(e));
-        let ls = build_random_layers(&t.graph, &LayerConfig::new(6, 0.6, 2));
-        let rt = RoutingTables::build(&t.graph, &ls);
-        let fat = mat(
-            &t.graph,
-            &demands,
-            &LayeredPaths {
-                base: &t.graph,
-                tables: &rt,
-            },
-            0.08,
-        );
-        let trees = PastTrees::build(&t.graph, 3);
-        let past = mat(&t.graph, &demands, &PastPaths { trees: &trees }, 0.08);
+        let ls = build_random_layers(g, &LayerConfig::new(6, 0.6, 2));
+        let rt = RoutingTables::build(g, &ls);
+        let fat = mat(g, &demands, |s, d| rt.ports().paths(g, s, d), 0.08);
+        let pt = PortTables::past(g, 3);
+        let past = mat(g, &demands, |s, d| pt.paths(g, s, d), 0.08);
         assert!(
             fat.throughput > past.throughput,
             "FatPaths {} ≤ PAST {}",
@@ -289,30 +220,14 @@ mod tests {
     #[test]
     fn more_layers_do_not_hurt() {
         let t = slim_fly(5, 3).unwrap();
+        let g = &t.graph;
         let flows = worst_case_flows(&t, 0.55, 4);
         let demands = router_demands(&flows, |e| t.endpoint_router(e));
-        let l1 = LayerSet::minimal_only(&t.graph);
-        let rt1 = RoutingTables::build(&t.graph, &l1);
-        let single = mat(
-            &t.graph,
-            &demands,
-            &LayeredPaths {
-                base: &t.graph,
-                tables: &rt1,
-            },
-            0.08,
-        );
-        let l6 = build_random_layers(&t.graph, &LayerConfig::new(6, 0.6, 5));
-        let rt6 = RoutingTables::build(&t.graph, &l6);
-        let six = mat(
-            &t.graph,
-            &demands,
-            &LayeredPaths {
-                base: &t.graph,
-                tables: &rt6,
-            },
-            0.08,
-        );
+        let rt1 = RoutingTables::build(g, &LayerSet::minimal_only(g));
+        let single = mat(g, &demands, |s, d| rt1.ports().paths(g, s, d), 0.08);
+        let l6 = build_random_layers(g, &LayerConfig::new(6, 0.6, 5));
+        let rt6 = RoutingTables::build(g, &l6);
+        let six = mat(g, &demands, |s, d| rt6.ports().paths(g, s, d), 0.08);
         assert!(
             six.throughput >= single.throughput * 0.95,
             "{} vs {}",
@@ -381,22 +296,6 @@ mod tests {
             prop_assert_eq!(demand_volume(&g, &demands).to_bits(), want.to_bits());
             let seq = rayon::run_sequential(|| demand_volume(&g, &demands));
             prop_assert_eq!(seq.to_bits(), want.to_bits());
-        }
-    }
-
-    #[test]
-    fn ksp_provider_paths_are_valid() {
-        let t = slim_fly(5, 1).unwrap();
-        let p = KspPaths {
-            graph: &t.graph,
-            k: 4,
-        };
-        let paths = p.paths(0, 33);
-        assert_eq!(paths.len(), 4);
-        for path in paths {
-            for w in path.windows(2) {
-                assert!(t.graph.has_edge(w[0], w[1]));
-            }
         }
     }
 }

@@ -129,7 +129,7 @@ impl Graph {
     }
 
     /// Maximum degree over all routers.
-    pub fn max_degree(&self) -> usize {
+    pub(crate) fn max_degree(&self) -> usize {
         (0..self.n())
             .map(|u| self.degree(u as u32))
             .max()

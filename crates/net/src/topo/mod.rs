@@ -183,7 +183,7 @@ impl Topology {
     }
 
     /// Uniform-concentration helper: `p` endpoints on every router.
-    pub fn uniform_concentration(n: usize, p: u32) -> Vec<u32> {
+    pub(crate) fn uniform_concentration(n: usize, p: u32) -> Vec<u32> {
         vec![p; n]
     }
 }

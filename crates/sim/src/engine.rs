@@ -326,10 +326,8 @@ enum Front {
 impl EventQueue {
     /// Schedules a non-arrival event at absolute time `at`. Packet
     /// arrivals carry slab ids that are not canonical across shard
-    /// layouts — they must go through [`push_arrival`] with the
+    /// layouts — they must go through `push_arrival` with the
     /// packet's transmission id instead.
-    ///
-    /// [`push_arrival`]: EventQueue::push_arrival
     pub fn push(&mut self, at: TimePs, kind: EvKind) {
         debug_assert!(
             !matches!(
@@ -344,7 +342,7 @@ impl EventQueue {
     /// Schedules a packet arrival ordered by the packet's unique
     /// transmission id (`Packet::salt`), which is stable across shard
     /// layouts — unlike the slab id embedded in the `EvKind`.
-    pub fn push_arrival(&mut self, at: TimePs, kind: EvKind, uid: u64) {
+    pub(crate) fn push_arrival(&mut self, at: TimePs, kind: EvKind, uid: u64) {
         debug_assert!(
             matches!(
                 kind,
@@ -596,7 +594,7 @@ impl EventQueue {
 
     /// Timestamp of the earliest pending event. Takes `&mut self`
     /// because finding it may move the cursor to the next bucket.
-    pub fn peek_time(&mut self) -> Option<TimePs> {
+    pub(crate) fn peek_time(&mut self) -> Option<TimePs> {
         Some(match self.front()? {
             Front::Bucket => self.bucket_entry(self.cur).t(),
             Front::Spill => self.spill.peek().expect("front is in spill").0.t(),
@@ -621,7 +619,7 @@ impl EventQueue {
     /// shard — fragments the allocator's heap at the moment the process
     /// high-water mark forms. Capacity reserved but never touched is
     /// not resident, so over-reserving is cheap.
-    pub fn reserve(&mut self, n: usize) {
+    pub(crate) fn reserve(&mut self, n: usize) {
         let free = self.slab.len() - self.slab_len;
         self.slab.reserve_exact(n.saturating_sub(free));
     }
@@ -631,7 +629,7 @@ impl EventQueue {
     /// steady-state population — so without this the burst-sized
     /// buffers would be carried through the late-run memory plateau
     /// where the process high-water mark actually forms.
-    pub fn shrink_excess(&mut self) {
+    pub(crate) fn shrink_excess(&mut self) {
         shrink_heap(&mut self.spill);
         shrink_heap(&mut self.far);
         // The slab is judged by the slots it has touched, not by its
@@ -723,7 +721,7 @@ pub enum PktKind {
 /// Two fields of the logical packet are *derived*, not stored:
 ///
 /// * the owning flow is the top bits of [`salt`](Packet::salt)
-///   ([`Packet::flow`]);
+///   (`Packet::flow`);
 /// * the destination router is a flat lookup from
 ///   [`dst_ep`](Packet::dst_ep) (`Ctx::ep_router`).
 ///
@@ -769,7 +767,7 @@ impl Packet {
     /// [`Packet::with_retx`] / [`Packet::with_ecn_echo`] at the source
     /// and the `set_*` mutators in flight.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         kind: PktKind,
         seq: u32,
         wire_bytes: u32,
@@ -792,26 +790,26 @@ impl Packet {
     }
 
     /// Marks the packet a retransmission.
-    pub fn with_retx(mut self, retx: bool) -> Packet {
+    pub(crate) fn with_retx(mut self, retx: bool) -> Packet {
         self.meta |= if retx { F_RETX } else { 0 };
         self
     }
 
     /// Sets the ACK's ECE echo bit.
-    pub fn with_ecn_echo(mut self, echo: bool) -> Packet {
+    pub(crate) fn with_ecn_echo(mut self, echo: bool) -> Packet {
         self.meta |= if echo { F_ECN_ECHO } else { 0 };
         self
     }
 
     /// Owning flow index (the top bits of the transmission id).
     #[inline]
-    pub fn flow(&self) -> u32 {
+    pub(crate) fn flow(&self) -> u32 {
         (self.salt >> 33) as u32
     }
 
     /// Kind.
     #[inline]
-    pub fn kind(&self) -> PktKind {
+    pub(crate) fn kind(&self) -> PktKind {
         match self.meta & 0b11 {
             0 => PktKind::Data,
             1 => PktKind::Ack,
@@ -822,37 +820,37 @@ impl Packet {
 
     /// Payload was trimmed by a congested NDP queue.
     #[inline]
-    pub fn trimmed(&self) -> bool {
+    pub(crate) fn trimmed(&self) -> bool {
         self.meta & F_TRIMMED != 0
     }
 
     /// Records a payload trim (the caller also rewrites `wire_bytes`).
     #[inline]
-    pub fn set_trimmed(&mut self) {
+    pub(crate) fn set_trimmed(&mut self) {
         self.meta |= F_TRIMMED;
     }
 
     /// ECN congestion-experienced mark.
     #[inline]
-    pub fn ecn_ce(&self) -> bool {
+    pub(crate) fn ecn_ce(&self) -> bool {
         self.meta & F_ECN_CE != 0
     }
 
     /// Applies the ECN congestion-experienced mark.
     #[inline]
-    pub fn set_ecn_ce(&mut self) {
+    pub(crate) fn set_ecn_ce(&mut self) {
         self.meta |= F_ECN_CE;
     }
 
     /// ECE echo on ACKs.
     #[inline]
-    pub fn ecn_echo(&self) -> bool {
+    pub(crate) fn ecn_echo(&self) -> bool {
         self.meta & F_ECN_ECHO != 0
     }
 
     /// Retransmission (NDP prioritizes these).
     #[inline]
-    pub fn retx(&self) -> bool {
+    pub(crate) fn retx(&self) -> bool {
         self.meta & F_RETX != 0
     }
 }
@@ -884,7 +882,7 @@ impl<T> Default for Slab<T> {
 
 impl<T: Copy> Slab<T> {
     /// Stores `v`, returning its id.
-    pub fn alloc(&mut self, v: T) -> u32 {
+    pub(crate) fn alloc(&mut self, v: T) -> u32 {
         self.live += 1;
         if self.free != NO_SLOT {
             let id = self.free;
@@ -904,7 +902,7 @@ impl<T: Copy> Slab<T> {
     }
 
     /// Frees `id` for reuse, returning what it held.
-    pub fn release(&mut self, id: u32) -> T {
+    pub(crate) fn release(&mut self, id: u32) -> T {
         self.live -= 1;
         self.next[id as usize] = self.free;
         self.free = id;
@@ -912,22 +910,22 @@ impl<T: Copy> Slab<T> {
     }
 
     /// Immutable access.
-    pub fn get(&self, id: u32) -> &T {
+    pub(crate) fn get(&self, id: u32) -> &T {
         &self.slots[id as usize]
     }
 
     /// Mutable access.
-    pub fn get_mut(&mut self, id: u32) -> &mut T {
+    pub(crate) fn get_mut(&mut self, id: u32) -> &mut T {
         &mut self.slots[id as usize]
     }
 
     /// Slots currently allocated.
-    pub fn live(&self) -> usize {
+    pub(crate) fn live(&self) -> usize {
         self.live
     }
 
     /// Slot capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.slots.capacity()
     }
 
@@ -935,7 +933,7 @@ impl<T: Copy> Slab<T> {
     /// growth. Free slots count toward that budget, and growth is exact:
     /// per-window bulk reserves (mailbox delivery) must not inflate the
     /// arena past its true high-water mark.
-    pub fn reserve(&mut self, n: usize) {
+    pub(crate) fn reserve(&mut self, n: usize) {
         let fresh = n.saturating_sub(self.slots.len() - self.live);
         self.slots.reserve_exact(fresh);
         self.next.reserve_exact(fresh);
@@ -962,12 +960,12 @@ impl Default for Fifo {
 impl Fifo {
     /// True iff the FIFO holds no id.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.head == NO_SLOT
     }
 
     /// Appends `id`.
-    pub fn push_back<T>(&mut self, slab: &mut Slab<T>, id: u32) {
+    pub(crate) fn push_back<T>(&mut self, slab: &mut Slab<T>, id: u32) {
         slab.next[id as usize] = NO_SLOT;
         if self.tail == NO_SLOT {
             self.head = id;
@@ -978,7 +976,7 @@ impl Fifo {
     }
 
     /// Head-inserts `id`.
-    pub fn push_front<T>(&mut self, slab: &mut Slab<T>, id: u32) {
+    pub(crate) fn push_front<T>(&mut self, slab: &mut Slab<T>, id: u32) {
         slab.next[id as usize] = self.head;
         if self.tail == NO_SLOT {
             self.tail = id;
@@ -987,7 +985,7 @@ impl Fifo {
     }
 
     /// Unlinks and returns the head id, if any (it stays allocated).
-    pub fn pop_front<T>(&mut self, slab: &Slab<T>) -> Option<u32> {
+    pub(crate) fn pop_front<T>(&mut self, slab: &Slab<T>) -> Option<u32> {
         let id = self.head;
         if id == NO_SLOT {
             return None;
@@ -1000,7 +998,7 @@ impl Fifo {
     }
 
     /// Releases every id it holds back to `slab`.
-    pub fn clear<T: Copy>(&mut self, slab: &mut Slab<T>) {
+    pub(crate) fn clear<T: Copy>(&mut self, slab: &mut Slab<T>) {
         while let Some(id) = self.pop_front(slab) {
             slab.release(id);
         }

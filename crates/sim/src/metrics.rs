@@ -314,12 +314,14 @@ pub struct HistogramResult {
 
 impl HistogramResult {
     /// Samples that landed inside `[lo, hi)`.
+    #[cfg(test)]
     fn in_range(&self) -> u64 {
         self.counts.iter().sum()
     }
 
     /// Total samples seen, out-of-range included.
-    pub fn total(&self) -> u64 {
+    #[cfg(test)]
+    fn total(&self) -> u64 {
         self.in_range() + self.underflow + self.overflow
     }
 }

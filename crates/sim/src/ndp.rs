@@ -196,6 +196,10 @@ impl Shard {
     /// first window of §III-C (receiver-side dedup makes spurious copies
     /// harmless). `Shard::on_rto` calls this only at the flow's deadline,
     /// last progress + RTO; the window resent is [`INITIAL_WINDOW`].
+    ///
+    /// Cold: timeouts are rare, and this body inlined into the event loop
+    /// slows the events that are not timeouts.
+    #[cold]
     pub(crate) fn ndp_on_rto<R: RoutingScheme + ?Sized>(&mut self, cx: &Ctx<R>, flow: u32) {
         let ti = cx.tx_idx(flow);
         self.span(flow, SpanKind::Rto, 0, 0);
@@ -207,10 +211,15 @@ impl Shard {
         if nl > 1
             || (adaptive && matches!(cx.cfg.lb, LoadBalancing::LetFlow | LoadBalancing::EcmpFlow))
         {
+            let old = self.tx[ti].layer;
             self.tx[ti].flowlet_ctr += 1;
             if !(adaptive && self.adaptive_repick(cx, flow)) && nl > 1 {
                 let f = &mut self.tx[ti];
                 f.layer = (fnv1a(((flow as u64) << 26) ^ 0xFA11 ^ f.flowlet_ctr as u64) % nl) as u8;
+            }
+            let new = self.tx[ti].layer;
+            if new != old {
+                self.span(flow, SpanKind::LayerSwitch, old as u32, new as u32);
             }
         }
         // Collect into the shard's scratch buffer: RTOs fire per flow,

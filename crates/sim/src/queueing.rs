@@ -20,7 +20,7 @@ pub struct QueueModel {
 
 impl QueueModel {
     /// Utilization `ρ = λ·E[S]`, clamped below 1 for stability.
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         (self.lambda * self.mean_service_s).min(0.99)
     }
 

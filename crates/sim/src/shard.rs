@@ -166,19 +166,19 @@ const _: () = assert!(std::mem::size_of::<SlotRef>() == 4);
 impl SlotRef {
     const IDX_BITS: u32 = 24;
 
-    pub fn new(shard: u32, idx: u32) -> Self {
+    pub(crate) fn new(shard: u32, idx: u32) -> Self {
         let fits = shard < 1 << (32 - Self::IDX_BITS) && idx < 1 << Self::IDX_BITS;
         assert!(fits, "slot {shard}/{idx} is beyond the 24-bit index limit");
         SlotRef(shard << Self::IDX_BITS | idx)
     }
 
     #[inline]
-    pub fn shard(self) -> u32 {
+    pub(crate) fn shard(self) -> u32 {
         self.0 >> Self::IDX_BITS
     }
 
     #[inline]
-    pub fn idx(self) -> u32 {
+    pub(crate) fn idx(self) -> u32 {
         self.0 & ((1 << Self::IDX_BITS) - 1)
     }
 }

@@ -119,19 +119,20 @@ impl<const N: usize> Grid<N> {
 
     /// Number of cells: the product of the axis lengths (0 when any
     /// axis is empty).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.dims.iter().product()
     }
 
     /// True when some axis is empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Row-major position of the cell at `at`; the inverse of
     /// [`cells`](Grid::cells) enumeration. Panics when a coordinate is
     /// outside its axis.
-    pub fn index(&self, at: [usize; N]) -> usize {
+    pub(crate) fn index(&self, at: [usize; N]) -> usize {
         at.iter().zip(&self.dims).fold(0, |i, (&c, &d)| {
             assert!(c < d, "cell {at:?} outside grid {:?}", self.dims);
             i * d + c
@@ -139,7 +140,7 @@ impl<const N: usize> Grid<N> {
     }
 
     /// Every cell's coordinates, in row-major order.
-    pub fn cells(&self) -> impl Iterator<Item = [usize; N]> {
+    pub(crate) fn cells(&self) -> impl Iterator<Item = [usize; N]> {
         let dims = self.dims;
         (0..self.len()).map(move |mut i| {
             let mut at = [0; N];

@@ -14,7 +14,7 @@
 //! passes when both legs share a mistake; a literal does not. With
 //! every flow sampled, each run also shows it reached the code it pins:
 //! a nonzero `LayerSwitch` span count, or `Rto` spans for the reboot
-//! run.
+//! run, whose `LayerSwitch` spans must also chain layer to layer.
 
 use fatpaths_core::fwd::fnv1a;
 use fatpaths_net::topo::slimfly::slim_fly;
@@ -94,20 +94,32 @@ fn outcome(r: &SimResult, spans: &[SpanEvent]) -> u64 {
     h
 }
 
+/// Runs `sc` with `plan` on `w` on `k` shards, every flow sampled: the
+/// result and every span.
+fn traced(
+    topo: &Topology,
+    sc: &Scenario,
+    plan: &FaultPlan,
+    w: &[FlowSpec],
+    k: u32,
+) -> (SimResult, Vec<SpanEvent>) {
+    let scheme = sc.build_scheme();
+    let mut cfg = sc.sim_config().shards(k);
+    cfg.telemetry = TelemetryConfig {
+        span_every: 1,
+        ..TelemetryConfig::on()
+    };
+    let mut sim = Simulator::new(topo, &scheme, cfg);
+    sim.apply_fault_plan(plan);
+    sim.add_flows(w);
+    let (r, trace) = sim.run_traced();
+    (r, trace.expect("telemetry on").spans)
+}
+
 /// Runs `sc` with `plan` on `w`, every flow sampled, at K = 1 and K = 3.
 fn pin(topo: &Topology, sc: Scenario, plan: &FaultPlan, w: &[FlowSpec]) -> Pin {
-    let scheme = sc.build_scheme();
     let run = |k| {
-        let mut cfg = sc.sim_config().shards(k);
-        cfg.telemetry = TelemetryConfig {
-            span_every: 1,
-            ..TelemetryConfig::on()
-        };
-        let mut sim = Simulator::new(topo, &scheme, cfg);
-        sim.apply_fault_plan(plan);
-        sim.add_flows(w);
-        let (r, trace) = sim.run_traced();
-        let spans = trace.expect("telemetry on").spans;
+        let (r, spans) = traced(topo, &sc, plan, w, k);
         let count = |keep: &dyn Fn(&SpanEvent) -> bool| spans.iter().filter(|s| keep(s)).count();
         Pin {
             outcome: outcome(&r, &spans),
@@ -203,14 +215,57 @@ fn dctcp_letflow_queue_depth_nonce_search() {
 #[test]
 fn ndp_rolling_reboot_aborts() {
     let topo = slim_fly(5, 2).unwrap();
-    let plan = FaultPlan::rolling_reboot(&topo, 0.2, 40 * US, 20 * US, 8 * MS, 4);
-    let sc = Scenario::on(&topo)
+    let (sc, plan) = rolling_reboot(&topo);
+    let p = pin(&topo, sc, &plan, &flows(&topo, incast));
+    assert_eq!(p.rtos, 81, "{p:?}");
+    assert_eq!(p.outcome, 0xfccb_9c18_ea78_bda6);
+    assert_eq!(p.end_time, 12_428_785_600);
+}
+
+/// The rolling-reboot scenario of [`ndp_rolling_reboot_aborts`].
+fn rolling_reboot(topo: &Topology) -> (Scenario<'_>, FaultPlan) {
+    let plan = FaultPlan::rolling_reboot(topo, 0.2, 40 * US, 20 * US, 8 * MS, 4);
+    let sc = Scenario::on(topo)
         .scheme(LAYERS)
         .seed(3)
         .horizon(60 * MS)
         .detection_delay(200 * US);
-    let p = pin(&topo, sc, &plan, &flows(&topo, incast));
-    assert_eq!(p.rtos, 81, "{p:?}");
-    assert_eq!(p.outcome, 0x288c_1dc6_19f4_3279);
-    assert_eq!(p.end_time, 12_428_785_600);
+    (sc, plan)
+}
+
+/// Every layer change records a `LayerSwitch` span, timeouts included:
+/// each flow's spans chain from layer 0, every span leaving the layer
+/// the one before entered. Spans of one flow at one instant are sorted
+/// by `(a, b)`, not by when they were recorded, so an instant's spans
+/// may chain in any order.
+#[test]
+fn ndp_layer_switches_chain_through_timeouts() {
+    let topo = slim_fly(5, 2).unwrap();
+    let (sc, plan) = rolling_reboot(&topo);
+    let w = flows(&topo, incast);
+    let (_, spans) = traced(&topo, &sc, &plan, &w, 1);
+    let mut switches: Vec<&SpanEvent> = spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::LayerSwitch)
+        .collect();
+    switches.sort_by_key(|s| (s.flow, s.t));
+    let (mut instants, mut broken) = (0, 0);
+    let mut layer = vec![0u32; w.len()];
+    for group in switches.chunk_by(|x, y| (x.flow, x.t) == (y.flow, y.t)) {
+        instants += 1;
+        let at = &mut layer[group[0].flow as usize];
+        let mut left: Vec<&SpanEvent> = group.to_vec();
+        while let Some(i) = left.iter().position(|s| s.a == *at) {
+            *at = left.swap_remove(i).b;
+        }
+        if let Some(s) = left.first() {
+            broken += 1;
+            *at = s.b;
+        }
+    }
+    assert!(instants > 0);
+    assert_eq!(
+        broken, 0,
+        "{broken} of {instants} switch instants break the chain"
+    );
 }

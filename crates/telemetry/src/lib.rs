@@ -100,7 +100,7 @@ impl TelemetryConfig {
     /// function of `(flow, seed, span_every)`, so sender- and
     /// receiver-side shards agree without communicating.
     #[inline]
-    pub fn flow_sampled(&self, flow: u32) -> bool {
+    pub(crate) fn flow_sampled(&self, flow: u32) -> bool {
         match self.span_every {
             0 => false,
             1 => true,
@@ -138,10 +138,10 @@ pub enum SpanKind {
     FirstTrim = 2,
     /// First retransmission queued at the sender.
     FirstRetx = 3,
-    /// Layer switch at a flowlet boundary or an NDP path suggestion,
-    /// recorded only when the layer changes (a LetFlow nonce re-roll
-    /// keeps the layer and records nothing); `a` = old layer, `b` = new
-    /// layer.
+    /// Layer switch at a flowlet boundary (an NDP timeout is one) or an
+    /// NDP path suggestion, recorded only when the layer changes (a
+    /// LetFlow nonce re-roll keeps the layer and records nothing); `a` =
+    /// old layer, `b` = new layer.
     LayerSwitch = 4,
     /// Retransmission timeout fired at the sender.
     Rto = 5,

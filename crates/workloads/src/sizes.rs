@@ -84,14 +84,15 @@ impl FlowSizeDist {
     }
 
     /// Draws one flow size.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> u64 {
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> u64 {
         let x: f64 = rng.random();
         let idx = self.cumulative.partition_point(|&c| c < x);
         self.sizes[idx.min(self.sizes.len() - 1)]
     }
 
     /// Exact mean of the distribution.
-    pub fn mean(&self) -> f64 {
+    #[cfg(test)]
+    fn mean(&self) -> f64 {
         let mut prev = 0.0;
         let mut m = 0.0;
         for (&s, &c) in self.sizes.iter().zip(&self.cumulative) {
@@ -102,7 +103,8 @@ impl FlowSizeDist {
     }
 
     /// The support (distinct sizes).
-    pub fn sizes(&self) -> &[u64] {
+    #[cfg(test)]
+    fn sizes(&self) -> &[u64] {
         &self.sizes
     }
 }

@@ -41,7 +41,7 @@
 //! | [`net`] | graph model, topology generators, size classes, cost model, fault plans (seeded link-failure samplers + timed events) |
 //! | [`diversity`] | path-diversity metrics: CDP, PI, TNL, collisions (§IV) |
 //! | [`core`] | layered routing, forwarding tables, the [`RoutingScheme`](core::scheme::RoutingScheme) trait and every baseline adapter (§V–VI) |
-//! | [`mcf`] | max-achievable-throughput solver, worst-case traffic (§VI) |
+//! | [`mcf`] | max-achievable-throughput solver over caller-supplied candidate paths (Fig. 9 passes the port tables' [`paths`](core::fwd::PortTables::paths), and Yen's paths for KSP), worst-case traffic (§VI) |
 //! | [`workloads`] | traffic patterns, flow sizes, arrivals, mappings (§II-C) |
 //! | [`fib`] | FIB compilation: per-switch prefix rules + ECMP groups, table budgets, and the [`CompiledScheme`](fib::CompiledScheme) adapter (§V-E) |
 //! | [`sim`] | packet-level simulator (NDP + TCP/DCTCP), fluid model, and the [`Scenario`](sim::Scenario) builder (§VII) |

@@ -3,7 +3,7 @@
 
 use fatpaths::diversity::apsp::shortest_path_stats;
 use fatpaths::diversity::cdp::cdp;
-use fatpaths::mcf::mat::{mat, router_demands, LayeredPaths, PastPaths};
+use fatpaths::mcf::mat::{mat, router_demands};
 use fatpaths::mcf::worstcase::worst_case_flows;
 use fatpaths::net::cost::{cost, PriceBook};
 use fatpaths::prelude::*;
@@ -134,18 +134,11 @@ fn mat_pipeline_fatpaths_beats_past() {
             seed: 4,
         },
     );
-    let tables = RoutingTables::build(&topo.graph, &layers);
-    let fat = mat(
-        &topo.graph,
-        &demands,
-        &LayeredPaths {
-            base: &topo.graph,
-            tables: &tables,
-        },
-        0.08,
-    );
-    let trees = fatpaths::core::past::PastTrees::build(&topo.graph, 5);
-    let past = mat(&topo.graph, &demands, &PastPaths { trees: &trees }, 0.08);
+    let g = &topo.graph;
+    let tables = RoutingTables::build(g, &layers);
+    let fat = mat(g, &demands, |s, d| tables.ports().paths(g, s, d), 0.08);
+    let past_tables = fatpaths::core::PortTables::past(g, 5);
+    let past = mat(g, &demands, |s, d| past_tables.paths(g, s, d), 0.08);
     assert!(fat.throughput > past.throughput);
 }
 

@@ -2,8 +2,11 @@
 # Compiler-driven `pub(crate)` pass over the methods of crates/*/src (the
 # dependency shims excluded), run in a scratch copy of the tracked tree.
 #
-# 1. Copies the files git tracks into a fresh directory under $TMPDIR
-#    (default /tmp); the checkout itself is never written.
+# 1. Copies the tracked files that exist in the working tree, and the
+#    untracked ones git does not ignore, into a fresh directory under
+#    $TMPDIR (default /tmp); the checkout itself is never written. A
+#    tracked file deleted before committing is left out, and a new
+#    source file not yet added is swept.
 # 2. Turns every indented `pub fn` there (a method, an associated
 #    function, or a function of an inline module) into `pub(crate) fn`.
 # 3. Runs `cargo check --all-targets --message-format=json` on the
@@ -32,7 +35,10 @@ work=$(mktemp -d "${TMPDIR:-/tmp}/privatize_sweep.XXXXXX")
 if [ "$keep" -eq 0 ]; then
   trap 'rm -rf "$work"' EXIT
 fi
-git ls-files -z | (cd "$repo" && xargs -0 tar -cf -) | tar -xf - -C "$work"
+git ls-files -z --cached --others --exclude-standard |
+  while IFS= read -r -d '' f; do
+    if [ -e "$f" ]; then printf '%s\0' "$f"; fi
+  done | tar -cf - --null -T - | tar -xf - -C "$work"
 export CARGO_TARGET_DIR="$work/target"
 cd "$work"
 
